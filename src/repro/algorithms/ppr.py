@@ -19,10 +19,9 @@ estimate for queries from a given source vertex.
 
 from __future__ import annotations
 
-from collections import Counter
-
 import numpy as np
 
+from repro.analysis import source_visit_distribution
 from repro.core.config import WalkConfig
 from repro.core.engine import WalkResult
 from repro.core.program import WalkerProgram
@@ -81,15 +80,4 @@ def estimate_ppr(
     """
     if result.paths is None:
         raise ValueError("estimate_ppr needs record_paths=True walks")
-    visits: Counter[int] = Counter()
-    for path in result.paths:
-        if path[0] != source:
-            continue
-        visits.update(int(vertex) for vertex in path)
-    estimate = np.zeros(num_vertices, dtype=np.float64)
-    for vertex, count in visits.items():
-        estimate[vertex] = count
-    total = estimate.sum()
-    if total > 0:
-        estimate /= total
-    return estimate
+    return source_visit_distribution(result.paths, source, num_vertices)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.analysis import source_visit_distribution
 from repro.core.config import WalkConfig
 from repro.core.engine import WalkResult
 from repro.core.program import WalkerProgram
@@ -95,13 +96,4 @@ def rwr_scores(result: WalkResult, source: int, num_vertices: int) -> np.ndarray
     """
     if result.paths is None:
         raise ProgramError("rwr_scores needs record_paths=True walks")
-    scores = np.zeros(num_vertices, dtype=np.float64)
-    for path in result.paths:
-        if path[0] != source:
-            continue
-        counts = np.bincount(path, minlength=num_vertices)
-        scores += counts
-    total = scores.sum()
-    if total > 0:
-        scores /= total
-    return scores
+    return source_visit_distribution(result.paths, source, num_vertices)

@@ -20,10 +20,12 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
+from repro.core.trace import write_walks
 from repro.errors import ReproError
 
 __all__ = [
     "visit_counts",
+    "source_visit_distribution",
     "transition_counts",
     "empirical_transition_matrix",
     "skipgram_pairs",
@@ -38,12 +40,25 @@ Paths = Sequence[np.ndarray] | Sequence[Sequence[int]]
 
 def visit_counts(paths: Paths, num_vertices: int) -> np.ndarray:
     """How often each vertex appears across all walks (starts included)."""
-    counts = np.zeros(num_vertices, dtype=np.int64)
-    for path in paths:
-        counts += np.bincount(
-            np.asarray(path, dtype=np.int64), minlength=num_vertices
-        )
-    return counts
+    if not len(paths):
+        return np.zeros(num_vertices, dtype=np.int64)
+    tokens = np.concatenate([np.asarray(path, dtype=np.int64) for path in paths])
+    return np.bincount(tokens, minlength=num_vertices)
+
+
+def source_visit_distribution(
+    paths: Paths, source: int, num_vertices: int
+) -> np.ndarray:
+    """Normalised visit counts over the walks that start at ``source``
+    (all-zero if there are none) — the Monte-Carlo estimator behind
+    PPR and RWR relevance scores."""
+    scores = visit_counts(
+        [path for path in paths if path[0] == source], num_vertices
+    ).astype(np.float64)
+    total = scores.sum()
+    if total > 0:
+        scores /= total
+    return scores
 
 
 def transition_counts(paths: Paths, num_vertices: int) -> np.ndarray:
@@ -158,8 +173,7 @@ def estimate_clustering_coefficient(
 def save_corpus(paths: Paths, path: str | os.PathLike) -> None:
     """Write one whitespace-separated walk per line."""
     with open(path, "w", encoding="ascii") as handle:
-        for walk in paths:
-            handle.write(" ".join(str(int(v)) for v in walk) + "\n")
+        write_walks(handle, paths)
 
 
 def load_corpus(path: str | os.PathLike) -> list[np.ndarray]:

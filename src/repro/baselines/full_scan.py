@@ -121,7 +121,7 @@ class FullScanWalkEngine(WalkEngine):
             )
             self.stats.counters.trials += walker_ids.size
             self.stats.counters.accepts += walker_ids.size
-            self._move(walker_ids, edges)
+            self._commit_moves(walker_ids, self.graph.targets[edges])
             return np.ones(walker_ids.size, dtype=bool)
 
         vertices = self.walkers.current[walker_ids]
@@ -140,7 +140,10 @@ class FullScanWalkEngine(WalkEngine):
         sampled = choices >= 0
         if sampled.any():
             self.stats.counters.accepts += int(sampled.sum())
-            self._move(walker_ids[sampled], edge_indices[choices[sampled]])
+            self._commit_moves(
+                walker_ids[sampled],
+                self.graph.targets[edge_indices[choices[sampled]]],
+            )
         dead = np.flatnonzero(~sampled)
         if dead.size:
             # No out-edge with positive transition probability.
@@ -148,10 +151,3 @@ class FullScanWalkEngine(WalkEngine):
             self.walkers.kill(doomed)
             self.stats.termination.by_dead_end += doomed.size
         return moved
-
-    def _move(self, walker_ids: np.ndarray, edges: np.ndarray) -> None:
-        targets = self.graph.targets[edges]
-        self.walkers.move(walker_ids, targets)
-        self.stats.total_steps += walker_ids.size
-        if self._recorder is not None:
-            self._recorder.record_moves(walker_ids, targets)

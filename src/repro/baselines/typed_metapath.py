@@ -68,10 +68,7 @@ class TypedMetaPathWalkEngine(WalkEngine):
             movers = walker_ids[sampled]
             targets = self.graph.targets[edges[sampled]]
             self.stats.counters.accepts += movers.size
-            self.walkers.move(movers, targets)
-            self.stats.total_steps += movers.size
-            if self._recorder is not None:
-                self._recorder.record_moves(movers, targets)
+            self._commit_moves(movers, targets)
         dead = np.flatnonzero(~sampled)
         if dead.size:
             # No edge of the required type: the walk terminates, per

@@ -260,7 +260,7 @@ class DistributedWalkEngine(WalkEngine):
         if (
             fault_plan is not None
             and fault_plan.has_crashes
-            and self._streaming
+            and self.config.stream_paths_to is not None
         ):
             raise FaultError(
                 "crash recovery cannot rewind streamed paths; use "
@@ -388,17 +388,10 @@ class DistributedWalkEngine(WalkEngine):
                     "status": status,
                 },
             )
-        paths = None
-        if self._recorder is not None:
-            if self._streaming:
-                if not self.walkers.num_active:
-                    self._recorder.close()
-            else:
-                paths = self._recorder.paths()
         return DistributedWalkResult(
             stats=self.stats,
             walkers=self.walkers,
-            paths=paths,
+            paths=self._finish_paths(),
             status=status,
             cluster=self.cluster,
         )
@@ -464,7 +457,7 @@ class DistributedWalkEngine(WalkEngine):
                     moved = self._distributed_round(pending)
                     pending = pending[~moved]
 
-        self._flush_streaming(active)
+        self._retire_finished(active)
         self._close_superstep(active_per_node)
 
     # ------------------------------------------------------------------

@@ -88,10 +88,6 @@ def capture_cluster_state(engine) -> ClusterCheckpoint:
         "light_mode_node_supersteps": engine.cluster.light_mode_node_supersteps,
         "network": engine.network.snapshot_state(),
     }
-    if engine._recorder is not None:
-        recorder = engine._recorder
-        state["recorder_walkers"] = list(recorder._move_walkers)
-        state["recorder_vertices"] = list(recorder._move_vertices)
     return ClusterCheckpoint(iterations=engine.stats.iterations, state=state)
 
 
@@ -123,9 +119,9 @@ def restore_cluster_state(engine, checkpoint: ClusterCheckpoint) -> None:
     engine.cluster.light_mode_node_supersteps = state["light_mode_node_supersteps"]
     engine.network.restore_state(state["network"])
     if engine._recorder is not None:
-        recorder = engine._recorder
-        recorder._move_walkers[:] = list(state["recorder_walkers"])
-        recorder._move_vertices[:] = list(state["recorder_vertices"])
+        # Recorded counts equal walkers.steps, so restoring the steps
+        # is the whole rollback (see PathRecorder.rewind).
+        engine._recorder.rewind(state["steps"])
 
 
 def reassign_dead_vertices(

@@ -46,7 +46,7 @@ from repro.core.kernels import (
 from repro.core.program import WalkerProgram
 from repro.core.stats import WalkStats
 from repro.core.stepper import StepExecutor
-from repro.core.trace import PathRecorder, StreamingPathRecorder
+from repro.core.trace import PathRecorder
 from repro.core.walker import WalkerSet
 from repro.errors import ProgramError
 from repro.graph.csr import CSRGraph
@@ -203,13 +203,11 @@ class WalkEngine:
         self.walkers = WalkerSet(starts, history_depth=program.history_depth)
         self._rng = derive_rng(config.seed, 0xE17)
         program.setup_walkers(graph, self.walkers, derive_rng(config.seed, 0x5E7))
-        if config.stream_paths_to is not None:
-            self._recorder = StreamingPathRecorder(config.stream_paths_to, starts)
-        elif config.record_paths:
-            self._recorder = PathRecorder(starts)
-        else:
-            self._recorder = None
-        self._streaming = isinstance(self._recorder, StreamingPathRecorder)
+        self._recorder = (
+            PathRecorder(starts, config.max_steps, config.stream_paths_to)
+            if config.record_paths or config.stream_paths_to is not None
+            else None
+        )
         self._rejection_streak = np.zeros(self.walkers.num_walkers, dtype=np.int64)
         self.stats = WalkStats()
         # "trial" pacing for second-order programs, "step" otherwise.
@@ -399,19 +397,18 @@ class WalkEngine:
                     run_handle.args["status"] = status
                     run_handle.args["iterations"] = executed
         self.stats.wall_time_seconds += time.perf_counter() - loop_start
-        paths = None
-        if self._recorder is not None:
-            if self._streaming:
-                if not self.walkers.num_active:
-                    self._recorder.close()
-            else:
-                paths = self._recorder.paths()
         return WalkResult(
             stats=self.stats,
             walkers=self.walkers,
-            paths=paths,
+            paths=self._finish_paths(),
             status=status,
         )
+
+    def _finish_paths(self) -> list[np.ndarray] | None:
+        """Recorded paths; ``None`` if not recorded or streamed to a file."""
+        if self._recorder is None:
+            return None
+        return self._recorder.finish(complete=not self.walkers.num_active)
 
     # ------------------------------------------------------------------
     def _iteration(self) -> None:
@@ -441,7 +438,7 @@ class WalkEngine:
         else:
             with obs.span("stage.move", track=self._obs_track):
                 self._move_walkers(survivors)
-        self._flush_streaming(active)
+        self._retire_finished(active)
 
     def _advance_walkers(self, active: np.ndarray) -> np.ndarray:
         """Update stage: termination/teleport bookkeeping before the
@@ -463,12 +460,10 @@ class WalkEngine:
                 moved = self._attempt_once(pending)
                 pending = pending[~moved]
 
-    def _flush_streaming(self, active: np.ndarray) -> None:
-        """Spill the sequences of walkers that died this iteration."""
-        if self._streaming and active.size:
-            finished = active[~self.walkers.alive[active]]
-            if finished.size:
-                self._recorder.flush_finished(finished)
+    def _retire_finished(self, active: np.ndarray) -> None:
+        """Hand the recorder the walkers that died this iteration."""
+        if self._recorder is not None:
+            self._recorder.flush_finished(active[~self.walkers.alive[active]])
 
     def _apply_teleports(self, active: np.ndarray) -> np.ndarray:
         """Move teleporting walkers directly; return the remainder."""

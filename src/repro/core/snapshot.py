@@ -8,10 +8,11 @@ paths, statistics, and the RNG stream — into a single ``.npz``;
 *bit-identically* to an uninterrupted run (the resume-determinism test
 asserts exactly that).
 
-Format (version 2): every payload array is covered by a CRC32 recorded
+Format (version 3): every payload array is covered by a CRC32 recorded
 in the file; a truncated, corrupted, or version-skewed checkpoint
 raises :class:`~repro.errors.SnapshotError` instead of surfacing a raw
-numpy/zipfile traceback.
+numpy/zipfile traceback.  Recorded paths are the recorder's packed
+``(tokens, counts)`` pair; version 2 kept a per-iteration move log.
 
 Distributed engines are first-class: a
 :class:`~repro.cluster.engine.DistributedWalkEngine` checkpoint
@@ -44,7 +45,6 @@ import numpy as np
 
 from repro.core.config import WalkConfig
 from repro.core.engine import WalkEngine
-from repro.core.trace import PathRecorder
 from repro.core.program import WalkerProgram
 from repro.errors import SnapshotCorruptError, SnapshotError
 from repro.graph.csr import CSRGraph
@@ -52,7 +52,7 @@ from repro.graph.dynamic import DynamicGraph, EpochSnapshot
 
 __all__ = ["save_checkpoint", "restore_checkpoint", "checkpoint_epoch"]
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _RECOVERY_FIELDS = ("crashes", "restarts", "checkpoints_taken", "replayed_supersteps")
 
@@ -115,23 +115,8 @@ def _base_payload(engine: WalkEngine) -> dict:
     for name in state_names:
         payload[f"state_{name}"] = walkers.state(name)
 
-    # Recorded moves (flattened with per-batch lengths).
     if engine._recorder is not None:
-        recorder = engine._recorder
-        lengths = np.asarray(
-            [batch.size for batch in recorder._move_walkers], dtype=np.int64
-        )
-        payload["recorder_lengths"] = lengths
-        payload["recorder_walkers"] = (
-            np.concatenate(recorder._move_walkers)
-            if lengths.size
-            else np.zeros(0, dtype=np.int64)
-        )
-        payload["recorder_vertices"] = (
-            np.concatenate(recorder._move_vertices)
-            if lengths.size
-            else np.zeros(0, dtype=np.int64)
-        )
+        payload["path_tokens"], payload["path_counts"] = engine._recorder.packed()
     return payload
 
 
@@ -196,9 +181,7 @@ def save_checkpoint(engine: WalkEngine, path: str | os.PathLike) -> None:
     paused at a superstep boundary, i.e. between ``run`` calls — the
     only place its state is observable anyway).
     """
-    if engine._recorder is not None and not isinstance(
-        engine._recorder, PathRecorder
-    ):
+    if engine.config.stream_paths_to is not None:
         raise SnapshotError(
             "checkpointing is not supported with streaming path output "
             "(already-spilled sequences cannot be captured)"
@@ -308,25 +291,16 @@ def _restore_base(engine: WalkEngine, data: dict, path) -> None:
             walkers.state(name)[:] = data[f"state_{name}"]
 
         if engine._recorder is not None:
-            if "recorder_lengths" not in data:
+            if "path_tokens" not in data:
                 raise SnapshotError(
                     "checkpoint lacks recorded paths but record_paths=True"
                 )
-            recorder = engine._recorder
-            recorder._move_walkers.clear()
-            recorder._move_vertices.clear()
-            offsets = np.zeros(
-                data["recorder_lengths"].size + 1, dtype=np.int64
-            )
-            np.cumsum(data["recorder_lengths"], out=offsets[1:])
-            flat_walkers = data["recorder_walkers"]
-            flat_vertices = data["recorder_vertices"]
-            for index in range(offsets.size - 1):
-                low, high = offsets[index], offsets[index + 1]
-                recorder._move_walkers.append(flat_walkers[low:high].copy())
-                recorder._move_vertices.append(
-                    flat_vertices[low:high].copy()
-                )
+            try:
+                engine._recorder.restore(data["path_tokens"], data["path_counts"])
+            except ValueError as exc:
+                raise SnapshotError(
+                    f"checkpoint paths do not match configuration: {exc}"
+                ) from exc
     except KeyError as exc:
         raise SnapshotError(f"malformed checkpoint {path}: {exc}") from exc
 

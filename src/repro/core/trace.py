@@ -4,113 +4,164 @@ Algorithms like DeepWalk and node2vec consume the *sequences* a walk
 produces (each walker's vertex path becomes a "sentence" for skip-gram
 training), so the engine can optionally record every move.
 
-Recording is append-per-iteration rather than append-per-walker: each
-iteration contributes one (walker_ids, vertices) pair of arrays, and
-full per-walker paths are reconstructed once at the end.  This keeps
-the hot loop free of per-walker Python work.
+The step that moves a walker also writes its token, so nothing is
+replayed afterwards.  A bounded walk owns one dense ``(num_walkers,
+max_steps + 1)`` token matrix and a per-walker move count; an unbounded
+one (``max_steps is None``: PPR's heavy tail) keeps a flat append-only
+token log instead, O(total moves) rather than O(walkers x longest
+walk), grouped by one stable argsort when paths are read.  Python loops
+here iterate rows or iterations, never moves (docs/INTERNALS.md,
+"Path recording").
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
+
 import numpy as np
 
-__all__ = ["PathRecorder", "StreamingPathRecorder"]
+__all__ = ["PathRecorder", "split_paths", "write_walks"]
+
+
+def write_walks(handle, walks: Iterable[Sequence[int]]) -> None:
+    """Write one whitespace-separated walk per line — the one corpus
+    formatter; :func:`repro.analysis.load_corpus` reads it back.  Rows
+    go through the file's own buffer one at a time, so a |V|-walker
+    flush never holds more than a line of text."""
+    handle.writelines(
+        " ".join(map(str, np.asarray(walk, dtype=np.int64).tolist())) + "\n"
+        for walk in walks
+    )
+
+
+def split_paths(tokens: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
+    """Per-walker views into a :meth:`PathRecorder.packed` pair: rows
+    of the matrix, or slices of the walker-major flat token array, each
+    ``counts[i] + 1`` long."""
+    sizes = (counts + 1).tolist()
+    if tokens.ndim == 2:
+        return [row[:size] for row, size in zip(tokens, sizes)]
+    stops = np.cumsum(counts + 1).tolist()
+    return [tokens[stop - size : stop] for stop, size in zip(stops, sizes)]
 
 
 class PathRecorder:
-    """Accumulates walker moves and reconstructs per-walker paths."""
+    """Records every walker's vertex sequence, starts included.
 
-    def __init__(self, start_vertices: np.ndarray) -> None:
-        self._starts = np.asarray(start_vertices, dtype=np.int64).copy()
-        self._move_walkers: list[np.ndarray] = []
-        self._move_vertices: list[np.ndarray] = []
+    ``counts`` (moves per walker) always equals ``walkers.steps``: engines
+    record every move they commit.  With ``stream_to`` the sequences go to
+    a corpus file instead, in termination order (skip-gram shuffles anyway).
+    """
+
+    def __init__(
+        self,
+        start_vertices: np.ndarray,
+        max_steps: int | None = None,
+        stream_to=None,
+    ) -> None:
+        starts = np.asarray(start_vertices, dtype=np.int64)
+        self._counts = np.zeros(starts.size, dtype=np.int64)
+        if max_steps is not None:
+            self._matrix = np.zeros((starts.size, max_steps + 1), dtype=np.int64)
+            self._matrix[:, 0] = starts
+        else:
+            # Log rows: walker id, token.  Starts are its first entries.
+            self._matrix = None
+            self._log = np.stack([np.arange(starts.size), starts])
+            self._used = starts.size
+        self._written = np.zeros(starts.size, dtype=bool)
+        self._handle = (
+            None if stream_to is None else open(stream_to, "w", encoding="ascii")
+        )
 
     @property
-    def num_walkers(self) -> int:
-        return self._starts.size
+    def lines_written(self) -> int:
+        return int(self._written.sum())
 
     def record_moves(self, walker_ids: np.ndarray, vertices: np.ndarray) -> None:
-        """Record one iteration's successful moves."""
-        if len(walker_ids):
-            self._move_walkers.append(np.asarray(walker_ids, dtype=np.int64).copy())
-            self._move_vertices.append(np.asarray(vertices, dtype=np.int64).copy())
+        """Record one batch of moves (each walker at most once)."""
+        if not len(walker_ids):
+            return
+        if self._matrix is not None:
+            self._matrix[walker_ids, self._counts[walker_ids] + 1] = vertices
+        else:
+            used, self._used = self._used, self._used + len(walker_ids)
+            if self._used > self._log.shape[1]:
+                spare = np.empty((2, self._used), dtype=np.int64)
+                self._log = np.concatenate([self._log[:, :used], spare], axis=1)
+            self._log[0, used : self._used] = walker_ids
+            self._log[1, used : self._used] = vertices
+        self._counts[walker_ids] += 1
+
+    def packed(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(tokens, counts)`` for :func:`split_paths`: the live matrix
+        (no copy), or the log regrouped walker-major."""
+        if self._matrix is not None:
+            return self._matrix, self._counts
+        ids, tokens = self._log[:, : self._used]
+        return tokens[np.argsort(ids, kind="stable")], self._counts
+
+    def restore(self, tokens: np.ndarray, counts: np.ndarray) -> None:
+        """Load a :meth:`packed` pair back (checkpoint resume);
+        ``ValueError`` if it was packed under the other layout."""
+        self.rewind(counts)
+        if self._matrix is not None and tokens.shape == self._matrix.shape:
+            self._matrix[:] = tokens
+        elif self._matrix is None and tokens.shape == (self._used,):
+            ids = np.repeat(np.arange(counts.size), counts + 1)
+            self._log = np.stack([ids, tokens])
+        else:
+            raise ValueError(f"packed paths of shape {tokens.shape} do not fit")
+
+    def rewind(self, counts: np.ndarray) -> None:
+        """Roll back to when ``counts`` was the count vector (crash
+        recovery).  Matrix tokens past a count are stale and the replay
+        overwrites them; the log is append-only, so truncating it to
+        the tokens counted then is exact."""
+        self._counts[:] = counts
+        if self._matrix is None:
+            self._used = counts.size + int(self._counts.sum())
 
     def paths(self) -> list[np.ndarray]:
-        """Per-walker vertex sequences, starts included.
-
-        A walker that took ``k`` steps yields an array of ``k + 1``
-        vertices.  Iteration order of recorded moves preserves each
-        walker's step order, so a single stable pass suffices.
-        """
-        lengths = np.ones(self.num_walkers, dtype=np.int64)
-        for walker_ids in self._move_walkers:
-            np.add.at(lengths, walker_ids, 1)
-        paths = [np.empty(length, dtype=np.int64) for length in lengths]
-        cursor = np.zeros(self.num_walkers, dtype=np.int64)
-        for walker_id, start in enumerate(self._starts):
-            paths[walker_id][0] = start
-        cursor += 1
-        for walker_ids, vertices in zip(self._move_walkers, self._move_vertices):
-            for walker_id, vertex in zip(walker_ids, vertices):
-                paths[walker_id][cursor[walker_id]] = vertex
-                cursor[walker_id] += 1
-        return paths
+        """Per-walker vertex sequences (views): a walker that took
+        ``k`` steps yields ``k + 1`` vertices."""
+        return split_paths(*self.packed())
 
     def as_corpus(self) -> list[list[int]]:
         """Paths as plain lists of ints (skip-gram training input)."""
         return [path.tolist() for path in self.paths()]
 
-
-class StreamingPathRecorder:
-    """Writes each walker's full sequence to disk when its walk ends.
-
-    For |V|-walker runs with long paths, keeping every sequence in
-    memory until the end can dominate the engine's footprint.  This
-    recorder holds only the *active* walkers' partial sequences; the
-    engine calls :meth:`flush_finished` after each iteration with the
-    walkers that just terminated, and their lines go straight to the
-    corpus file (the :func:`repro.analysis.load_corpus` format, one
-    whitespace-separated walk per line).
-
-    Line order is termination order, not walker order — walk corpora
-    are order-insensitive (skip-gram shuffles anyway).
-    """
-
-    def __init__(self, path, start_vertices: np.ndarray) -> None:
-        self._handle = open(path, "w", encoding="ascii")
-        self._partial: dict[int, list[int]] = {
-            walker_id: [int(start)]
-            for walker_id, start in enumerate(
-                np.asarray(start_vertices, dtype=np.int64)
-            )
-        }
-        self.lines_written = 0
-
-    @property
-    def num_walkers(self) -> int:
-        return self.lines_written + len(self._partial)
-
-    def record_moves(self, walker_ids: np.ndarray, vertices: np.ndarray) -> None:
-        for walker_id, vertex in zip(walker_ids, vertices):
-            self._partial[int(walker_id)].append(int(vertex))
+    def finish(self, complete: bool) -> list[np.ndarray] | None:
+        """In-memory paths; ``None`` when streaming (a complete run closes the file)."""
+        if self._handle is None:
+            return self.paths()
+        if complete:
+            self.close()
+        return None
 
     def flush_finished(self, walker_ids: np.ndarray) -> None:
-        """Write and release the sequences of terminated walkers."""
-        for walker_id in walker_ids:
-            sequence = self._partial.pop(int(walker_id), None)
-            if sequence is None:
-                continue
-            self._handle.write(" ".join(str(v) for v in sequence) + "\n")
-            self.lines_written += 1
+        """Write the rows of walkers that just terminated (streaming a
+        bounded walk only: the log has no rows until ``close`` sorts it)."""
+        if self._handle is None or self._matrix is None:
+            return
+        walker_ids = walker_ids[~self._written[walker_ids]]
+        self._written[walker_ids] = True
+        sizes = (self._counts[walker_ids] + 1).tolist()
+        write_walks(
+            self._handle,
+            (self._matrix[w, :size] for w, size in zip(walker_ids.tolist(), sizes)),
+        )
 
     def close(self) -> None:
-        """Flush any remaining (interrupted) walkers and close."""
-        if not self._handle.closed:
-            remaining = np.asarray(sorted(self._partial), dtype=np.int64)
-            self.flush_finished(remaining)
-            self._handle.close()
+        """Write any remaining (interrupted) walkers and close."""
+        if self._handle is None or self._handle.closed:
+            return
+        paths = self.paths()
+        write_walks(self._handle, (paths[w] for w in np.flatnonzero(~self._written)))
+        self._written[:] = True
+        self._handle.close()
 
-    def __enter__(self) -> "StreamingPathRecorder":
+    def __enter__(self) -> "PathRecorder":
         return self
 
     def __exit__(self, *exc_info) -> None:

@@ -39,6 +39,7 @@ from repro.core.config import WalkConfig
 from repro.core.engine import WalkEngine
 from repro.core.program import WalkerProgram
 from repro.core.stats import WalkStats
+from repro.core.trace import split_paths
 from repro.errors import ConfigError
 from repro.graph.csr import CSRGraph
 from repro.obs import MetricsRegistry, registry_from_walk_stats
@@ -122,11 +123,14 @@ def shard_config(
 
 def _run_shard(args):
     graph, program, shard_config_, deadline, index = args
-    result = WalkEngine(graph, program, shard_config_).run(deadline=deadline)
+    engine = WalkEngine(graph, program, shard_config_)
+    result = engine.run(deadline=deadline)
     # Per-shard metric delta, built where the stats live (the worker
     # process) and shipped back over the result pipe for merging.
     delta = registry_from_walk_stats(result.stats, shard=str(index))
-    return result.stats, result.paths, result.walkers.steps, result.status, delta
+    # Two packed buffers cross the pipe, not one small array per walker.
+    packed = None if result.paths is None else engine._recorder.packed()
+    return result.stats, packed, result.walkers.steps, result.status, delta
 
 
 def run_parallel_walk(
@@ -186,7 +190,7 @@ def run_parallel_walk(
     all_paths: list[np.ndarray] | None = [] if config.record_paths else None
     lengths = []
     status = "complete"
-    for stats, paths, steps, shard_status, delta in outputs:
+    for stats, packed, steps, shard_status, delta in outputs:
         registry.merge(delta)
         merged.counters.merge(stats.counters)
         merged.termination.by_step_limit += stats.termination.by_step_limit
@@ -200,8 +204,8 @@ def run_parallel_walk(
             merged.wall_time_seconds, stats.wall_time_seconds
         )
         merged.init_time_seconds += stats.init_time_seconds
-        if all_paths is not None and paths is not None:
-            all_paths.extend(paths)
+        if all_paths is not None and packed is not None:
+            all_paths.extend(split_paths(*packed))
         lengths.append(steps)
         if shard_status == "deadline_exceeded":
             status = "deadline_exceeded"

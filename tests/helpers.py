@@ -13,6 +13,7 @@ __all__ = [
     "empirical_counts",
     "assert_matches_distribution",
     "exact_node2vec_law",
+    "ReplayPathOracle",
 ]
 
 
@@ -93,3 +94,42 @@ def exact_node2vec_law(
     total = law.sum()
     assert total > 0
     return law / total
+
+
+class ReplayPathOracle:
+    """The pre-PR-13 path recorder, kept as the reference: it stores
+    one (walker_ids, vertices) batch per commit and rebuilds every
+    walker's sequence by replaying each move in Python.  Slow and
+    obviously right; :class:`repro.core.trace.PathRecorder` must agree
+    with it move for move."""
+
+    def __init__(self, start_vertices) -> None:
+        self.starts = np.asarray(start_vertices, dtype=np.int64).copy()
+        self.move_walkers: list[np.ndarray] = []
+        self.move_vertices: list[np.ndarray] = []
+
+    def record_moves(self, walker_ids, vertices) -> None:
+        if len(walker_ids):
+            self.move_walkers.append(np.asarray(walker_ids, dtype=np.int64).copy())
+            self.move_vertices.append(np.asarray(vertices, dtype=np.int64).copy())
+
+    def paths(self) -> list[list[int]]:
+        paths = [[int(start)] for start in self.starts]
+        for walker_ids, vertices in zip(self.move_walkers, self.move_vertices):
+            for walker_id, vertex in zip(walker_ids, vertices):
+                paths[int(walker_id)].append(int(vertex))
+        return paths
+
+    @classmethod
+    def attach(cls, engine) -> "ReplayPathOracle":
+        """Feed every batch the engine records to a fresh oracle too."""
+        recorder = engine._recorder
+        oracle = cls(engine.walkers.current)
+        record = recorder.record_moves
+
+        def record_both(walker_ids, vertices):
+            oracle.record_moves(walker_ids, vertices)
+            record(walker_ids, vertices)
+
+        recorder.record_moves = record_both
+        return oracle

@@ -1,0 +1,273 @@
+"""The dense path recorder against the per-move replay oracle.
+
+``PathRecorder`` writes each move straight into its walker's row (or,
+for unbounded walks, a flat log grouped by one argsort).  The oracle in
+``tests.helpers`` is the old recorder: it keeps every batch and replays
+move by move.  Both see the same batches, so their paths must be equal
+on every engine, pacing and layout — plus the properties that rest on
+the recorder's state: partial results, checkpoints, crash rollback,
+streaming, and the unbounded layout's memory bound.
+"""
+
+import numpy as np
+import pytest
+
+from repro.algorithms import (
+    PPR,
+    DeepWalk,
+    MetaPathWalk,
+    Node2Vec,
+    RandomWalkWithRestart,
+)
+from repro.analysis import save_corpus
+from repro.cluster import DistributedWalkEngine
+from repro.cluster.faults import FaultPlan, NodeCrash
+from repro.cluster.recovery import capture_cluster_state, restore_cluster_state
+from repro.core import snapshot
+from repro.core.config import WalkConfig
+from repro.core.engine import WalkEngine
+from repro.core.snapshot import restore_checkpoint, save_checkpoint
+from repro.errors import SnapshotError
+from repro.graph.generators import uniform_degree_graph
+from repro.graph.hetero import assign_random_edge_types
+from repro.parallel import run_parallel_walk, shard_config
+from tests.helpers import ReplayPathOracle
+
+PLAIN = uniform_degree_graph(150, 6, seed=1, undirected=True)
+TYPED = assign_random_edge_types(PLAIN, 4, seed=2)
+
+
+def node2vec():
+    return Node2Vec(p=2.0, q=0.5)  # second order: trial pacing
+
+
+def metapath():
+    return MetaPathWalk([[0, 1, 2], [2, 3]])
+
+
+def rwr():
+    return RandomWalkWithRestart(0.3)  # teleports
+
+
+# name -> (program factory, graph, config overrides).  PPR is the
+# unbounded layout (max_steps=None); the rest use the dense matrix.
+WORKLOADS = {
+    "deepwalk": (DeepWalk, PLAIN, dict(max_steps=12)),
+    "node2vec": (node2vec, PLAIN, dict(max_steps=12)),
+    "metapath": (metapath, TYPED, dict(max_steps=12)),
+    "rwr": (rwr, PLAIN, dict(max_steps=12)),
+    "ppr": (PPR, PLAIN, dict(max_steps=None, termination_probability=0.1)),
+}
+
+
+def make_config(name, **overrides):
+    settings = dict(num_walkers=120, seed=9, record_paths=True)
+    settings.update(WORKLOADS[name][2])
+    settings.update(overrides)
+    return WalkConfig(**settings)
+
+
+def make_engine(name, *, nodes=0, config=None, **engine_kwargs):
+    make_program, graph, _ = WORKLOADS[name]
+    config = config if config is not None else make_config(name)
+    if nodes:
+        return DistributedWalkEngine(
+            graph, make_program(), config, num_nodes=nodes, **engine_kwargs
+        )
+    return WalkEngine(graph, make_program(), config, **engine_kwargs)
+
+
+def as_lists(paths):
+    return [path.tolist() for path in paths]
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+class TestAgainstOracle:
+    @pytest.mark.parametrize("variant", ["step", "walker", "scalar"])
+    def test_local_engine(self, name, variant):
+        config = make_config(
+            name, engine_mode="walker" if variant == "scalar" else variant
+        )
+        engine = make_engine(name, config=config, force_scalar=variant == "scalar")
+        oracle = ReplayPathOracle.attach(engine)
+        result = engine.run()
+        assert as_lists(result.paths) == oracle.paths()
+        # The invariant rewind relies on.
+        np.testing.assert_array_equal(
+            [len(path) - 1 for path in result.paths], result.walkers.steps
+        )
+        assert result.stats.total_steps > 0
+
+    @pytest.mark.parametrize("mode", ["step", "walker"])
+    def test_distributed_engine(self, name, mode):
+        engine = make_engine(
+            name, nodes=4, config=make_config(name, engine_mode=mode)
+        )
+        oracle = ReplayPathOracle.attach(engine)
+        assert as_lists(engine.run().paths) == oracle.paths()
+
+    def test_parallel_shards(self, name):
+        """Paths shipped as packed buffers and split by the parent
+        equal the oracle's over the same shard configurations."""
+        make_program, graph, _ = WORKLOADS[name]
+        config = make_config(name)
+        merged = run_parallel_walk(graph, make_program(), config, num_workers=2)
+        expected = []
+        for shard in shard_config(config, graph, 2):
+            engine = WalkEngine(graph, make_program(), shard)
+            oracle = ReplayPathOracle.attach(engine)
+            engine.run()
+            expected.extend(oracle.paths())
+        assert as_lists(merged.paths) == expected
+
+
+class _ExpiresAfter:
+    """Duck-typed deadline that expires after a number of checks."""
+
+    def __init__(self, checks):
+        self.checks = checks
+
+    def expired(self):
+        self.checks -= 1
+        return self.checks < 0
+
+
+@pytest.mark.parametrize("name", ["node2vec", "rwr", "ppr"])
+def test_deadline_cut_paths_are_prefixes(name):
+    full = make_engine(name).run().paths
+    partial = make_engine(name).run(deadline=_ExpiresAfter(5))
+    assert partial.status == "deadline_exceeded"
+    assert sum(len(path) for path in partial.paths) < sum(len(p) for p in full)
+    for short, whole in zip(partial.paths, full):
+        assert short.tolist() == whole[: len(short)].tolist()
+
+
+class TestCheckpointResume:
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    @pytest.mark.parametrize("nodes", [0, 4])
+    def test_resume_is_bit_identical(self, name, nodes, tmp_path):
+        make_program, graph, _ = WORKLOADS[name]
+        uninterrupted = make_engine(name, nodes=nodes).run().paths
+        engine = make_engine(name, nodes=nodes)
+        engine.run(max_iterations=4)
+        save_checkpoint(engine, tmp_path / "walk.npz")
+        resumed = restore_checkpoint(
+            graph, make_program(), make_config(name), tmp_path / "walk.npz"
+        )
+        assert as_lists(resumed.run().paths) == as_lists(uninterrupted)
+
+    def test_version_2_file_is_refused_by_name(self, tmp_path):
+        """A version-2 file carries a per-iteration move log this
+        recorder cannot hold; it is refused naming both versions, not
+        by an AttributeError somewhere in the restore."""
+        engine = make_engine("deepwalk")
+        oracle = ReplayPathOracle.attach(engine)
+        engine.run(max_iterations=4)
+        save_checkpoint(engine, tmp_path / "v3.npz")
+        with np.load(tmp_path / "v3.npz") as data:
+            payload = {key: data[key] for key in data.files}
+        for key in ("checksum", "path_tokens", "path_counts"):
+            del payload[key]
+        payload["version"] = np.asarray([2])
+        payload["recorder_lengths"] = np.asarray(
+            [batch.size for batch in oracle.move_walkers], dtype=np.int64
+        )
+        payload["recorder_walkers"] = np.concatenate(oracle.move_walkers)
+        payload["recorder_vertices"] = np.concatenate(oracle.move_vertices)
+        payload["checksum"] = np.asarray(
+            [snapshot._payload_checksum(payload)], dtype=np.uint64
+        )
+        np.savez_compressed(tmp_path / "v2.npz", **payload)
+        with pytest.raises(SnapshotError, match=r"version 2 .*expected 3"):
+            restore_checkpoint(
+                PLAIN, DeepWalk(), make_config("deepwalk"), tmp_path / "v2.npz"
+            )
+
+    @pytest.mark.parametrize(
+        "other",
+        [dict(max_steps=20), dict(max_steps=None, termination_probability=0.1)],
+    )
+    def test_layout_mismatch_is_typed(self, other, tmp_path):
+        engine = make_engine("deepwalk")
+        engine.run(max_iterations=3)
+        save_checkpoint(engine, tmp_path / "walk.npz")
+        with pytest.raises(SnapshotError, match="paths do not match"):
+            restore_checkpoint(
+                PLAIN, DeepWalk(), make_config("deepwalk", **other),
+                tmp_path / "walk.npz",
+            )
+
+
+class TestCrashRollback:
+    @pytest.mark.parametrize("name", ["deepwalk", "node2vec", "ppr"])
+    def test_rewind_leaks_no_later_token(self, name):
+        """After a rollback the recorder shows exactly the paths of the
+        restored superstep, and the replay reproduces the original."""
+        engine = make_engine(name, nodes=4)
+        engine.run(max_iterations=3)
+        checkpoint = capture_cluster_state(engine)
+        at_checkpoint = as_lists(engine._recorder.paths())
+        engine.run(max_iterations=4)
+        assert as_lists(engine._recorder.paths()) != at_checkpoint
+        restore_cluster_state(engine, checkpoint)
+        assert as_lists(engine._recorder.paths()) == at_checkpoint
+        assert as_lists(engine.run().paths) == as_lists(
+            make_engine(name, nodes=4).run().paths
+        )
+
+    @pytest.mark.parametrize("name", ["deepwalk", "rwr", "ppr"])
+    def test_crashed_run_equals_fault_free(self, name):
+        plan = FaultPlan(seed=3, crashes=(NodeCrash(superstep=5, node=1),))
+        faulty = make_engine(
+            name, nodes=4, fault_plan=plan, checkpoint_every=3
+        ).run()
+        assert faulty.cluster.recovery.replayed_supersteps >= 1
+        assert as_lists(faulty.paths) == as_lists(
+            make_engine(name, nodes=4).run().paths
+        )
+
+
+@pytest.mark.parametrize("name", ["deepwalk", "node2vec", "ppr"])
+@pytest.mark.parametrize("nodes", [0, 4])
+def test_streamed_file_equals_in_memory_paths(name, nodes, tmp_path):
+    """Same lines as the in-memory paths (order aside), and the same
+    bytes per line as ``save_corpus`` writes."""
+    recorded = make_engine(name, nodes=nodes).run().paths
+    streamed = make_engine(
+        name,
+        nodes=nodes,
+        config=make_config(
+            name, record_paths=False, stream_paths_to=str(tmp_path / "s.txt")
+        ),
+    ).run()
+    assert streamed.paths is None
+    save_corpus(recorded, tmp_path / "m.txt")
+    streamed_lines = (tmp_path / "s.txt").read_bytes().splitlines()
+    saved_lines = (tmp_path / "m.txt").read_bytes().splitlines()
+    assert len(streamed_lines) == len(recorded)
+    assert sorted(streamed_lines) == sorted(saved_lines)
+
+
+def test_unbounded_heavy_tail_memory_is_linear_in_moves():
+    """PPR at Pt = 1/80: the longest walk is many times the mean, so a
+    (walkers x longest walk) matrix would dwarf the moves recorded."""
+    graph = uniform_degree_graph(2000, 8, seed=4, undirected=True)
+    config = WalkConfig(
+        num_walkers=5000,
+        max_steps=None,
+        termination_probability=1 / 80,
+        record_paths=True,
+        seed=2,
+    )
+    engine = WalkEngine(graph, PPR(), config)
+    result = engine.run()
+    moves = result.stats.total_steps
+    held = sum(
+        value.nbytes
+        for value in vars(engine._recorder).values()
+        if isinstance(value, np.ndarray)
+    )
+    assert held <= 5 * 8 * (config.num_walkers + moves)
+    longest = int(result.walk_lengths.max())
+    assert held < 8 * config.num_walkers * (longest + 1) / 2
+    assert sum(len(path) for path in result.paths) == config.num_walkers + moves

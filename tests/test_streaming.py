@@ -9,7 +9,7 @@ from repro.cluster import DistributedWalkEngine
 from repro.core.config import WalkConfig
 from repro.core.engine import WalkEngine
 from repro.core.snapshot import save_checkpoint
-from repro.core.trace import StreamingPathRecorder
+from repro.core.trace import PathRecorder
 from repro.errors import ConfigError, ReproError
 from repro.graph.generators import uniform_degree_graph
 
@@ -22,7 +22,7 @@ def graph():
 class TestStreamingPathRecorder:
     def test_flush_and_close(self, tmp_path):
         target = tmp_path / "walks.txt"
-        recorder = StreamingPathRecorder(target, np.array([7, 8]))
+        recorder = PathRecorder(np.array([7, 8]), max_steps=3, stream_to=target)
         recorder.record_moves(np.array([0, 1]), np.array([1, 2]))
         recorder.record_moves(np.array([0]), np.array([3]))
         recorder.flush_finished(np.array([0]))
@@ -32,13 +32,13 @@ class TestStreamingPathRecorder:
         assert [w.tolist() for w in walks] == [[7, 1, 3], [8, 2]]
 
     def test_double_close_safe(self, tmp_path):
-        recorder = StreamingPathRecorder(tmp_path / "w.txt", np.array([1]))
+        recorder = PathRecorder(np.array([1]), stream_to=tmp_path / "w.txt")
         recorder.close()
         recorder.close()
 
     def test_context_manager(self, tmp_path):
         target = tmp_path / "w.txt"
-        with StreamingPathRecorder(target, np.array([4])) as recorder:
+        with PathRecorder(np.array([4]), stream_to=target) as recorder:
             recorder.record_moves(np.array([0]), np.array([5]))
         assert load_corpus(target)[0].tolist() == [4, 5]
 
