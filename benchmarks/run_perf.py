@@ -27,8 +27,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.bench.perf import (  # noqa: E402
     OBS_OVERHEAD_LIMIT,
-    STEP_ENGINE_FLOOR,
-    enforce_engine_floor,
     enforce_obs_overhead,
     format_report,
     run_perf,
@@ -44,15 +42,6 @@ def main(argv: list[str] | None = None) -> int:
         help="tiny workloads (CI smoke run)",
     )
     parser.add_argument(
-        "--enforce-engine-floor",
-        action="store_true",
-        help=(
-            "fail (exit 1) if the step-centric engine falls below "
-            f"{STEP_ENGINE_FLOOR:.0%} of walker-centric throughput on "
-            "any workload"
-        ),
-    )
-    parser.add_argument(
         "--enforce-obs-overhead",
         action="store_true",
         help=(
@@ -65,7 +54,7 @@ def main(argv: list[str] | None = None) -> int:
         "--repeats",
         type=int,
         default=3,
-        help="timing repeats per configuration (best is kept)",
+        help="timing repeats per configuration, same seed (median is reported)",
     )
     parser.add_argument(
         "--output",
@@ -84,13 +73,6 @@ def main(argv: list[str] | None = None) -> int:
     path = write_report(report, args.output)
     print(format_report(report))
     print(f"\nreport written to {path}")
-    if args.enforce_engine_floor:
-        failures = enforce_engine_floor(report)
-        if failures:
-            for failure in failures:
-                print(f"ENGINE FLOOR VIOLATION: {failure}", file=sys.stderr)
-            return 1
-        print("engine floor check passed (step-centric vs walker-centric)")
     if args.enforce_obs_overhead:
         failures = enforce_obs_overhead(report)
         if failures:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.engine import WalkEngine
+from repro.core.kernels import GatherContext
 from repro.graph.csr import CSRGraph
 
 __all__ = ["FullScanWalkEngine", "gather_out_edges", "segmented_sample"]
@@ -113,18 +114,16 @@ class FullScanWalkEngine(WalkEngine):
     "trial" (the scan never rejects).
     """
 
-    def _attempt_once(self, walker_ids: np.ndarray) -> np.ndarray:
+    def _trial_round(self, ctx: GatherContext) -> np.ndarray:
+        walker_ids, vertices = ctx.walker_ids, ctx.vertices
         if not self.program.dynamic:
             # Static probabilities are precomputed; sample directly.
-            edges = self.tables.sample_batch(
-                self.walkers.current[walker_ids], self._rng
-            )
+            edges = self.tables.sample_batch(vertices, self._rng)
             self.stats.counters.trials += walker_ids.size
             self.stats.counters.accepts += walker_ids.size
             self._commit_moves(walker_ids, self.graph.targets[edges])
             return np.ones(walker_ids.size, dtype=bool)
 
-        vertices = self.walkers.current[walker_ids]
         edge_indices, segment_ids, segment_offsets = gather_out_edges(
             self.graph, vertices
         )

@@ -40,6 +40,7 @@ from repro.cluster.engine import DistributedWalkEngine
 from repro.cluster.network import MessageKind
 from repro.cluster.scheduler import ThreadPolicy
 from repro.core.config import WalkConfig
+from repro.core.kernels import GatherContext
 from repro.core.program import WalkerProgram
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import MirroredPartition
@@ -77,10 +78,10 @@ class GeminiWalkEngine(DistributedWalkEngine):
         )
 
     # ------------------------------------------------------------------
-    def _distributed_round(self, walker_ids: np.ndarray) -> np.ndarray:
+    def _trial_round(self, ctx: GatherContext) -> np.ndarray:
         graph, program, walkers = self.graph, self.program, self.walkers
         counters = self.stats.counters
-        vertices = walkers.current[walker_ids]
+        walker_ids, vertices = ctx.walker_ids, ctx.vertices
         masters = self.partition.owners(vertices)
 
         remote_mirrors = (

@@ -22,6 +22,7 @@ import numpy as np
 from repro.algorithms.metapath import SCHEME_STATE, MetaPathWalk
 from repro.core.config import WalkConfig
 from repro.core.engine import WalkEngine
+from repro.core.kernels import GatherContext
 from repro.errors import ProgramError
 from repro.graph.csr import CSRGraph
 from repro.sampling.typed import TypedVertexAliasTables
@@ -56,8 +57,8 @@ class TypedMetaPathWalkEngine(WalkEngine):
         positions = steps % self._scheme_lengths[scheme_ids]
         return self._scheme_matrix[scheme_ids, positions]
 
-    def _attempt_once(self, walker_ids: np.ndarray) -> np.ndarray:
-        vertices = self.walkers.current[walker_ids]
+    def _trial_round(self, ctx: GatherContext) -> np.ndarray:
+        walker_ids, vertices = ctx.walker_ids, ctx.vertices
         required = self._required_types(walker_ids)
         edges = self.typed_tables.sample_batch(vertices, required, self._rng)
         self.stats.counters.trials += walker_ids.size

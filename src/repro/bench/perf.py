@@ -15,15 +15,14 @@ Methodology
   order, dynamic, step-paced — the workload the fused multi-trial
   kernel targets), all on the LiveJournal stand-in at scale 1.0 with
   10k walkers of length 80.
-* Timing: the walk loop only (``WalkStats.wall_time_seconds``), best
-  of ``repeats`` runs; sampling-table construction is charged to init,
-  matching the paper's methodology of excluding graph loading.
+* Timing: the walk loop only (``WalkStats.wall_time_seconds``);
+  every repeat runs the *same* seeded workload, and the report carries
+  the median with its quartiles (a best-of over different seeds is a
+  maximum over different workloads, not a measurement of one).
+  Sampling-table construction is charged to init, matching the
+  paper's methodology of excluding graph loading.
 * Each workload is also run with ``fuse_trials=False`` (the
-  single-trial comparison), with ``engine_mode="walker"`` (the
-  walker-at-a-time reference the step-centric default must not
-  regress against — see :func:`enforce_engine_floor`), and with
-  ``sampler_policy="auto"`` (whose per-degree-class decisions are
-  recorded under the entry's ``"sampler"`` key).
+  single-trial comparison).
 
 The pre-PR reference throughput baked into the JSON was measured at
 the seed revision (commit ``eb6ac31``) with this same workload
@@ -40,6 +39,8 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from repro.bench.workloads import paper_algorithms, prepare_graph
 from repro.core.config import WalkConfig
 from repro.core.engine import WalkEngine
@@ -51,9 +52,7 @@ __all__ = [
     "PerfWorkload",
     "PERF_WORKLOADS",
     "PRE_PR_NODE2VEC_STEPS_PER_SEC",
-    "STEP_ENGINE_FLOOR",
     "OBS_OVERHEAD_LIMIT",
-    "enforce_engine_floor",
     "enforce_obs_overhead",
     "run_perf",
     "write_report",
@@ -63,11 +62,6 @@ __all__ = [
 # measured at the seed revision before the fused-kernel/hot-path PR.
 # The acceptance target for that PR was >= 2x this figure.
 PRE_PR_NODE2VEC_STEPS_PER_SEC = 1_867_803
-
-# The step-centric engine must deliver at least this fraction of the
-# walker-centric throughput on every workload (the CI smoke gate; 0.8
-# allows quick-mode timing noise, not a real regression).
-STEP_ENGINE_FLOOR = 0.8
 
 # A *disabled* tracer (the default state: engines hold no tracer, and
 # an attached tracer with enabled=False is detached by observe()) may
@@ -102,46 +96,44 @@ _QUICK_LENGTH = 20
 def _time_engine(
     graph, spec, num_walkers: int, walk_length: int, seed: int,
     fuse_trials: bool, repeats: int,
-    engine_mode: str = "step", sampler_policy: str = "fixed",
     tracer_factory=None,
 ) -> dict:
-    """Best-of-``repeats`` timing of one engine configuration.
+    """Median-of-``repeats`` timing of one engine configuration.
 
-    ``tracer_factory``, when given, is called per attempt and its
-    result attached via ``engine.observe`` — the obs-overhead section
-    uses it to time the same workload with tracing absent, disabled,
-    and enabled.
+    Every repeat runs the same seed, so the work counts are identical
+    and only the clock varies.  ``tracer_factory``, when given, is
+    called per repeat and its result attached via ``engine.observe`` —
+    the obs-overhead section uses it to time the same workload with
+    tracing absent, disabled, and enabled.
     """
-    best = None
-    for attempt in range(repeats):
-        program = spec.make_program(graph)
-        config = WalkConfig(
-            num_walkers=num_walkers,
-            max_steps=walk_length,
-            termination_probability=spec.termination_probability,
-            seed=seed + attempt,
-            engine_mode=engine_mode,
-            sampler_policy=sampler_policy,
+    config = WalkConfig(
+        num_walkers=num_walkers,
+        max_steps=walk_length,
+        termination_probability=spec.termination_probability,
+        seed=seed,
+    )
+    rates = []
+    for _ in range(repeats):
+        engine = WalkEngine(
+            graph, spec.make_program(graph), config, fuse_trials=fuse_trials
         )
-        engine = WalkEngine(graph, program, config, fuse_trials=fuse_trials)
         if tracer_factory is not None:
             engine.observe(tracer_factory())
         stats = engine.run().stats
-        seconds = stats.wall_time_seconds
-        rate = stats.total_steps / seconds if seconds > 0 else 0.0
-        if best is None or rate > best["steps_per_sec"]:
-            best = {
-                "fused": engine._fuse,
-                "steps": stats.total_steps,
-                "seconds": round(seconds, 6),
-                "steps_per_sec": round(rate, 1),
-                "trials_per_step": round(stats.trials_per_step, 4),
-                "pd_evals_per_step": round(stats.pd_evaluations_per_step, 4),
-                "init_seconds": round(stats.init_time_seconds, 6),
-            }
-            if sampler_policy == "auto":
-                best["sampler"] = stats.sampler.as_dict()
-    return best
+        rates.append(stats.total_steps / stats.wall_time_seconds)
+    q1, median, q3 = (float(q) for q in np.percentile(rates, [25, 50, 75]))
+    return {
+        "fused": engine._fuse,
+        "steps": stats.total_steps,
+        "repeats": repeats,
+        "seconds": round(stats.total_steps / median, 6),
+        "steps_per_sec": round(median, 1),
+        "steps_per_sec_q1": round(q1, 1),
+        "steps_per_sec_q3": round(q3, 1),
+        "trials_per_step": round(stats.trials_per_step, 4),
+        "pd_evals_per_step": round(stats.pd_evaluations_per_step, 4),
+        "init_seconds": round(stats.init_time_seconds, 6),
+    }
 
 
 def _time_updates(quick: bool, seed: int, repeats: int) -> dict:
@@ -234,7 +226,7 @@ def run_perf(
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     report: dict = {
-        "schema": 1,
+        "schema": 2,
         "created_unix": int(time.time()),
         "quick": quick,
         "python": platform.python_version(),
@@ -265,14 +257,6 @@ def run_perf(
         single = _time_engine(
             graph, spec, walkers, length, seed, False, repeats
         )
-        walker = _time_engine(
-            graph, spec, walkers, length, seed, True, repeats,
-            engine_mode="walker",
-        )
-        auto = _time_engine(
-            graph, spec, walkers, length, seed, True, repeats,
-            sampler_policy="auto",
-        )
         entry = {
             "dataset": workload.dataset,
             "scale": scale,
@@ -280,14 +264,7 @@ def run_perf(
             "walk_length": length,
             **fused,
             "single_trial_steps_per_sec": single["steps_per_sec"],
-            "walker_mode_steps_per_sec": walker["steps_per_sec"],
-            "auto_policy_steps_per_sec": auto["steps_per_sec"],
-            "sampler": auto["sampler"],
         }
-        if walker["steps_per_sec"]:
-            entry["step_speedup_vs_walker"] = round(
-                fused["steps_per_sec"] / walker["steps_per_sec"], 3
-            )
         # Only meaningful where the fused kernel actually engages
         # (step-paced dynamic programs); elsewhere both runs take the
         # same path and the ratio would be timing noise — the key is
@@ -304,32 +281,6 @@ def run_perf(
     report["update_throughput"] = _time_updates(quick, seed, repeats)
     report["obs"] = _time_obs_overhead(quick, seed, repeats)
     return report
-
-
-def enforce_engine_floor(
-    report: dict, floor: float = STEP_ENGINE_FLOOR
-) -> list[str]:
-    """Check the step-centric engine against the walker-centric floor.
-
-    Returns one message per workload whose step-mode throughput fell
-    below ``floor`` times its walker-mode throughput (empty when the
-    report passes).  CI runs this on the quick smoke report so an
-    accidental slowdown of the staged hot loop fails the build instead
-    of landing silently.
-    """
-    failures = []
-    for name, entry in report["workloads"].items():
-        walker_rate = entry.get("walker_mode_steps_per_sec")
-        if not walker_rate:
-            continue
-        ratio = entry["steps_per_sec"] / walker_rate
-        if ratio < floor:
-            failures.append(
-                f"{name}: step-centric engine at {ratio:.2f}x of "
-                f"walker-centric throughput ({entry['steps_per_sec']:,.0f} "
-                f"vs {walker_rate:,.0f} steps/sec; floor {floor:.2f})"
-            )
-    return failures
 
 
 def enforce_obs_overhead(
@@ -368,8 +319,8 @@ def write_report(report: dict, path: str | Path) -> Path:
 def format_report(report: dict) -> str:
     """Aligned text summary of one report, for terminal output."""
     lines = [
-        f"{'workload':10s} {'steps/sec':>12s} {'walker-mode':>12s} "
-        f"{'auto':>12s} {'single-trial':>12s} {'fused dx':>9s} "
+        f"{'workload':10s} {'steps/sec':>12s} {'Q1':>12s} {'Q3':>12s} "
+        f"{'single-trial':>12s} {'fused dx':>9s} "
         f"{'trials/step':>12s} {'pd/step':>9s}"
     ]
     updates = report.get("update_throughput")
@@ -391,8 +342,8 @@ def format_report(report: dict) -> str:
         speedup = entry.get("fused_speedup_vs_single_trial")
         lines.append(
             f"{name:10s} {entry['steps_per_sec']:>12,.0f} "
-            f"{entry['walker_mode_steps_per_sec']:>12,.0f} "
-            f"{entry['auto_policy_steps_per_sec']:>12,.0f} "
+            f"{entry['steps_per_sec_q1']:>12,.0f} "
+            f"{entry['steps_per_sec_q3']:>12,.0f} "
             f"{entry['single_trial_steps_per_sec']:>12,.0f} "
             f"{speedup if speedup is not None else '-':>9} "
             f"{entry['trials_per_step']:>12.3f} "

@@ -201,12 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--runs", type=int, default=2,
         help="how many executions to trace and compare",
     )
-    sanitize.add_argument(
-        "--compare-engines", action="store_true",
-        help="trace the step-centric and walker-centric engines once "
-        "each (instead of re-running one engine) and require their "
-        "event streams to fold to the same hash",
-    )
     _add_update_arguments(sanitize)
     _add_fault_arguments(sanitize)
     return parser
@@ -666,15 +660,12 @@ def _run_sanitize(args: argparse.Namespace) -> int:
     graph = _load_graph(args)
     program, graph = _build_program(args, graph)
 
-    def make_config(engine_mode: str) -> WalkConfig:
-        return WalkConfig(
-            num_walkers=args.walkers,
-            max_steps=args.length,
-            termination_probability=args.termination,
-            seed=args.seed,
-            engine_mode=engine_mode,
-        )
-
+    config = WalkConfig(
+        num_walkers=args.walkers,
+        max_steps=args.length,
+        termination_probability=args.termination,
+        seed=args.seed,
+    )
     fault_plan = _build_fault_plan(args)
 
     print(f"graph: {graph}")
@@ -685,7 +676,7 @@ def _run_sanitize(args: argparse.Namespace) -> int:
             "injected fault schedule"
         )
 
-    def make_factory(config: WalkConfig, epoch: int | None = None):
+    def make_factory(epoch: int | None = None):
         def factory():
             target = graph
             if epoch is not None:
@@ -722,27 +713,13 @@ def _run_sanitize(args: argparse.Namespace) -> int:
         )
         certified = True
         for epoch in range(1, len(update_batches) + 1):
-            report = run_sanitized(
-                make_factory(make_config("step"), epoch=epoch),
-                runs=args.runs,
-            )
+            report = run_sanitized(make_factory(epoch=epoch), runs=args.runs)
             verdict = "certified" if report.deterministic else "DIVERGED"
             print(f"epoch {epoch}: {verdict} ({report.events[0]} events)")
             certified = certified and report.deterministic
         return 0 if certified else 1
 
-    if args.compare_engines:
-        # One traced run per engine mode: the staged Gather/Move/Update
-        # executor must be event-for-event identical to the
-        # walker-at-a-time loop, not merely end in the same state.
-        print("comparing engines: run 0 = step-centric, run 1 = walker-centric")
-        report = run_sanitized(
-            [make_factory(make_config("step")), make_factory(make_config("walker"))]
-        )
-    else:
-        report = run_sanitized(
-            make_factory(make_config("step")), runs=args.runs
-        )
+    report = run_sanitized(make_factory(), runs=args.runs)
     print(report.summary())
     return 0 if report.deterministic else 1
 

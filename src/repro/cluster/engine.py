@@ -63,9 +63,9 @@ from repro.cluster.scheduler import (
 )
 from repro.core.config import WalkConfig
 from repro.core.engine import WalkEngine, WalkResult
-from repro.core.kernels import adaptive_trial_count, batch_multi_trial_round
+from repro.core.kernels import GatherContext, outlier_appendices
 from repro.core.program import WalkerProgram
-from repro.errors import FaultError, NodeCrashError
+from repro.errors import FaultError, NodeCrashError, ProgramError
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import ContiguousPartition, partition_graph
 
@@ -205,8 +205,6 @@ class DistributedWalkEngine(WalkEngine):
         when the health monitor is active.
     """
 
-    _accounts_lane_work = True
-
     def __init__(
         self,
         graph: CSRGraph,
@@ -225,6 +223,15 @@ class DistributedWalkEngine(WalkEngine):
         straggler_policy: StragglerPolicy | None = None,
         health_policy: HealthPolicy | None = None,
     ) -> None:
+        if not program.supports_batch:
+            # The per-node compute and its work accounting run on the
+            # batch kernels only; fail before any state is built, not
+            # from inside the first round.
+            raise ProgramError(
+                f"{type(program).__name__} sets supports_batch = False; "
+                "the distributed engine needs the batch hooks "
+                "(supports_batch = True)"
+            )
         super().__init__(
             graph,
             program,
@@ -302,15 +309,6 @@ class DistributedWalkEngine(WalkEngine):
         self._owner_lookup: np.ndarray | None = None
         self._checkpoint: ClusterCheckpoint | None = None
         self._executed_supersteps = 0
-        # Engines that replace the distributed round wholesale (the
-        # Gemini baseline) keep the legacy per-round loop; the staged
-        # executor would route around their override.
-        if (
-            type(self)._distributed_round
-            is not DistributedWalkEngine._distributed_round
-        ):
-            self.engine_mode = "walker"
-            self._stepper = None
 
     # ------------------------------------------------------------------
     # The cluster's timeline is simulated: stage spans are *declared*
@@ -434,29 +432,9 @@ class DistributedWalkEngine(WalkEngine):
             minlength=self.num_nodes,
         )
 
-        survivors = self._apply_extension_component(active)
+        survivors = self._advance_walkers(active)
         if survivors.size:
-            survivors = self._apply_teleports(survivors)
-        if survivors.size:
-            if self.sync_mode == "trial":
-                # Second-order pacing is a protocol semantic: each
-                # trial is a two-round query exchange, so trial-paced
-                # programs always run the five-step round (the step
-                # executor would collapse the exchange).
-                self._distributed_round(survivors)
-            elif self._stepper is not None:
-                self._stepper.run_iteration(survivors)
-            elif self._fuse:
-                pending = survivors
-                while pending.size:
-                    moved = self._distributed_multi_round(pending)
-                    pending = pending[~moved]
-            else:
-                pending = survivors
-                while pending.size:
-                    moved = self._distributed_round(pending)
-                    pending = pending[~moved]
-
+            self._move_walkers(survivors)
         self._retire_finished(active)
         self._close_superstep(active_per_node)
 
@@ -524,15 +502,14 @@ class DistributedWalkEngine(WalkEngine):
     def _account_lane_work(
         self,
         vertices: np.ndarray,
-        trials: np.ndarray | int | None = None,
-        pd: np.ndarray | None = None,
+        trials: np.ndarray | int,
+        pd_lanes: np.ndarray | slice,
+        pd: np.ndarray | int,
     ) -> None:
         """Charge sampling work to the nodes owning ``vertices``."""
         nodes = self._owners(vertices)
-        if trials is not None:
-            np.add.at(self._node_trials, nodes, trials)
-        if pd is not None:
-            np.add.at(self._node_pd, nodes, pd)
+        np.add.at(self._node_trials, nodes, trials)
+        np.add.at(self._node_pd, nodes[pd_lanes], pd)
 
     def _close_superstep(self, active_per_node: np.ndarray) -> None:
         """Charge the superstep to the cost model.
@@ -924,34 +901,37 @@ class DistributedWalkEngine(WalkEngine):
             ).astype(np.int64)
 
     # ------------------------------------------------------------------
-    def _distributed_round(self, walker_ids: np.ndarray) -> np.ndarray:
+    def _trial_round(self, ctx: GatherContext) -> np.ndarray:
+        """Second-order pacing is a protocol semantic: each trial is a
+        two-round query exchange, so trial-paced programs run the
+        five-step round.  First-order programs resolve Pd locally —
+        there is no exchange to pace — so their per-node compute is the
+        inherited kernel round, charged to nodes through
+        ``_account_lane_work``; only walker migrations hit the network.
+        """
+        if self.sync_mode == "trial":
+            return self._distributed_round(ctx)
+        return super()._trial_round(ctx)
+
+    def _distributed_round(self, ctx: GatherContext) -> np.ndarray:
         """One trial per walker with explicit query-phase messaging.
 
-        Returns the moved mask aligned with ``walker_ids``.
+        Returns the moved mask aligned with ``ctx.walker_ids``.
         """
         graph, program, walkers = self.graph, self.program, self.walkers
         counters = self.stats.counters
+        walker_ids, vertices = ctx.walker_ids, ctx.vertices
+        upper, lower = ctx.upper, ctx.lower
         count = walker_ids.size
-        vertices = walkers.current[walker_ids]
         walker_nodes = self._owners(vertices)
-        upper = self.upper[vertices]
-        lower = self.lower[vertices]
-        main_area = self.tables.totals[vertices] * upper
 
         # --- Step 1: candidates and preliminary screening -------------
         counters.trials += count
         np.add.at(self._node_trials, walker_nodes, 1)
 
-        appendix_area = None
-        outlier_edges = outlier_masses = None
-        declared = program.batch_outliers(graph, walkers, walker_ids)
-        if declared is not None:
-            outlier_edges, outlier_bounds, outlier_widths, outlier_masses = declared
-            appendix_area = np.where(
-                outlier_edges >= 0,
-                outlier_widths * np.maximum(outlier_bounds - upper, 0.0),
-                0.0,
-            )
+        outlier_edges, outlier_masses, appendix_area = outlier_appendices(
+            graph, program, walkers, ctx
+        )
 
         accepted = np.zeros(count, dtype=bool)
         edges = np.full(count, -1, dtype=np.int64)
@@ -960,8 +940,8 @@ class DistributedWalkEngine(WalkEngine):
             main_lanes = np.arange(count)
             appendix_lanes = np.zeros(0, dtype=np.int64)
         else:
-            region = self._rng.random(count) * (main_area + appendix_area)
-            in_main = region < main_area
+            region = self._rng.random(count) * (ctx.main_area + appendix_area)
+            in_main = region < ctx.main_area
             main_lanes = np.flatnonzero(in_main)
             appendix_lanes = np.flatnonzero(~in_main)
 
@@ -1004,33 +984,32 @@ class DistributedWalkEngine(WalkEngine):
             # --- Steps 2-4: the two-round state query exchange --------
             answers = np.zeros(pd_lanes.size, dtype=np.float64)
             answered = np.zeros(pd_lanes.size, dtype=bool)
-            if program.order == 2:
-                targets, payloads = program.batch_state_queries(
-                    graph, walkers, walker_ids[pd_lanes], pd_candidates
+            targets, payloads = program.batch_state_queries(
+                graph, walkers, walker_ids[pd_lanes], pd_candidates
+            )
+            query_lanes = np.flatnonzero(targets >= 0)
+            if query_lanes.size:
+                owners = self._owners(targets[query_lanes])
+                senders = walker_nodes[pd_lanes[query_lanes]]
+                self.network.record_batch(
+                    MessageKind.STATE_QUERY, senders, owners
                 )
-                query_lanes = np.flatnonzero(targets >= 0)
-                if query_lanes.size:
-                    owners = self._owners(targets[query_lanes])
-                    senders = walker_nodes[pd_lanes[query_lanes]]
-                    self.network.record_batch(
-                        MessageKind.STATE_QUERY, senders, owners
-                    )
-                    self.network.record_batch(
-                        MessageKind.QUERY_RESPONSE, owners, senders
-                    )
-                    # Each query costs its sender and its answerer one
-                    # message each way; intra-node deliveries pass
-                    # through the same queues (the engines use one
-                    # messaging stack), so they are charged equally —
-                    # which also keeps single-node runs comparable for
-                    # the Figure 7 normalization.
-                    np.add.at(self._node_msgs, senders, 2)
-                    np.add.at(self._node_msgs, owners, 2)
-                    self.stats.messages_sent += 2 * int((senders != owners).sum())
-                    answers[query_lanes] = program.batch_answer_queries(
-                        graph, targets[query_lanes], payloads[query_lanes]
-                    )
-                    answered[query_lanes] = True
+                self.network.record_batch(
+                    MessageKind.QUERY_RESPONSE, owners, senders
+                )
+                # Each query costs its sender and its answerer one
+                # message each way; intra-node deliveries pass through
+                # the same queues (the engines use one messaging
+                # stack), so they are charged equally — which also
+                # keeps single-node runs comparable for the Figure 7
+                # normalization.
+                np.add.at(self._node_msgs, senders, 2)
+                np.add.at(self._node_msgs, owners, 2)
+                self.stats.messages_sent += 2 * int((senders != owners).sum())
+                answers[query_lanes] = program.batch_answer_queries(
+                    graph, targets[query_lanes], payloads[query_lanes]
+                )
+                answered[query_lanes] = True
 
             # --- Step 5: decide sampling outcome -----------------------
             dynamic = program.batch_dynamic_with_answers(
@@ -1061,36 +1040,3 @@ class DistributedWalkEngine(WalkEngine):
         # The shared Move/Update tail: migration-recording moves via
         # the hook overrides, streak advance, zero-mass guard.
         return self._commit_round(walker_ids, accepted, edges)
-
-    def _distributed_multi_round(self, walker_ids: np.ndarray) -> np.ndarray:
-        """Fused multi-trial round for step-mode programs.
-
-        First-order dynamic programs resolve Pd locally — there is no
-        query exchange to pace — so the per-node compute runs the same
-        fused kernel as the local engine and only walker migrations hit
-        the network.  Per-node trial and Pd accounting uses the
-        kernel's per-walker consumption, so the cost model charges
-        exactly the work a sequential execution would have done.
-        """
-        outcome = batch_multi_trial_round(
-            self.graph,
-            self.tables,
-            self.program,
-            self.walkers,
-            walker_ids,
-            self.upper,
-            self.lower,
-            self._rng,
-            self.stats.counters,
-            num_trials=adaptive_trial_count(self.stats.counters),
-            validate_bounds=self.validate_bounds,
-            scratch=self._scratch,
-        )
-        self._account_lane_work(
-            self.walkers.current[walker_ids],
-            trials=outcome.trials_used,
-            pd=outcome.pd_evaluations,
-        )
-        return self._commit_round(
-            walker_ids, outcome.accepted, outcome.edges, outcome.trials_used
-        )

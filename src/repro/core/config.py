@@ -65,22 +65,6 @@ class WalkConfig:
     static_sampler:
         ``"alias"`` (O(1) candidate draws, KnightKing's choice) or
         ``"its"`` (O(log d), kept for comparison experiments).
-    engine_mode:
-        ``"step"`` (default) runs the step-centric Gather/Move/Update
-        staged hot loop; ``"walker"`` keeps the original
-        walker-at-a-time batches as the semantic reference.  Under the
-        default ``"fixed"`` sampler policy the two modes consume the
-        RNG stream identically, so their walks are bit-identical
-        (``repro sanitize --compare-engines`` checks exactly this).
-        Programs without batch hooks (and ``force_scalar`` runs) fall
-        back to walker mode regardless.
-    sampler_policy:
-        ``"fixed"`` (default) keeps the per-algorithm sampling
-        strategy; ``"auto"`` lets the step engine pick rejection vs
-        full-scan vs direct sampling (and the candidate generator) per
-        vertex degree class at runtime from observed acceptance rates
-        — same walk law, different (still deterministic) RNG stream.
-        Requires ``engine_mode="step"``.
     checkpoint_every:
         recovery-checkpoint cadence K (supersteps) for the distributed
         engine's fault tolerance; ``None`` leaves the cadence to the
@@ -100,8 +84,6 @@ class WalkConfig:
     stream_paths_to: str | None = None
     static_sampler: str = "alias"
     checkpoint_every: int | None = None
-    engine_mode: str = "step"
-    sampler_policy: str = "fixed"
 
     def __post_init__(self) -> None:
         if self.start_vertices is not None and self.start_distribution is not None:
@@ -132,14 +114,6 @@ class WalkConfig:
             raise ConfigError("static_sampler must be 'alias' or 'its'")
         if self.checkpoint_every is not None and self.checkpoint_every < 0:
             raise ConfigError("checkpoint_every must be non-negative")
-        if self.engine_mode not in ("step", "walker"):
-            raise ConfigError("engine_mode must be 'step' or 'walker'")
-        if self.sampler_policy not in ("fixed", "auto"):
-            raise ConfigError("sampler_policy must be 'fixed' or 'auto'")
-        if self.sampler_policy == "auto" and self.engine_mode != "step":
-            raise ConfigError(
-                "sampler_policy='auto' requires engine_mode='step'"
-            )
 
     def evolve(self, **changes: Any) -> WalkConfig:
         """A copy with the given fields replaced, re-validated.

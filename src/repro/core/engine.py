@@ -3,7 +3,8 @@
 :class:`WalkEngine` executes any :class:`~repro.core.program.WalkerProgram`
 over a CSR graph following the iteration structure of paper section 5.1,
 without the message-passing layer (the distributed variant lives in
-:mod:`repro.cluster.engine` and shares this module's kernels):
+:mod:`repro.cluster.engine`; it and the baseline engines run this
+module's superstep loop and override one hook, ``_trial_round``):
 
 1. check the extension component Pe — dead ends, the configured step
    limit, the per-step termination coin, and any program-specific
@@ -15,10 +16,10 @@ without the message-passing layer (the distributed variant lives in
 
 Pacing follows the paper: static and first-order programs move in
 *lockstep* — within one iteration every walker retries until it moves
-("step" mode) — while second-order programs spend one trial per
+("step" pacing) — while second-order programs spend one trial per
 iteration, because each trial costs a two-round query exchange in the
 distributed setting; rejected walkers stay put and retry next iteration
-("trial" mode).
+("trial" pacing).
 
 Static programs (Pd = 1) set envelope == lower bound == 1 so every
 trial pre-accepts on the first dart: rejection sampling degenerates to
@@ -36,16 +37,17 @@ import numpy as np
 from repro.core.config import WalkConfig
 from repro.core.kernels import (
     ZERO_MASS_GUARD_TRIALS,
+    GatherContext,
     KernelScratch,
     adaptive_trial_count,
     batch_multi_trial_round,
     batch_trial_round,
     full_scan_distribution,
     full_scan_spans,
+    gather_stage,
 )
 from repro.core.program import WalkerProgram
 from repro.core.stats import WalkStats
-from repro.core.stepper import StepExecutor
 from repro.core.trace import PathRecorder
 from repro.core.walker import WalkerSet
 from repro.errors import ProgramError
@@ -117,19 +119,14 @@ class WalkEngine:
         first violation (which would otherwise silently skew the
         sampled law).  Off by default for speed.
     fuse_trials:
-        use the fused multi-trial kernel for step-mode dynamic
+        use the fused multi-trial kernel for step-paced dynamic
         programs, speculating K trials per round with K adapted to the
-        running acceptance rate.  Trial-mode (second-order) pacing is
+        running acceptance rate.  Trial (second-order) pacing is
         never fused — one trial per superstep there is a semantic, not
         an inefficiency — and static programs pre-accept every first
         dart, so speculation would be pure waste.  Off gives the
         single-trial kernel, kept as the semantic reference.
     """
-
-    # True on engines whose _account_lane_work override does real work
-    # (the distributed engine); lets the step executor skip building
-    # per-lane work arrays when nobody consumes them.
-    _accounts_lane_work = False
 
     def __init__(
         self,
@@ -219,33 +216,12 @@ class WalkEngine:
             and program.dynamic
             and self.sync_mode == "step"
         )
-        # Step-centric staging needs the batch kernels; scalar-path
-        # programs (and force_scalar runs) keep the walker-at-a-time
-        # reference loop regardless of the configured mode.  Engines
-        # that replace the trial round wholesale (the full-scan and
-        # typed-partition baselines) stay on the walker loop too — the
-        # staged path would route around their override.
-        overrides_round = (
-            type(self)._attempt_once is not WalkEngine._attempt_once
-        )
-        self.engine_mode = (
-            config.engine_mode
-            if self._batch and not overrides_round
-            else "walker"
-        )
-        self._scratch = (
-            KernelScratch()
-            if (self._fuse or self.engine_mode == "step")
-            else None
-        )
+        self._scratch = KernelScratch()
         self._has_custom_continue = (
             type(program).should_continue is not WalkerProgram.should_continue
         )
         self._has_teleports = (
             type(program).teleport_targets is not WalkerProgram.teleport_targets
-        )
-        self._stepper = (
-            StepExecutor(self) if self.engine_mode == "step" else None
         )
         # Observability seam (repro.obs): no tracer by default, so the
         # hot loop pays one attribute check per guard site.  `_obs`
@@ -370,11 +346,7 @@ class WalkEngine:
                 self._iteration()
                 executed += 1
         else:
-            with obs.span(
-                "engine.run",
-                track=self._obs_track,
-                args={"mode": self.engine_mode},
-            ) as run_handle:
+            with obs.span("engine.run", track=self._obs_track) as run_handle:
                 while self.walkers.num_active:
                     stop = self._should_stop(
                         executed, max_iterations, deadline, cancel
@@ -431,13 +403,7 @@ class WalkEngine:
         if survivors.size == 0:
             return
 
-        if self._stepper is not None:
-            self._stepper.run_iteration(survivors)
-        elif obs is None:
-            self._move_walkers(survivors)
-        else:
-            with obs.span("stage.move", track=self._obs_track):
-                self._move_walkers(survivors)
+        self._move_walkers(survivors)
         self._retire_finished(active)
 
     def _advance_walkers(self, active: np.ndarray) -> np.ndarray:
@@ -449,16 +415,43 @@ class WalkEngine:
         return self._apply_teleports(survivors)
 
     def _move_walkers(self, survivors: np.ndarray) -> None:
-        """Move stage of the walker-centric reference loop."""
+        """The superstep body, shared by every engine: Gather once,
+        then trial rounds until the pacing is satisfied.
+
+        The Gather stage runs once per superstep — retry rounds reuse
+        sliced views of the same per-lane arrays, because a rejected
+        walker has not moved.
+        """
+        obs = self._stage_obs
+        if obs is None:
+            self._run_rounds(self._gather(survivors))
+            return
+        with obs.span(
+            "stage.gather",
+            track=self._obs_track,
+            args={"lanes": int(survivors.size)},
+        ):
+            ctx = self._gather(survivors)
+        with obs.span("stage.move", track=self._obs_track):
+            self._run_rounds(ctx)
+
+    def _gather(self, survivors: np.ndarray) -> GatherContext:
+        return gather_stage(
+            self.tables, self.walkers, survivors, self.upper, self.lower
+        )
+
+    def _run_rounds(self, ctx: GatherContext) -> None:
+        """Move stage: one round under trial pacing; under step pacing,
+        lockstep — every lane moves (or is terminated by the zero-mass
+        guard) within this superstep."""
         if self.sync_mode == "trial":
-            self._attempt_once(survivors)
-        else:
-            # Lockstep: every surviving walker moves (or is terminated
-            # by the zero-mass guard) within this iteration.
-            pending = survivors
-            while pending.size:
-                moved = self._attempt_once(pending)
-                pending = pending[~moved]
+            self._trial_round(ctx)
+            return
+        while ctx.size:
+            resolved = self._trial_round(ctx)
+            if resolved.all():
+                break
+            ctx = ctx.take(~resolved)
 
     def _retire_finished(self, active: np.ndarray) -> None:
         """Hand the recorder the walkers that died this iteration."""
@@ -536,11 +529,15 @@ class WalkEngine:
         return active
 
     # ------------------------------------------------------------------
-    def _attempt_once(self, walker_ids: np.ndarray) -> np.ndarray:
-        """One trial per walker; moves the accepted ones.
+    def _trial_round(self, ctx: GatherContext) -> np.ndarray:
+        """One trial per lane of ``ctx``; moves the accepted ones.
 
-        Returns the per-walker moved mask (aligned with walker_ids).
+        The single override point for engines that sample differently
+        (the baselines) or add a protocol around the trial (the
+        distributed query exchange).  Returns the resolved-lane mask
+        (moved, killed, or guarded), aligned with ``ctx.walker_ids``.
         """
+        counters = self.stats.counters
         trials_spent = None
         if self._fuse:
             outcome = batch_multi_trial_round(
@@ -548,39 +545,40 @@ class WalkEngine:
                 self.tables,
                 self.program,
                 self.walkers,
-                walker_ids,
-                self.upper,
-                self.lower,
+                ctx,
                 self._rng,
-                self.stats.counters,
-                num_trials=adaptive_trial_count(self.stats.counters),
+                counters,
+                self._scratch,
+                num_trials=adaptive_trial_count(counters),
                 validate_bounds=self.validate_bounds,
-                scratch=self._scratch,
             )
             accepted, edges = outcome.accepted, outcome.edges
             trials_spent = outcome.trials_used
+            self._account_lane_work(
+                ctx.vertices, trials_spent, slice(None), outcome.pd_evaluations
+            )
         elif self._batch:
             outcome = batch_trial_round(
                 self.graph,
                 self.tables,
                 self.program,
                 self.walkers,
-                walker_ids,
-                self.upper,
-                self.lower,
+                ctx,
                 self._rng,
-                self.stats.counters,
+                counters,
+                self._scratch,
                 validate_bounds=self.validate_bounds,
             )
             accepted, edges = outcome.accepted, outcome.edges
+            self._account_lane_work(ctx.vertices, 1, outcome.pd_lanes, 1)
         else:
-            accepted, edges = self._scalar_round(walker_ids)
-        return self._commit_round(walker_ids, accepted, edges, trials_spent)
+            accepted, edges = self._scalar_round(ctx.walker_ids)
+        return self._commit_round(ctx.walker_ids, accepted, edges, trials_spent)
 
     # ------------------------------------------------------------------
-    # Move/Update hooks — shared by the walker-centric loop and the
-    # step-centric executor; the distributed engine overrides the first
-    # three to add per-node message and work accounting.
+    # Move/Update hooks; the distributed engine overrides
+    # _commit_moves, _run_guard and _account_lane_work to add per-node
+    # message and work accounting.
     # ------------------------------------------------------------------
     def _commit_round(
         self,
@@ -642,15 +640,14 @@ class WalkEngine:
     def _account_lane_work(
         self,
         vertices: np.ndarray,
-        trials: np.ndarray | int | None = None,
-        pd: np.ndarray | None = None,
+        trials: np.ndarray | int,
+        pd_lanes: np.ndarray | slice,
+        pd: np.ndarray | int,
     ) -> None:
-        """Attribute sampling work to the walkers' locations.
-
-        A no-op here; the distributed engine charges each vertex's
-        owning node so per-node utilisation stays truthful when the
-        step executor routes lanes through different strategies.
-        """
+        """Attribute one round's work to the walkers' locations:
+        ``trials`` per lane of ``vertices``, and ``pd`` Pd evaluations
+        at the lane positions ``pd_lanes``.  A no-op here; the
+        distributed engine charges each vertex's owning node."""
 
     def _guard_batch(self, ids: np.ndarray) -> np.ndarray:
         """Vectorised zero-mass guard over several walkers at once.
@@ -753,10 +750,5 @@ class WalkEngine:
         local = int(np.searchsorted(cdf, draw, side="right"))
         start, _ = self.graph.edge_range(int(self.walkers.current[walker_id]))
         target = self.graph.targets[start + local]
-        ids = np.asarray([walker_id])
-        self.walkers.move(ids, np.asarray([target]))
-        self._rejection_streak[walker_id] = 0
-        self.stats.total_steps += 1
-        if self._recorder is not None:
-            self._recorder.record_moves(ids, np.asarray([target]))
+        self._commit_moves(np.asarray([walker_id]), np.asarray([target]))
         return True

@@ -47,14 +47,15 @@ __all__ = [
     "full_scan_mass",
     "full_scan_spans",
     "gather_stage",
+    "outlier_appendices",
 ]
 
 StaticTables = VertexAliasTables | VertexITSTables
 
 # After this many consecutive rejections a walker's vertex is fully
 # scanned once to distinguish "unlucky" from "zero eligible mass".
-# (Defined here so the kernels, the engines, and the step executor
-# share one constant without import cycles.)
+# (Defined here so the kernels and the engines share one constant
+# without import cycles.)
 ZERO_MASS_GUARD_TRIALS = 64
 
 # Fused-trial clamp: at least 2 trials per fused round (1 would be the
@@ -73,7 +74,7 @@ TRIAL_FUSION_RESOLVE_TARGET = 0.8
 class KernelScratch:
     """Grow-only buffer pool reused across trial rounds.
 
-    Step-mode engines call the kernels hundreds of times per walk with
+    The engines call the kernels hundreds of times per walk with
     near-identical batch shapes; recycling the random-draw and mask
     buffers avoids re-allocating a few MB per round.  Buffers are keyed
     by name and grown geometrically, so a pool stabilises after the
@@ -136,12 +137,10 @@ def adaptive_trial_count(
 class GatherContext:
     """Product of the Gather stage: per-lane state fetched once.
 
-    The step-centric engine computes these arrays once per iteration
-    (per surviving walker) and threads them through every sampling
-    round, instead of re-gathering vertex state from the graph-wide
-    arrays inside each kernel call.  ``classes`` carries the degree
-    class per lane for the sampler selector; it is ``None`` when the
-    caller does not select per class (the walker-centric engine).
+    The engine computes these arrays once per superstep (per surviving
+    walker) and threads them through every trial round, instead of
+    re-gathering vertex state from the graph-wide arrays inside each
+    kernel call — a rejected walker has not moved.
 
     All arrays align lane-for-lane with ``walker_ids``.  Slicing with
     :meth:`take` keeps the alignment for shrinking pending sets.
@@ -152,7 +151,6 @@ class GatherContext:
     upper: np.ndarray
     lower: np.ndarray
     main_area: np.ndarray
-    classes: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -166,7 +164,6 @@ class GatherContext:
             upper=self.upper[lanes],
             lower=self.lower[lanes],
             main_area=self.main_area[lanes],
-            classes=self.classes[lanes] if self.classes is not None else None,
         )
 
 
@@ -176,9 +173,12 @@ def gather_stage(
     walker_ids: np.ndarray,
     upper_bounds: np.ndarray,
     lower_bounds: np.ndarray,
-    vertex_class: np.ndarray | None = None,
 ) -> GatherContext:
-    """Fetch per-lane vertex state (the Gather stage) in one pass."""
+    """Fetch per-lane vertex state (the Gather stage) in one pass.
+
+    ``upper_bounds``/``lower_bounds`` are the per-vertex envelope
+    arrays (length |V|).
+    """
     vertices = walkers.current[walker_ids]
     upper = upper_bounds[vertices]
     return GatherContext(
@@ -187,7 +187,6 @@ def gather_stage(
         upper=upper,
         lower=lower_bounds[vertices],
         main_area=tables.totals[vertices] * upper,
-        classes=vertex_class[vertices] if vertex_class is not None else None,
     )
 
 
@@ -195,25 +194,25 @@ def gather_stage(
 class TrialOutcome:
     """Result of one batch trial round.
 
-    ``accepted`` and ``edges`` align with the input ``walker_ids``:
+    ``accepted`` and ``edges`` align with the context's ``walker_ids``:
     where ``accepted[i]`` is True, ``edges[i]`` holds the flat index of
     the sampled edge; elsewhere ``edges[i]`` is -1.  ``pd_lanes`` lists
     the lane positions whose trial evaluated Pd (main-region misses of
-    the pre-acceptance floor plus appendix darts) — the per-class
-    evidence the sampler selector feeds on.
+    the pre-acceptance floor plus appendix darts) — the cluster engine
+    charges one evaluation to each such lane's node.
     """
 
     accepted: np.ndarray
     edges: np.ndarray
-    pd_lanes: np.ndarray | None = None
+    pd_lanes: np.ndarray
 
 
 @dataclass
 class MultiTrialOutcome:
     """Result of one fused multi-trial round.
 
-    All arrays align with the input ``walker_ids``.  ``trials_used`` is
-    the number of sequential trials the walker *observably* consumed —
+    All arrays align with the context's ``walker_ids``.  ``trials_used``
+    is the number of sequential trials the walker *observably* consumed —
     the index of its first accepted trial plus one, or the full K when
     every speculated trial was rejected.  ``pd_evaluations`` counts the
     Pd evaluations attributable to those consumed trials; speculative
@@ -230,26 +229,43 @@ class MultiTrialOutcome:
     pd_evaluations: np.ndarray
 
 
+def outlier_appendices(
+    graph,
+    program: WalkerProgram,
+    walkers: WalkerSet,
+    ctx: GatherContext,
+) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
+    """Outlier edges, their static masses and appendix areas per lane
+    (all ``None`` when the program declares no outliers)."""
+    declared = program.batch_outliers(graph, walkers, ctx.walker_ids)
+    if declared is None:
+        return None, None, None
+    outlier_edges, outlier_bounds, outlier_widths, outlier_masses = declared
+    appendix_area = np.where(
+        outlier_edges >= 0,
+        outlier_widths * np.maximum(outlier_bounds - ctx.upper, 0.0),
+        0.0,
+    )
+    return outlier_edges, outlier_masses, appendix_area
+
+
 def batch_trial_round(
     graph,
     tables: StaticTables,
     program: WalkerProgram,
     walkers: WalkerSet,
-    walker_ids: np.ndarray,
-    upper_bounds: np.ndarray,
-    lower_bounds: np.ndarray,
+    ctx: GatherContext,
     rng: np.random.Generator,
     counters: SamplingCounters,
-    use_outliers: bool = True,
+    scratch: KernelScratch,
     validate_bounds: bool = False,
-    gather: GatherContext | None = None,
-    scratch: KernelScratch | None = None,
 ) -> TrialOutcome:
-    """One rejection-sampling trial for every walker in ``walker_ids``.
+    """One rejection-sampling trial for every lane of ``ctx``.
 
-    ``upper_bounds``/``lower_bounds`` are the per-vertex envelope
-    arrays (length |V|).  Every walker must reside at a vertex with
-    positive static mass; the engine filters dead ends beforehand.
+    ``ctx`` is the Gather stage's per-lane state (the engine computes it
+    once per superstep); every walker in it must reside at a vertex
+    with positive static mass — the engine filters dead ends
+    beforehand.  ``scratch`` recycles the dart buffer across rounds.
 
     ``validate_bounds`` enables the debug check that every evaluated Pd
     respects the declared envelope (values above it are legal only on
@@ -257,37 +273,13 @@ def batch_trial_round(
     sampled law, so the check turns that bug into a loud
     :class:`~repro.errors.ProgramError` — at the cost of one comparison
     per evaluation, hence opt-in.
-
-    ``gather`` supplies the Gather stage's pre-fetched per-lane state
-    (the step-centric engine computes it once per iteration); without
-    it the gathers run here.  ``scratch`` recycles the dart buffer
-    across rounds; both options leave the RNG stream untouched, so a
-    round with or without them is bit-identical.
     """
+    walker_ids = ctx.walker_ids
+    vertices, upper, lower = ctx.vertices, ctx.upper, ctx.lower
     count = walker_ids.size
-    if gather is not None:
-        vertices = gather.vertices
-        upper = gather.upper
-        lower = gather.lower
-        main_area = gather.main_area
-    else:
-        vertices = walkers.current[walker_ids]
-        upper = upper_bounds[vertices]
-        lower = lower_bounds[vertices]
-        main_area = tables.totals[vertices] * upper
-
-    outlier_edges = None
-    outlier_masses = None
-    appendix_area = None
-    if use_outliers:
-        declared = program.batch_outliers(graph, walkers, walker_ids)
-        if declared is not None:
-            outlier_edges, outlier_bounds, outlier_widths, outlier_masses = declared
-            appendix_area = np.where(
-                outlier_edges >= 0,
-                outlier_widths * np.maximum(outlier_bounds - upper, 0.0),
-                0.0,
-            )
+    outlier_edges, outlier_masses, appendix_area = outlier_appendices(
+        graph, program, walkers, ctx
+    )
 
     accepted = np.zeros(count, dtype=bool)
     edges = np.full(count, -1, dtype=np.int64)
@@ -296,9 +288,9 @@ def batch_trial_round(
     if appendix_area is None:
         main_lanes = np.arange(count)
     else:
-        total_area = main_area + appendix_area
+        total_area = ctx.main_area + appendix_area
         region = rng.random(count) * total_area
-        in_main = region < main_area
+        in_main = region < ctx.main_area
         main_lanes = np.flatnonzero(in_main)
         appendix_lanes = np.flatnonzero(~in_main)
         _appendix_trials(
@@ -323,13 +315,8 @@ def batch_trial_round(
         candidates = tables.sample_batch(
             vertices if whole_batch else vertices[main_lanes], rng
         )
-        if scratch is not None:
-            darts = scratch.random(rng, "trial_darts", (main_lanes.size,))
-            darts *= upper if whole_batch else upper[main_lanes]
-        else:
-            darts = rng.random(main_lanes.size) * (
-                upper if whole_batch else upper[main_lanes]
-            )
+        darts = scratch.random(rng, "trial_darts", (main_lanes.size,))
+        darts *= upper if whole_batch else upper[main_lanes]
         pre = darts <= (lower if whole_batch else lower[main_lanes])
         counters.pre_accepts += int(pre.sum())
         pre_lanes = main_lanes[pre]
@@ -432,18 +419,14 @@ def batch_multi_trial_round(
     tables: StaticTables,
     program: WalkerProgram,
     walkers: WalkerSet,
-    walker_ids: np.ndarray,
-    upper_bounds: np.ndarray,
-    lower_bounds: np.ndarray,
+    ctx: GatherContext,
     rng: np.random.Generator,
     counters: SamplingCounters,
+    scratch: KernelScratch,
     num_trials: int,
-    use_outliers: bool = True,
     validate_bounds: bool = False,
-    scratch: KernelScratch | None = None,
-    gather: GatherContext | None = None,
 ) -> MultiTrialOutcome:
-    """K speculative rejection trials per walker, fused into one round.
+    """K speculative rejection trials per lane, fused into one round.
 
     Semantically equivalent to running :func:`batch_trial_round` up to
     ``num_trials`` times on the shrinking rejected set, but all K
@@ -467,38 +450,19 @@ def batch_multi_trial_round(
     :class:`MultiTrialOutcome`) so distributed callers can attribute
     work to nodes and rejection streaks can advance by trials consumed.
     """
+    walker_ids = ctx.walker_ids
+    vertices, upper, lower = ctx.vertices, ctx.upper, ctx.lower
+    main_area = ctx.main_area
     count = walker_ids.size
     k = int(num_trials)
     if k < 1:
         raise ValueError("num_trials must be >= 1")
-    if scratch is None:
-        scratch = KernelScratch()
 
-    if gather is not None:
-        vertices = gather.vertices
-        upper = gather.upper
-        lower = gather.lower
-        main_area = gather.main_area
-    else:
-        vertices = walkers.current[walker_ids]
-        upper = upper_bounds[vertices]
-        lower = lower_bounds[vertices]
-        main_area = tables.totals[vertices] * upper
-
-    outlier_edges = None
-    outlier_masses = None
-    appendix_area = None
-    if use_outliers:
-        declared = program.batch_outliers(graph, walkers, walker_ids)
-        if declared is not None:
-            outlier_edges, outlier_bounds, outlier_widths, outlier_masses = declared
-            appendix_area = np.where(
-                outlier_edges >= 0,
-                outlier_widths * np.maximum(outlier_bounds - upper, 0.0),
-                0.0,
-            )
-            if not appendix_area.any():
-                appendix_area = None
+    outlier_edges, outlier_masses, appendix_area = outlier_appendices(
+        graph, program, walkers, ctx
+    )
+    if appendix_area is not None and not appendix_area.any():
+        appendix_area = None
 
     cols = np.arange(k)
 
@@ -656,8 +620,7 @@ class FullScanSpans:
     and ``evaluations[i]`` counts the Pd evaluations spent on it (the
     distributed engine charges them to the walker's node).
 
-    Shared by the engines' zero-mass guard and the step engine's
-    ``full_scan`` strategy, so both resolve walkers through the same
+    The engines' zero-mass guard resolves walkers in bulk through this
     vectorised span assembly (one ``batch_dynamic_comp`` over the
     concatenated spans, one global-CDF ``searchsorted`` for the
     draws).

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.selector import SamplerDecisionStats
 from repro.sampling.incremental import MaintenanceStats
 from repro.sampling.rejection import SamplingCounters
 
@@ -60,15 +59,9 @@ class WalkStats:
         wall-clock of the walk loop (excludes graph loading, matching
         the paper's methodology; includes sampling-structure and
         walker initialization).
-    sampler:
-        the step engine's per-degree-class sampler decisions and their
-        evidence (see :class:`~repro.core.selector.SamplerDecisionStats`);
-        carries the ``"fixed"`` policy with empty counters when auto
-        selection is off or the walker-centric engine ran.
     """
 
     counters: SamplingCounters = field(default_factory=SamplingCounters)
-    sampler: SamplerDecisionStats = field(default_factory=SamplerDecisionStats)
     termination: TerminationBreakdown = field(default_factory=TerminationBreakdown)
     total_steps: int = 0
     teleports: int = 0

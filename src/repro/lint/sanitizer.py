@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 import numpy as np
 
@@ -236,40 +236,24 @@ def _first_divergence(
 
 
 def run_sanitized(
-    engine_factory: Callable[[], Any] | Sequence[Callable[[], Any]],
+    engine_factory: Callable[[], Any],
     runs: int = 2,
     run_kwargs: dict[str, Any] | None = None,
 ) -> SanitizerReport:
-    """Execute engines under tracing and compare the event streams.
+    """Execute an engine ``runs`` times under tracing and compare the
+    event streams.
 
-    ``engine_factory`` is either one factory — called ``runs`` times,
-    the classic replay-determinism check — or a *sequence* of factories
-    traced once each, whose event streams must still be identical.
-    The sequence form is the cross-engine check: the step-centric and
-    walker-centric engines of one seeded workload are required to fold
-    to the same rolling hash (``repro sanitize --compare-engines``),
-    which pins their bit-identity at the event level, not just the
-    final walk matrix.
-
-    Every factory must build a **fresh** engine per call (engines are
-    single-shot); anything nondeterministic the factory itself does —
-    an unseeded RNG in program setup, wall-clock-dependent
+    ``engine_factory`` must build a **fresh** engine per call (engines
+    are single-shot); anything nondeterministic the factory itself
+    does — an unseeded RNG in program setup, wall-clock-dependent
     configuration — is exactly what the comparison catches.
     """
-    if callable(engine_factory):
-        if runs < 2:
-            raise ValueError("sanitizing needs at least two runs to compare")
-        factories: list[Callable[[], Any]] = [engine_factory] * runs
-    else:
-        factories = list(engine_factory)
-        if len(factories) < 2:
-            raise ValueError(
-                "sanitizing needs at least two engine factories to compare"
-            )
+    if runs < 2:
+        raise ValueError("sanitizing needs at least two runs to compare")
     kwargs = run_kwargs if run_kwargs is not None else {}
     tracers: list[DeterminismTracer] = []
-    for factory in factories:
-        engine = factory()
+    for _ in range(runs):
+        engine = engine_factory()
         tracer = DeterminismTracer()
         engine.attach_tracer(tracer)
         engine.run(**kwargs)

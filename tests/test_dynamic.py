@@ -374,22 +374,24 @@ class TestWalRecovery:
 # Epoch pinning through the engine stack
 # ----------------------------------------------------------------------
 class TestEnginePinning:
-    @pytest.mark.parametrize("engine_mode", ["step", "walker"])
-    def test_engine_pins_snapshot(self, engine_mode):
+    @pytest.mark.parametrize("variant", ["batch", "scalar"])
+    def test_engine_pins_snapshot(self, variant):
+        scalar = variant == "scalar"
         dyn = DynamicGraph(small_graph(seed=7))
         dyn.commit([EdgeUpdate("insert", 0, 1, 2.0)])
         config = WalkConfig(
-            num_walkers=30, max_steps=8, record_paths=True, seed=4,
-            engine_mode=engine_mode,
+            num_walkers=30, max_steps=8, record_paths=True, seed=4
         )
-        engine = WalkEngine(dyn, DeepWalk(), config)
+        engine = WalkEngine(dyn, DeepWalk(), config, force_scalar=scalar)
         assert engine.graph_epoch == 1
         # Commits after construction must not affect the pinned walk.
         dyn.commit([EdgeUpdate("delete", 0, 1)])
         result = engine.run()
         assert result.stats.graph_epoch == 1
 
-        static = WalkEngine(dyn.snapshot_at(1).graph, DeepWalk(), config)
+        static = WalkEngine(
+            dyn.snapshot_at(1).graph, DeepWalk(), config, force_scalar=scalar
+        )
         np.testing.assert_array_equal(result.paths, static.run().paths)
 
     def test_engine_on_snapshot_matches_materialized(self):

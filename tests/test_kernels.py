@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core.kernels import (
+    KernelScratch,
     TrialOutcome,
     batch_trial_round,
     full_scan_distribution,
     full_scan_mass,
+    gather_stage,
 )
 from repro.core.program import WalkerProgram
 from repro.core.walker import WalkerSet
@@ -43,16 +45,16 @@ class TestBatchTrialRound:
     def test_outcome_alignment(self, setup):
         graph, tables, walkers = setup
         counters = SamplingCounters()
+        ctx = gather_stage(tables, walkers, np.arange(6), np.ones(5), np.zeros(5))
         outcome = batch_trial_round(
             graph,
             tables,
             HalfAndOne(),
             walkers,
-            np.arange(6),
-            np.ones(5),
-            np.zeros(5),
+            ctx,
             np.random.default_rng(0),
             counters,
+            KernelScratch(),
         )
         assert isinstance(outcome, TrialOutcome)
         assert outcome.accepted.shape == (6,)
@@ -71,11 +73,12 @@ class TestBatchTrialRound:
         rng = np.random.default_rng(1)
         counters = SamplingCounters()
         accepted_targets = []
-        ids = np.arange(6)
+        ctx = gather_stage(tables, walkers, np.arange(6), np.ones(5), np.zeros(5))
+        scratch = KernelScratch()
         while len(accepted_targets) < 20_000:
             outcome = batch_trial_round(
-                graph, tables, HalfAndOne(), walkers, ids,
-                np.ones(5), np.zeros(5), rng, counters,
+                graph, tables, HalfAndOne(), walkers, ctx, rng, counters,
+                scratch,
             )
             accepted_targets.extend(
                 graph.targets[outcome.edges[outcome.accepted]].tolist()
@@ -87,10 +90,13 @@ class TestBatchTrialRound:
     def test_lower_bound_pre_accepts_everything_at_envelope(self, setup):
         graph, tables, walkers = setup
         counters = SamplingCounters()
-        outcome = batch_trial_round(
-            graph, tables, HalfAndOne(), walkers, np.arange(6),
+        ctx = gather_stage(
+            tables, walkers, np.arange(6),
             np.full(5, 0.5), np.full(5, 0.5),  # lower == upper
-            np.random.default_rng(2), counters,
+        )
+        outcome = batch_trial_round(
+            graph, tables, HalfAndOne(), walkers, ctx,
+            np.random.default_rng(2), counters, KernelScratch(),
         )
         assert outcome.accepted.all()
         assert counters.pd_evaluations == 0

@@ -22,6 +22,7 @@ from repro.core.kernels import (
     adaptive_trial_count,
     batch_multi_trial_round,
     batch_trial_round,
+    gather_stage,
 )
 from repro.core.program import WalkerProgram
 from repro.core.walker import WalkerSet
@@ -46,22 +47,26 @@ def node2vec_setup(p, q, count=2000):
     walkers = WalkerSet(np.full(count, PREVIOUS, dtype=np.int64))
     ids = np.arange(count)
     walkers.move(ids, np.full(count, CURRENT, dtype=np.int64))
-    upper = program.upper_bound_array(graph)
-    lower = program.lower_bound_array(graph)
-    return graph, program, tables, walkers, ids, upper, lower
+    ctx = gather_stage(
+        tables,
+        walkers,
+        ids,
+        program.upper_bound_array(graph),
+        program.lower_bound_array(graph),
+    )
+    return graph, program, tables, walkers, ctx
 
 
 def multi_trial_targets(p, q, num_trials, seed, min_samples=30_000):
-    graph, program, tables, walkers, ids, upper, lower = node2vec_setup(p, q)
+    graph, program, tables, walkers, ctx = node2vec_setup(p, q)
     rng = np.random.default_rng(seed)
     counters = SamplingCounters()
     scratch = KernelScratch()
     targets = []
     while len(targets) < min_samples:
         outcome = batch_multi_trial_round(
-            graph, tables, program, walkers, ids, upper, lower, rng,
-            counters, num_trials=num_trials, validate_bounds=True,
-            scratch=scratch,
+            graph, tables, program, walkers, ctx, rng, counters, scratch,
+            num_trials=num_trials, validate_bounds=True,
         )
         targets.extend(graph.targets[outcome.edges[outcome.accepted]].tolist())
     return targets, counters
@@ -117,9 +122,10 @@ class TestCountersConsistency:
     def test_per_accept_work_matches_single_trial(self, p, q):
         """trials / Pd evaluations / pre-accepts per accepted move agree
         between the single-trial and fused kernels in expectation."""
-        graph, program, tables, walkers, ids, upper, lower = node2vec_setup(
+        graph, program, tables, walkers, ctx = node2vec_setup(
             p, q, count=4000
         )
+        scratch = KernelScratch()
 
         def run(kernel):
             rng = np.random.default_rng(31)
@@ -130,14 +136,13 @@ class TestCountersConsistency:
 
         single = run(
             lambda rng, counters: batch_trial_round(
-                graph, tables, program, walkers, ids, upper, lower, rng,
-                counters,
+                graph, tables, program, walkers, ctx, rng, counters, scratch
             )
         )
         fused = run(
             lambda rng, counters: batch_multi_trial_round(
-                graph, tables, program, walkers, ids, upper, lower, rng,
-                counters, num_trials=5,
+                graph, tables, program, walkers, ctx, rng, counters, scratch,
+                num_trials=5,
             )
         )
         for field in ("trials", "pd_evaluations", "pre_accepts",
@@ -150,14 +155,14 @@ class TestCountersConsistency:
             )
 
     def test_outcome_bookkeeping_invariants(self):
-        graph, program, tables, walkers, ids, upper, lower = node2vec_setup(
+        graph, program, tables, walkers, ctx = node2vec_setup(
             0.2, 2.0, count=500
         )
         rng = np.random.default_rng(37)
         counters = SamplingCounters()
         outcome = batch_multi_trial_round(
-            graph, tables, program, walkers, ids, upper, lower, rng,
-            counters, num_trials=6,
+            graph, tables, program, walkers, ctx, rng, counters,
+            KernelScratch(), num_trials=6,
         )
         assert isinstance(outcome, MultiTrialOutcome)
         assert np.all((outcome.trials_used >= 1) & (outcome.trials_used <= 6))
@@ -171,13 +176,14 @@ class TestCountersConsistency:
         assert counters.accepts == int(outcome.accepted.sum())
 
     def test_rejects_non_positive_trial_count(self):
-        graph, program, tables, walkers, ids, upper, lower = node2vec_setup(
+        graph, program, tables, walkers, ctx = node2vec_setup(
             2.0, 0.5, count=4
         )
         with pytest.raises(ValueError):
             batch_multi_trial_round(
-                graph, tables, program, walkers, ids, upper, lower,
-                np.random.default_rng(0), SamplingCounters(), num_trials=0,
+                graph, tables, program, walkers, ctx,
+                np.random.default_rng(0), SamplingCounters(), KernelScratch(),
+                num_trials=0,
             )
 
 
@@ -228,7 +234,9 @@ class TestGuardIntegration:
         engine.walkers.current[:] = [0, 1]
         engine._rejection_streak[:] = ZERO_MASS_GUARD_TRIALS - 1
         # Deliberately unsorted: lane 0 holds walker 1.
-        moved = engine._attempt_once(np.array([1, 0], dtype=np.int64))
+        moved = engine._trial_round(
+            engine._gather(np.array([1, 0], dtype=np.int64))
+        )
         assert moved.all()
         # Walker 1 moved normally; walker 0 was killed by the guard.
         assert bool(engine.walkers.alive[1])

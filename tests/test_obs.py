@@ -399,12 +399,13 @@ class TestChromeTraceExport:
 
 
 class TestLocalEngineTracing:
-    def _run(self, graph, tracer, mode="step"):
+    def _run(self, graph, tracer, variant="batch"):
         config = WalkConfig(
-            num_walkers=50, max_steps=10, seed=6, engine_mode=mode,
-            record_paths=True,
+            num_walkers=50, max_steps=10, seed=6, record_paths=True
         )
-        engine = WalkEngine(graph, DeepWalk(), config)
+        engine = WalkEngine(
+            graph, DeepWalk(), config, force_scalar=variant == "scalar"
+        )
         engine.observe(tracer)
         return engine.run()
 
@@ -424,11 +425,11 @@ class TestLocalEngineTracing:
             )
         assert run_span.args["status"] == "complete"
 
-    def test_walker_mode_also_traced(self, graph):
+    def test_scalar_path_also_traced(self, graph):
         tracer = Tracer()
-        self._run(graph, tracer, mode="walker")
-        assert tracer.find("stage.move")
-        assert tracer.find("stage.update")
+        self._run(graph, tracer, variant="scalar")
+        for stage in ("stage.update", "stage.gather", "stage.move"):
+            assert tracer.find(stage)
 
     def test_disabled_tracer_zero_spans_bit_identical(self, graph):
         plain = self._run(graph, None)

@@ -83,12 +83,9 @@ def as_lists(paths):
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 class TestAgainstOracle:
-    @pytest.mark.parametrize("variant", ["step", "walker", "scalar"])
+    @pytest.mark.parametrize("variant", ["batch", "scalar"])
     def test_local_engine(self, name, variant):
-        config = make_config(
-            name, engine_mode="walker" if variant == "scalar" else variant
-        )
-        engine = make_engine(name, config=config, force_scalar=variant == "scalar")
+        engine = make_engine(name, force_scalar=variant == "scalar")
         oracle = ReplayPathOracle.attach(engine)
         result = engine.run()
         assert as_lists(result.paths) == oracle.paths()
@@ -98,11 +95,8 @@ class TestAgainstOracle:
         )
         assert result.stats.total_steps > 0
 
-    @pytest.mark.parametrize("mode", ["step", "walker"])
-    def test_distributed_engine(self, name, mode):
-        engine = make_engine(
-            name, nodes=4, config=make_config(name, engine_mode=mode)
-        )
+    def test_distributed_engine(self, name):
+        engine = make_engine(name, nodes=4)
         oracle = ReplayPathOracle.attach(engine)
         assert as_lists(engine.run().paths) == oracle.paths()
 

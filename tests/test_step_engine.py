@@ -1,27 +1,29 @@
-"""Step-centric engine equivalence and sampler auto-selection tests.
+"""The superstep loop and its one round hook.
 
-The step-centric executor (Gather -> Move -> Update staging in
-``repro.core.stepper``) is required to be *bit-identical* to the
-walker-at-a-time loop under the ``fixed`` sampler policy: same kernels,
-same RNG stream, same move/kill batching.  These tests pin that
-contract for every program family — static, second-order, and dynamic
-step-paced — on both the local and the distributed engine, plus the
-partial-result paths (pause/cancel), the unsorted-lane guard fix, and
-the ``auto`` policy's weaker contract (same walk law, deterministic
-run-to-run).
+Every engine runs the same superstep body — Gather once, then
+``_trial_round`` once (trial pacing) or until every lane resolved (step
+pacing) — and differs only in its ``_trial_round`` override.  The
+bit-level contract of that loop is pinned by the golden digests in
+``tests/test_golden_walks.py``; this file covers what surrounds it: the
+partial-result paths (pause/cancel), the unsorted-lane guard fix, the
+scalar guard's use of the move hook, and the distributed engine's
+rejection of scalar-only programs.
 """
 
 import numpy as np
 import pytest
 
 from repro.algorithms import DeepWalk, MetaPathWalk, Node2Vec
+from repro.baselines.full_scan import FullScanWalkEngine
+from repro.baselines.gemini import GeminiWalkEngine
+from repro.baselines.typed_metapath import TypedMetaPathWalkEngine
 from repro.cluster import DistributedWalkEngine
 from repro.core.config import WalkConfig
 from repro.core.engine import WalkEngine, ZERO_MASS_GUARD_TRIALS
-from repro.errors import ConfigError
+from repro.core.program import WalkerProgram
+from repro.errors import ProgramError
 from repro.graph.generators import uniform_degree_graph
 from repro.graph.hetero import assign_random_edge_types
-from repro.lint.sanitizer import run_sanitized
 from repro.service import CancelToken
 
 
@@ -36,7 +38,7 @@ def typed_graph():
 
 
 # (program factory, graph factory) per family; fresh instances per
-# engine so no hidden program state can leak between the two runs.
+# engine so no hidden program state can leak between two runs.
 PROGRAMS = {
     "deepwalk": (DeepWalk, plain_graph),
     "node2vec": (lambda: Node2Vec(p=2.0, q=0.5, biased=False), plain_graph),
@@ -44,17 +46,11 @@ PROGRAMS = {
 }
 
 
-def run_mode(name, engine_mode, *, nodes=0, sampler_policy="fixed",
-             seed=9, **run_kwargs):
+def run_walk(name, *, nodes=0, seed=9, **run_kwargs):
     make_program, make_graph = PROGRAMS[name]
     graph = make_graph()
     config = WalkConfig(
-        num_walkers=120,
-        max_steps=12,
-        record_paths=True,
-        seed=seed,
-        engine_mode=engine_mode,
-        sampler_policy=sampler_policy,
+        num_walkers=120, max_steps=12, record_paths=True, seed=seed
     )
     if nodes > 0:
         engine = DistributedWalkEngine(
@@ -65,65 +61,36 @@ def run_mode(name, engine_mode, *, nodes=0, sampler_policy="fixed",
     return engine.run(**run_kwargs)
 
 
-class TestLocalEquivalence:
-    @pytest.mark.parametrize("name", sorted(PROGRAMS))
-    def test_step_matches_walker_bit_identical(self, name):
-        step = run_mode(name, "step")
-        walker = run_mode(name, "walker")
-        assert len(step.paths) == len(walker.paths)
-        for a, b in zip(step.paths, walker.paths):
-            np.testing.assert_array_equal(a, b)
-        assert step.stats.total_steps == walker.stats.total_steps
-        assert step.stats.counters.trials == walker.stats.counters.trials
-        assert (
-            step.stats.counters.pd_evaluations
-            == walker.stats.counters.pd_evaluations
-        )
-        assert (
-            step.stats.full_scan_evaluations
-            == walker.stats.full_scan_evaluations
-        )
-
-    def test_modes_selected_as_configured(self):
-        graph = plain_graph()
-        step = WalkEngine(graph, DeepWalk(), WalkConfig(engine_mode="step"))
-        walker = WalkEngine(graph, DeepWalk(), WalkConfig(engine_mode="walker"))
-        assert step.engine_mode == "step" and step._stepper is not None
-        assert walker.engine_mode == "walker" and walker._stepper is None
-
-
-class TestDistributedEquivalence:
-    @pytest.mark.parametrize("name", sorted(PROGRAMS))
-    def test_step_matches_walker_including_messages(self, name):
-        step = run_mode(name, "step", nodes=4)
-        walker = run_mode(name, "walker", nodes=4)
-        for a, b in zip(step.paths, walker.paths):
-            np.testing.assert_array_equal(a, b)
-        assert step.stats.total_steps == walker.stats.total_steps
-        assert step.stats.messages_sent == walker.stats.messages_sent
-        np.testing.assert_array_equal(
-            step.cluster.trials_per_node, walker.cluster.trials_per_node
-        )
-        np.testing.assert_array_equal(
-            step.cluster.pd_evaluations_per_node,
-            walker.cluster.pd_evaluations_per_node,
-        )
+class TestOneLoopOneHook:
+    def test_subclasses_override_only_the_round(self):
+        for engine_class in (
+            DistributedWalkEngine,
+            FullScanWalkEngine,
+            TypedMetaPathWalkEngine,
+            GeminiWalkEngine,
+        ):
+            assert "_trial_round" in vars(engine_class)
+            assert engine_class._move_walkers is WalkEngine._move_walkers
 
 
 class TestPartialResults:
     @pytest.mark.parametrize("name", ["deepwalk", "node2vec"])
     def test_pause_yields_identical_partials(self, name):
-        step = run_mode(name, "step", max_iterations=4)
-        walker = run_mode(name, "walker", max_iterations=4)
-        assert step.status == walker.status == "paused"
-        for a, b in zip(step.paths, walker.paths):
-            np.testing.assert_array_equal(a, b)
-        assert step.stats.total_steps == walker.stats.total_steps
+        """A paused run is a prefix of the uninterrupted one."""
+        paused = run_walk(name, max_iterations=4)
+        full = run_walk(name)
+        assert paused.status == "paused" and full.status == "complete"
+        for short, whole in zip(paused.paths, full.paths):
+            np.testing.assert_array_equal(short, whole[: len(short)])
+        assert paused.stats.total_steps == sum(
+            len(path) - 1 for path in paused.paths
+        )
+        assert 0 < paused.stats.total_steps < full.stats.total_steps
 
     def test_cancel_token_stops_step_engine(self):
         token = CancelToken()
         token.cancel()
-        result = run_mode("deepwalk", "step", cancel=token)
+        result = run_walk("deepwalk", cancel=token)
         assert result.status == "cancelled"
         # Partial results stay well-formed: one recorded start vertex
         # per walker, zero steps executed.
@@ -165,95 +132,67 @@ class TestGuardLanes:
         graph = from_edges(2, [(0, 1), (1, 0)])
         engine = WalkEngine(
             graph, StuckProgram(),
-            WalkConfig(num_walkers=1, max_steps=10, seed=5,
-                       engine_mode="step"),
+            WalkConfig(num_walkers=1, max_steps=10, seed=5),
         )
         engine.walkers.current[:] = [0]
         result = engine.run()
         assert result.stats.termination.by_dead_end == 1
 
 
-class TestAutoPolicy:
-    @pytest.mark.parametrize("name", sorted(PROGRAMS))
-    def test_deterministic_run_to_run(self, name):
-        first = run_mode(name, "step", sampler_policy="auto")
-        second = run_mode(name, "step", sampler_policy="auto")
-        for a, b in zip(first.paths, second.paths):
-            np.testing.assert_array_equal(a, b)
-        assert (
-            first.stats.sampler.chosen_by_class()
-            == second.stats.sampler.chosen_by_class()
+class RarelyAccepts(WalkerProgram):
+    """Scalar-only program whose Pd sits far below its envelope, so
+    walkers reach the zero-mass guard with positive mass and the guard
+    moves them by an exact draw."""
+
+    dynamic = True
+
+    def dynamic_upper_bound(self, graph, vertex):
+        return 1.0
+
+    def edge_dynamic_comp(self, graph, walker, edge_index, query_result=None):
+        return 1e-9
+
+
+class CountingEngine(WalkEngine):
+    def __init__(self, *args, **kwargs):
+        self.hook_moves = 0
+        super().__init__(*args, **kwargs)
+
+    def _commit_moves(self, movers, targets):
+        self.hook_moves += movers.size
+        super()._commit_moves(movers, targets)
+
+
+class TestScalarGuardUsesMoveHook:
+    def test_guard_moves_go_through_commit_moves(self):
+        """An engine overriding ``_commit_moves`` must see the scalar
+        guard's moves too (they used to be applied inline)."""
+        engine = CountingEngine(
+            plain_graph(),
+            RarelyAccepts(),
+            WalkConfig(num_walkers=3, max_steps=2, seed=1, record_paths=True),
         )
-
-    @pytest.mark.parametrize("name", sorted(PROGRAMS))
-    def test_walks_follow_stored_edges(self, name):
-        _, make_graph = PROGRAMS[name]
-        graph = make_graph()
-        result = run_mode(name, "step", sampler_policy="auto")
-        for path in result.paths:
-            for source, target in zip(path[:-1], path[1:]):
-                assert graph.has_edge(int(source), int(target))
-
-    def test_decisions_recorded_in_stats(self):
-        result = run_mode("deepwalk", "step", sampler_policy="auto")
-        sampler = result.stats.sampler
-        assert sampler.policy == "auto"
-        assert sampler.chosen_by_class()
-        as_dict = sampler.as_dict()
-        assert as_dict["policy"] == "auto"
-        assert as_dict["chosen_by_class"]
-
-    def test_distributed_auto_deterministic(self):
-        first = run_mode("metapath", "step", nodes=4, sampler_policy="auto")
-        second = run_mode("metapath", "step", nodes=4, sampler_policy="auto")
-        for a, b in zip(first.paths, second.paths):
-            np.testing.assert_array_equal(a, b)
-        assert first.stats.messages_sent == second.stats.messages_sent
+        result = engine.run()
+        assert result.stats.full_scan_evaluations > 0  # the guard fired
+        assert result.stats.total_steps == 6
+        assert engine.hook_moves == result.stats.total_steps
+        assert [len(path) for path in result.paths] == [3, 3, 3]
 
 
-class TestConfigValidation:
-    def test_auto_requires_step_mode(self):
-        with pytest.raises(ConfigError):
-            WalkConfig(engine_mode="walker", sampler_policy="auto")
+class TestDistributedRejectsScalarPrograms:
+    def test_construction_fails_before_touching_walker_state(self):
+        calls = []
 
-    def test_unknown_engine_mode_rejected(self):
-        with pytest.raises(ConfigError):
-            WalkConfig(engine_mode="vertex")
+        class ScalarOnly(RarelyAccepts):
+            def setup_walkers(self, graph, walkers, rng):
+                calls.append("setup_walkers")
 
-    def test_unknown_sampler_policy_rejected(self):
-        with pytest.raises(ConfigError):
-            WalkConfig(sampler_policy="greedy")
-
-
-class TestCrossEngineSanitizer:
-    def factories(self, nodes=0):
-        def make(engine_mode):
-            def factory():
-                make_program, make_graph = PROGRAMS["node2vec"]
-                config = WalkConfig(
-                    num_walkers=40, max_steps=8, seed=13,
-                    engine_mode=engine_mode,
-                )
-                if nodes > 0:
-                    return DistributedWalkEngine(
-                        make_graph(), make_program(), config, num_nodes=nodes
-                    )
-                return WalkEngine(make_graph(), make_program(), config)
-
-            return factory
-
-        return [make("step"), make("walker")]
-
-    def test_step_and_walker_fold_to_same_hash(self):
-        report = run_sanitized(self.factories())
-        assert report.deterministic
-        assert len(set(report.rolling_hashes)) == 1
-
-    def test_distributed_streams_fold_too(self):
-        report = run_sanitized(self.factories(nodes=3))
-        assert report.deterministic
-        assert len(set(report.rolling_hashes)) == 1
-
-    def test_single_factory_sequence_rejected(self):
-        with pytest.raises(ValueError):
-            run_sanitized(self.factories()[:1])
+        with pytest.raises(ProgramError, match="supports_batch"):
+            DistributedWalkEngine(
+                plain_graph(), ScalarOnly(), WalkConfig(num_walkers=4),
+                num_nodes=2,
+            )
+        assert calls == []
+        # The local engine still runs scalar-only programs.
+        WalkEngine(plain_graph(), ScalarOnly(), WalkConfig(num_walkers=4))
+        assert calls == ["setup_walkers"]

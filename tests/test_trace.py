@@ -1,13 +1,8 @@
 """Unit tests for walk path recording."""
 
 import numpy as np
-import pytest
 
-from repro.algorithms import DeepWalk, Node2Vec
-from repro.core.config import WalkConfig
-from repro.core.engine import WalkEngine
 from repro.core.trace import PathRecorder
-from repro.graph.generators import uniform_degree_graph
 
 
 class TestPathRecorder:
@@ -49,79 +44,3 @@ class TestPathRecorder:
         recorder.record_moves(walker_ids, vertices)
         vertices[0] = 99
         assert recorder.paths()[0].tolist() == [0, 5]
-
-
-class TestEngineModePathEquivalence:
-    """Recording must be mode-agnostic: under the fixed sampler policy
-    the step-centric executor drives the same kernels at the same RNG
-    granularity as the walker loop, so recorded paths are bit-identical
-    between ``engine_mode="walker"`` and ``engine_mode="step"``."""
-
-    @pytest.fixture(scope="class")
-    def graph(self):
-        return uniform_degree_graph(250, 6, seed=3, undirected=True)
-
-    def _paths(self, graph, program, mode, **overrides):
-        settings = dict(
-            num_walkers=60,
-            max_steps=15,
-            seed=11,
-            record_paths=True,
-            engine_mode=mode,
-            sampler_policy="fixed",
-        )
-        settings.update(overrides)
-        config = WalkConfig(**settings)
-        return WalkEngine(graph, program, config).run().paths
-
-    @pytest.mark.parametrize(
-        "program",
-        [DeepWalk(), Node2Vec(p=2.0, q=0.5)],
-        ids=["deepwalk", "node2vec"],
-    )
-    def test_step_and_walker_paths_bit_identical(self, graph, program):
-        walker_paths = self._paths(graph, program, "walker")
-        step_paths = self._paths(graph, program, "step")
-        assert len(walker_paths) == len(step_paths) == 60
-        for a, b in zip(walker_paths, step_paths):
-            assert np.array_equal(a, b)
-        # Paths are real walks, not stubs: starts plus >= 1 move each.
-        assert all(len(p) >= 2 for p in step_paths)
-
-    def test_step_mode_with_termination_probability(self, graph):
-        # Early termination exercises the recorder's ragged-length
-        # reconstruction (walkers finish at different iterations).
-        walker_paths = self._paths(
-            graph, DeepWalk(), "walker", termination_probability=0.15
-        )
-        step_paths = self._paths(
-            graph, DeepWalk(), "step", termination_probability=0.15
-        )
-        lengths = {len(p) for p in step_paths}
-        assert len(lengths) > 1, "expected ragged path lengths"
-        for a, b in zip(walker_paths, step_paths):
-            assert np.array_equal(a, b)
-
-    def test_step_mode_streaming_recorder_matches_in_memory(
-        self, graph, tmp_path
-    ):
-        corpus = tmp_path / "walks.txt"
-        config = WalkConfig(
-            num_walkers=40,
-            max_steps=10,
-            seed=19,
-            engine_mode="step",
-            sampler_policy="fixed",
-            stream_paths_to=str(corpus),
-        )
-        WalkEngine(graph, DeepWalk(), config).run()
-        streamed = sorted(
-            tuple(int(v) for v in line.split())
-            for line in corpus.read_text().splitlines()
-        )
-        recorded = sorted(
-            tuple(p.tolist())
-            for p in self._paths(graph, DeepWalk(), "step", num_walkers=40,
-                                 max_steps=10, seed=19)
-        )
-        assert streamed == recorded
