@@ -26,8 +26,6 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.bench.perf import (  # noqa: E402
-    OBS_OVERHEAD_LIMIT,
-    enforce_obs_overhead,
     format_report,
     run_perf,
     write_report,
@@ -40,15 +38,6 @@ def main(argv: list[str] | None = None) -> int:
         "--quick",
         action="store_true",
         help="tiny workloads (CI smoke run)",
-    )
-    parser.add_argument(
-        "--enforce-obs-overhead",
-        action="store_true",
-        help=(
-            "fail (exit 1) if a disabled tracer costs more than "
-            f"{OBS_OVERHEAD_LIMIT:.0%} of node2vec steps/sec versus an "
-            "untraced run"
-        ),
     )
     parser.add_argument(
         "--repeats",
@@ -73,13 +62,6 @@ def main(argv: list[str] | None = None) -> int:
     path = write_report(report, args.output)
     print(format_report(report))
     print(f"\nreport written to {path}")
-    if args.enforce_obs_overhead:
-        failures = enforce_obs_overhead(report)
-        if failures:
-            for failure in failures:
-                print(f"OBS OVERHEAD VIOLATION: {failure}", file=sys.stderr)
-            return 1
-        print("obs overhead check passed (disabled tracer vs untraced)")
     return 0
 
 

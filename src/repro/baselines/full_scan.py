@@ -146,7 +146,5 @@ class FullScanWalkEngine(WalkEngine):
         dead = np.flatnonzero(~sampled)
         if dead.size:
             # No out-edge with positive transition probability.
-            doomed = walker_ids[dead]
-            self.walkers.kill(doomed)
-            self.stats.termination.by_dead_end += doomed.size
+            self._kill(walker_ids[dead], "by_dead_end")
         return moved

@@ -40,6 +40,7 @@ from repro.cluster.engine import DistributedWalkEngine
 from repro.cluster.network import MessageKind
 from repro.cluster.scheduler import ThreadPolicy
 from repro.core.config import WalkConfig
+from repro.core.engine import WalkEngine
 from repro.core.kernels import GatherContext
 from repro.core.program import WalkerProgram
 from repro.graph.csr import CSRGraph
@@ -135,10 +136,10 @@ class GeminiWalkEngine(DistributedWalkEngine):
             chosen = edges[lanes]
             chosen_owner = self.mirrored.edge_owners[chosen]
             # Phase 2 hand-off to the node hosting the sampled edge.
-            self.stats.messages_sent += self.network.record_batch(
+            self.stats.messages_sent += self._deliver(
                 MessageKind.STATE_QUERY, masters[lanes], chosen_owner
             )
-            self.stats.messages_sent += self.network.record_batch(
+            self.stats.messages_sent += self._deliver(
                 MessageKind.QUERY_RESPONSE, chosen_owner, masters[lanes]
             )
             np.add.at(self._node_msgs, masters[lanes], 2)
@@ -155,23 +156,15 @@ class GeminiWalkEngine(DistributedWalkEngine):
             # Walker migration to the new vertex's master.
             new_vertices = graph.targets[chosen]
             new_masters = self.partition.owners(new_vertices)
-            migrated = self.network.record_batch(
-                MessageKind.WALKER_MIGRATE, chosen_owner, new_masters
-            )
-            self.stats.messages_sent += migrated
-            np.add.at(self._node_msgs, chosen_owner, 1)
-            np.add.at(self._node_msgs, new_masters, 1)
+            self._migrate(chosen_owner, new_masters)
 
-            movers = walker_ids[lanes]
-            counters.accepts += movers.size
-            self.walkers.move(movers, new_vertices)
-            self.stats.total_steps += movers.size
-            if self._recorder is not None:
-                self._recorder.record_moves(movers, new_vertices)
+            counters.accepts += lanes.size
+            # The migration above is charged under Gemini's layout
+            # (edge host -> new master), so skip the distributed hook's
+            # KnightKing master -> master accounting.
+            WalkEngine._commit_moves(self, walker_ids[lanes], new_vertices)
 
         dead = np.flatnonzero(~sampled)
         if dead.size:
-            doomed = walker_ids[dead]
-            self.walkers.kill(doomed)
-            self.stats.termination.by_dead_end += doomed.size
+            self._kill(walker_ids[dead], "by_dead_end")
         return moved

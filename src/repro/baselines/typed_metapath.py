@@ -74,7 +74,5 @@ class TypedMetaPathWalkEngine(WalkEngine):
         if dead.size:
             # No edge of the required type: the walk terminates, per
             # the no-positive-probability rule.
-            doomed = walker_ids[dead]
-            self.walkers.kill(doomed)
-            self.stats.termination.by_dead_end += doomed.size
+            self._kill(walker_ids[dead], "by_dead_end")
         return moved

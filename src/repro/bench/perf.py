@@ -44,16 +44,11 @@ import numpy as np
 from repro.bench.workloads import paper_algorithms, prepare_graph
 from repro.core.config import WalkConfig
 from repro.core.engine import WalkEngine
-from repro.graph.builder import assign_random_weights
-from repro.graph.dynamic import DynamicGraph, generate_churn_batches
-from repro.graph.generators import erdos_renyi_graph
 
 __all__ = [
     "PerfWorkload",
     "PERF_WORKLOADS",
     "PRE_PR_NODE2VEC_STEPS_PER_SEC",
-    "OBS_OVERHEAD_LIMIT",
-    "enforce_obs_overhead",
     "run_perf",
     "write_report",
 ]
@@ -62,12 +57,6 @@ __all__ = [
 # measured at the seed revision before the fused-kernel/hot-path PR.
 # The acceptance target for that PR was >= 2x this figure.
 PRE_PR_NODE2VEC_STEPS_PER_SEC = 1_867_803
-
-# A *disabled* tracer (the default state: engines hold no tracer, and
-# an attached tracer with enabled=False is detached by observe()) may
-# cost at most this fraction of node2vec steps/sec versus a run that
-# never touched the observability layer.
-OBS_OVERHEAD_LIMIT = 0.03
 
 
 @dataclass(frozen=True)
@@ -96,15 +85,11 @@ _QUICK_LENGTH = 20
 def _time_engine(
     graph, spec, num_walkers: int, walk_length: int, seed: int,
     fuse_trials: bool, repeats: int,
-    tracer_factory=None,
 ) -> dict:
     """Median-of-``repeats`` timing of one engine configuration.
 
     Every repeat runs the same seed, so the work counts are identical
-    and only the clock varies.  ``tracer_factory``, when given, is
-    called per repeat and its result attached via ``engine.observe`` —
-    the obs-overhead section uses it to time the same workload with
-    tracing absent, disabled, and enabled.
+    and only the clock varies.
     """
     config = WalkConfig(
         num_walkers=num_walkers,
@@ -117,8 +102,6 @@ def _time_engine(
         engine = WalkEngine(
             graph, spec.make_program(graph), config, fuse_trials=fuse_trials
         )
-        if tracer_factory is not None:
-            engine.observe(tracer_factory())
         stats = engine.run().stats
         rates.append(stats.total_steps / stats.wall_time_seconds)
     q1, median, q3 = (float(q) for q in np.percentile(rates, [25, 50, 75]))
@@ -136,89 +119,6 @@ def _time_engine(
     }
 
 
-def _time_updates(quick: bool, seed: int, repeats: int) -> dict:
-    """Update-apply throughput of the dynamic-graph commit path.
-
-    Commits a churn stream (insert/delete/reweight) into a
-    :class:`~repro.graph.dynamic.DynamicGraph` and times commit +
-    snapshot materialization — the cost an online serving deployment
-    pays per epoch.  Reported as a top-level section so the walk-rate
-    entries under ``workloads`` keep their shape.
-    """
-    num_vertices = 2_000 if quick else 20_000
-    updates_per_epoch = 1_000 if quick else 5_000
-    num_epochs = 4
-    base = assign_random_weights(
-        erdos_renyi_graph(num_vertices, 8.0, seed=7), seed=8
-    )
-    batches = generate_churn_batches(
-        base, num_epochs=num_epochs,
-        updates_per_epoch=updates_per_epoch, seed=seed,
-    )
-    applied = sum(len(batch) for batch in batches)
-    best_rate, best_seconds = 0.0, 0.0
-    for _ in range(repeats):
-        dynamic = DynamicGraph(base)
-        start = time.perf_counter()
-        for batch in batches:
-            dynamic.commit(batch)
-            dynamic.snapshot()
-        seconds = time.perf_counter() - start
-        rate = applied / seconds if seconds > 0 else 0.0
-        if rate > best_rate:
-            best_rate, best_seconds = rate, seconds
-    return {
-        "graph": f"erdos-renyi |V|={num_vertices}, mean degree 8",
-        "num_epochs": num_epochs,
-        "updates_applied": applied,
-        "seconds": round(best_seconds, 6),
-        "edges_per_sec": round(best_rate, 1),
-    }
-
-
-def _time_obs_overhead(quick: bool, seed: int, repeats: int) -> dict:
-    """Observability cost on the node2vec workload, three states.
-
-    * ``baseline`` — the engine never sees the obs layer;
-    * ``disabled`` — a ``Tracer(enabled=False)`` is attached (and
-      detached by ``observe``, leaving only the one-attribute guard the
-      hot loop always pays) — this is the state the <3% budget gates;
-    * ``enabled`` — full structural tracing, reported for visibility
-      but not gated (measuring costs; the off-switch must be free).
-    """
-    from repro.obs import Tracer
-
-    spec = next(s for s in paper_algorithms(seed=7) if s.name == "node2vec")
-    workload = next(w for w in PERF_WORKLOADS if w.name == "node2vec")
-    scale = _QUICK_SCALE if quick else workload.scale
-    walkers = _QUICK_WALKERS if quick else workload.num_walkers
-    length = _QUICK_LENGTH if quick else workload.walk_length
-    graph = prepare_graph(
-        workload.dataset, spec, scale=scale, weighted=False, seed=7
-    )
-
-    def timed(tracer_factory):
-        return _time_engine(
-            graph, spec, walkers, length, seed, True, repeats,
-            tracer_factory=tracer_factory,
-        )["steps_per_sec"]
-
-    baseline = timed(None)
-    disabled = timed(lambda: Tracer(enabled=False))
-    enabled = timed(lambda: Tracer())
-    entry = {
-        "workload": "node2vec",
-        "baseline_steps_per_sec": baseline,
-        "disabled_steps_per_sec": disabled,
-        "enabled_steps_per_sec": enabled,
-        "limit": OBS_OVERHEAD_LIMIT,
-    }
-    if baseline:
-        entry["disabled_overhead"] = round(1.0 - disabled / baseline, 4)
-        entry["enabled_overhead"] = round(1.0 - enabled / baseline, 4)
-    return entry
-
-
 def run_perf(
     quick: bool = False, repeats: int = 3, seed: int = 11
 ) -> dict:
@@ -226,7 +126,7 @@ def run_perf(
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     report: dict = {
-        "schema": 2,
+        "schema": 3,
         "created_unix": int(time.time()),
         "quick": quick,
         "python": platform.python_version(),
@@ -278,35 +178,7 @@ def run_perf(
                 fused["steps_per_sec"] / PRE_PR_NODE2VEC_STEPS_PER_SEC, 3
             )
         report["workloads"][workload.name] = entry
-    report["update_throughput"] = _time_updates(quick, seed, repeats)
-    report["obs"] = _time_obs_overhead(quick, seed, repeats)
     return report
-
-
-def enforce_obs_overhead(
-    report: dict, limit: float | None = None
-) -> list[str]:
-    """Check the disabled-tracer path against the overhead budget.
-
-    Returns one message when the ``obs`` section's disabled-path
-    overhead exceeds ``limit`` (default: the section's recorded limit),
-    empty when it passes or the section is absent.  CI runs this so
-    the observability layer's off-switch stays effectively free.
-    """
-    section = report.get("obs")
-    if not section or "disabled_overhead" not in section:
-        return []
-    budget = section["limit"] if limit is None else limit
-    overhead = section["disabled_overhead"]
-    if overhead > budget:
-        return [
-            f"{section['workload']}: disabled-tracer path at "
-            f"{overhead:.1%} overhead vs untraced baseline "
-            f"({section['disabled_steps_per_sec']:,.0f} vs "
-            f"{section['baseline_steps_per_sec']:,.0f} steps/sec; "
-            f"budget {budget:.0%})"
-        ]
-    return []
 
 
 def write_report(report: dict, path: str | Path) -> Path:
@@ -323,21 +195,6 @@ def format_report(report: dict) -> str:
         f"{'single-trial':>12s} {'fused dx':>9s} "
         f"{'trials/step':>12s} {'pd/step':>9s}"
     ]
-    updates = report.get("update_throughput")
-    if updates:
-        lines.append(
-            f"updates    {updates['edges_per_sec']:>12,.0f} edges/sec "
-            f"({updates['updates_applied']:,} updates over "
-            f"{updates['num_epochs']} epochs, {updates['graph']})"
-        )
-    obs = report.get("obs")
-    if obs and "disabled_overhead" in obs:
-        lines.append(
-            f"obs        disabled {obs['disabled_overhead']:+.1%} / "
-            f"enabled {obs['enabled_overhead']:+.1%} overhead on "
-            f"{obs['workload']} (budget {obs['limit']:.0%} on the "
-            "disabled path)"
-        )
     for name, entry in report["workloads"].items():
         speedup = entry.get("fused_speedup_vs_single_trial")
         lines.append(

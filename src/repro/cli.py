@@ -448,6 +448,21 @@ def _apply_update_stream(graph, args: argparse.Namespace):
     return dynamic
 
 
+def _make_tracer(args: argparse.Namespace) -> Tracer | None:
+    if args.emit_trace is None:
+        return None
+    return Tracer(sample_every=max(args.trace_sample, 1))
+
+
+def _write_trace(tracer: Tracer | None, args: argparse.Namespace) -> None:
+    if tracer is not None:
+        write_chrome_trace(tracer, args.emit_trace)
+        print(
+            f"trace written to {args.emit_trace} "
+            f"({len(tracer.spans)} spans; open in chrome://tracing)"
+        )
+
+
 def _run_walk(args: argparse.Namespace) -> int:
     graph = _load_graph(args)
     program, graph = _build_program(args, graph)
@@ -465,11 +480,7 @@ def _run_walk(args: argparse.Namespace) -> int:
     )
 
     fault_plan = _build_fault_plan(args)
-    tracer = (
-        Tracer(sample_every=max(args.trace_sample, 1))
-        if args.emit_trace is not None
-        else None
-    )
+    tracer = _make_tracer(args)
 
     print(f"graph: {graph}")
     print(f"algorithm: {program!r}")
@@ -483,15 +494,13 @@ def _run_walk(args: argparse.Namespace) -> int:
             checkpoint_every=args.checkpoint_every,
             degrade_on_crash=args.degrade,
         )
-        engine.observe(tracer)
-        result = engine.run()
-        print(f"stats: {result.stats.summary()}")
-        print(result.cluster.report())
     else:
         engine = WalkEngine(graph, program, config)
-        engine.observe(tracer)
-        result = engine.run()
-        print(f"stats: {result.stats.summary()}")
+    engine.observe(tracer)
+    result = engine.run()
+    print(f"stats: {result.stats.summary()}")
+    if args.nodes > 0:
+        print(result.cluster.report())
     print(f"termination: {result.stats.termination}")
     if args.emit_metrics is not None:
         registry = registry_from_walk_stats(result.stats)
@@ -500,12 +509,7 @@ def _run_walk(args: argparse.Namespace) -> int:
         with open(args.emit_metrics, "w", encoding="utf-8") as handle:
             handle.write(to_prometheus_text(registry))
         print(f"metrics written to {args.emit_metrics}")
-    if tracer is not None:
-        write_chrome_trace(tracer, args.emit_trace)
-        print(
-            f"trace written to {args.emit_trace} "
-            f"({len(tracer.spans)} spans; open in chrome://tracing)"
-        )
+    _write_trace(tracer, args)
     if result.stats.graph_epoch is not None:
         print(f"graph epoch: {result.stats.graph_epoch}")
         if result.stats.maintenance is not None:
@@ -602,11 +606,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         f"service: {args.service_workers} workers, queue capacity "
         f"{args.queue_capacity}, policy {args.policy}"
     )
-    tracer = (
-        Tracer(sample_every=max(args.trace_sample, 1))
-        if args.emit_trace is not None
-        else None
-    )
+    tracer = _make_tracer(args)
     service = WalkService(
         graph,
         num_workers=args.service_workers,
@@ -645,12 +645,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         with open(args.emit_metrics, "w", encoding="utf-8") as handle:
             handle.write(to_prometheus_text(registry))
         print(f"metrics written to {args.emit_metrics}")
-    if tracer is not None:
-        write_chrome_trace(tracer, args.emit_trace)
-        print(
-            f"trace written to {args.emit_trace} "
-            f"({len(tracer.spans)} spans; open in chrome://tracing)"
-        )
+    _write_trace(tracer, args)
     return 0 if balanced else 1
 
 

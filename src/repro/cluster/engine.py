@@ -39,8 +39,8 @@ vertices across the survivors.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,6 +73,7 @@ __all__ = [
     "DistributedWalkEngine",
     "ClusterStats",
     "DistributedWalkResult",
+    "SuperstepBill",
     "DEFAULT_CHECKPOINT_INTERVAL",
 ]
 
@@ -88,7 +89,6 @@ class ClusterStats:
     """System-level statistics of one distributed execution."""
 
     num_nodes: int
-    simulated_seconds: float = 0.0
     superstep_times: list[float] = field(default_factory=list)
     light_mode_node_supersteps: int = 0
     network: Network | None = None
@@ -108,6 +108,13 @@ class ClusterStats:
     @property
     def num_supersteps(self) -> int:
         return len(self.superstep_times)
+
+    @property
+    def simulated_seconds(self) -> float:
+        """Simulated time elapsed — derived from the authoritative lists,
+        so checkpoint rollbacks (which rewind ``superstep_times``) and
+        recovery charges are always in."""
+        return float(np.sum(self.superstep_times)) + self.recovery.recovery_seconds
 
     def report(self) -> str:
         """Multi-line run report including the robustness bill."""
@@ -155,6 +162,19 @@ class ClusterStats:
         ).astype(np.float64)
         mean = loads.mean()
         return float(loads.max() / mean) if mean > 0 else 1.0
+
+
+class SuperstepBill(NamedTuple):
+    """What one superstep was charged, per alive node (the four aligned
+    sequences) and at the barrier — the ``superstep_end`` event payload."""
+
+    node_ids: list[int]
+    works: list[NodeWork]
+    threads: list[int]
+    times: np.ndarray
+    barrier: float
+    retry_latency: float
+    checkpoint_time: float
 
 
 @dataclass
@@ -311,87 +331,9 @@ class DistributedWalkEngine(WalkEngine):
         self._executed_supersteps = 0
 
     # ------------------------------------------------------------------
-    # The cluster's timeline is simulated: stage spans are *declared*
-    # from the cost model via Tracer.record_span (never measured), so
-    # tracing performs no clock reads inside repro.cluster (RK201/
-    # RK206/RK210) and a degraded run's trace replays bit-identically.
-    _obs_stages = False
-    _obs_track = "cluster"
-
-    def observe(self, tracer) -> None:
-        super().observe(tracer)
-        # Per-walker span context: walker id -> last hop span id.  The
-        # context rides each WALKER_MIGRATE so a walker's cross-node
-        # hops chain into one causal trace (trace id "walker-<id>").
-        self._obs_walker_spans: dict[int, int] = {}
-        self._obs_sim_start = 0.0
-        self._obs_net_snapshot = self.network.totals_snapshot()
-
-    def attach_tracer(self, tracer) -> None:
-        """Distributed seam: additionally trace message deliveries.
-
-        Every :meth:`Network.record_batch` — state queries, query
-        responses, walker migrations — lands in the trace in protocol
-        order, so two runs whose walks agree but whose delivery order
-        differs diverge at the first reordered batch.
-        """
-        super().attach_tracer(tracer)
-        network = self.network
-        original_record = network.record_batch
-
-        def traced_record(kind, sources, destinations):
-            tracer.record_delivery(kind.name, sources, destinations)
-            return original_record(kind, sources, destinations)
-
-        network.record_batch = traced_record
-
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        max_iterations: int | None = None,
-        deadline=None,
-        cancel=None,
-    ) -> DistributedWalkResult:
-        """Execute the distributed walk; same ``deadline`` / ``cancel``
-        semantics as :meth:`WalkEngine.run` — both are checked at the
-        BSP barrier between supersteps, so a partial result is always a
-        consistent superstep boundary (no in-flight messages)."""
-        loop_start = time.perf_counter()
-        if self.checkpoint_every is not None and self._checkpoint is None:
-            # Recovery point zero: a crash before the first periodic
-            # checkpoint replays from the initial state.
-            self._take_checkpoint()
-        executed = 0
-        status = "complete"
-        while self.walkers.num_active:
-            stop = self._should_stop(executed, max_iterations, deadline, cancel)
-            if stop is not None:
-                status = stop
-                break
-            self._superstep()
-            executed += 1
-        self.stats.wall_time_seconds += time.perf_counter() - loop_start
-        self.cluster.simulated_seconds = float(
-            np.sum(self.cluster.superstep_times)
-        ) + self.cluster.recovery.recovery_seconds
-        if self._obs is not None:
-            self._obs.record_span(
-                "cluster.run",
-                ts=0.0,
-                dur=self.cluster.simulated_seconds,
-                track=self._obs_track,
-                args={
-                    "nodes": self.num_nodes,
-                    "supersteps": self.cluster.num_supersteps,
-                    "status": status,
-                },
-            )
+    def _result(self, status: str) -> DistributedWalkResult:
         return DistributedWalkResult(
-            stats=self.stats,
-            walkers=self.walkers,
-            paths=self._finish_paths(),
-            status=status,
-            cluster=self.cluster,
+            self.stats, self.walkers, self._finish_paths(), status, self.cluster
         )
 
     # ------------------------------------------------------------------
@@ -403,7 +345,15 @@ class DistributedWalkEngine(WalkEngine):
         return self.partition.owners(vertices)
 
     # ------------------------------------------------------------------
-    def _superstep(self) -> None:
+    def _iteration(self) -> None:
+        """One BSP superstep.  The run loop's ``deadline`` / ``cancel``
+        checks sit at the barrier between supersteps, so a partial
+        result is always a consistent superstep boundary (no in-flight
+        messages)."""
+        if self.checkpoint_every is not None and self._checkpoint is None:
+            # Recovery point zero: a crash before the first periodic
+            # checkpoint replays from the initial state.
+            self._take_checkpoint()
         if self.fault_plane is not None:
             self.fault_plane.begin_superstep(self._executed_supersteps)
             for crash in self.fault_plane.crashes_at(self._executed_supersteps):
@@ -411,14 +361,10 @@ class DistributedWalkEngine(WalkEngine):
         self._node_trials[:] = 0
         self._node_pd[:] = 0
         self._node_msgs[:] = 0
-        if self._obs is not None:
-            # Where this superstep starts on the simulated timeline.
-            # Recomputed from the authoritative lists so checkpoint
-            # rollbacks (which rewind superstep_times) and recovery
-            # charges stay consistent automatically.
-            self._obs_sim_start = float(
-                np.sum(self.cluster.superstep_times)
-            ) + self.cluster.recovery.recovery_seconds
+        # After crash handling: a rollback rewinds the simulated clock
+        # subscribers read at this event.
+        for hook in self._hooks["superstep_begin"]:
+            hook()
         if self.rebalancer is not None:
             # Act on last barrier's suspicion before this superstep's
             # work is assigned: migrated walkers compute on their new
@@ -435,7 +381,6 @@ class DistributedWalkEngine(WalkEngine):
         survivors = self._advance_walkers(active)
         if survivors.size:
             self._move_walkers(survivors)
-        self._retire_finished(active)
         self._close_superstep(active_per_node)
 
     # ------------------------------------------------------------------
@@ -445,51 +390,24 @@ class DistributedWalkEngine(WalkEngine):
         """Moves migrate walkers to the new vertex's owner."""
         old_owners = self._owners(self.walkers.current[movers])
         new_owners = self._owners(targets)
-        migrated = self.network.record_batch(
-            MessageKind.WALKER_MIGRATE, old_owners, new_owners
-        )
-        np.add.at(self._node_msgs, old_owners, 1)
-        np.add.at(self._node_msgs, new_owners, 1)
-        self.stats.messages_sent += migrated
-        obs = self._obs
-        if obs is not None:
-            self._emit_hop_spans(movers, targets, old_owners, new_owners)
+        self._migrate(old_owners, new_owners)
         super()._commit_moves(movers, targets)
 
-    def _emit_hop_spans(
-        self,
-        movers: np.ndarray,
-        targets: np.ndarray,
-        old_owners: np.ndarray,
-        new_owners: np.ndarray,
-    ) -> None:
-        """Span-context propagation across cluster messages: each
-        sampled walker's cross-node migration becomes a span on the
-        destination node's track, parented to the walker's previous
-        hop and sharing its ``walker-<id>`` trace id.  Observation
-        only — no RNG, no clock, no effect on the walk."""
-        obs = self._obs
-        cost = self.cost_model.message_cost
-        for idx in np.nonzero(old_owners != new_owners)[0]:
-            walker_id = int(movers[idx])
-            if not obs.sampled(walker_id):
-                continue
-            span_id = obs.record_span(
-                "walker.hop",
-                ts=self._obs_sim_start,
-                dur=cost,
-                track=f"node{int(new_owners[idx])}",
-                category="walker",
-                parent_id=self._obs_walker_spans.get(walker_id),
-                trace_id=f"walker-{walker_id}",
-                args={
-                    "walker": walker_id,
-                    "src_node": int(old_owners[idx]),
-                    "dst_node": int(new_owners[idx]),
-                    "vertex": int(targets[idx]),
-                },
-            )
-            self._obs_walker_spans[walker_id] = span_id
+    def _deliver(
+        self, kind: MessageKind, sources: np.ndarray, destinations: np.ndarray
+    ) -> int:
+        """Announce, then record, one message batch — the one place any
+        engine sends; returns how many messages crossed the network."""
+        for hook in self._hooks["delivery"]:
+            hook(kind.name, sources, destinations)
+        return self.network.record_batch(kind, sources, destinations)
+
+    def _migrate(self, sources: np.ndarray, destinations: np.ndarray) -> None:
+        """Ship one walker per (source, destination) node pair."""
+        migrated = self._deliver(MessageKind.WALKER_MIGRATE, sources, destinations)
+        np.add.at(self._node_msgs, sources, 1)
+        np.add.at(self._node_msgs, destinations, 1)
+        self.stats.messages_sent += migrated
 
     def _run_guard(self, ids: np.ndarray) -> None:
         """The zero-mass guard charges its full-scan Pd evaluations to
@@ -587,109 +505,12 @@ class DistributedWalkEngine(WalkEngine):
                 self.walkers.num_walkers
             )
             self.cluster.superstep_times[-1] += checkpoint_time
-        if self._obs is not None:
-            self._emit_superstep_spans(
-                node_ids, works, threads, times,
-                barrier, retry_latency, checkpoint_time,
-            )
-
-    def _emit_superstep_spans(
-        self,
-        node_ids: list[int],
-        works: list[NodeWork],
-        threads: list[int],
-        times: np.ndarray,
-        barrier: float,
-        retry_latency: float,
-        checkpoint_time: float,
-    ) -> None:
-        """Declare this superstep on the simulated timeline.
-
-        One superstep span on the ``cluster`` track; per alive node a
-        compute span on its ``node<i>`` track whose Gather/Move/Update
-        stage children tile it exactly (cost-model decomposition, see
-        :meth:`CostModel.stage_times`); a message-flush span covering
-        the barrier's communication tail; and a checkpoint span when
-        one was taken.  Everything is a pure function of simulator
-        state — zero clock reads, so traces replay bit-identically.
-        """
-        obs = self._obs
-        start = self._obs_sim_start
-        total = self.cluster.superstep_times[-1]
-        superstep_id = obs.record_span(
-            "superstep",
-            ts=start,
-            dur=total,
-            track=self._obs_track,
-            args={
-                "iteration": self.stats.iterations,
-                "active": int(self.stats.active_per_iteration[-1]),
-                "barrier": barrier,
-            },
+        bill = SuperstepBill(
+            node_ids, works, threads, times,
+            barrier, retry_latency, checkpoint_time,
         )
-        for node, work, node_threads, node_time in zip(
-            node_ids, works, threads, times
-        ):
-            track = f"node{node}"
-            compute_id = obs.record_span(
-                "node.compute",
-                ts=start,
-                dur=float(node_time),
-                track=track,
-                parent_id=superstep_id,
-                args={
-                    "node": node,
-                    "threads": node_threads,
-                    "trials": work.trials,
-                    "pd_evaluations": work.pd_evaluations,
-                    "messages": work.messages,
-                    "active_walkers": work.active_walkers,
-                },
-            )
-            stages = self.cost_model.stage_times(work, node_threads)
-            stage_sum = sum(stages)
-            # Slowdown factors stretched node_time uniformly; scale the
-            # stages so they still tile the compute span.
-            scale = float(node_time) / stage_sum if stage_sum > 0 else 0.0
-            cursor = start
-            for stage_name, stage_time in zip(
-                ("stage.gather", "stage.move", "stage.update"), stages
-            ):
-                dur = stage_time * scale
-                obs.record_span(
-                    stage_name,
-                    ts=cursor,
-                    dur=dur,
-                    track=track,
-                    parent_id=compute_id,
-                )
-                cursor += dur
-        messages, message_bytes, local = self.network.totals_snapshot()
-        last = self._obs_net_snapshot
-        self._obs_net_snapshot = (messages, message_bytes, local)
-        obs.record_span(
-            "message.flush",
-            ts=start + barrier,
-            dur=retry_latency,
-            track=self._obs_track,
-            category="network",
-            parent_id=superstep_id,
-            args={
-                "messages": messages - last[0],
-                "bytes": message_bytes - last[1],
-                "local_deliveries": local - last[2],
-            },
-        )
-        if checkpoint_time > 0.0:
-            obs.record_span(
-                "checkpoint",
-                ts=start + barrier + retry_latency,
-                dur=checkpoint_time,
-                track=self._obs_track,
-                category="recovery",
-                parent_id=superstep_id,
-                args={"walkers": self.walkers.num_walkers},
-            )
+        for hook in self._hooks["superstep_end"]:
+            hook(bill)
 
     # ------------------------------------------------------------------
     # Fault tolerance
@@ -856,12 +677,7 @@ class DistributedWalkEngine(WalkEngine):
             walker_sources = np.full(
                 walker_targets.size, int(node), dtype=np.int64
             )
-            migrated = self.network.record_batch(
-                MessageKind.WALKER_MIGRATE, walker_sources, walker_targets
-            )
-            np.add.at(self._node_msgs, walker_sources, 1)
-            np.add.at(self._node_msgs, walker_targets, 1)
-            self.stats.messages_sent += migrated
+            self._migrate(walker_sources, walker_targets)
             stats.rebalances += 1
             stats.migrated_walkers += moved_walkers
             # Keep this superstep's view consistent for later suspects.
@@ -884,12 +700,7 @@ class DistributedWalkEngine(WalkEngine):
             walker_targets = np.full(
                 walker_sources.size, int(node), dtype=np.int64
             )
-            migrated = self.network.record_batch(
-                MessageKind.WALKER_MIGRATE, walker_sources, walker_targets
-            )
-            np.add.at(self._node_msgs, walker_sources, 1)
-            np.add.at(self._node_msgs, walker_targets, 1)
-            self.stats.messages_sent += migrated
+            self._migrate(walker_sources, walker_targets)
             self.health.stats.restored_walkers += int(walker_sources.size)
         self._owner_lookup[moved_vertices] = node
 
@@ -991,12 +802,8 @@ class DistributedWalkEngine(WalkEngine):
             if query_lanes.size:
                 owners = self._owners(targets[query_lanes])
                 senders = walker_nodes[pd_lanes[query_lanes]]
-                self.network.record_batch(
-                    MessageKind.STATE_QUERY, senders, owners
-                )
-                self.network.record_batch(
-                    MessageKind.QUERY_RESPONSE, owners, senders
-                )
+                self._deliver(MessageKind.STATE_QUERY, senders, owners)
+                self._deliver(MessageKind.QUERY_RESPONSE, owners, senders)
                 # Each query costs its sender and its answerer one
                 # message each way; intra-node deliveries pass through
                 # the same queues (the engines use one messaging

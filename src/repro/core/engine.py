@@ -58,7 +58,21 @@ from repro.sampling.its import VertexITSTables
 from repro.sampling.rejection import RejectionSampler
 from repro.sampling.rng import derive_rng
 
-__all__ = ["WalkEngine", "WalkResult", "ZERO_MASS_GUARD_TRIALS"]
+__all__ = ["EVENTS", "WalkEngine", "WalkResult", "ZERO_MASS_GUARD_TRIALS"]
+
+# The event seam (``WalkEngine.observe``): what the span tracer, the
+# determinism sanitizer and the path recorder subscribe to.  Emissions
+# are per run, superstep or round, never per walker.
+EVENTS = (
+    "run_begin",  # (engine)
+    "run_end",  # (status, iterations)
+    "superstep_begin",  # ()
+    "superstep_end",  # (bill): the cluster's per-node cost, None locally
+    "stage",  # (name, lanes): "update" | "gather" | "move" starts here
+    "moves",  # (walker_ids, targets), before the walkers move
+    "kills",  # (walker_ids), before the walkers die
+    "delivery",  # (kind_name, source_nodes, destination_nodes)
+)
 
 
 @dataclass
@@ -200,11 +214,13 @@ class WalkEngine:
         self.walkers = WalkerSet(starts, history_depth=program.history_depth)
         self._rng = derive_rng(config.seed, 0xE17)
         program.setup_walkers(graph, self.walkers, derive_rng(config.seed, 0x5E7))
+        self._hooks: dict[str, list] = {event: [] for event in EVENTS}
         self._recorder = (
             PathRecorder(starts, config.max_steps, config.stream_paths_to)
             if config.record_paths or config.stream_paths_to is not None
             else None
         )
+        self.observe(self._recorder)
         self._rejection_streak = np.zeros(self.walkers.num_walkers, dtype=np.int64)
         self.stats = WalkStats()
         # "trial" pacing for second-order programs, "step" otherwise.
@@ -223,14 +239,6 @@ class WalkEngine:
         self._has_teleports = (
             type(program).teleport_targets is not WalkerProgram.teleport_targets
         )
-        # Observability seam (repro.obs): no tracer by default, so the
-        # hot loop pays one attribute check per guard site.  `_obs`
-        # carries run/superstep spans; `_stage_obs` carries the
-        # Gather/Move/Update stage spans and is left None by engines
-        # that keep their own timeline (the cluster simulator declares
-        # stage spans in simulated time instead of measuring them).
-        self._obs = None
-        self._stage_obs = None
         self.stats.graph_epoch = self.graph_epoch
         if snapshot is not None:
             # Live reference: the owning DynamicGraph keeps accumulating
@@ -238,77 +246,26 @@ class WalkEngine:
             self.stats.maintenance = snapshot.maintenance
         self.stats.init_time_seconds = time.perf_counter() - init_start
 
-    # Measured stage spans use the injected wall clock; the cluster
-    # engine overrides this to False and declares its stages in
-    # simulated time (docs/INTERNALS.md section 16).
-    _obs_stages = True
-    # Timeline row this engine's spans land on.
-    _obs_track = "engine"
-
-    def observe(self, tracer) -> None:
-        """Attach a :class:`repro.obs.Tracer` (or detach with ``None``).
-
-        Duck-typed like :meth:`attach_tracer` so the core engine needs
-        no obs import.  A tracer with ``enabled=False`` — the hard
-        off-switch — is treated as absent, which keeps the disabled
-        path at one ``is None`` check per emission site (the perf
-        harness certifies <3% steps/sec overhead).  Tracing is
-        observation only: it consumes no randomness and never feeds
-        back into the walk.
+    def observe(self, subscriber) -> None:
+        """Bind, once, whichever ``on_<event>`` methods (:data:`EVENTS`)
+        the duck-typed *subscriber* defines; its ``wrap_rng(rng)``, if
+        any, replaces the walk RNG with a drop-in proxy.  ``None`` and
+        ``enabled=False`` (a switched-off :class:`repro.obs.Tracer`)
+        bind nothing: an unobserved engine iterates empty lists.  Call
+        before :meth:`run`.  Subscribers only observe — they consume no
+        randomness and never feed back into the walk.
         """
-        if tracer is None or not getattr(tracer, "enabled", False):
-            self._obs = None
-            self._stage_obs = None
+        if subscriber is None or not getattr(subscriber, "enabled", True):
             return
-        self._obs = tracer
-        self._stage_obs = tracer if self._obs_stages else None
+        for event, hooks in self._hooks.items():
+            hook = getattr(subscriber, "on_" + event, None)
+            if hook is not None:
+                hooks.append(hook)
+        wrap_rng = getattr(subscriber, "wrap_rng", None)
+        if wrap_rng is not None:
+            self._rng = wrap_rng(self._rng)
 
     # ------------------------------------------------------------------
-    def attach_tracer(self, tracer) -> None:
-        """Route every RNG draw and walker transition through *tracer*.
-
-        The seam of the runtime determinism sanitizer
-        (:mod:`repro.lint.sanitizer`): ``tracer`` is duck-typed —
-        ``trace_rng(rng)`` returns a drop-in generator proxy and
-        ``record_transition(kind, ids, targets)`` observes every
-        ``move``/``kill`` — so this module needs no lint import.  Must
-        be called before :meth:`run`; the walk itself is unchanged
-        (tracing consumes no randomness), only observed.
-        """
-        self._rng = tracer.trace_rng(self._rng)
-        walkers = self.walkers
-        original_move, original_kill = walkers.move, walkers.kill
-
-        def traced_move(walker_ids, new_vertices):
-            tracer.record_transition("move", walker_ids, new_vertices)
-            return original_move(walker_ids, new_vertices)
-
-        def traced_kill(walker_ids):
-            tracer.record_transition("kill", walker_ids, None)
-            return original_kill(walker_ids)
-
-        walkers.move = traced_move
-        walkers.kill = traced_kill
-
-    # ------------------------------------------------------------------
-    def _should_stop(
-        self, executed: int, max_iterations, deadline, cancel
-    ) -> str | None:
-        """Between-iteration stop check shared by both engines.
-
-        Returns the result status that ends the run, or ``None`` to
-        keep going.  ``deadline`` and ``cancel`` are duck-typed
-        (``expired()`` / ``.cancelled``) so the core engine needs no
-        import of :mod:`repro.service`.
-        """
-        if max_iterations is not None and executed >= max_iterations:
-            return "paused"
-        if cancel is not None and cancel.cancelled:
-            return "cancelled"
-        if deadline is not None and deadline.expired():
-            return "deadline_exceeded"
-        return None
-
     def run(
         self,
         max_iterations: int | None = None,
@@ -332,49 +289,29 @@ class WalkEngine:
         bit-identical to an unbounded run with the same seed.
         """
         loop_start = time.perf_counter()
+        for hook in self._hooks["run_begin"]:
+            hook(self)
         executed = 0
         status = "complete"
-        obs = self._obs
-        if obs is None:
-            while self.walkers.num_active:
-                stop = self._should_stop(
-                    executed, max_iterations, deadline, cancel
-                )
-                if stop is not None:
-                    status = stop
-                    break
-                self._iteration()
-                executed += 1
-        else:
-            with obs.span("engine.run", track=self._obs_track) as run_handle:
-                while self.walkers.num_active:
-                    stop = self._should_stop(
-                        executed, max_iterations, deadline, cancel
-                    )
-                    if stop is not None:
-                        status = stop
-                        break
-                    with obs.span(
-                        "superstep",
-                        track=self._obs_track,
-                        args={"iteration": self.stats.iterations},
-                    ) as step_handle:
-                        self._iteration()
-                        if step_handle is not None:
-                            step_handle.args["active"] = int(
-                                self.stats.active_per_iteration[-1]
-                            )
-                    executed += 1
-                if run_handle is not None:
-                    run_handle.args["status"] = status
-                    run_handle.args["iterations"] = executed
+        while self.walkers.num_active:
+            if max_iterations is not None and executed >= max_iterations:
+                status = "paused"
+                break
+            if cancel is not None and cancel.cancelled:
+                status = "cancelled"
+                break
+            if deadline is not None and deadline.expired():
+                status = "deadline_exceeded"
+                break
+            self._iteration()
+            executed += 1
+        for hook in self._hooks["run_end"]:
+            hook(status, executed)
         self.stats.wall_time_seconds += time.perf_counter() - loop_start
-        return WalkResult(
-            stats=self.stats,
-            walkers=self.walkers,
-            paths=self._finish_paths(),
-            status=status,
-        )
+        return self._result(status)
+
+    def _result(self, status: str) -> WalkResult:
+        return WalkResult(self.stats, self.walkers, self._finish_paths(), status)
 
     def _finish_paths(self) -> list[np.ndarray] | None:
         """Recorded paths; ``None`` if not recorded or streamed to a file."""
@@ -384,35 +321,24 @@ class WalkEngine:
 
     # ------------------------------------------------------------------
     def _iteration(self) -> None:
+        for hook in self._hooks["superstep_begin"]:
+            hook()
         active = self.walkers.active_ids()
         self.stats.active_per_iteration.append(active.size)
         self.stats.iterations += 1
-
-        obs = self._stage_obs
-        if obs is None:
-            survivors = self._advance_walkers(active)
-        else:
-            # "Update" in the ThunderRW staging: advance walker state —
-            # termination checks, step-limit bookkeeping, teleports.
-            with obs.span(
-                "stage.update",
-                track=self._obs_track,
-                args={"active": int(active.size)},
-            ):
-                survivors = self._advance_walkers(active)
-        if survivors.size == 0:
-            return
-
-        self._move_walkers(survivors)
-        self._retire_finished(active)
+        survivors = self._advance_walkers(active)
+        if survivors.size:
+            self._move_walkers(survivors)
+        for hook in self._hooks["superstep_end"]:
+            hook(None)
 
     def _advance_walkers(self, active: np.ndarray) -> np.ndarray:
-        """Update stage: termination/teleport bookkeeping before the
-        sampling rounds; returns the walkers still in play."""
-        survivors = self._apply_extension_component(active)
-        if survivors.size == 0:
-            return survivors
-        return self._apply_teleports(survivors)
+        """Update stage (in the ThunderRW staging): termination and
+        teleport bookkeeping before the sampling rounds; returns the
+        walkers still in play."""
+        for hook in self._hooks["stage"]:
+            hook("update", active.size)
+        return self._apply_teleports(self._apply_extension_component(active))
 
     def _move_walkers(self, survivors: np.ndarray) -> None:
         """The superstep body, shared by every engine: Gather once,
@@ -422,18 +348,13 @@ class WalkEngine:
         sliced views of the same per-lane arrays, because a rejected
         walker has not moved.
         """
-        obs = self._stage_obs
-        if obs is None:
-            self._run_rounds(self._gather(survivors))
-            return
-        with obs.span(
-            "stage.gather",
-            track=self._obs_track,
-            args={"lanes": int(survivors.size)},
-        ):
-            ctx = self._gather(survivors)
-        with obs.span("stage.move", track=self._obs_track):
-            self._run_rounds(ctx)
+        stage_hooks = self._hooks["stage"]
+        for hook in stage_hooks:
+            hook("gather", survivors.size)
+        ctx = self._gather(survivors)
+        for hook in stage_hooks:
+            hook("move", survivors.size)
+        self._run_rounds(ctx)
 
     def _gather(self, survivors: np.ndarray) -> GatherContext:
         return gather_stage(
@@ -453,11 +374,6 @@ class WalkEngine:
                 break
             ctx = ctx.take(~resolved)
 
-    def _retire_finished(self, active: np.ndarray) -> None:
-        """Hand the recorder the walkers that died this iteration."""
-        if self._recorder is not None:
-            self._recorder.flush_finished(active[~self.walkers.alive[active]])
-
     def _apply_teleports(self, active: np.ndarray) -> np.ndarray:
         """Move teleporting walkers directly; return the remainder."""
         if not self._has_teleports or active.size == 0:
@@ -470,16 +386,9 @@ class WalkEngine:
         jumper_ids, targets = jump
         if jumper_ids.size == 0:
             return active
-        self._record_teleports(jumper_ids, np.asarray(targets, dtype=np.int64))
+        self._commit_moves(jumper_ids, np.asarray(targets, dtype=np.int64))
+        self.stats.teleports += jumper_ids.size
         return np.setdiff1d(active, jumper_ids, assume_unique=True)
-
-    def _record_teleports(
-        self, walker_ids: np.ndarray, targets: np.ndarray
-    ) -> None:
-        """Book-keeping for direct jumps (shared with the distributed
-        engine, whose move hook additionally counts migrations)."""
-        self._commit_moves(walker_ids, targets)
-        self.stats.teleports += walker_ids.size
 
     def _apply_extension_component(self, active: np.ndarray) -> np.ndarray:
         """Pe: kill walkers whose walk ends here; return survivors."""
@@ -489,26 +398,20 @@ class WalkEngine:
         # No out-edges with positive static mass: nothing to sample.
         dead = self.tables.totals[walkers.current[active]] <= 0.0
         if dead.any():
-            doomed = active[dead]
-            walkers.kill(doomed)
-            self.stats.termination.by_dead_end += doomed.size
+            self._kill(active[dead], "by_dead_end")
             active = active[~dead]
 
         if config.max_steps is not None and active.size:
             done = walkers.steps[active] >= config.max_steps
             if done.any():
-                finished = active[done]
-                walkers.kill(finished)
-                self.stats.termination.by_step_limit += finished.size
+                self._kill(active[done], "by_step_limit")
                 active = active[~done]
 
         if config.termination_probability > 0.0 and active.size:
             coins = self._rng.random(active.size)
             stop = coins < config.termination_probability
             if stop.any():
-                stopped = active[stop]
-                walkers.kill(stopped)
-                self.stats.termination.by_probability += stopped.size
+                self._kill(active[stop], "by_probability")
                 active = active[~stop]
 
         if self._has_custom_continue and active.size:
@@ -522,9 +425,7 @@ class WalkEngine:
                 dtype=bool,
             )
             if not keep.all():
-                halted = active[~keep]
-                walkers.kill(halted)
-                self.stats.termination.by_step_limit += halted.size
+                self._kill(active[~keep], "by_step_limit")
                 active = active[keep]
         return active
 
@@ -626,12 +527,22 @@ class WalkEngine:
         return moved
 
     def _commit_moves(self, movers: np.ndarray, targets: np.ndarray) -> None:
-        """Apply one batch of accepted transitions."""
+        """Apply one batch of accepted transitions — the one place any
+        engine moves walkers."""
+        for hook in self._hooks["moves"]:
+            hook(movers, targets)
         self.walkers.move(movers, targets)
         self._rejection_streak[movers] = 0
         self.stats.total_steps += movers.size
-        if self._recorder is not None:
-            self._recorder.record_moves(movers, targets)
+
+    def _kill(self, walker_ids: np.ndarray, cause: str) -> None:
+        """Terminate walkers — the one place any engine does; ``cause``
+        names the :class:`TerminationBreakdown` field to charge."""
+        for hook in self._hooks["kills"]:
+            hook(walker_ids)
+        self.walkers.kill(walker_ids)
+        termination = self.stats.termination
+        setattr(termination, cause, getattr(termination, cause) + walker_ids.size)
 
     def _run_guard(self, ids: np.ndarray) -> None:
         """Resolve persistently rejected walkers (kill or exact move)."""
@@ -674,8 +585,7 @@ class WalkEngine:
         dead = spans.totals <= 0.0
         if dead.any():
             doomed = ids[dead]
-            self.walkers.kill(doomed)
-            self.stats.termination.by_dead_end += doomed.size
+            self._kill(doomed, "by_dead_end")
             self._rejection_streak[doomed] = 0
 
         live = np.flatnonzero(~dead)
@@ -741,8 +651,7 @@ class WalkEngine:
         self.stats.full_scan_evaluations += evaluations
         total = float(mass.sum())
         if total <= 0.0:
-            self.walkers.kill(np.asarray([walker_id]))
-            self.stats.termination.by_dead_end += 1
+            self._kill(np.asarray([walker_id]), "by_dead_end")
             self._rejection_streak[walker_id] = 0
             return True
         cdf = np.cumsum(mass)

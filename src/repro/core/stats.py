@@ -34,6 +34,11 @@ class TerminationBreakdown:
     def total(self) -> int:
         return self.by_step_limit + self.by_probability + self.by_dead_end
 
+    def merge(self, other: TerminationBreakdown) -> None:
+        self.by_step_limit += other.by_step_limit
+        self.by_probability += other.by_probability
+        self.by_dead_end += other.by_dead_end
+
 
 @dataclass
 class WalkStats:
@@ -93,6 +98,28 @@ class WalkStats:
         if self.total_steps == 0:
             return 0.0
         return self.counters.trials / self.total_steps
+
+    def merge(self, other: WalkStats) -> None:
+        """Fold in a shard that ran concurrently: work counts add,
+        ``iterations`` and the loop wall clock take the slowest shard,
+        init time adds; ``graph_epoch`` / ``maintenance`` stay as is."""
+        self.counters.merge(other.counters)
+        self.termination.merge(other.termination)
+        self.total_steps += other.total_steps
+        self.teleports += other.teleports
+        self.full_scan_evaluations += other.full_scan_evaluations
+        self.messages_sent += other.messages_sent
+        self.iterations = max(self.iterations, other.iterations)
+        self.active_per_iteration = [
+            mine + theirs
+            for mine, theirs in itertools.zip_longest(
+                self.active_per_iteration, other.active_per_iteration, fillvalue=0
+            )
+        ]
+        self.wall_time_seconds = max(
+            self.wall_time_seconds, other.wall_time_seconds
+        )
+        self.init_time_seconds += other.init_time_seconds
 
     def summary(self) -> str:
         return (

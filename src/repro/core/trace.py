@@ -48,9 +48,10 @@ def split_paths(tokens: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
 class PathRecorder:
     """Records every walker's vertex sequence, starts included.
 
-    ``counts`` (moves per walker) always equals ``walkers.steps``: engines
-    record every move they commit.  With ``stream_to`` the sequences go to
-    a corpus file instead, in termination order (skip-gram shuffles anyway).
+    ``counts`` (moves per walker) always equals ``walkers.steps``: every
+    move goes through the engine's ``moves`` event.  With ``stream_to`` the
+    sequences go to a corpus file instead, each ``kills`` batch as it
+    happens — termination order (skip-gram shuffles anyway).
     """
 
     def __init__(
@@ -151,6 +152,10 @@ class PathRecorder:
             self._handle,
             (self._matrix[w, :size] for w, size in zip(walker_ids.tolist(), sizes)),
         )
+
+    # The engine events this recorder subscribes to (WalkEngine.observe).
+    on_moves = record_moves
+    on_kills = flush_finished
 
     def close(self) -> None:
         """Write any remaining (interrupted) walkers and close."""

@@ -8,7 +8,7 @@ codebase:
   project-wide alias tables (imports of imports, ``__init__``
   re-exports);
 * **method calls on ``self``/``cls``** — resolved through the class
-  hierarchy (``DistributedWalkEngine._superstep`` calling a
+  hierarchy (``DistributedWalkEngine._iteration`` calling a
   ``WalkEngine`` helper defined two modules away);
 * **method calls on locally-constructed instances** — a light
   per-function type pass maps ``engine = WalkEngine(...)`` so

@@ -11,10 +11,10 @@ The rule therefore requires every tracer *constructed* inside a
 simulated-time package to receive an explicit injected clock, and
 rejects injected clocks that resolve back to the host clock anyway
 (``time.*`` or :func:`repro.obs.tracer.default_clock`).  Code in those
-packages that merely *receives* a tracer and declares spans via
-``record_span(ts=..., dur=...)`` never reads any clock and is
-untouched — that is the sanctioned pattern (see
-:meth:`repro.cluster.engine.DistributedWalkEngine.observe`).
+packages that merely announces engine events never reads any clock
+and is untouched — the subscriber declares the spans via
+``record_span(ts=..., dur=...)`` from simulated seconds (see
+:mod:`repro.obs.engine_spans`).
 """
 
 from __future__ import annotations

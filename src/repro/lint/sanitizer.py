@@ -17,9 +17,9 @@ nondeterminism.  Event payloads are hashed (BLAKE2b, 8 bytes) rather
 than stored, so tracing a huge run costs one small digest plus two
 interned label strings per event.
 
-The engines expose the seam (``WalkEngine.attach_tracer``); this
-module owns everything else, so the engines never import the lint
-package.
+The engines expose one event seam (``WalkEngine.observe``) and the
+tracer is an ordinary subscriber of it; this module owns everything
+else, so the engines never import the lint package.
 """
 
 from __future__ import annotations
@@ -116,7 +116,8 @@ class DeterminismTracer:
         self._rolling = hashlib.blake2b(digest_size=16)
 
     # ------------------------------------------------------------------
-    # Recording (called via the engine seams)
+    # Recording: the engine events this tracer subscribes to
+    # (WalkEngine.observe), all funnelled into record().
     # ------------------------------------------------------------------
     def record(self, kind: str, label: str, digest: bytes) -> None:
         event = hashlib.blake2b(digest_size=8)
@@ -129,24 +130,28 @@ class DeterminismTracer:
         self.labels.append(label)
         self._rolling.update(event_digest)
 
-    def trace_rng(self, rng: np.random.Generator) -> TracedRNG:
+    def wrap_rng(self, rng: np.random.Generator) -> TracedRNG:
         return TracedRNG(rng, self)
 
-    def record_transition(
-        self, kind: str, walker_ids: np.ndarray, targets: np.ndarray | None
-    ) -> None:
-        payload = _digest_value(np.asarray(walker_ids))
-        if targets is not None:
-            payload += _digest_value(np.asarray(targets))
-        self.record("walker", kind, payload)
+    def _record_arrays(self, kind: str, label: str, *arrays: np.ndarray) -> None:
+        self.record(
+            kind, label, b"".join(_digest_value(np.asarray(a)) for a in arrays)
+        )
 
-    def record_delivery(
+    def on_moves(self, walker_ids: np.ndarray, targets: np.ndarray) -> None:
+        self._record_arrays("walker", "move", walker_ids, targets)
+
+    def on_kills(self, walker_ids: np.ndarray) -> None:
+        self._record_arrays("walker", "kill", walker_ids)
+
+    def on_delivery(
         self, kind: str, sources: np.ndarray, destinations: np.ndarray
     ) -> None:
-        payload = _digest_value(np.asarray(sources)) + _digest_value(
-            np.asarray(destinations)
-        )
-        self.record("message", kind, payload)
+        """Every message batch — state queries, query responses, walker
+        migrations — lands in protocol order, so two runs whose walks
+        agree but whose delivery order differs diverge at the first
+        reordered batch."""
+        self._record_arrays("message", kind, sources, destinations)
 
     # ------------------------------------------------------------------
     # Inspection
@@ -255,7 +260,7 @@ def run_sanitized(
     for _ in range(runs):
         engine = engine_factory()
         tracer = DeterminismTracer()
-        engine.attach_tracer(tracer)
+        engine.observe(tracer)
         engine.run(**kwargs)
         tracers.append(tracer)
 

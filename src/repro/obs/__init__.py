@@ -10,9 +10,8 @@ Design rules (docs/INTERNALS.md section 16):
 * **Observation only.**  Nothing in this package draws randomness or
   feeds back into engine control flow, so attaching a tracer cannot
   change a walk and simulated traces replay bit-identically.
-* **Hard off-switch.**  Engines hold no tracer by default and guard
-  every emission with a single attribute check; the perf harness
-  certifies the disabled path at <3% steps/sec overhead.
+* **One seam.**  A tracer is a subscriber of the engines' event list
+  (``engine.observe``); a disabled one is never bound.
 """
 
 from .adapters import (

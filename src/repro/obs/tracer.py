@@ -2,9 +2,10 @@
 
 Two ways to put a span on the timeline:
 
-* the **measured** path — ``with tracer.span("superstep"): ...`` reads
-  the *injected* clock (``perf_counter`` by default) around the block.
-  Local engines use this.
+* the **measured** path — ``with tracer.span("superstep"): ...`` (or an
+  explicit ``open_span`` / ``close_span`` pair) reads the *injected*
+  clock (``perf_counter`` by default) around the block.  Local engines'
+  spans are measured.
 * the **declared** path — ``tracer.record_span(name, ts=..., dur=...)``
   takes timestamps the caller already owns.  The cluster simulator uses
   this exclusively with its simulated seconds, so tracing a distributed
@@ -18,12 +19,12 @@ both paths accept a ``trace_id`` so logically-related spans on
 different tracks (a walker hopping between nodes, a service request
 fanning out to shards) stitch into one trace.
 
-Cost model: the hard off-switch is ``enabled=False`` (or simply not
-attaching a tracer) — engines guard every emission with one attribute
-check, which is what the perf harness certifies at <3% overhead.
-``sample_every`` thins only *per-walker* spans (the one cardinality
-that scales with workload size); structural spans (run, superstep,
-stages) are always kept when tracing is on.
+A tracer is an engine-event subscriber (``engine.observe(tracer)``;
+:mod:`repro.obs.engine_spans` says which spans a run produces).  The
+hard off-switch is ``enabled=False`` (or not attaching a tracer):
+``observe`` then binds nothing.  ``sample_every`` thins only
+*per-walker* spans (the one cardinality that scales with workload
+size); structural spans (run, superstep, stages) are always kept.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 from ..errors import ObsError
+from .engine_spans import EngineSpans
 
 __all__ = ["Span", "Tracer", "default_clock"]
 
@@ -61,18 +63,7 @@ class Span:
     args: dict[str, Any] = field(default_factory=dict)
 
 
-class _SpanHandle:
-    """Yielded by :meth:`Tracer.span`; lets the block attach result
-    args (``handle.args["active"] = n``) before the span closes."""
-
-    __slots__ = ("span_id", "args")
-
-    def __init__(self, span_id: int, args: dict[str, Any]):
-        self.span_id = span_id
-        self.args = args
-
-
-class Tracer:
+class Tracer(EngineSpans):
     """Collects :class:`Span` records against one injected clock.
 
     Parameters
@@ -112,6 +103,7 @@ class Tracer:
         self._stacks: dict[str, list[int]] = {}
         self._lock = threading.Lock()
         self._epoch: float | None = None
+        EngineSpans.__init__(self, self)
 
     # -- clock ---------------------------------------------------------
 
@@ -167,37 +159,46 @@ class Tracer:
 
     # -- measured path (injected clock) --------------------------------
 
-    def begin(self, track: str = "main") -> float:
-        """Timestamp to later pass to :meth:`end`."""
-        return self.now()
-
-    def end(
+    def open_span(
         self,
         name: str,
-        started: float,
         *,
         track: str = "main",
         category: str = "engine",
         trace_id: str | None = None,
         args: dict[str, Any] | None = None,
-    ) -> int:
-        """Close an explicit begin/end pair on the injected clock."""
-        if not self.enabled:
-            return 0
-        now = self.now()
-        with self._lock:
-            stack = self._stacks.get(track)
-            parent = stack[-1] if stack else None
-        return self.record_span(
-            name,
-            ts=started,
-            dur=max(now - started, 0.0),
+    ) -> Span:
+        """Start a measured span, nested under the innermost span still
+        open on *track*.  The returned span is not recorded until
+        :meth:`close_span`; its ``args`` may be filled in meanwhile."""
+        span = Span(
+            name=name,
+            ts=self.now(),
+            dur=0.0,
             track=track,
             category=category,
-            parent_id=parent,
             trace_id=trace_id,
-            args=args,
+            args=dict(args) if args else {},
         )
+        with self._lock:
+            stack = self._stacks.setdefault(track, [])
+            span.parent_id = stack[-1] if stack else None
+            span.span_id = self._next_id
+            self._next_id += 1
+            stack.append(span.span_id)
+        return span
+
+    def close_span(self, span: Span) -> None:
+        """End a span started by :meth:`open_span` and record it."""
+        span.dur = max(self.now() - span.ts, 0.0)
+        with self._lock:
+            stack = self._stacks.get(span.track)
+            if stack and stack[-1] == span.span_id:
+                stack.pop()
+            if len(self.spans) < self.max_spans:
+                self.spans.append(span)
+            else:
+                self.dropped += 1
 
     @contextmanager
     def span(
@@ -208,43 +209,20 @@ class Tracer:
         category: str = "engine",
         trace_id: str | None = None,
         args: dict[str, Any] | None = None,
-    ) -> Iterator[_SpanHandle | None]:
-        """Measured span around a block; nests via a per-track stack."""
+    ) -> Iterator[Span | None]:
+        """Measured span around a block; nests via a per-track stack.
+        The block may attach result args (``span.args["active"] = n``)
+        before the span closes."""
         if not self.enabled:
             yield None
             return
-        started = self.now()
-        with self._lock:
-            stack = self._stacks.setdefault(track, [])
-            parent = stack[-1] if stack else None
-            span_id = self._next_id
-            self._next_id += 1
-            stack.append(span_id)
-        handle = _SpanHandle(span_id, dict(args) if args else {})
+        span = self.open_span(
+            name, track=track, category=category, trace_id=trace_id, args=args
+        )
         try:
-            yield handle
+            yield span
         finally:
-            ended = self.now()
-            with self._lock:
-                stack = self._stacks.get(track)
-                if stack and stack[-1] == span_id:
-                    stack.pop()
-                if len(self.spans) < self.max_spans:
-                    self.spans.append(
-                        Span(
-                            name=name,
-                            ts=started,
-                            dur=max(ended - started, 0.0),
-                            track=track,
-                            category=category,
-                            span_id=span_id,
-                            parent_id=parent,
-                            trace_id=trace_id,
-                            args=handle.args,
-                        )
-                    )
-                else:
-                    self.dropped += 1
+            self.close_span(span)
 
     # -- introspection --------------------------------------------------
 

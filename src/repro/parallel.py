@@ -192,18 +192,7 @@ def run_parallel_walk(
     status = "complete"
     for stats, packed, steps, shard_status, delta in outputs:
         registry.merge(delta)
-        merged.counters.merge(stats.counters)
-        merged.termination.by_step_limit += stats.termination.by_step_limit
-        merged.termination.by_probability += stats.termination.by_probability
-        merged.termination.by_dead_end += stats.termination.by_dead_end
-        merged.total_steps += stats.total_steps
-        merged.teleports += stats.teleports
-        merged.full_scan_evaluations += stats.full_scan_evaluations
-        merged.iterations = max(merged.iterations, stats.iterations)
-        merged.wall_time_seconds = max(
-            merged.wall_time_seconds, stats.wall_time_seconds
-        )
-        merged.init_time_seconds += stats.init_time_seconds
+        merged.merge(stats)
         if all_paths is not None and packed is not None:
             all_paths.extend(split_paths(*packed))
         lengths.append(steps)

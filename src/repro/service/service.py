@@ -78,10 +78,9 @@ class WalkService:
     tracer:
         optional :class:`repro.obs.Tracer` (duck-typed).  When enabled,
         every executed request lands as a ``service.request`` span
-        (trace id ``request-<id>``) and the engines it spawns emit
-        their run/superstep spans on a per-request track.  ``None`` or
-        a disabled tracer is the hard off-switch — no emission sites
-        are touched.
+        (trace id ``request-<id>``) and each engine it spawns is
+        observed on a per-request track.  ``None`` or a disabled tracer
+        is the hard off-switch.
     """
 
     def __init__(
@@ -347,14 +346,16 @@ class WalkService:
         if request.num_nodes > 1:
             return self._run_distributed(ticket, graph, request, config)
         engine = WalkEngine(graph, request.program, config)
-        if self._obs is not None:
-            # Per-request track: concurrent workers must not share a
-            # span stack, and the timeline reads better per request.
-            engine._obs_track = f"request{request.request_id}"
-            engine.observe(self._obs)
+        self._observe(engine, request)
         return engine.run(
             deadline=ticket.deadline, cancel=ticket.cancel_token
         )
+
+    def _observe(self, engine, request) -> None:
+        """Per-request subscriber and track: concurrent workers must not
+        share span state, and the timeline reads better per request."""
+        if self._obs is not None:
+            engine.observe(self._obs.on_track(f"request{request.request_id}"))
 
     def _run_distributed(self, ticket, graph, request, config: WalkConfig):
         """Execute one request on the cluster simulator.
@@ -374,8 +375,7 @@ class WalkService:
             fault_plan=request.fault_plan,
             degrade_on_crash=True,
         )
-        if self._obs is not None:
-            engine.observe(self._obs)
+        self._observe(engine, request)
         result = engine.run(deadline=ticket.deadline, cancel=ticket.cancel_token)
         with self._lock:
             self.metrics.distributed_runs += 1

@@ -108,7 +108,7 @@ class ReplayPathOracle:
         self.move_walkers: list[np.ndarray] = []
         self.move_vertices: list[np.ndarray] = []
 
-    def record_moves(self, walker_ids, vertices) -> None:
+    def on_moves(self, walker_ids, vertices) -> None:
         if len(walker_ids):
             self.move_walkers.append(np.asarray(walker_ids, dtype=np.int64).copy())
             self.move_vertices.append(np.asarray(vertices, dtype=np.int64).copy())
@@ -122,14 +122,7 @@ class ReplayPathOracle:
 
     @classmethod
     def attach(cls, engine) -> "ReplayPathOracle":
-        """Feed every batch the engine records to a fresh oracle too."""
-        recorder = engine._recorder
+        """Subscribe a fresh oracle to every move the engine commits."""
         oracle = cls(engine.walkers.current)
-        record = recorder.record_moves
-
-        def record_both(walker_ids, vertices):
-            oracle.record_moves(walker_ids, vertices)
-            record(walker_ids, vertices)
-
-        recorder.record_moves = record_both
+        engine.observe(oracle)
         return oracle

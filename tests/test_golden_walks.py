@@ -42,7 +42,7 @@ def cell_id(cell) -> str:
 def digest(engine) -> dict:
     """Run a fresh engine under the sanitizer's tracer and summarise."""
     tracer = DeterminismTracer()
-    engine.attach_tracer(tracer)
+    engine.observe(tracer)
     result = engine.run()
     paths = hashlib.blake2b(digest_size=16)
     for path in result.paths:

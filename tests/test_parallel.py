@@ -129,7 +129,13 @@ class TestParallelExecution:
             termination_probability=0.2,
         )
         result = run_parallel_walk(graph, PPR(), config, num_workers=3)
-        assert result.stats.termination.total == 200
+        stats = result.stats
+        assert stats.termination.total == 200
+        # Shards of unequal length: the merged per-iteration series is
+        # the padded element-wise sum, as long as the slowest shard.
+        assert len(stats.active_per_iteration) == stats.iterations
+        assert stats.active_per_iteration[0] == 200
+        assert stats.active_per_iteration[-1] > 0
 
     def test_distribution_matches_single_engine(self):
         """Sharded executions draw from the same law."""

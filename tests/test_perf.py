@@ -4,7 +4,6 @@ import json
 
 from repro.bench.perf import (
     PERF_WORKLOADS,
-    enforce_obs_overhead,
     format_report,
     run_perf,
     write_report,
@@ -13,7 +12,7 @@ from repro.bench.perf import (
 
 def test_quick_report_roundtrip(tmp_path):
     report = run_perf(quick=True)
-    assert report["schema"] == 2
+    assert report["schema"] == 3
     assert report["quick"] is True
     assert set(report["workloads"]) == {w.name for w in PERF_WORKLOADS}
     for entry in report["workloads"].values():
@@ -54,21 +53,9 @@ def test_quick_report_roundtrip(tmp_path):
     # Quick numbers must never be compared against the full-run
     # pre-PR reference.
     assert "speedup_vs_pre_pr" not in report["workloads"]["node2vec"]
-    # Update-apply throughput is a top-level section, not a walk entry.
-    updates = report["update_throughput"]
-    assert updates["updates_applied"] > 0
-    assert updates["edges_per_sec"] > 0
-    assert updates["num_epochs"] > 0
-    # Observability overhead is likewise a top-level section with the
-    # three states the CI gate compares.
-    obs = report["obs"]
-    assert obs["workload"] == "node2vec"
-    assert obs["baseline_steps_per_sec"] > 0
-    assert obs["disabled_steps_per_sec"] > 0
-    assert obs["enabled_steps_per_sec"] > 0
-    assert isinstance(enforce_obs_overhead(report), list)
-    assert enforce_obs_overhead(report, limit=10.0) == []
-    assert enforce_obs_overhead(report, limit=-10.0) != []
+    # The loop harness times the three loops and nothing else: update
+    # throughput and tracer overhead are layers of benchmarks/e2e.
+    assert not {"update_throughput", "obs"} & set(report)
 
     path = write_report(report, tmp_path / "BENCH_walks.json")
     loaded = json.loads(path.read_text(encoding="utf-8"))

@@ -32,11 +32,9 @@ class TestTracer:
         tracers = []
         for _ in range(2):
             tracer = DeterminismTracer()
-            rng = tracer.trace_rng(np.random.default_rng(11))
+            rng = tracer.wrap_rng(np.random.default_rng(11))
             rng.random(8)
-            tracer.record_transition(
-                "move", np.arange(4), np.array([1, 2, 3, 4])
-            )
+            tracer.on_moves(np.arange(4), np.array([1, 2, 3, 4]))
             tracers.append(tracer)
         assert tracers[0].rolling_hash() == tracers[1].rolling_hash()
 
@@ -44,7 +42,7 @@ class TestTracer:
         hashes = []
         for seed in (0, 1):
             tracer = DeterminismTracer()
-            tracer.trace_rng(np.random.default_rng(seed)).random(8)
+            tracer.wrap_rng(np.random.default_rng(seed)).random(8)
             hashes.append(tracer.rolling_hash())
         assert hashes[0] != hashes[1]
 
@@ -119,7 +117,7 @@ class TestRunSanitized:
         plain = WalkEngine(graph, UniformWalk(), config).run()
 
         traced_engine = WalkEngine(graph, UniformWalk(), config)
-        traced_engine.attach_tracer(DeterminismTracer())
+        traced_engine.observe(DeterminismTracer())
         traced = traced_engine.run()
 
         for left, right in zip(plain.paths, traced.paths):
