@@ -73,9 +73,8 @@ class GeminiWalkEngine(DistributedWalkEngine):
         self._mirror_counts = self.mirrored.mirror_counts
         # Whether each vertex's master also hosts some of its out-edges
         # (then one "mirror" interaction is local and free).
-        masters = self.partition.owners(np.arange(graph.num_vertices))
         self._master_is_mirror = self.mirrored.hosts_edges(
-            np.arange(graph.num_vertices), masters
+            np.arange(graph.num_vertices), self._owner_table
         )
 
     # ------------------------------------------------------------------
@@ -83,7 +82,7 @@ class GeminiWalkEngine(DistributedWalkEngine):
         graph, program, walkers = self.graph, self.program, self.walkers
         counters = self.stats.counters
         walker_ids, vertices = ctx.walker_ids, ctx.vertices
-        masters = self.partition.owners(vertices)
+        masters = self._owner_table[vertices]
 
         remote_mirrors = (
             self._mirror_counts[vertices]
@@ -136,14 +135,7 @@ class GeminiWalkEngine(DistributedWalkEngine):
             chosen = edges[lanes]
             chosen_owner = self.mirrored.edge_owners[chosen]
             # Phase 2 hand-off to the node hosting the sampled edge.
-            self.stats.messages_sent += self._deliver(
-                MessageKind.STATE_QUERY, masters[lanes], chosen_owner
-            )
-            self.stats.messages_sent += self._deliver(
-                MessageKind.QUERY_RESPONSE, chosen_owner, masters[lanes]
-            )
-            np.add.at(self._node_msgs, masters[lanes], 2)
-            np.add.at(self._node_msgs, chosen_owner, 2)
+            self._exchange(masters[lanes], chosen_owner)
 
             # Push-style mirror broadcast: the moving vertex notifies
             # every remote mirror (the waste the paper calls out).
@@ -155,7 +147,7 @@ class GeminiWalkEngine(DistributedWalkEngine):
 
             # Walker migration to the new vertex's master.
             new_vertices = graph.targets[chosen]
-            new_masters = self.partition.owners(new_vertices)
+            new_masters = self._owner_table[new_vertices]
             self._migrate(chosen_owner, new_masters)
 
             counters.accepts += lanes.size

@@ -63,7 +63,6 @@ from repro.cluster.scheduler import (
 )
 from repro.core.config import WalkConfig
 from repro.core.engine import WalkEngine, WalkResult
-from repro.core.kernels import GatherContext, outlier_appendices
 from repro.core.program import WalkerProgram
 from repro.errors import FaultError, NodeCrashError, ProgramError
 from repro.graph.csr import CSRGraph
@@ -326,7 +325,9 @@ class DistributedWalkEngine(WalkEngine):
         self._node_msgs = np.zeros(num_nodes, dtype=np.int64)
         # Fault-tolerance runtime state.
         self._alive_nodes = np.ones(num_nodes, dtype=bool)
-        self._owner_lookup: np.ndarray | None = None
+        # Owning node per vertex.  The engine's own copy: degraded-mode
+        # recovery and walker rebalancing re-home vertices in place.
+        self._owner_table = self.partition.owner_table.copy()
         self._checkpoint: ClusterCheckpoint | None = None
         self._executed_supersteps = 0
 
@@ -335,14 +336,6 @@ class DistributedWalkEngine(WalkEngine):
         return DistributedWalkResult(
             self.stats, self.walkers, self._finish_paths(), status, self.cluster
         )
-
-    # ------------------------------------------------------------------
-    def _owners(self, vertices: np.ndarray) -> np.ndarray:
-        """Owning node per vertex, honouring any degraded-mode overlay
-        that re-homed a dead node's range onto the survivors."""
-        if self._owner_lookup is not None:
-            return self._owner_lookup[vertices]
-        return self.partition.owners(vertices)
 
     # ------------------------------------------------------------------
     def _iteration(self) -> None:
@@ -374,7 +367,7 @@ class DistributedWalkEngine(WalkEngine):
         self.stats.active_per_iteration.append(active.size)
         self.stats.iterations += 1
         active_per_node = np.bincount(
-            self._owners(self.walkers.current[active]),
+            self._owner_table[self.walkers.current[active]],
             minlength=self.num_nodes,
         )
 
@@ -388,32 +381,48 @@ class DistributedWalkEngine(WalkEngine):
     # ------------------------------------------------------------------
     def _commit_moves(self, movers: np.ndarray, targets: np.ndarray) -> None:
         """Moves migrate walkers to the new vertex's owner."""
-        old_owners = self._owners(self.walkers.current[movers])
-        new_owners = self._owners(targets)
+        old_owners = self._owner_table[self.walkers.current[movers]]
+        new_owners = self._owner_table[targets]
         self._migrate(old_owners, new_owners)
         super()._commit_moves(movers, targets)
 
     def _deliver(
-        self, kind: MessageKind, sources: np.ndarray, destinations: np.ndarray
-    ) -> int:
-        """Announce, then record, one message batch — the one place any
-        engine sends; returns how many messages crossed the network."""
+        self,
+        kind: MessageKind,
+        sources: np.ndarray,
+        destinations: np.ndarray,
+        pairs: np.ndarray,
+    ) -> None:
+        """Announce, record and bill one message batch — the one place
+        any engine sends.  ``pairs`` is the batch's per-node-pair count.
+        Each message costs its sending and its receiving node one
+        handling; intra-node ones pass through the same queues (the
+        engines use one messaging stack) and are charged equally, which
+        keeps single-node runs comparable for the Figure 7
+        normalization.  Only remote ones count as sent."""
         for hook in self._hooks["delivery"]:
             hook(kind.name, sources, destinations)
-        return self.network.record_batch(kind, sources, destinations)
+        self.stats.messages_sent += self.network.record_batch(
+            kind, sources, destinations, pairs
+        )
+        self._node_msgs += pairs.sum(axis=0) + pairs.sum(axis=1)
+
+    def _exchange(self, askers: np.ndarray, answerers: np.ndarray) -> None:
+        """One query, and its response back, per (asker, answerer)."""
+        pairs = self.network.pair_counts(askers, answerers)
+        self._deliver(MessageKind.STATE_QUERY, askers, answerers, pairs)
+        self._deliver(MessageKind.QUERY_RESPONSE, answerers, askers, pairs.T)
 
     def _migrate(self, sources: np.ndarray, destinations: np.ndarray) -> None:
         """Ship one walker per (source, destination) node pair."""
-        migrated = self._deliver(MessageKind.WALKER_MIGRATE, sources, destinations)
-        np.add.at(self._node_msgs, sources, 1)
-        np.add.at(self._node_msgs, destinations, 1)
-        self.stats.messages_sent += migrated
+        pairs = self.network.pair_counts(sources, destinations)
+        self._deliver(MessageKind.WALKER_MIGRATE, sources, destinations, pairs)
 
     def _run_guard(self, ids: np.ndarray) -> None:
         """The zero-mass guard charges its full-scan Pd evaluations to
         each walker's node.  Owners are read before the guard moves the
         walkers."""
-        nodes = self._owners(self.walkers.current[ids])
+        nodes = self._owner_table[self.walkers.current[ids]]
         evaluations = self._guard_batch(ids)
         np.add.at(self._node_pd, nodes, evaluations)
 
@@ -425,7 +434,7 @@ class DistributedWalkEngine(WalkEngine):
         pd: np.ndarray | int,
     ) -> None:
         """Charge sampling work to the nodes owning ``vertices``."""
-        nodes = self._owners(vertices)
+        nodes = self._owner_table[vertices]
         np.add.at(self._node_trials, nodes, trials)
         np.add.at(self._node_pd, nodes[pd_lanes], pd)
 
@@ -547,13 +556,7 @@ class DistributedWalkEngine(WalkEngine):
                 raise NodeCrashError(
                     "last surviving node crashed; nothing to degrade onto"
                 )
-            self._owner_lookup = reassign_dead_vertices(
-                self.partition,
-                self._owner_lookup,
-                node,
-                self._alive_nodes,
-                self.graph.num_vertices,
-            )
+            reassign_dead_vertices(self._owner_table, node, self._alive_nodes)
             recovery.degraded_nodes.append(node)
         else:
             raise NodeCrashError(
@@ -633,11 +636,10 @@ class DistributedWalkEngine(WalkEngine):
         """Migrate queued walkers off suspected nodes, and restore the
         homes of nodes whose suspicion cleared at the last barrier.
 
-        Re-homing goes through the same owner-lookup overlay
-        degraded-mode crash recovery uses, so `_owners` — and with it
-        work accounting and message endpoints — follows the migration
-        while the walk RNG stream is untouched: the walk itself stays
-        bit-identical to the healthy run.
+        Re-homing rewrites the same owner table degraded-mode crash
+        recovery does, so work accounting and message endpoints follow
+        the migration while the walk RNG stream is untouched: the walk
+        itself stays bit-identical to the healthy run.
         """
         monitor = self.health
         for node in monitor.newly_cleared():
@@ -648,7 +650,7 @@ class DistributedWalkEngine(WalkEngine):
         if active.size == 0:
             return
         vertices = self.walkers.current[active]
-        owners = self._owners(vertices)
+        owners = self._owner_table[vertices]
         stats = monitor.stats
         for node in np.flatnonzero(monitor.suspected & self._alive_nodes):
             plan = self.rebalancer.plan(
@@ -662,22 +664,12 @@ class DistributedWalkEngine(WalkEngine):
             if plan is None:
                 continue
             moved_vertices, targets, moved_walkers = plan
-            sorter = np.argsort(moved_vertices, kind="stable")
-            moved_vertices = moved_vertices[sorter]
-            targets = targets[sorter]
-            self._ensure_owner_lookup()
-            self._owner_lookup[moved_vertices] = targets
+            self._owner_table[moved_vertices] = targets
             self.rebalancer.record(int(node), moved_vertices)
             # Each re-homed walker is one real migration message.
-            lane = np.searchsorted(moved_vertices, vertices)
-            on_moved = (lane < moved_vertices.size) & (
-                np.take(moved_vertices, lane, mode="clip") == vertices
-            )
-            walker_targets = targets[lane[on_moved]]
-            walker_sources = np.full(
-                walker_targets.size, int(node), dtype=np.int64
-            )
-            self._migrate(walker_sources, walker_targets)
+            on_moved = np.isin(vertices, moved_vertices)
+            walker_targets = self._owner_table[vertices[on_moved]]
+            self._migrate(np.full_like(walker_targets, node), walker_targets)
             stats.rebalances += 1
             stats.migrated_walkers += moved_walkers
             # Keep this superstep's view consistent for later suspects.
@@ -688,162 +680,43 @@ class DistributedWalkEngine(WalkEngine):
         moved_vertices = self.rebalancer.take_restorable(node)
         if moved_vertices.size == 0 or not self._alive_nodes[node]:
             return
-        current_owner = self._owner_lookup[moved_vertices]
         active = self.walkers.active_ids()
         if active.size:
             vertices = self.walkers.current[active]
-            lane = np.searchsorted(moved_vertices, vertices)
-            on_moved = (lane < moved_vertices.size) & (
-                np.take(moved_vertices, lane, mode="clip") == vertices
-            )
-            walker_sources = current_owner[lane[on_moved]]
-            walker_targets = np.full(
-                walker_sources.size, int(node), dtype=np.int64
-            )
-            self._migrate(walker_sources, walker_targets)
+            on_moved = np.isin(vertices, moved_vertices)
+            walker_sources = self._owner_table[vertices[on_moved]]
+            self._migrate(walker_sources, np.full_like(walker_sources, node))
             self.health.stats.restored_walkers += int(walker_sources.size)
-        self._owner_lookup[moved_vertices] = node
-
-    def _ensure_owner_lookup(self) -> None:
-        """Materialise the owner overlay from the static partition."""
-        if self._owner_lookup is None:
-            self._owner_lookup = self.partition.owners(
-                np.arange(self.graph.num_vertices, dtype=np.int64)
-            ).astype(np.int64)
+        self._owner_table[moved_vertices] = node
 
     # ------------------------------------------------------------------
-    def _trial_round(self, ctx: GatherContext) -> np.ndarray:
-        """Second-order pacing is a protocol semantic: each trial is a
-        two-round query exchange, so trial-paced programs run the
-        five-step round.  First-order programs resolve Pd locally —
-        there is no exchange to pace — so their per-node compute is the
-        inherited kernel round, charged to nodes through
-        ``_account_lane_work``; only walker migrations hit the network.
-        """
-        if self.sync_mode == "trial":
-            return self._distributed_round(ctx)
-        return super()._trial_round(ctx)
-
-    def _distributed_round(self, ctx: GatherContext) -> np.ndarray:
-        """One trial per walker with explicit query-phase messaging.
-
-        Returns the moved mask aligned with ``ctx.walker_ids``.
-        """
+    def _main_dynamic_comp(
+        self, walker_ids: np.ndarray, edges: np.ndarray
+    ) -> np.ndarray:
+        """Steps 2-4 of the paper's iteration as the trial kernel's Pd
+        evaluator: post the walker-to-vertex state queries, let the
+        owning nodes answer, finish Pd from the answers.  Second-order
+        pacing is a protocol semantic — each trial is this two-round
+        exchange; first-order programs resolve Pd locally, so only
+        their walker migrations hit the network."""
+        if self.sync_mode != "trial":
+            return super()._main_dynamic_comp(walker_ids, edges)
         graph, program, walkers = self.graph, self.program, self.walkers
-        counters = self.stats.counters
-        walker_ids, vertices = ctx.walker_ids, ctx.vertices
-        upper, lower = ctx.upper, ctx.lower
-        count = walker_ids.size
-        walker_nodes = self._owners(vertices)
-
-        # --- Step 1: candidates and preliminary screening -------------
-        counters.trials += count
-        np.add.at(self._node_trials, walker_nodes, 1)
-
-        outlier_edges, outlier_masses, appendix_area = outlier_appendices(
-            graph, program, walkers, ctx
+        targets, payloads = program.batch_state_queries(
+            graph, walkers, walker_ids, edges
         )
-
-        accepted = np.zeros(count, dtype=bool)
-        edges = np.full(count, -1, dtype=np.int64)
-
-        if appendix_area is None:
-            main_lanes = np.arange(count)
-            appendix_lanes = np.zeros(0, dtype=np.int64)
-        else:
-            region = self._rng.random(count) * (ctx.main_area + appendix_area)
-            in_main = region < ctx.main_area
-            main_lanes = np.flatnonzero(in_main)
-            appendix_lanes = np.flatnonzero(~in_main)
-
-        # Appendix darts: the outlier (return) edge is stored with the
-        # walker's current vertex, so its Pd is resolved locally.
-        if appendix_lanes.size:
-            counters.appendix_trials += appendix_lanes.size
-            target_edges = outlier_edges[appendix_lanes]
-            dynamic = program.batch_dynamic_comp(
-                graph, walkers, walker_ids[appendix_lanes], target_edges
+        answers = np.zeros(edges.size, dtype=np.float64)
+        answered = targets >= 0
+        query_lanes = np.flatnonzero(answered)
+        if query_lanes.size:
+            targets = targets[query_lanes]
+            self._exchange(
+                self._owner_table[walkers.current[walker_ids[query_lanes]]],
+                self._owner_table[targets],
             )
-            counters.pd_evaluations += appendix_lanes.size
-            np.add.at(self._node_pd, walker_nodes[appendix_lanes], 1)
-            chopped = outlier_masses[appendix_lanes] * np.maximum(
-                dynamic - upper[appendix_lanes], 0.0
+            answers[query_lanes] = program.batch_answer_queries(
+                graph, targets, payloads[query_lanes]
             )
-            passed = (
-                self._rng.random(appendix_lanes.size)
-                * appendix_area[appendix_lanes]
-                < chopped
-            )
-            accepted[appendix_lanes[passed]] = True
-            edges[appendix_lanes[passed]] = target_edges[passed]
-
-        # Main darts: candidate + pre-acceptance screening.
-        pd_lanes = np.zeros(0, dtype=np.int64)
-        if main_lanes.size:
-            candidates = self.tables.sample_batch(vertices[main_lanes], self._rng)
-            darts = self._rng.random(main_lanes.size) * upper[main_lanes]
-            pre = darts <= lower[main_lanes]
-            counters.pre_accepts += int(pre.sum())
-            accepted[main_lanes[pre]] = True
-            edges[main_lanes[pre]] = candidates[pre]
-            need = np.flatnonzero(~pre)
-            pd_lanes = main_lanes[need]
-            pd_candidates = candidates[need]
-            pd_darts = darts[need]
-
-        if pd_lanes.size:
-            # --- Steps 2-4: the two-round state query exchange --------
-            answers = np.zeros(pd_lanes.size, dtype=np.float64)
-            answered = np.zeros(pd_lanes.size, dtype=bool)
-            targets, payloads = program.batch_state_queries(
-                graph, walkers, walker_ids[pd_lanes], pd_candidates
-            )
-            query_lanes = np.flatnonzero(targets >= 0)
-            if query_lanes.size:
-                owners = self._owners(targets[query_lanes])
-                senders = walker_nodes[pd_lanes[query_lanes]]
-                self._deliver(MessageKind.STATE_QUERY, senders, owners)
-                self._deliver(MessageKind.QUERY_RESPONSE, owners, senders)
-                # Each query costs its sender and its answerer one
-                # message each way; intra-node deliveries pass through
-                # the same queues (the engines use one messaging
-                # stack), so they are charged equally — which also
-                # keeps single-node runs comparable for the Figure 7
-                # normalization.
-                np.add.at(self._node_msgs, senders, 2)
-                np.add.at(self._node_msgs, owners, 2)
-                self.stats.messages_sent += 2 * int((senders != owners).sum())
-                answers[query_lanes] = program.batch_answer_queries(
-                    graph, targets[query_lanes], payloads[query_lanes]
-                )
-                answered[query_lanes] = True
-
-            # --- Step 5: decide sampling outcome -----------------------
-            dynamic = program.batch_dynamic_with_answers(
-                graph,
-                walkers,
-                walker_ids[pd_lanes],
-                pd_candidates,
-                answers,
-                answered,
-            )
-            counters.pd_evaluations += pd_lanes.size
-            if self.validate_bounds:
-                from repro.core.kernels import _validate_envelope
-
-                _validate_envelope(
-                    graph,
-                    dynamic,
-                    upper[pd_lanes],
-                    pd_candidates,
-                    outlier_edges[pd_lanes] if outlier_edges is not None else None,
-                )
-            np.add.at(self._node_pd, walker_nodes[pd_lanes], 1)
-            passed = pd_darts <= dynamic
-            accepted[pd_lanes[passed]] = True
-            edges[pd_lanes[passed]] = pd_candidates[passed]
-
-        counters.accepts += int(accepted.sum())
-        # The shared Move/Update tail: migration-recording moves via
-        # the hook overrides, streak advance, zero-mass guard.
-        return self._commit_round(walker_ids, accepted, edges)
+        return program.batch_dynamic_with_answers(
+            graph, walkers, walker_ids, edges, answers, answered
+        )

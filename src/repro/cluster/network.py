@@ -210,13 +210,13 @@ class Network:
             kind: np.zeros(num_nodes, dtype=np.int64) for kind in MessageKind
         }
 
-    def record_batch(
-        self, kind: MessageKind, sources: np.ndarray, destinations: np.ndarray
-    ) -> int:
-        """Record messages for aligned source/destination node arrays;
-        returns how many actually crossed the network."""
-        sources = np.asarray(sources, dtype=np.int64)
-        destinations = np.asarray(destinations, dtype=np.int64)
+    def pair_counts(
+        self, sources: np.ndarray, destinations: np.ndarray
+    ) -> np.ndarray:
+        """Messages per (source node, destination node) for aligned
+        endpoint arrays, as an ``(N, N)`` matrix — everything a batch's
+        accounting needs.  The diagonal holds the intra-node ones; a
+        reply batch is the transpose."""
         if sources.shape != destinations.shape:
             raise ClusterError("sources and destinations must align")
         if sources.size and (
@@ -226,19 +226,39 @@ class Network:
             raise ClusterError(
                 f"message endpoints must be node ids in [0, {self.num_nodes})"
             )
-        remote = sources != destinations
-        if remote.any():
-            flat = sources[remote] * self.num_nodes + destinations[remote]
-            counts = np.bincount(flat, minlength=self.num_nodes * self.num_nodes)
-            self._messages[kind] += counts.reshape(
-                self.num_nodes, self.num_nodes
-            )
+        return np.bincount(
+            sources * self.num_nodes + destinations,
+            minlength=self.num_nodes * self.num_nodes,
+        ).reshape(self.num_nodes, self.num_nodes)
+
+    def record_batch(
+        self,
+        kind: MessageKind,
+        sources: np.ndarray,
+        destinations: np.ndarray,
+        pairs: np.ndarray | None = None,
+    ) -> int:
+        """Record messages for aligned source/destination node arrays;
+        returns how many actually crossed the network.  ``pairs`` is
+        the batch's :meth:`pair_counts` when the caller already holds
+        it; the endpoint arrays are then read only by a fault plane."""
+        if pairs is None:
+            sources = np.asarray(sources, dtype=np.int64)
+            destinations = np.asarray(destinations, dtype=np.int64)
+            pairs = self.pair_counts(sources, destinations)
+        local = int(pairs.trace())
+        crossed = int(pairs.sum()) - local
+        if crossed:
+            self._messages[kind] += pairs
+            # Intra-node deliveries are counted in _local, not here.
+            np.fill_diagonal(self._messages[kind], 0)
             if self.fault_plane is not None:
+                remote = sources != destinations
                 self.fault_plane.transmit(
                     kind, sources[remote], destinations[remote]
                 )
-        self._local[kind] += int(np.count_nonzero(~remote))
-        return int(np.count_nonzero(remote))
+        self._local[kind] += local
+        return crossed
 
     def record_scatter(
         self, kind: MessageKind, sources: np.ndarray, counts: np.ndarray

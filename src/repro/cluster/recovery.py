@@ -19,8 +19,8 @@ walk as a healthy one, at a measurably higher simulated cost.
 
 The optional graceful-degradation mode handles permanent node loss:
 instead of aborting, the dead node's contiguous vertex range is
-re-partitioned across the survivors (an owner-lookup overlay on the
-original 1-D partition) and the walk continues on the smaller cluster.
+re-partitioned across the survivors (rewritten in the engine's owner
+table) and the walk continues on the smaller cluster.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ def restore_cluster_state(engine, checkpoint: ClusterCheckpoint) -> None:
 
     Deliberately untouched: superstep times already paid (wasted work
     stays on the bill), the fault plane (external events never rewind),
-    node liveness, and any degraded-mode owner overlay.
+    node liveness, and the owner table (re-homed vertices stay re-homed).
     """
     state = checkpoint.state
     walkers = engine.walkers
@@ -125,33 +125,19 @@ def restore_cluster_state(engine, checkpoint: ClusterCheckpoint) -> None:
 
 
 def reassign_dead_vertices(
-    partition,
-    owner_lookup: np.ndarray | None,
-    dead_node: int,
-    alive_nodes: np.ndarray,
-    num_vertices: int,
-) -> np.ndarray:
+    owner_table: np.ndarray, dead_node: int, alive_nodes: np.ndarray
+) -> None:
     """Graceful degradation: spread a dead node's vertices over the
-    survivors.
+    survivors, in place in the engine's ``|V|`` owner table.
 
-    Returns a full ``|V|`` owner-lookup array overriding the base
-    partition: the dead node's vertices are split into contiguous
-    chunks dealt round-robin to the surviving nodes (preserving the
-    1-D locality the cost model assumes).  Composes across repeated
-    crashes — an existing overlay is the starting point.
+    The dead node's vertices are split into contiguous chunks dealt
+    round-robin to the surviving nodes (preserving the 1-D locality the
+    cost model assumes).  Composes across repeated crashes and with
+    rebalancing — whatever the table says the dead node owns now moves.
     """
     survivors = np.flatnonzero(alive_nodes)
     if survivors.size == 0:
         raise NodeCrashError("no surviving node to take over the dead shard")
-    if owner_lookup is None:
-        owner_lookup = partition.owners(
-            np.arange(num_vertices, dtype=np.int64)
-        ).astype(np.int64)
-    else:
-        owner_lookup = owner_lookup.copy()
-    orphaned = np.flatnonzero(owner_lookup == dead_node)
-    if orphaned.size:
-        chunks = np.array_split(orphaned, survivors.size)
-        for survivor, chunk in zip(survivors, chunks):
-            owner_lookup[chunk] = survivor
-    return owner_lookup
+    orphaned = np.flatnonzero(owner_table == dead_node)
+    for survivor, chunk in zip(survivors, np.array_split(orphaned, survivors.size)):
+        owner_table[chunk] = survivor

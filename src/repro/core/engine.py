@@ -434,9 +434,8 @@ class WalkEngine:
         """One trial per lane of ``ctx``; moves the accepted ones.
 
         The single override point for engines that sample differently
-        (the baselines) or add a protocol around the trial (the
-        distributed query exchange).  Returns the resolved-lane mask
-        (moved, killed, or guarded), aligned with ``ctx.walker_ids``.
+        (the baselines).  Returns the resolved-lane mask (moved, killed,
+        or guarded), aligned with ``ctx.walker_ids``.
         """
         counters = self.stats.counters
         trials_spent = None
@@ -469,6 +468,7 @@ class WalkEngine:
                 counters,
                 self._scratch,
                 validate_bounds=self.validate_bounds,
+                main_dynamic_comp=self._main_dynamic_comp,
             )
             accepted, edges = outcome.accepted, outcome.edges
             self._account_lane_work(ctx.vertices, 1, outcome.pd_lanes, 1)
@@ -478,9 +478,19 @@ class WalkEngine:
 
     # ------------------------------------------------------------------
     # Move/Update hooks; the distributed engine overrides
-    # _commit_moves, _run_guard and _account_lane_work to add per-node
-    # message and work accounting.
+    # _main_dynamic_comp to run its query exchange, and _commit_moves,
+    # _run_guard and _account_lane_work to add per-node message and
+    # work accounting.
     # ------------------------------------------------------------------
+    def _main_dynamic_comp(
+        self, walker_ids: np.ndarray, edges: np.ndarray
+    ) -> np.ndarray:
+        """Pd for the single-trial kernel's main-region candidates that
+        missed pre-acceptance."""
+        return self.program.batch_dynamic_comp(
+            self.graph, self.walkers, walker_ids, edges
+        )
+
     def _commit_round(
         self,
         walker_ids: np.ndarray,

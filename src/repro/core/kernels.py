@@ -47,7 +47,6 @@ __all__ = [
     "full_scan_mass",
     "full_scan_spans",
     "gather_stage",
-    "outlier_appendices",
 ]
 
 StaticTables = VertexAliasTables | VertexITSTables
@@ -259,6 +258,7 @@ def batch_trial_round(
     counters: SamplingCounters,
     scratch: KernelScratch,
     validate_bounds: bool = False,
+    main_dynamic_comp=None,
 ) -> TrialOutcome:
     """One rejection-sampling trial for every lane of ``ctx``.
 
@@ -273,6 +273,12 @@ def batch_trial_round(
     sampled law, so the check turns that bug into a loud
     :class:`~repro.errors.ProgramError` — at the cost of one comparison
     per evaluation, hence opt-in.
+
+    ``main_dynamic_comp(walker_ids, candidate_edges)`` evaluates Pd for
+    main-region lanes past pre-acceptance (default: the program's
+    ``batch_dynamic_comp``).  The distributed engine's query exchange
+    goes here; appendix darts never need one — the outlier edge is
+    stored with the walker's current vertex.
     """
     walker_ids = ctx.walker_ids
     vertices, upper, lower = ctx.vertices, ctx.upper, ctx.lower
@@ -326,9 +332,12 @@ def batch_trial_round(
         need = np.flatnonzero(~pre)
         if need.size:
             lanes = main_lanes[need]
-            dynamic = program.batch_dynamic_comp(
-                graph, walkers, walker_ids[lanes], candidates[need]
-            )
+            if main_dynamic_comp is None:
+                dynamic = program.batch_dynamic_comp(
+                    graph, walkers, walker_ids[lanes], candidates[need]
+                )
+            else:
+                dynamic = main_dynamic_comp(walker_ids[lanes], candidates[need])
             counters.pd_evaluations += need.size
             if validate_bounds:
                 _validate_envelope(

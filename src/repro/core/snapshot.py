@@ -17,15 +17,15 @@ numpy/zipfile traceback.  Recorded paths are the recorder's packed
 Distributed engines are first-class: a
 :class:`~repro.cluster.engine.DistributedWalkEngine` checkpoint
 additionally captures the per-node walker shards (walker state plus
-the owner of each walker at capture time), per-node work counters,
-superstep times, node liveness and any degraded-mode owner overlay,
-the logical network matrices, recovery statistics, and the fault
-plane's physical-layer state (delivery counters, triggered crashes,
-and the fault RNG stream).  In-flight retry queues are *by
-construction* empty at every BSP barrier — reliable delivery resolves
-within the superstep's communication phase — so barrier-aligned
-checkpoints never need to serialise undelivered messages, the classic
-simplification of coordinated checkpointing.
+the owner table that homes each walker), per-node work counters,
+superstep times, node liveness, the logical network matrices,
+recovery statistics, and the fault plane's physical-layer state
+(delivery counters, triggered crashes, and the fault RNG stream).
+In-flight retry queues are *by construction* empty at every BSP
+barrier — reliable delivery resolves within the superstep's
+communication phase — so barrier-aligned checkpoints never need to
+serialise undelivered messages, the classic simplification of
+coordinated checkpointing.
 
 Graph, program, config — and for distributed engines the fault plan —
 are not serialised: they are reproducible inputs the caller passes
@@ -129,8 +129,8 @@ def _cluster_payload(engine) -> dict:
     network_state = engine.network.snapshot_state()
     payload: dict[str, np.ndarray] = {
         "cluster_num_nodes": np.asarray([engine.num_nodes], dtype=np.int64),
-        "cluster_shard_of_walker": engine._owners(engine.walkers.current),
         "cluster_alive_nodes": engine._alive_nodes,
+        "cluster_owner_lookup": engine._owner_table,
         "cluster_executed_supersteps": np.asarray(
             [engine._executed_supersteps], dtype=np.int64
         ),
@@ -162,8 +162,6 @@ def _cluster_payload(engine) -> dict:
             [network_state["scattered"][kind] for kind in MessageKind]
         ),
     }
-    if engine._owner_lookup is not None:
-        payload["cluster_owner_lookup"] = engine._owner_lookup
     if engine.fault_plane is not None:
         payload.update(engine.fault_plane.state_dict())
     if engine.health is not None:
@@ -305,6 +303,21 @@ def _restore_base(engine: WalkEngine, data: dict, path) -> None:
         raise SnapshotError(f"malformed checkpoint {path}: {exc}") from exc
 
 
+def _checked_owner_table(engine, table: np.ndarray) -> np.ndarray:
+    """``table`` if it can be this graph's and the restored cluster's
+    owner table, else :class:`SnapshotError` — its values index the
+    per-node accounting arrays and become message endpoints."""
+    if table.shape != engine._owner_table.shape or table.dtype.kind not in "iu":
+        raise SnapshotError("checkpoint owner table does not match the graph")
+    if table.size and not (0 <= table.min() and table.max() < engine.num_nodes):
+        raise SnapshotError(
+            f"checkpoint owner table names nodes outside [0, {engine.num_nodes})"
+        )
+    if not engine._alive_nodes[table].all():
+        raise SnapshotError("checkpoint owner table assigns vertices to a dead node")
+    return table
+
+
 def _restore_cluster(engine, data: dict, path) -> None:
     from repro.cluster.network import MessageKind
 
@@ -324,10 +337,11 @@ def _restore_cluster(engine, data: dict, path) -> None:
             setattr(recovery, name, int(value))
         recovery.recovery_seconds = float(data["cluster_recovery_seconds"][0])
         recovery.degraded_nodes = data["cluster_degraded_nodes"].tolist()
-        if "cluster_owner_lookup" in data:
-            engine._owner_lookup = np.asarray(
-                data["cluster_owner_lookup"], dtype=np.int64
-            )
+        # Healthy-run snapshots written before the table was always
+        # saved lack the key: the partition's own table stands.
+        engine._owner_table[:] = _checked_owner_table(
+            engine, data.get("cluster_owner_lookup", engine._owner_table)
+        )
         engine.network.restore_state(
             {
                 "messages": {

@@ -39,6 +39,12 @@ class ContiguousPartition:
             raise PartitionError("boundaries must be non-decreasing")
         self._boundaries = boundaries
         self._graph = graph
+        # The owner table: "which node owns v" is one gather.  Shared
+        # read-only; an engine that re-homes vertices works on a copy.
+        self._owner_table = np.repeat(
+            np.arange(boundaries.size - 1, dtype=np.int64), np.diff(boundaries)
+        )
+        self._owner_table.setflags(write=False)
 
     @property
     def num_parts(self) -> int:
@@ -48,17 +54,26 @@ class ContiguousPartition:
     def boundaries(self) -> np.ndarray:
         return self._boundaries
 
+    @property
+    def owner_table(self) -> np.ndarray:
+        """Owning node per vertex (read-only ``|V|`` int64 array)."""
+        return self._owner_table
+
     def owner_of(self, vertex: int) -> int:
         """The node owning ``vertex``."""
-        return int(
-            np.searchsorted(self._boundaries, vertex, side="right") - 1
-        )
+        return int(self.owners([vertex])[0])
 
     def owners(self, vertices: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`owner_of`."""
-        return (
-            np.searchsorted(self._boundaries, np.asarray(vertices), side="right") - 1
-        ).astype(np.int64)
+        """Vectorised :meth:`owner_of`; ids outside ``[0, |V|)`` raise
+        :class:`~repro.errors.PartitionError`."""
+        vertices = np.asarray(vertices, dtype=np.int64)
+        if vertices.size and not (
+            0 <= vertices.min() and vertices.max() < self._owner_table.size
+        ):
+            raise PartitionError(
+                f"vertex ids must be in [0, {self._owner_table.size})"
+            )
+        return self._owner_table[vertices]
 
     def vertices_of(self, part: int) -> range:
         """The contiguous vertex range owned by ``part``."""

@@ -524,9 +524,7 @@ class TestGracefulDegradation:
             checkpoint_every=3, degrade_on_crash=True,
         )
         engine.run()
-        owners = engine._owners(
-            np.arange(walk_graph.num_vertices, dtype=np.int64)
-        )
+        owners = engine._owner_table
         assert not np.any(owners == 2)
         assert np.array_equal(np.unique(owners), np.array([0, 1, 3]))
 

@@ -10,18 +10,35 @@ the determinism sanitizer's rolling hash folds every RNG draw, walker
 move/kill and message batch in order; the path digest covers what the
 recorder kept; the counters are the exact work and message counts.
 
+A distributed cell also pins the simulated *bill* — simulated seconds
+(``float.hex``), superstep counts, per-node walker supersteps, bytes,
+local deliveries and the per-kind message matrices — and two fault
+cells (``FAULT_CELLS``) pin every delivery, health and recovery counter
+of a chaotic and a degraded run.  Those were generated at the commit
+before PR 17 rewrote the simulator's accounting: a faster simulator
+must charge exactly what the slower one did.
+
 A change that intentionally alters the RNG stream or the work counts
 regenerates the table with ``python -m tests.test_golden_walks`` and
 says so in its description.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
+from repro.cluster import (
+    FaultPlan,
+    MessageFaults,
+    MessageKind,
+    NodeCrash,
+    NodeSlowdown,
+    StragglerPolicy,
+)
 from repro.lint.sanitizer import DeterminismTracer
-from tests.test_path_recording import WORKLOADS, make_engine
+from tests.test_path_recording import WORKLOADS, make_config, make_engine
 
 # The five workloads cover static, trial-paced, fused, teleporting and
 # unbounded walks; nodes=0 is the local engine.
@@ -64,12 +81,89 @@ def digest(engine) -> dict:
         summary["pd_evaluations_per_node"] = (
             cluster.pd_evaluations_per_node.tolist()
         )
+        summary.update(bill(cluster))
     return summary
+
+
+def bill(cluster) -> dict:
+    """What the simulator charged: time, supersteps, traffic, and the
+    fault-tolerance counters the run had."""
+    network = cluster.network
+    summary = {
+        "simulated_seconds": float(cluster.simulated_seconds).hex(),
+        "num_supersteps": cluster.num_supersteps,
+        "light_mode_node_supersteps": int(cluster.light_mode_node_supersteps),
+        "walker_supersteps_per_node": cluster.walker_supersteps_per_node.tolist(),
+        "bytes": network.total_bytes(),
+        "local_deliveries": network.local_deliveries(),
+        "matrices": {
+            kind.name: hashlib.blake2b(
+                network.matrix(kind).astype(np.int64).tobytes(), digest_size=8
+            ).hexdigest()
+            for kind in MessageKind
+        },
+    }
+    if cluster.delivery is not None:
+        cluster.delivery.check_conservation()
+        summary["recovery"] = _fields(cluster.recovery)
+        summary["delivery"] = {
+            kind.name: _fields(cluster.delivery.of(kind)) for kind in MessageKind
+        }
+    if cluster.health is not None:
+        summary["health"] = _fields(cluster.health)
+    return summary
+
+
+def _fields(stats) -> dict:
+    """Every dataclass field, floats as exact hex."""
+    return {
+        name: value.hex() if isinstance(value, float) else value
+        for name, value in dataclasses.asdict(stats).items()
+    }
 
 
 def measure(cell) -> dict:
     name, nodes, fused = cell
     return digest(make_engine(name, nodes=nodes, fuse_trials=fused))
+
+
+# Same seed and 4-node node2vec walk as the healthy cell, made long
+# enough for checkpoints, a crash and a suspicion that clears.  "chaos":
+# every message fault at once plus a restarting crash (rollback and
+# replay).  "degraded": a node slows down then recovers — the health
+# monitor, speculation and the rebalancer (out and back) all run — and
+# while it is suspected another node dies for good, its vertices
+# re-homed onto the survivors.
+FAULT_CELLS = {
+    "node2vec-4node-chaos": dict(
+        fault_plan=FaultPlan(
+            seed=9,
+            crashes=(NodeCrash(superstep=7, node=1),),
+            default_faults=MessageFaults(drop=0.1, duplicate=0.05, delay=0.1),
+        ),
+        checkpoint_every=4,
+    ),
+    "node2vec-4node-degraded": dict(
+        fault_plan=FaultPlan(
+            seed=9,
+            crashes=(NodeCrash(superstep=12, node=2, restart=False),),
+            default_faults=MessageFaults(drop=0.05),
+            slowdowns=(
+                NodeSlowdown(node=0, factor=6.0, start_superstep=4, end_superstep=16),
+            ),
+        ),
+        checkpoint_every=5,
+        degrade_on_crash=True,
+        straggler_policy=StragglerPolicy(min_walkers=8),
+    ),
+}
+
+
+def measure_fault(cell: str) -> dict:
+    config = make_config("node2vec", max_steps=40)
+    return digest(
+        make_engine("node2vec", nodes=4, config=config, **FAULT_CELLS[cell])
+    )
 
 
 GOLDEN: dict[str, dict] = {
@@ -101,6 +195,17 @@ GOLDEN: dict[str, dict] = {
         "messages_sent": 1135,
         "trials_per_node": [355, 395, 358, 332],
         "pd_evaluations_per_node": [0, 0, 0, 0],
+        "simulated_seconds": "0x1.b7cb32eebfbbcp-12",
+        "num_supersteps": 13,
+        "light_mode_node_supersteps": 52,
+        "walker_supersteps_per_node": [392, 419, 388, 361],
+        "bytes": 36320,
+        "local_deliveries": 305,
+        "matrices": {
+            "STATE_QUERY": "2ca5d3f9f96a9545",
+            "QUERY_RESPONSE": "2ca5d3f9f96a9545",
+            "WALKER_MIGRATE": "c925bf4315f4ddb6",
+        },
     },
     "deepwalk-4node-single": {
         "rolling_hash": "b051695ea735d17a4d340e30de5fc56e",
@@ -112,6 +217,17 @@ GOLDEN: dict[str, dict] = {
         "messages_sent": 1135,
         "trials_per_node": [355, 395, 358, 332],
         "pd_evaluations_per_node": [0, 0, 0, 0],
+        "simulated_seconds": "0x1.b7cb32eebfbbcp-12",
+        "num_supersteps": 13,
+        "light_mode_node_supersteps": 52,
+        "walker_supersteps_per_node": [392, 419, 388, 361],
+        "bytes": 36320,
+        "local_deliveries": 305,
+        "matrices": {
+            "STATE_QUERY": "2ca5d3f9f96a9545",
+            "QUERY_RESPONSE": "2ca5d3f9f96a9545",
+            "WALKER_MIGRATE": "c925bf4315f4ddb6",
+        },
     },
     "metapath-local-fused": {
         "rolling_hash": "9a242f68f44a4f9510ae9c868992609c",
@@ -141,6 +257,17 @@ GOLDEN: dict[str, dict] = {
         "messages_sent": 797,
         "trials_per_node": [3115, 1603, 2236, 2070],
         "pd_evaluations_per_node": [3394, 1635, 2372, 2246],
+        "simulated_seconds": "0x1.48100f16c9453p-10",
+        "num_supersteps": 13,
+        "light_mode_node_supersteps": 52,
+        "walker_supersteps_per_node": [305, 290, 287, 265],
+        "bytes": 25504,
+        "local_deliveries": 230,
+        "matrices": {
+            "STATE_QUERY": "2ca5d3f9f96a9545",
+            "QUERY_RESPONSE": "2ca5d3f9f96a9545",
+            "WALKER_MIGRATE": "9845a20aaa747199",
+        },
     },
     "metapath-4node-single": {
         "rolling_hash": "b6dc880ada23c517067c76187463540d",
@@ -152,6 +279,17 @@ GOLDEN: dict[str, dict] = {
         "messages_sent": 804,
         "trials_per_node": [2897, 2085, 2521, 1943],
         "pd_evaluations_per_node": [3111, 2207, 2701, 2076],
+        "simulated_seconds": "0x1.3ac44c1fbe365p-10",
+        "num_supersteps": 13,
+        "light_mode_node_supersteps": 52,
+        "walker_supersteps_per_node": [319, 304, 291, 252],
+        "bytes": 25728,
+        "local_deliveries": 242,
+        "matrices": {
+            "STATE_QUERY": "2ca5d3f9f96a9545",
+            "QUERY_RESPONSE": "2ca5d3f9f96a9545",
+            "WALKER_MIGRATE": "7e9110a366d1c3bd",
+        },
     },
     "node2vec-local-fused": {
         "rolling_hash": "d1a68d16d0e314654d4eb06f9dd179e8",
@@ -181,6 +319,17 @@ GOLDEN: dict[str, dict] = {
         "messages_sent": 2665,
         "trials_per_node": [441, 444, 441, 373],
         "pd_evaluations_per_node": [329, 323, 343, 269],
+        "simulated_seconds": "0x1.c845a9826fdc5p-11",
+        "num_supersteps": 20,
+        "light_mode_node_supersteps": 80,
+        "walker_supersteps_per_node": [462, 486, 466, 405],
+        "bytes": 66752,
+        "local_deliveries": 757,
+        "matrices": {
+            "STATE_QUERY": "331038991179b903",
+            "QUERY_RESPONSE": "9f97d371425c531d",
+            "WALKER_MIGRATE": "9a29c9897df6e270",
+        },
     },
     "node2vec-4node-single": {
         "rolling_hash": "f0ce6a6a0a2bc25143c5e032612504ee",
@@ -192,6 +341,17 @@ GOLDEN: dict[str, dict] = {
         "messages_sent": 2665,
         "trials_per_node": [441, 444, 441, 373],
         "pd_evaluations_per_node": [329, 323, 343, 269],
+        "simulated_seconds": "0x1.c845a9826fdc5p-11",
+        "num_supersteps": 20,
+        "light_mode_node_supersteps": 80,
+        "walker_supersteps_per_node": [462, 486, 466, 405],
+        "bytes": 66752,
+        "local_deliveries": 757,
+        "matrices": {
+            "STATE_QUERY": "331038991179b903",
+            "QUERY_RESPONSE": "9f97d371425c531d",
+            "WALKER_MIGRATE": "9a29c9897df6e270",
+        },
     },
     "ppr-local-fused": {
         "rolling_hash": "604b0c90ff97c5b1b4dcdffa3cd18f6b",
@@ -221,6 +381,17 @@ GOLDEN: dict[str, dict] = {
         "messages_sent": 765,
         "trials_per_node": [279, 247, 250, 220],
         "pd_evaluations_per_node": [0, 0, 0, 0],
+        "simulated_seconds": "0x1.86653462324f3p-11",
+        "num_supersteps": 40,
+        "light_mode_node_supersteps": 160,
+        "walker_supersteps_per_node": [305, 281, 280, 250],
+        "bytes": 24480,
+        "local_deliveries": 231,
+        "matrices": {
+            "STATE_QUERY": "2ca5d3f9f96a9545",
+            "QUERY_RESPONSE": "2ca5d3f9f96a9545",
+            "WALKER_MIGRATE": "e80cdbed2c8fdbc8",
+        },
     },
     "ppr-4node-single": {
         "rolling_hash": "94fa395f2ad662486b986cf92bf2ab78",
@@ -232,6 +403,17 @@ GOLDEN: dict[str, dict] = {
         "messages_sent": 765,
         "trials_per_node": [279, 247, 250, 220],
         "pd_evaluations_per_node": [0, 0, 0, 0],
+        "simulated_seconds": "0x1.86653462324f3p-11",
+        "num_supersteps": 40,
+        "light_mode_node_supersteps": 160,
+        "walker_supersteps_per_node": [305, 281, 280, 250],
+        "bytes": 24480,
+        "local_deliveries": 231,
+        "matrices": {
+            "STATE_QUERY": "2ca5d3f9f96a9545",
+            "QUERY_RESPONSE": "2ca5d3f9f96a9545",
+            "WALKER_MIGRATE": "e80cdbed2c8fdbc8",
+        },
     },
     "rwr-local-fused": {
         "rolling_hash": "3675a7df3711860d3d9b430e5465982e",
@@ -261,6 +443,17 @@ GOLDEN: dict[str, dict] = {
         "messages_sent": 999,
         "trials_per_node": [294, 273, 260, 165],
         "pd_evaluations_per_node": [0, 0, 0, 0],
+        "simulated_seconds": "0x1.b58760dce49cfp-12",
+        "num_supersteps": 13,
+        "light_mode_node_supersteps": 52,
+        "walker_supersteps_per_node": [441, 433, 416, 270],
+        "bytes": 31968,
+        "local_deliveries": 441,
+        "matrices": {
+            "STATE_QUERY": "2ca5d3f9f96a9545",
+            "QUERY_RESPONSE": "2ca5d3f9f96a9545",
+            "WALKER_MIGRATE": "137a5e0f70e8e1be",
+        },
     },
     "rwr-4node-single": {
         "rolling_hash": "598b11701379209de9f43f020b37ef01",
@@ -272,6 +465,159 @@ GOLDEN: dict[str, dict] = {
         "messages_sent": 999,
         "trials_per_node": [294, 273, 260, 165],
         "pd_evaluations_per_node": [0, 0, 0, 0],
+        "simulated_seconds": "0x1.b58760dce49cfp-12",
+        "num_supersteps": 13,
+        "light_mode_node_supersteps": 52,
+        "walker_supersteps_per_node": [441, 433, 416, 270],
+        "bytes": 31968,
+        "local_deliveries": 441,
+        "matrices": {
+            "STATE_QUERY": "2ca5d3f9f96a9545",
+            "QUERY_RESPONSE": "2ca5d3f9f96a9545",
+            "WALKER_MIGRATE": "137a5e0f70e8e1be",
+        },
+    },
+    "node2vec-4node-chaos": {
+        "rolling_hash": "1df07c7ba6a639e5f92422aca6593a09",
+        "paths": "b5bb945c517cad40e5e375ca54105160",
+        "total_steps": 4800,
+        "trials": 5439,
+        "pd_evaluations": 4070,
+        "full_scan_evaluations": 0,
+        "messages_sent": 9244,
+        "trials_per_node": [1383, 1352, 1429, 1275],
+        "pd_evaluations_per_node": [1020, 1000, 1077, 973],
+        "simulated_seconds": "0x1.8db6b62087260p-8",
+        "num_supersteps": 56,
+        "light_mode_node_supersteps": 212,
+        "walker_supersteps_per_node": [1412, 1381, 1456, 1310],
+        "bytes": 229712,
+        "local_deliveries": 2666,
+        "matrices": {
+            "STATE_QUERY": "bd71fb736f7e242e",
+            "QUERY_RESPONSE": "924a37477e91e191",
+            "WALKER_MIGRATE": "007c61138ecca864",
+        },
+        "recovery": {
+            "crashes": 1,
+            "restarts": 1,
+            "checkpoints_taken": 14,
+            "replayed_supersteps": 3,
+            "degraded_nodes": [],
+            "recovery_seconds": "0x1.92a737110e454p-17",
+        },
+        "delivery": {
+            "STATE_QUERY": {
+                "logical": 2940,
+                "transmissions": 3309,
+                "retransmissions": 369,
+                "drops": 354,
+                "duplicates": 152,
+                "delays": 351,
+                "arrivals": 3107,
+                "accepts": 2940,
+                "dedups": 167,
+            },
+            "QUERY_RESPONSE": {
+                "logical": 2940,
+                "transmissions": 3276,
+                "retransmissions": 336,
+                "drops": 326,
+                "duplicates": 160,
+                "delays": 341,
+                "arrivals": 3110,
+                "accepts": 2940,
+                "dedups": 170,
+            },
+            "WALKER_MIGRATE": {
+                "logical": 3982,
+                "transmissions": 4427,
+                "retransmissions": 445,
+                "drops": 429,
+                "duplicates": 218,
+                "delays": 462,
+                "arrivals": 4216,
+                "accepts": 3982,
+                "dedups": 234,
+            },
+        },
+    },
+    "node2vec-4node-degraded": {
+        "rolling_hash": "be12e40d50224bb2a4fddbf243590ea8",
+        "paths": "b5bb945c517cad40e5e375ca54105160",
+        "total_steps": 4800,
+        "trials": 5439,
+        "pd_evaluations": 4070,
+        "full_scan_evaluations": 0,
+        "messages_sent": 8413,
+        "trials_per_node": [1279, 1956, 346, 1858],
+        "pd_evaluations_per_node": [931, 1459, 272, 1408],
+        "simulated_seconds": "0x1.21c65e9e50e29p-8",
+        "num_supersteps": 55,
+        "light_mode_node_supersteps": 169,
+        "walker_supersteps_per_node": [1309, 1997, 346, 1907],
+        "bytes": 209960,
+        "local_deliveries": 3607,
+        "matrices": {
+            "STATE_QUERY": "3b4f54c7185473f5",
+            "QUERY_RESPONSE": "20a91332cecdc82e",
+            "WALKER_MIGRATE": "af3dc59cb416b403",
+        },
+        "recovery": {
+            "crashes": 1,
+            "restarts": 0,
+            "checkpoints_taken": 11,
+            "replayed_supersteps": 2,
+            "degraded_nodes": [2],
+            "recovery_seconds": "0x1.92a737110e454p-17",
+        },
+        "delivery": {
+            "STATE_QUERY": {
+                "logical": 2584,
+                "transmissions": 2703,
+                "retransmissions": 119,
+                "drops": 119,
+                "duplicates": 0,
+                "delays": 0,
+                "arrivals": 2584,
+                "accepts": 2584,
+                "dedups": 0,
+            },
+            "QUERY_RESPONSE": {
+                "logical": 2584,
+                "transmissions": 2725,
+                "retransmissions": 141,
+                "drops": 141,
+                "duplicates": 0,
+                "delays": 0,
+                "arrivals": 2584,
+                "accepts": 2584,
+                "dedups": 0,
+            },
+            "WALKER_MIGRATE": {
+                "logical": 3632,
+                "transmissions": 3913,
+                "retransmissions": 281,
+                "drops": 194,
+                "duplicates": 0,
+                "delays": 0,
+                "arrivals": 3719,
+                "accepts": 3632,
+                "dedups": 87,
+            },
+        },
+        "health": {
+            "suspect_events": 1,
+            "clear_events": 1,
+            "suspected_supersteps": 14,
+            "phi_max": "0x1.d9441d6054994p+6",
+            "speculations": 14,
+            "speculation_wins": 11,
+            "speculative_copies": 87,
+            "rebalances": 12,
+            "migrated_walkers": 95,
+            "restored_walkers": 24,
+        },
     },
 }
 
@@ -281,7 +627,14 @@ def test_walk_reproduces_golden_digest(cell):
     assert measure(cell) == GOLDEN[cell_id(cell)]
 
 
+@pytest.mark.parametrize("cell", sorted(FAULT_CELLS))
+def test_faulty_run_reproduces_golden_bill(cell):
+    assert measure_fault(cell) == GOLDEN[cell]
+
+
 if __name__ == "__main__":
     import pprint
 
-    pprint.pprint({cell_id(cell): measure(cell) for cell in CELLS}, width=100)
+    table = {cell_id(cell): measure(cell) for cell in CELLS}
+    table.update({cell: measure_fault(cell) for cell in sorted(FAULT_CELLS)})
+    pprint.pprint(table, width=100, sort_dicts=False)

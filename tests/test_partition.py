@@ -62,6 +62,40 @@ class TestContiguousPartition:
         partition = partition_graph(graph, 4)
         assert [len(partition.vertices_of(p)) for p in range(4)] == [1] * 4
 
+    def test_owner_table_agrees_with_ranges(self, graph):
+        """Incl. empty parts (repeated boundaries) and one vertex per
+        part; the shared table cannot be written through."""
+        n = graph.num_vertices
+        small = uniform_degree_graph(4, 2, seed=0)
+        for partition in (
+            partition_graph(graph, 8),
+            ContiguousPartition(np.array([0, 0, 200, 200, 200, n, n]), graph),
+            partition_graph(small, 4),
+        ):
+            table = partition.owner_table
+            assert table.dtype == np.int64
+            assert table.size == partition.boundaries[-1]
+            for part in range(partition.num_parts):
+                members = partition.vertices_of(part)
+                assert (table[members.start : members.stop] == part).all()
+            np.testing.assert_array_equal(
+                partition.owners(np.arange(table.size)), table
+            )
+            with pytest.raises(ValueError):
+                table[0] = 1
+
+    @pytest.mark.parametrize("bad", [-1, -5, 500, 10**9])
+    def test_out_of_range_vertex_is_typed_error(self, graph, bad):
+        """Not node -1 or node ``num_parts``, and never a wrapped
+        negative index into the table."""
+        partition = partition_graph(graph, 4)
+        with pytest.raises(PartitionError, match=r"\[0, 500\)"):
+            partition.owner_of(bad)
+        with pytest.raises(PartitionError, match=r"\[0, 500\)"):
+            partition.owners([0, bad, 3])
+        assert partition.owners([]).size == 0
+        assert partition.owners([0, 499]).tolist() == [0, 3]
+
     def test_errors(self, graph):
         with pytest.raises(PartitionError):
             partition_graph(graph, 0)

@@ -18,7 +18,11 @@ from repro.cluster import (
 )
 from repro.core.config import WalkConfig
 from repro.core.engine import WalkEngine
-from repro.core.snapshot import restore_checkpoint, save_checkpoint
+from repro.core.snapshot import (
+    _payload_checksum,
+    restore_checkpoint,
+    save_checkpoint,
+)
 from repro.errors import ReproError, SnapshotError
 from repro.graph.generators import uniform_degree_graph
 from repro.graph.hetero import assign_random_edge_types
@@ -27,6 +31,17 @@ from repro.graph.hetero import assign_random_edge_types
 @pytest.fixture
 def graph():
     return uniform_degree_graph(150, 5, seed=0, undirected=True)
+
+
+def _rewrite(path, edit, target=None):
+    """Re-save the checkpoint at ``path`` (to ``target`` if given) after
+    ``edit(arrays)``, with a checksum that is valid again."""
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files}
+    del arrays["checksum"]
+    edit(arrays)
+    arrays["checksum"] = np.asarray([_payload_checksum(arrays)], dtype=np.uint64)
+    np.savez_compressed(target if target is not None else path, **arrays)
 
 
 class TestPartialRun:
@@ -198,17 +213,12 @@ class TestCorruptFiles:
             )
 
     def test_version_skew(self, graph, checkpoint, tmp_path):
-        with np.load(checkpoint) as data:
-            arrays = {key: data[key] for key in data.files}
-        arrays["version"] = np.asarray([99])
-        from repro.core.snapshot import _payload_checksum
-
-        del arrays["checksum"]
-        arrays["checksum"] = np.asarray(
-            [_payload_checksum(arrays)], dtype=np.uint64
-        )
         skewed = tmp_path / "skewed.npz"
-        np.savez_compressed(skewed, **arrays)
+        _rewrite(
+            checkpoint,
+            lambda arrays: arrays.update(version=np.asarray([99])),
+            target=skewed,
+        )
         config = WalkConfig(num_walkers=20, max_steps=10, seed=1)
         with pytest.raises(SnapshotError, match="version"):
             restore_checkpoint(graph, UniformWalk(), config, skewed)
@@ -310,6 +320,82 @@ class TestDistributedCheckpoint:
         )
         assert result.cluster.recovery.crashes == 1
         result.cluster.delivery.check_conservation()
+
+    # A node dies for good at superstep 3: the saved owner table has
+    # re-homed its vertices, and the resumed run must follow it.
+    DEGRADED = dict(
+        num_nodes=4,
+        fault_plan=FaultPlan(
+            seed=11, crashes=(NodeCrash(superstep=3, node=2, restart=False),)
+        ),
+        checkpoint_every=5,
+        degrade_on_crash=True,
+    )
+
+    @pytest.mark.parametrize("with_table", [True, False])
+    def test_owner_table_round_trip(self, graph, tmp_path, with_table):
+        """Saved with every checkpoint; a v3 file from before that (a
+        healthy run, no key) resumes on the partition's own table."""
+        config = WalkConfig(num_walkers=60, max_steps=16, record_paths=True, seed=3)
+        options = self.DEGRADED if with_table else dict(num_nodes=4)
+
+        def make():
+            return DistributedWalkEngine(
+                graph, Node2Vec(p=0.5, q=2.0, biased=False), config, **options
+            )
+
+        uninterrupted = make().run()
+        engine = make()
+        engine.run(max_iterations=7)
+        path = tmp_path / "dist.npz"
+        save_checkpoint(engine, path)
+        if not with_table:
+            _rewrite(path, lambda arrays: arrays.pop("cluster_owner_lookup"))
+        resumed = restore_checkpoint(
+            graph, Node2Vec(p=0.5, q=2.0, biased=False), config, path, **options
+        )
+        np.testing.assert_array_equal(resumed._owner_table, engine._owner_table)
+        assert (2 in resumed._owner_table) != with_table
+        result = resumed.run()
+        for a, b in zip(uninterrupted.paths, result.paths):
+            np.testing.assert_array_equal(a, b)
+        assert result.stats.messages_sent == uninterrupted.stats.messages_sent
+        assert (
+            result.cluster.simulated_seconds
+            == uninterrupted.cluster.simulated_seconds
+        )
+        np.testing.assert_array_equal(
+            result.cluster.network.matrix(), uninterrupted.cluster.network.matrix()
+        )
+
+    @pytest.mark.parametrize(
+        "edit,match",
+        [
+            (lambda table: table[:-1], "does not match the graph"),
+            (lambda table: table.astype(np.float64), "does not match the graph"),
+            (lambda table: np.where(table == 0, 4, table), r"outside \[0, 4\)"),
+            (lambda table: np.where(table == 0, -1, table), r"outside \[0, 4\)"),
+            (lambda table: np.where(table == 0, 2, table), "dead node"),
+            # Dropped: the partition's table still homes node 2's range.
+            (None, "dead node"),
+        ],
+        ids=["short", "float", "node-4", "node-minus-1", "on-dead-node", "dropped"],
+    )
+    def test_invalid_owner_table_is_rejected(self, graph, tmp_path, edit, match):
+        config = WalkConfig(num_walkers=20, max_steps=8, seed=2)
+        engine = DistributedWalkEngine(graph, UniformWalk(), config, **self.DEGRADED)
+        engine.run(max_iterations=5)
+        path = tmp_path / "dist.npz"
+        save_checkpoint(engine, path)
+
+        def corrupt(arrays):
+            table = arrays.pop("cluster_owner_lookup")
+            if edit is not None:
+                arrays["cluster_owner_lookup"] = edit(table)
+
+        _rewrite(path, corrupt)
+        with pytest.raises(SnapshotError, match=match):
+            restore_checkpoint(graph, UniformWalk(), config, path, **self.DEGRADED)
 
     def test_node_count_mismatch(self, graph, tmp_path):
         config = WalkConfig(num_walkers=20, max_steps=8, seed=2)

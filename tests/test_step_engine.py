@@ -63,13 +63,14 @@ def run_walk(name, *, nodes=0, seed=9, **run_kwargs):
 
 class TestOneLoopOneHook:
     def test_subclasses_override_only_the_round(self):
-        for engine_class in (
-            DistributedWalkEngine,
-            FullScanWalkEngine,
-            TypedMetaPathWalkEngine,
-            GeminiWalkEngine,
-        ):
+        baselines = (FullScanWalkEngine, TypedMetaPathWalkEngine, GeminiWalkEngine)
+        for engine_class in baselines:
             assert "_trial_round" in vars(engine_class)
+        # The distributed engine not even that: its query exchange is
+        # the inherited round's Pd evaluator.
+        assert DistributedWalkEngine._trial_round is WalkEngine._trial_round
+        assert "_main_dynamic_comp" in vars(DistributedWalkEngine)
+        for engine_class in baselines + (DistributedWalkEngine,):
             assert engine_class._move_walkers is WalkEngine._move_walkers
 
 
