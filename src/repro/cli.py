@@ -58,14 +58,7 @@ from repro.errors import ReproError
 from repro.graph.datasets import DATASETS, load_dataset
 from repro.graph.hetero import assign_random_edge_types
 from repro.graph.io import load_edge_list
-from repro.obs import (
-    Tracer,
-    registry_from_cluster_stats,
-    registry_from_service_metrics,
-    registry_from_walk_stats,
-    to_prometheus_text,
-    write_chrome_trace,
-)
+from repro.obs import Tracer, to_prometheus_text, write_chrome_trace
 
 __all__ = ["main", "build_parser"]
 
@@ -503,9 +496,9 @@ def _run_walk(args: argparse.Namespace) -> int:
         print(result.cluster.report())
     print(f"termination: {result.stats.termination}")
     if args.emit_metrics is not None:
-        registry = registry_from_walk_stats(result.stats)
+        registry = result.stats.to_registry()
         if args.nodes > 0:
-            registry_from_cluster_stats(result.cluster, registry)
+            result.cluster.to_registry(registry)
         with open(args.emit_metrics, "w", encoding="utf-8") as handle:
             handle.write(to_prometheus_text(registry))
         print(f"metrics written to {args.emit_metrics}")
@@ -641,7 +634,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         f"failed={metrics.failed} exact={balanced}"
     )
     if args.emit_metrics is not None:
-        registry = registry_from_service_metrics(metrics)
+        registry = metrics.to_registry()
         with open(args.emit_metrics, "w", encoding="utf-8") as handle:
             handle.write(to_prometheus_text(registry))
         print(f"metrics written to {args.emit_metrics}")

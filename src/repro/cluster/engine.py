@@ -39,7 +39,7 @@ vertices across the survivors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -67,6 +67,8 @@ from repro.core.program import WalkerProgram
 from repro.errors import FaultError, NodeCrashError, ProgramError
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import ContiguousPartition, partition_graph
+from repro.obs.counted import Counted, counter, group, series, state
+from repro.obs.metrics import SUPERSTEP_SECONDS_BUCKETS
 
 __all__ = [
     "DistributedWalkEngine",
@@ -83,26 +85,44 @@ __all__ = [
 DEFAULT_CHECKPOINT_INTERVAL = 8
 
 
+def _per_node(help_text: str, export: str):
+    return counter(help_text, export=export, keyed="node", default=None)
+
+
 @dataclass
-class ClusterStats:
+class ClusterStats(Counted, prefix="cluster"):
     """System-level statistics of one distributed execution."""
 
-    num_nodes: int
-    superstep_times: list[float] = field(default_factory=list)
-    light_mode_node_supersteps: int = 0
-    network: Network | None = None
+    num_nodes: int = state(MISSING)
+    superstep_times: list[float] = series(
+        "simulated per-superstep barrier times",
+        SUPERSTEP_SECONDS_BUCKETS,
+        fold="samples",
+        export="cluster_superstep_seconds",
+    )
+    light_mode_node_supersteps: int = counter(
+        "node-supersteps run in light mode (section 6.2)"
+    )
+    network: Network | None = state(None)
     # Per-node lifetime load (paper section 6.1: the 1-D partition
     # balances memory, not necessarily walk processing).
-    trials_per_node: np.ndarray | None = None
-    pd_evaluations_per_node: np.ndarray | None = None
-    walker_supersteps_per_node: np.ndarray | None = None
+    trials_per_node: np.ndarray | None = _per_node(
+        "lifetime rejection trials per node", "cluster_node_trials"
+    )
+    pd_evaluations_per_node: np.ndarray | None = _per_node(
+        "lifetime Pd evaluations per node", "cluster_node_pd_evaluations"
+    )
+    walker_supersteps_per_node: np.ndarray | None = _per_node(
+        "lifetime active walker-supersteps per node", "cluster_node_walker_supersteps"
+    )
     # Fault-tolerance accounting (always present; all-zero on healthy
-    # runs) and physical-layer delivery counters (None without a plan).
-    recovery: RecoveryStats = field(default_factory=RecoveryStats)
-    delivery: DeliveryStats | None = None
-    # Straggler-tolerance accounting (None unless the health monitor
-    # is active — degraded fault plan or explicit StragglerPolicy).
-    health: HealthStats | None = None
+    # runs).  Physical-layer delivery counters (None without a plan)
+    # and straggler-tolerance accounting (None unless the health monitor
+    # is active — degraded fault plan or explicit StragglerPolicy) are
+    # live references to the fault plane's and the monitor's own stats.
+    recovery: RecoveryStats = group(RecoveryStats)
+    delivery: DeliveryStats | None = group(None, fold="keep")
+    health: HealthStats | None = group(None, fold="keep")
 
     @property
     def num_supersteps(self) -> int:
@@ -114,6 +134,30 @@ class ClusterStats:
         so checkpoint rollbacks (which rewind ``superstep_times``) and
         recovery charges are always in."""
         return float(np.sum(self.superstep_times)) + self.recovery.recovery_seconds
+
+    def to_registry(self, registry=None, **labels):
+        """The declared fields, plus what is configured or computed
+        rather than counted: cluster size, superstep count, simulated
+        time, the network's totals."""
+        reg = super().to_registry(registry, **labels)
+        reg.gauge("cluster_nodes", "simulated cluster size", **labels).set(
+            self.num_nodes
+        )
+        computed = [
+            ("cluster_supersteps", "BSP supersteps executed", self.num_supersteps),
+            ("cluster_simulated_seconds", "simulated run time (cost model)",
+             self.simulated_seconds),
+        ]
+        if self.network is not None:
+            messages, wire_bytes, local = self.network.totals_snapshot()
+            computed += [
+                ("cluster_messages", "remote messages delivered", messages),
+                ("cluster_message_bytes", "remote bytes on the wire", wire_bytes),
+                ("cluster_local_deliveries", "same-node walker deliveries", local),
+            ]
+        for name, help_text, value in computed:
+            reg.counter(name, help_text, **labels).inc(value)
+        return reg
 
     def report(self) -> str:
         """Multi-line run report including the robustness bill."""

@@ -59,7 +59,6 @@ intra-node deliveries bypass the interconnect and cannot fault.
 
 from __future__ import annotations
 
-import pickle
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -67,8 +66,9 @@ import numpy as np
 
 from repro.cluster.network import LinkTimers, MessageKind
 from repro.cluster.scheduler import RetryPolicy
-from repro.errors import ClusterError, MessageTimeoutError
-from repro.sampling.rng import derive_rng
+from repro.errors import ClusterError, MessageTimeoutError, SnapshotError
+from repro.obs.counted import Counted, counter
+from repro.sampling.rng import derive_rng, restore_rng_words, rng_state_words
 
 __all__ = [
     "MessageFaults",
@@ -281,32 +281,22 @@ class FaultPlan:
         return factors
 
 
-_COUNTER_FIELDS = (
-    "logical",
-    "transmissions",
-    "retransmissions",
-    "drops",
-    "duplicates",
-    "delays",
-    "arrivals",
-    "accepts",
-    "dedups",
-)
+_ACCOUNTING = "reliable-delivery accounting"
 
 
 @dataclass
-class DeliveryCounters:
+class DeliveryCounters(Counted, prefix="cluster"):
     """Physical-layer accounting for one message kind."""
 
-    logical: int = 0
-    transmissions: int = 0
-    retransmissions: int = 0
-    drops: int = 0
-    duplicates: int = 0
-    delays: int = 0
-    arrivals: int = 0
-    accepts: int = 0
-    dedups: int = 0
+    logical: int = counter(_ACCOUNTING, export="cluster_logical_messages")
+    transmissions: int = counter(_ACCOUNTING)
+    retransmissions: int = counter(_ACCOUNTING)
+    drops: int = counter(_ACCOUNTING, export="cluster_injected_drops")
+    duplicates: int = counter(_ACCOUNTING, export="cluster_injected_duplicates")
+    delays: int = counter(_ACCOUNTING, export="cluster_injected_delays")
+    arrivals: int = counter(_ACCOUNTING)
+    accepts: int = counter(_ACCOUNTING)
+    dedups: int = counter(_ACCOUNTING)
 
     def check_conservation(self) -> None:
         """Raise if the delivery invariants are violated (test hook)."""
@@ -331,55 +321,63 @@ class DeliveryStats:
     def of(self, kind: MessageKind) -> DeliveryCounters:
         return self.per_kind[kind]
 
-    def _total(self, name: str) -> int:
-        return sum(getattr(c, name) for c in self.per_kind.values())
+    def total(self) -> DeliveryCounters:
+        """Cluster-wide totals: every kind folded into one."""
+        total = DeliveryCounters()
+        for counters in self.per_kind.values():
+            total.merge(counters)
+        return total
 
     @property
     def retransmissions(self) -> int:
-        return self._total("retransmissions")
+        return self.total().retransmissions
 
     @property
     def dedups(self) -> int:
-        return self._total("dedups")
+        return self.total().dedups
 
     @property
     def drops(self) -> int:
-        return self._total("drops")
+        return self.total().drops
 
     @property
     def duplicates(self) -> int:
-        return self._total("duplicates")
+        return self.total().duplicates
 
     @property
     def delays(self) -> int:
-        return self._total("delays")
+        return self.total().delays
 
     @property
     def accepts(self) -> int:
-        return self._total("accepts")
+        return self.total().accepts
 
     @property
     def logical(self) -> int:
-        return self._total("logical")
+        return self.total().logical
 
     def check_conservation(self) -> None:
         for counters in self.per_kind.values():
             counters.check_conservation()
 
-    # -- serialisation (checkpointing) ---------------------------------
-    def to_array(self) -> np.ndarray:
-        return np.asarray(
-            [
-                [getattr(self.per_kind[kind], name) for name in _COUNTER_FIELDS]
-                for kind in MessageKind
-            ],
-            dtype=np.int64,
-        )
+    def to_registry(self, registry=None, **labels):
+        """The cluster-wide totals, as :class:`DeliveryCounters`
+        declares them."""
+        return self.total().to_registry(registry, **labels)
 
-    def load_array(self, array: np.ndarray) -> None:
-        for row, kind in zip(array, MessageKind):
-            for value, name in zip(row, _COUNTER_FIELDS):
-                setattr(self.per_kind[kind], name, int(value))
+    # -- serialisation (checkpointing) ---------------------------------
+    def pack(self) -> np.ndarray:
+        return np.stack([counters.pack() for counters in self.per_kind.values()])
+
+    def unpack(self, array: np.ndarray) -> None:
+        rows = np.asarray(array)
+        if rows.ndim != 2 or len(rows) != len(self.per_kind):
+            raise SnapshotError(
+                f"delivery counters: expected one row per message kind "
+                f"({len(self.per_kind)}), got shape {rows.shape}"
+            )
+        for counters, row in zip(self.per_kind.values(), rows):
+            counters.unpack(row)
 
 
 class FaultPlane:
@@ -642,25 +640,18 @@ class FaultPlane:
         estimates.
         """
         state = {
-            "fault_rng_state": np.frombuffer(
-                pickle.dumps(self._rng.bit_generator.state), dtype=np.uint8
-            ),
+            "fault_rng_state": rng_state_words(self._rng),
             "fault_triggered": np.asarray(sorted(self._triggered), dtype=np.int64),
-            "fault_counters": self.stats.to_array(),
+            "fault_counters": self.stats.pack(),
         }
         state.update(self.timers.state_arrays())
         return state
 
     def load_state(self, state: Mapping[str, np.ndarray]) -> None:
-        self._rng.bit_generator.state = pickle.loads(
-            np.asarray(state["fault_rng_state"], dtype=np.uint8).tobytes()
-        )
+        restore_rng_words(self._rng, state["fault_rng_state"])
         self._triggered = set(int(i) for i in state["fault_triggered"])
-        self.stats.load_array(np.asarray(state["fault_counters"]))
-        if "fault_link_srtt" in state:
-            # Snapshots written before adaptive timers existed restore
-            # with freshly-initialised estimators instead of failing.
-            self.timers.load_arrays(state)
+        self.stats.unpack(state["fault_counters"])
+        self.timers.load_arrays(state)
 
 
 def random_fault_plan(

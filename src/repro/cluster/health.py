@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ClusterError
+from repro.obs.counted import Counted, counter
 
 __all__ = ["HealthPolicy", "HealthStats", "HealthMonitor"]
 
@@ -89,19 +90,25 @@ class HealthPolicy:
 
 
 @dataclass
-class HealthStats:
+class HealthStats(Counted, prefix="cluster"):
     """Lifetime counters of the straggler-tolerance machinery."""
 
-    suspect_events: int = 0
-    clear_events: int = 0
-    suspected_supersteps: int = 0
-    phi_max: float = 0.0
-    speculations: int = 0
-    speculation_wins: int = 0
-    speculative_copies: int = 0
-    rebalances: int = 0
-    migrated_walkers: int = 0
-    restored_walkers: int = 0
+    suspect_events: int = counter(
+        "health-monitor suspicion events", export="cluster_straggler_suspicions"
+    )
+    clear_events: int = counter("suspicions that cleared")
+    suspected_supersteps: int = counter("node-supersteps spent suspected")
+    phi_max: float = counter(
+        "peak suspicion level", fold="max", kind="gauge", default=0.0
+    )
+    speculations: int = counter("speculative re-executions launched")
+    speculation_wins: int = counter("speculative copies that beat the straggler")
+    speculative_copies: int = counter("speculative message copies deduped")
+    rebalances: int = counter("walker migrations off suspects")
+    migrated_walkers: int = counter(
+        "walkers migrated off suspects", export="cluster_walkers_rebalanced"
+    )
+    restored_walkers: int = counter("walkers moved back after a suspicion cleared")
 
     def report_lines(self) -> list[str]:
         lines = [
@@ -121,28 +128,6 @@ class HealthStats:
                 f"{self.restored_walkers} moved back"
             )
         return lines
-
-    # -- serialisation (disk checkpoints) ------------------------------
-    _FIELDS = (
-        "suspect_events",
-        "clear_events",
-        "suspected_supersteps",
-        "speculations",
-        "speculation_wins",
-        "speculative_copies",
-        "rebalances",
-        "migrated_walkers",
-        "restored_walkers",
-    )
-
-    def to_array(self) -> np.ndarray:
-        counts = [getattr(self, name) for name in self._FIELDS]
-        return np.asarray(counts + [self.phi_max], dtype=np.float64)
-
-    def load_array(self, array: np.ndarray) -> None:
-        for value, name in zip(array, self._FIELDS):
-            setattr(self, name, int(value))
-        self.phi_max = float(array[len(self._FIELDS)])
 
 
 class HealthMonitor:
@@ -227,7 +212,7 @@ class HealthMonitor:
             "health_suspected": self.suspected.copy(),
             "health_clear_streak": self._clear_streak.copy(),
             "health_observed": np.asarray([self._observed], dtype=np.int64),
-            "health_stats": self.stats.to_array(),
+            "health_stats": self.stats.pack(),
         }
 
     def load_arrays(self, state) -> None:
@@ -238,5 +223,5 @@ class HealthMonitor:
             state["health_clear_streak"], dtype=np.int64
         )
         self._observed = int(np.asarray(state["health_observed"])[0])
-        self.stats.load_array(np.asarray(state["health_stats"]))
+        self.stats.unpack(state["health_stats"])
         self._newly_cleared = []

@@ -338,17 +338,17 @@ class Network:
     # replayed supersteps resend messages for real, while injected
     # faults are external events that never rewind.
     # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict:
-        """Copy of the logical message counters."""
+    def snapshot_state(self) -> dict[str, np.ndarray]:
+        """Copy of the logical message counters, one row per kind."""
         return {
-            "messages": {k: v.copy() for k, v in self._messages.items()},
-            "local": dict(self._local),
-            "scattered": {k: v.copy() for k, v in self._scattered.items()},
+            "messages": np.stack([self._messages[kind] for kind in MessageKind]),
+            "local": np.asarray([self._local[kind] for kind in MessageKind]),
+            "scattered": np.stack([self._scattered[kind] for kind in MessageKind]),
         }
 
-    def restore_state(self, state: dict) -> None:
+    def restore_state(self, state: dict[str, np.ndarray]) -> None:
         """Reset the logical counters to a :meth:`snapshot_state`."""
-        for kind in MessageKind:
-            self._messages[kind][:] = state["messages"][kind]
-            self._local[kind] = state["local"][kind]
-            self._scattered[kind][:] = state["scattered"][kind]
+        for index, kind in enumerate(MessageKind):
+            self._messages[kind][:] = state["messages"][index]
+            self._local[kind] = int(state["local"][index])
+            self._scattered[kind][:] = state["scattered"][index]

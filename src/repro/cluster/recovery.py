@@ -25,12 +25,13 @@ table) and the walk continues on the smaller cluster.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import NodeCrashError
+from repro.obs.counted import Counted, counter, state
+from repro.sampling.rng import restore_rng_words, rng_state_words
 
 __all__ = [
     "RecoveryStats",
@@ -42,15 +43,15 @@ __all__ = [
 
 
 @dataclass
-class RecoveryStats:
+class RecoveryStats(Counted, prefix="cluster"):
     """Fault-tolerance accounting for one distributed execution."""
 
-    crashes: int = 0
-    restarts: int = 0
-    checkpoints_taken: int = 0
-    replayed_supersteps: int = 0
-    degraded_nodes: list[int] = field(default_factory=list)
-    recovery_seconds: float = 0.0
+    crashes: int = counter("injected node crashes")
+    restarts: int = counter("crashed nodes restarted")
+    checkpoints_taken: int = counter("recovery checkpoints")
+    replayed_supersteps: int = counter("supersteps replayed during recovery")
+    degraded_nodes: list[int] = state(list)
+    recovery_seconds: float = counter("simulated seconds spent recovering", default=0.0)
 
 
 @dataclass
@@ -78,8 +79,9 @@ def capture_cluster_state(engine) -> ClusterCheckpoint:
         "history": None if walkers.history is None else walkers.history.copy(),
         "custom": {name: walkers.state(name).copy() for name in walkers._custom},
         "rejection_streak": engine._rejection_streak.copy(),
-        "rng_state": copy.deepcopy(engine._rng.bit_generator.state),
-        "stats": copy.deepcopy(engine.stats),
+        "rng_state": rng_state_words(engine._rng),
+        "stats": engine.stats.pack(),
+        "active_per_iteration": list(engine.stats.active_per_iteration),
         "trials_per_node": engine.cluster.trials_per_node.copy(),
         "pd_evaluations_per_node": engine.cluster.pd_evaluations_per_node.copy(),
         "walker_supersteps_per_node": (
@@ -97,6 +99,10 @@ def restore_cluster_state(engine, checkpoint: ClusterCheckpoint) -> None:
     Deliberately untouched: superstep times already paid (wasted work
     stays on the bill), the fault plane (external events never rewind),
     node liveness, and the owner table (re-homed vertices stay re-homed).
+    ``engine.stats`` is the same object afterwards — only its
+    checkpointed counters are rewound, so its host clocks keep
+    accumulating, its ``maintenance`` stays the graph's live reference,
+    and a result a paused run already returned is not orphaned.
     """
     state = checkpoint.state
     walkers = engine.walkers
@@ -109,8 +115,9 @@ def restore_cluster_state(engine, checkpoint: ClusterCheckpoint) -> None:
     for name, values in state["custom"].items():
         walkers.state(name)[:] = values
     engine._rejection_streak[:] = state["rejection_streak"]
-    engine._rng.bit_generator.state = copy.deepcopy(state["rng_state"])
-    engine.stats = copy.deepcopy(state["stats"])
+    restore_rng_words(engine._rng, state["rng_state"])
+    engine.stats.unpack(state["stats"])
+    engine.stats.active_per_iteration[:] = state["active_per_iteration"]
     engine.cluster.trials_per_node[:] = state["trials_per_node"]
     engine.cluster.pd_evaluations_per_node[:] = state["pd_evaluations_per_node"]
     engine.cluster.walker_supersteps_per_node[:] = state[

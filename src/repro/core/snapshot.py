@@ -8,11 +8,15 @@ paths, statistics, and the RNG stream — into a single ``.npz``;
 *bit-identically* to an uninterrupted run (the resume-determinism test
 asserts exactly that).
 
-Format (version 3): every payload array is covered by a CRC32 recorded
+Format (version 4): every payload array is covered by a CRC32 recorded
 in the file; a truncated, corrupted, or version-skewed checkpoint
 raises :class:`~repro.errors.SnapshotError` instead of surfacing a raw
 numpy/zipfile traceback.  Recorded paths are the recorder's packed
-``(tokens, counts)`` pair; version 2 kept a per-iteration move log.
+``(tokens, counts)`` pair.  Every array is plain numbers: counters are
+the stats classes' own ``pack()`` (validated by ``unpack()``), RNG
+streams are six ``uint64`` words.  Version 3 stored RNG streams as
+pickles, so reading one means unpickling file content — it is refused,
+like version 2 (a per-iteration move log) before it.
 
 Distributed engines are first-class: a
 :class:`~repro.cluster.engine.DistributedWalkEngine` checkpoint
@@ -36,7 +40,6 @@ separates immutable datasets from mutable state.
 from __future__ import annotations
 
 import os
-import pickle
 import struct
 import zipfile
 import zlib
@@ -49,12 +52,11 @@ from repro.core.program import WalkerProgram
 from repro.errors import SnapshotCorruptError, SnapshotError
 from repro.graph.csr import CSRGraph
 from repro.graph.dynamic import DynamicGraph, EpochSnapshot
+from repro.sampling.rng import restore_rng_words, rng_state_words
 
 __all__ = ["save_checkpoint", "restore_checkpoint", "checkpoint_epoch"]
 
-FORMAT_VERSION = 3
-
-_RECOVERY_FIELDS = ("crashes", "restarts", "checkpoints_taken", "replayed_supersteps")
+FORMAT_VERSION = 4
 
 
 def _payload_checksum(payload: dict) -> int:
@@ -75,27 +77,8 @@ def _base_payload(engine: WalkEngine) -> dict:
         "steps": walkers.steps,
         "alive": walkers.alive,
         "rejection_streak": engine._rejection_streak,
-        "rng_state": np.frombuffer(
-            pickle.dumps(engine._rng.bit_generator.state), dtype=np.uint8
-        ),
-        "stats_scalars": np.asarray(
-            [
-                engine.stats.total_steps,
-                engine.stats.iterations,
-                engine.stats.teleports,
-                engine.stats.full_scan_evaluations,
-                engine.stats.messages_sent,
-                engine.stats.counters.trials,
-                engine.stats.counters.pd_evaluations,
-                engine.stats.counters.pre_accepts,
-                engine.stats.counters.appendix_trials,
-                engine.stats.counters.accepts,
-                engine.stats.termination.by_step_limit,
-                engine.stats.termination.by_probability,
-                engine.stats.termination.by_dead_end,
-            ],
-            dtype=np.int64,
-        ),
+        "rng_state": rng_state_words(engine._rng),
+        "stats_scalars": engine.stats.pack(),
         "active_per_iteration": np.asarray(
             engine.stats.active_per_iteration, dtype=np.int64
         ),
@@ -122,11 +105,7 @@ def _base_payload(engine: WalkEngine) -> dict:
 
 def _cluster_payload(engine) -> dict:
     """Distributed extras: shards, cluster counters, fault-plane state."""
-    from repro.cluster.network import MessageKind
-
     cluster = engine.cluster
-    recovery = cluster.recovery
-    network_state = engine.network.snapshot_state()
     payload: dict[str, np.ndarray] = {
         "cluster_num_nodes": np.asarray([engine.num_nodes], dtype=np.int64),
         "cluster_alive_nodes": engine._alive_nodes,
@@ -140,28 +119,13 @@ def _cluster_payload(engine) -> dict:
         "cluster_superstep_times": np.asarray(
             cluster.superstep_times, dtype=np.float64
         ),
-        "cluster_light_mode": np.asarray(
-            [cluster.light_mode_node_supersteps], dtype=np.int64
-        ),
-        "cluster_recovery_counts": np.asarray(
-            [getattr(recovery, name) for name in _RECOVERY_FIELDS], dtype=np.int64
-        ),
-        "cluster_recovery_seconds": np.asarray(
-            [recovery.recovery_seconds], dtype=np.float64
-        ),
+        "cluster_scalars": cluster.pack(),
         "cluster_degraded_nodes": np.asarray(
-            recovery.degraded_nodes, dtype=np.int64
-        ),
-        "cluster_net_messages": np.stack(
-            [network_state["messages"][kind] for kind in MessageKind]
-        ),
-        "cluster_net_local": np.asarray(
-            [network_state["local"][kind] for kind in MessageKind], dtype=np.int64
-        ),
-        "cluster_net_scattered": np.stack(
-            [network_state["scattered"][kind] for kind in MessageKind]
+            cluster.recovery.degraded_nodes, dtype=np.int64
         ),
     }
+    for name, counts in engine.network.snapshot_state().items():
+        payload[f"cluster_net_{name}"] = counts
     if engine.fault_plane is not None:
         payload.update(engine.fault_plane.state_dict())
     if engine.health is not None:
@@ -261,28 +225,9 @@ def _restore_base(engine: WalkEngine, data: dict, path) -> None:
                 )
             walkers.history[:] = data["history"]
         engine._rejection_streak[:] = data["rejection_streak"]
-        engine._rng.bit_generator.state = pickle.loads(
-            data["rng_state"].tobytes()
-        )
-
-        scalars = data["stats_scalars"]
-        stats = engine.stats
-        (
-            stats.total_steps,
-            stats.iterations,
-            stats.teleports,
-            stats.full_scan_evaluations,
-            stats.messages_sent,
-            stats.counters.trials,
-            stats.counters.pd_evaluations,
-            stats.counters.pre_accepts,
-            stats.counters.appendix_trials,
-            stats.counters.accepts,
-            stats.termination.by_step_limit,
-            stats.termination.by_probability,
-            stats.termination.by_dead_end,
-        ) = (int(value) for value in scalars)
-        stats.active_per_iteration = data["active_per_iteration"].tolist()
+        restore_rng_words(engine._rng, data["rng_state"])
+        engine.stats.unpack(data["stats_scalars"])
+        engine.stats.active_per_iteration = data["active_per_iteration"].tolist()
 
         for name in data["state_names"]:
             name = str(name)
@@ -319,8 +264,6 @@ def _checked_owner_table(engine, table: np.ndarray) -> np.ndarray:
 
 
 def _restore_cluster(engine, data: dict, path) -> None:
-    from repro.cluster.network import MessageKind
-
     try:
         cluster = engine.cluster
         engine._alive_nodes[:] = data["cluster_alive_nodes"]
@@ -331,31 +274,17 @@ def _restore_cluster(engine, data: dict, path) -> None:
             "cluster_walker_supersteps_per_node"
         ]
         cluster.superstep_times[:] = data["cluster_superstep_times"].tolist()
-        cluster.light_mode_node_supersteps = int(data["cluster_light_mode"][0])
-        recovery = cluster.recovery
-        for name, value in zip(_RECOVERY_FIELDS, data["cluster_recovery_counts"]):
-            setattr(recovery, name, int(value))
-        recovery.recovery_seconds = float(data["cluster_recovery_seconds"][0])
-        recovery.degraded_nodes = data["cluster_degraded_nodes"].tolist()
-        # Healthy-run snapshots written before the table was always
-        # saved lack the key: the partition's own table stands.
+        cluster.unpack(data["cluster_scalars"])
+        cluster.recovery.degraded_nodes = data["cluster_degraded_nodes"].tolist()
+        # Without the key the partition's own table stands — what a
+        # run that never re-homed a vertex would have saved.
         engine._owner_table[:] = _checked_owner_table(
             engine, data.get("cluster_owner_lookup", engine._owner_table)
         )
         engine.network.restore_state(
             {
-                "messages": {
-                    kind: data["cluster_net_messages"][index]
-                    for index, kind in enumerate(MessageKind)
-                },
-                "local": {
-                    kind: int(data["cluster_net_local"][index])
-                    for index, kind in enumerate(MessageKind)
-                },
-                "scattered": {
-                    kind: data["cluster_net_scattered"][index]
-                    for index, kind in enumerate(MessageKind)
-                },
+                name: data[f"cluster_net_{name}"]
+                for name in ("messages", "local", "scattered")
             }
         )
         if engine.fault_plane is not None and "fault_rng_state" in data:

@@ -12,36 +12,38 @@ from __future__ import annotations
 import itertools
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from repro.obs.counted import Counted, counter, group, series, state
+from repro.obs.metrics import ACTIVE_WALKER_BUCKETS, DEFAULT_LATENCY_BUCKETS
 from repro.sampling.incremental import MaintenanceStats
 from repro.sampling.rejection import SamplingCounters
 
 __all__ = ["WalkStats", "TerminationBreakdown", "ServiceMetrics"]
 
 
+def _ended(reason: str):
+    help_text = "walker terminations by cause"
+    return counter(help_text, export="walk_terminations", reason=reason)
+
+
 @dataclass
-class TerminationBreakdown:
+class TerminationBreakdown(Counted):
     """Why walkers ended their walks."""
 
-    by_step_limit: int = 0
-    by_probability: int = 0
-    by_dead_end: int = 0
+    by_step_limit: int = _ended("step_limit")
+    by_probability: int = _ended("probability")
+    by_dead_end: int = _ended("dead_end")
 
     @property
     def total(self) -> int:
         return self.by_step_limit + self.by_probability + self.by_dead_end
 
-    def merge(self, other: TerminationBreakdown) -> None:
-        self.by_step_limit += other.by_step_limit
-        self.by_probability += other.by_probability
-        self.by_dead_end += other.by_dead_end
-
 
 @dataclass
-class WalkStats:
+class WalkStats(Counted, prefix="walk"):
     """Counters accumulated over one walk execution.
 
     Attributes
@@ -66,21 +68,47 @@ class WalkStats:
         walker initialization).
     """
 
-    counters: SamplingCounters = field(default_factory=SamplingCounters)
-    termination: TerminationBreakdown = field(default_factory=TerminationBreakdown)
-    total_steps: int = 0
-    teleports: int = 0
-    iterations: int = 0
-    active_per_iteration: list[int] = field(default_factory=list)
-    full_scan_evaluations: int = 0
-    messages_sent: int = 0
-    wall_time_seconds: float = 0.0
-    init_time_seconds: float = 0.0
+    counters: SamplingCounters = group(SamplingCounters)
+    termination: TerminationBreakdown = group(TerminationBreakdown)
+    total_steps: int = counter("successful walker moves", export="walk_steps")
+    teleports: int = counter("teleport moves")
+    # Shards run concurrently: supersteps and the loop wall clock fold
+    # to the slowest shard, yet both export as counters.
+    iterations: int = counter("engine supersteps executed", fold="max")
+    active_per_iteration: list[int] = series(
+        "active walkers entering each superstep (paper Fig. 5)",
+        ACTIVE_WALKER_BUCKETS,
+        fold="series",
+        export="walk_active_walkers",
+    )
+    full_scan_evaluations: int = counter("Pd evaluations spent in zero-mass scans")
+    messages_sent: int = counter("walker/query messages sent")
+    # Host clocks: never checkpointed, so a rollback cannot rewind them.
+    wall_time_seconds: float = counter(
+        "wall-clock seconds in the walk loop",
+        export="walk_wall_seconds",
+        fold="max",
+        packed=False,
+        default=0.0,
+    )
+    init_time_seconds: float = counter(
+        "sampler/walker initialisation seconds",
+        export="walk_init_seconds",
+        packed=False,
+        default=0.0,
+    )
     # Dynamic-graph runs: the snapshot epoch the walk pinned, and the
     # owning DynamicGraph's incremental sampler-maintenance counters
-    # (verification probes, mismatches, full-rebuild fallbacks).
-    graph_epoch: int | None = None
-    maintenance: MaintenanceStats | None = None
+    # (verification probes, mismatches, full-rebuild fallbacks) — a
+    # live reference, so never folded or checkpointed from here.
+    graph_epoch: int | None = counter(
+        "pinned dynamic-graph epoch",
+        fold="same",
+        kind="gauge",
+        packed=False,
+        default=None,
+    )
+    maintenance: MaintenanceStats | None = group(None, fold="keep")
 
     @property
     def pd_evaluations_per_step(self) -> float:
@@ -98,28 +126,6 @@ class WalkStats:
         if self.total_steps == 0:
             return 0.0
         return self.counters.trials / self.total_steps
-
-    def merge(self, other: WalkStats) -> None:
-        """Fold in a shard that ran concurrently: work counts add,
-        ``iterations`` and the loop wall clock take the slowest shard,
-        init time adds; ``graph_epoch`` / ``maintenance`` stay as is."""
-        self.counters.merge(other.counters)
-        self.termination.merge(other.termination)
-        self.total_steps += other.total_steps
-        self.teleports += other.teleports
-        self.full_scan_evaluations += other.full_scan_evaluations
-        self.messages_sent += other.messages_sent
-        self.iterations = max(self.iterations, other.iterations)
-        self.active_per_iteration = [
-            mine + theirs
-            for mine, theirs in itertools.zip_longest(
-                self.active_per_iteration, other.active_per_iteration, fillvalue=0
-            )
-        ]
-        self.wall_time_seconds = max(
-            self.wall_time_seconds, other.wall_time_seconds
-        )
-        self.init_time_seconds += other.init_time_seconds
 
     def summary(self) -> str:
         return (
@@ -143,7 +149,7 @@ def _next_metrics_source() -> str:
 
 
 @dataclass
-class ServiceMetrics:
+class ServiceMetrics(Counted, prefix="service"):
     """Accounting of the overload-robust serving layer.
 
     The invariant the soak tests pin: every submitted request resolves
@@ -176,48 +182,43 @@ class ServiceMetrics:
         the p50/p99 figures.
     """
 
-    submitted: int = 0
-    admitted: int = 0
-    served: int = 0
-    shed: int = 0
-    failed: int = 0
-    degraded: int = 0
-    deadline_hits: int = 0
-    queue_depth_peak: int = 0
+    submitted: int = counter("requests offered")
+    admitted: int = counter("requests queued")
+    served: int = counter("requests answered")
+    # Exported by cause through ``shed_reasons`` (record_shed keeps the
+    # two in step), so after a drain the conservation law holds in the
+    # export too: submitted == served + sum(service_shed) + failed.
+    shed: int = counter("requests shed", export=None)
+    failed: int = counter("requests that raised")
+    degraded: int = counter("requests served degraded")
+    deadline_hits: int = counter("served with a deadline-exceeded partial")
+    queue_depth_peak: int = counter(
+        "admission-queue high watermark", fold="max", kind="gauge"
+    )
     # Distributed requests (cluster-simulator executions) and their
     # straggler-tolerance activity, aggregated across requests.
-    distributed_runs: int = 0
-    straggler_suspicions: int = 0
-    walkers_rebalanced: int = 0
-    speculative_wins: int = 0
+    distributed_runs: int = counter("requests executed on the cluster simulator")
+    straggler_suspicions: int = counter("health-monitor suspicions while serving")
+    walkers_rebalanced: int = counter("walkers migrated off suspects while serving")
+    speculative_wins: int = counter("speculative copies that beat a straggler")
     # Dynamic-graph update stream committed through apply_updates.
-    updates_applied: int = 0
-    epochs_committed: int = 0
-    shed_reasons: dict[str, int] = field(default_factory=dict)
-    latencies_seconds: list[float] = field(default_factory=list)
+    updates_applied: int = counter("dynamic-graph updates committed")
+    epochs_committed: int = counter("dynamic-graph epochs committed")
+    shed_reasons: dict[str, int] = counter(
+        "requests shed by cause", export="service_shed", keyed="reason", default=dict
+    )
+    latencies_seconds: list[float] = series(
+        "submit-to-response latency",
+        DEFAULT_LATENCY_BUCKETS,
+        fold="samples",
+        export="service_request_latency_seconds",
+    )
     # Merge identity: every instance is a unique source; an aggregate
     # remembers which sources it has absorbed so re-delivering the same
     # shard delta (SupervisedPool retries, duplicated result messages)
     # cannot double-count.
-    source_id: str = field(default_factory=_next_metrics_source)
-    merged_sources: set[str] = field(default_factory=set)
-
-    # Additive counters folded by merge(); peak gauges and reason maps
-    # are handled separately.
-    _ADDITIVE_FIELDS = (
-        "submitted",
-        "admitted",
-        "served",
-        "failed",
-        "degraded",
-        "deadline_hits",
-        "distributed_runs",
-        "straggler_suspicions",
-        "walkers_rebalanced",
-        "speculative_wins",
-        "updates_applied",
-        "epochs_committed",
-    )
+    source_id: str = state(_next_metrics_source)
+    merged_sources: set[str] = state(set)
 
     @property
     def resolved(self) -> int:
@@ -250,17 +251,7 @@ class ServiceMetrics:
                 return False
             self.merged_sources.add(other.source_id)
             self.merged_sources |= other.merged_sources
-            for name in self._ADDITIVE_FIELDS:
-                setattr(self, name, getattr(self, name) + getattr(other, name))
-            self.shed += other.shed
-            for reason, count in other.shed_reasons.items():
-                self.shed_reasons[reason] = (
-                    self.shed_reasons.get(reason, 0) + count
-                )
-            self.queue_depth_peak = max(
-                self.queue_depth_peak, other.queue_depth_peak
-            )
-            self.latencies_seconds.extend(other.latencies_seconds)
+            super().merge(other)
         return True
 
     def record_shed(self, reason: str) -> None:

@@ -1,5 +1,6 @@
 """Deterministic-safe observability: metrics registry, span tracer,
-exporters, and adapters over the existing stat objects.
+exporters, and the declarations every stats class derives its merge,
+checkpoint packing and metric export from (:mod:`repro.obs.counted`).
 
 Design rules (docs/INTERNALS.md section 16):
 
@@ -14,11 +15,6 @@ Design rules (docs/INTERNALS.md section 16):
   (``engine.observe``); a disabled one is never bound.
 """
 
-from .adapters import (
-    registry_from_cluster_stats,
-    registry_from_service_metrics,
-    registry_from_walk_stats,
-)
 from .exporters import (
     to_chrome_trace,
     to_json_lines,
@@ -47,9 +43,6 @@ __all__ = [
     "Span",
     "Tracer",
     "default_clock",
-    "registry_from_cluster_stats",
-    "registry_from_service_metrics",
-    "registry_from_walk_stats",
     "to_chrome_trace",
     "to_json_lines",
     "to_prometheus_text",

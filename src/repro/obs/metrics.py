@@ -1,14 +1,14 @@
 """Typed metrics registry: counters, gauges, histograms.
 
-The registry is the single funnel for every number the repo already
-counts (``WalkStats``, ``ServiceMetrics``, ``ClusterStats``) and for
-new instrumentation.  Three properties drive the design:
+The registry is the export model of every number the repo counts:
+the stats classes project themselves into it
+(:meth:`repro.obs.counted.Counted.to_registry`), and new
+instrumentation can write to it directly.  Three properties drive the
+design:
 
-* **Mergeable across processes.**  SupervisedPool workers build a
-  registry in the child and ship it back for :meth:`MetricsRegistry.merge`
-  in the parent, so every instrument is a plain picklable dataclass and
-  merge is associative/commutative (counters add, gauges take the max
-  observed, histograms add bucket-wise).
+* **Mergeable.**  Every instrument is a plain picklable dataclass and
+  :meth:`MetricsRegistry.merge` is associative/commutative (counters
+  add, gauges take the max observed, histograms add bucket-wise).
 * **Fixed bucket boundaries.**  Histograms declare their boundaries at
   creation; merging two histograms with different boundaries is an
   error rather than a silent re-bucketing, so cross-shard percentile

@@ -42,7 +42,8 @@ from repro.core.stats import WalkStats
 from repro.core.trace import split_paths
 from repro.errors import ConfigError
 from repro.graph.csr import CSRGraph
-from repro.obs import MetricsRegistry, registry_from_walk_stats
+from repro.graph.dynamic import DynamicGraph, EpochSnapshot
+from repro.obs import MetricsRegistry
 from repro.service.breaker import RetryBudget
 from repro.service.deadline import Deadline
 from repro.service.pool import SupervisedPool
@@ -54,11 +55,9 @@ __all__ = ["ParallelWalkResult", "run_parallel_walk", "shard_config"]
 class ParallelWalkResult:
     """Merged outcome of a sharded walk execution.
 
-    ``metrics`` is the merged :class:`~repro.obs.MetricsRegistry`:
-    every shard builds a delta from its own :class:`WalkStats` inside
-    the worker process (labelled ``shard=<i>``), ships it back through
-    the supervised pool's result pipe, and the parent folds the deltas
-    — plus the pool's own supervision counters — into one registry.
+    ``metrics`` is one :class:`~repro.obs.MetricsRegistry`: the parent
+    projects every shard's :class:`WalkStats` into it under
+    ``shard=<i>``, beside the pool's own supervision counters.
     """
 
     stats: WalkStats
@@ -122,15 +121,12 @@ def shard_config(
 
 
 def _run_shard(args):
-    graph, program, shard_config_, deadline, index = args
+    graph, program, shard_config_, deadline = args
     engine = WalkEngine(graph, program, shard_config_)
     result = engine.run(deadline=deadline)
-    # Per-shard metric delta, built where the stats live (the worker
-    # process) and shipped back over the result pipe for merging.
-    delta = registry_from_walk_stats(result.stats, shard=str(index))
     # Two packed buffers cross the pipe, not one small array per walker.
     packed = None if result.paths is None else engine._recorder.packed()
-    return result.stats, packed, result.walkers.steps, result.status, delta
+    return result.stats, packed, result.walkers.steps, result.status
 
 
 def run_parallel_walk(
@@ -161,11 +157,12 @@ def run_parallel_walk(
     config = config if config is not None else WalkConfig()
     if isinstance(deadline, (int, float)):
         deadline = Deadline(float(deadline))
+    if isinstance(graph, DynamicGraph):
+        # One pin for every shard: a writer committing between worker
+        # starts must not leave shards walking different epochs.
+        graph = graph.snapshot()
     shards = shard_config(config, graph, num_workers)
-    payloads = [
-        (graph, program, shard, deadline, index)
-        for index, shard in enumerate(shards)
-    ]
+    payloads = [(graph, program, shard, deadline) for shard in shards]
     registry = MetricsRegistry()
 
     if len(shards) == 1 or num_workers == 1:
@@ -187,11 +184,14 @@ def run_parallel_walk(
         )
 
     merged = WalkStats()
+    if isinstance(graph, EpochSnapshot):
+        # The owner's live counters, not a worker's pickled copy.
+        merged.maintenance = graph.maintenance
     all_paths: list[np.ndarray] | None = [] if config.record_paths else None
     lengths = []
     status = "complete"
-    for stats, packed, steps, shard_status, delta in outputs:
-        registry.merge(delta)
+    for index, (stats, packed, steps, shard_status) in enumerate(outputs):
+        stats.to_registry(registry, shard=str(index))
         merged.merge(stats)
         if all_paths is not None and packed is not None:
             all_paths.extend(split_paths(*packed))

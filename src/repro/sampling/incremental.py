@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.errors import SamplingError
 from repro.graph.csr import CSRGraph
+from repro.obs.counted import Counted, counter
 from repro.sampling.alias import VertexAliasTables, build_alias_arrays
 from repro.sampling.its import VertexITSTables
 
@@ -49,7 +50,7 @@ __all__ = [
 
 
 @dataclass
-class MaintenanceStats:
+class MaintenanceStats(Counted, prefix="walk_sampler"):
     """Counters of the incremental-maintenance machinery.
 
     Attributes
@@ -69,13 +70,13 @@ class MaintenanceStats:
         failed — the graceful-degradation path.
     """
 
-    epochs_maintained: int = 0
-    vertices_rebuilt: int = 0
-    vertices_copied: int = 0
-    full_rebuilds: int = 0
-    verify_checks: int = 0
-    verify_mismatches: int = 0
-    verify_fallbacks: int = 0
+    epochs_maintained: int = counter("epochs whose tables were produced incrementally")
+    vertices_rebuilt: int = counter("vertex slices re-derived from scratch")
+    vertices_copied: int = counter("vertex slices copied from the previous epoch")
+    full_rebuilds: int = counter("sampler table builds that ran from scratch")
+    verify_checks: int = counter("self-verification probes executed")
+    verify_mismatches: int = counter("self-verification probes that failed")
+    verify_fallbacks: int = counter("incremental builds discarded for a full rebuild")
 
     def copy(self) -> "MaintenanceStats":
         return replace(self)

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ProgramError, SamplingError
+from repro.obs.counted import Counted, counter
 from repro.sampling.alias import VertexAliasTables
 from repro.sampling.its import VertexITSTables
 
@@ -83,15 +84,15 @@ class OutlierSpec:
 
 
 @dataclass
-class SamplingCounters:
+class SamplingCounters(Counted, prefix="walk"):
     """Work counters, the machine-independent quantities the paper
     reports (Table 1, Table 5, Figure 6 all plot Pd evaluations/step)."""
 
-    trials: int = 0
-    pd_evaluations: int = 0
-    pre_accepts: int = 0
-    appendix_trials: int = 0
-    accepts: int = 0
+    trials: int = counter("rejection-sampling trials", export="walk_sampling_trials")
+    pd_evaluations: int = counter("dynamic-component evaluations")
+    pre_accepts: int = counter("lower-bound pre-accepted trials")
+    appendix_trials: int = counter("trials that landed in an outlier appendix")
+    accepts: int = counter("accepted trials", export="walk_sampling_accepts")
 
     def acceptance_rate(self) -> float | None:
         """Observed accepts/trials, or ``None`` before any trials.
@@ -102,19 +103,8 @@ class SamplingCounters:
             return None
         return self.accepts / self.trials
 
-    def merge(self, other: "SamplingCounters") -> None:
-        self.trials += other.trials
-        self.pd_evaluations += other.pd_evaluations
-        self.pre_accepts += other.pre_accepts
-        self.appendix_trials += other.appendix_trials
-        self.accepts += other.accepts
-
     def reset(self) -> None:
-        self.trials = 0
-        self.pd_evaluations = 0
-        self.pre_accepts = 0
-        self.appendix_trials = 0
-        self.accepts = 0
+        self.unpack(np.zeros_like(self.pack()))
 
 
 def expected_trials(

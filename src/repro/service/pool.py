@@ -84,10 +84,9 @@ class SupervisedPool:
     registry:
         optional :class:`repro.obs.MetricsRegistry` (duck-typed) that
         receives the pool's supervision counters — tasks dispatched,
-        worker restarts, timeouts, worker exceptions.  Workers
-        themselves ship metric *deltas* back through the result pipe
-        (see :func:`repro.parallel._run_shard`); the registry here only
-        counts what the supervisor observed.
+        worker restarts, timeouts, worker exceptions: what the
+        supervisor observed.  What the tasks counted comes back in
+        their results (see :func:`repro.parallel.run_parallel_walk`).
     """
 
     def __init__(

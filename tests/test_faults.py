@@ -327,6 +327,61 @@ class TestFailureModes:
             RetryPolicy(max_attempts=0)
 
 
+class TestRollbackRestoresCountersInPlace:
+    """A crash rollback rewinds the checkpointed counters of the one
+    ``engine.stats`` object; it never swaps in a copy."""
+
+    PLAN = FaultPlan(seed=2, crashes=(NodeCrash(superstep=5, node=1),))
+
+    def _engine(self, graph, walk_graph=None):
+        config = WalkConfig(num_walkers=60, max_steps=16, record_paths=True, seed=3)
+        return DistributedWalkEngine(
+            walk_graph if walk_graph is not None else graph,
+            Node2Vec(p=0.5, q=2.0, biased=False),
+            config,
+            num_nodes=NUM_NODES,
+            fault_plan=self.PLAN,
+            checkpoint_every=4,
+        )
+
+    def test_stats_identity_and_live_maintenance_survive(self, graph):
+        from repro.graph.dynamic import DynamicGraph, EdgeUpdate
+
+        dyn = DynamicGraph(graph)
+        dyn.commit([EdgeUpdate("insert", 0, 1)])
+        engine = self._engine(graph, dyn)
+        stats_before = engine.stats
+        result = engine.run()
+        assert result.cluster.recovery.crashes == 1
+        assert result.cluster.recovery.replayed_supersteps >= 1
+        assert result.stats is stats_before is engine.stats
+        assert result.stats.maintenance is dyn.maintenance
+        assert result.stats.graph_epoch == 1
+
+    def test_paused_result_is_not_orphaned_and_clocks_run_forward(self, graph):
+        healthy = DistributedWalkEngine(
+            graph,
+            Node2Vec(p=0.5, q=2.0, biased=False),
+            WalkConfig(num_walkers=60, max_steps=16, record_paths=True, seed=3),
+            num_nodes=NUM_NODES,
+        ).run()
+        engine = self._engine(graph)
+        paused = engine.run(max_iterations=4)
+        assert paused.stats.wall_time_seconds > 0.0
+        # An unmistakable amount of host time already on the clock.
+        paused.stats.wall_time_seconds = wall_at_pause = 1000.0
+        init_seconds = paused.stats.init_time_seconds
+        finished = engine.run()  # the crash and its rollback happen here
+        assert finished.cluster.recovery.crashes == 1
+        # The first result still reads the live counters ...
+        assert paused.stats is finished.stats
+        assert paused.stats.total_steps == healthy.stats.total_steps
+        assert paused.stats.active_per_iteration == healthy.stats.active_per_iteration
+        # ... and the rollback did not rewind the host clocks.
+        assert finished.stats.wall_time_seconds > wall_at_pause
+        assert finished.stats.init_time_seconds == init_seconds
+
+
 def _degraded_plan(seed=23):
     """A ramping straggler plus a flaky high-RTT link."""
     return FaultPlan(

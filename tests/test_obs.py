@@ -1,8 +1,8 @@
 """Tests for the unified telemetry layer (repro.obs).
 
-Covers the registry/tracer primitives, the adapters over existing stat
-objects, the three exporter formats, and the integration contracts the
-issue pins: traced local runs nest Gather/Move/Update under supersteps,
+Covers the registry/tracer primitives, the stats classes' projection
+into the registry, the three exporter formats, and the integration
+contracts the issue pins: traced local runs nest Gather/Move/Update under supersteps,
 distributed walker hops stitch across node tracks via shared trace
 ids, a degraded cluster run's exported trace is bit-identical across
 replay, and a disabled tracer changes nothing.
@@ -26,9 +26,6 @@ from repro.obs import (
     Histogram,
     MetricsRegistry,
     Tracer,
-    registry_from_cluster_stats,
-    registry_from_service_metrics,
-    registry_from_walk_stats,
     to_chrome_trace,
     to_json_lines,
     to_prometheus_text,
@@ -212,7 +209,7 @@ class TestTracer:
 
 
 # ---------------------------------------------------------------------------
-# Adapters over the existing stat objects
+# The stats classes' projection (repro.obs.counted)
 # ---------------------------------------------------------------------------
 
 
@@ -220,7 +217,7 @@ class TestAdapters:
     def test_walk_stats_adapter(self, graph):
         config = WalkConfig(num_walkers=40, max_steps=10, seed=4)
         result = WalkEngine(graph, DeepWalk(), config).run()
-        registry = registry_from_walk_stats(result.stats)
+        registry = result.stats.to_registry()
         assert registry.value("walk_steps") == result.stats.total_steps
         assert (
             registry.value("walk_terminations", reason="step_limit")
@@ -232,7 +229,7 @@ class TestAdapters:
     def test_walk_stats_adapter_labels_propagate(self, graph):
         config = WalkConfig(num_walkers=10, max_steps=5, seed=4)
         result = WalkEngine(graph, DeepWalk(), config).run()
-        registry = registry_from_walk_stats(result.stats, shard="3")
+        registry = result.stats.to_registry(shard="3")
         assert registry.value("walk_steps", shard="3") > 0
 
     def test_service_metrics_adapter(self):
@@ -242,7 +239,7 @@ class TestAdapters:
         metrics.record_shed("queue_full")
         metrics.record_shed("queue_full")
         metrics.record_latency(0.02)
-        registry = registry_from_service_metrics(metrics)
+        registry = metrics.to_registry()
         assert registry.value("service_submitted") == 5
         assert registry.value("service_shed", reason="queue_full") == 2
         assert registry.get("service_request_latency_seconds").count == 1
@@ -253,7 +250,7 @@ class TestAdapters:
             graph, DeepWalk(), config, num_nodes=4
         )
         result = engine.run()
-        registry = registry_from_cluster_stats(result.cluster)
+        registry = result.cluster.to_registry()
         assert registry.value("cluster_nodes") == 4
         assert (
             registry.value("cluster_supersteps")

@@ -9,9 +9,11 @@ import pytest
 from repro.algorithms import DeepWalk, Node2Vec, PPR, UniformWalk
 from repro.core.config import WalkConfig
 from repro.core.engine import WalkEngine
-from repro.errors import ConfigError, WorkerError
+from repro.errors import ConfigError, ObsError, WorkerError
+from repro.graph.dynamic import DynamicGraph, EdgeUpdate
 from repro.graph.generators import uniform_degree_graph
 from repro.parallel import run_parallel_walk, shard_config
+from repro.service.pool import SupervisedPool
 
 from tests.helpers import diamond_graph
 
@@ -166,6 +168,64 @@ class TestParallelExecution:
         assert parallel.stats.pd_evaluations_per_step == pytest.approx(
             single.stats.pd_evaluations_per_step, rel=0.15
         )
+
+
+class CommitDuringSetup(UniformWalk):
+    """A writer that lands between the first shard's start and the
+    next one's."""
+
+    def __init__(self, dyn):
+        self.dyn = dyn
+
+    def setup_walkers(self, graph, walkers, rng):
+        if self.dyn.epoch == 1:
+            self.dyn.commit([EdgeUpdate("insert", 3, 4)])
+
+
+class TestDynamicGraphSharding:
+    """A sharded walk on a dynamic graph reports the epoch it pinned
+    and the graph's live maintenance counters, like an unsharded one."""
+
+    @pytest.fixture
+    def dyn(self, graph):
+        dyn = DynamicGraph(graph)
+        dyn.commit([EdgeUpdate("insert", 0, 1), EdgeUpdate("insert", 1, 2)])
+        return dyn
+
+    @pytest.mark.parametrize("pinned", [False, True], ids=["graph", "snapshot"])
+    def test_epoch_and_live_maintenance_survive_the_merge(self, dyn, pinned):
+        config = WalkConfig(num_walkers=40, max_steps=6, seed=2)
+        graph = dyn.snapshot() if pinned else dyn
+        result = run_parallel_walk(graph, DeepWalk(), config, num_workers=2)
+        assert result.num_workers == 2
+        assert result.stats.graph_epoch == 1
+        assert result.stats.maintenance is dyn.maintenance
+        for shard in ("0", "1"):
+            assert result.metrics.value("walk_graph_epoch", shard=shard) == 1
+
+    def test_one_snapshot_is_pinned_for_every_shard(self, dyn, monkeypatch):
+        """Each shard used to pin its own snapshot when its engine
+        started, so a commit in between split the walk across epochs."""
+        monkeypatch.setattr(
+            SupervisedPool,
+            "run",
+            lambda self, fn, payloads, describe=None: [fn(p) for p in payloads],
+        )
+        config = WalkConfig(num_walkers=40, max_steps=4, seed=2)
+        result = run_parallel_walk(
+            dyn, CommitDuringSetup(dyn), config, num_workers=2
+        )
+        assert dyn.epoch == 2
+        assert result.stats.graph_epoch == 1
+        assert result.metrics.value("walk_graph_epoch", shard="1") == 1
+
+    def test_merging_different_epochs_is_a_typed_error(self, dyn):
+        config = WalkConfig(num_walkers=10, max_steps=3, seed=2)
+        first = WalkEngine(dyn, DeepWalk(), config).run().stats
+        dyn.commit([EdgeUpdate("insert", 5, 6)])
+        second = WalkEngine(dyn, DeepWalk(), config).run().stats
+        with pytest.raises(ObsError, match="graph_epoch differs"):
+            first.merge(second)
 
 
 class RaisingWalk(UniformWalk):

@@ -157,8 +157,8 @@ class TestCheckpointResume:
         engine = make_engine("deepwalk")
         oracle = ReplayPathOracle.attach(engine)
         engine.run(max_iterations=4)
-        save_checkpoint(engine, tmp_path / "v3.npz")
-        with np.load(tmp_path / "v3.npz") as data:
+        save_checkpoint(engine, tmp_path / "v4.npz")
+        with np.load(tmp_path / "v4.npz") as data:
             payload = {key: data[key] for key in data.files}
         for key in ("checksum", "path_tokens", "path_counts"):
             del payload[key]
@@ -172,7 +172,7 @@ class TestCheckpointResume:
             [snapshot._payload_checksum(payload)], dtype=np.uint64
         )
         np.savez_compressed(tmp_path / "v2.npz", **payload)
-        with pytest.raises(SnapshotError, match=r"version 2 .*expected 3"):
+        with pytest.raises(SnapshotError, match=r"version 2 .*expected 4"):
             restore_checkpoint(
                 PLAIN, DeepWalk(), make_config("deepwalk"), tmp_path / "v2.npz"
             )

@@ -649,3 +649,22 @@ class TestWalkService:
         assert response.status == OK
         assert response.result.stats.total_steps == 24 * 5
         assert response.result.num_workers == 3
+
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_dynamic_graph_request_reports_its_epoch(self, graph, num_shards):
+        """Sharded or not, the response names the epoch the walk pinned
+        and its stats point at the graph's live maintenance counters."""
+        from repro.graph.dynamic import DynamicGraph, EdgeUpdate
+
+        dyn = DynamicGraph(graph)
+        config = WalkConfig(num_walkers=24, max_steps=5)
+        with WalkService(dyn, num_workers=1, queue_capacity=2) as service:
+            assert service.apply_updates([EdgeUpdate("insert", 0, 1)]) == 1
+            response = service.submit(
+                WalkRequest(
+                    program=UniformWalk(), config=config, num_shards=num_shards
+                )
+            ).wait(timeout=120.0)
+        assert response.status == OK
+        assert response.graph_epoch == 1
+        assert response.result.stats.maintenance is dyn.maintenance

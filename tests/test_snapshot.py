@@ -15,6 +15,7 @@ from repro.cluster import (
     FaultPlan,
     MessageFaults,
     NodeCrash,
+    NodeSlowdown,
 )
 from repro.core.config import WalkConfig
 from repro.core.engine import WalkEngine
@@ -224,6 +225,119 @@ class TestCorruptFiles:
             restore_checkpoint(graph, UniformWalk(), config, skewed)
 
 
+class _Exploit:
+    """Unpickling this would run ``FIRED.append``."""
+
+    FIRED: list = []
+
+    def __reduce__(self):
+        return (_Exploit.FIRED.append, ("executed",))
+
+
+def _pickled(obj):
+    import pickle
+
+    return np.frombuffer(pickle.dumps(obj), dtype=np.uint8)
+
+
+class TestMalformedContentIsTyped:
+    """A file with a valid checksum but impossible content — counter
+    arrays of the wrong length or with fractions, an RNG state that is
+    not six integers — raises :class:`SnapshotError` and executes
+    nothing it carries."""
+
+    CONFIG = WalkConfig(num_walkers=40, max_steps=12, seed=5)
+    OPTIONS = dict(
+        fault_plan=FaultPlan(
+            seed=11,
+            default_faults=MessageFaults(drop=0.05, duplicate=0.03),
+            slowdowns=(NodeSlowdown(node=1, factor=4.0),),
+        ),
+        checkpoint_every=4,
+    )
+
+    @pytest.fixture
+    def checkpoint(self, graph, tmp_path):
+        engine = DistributedWalkEngine(
+            graph, UniformWalk(), self.CONFIG, num_nodes=4, **self.OPTIONS
+        )
+        engine.run(max_iterations=6)
+        assert engine.health is not None
+        path = tmp_path / "dist.npz"
+        save_checkpoint(engine, path)
+        return path
+
+    def _restore(self, graph, path):
+        return restore_checkpoint(
+            graph, UniformWalk(), self.CONFIG, path, **self.OPTIONS
+        )
+
+    def test_intact_file_restores(self, graph, checkpoint):
+        assert self._restore(graph, checkpoint).stats.iterations == 6
+
+    MALFORMED = {
+        "stats-short": ("stats_scalars", lambda a: a[:5]),
+        "stats-long": ("stats_scalars", lambda a: np.append(a, 0)),
+        "stats-fraction": ("stats_scalars", lambda a: a + 0.5),
+        "stats-nan": ("stats_scalars", lambda a: a.astype(np.float64) * np.nan),
+        "stats-2d": ("stats_scalars", lambda a: a.reshape(1, -1)),
+        "stats-bool": ("stats_scalars", lambda a: a.astype(bool)),
+        "cluster-short": ("cluster_scalars", lambda a: a[:-1]),
+        "cluster-fraction": ("cluster_scalars", lambda a: a + 0.5),
+        "delivery-kind-missing": ("fault_counters", lambda a: a[:-1]),
+        "delivery-field-missing": ("fault_counters", lambda a: a[:, :-1]),
+        "delivery-1d": ("fault_counters", lambda a: a[0]),
+        "delivery-fraction": ("fault_counters", lambda a: a + 0.25),
+        "health-short": ("health_stats", lambda a: a[:-1]),
+        "health-fraction": ("health_stats", lambda a: a + 0.5),
+        "rng-short": ("rng_state", lambda a: a[:5]),
+        "rng-signed": ("rng_state", lambda a: a.astype(np.int64)),
+        "rng-float": ("rng_state", lambda a: a.astype(np.float64)),
+        "rng-flag-2": (
+            "rng_state",
+            lambda a: np.where(np.arange(6) == 4, 2, a).astype(a.dtype),
+        ),
+        "fault-rng-short": ("fault_rng_state", lambda a: a[:5]),
+        "fault-rng-bytes": ("fault_rng_state", lambda a: a.view(np.uint8)),
+    }
+
+    @pytest.mark.parametrize("key,edit", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_array_is_refused(self, graph, checkpoint, key, edit):
+        _rewrite(checkpoint, lambda arrays: arrays.update({key: edit(arrays[key])}))
+        with pytest.raises(SnapshotError):
+            self._restore(graph, checkpoint)
+
+    @pytest.mark.parametrize("key", ["rng_state", "fault_rng_state"])
+    def test_crafted_pickle_is_never_loaded(self, graph, checkpoint, key):
+        """Version 3 stored these as pickles of the generator state; a
+        crafted one ran code inside ``restore_checkpoint``."""
+        _Exploit.FIRED.clear()
+        _rewrite(checkpoint, lambda arrays: arrays.update({key: _pickled(_Exploit())}))
+        with pytest.raises(SnapshotError, match="RNG state"):
+            self._restore(graph, checkpoint)
+        assert _Exploit.FIRED == []
+
+    def test_version_3_file_is_refused_by_name(self, graph, checkpoint):
+        """Reading a v3 file's RNG state *is* the unpickling, so there
+        is no converter: it is refused naming both versions."""
+        engine = self._restore(graph, checkpoint)
+
+        def downgrade(arrays):
+            arrays["version"] = np.asarray([3])
+            arrays["rng_state"] = _pickled(engine._rng.bit_generator.state)
+
+        _rewrite(checkpoint, downgrade)
+        with pytest.raises(SnapshotError, match=r"version 3 .*expected 4"):
+            self._restore(graph, checkpoint)
+
+    def test_no_pickle_in_the_checkpoint_modules(self):
+        import repro.cluster.faults as faults
+        import repro.core.snapshot as snapshot
+
+        assert not hasattr(snapshot, "pickle")
+        assert not hasattr(faults, "pickle")
+
+
 class TestCorruptionIsTyped:
     """Damage is distinguishable from absence: torn or bit-flipped
     files raise :class:`SnapshotCorruptError` (a :class:`SnapshotError`
@@ -334,8 +448,8 @@ class TestDistributedCheckpoint:
 
     @pytest.mark.parametrize("with_table", [True, False])
     def test_owner_table_round_trip(self, graph, tmp_path, with_table):
-        """Saved with every checkpoint; a v3 file from before that (a
-        healthy run, no key) resumes on the partition's own table."""
+        """Saved with every checkpoint; a file without the key (what a
+        healthy run used to write) resumes on the partition's own table."""
         config = WalkConfig(num_walkers=60, max_steps=16, record_paths=True, seed=3)
         options = self.DEGRADED if with_table else dict(num_nodes=4)
 
