@@ -26,13 +26,18 @@ Quickstart::
     print(result.stats.summary())
 """
 
-from repro.core import (
-    WalkConfig,
-    WalkEngine,
-    WalkResult,
-    WalkerProgram,
-)
-from repro.errors import ReproError
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core import (
+        WalkConfig,
+        WalkEngine,
+        WalkResult,
+        WalkerProgram,
+    )
+    from repro.errors import ReproError
 
 __version__ = "1.0.0"
 
@@ -44,3 +49,9 @@ __all__ = [
     "ReproError",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    core=("WalkConfig", "WalkEngine", "WalkResult", "WalkerProgram"),
+    errors=("ReproError",),
+)

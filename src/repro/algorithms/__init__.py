@@ -13,21 +13,26 @@ plus :class:`~repro.algorithms.uniform.UniformWalk`, the unbiased
 static special case.
 """
 
-from repro.algorithms.avoiding import WindowedSelfAvoidingWalk
-from repro.algorithms.deepwalk import DeepWalk, build_corpus, deepwalk_config
-from repro.algorithms.metapath import MetaPathWalk, random_schemes
-from repro.algorithms.node2vec import Node2Vec, node2vec_config
-from repro.algorithms.nonbacktracking import NonBacktrackingWalk
-from repro.algorithms.ppr import (
-    DEFAULT_TERMINATION,
-    POWERWALK_TERMINATION,
-    PPR,
-    estimate_ppr,
-    ppr_config,
-)
-from repro.algorithms.rwr import RandomWalkWithRestart, rwr_config, rwr_scores
-from repro.algorithms.triangle import TriangleClosingWalk, common_neighbour_count
-from repro.algorithms.uniform import UniformWalk
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.algorithms.avoiding import WindowedSelfAvoidingWalk
+    from repro.algorithms.deepwalk import DeepWalk, build_corpus, deepwalk_config
+    from repro.algorithms.metapath import MetaPathWalk, random_schemes
+    from repro.algorithms.node2vec import Node2Vec, node2vec_config
+    from repro.algorithms.nonbacktracking import NonBacktrackingWalk
+    from repro.algorithms.ppr import (
+        DEFAULT_TERMINATION,
+        POWERWALK_TERMINATION,
+        PPR,
+        estimate_ppr,
+        ppr_config,
+    )
+    from repro.algorithms.rwr import RandomWalkWithRestart, rwr_config, rwr_scores
+    from repro.algorithms.triangle import TriangleClosingWalk, common_neighbour_count
+    from repro.algorithms.uniform import UniformWalk
 
 __all__ = [
     "UniformWalk",
@@ -51,3 +56,22 @@ __all__ = [
     "TriangleClosingWalk",
     "common_neighbour_count",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    avoiding=("WindowedSelfAvoidingWalk",),
+    deepwalk=("DeepWalk", "build_corpus", "deepwalk_config"),
+    metapath=("MetaPathWalk", "random_schemes"),
+    node2vec=("Node2Vec", "node2vec_config"),
+    nonbacktracking=("NonBacktrackingWalk",),
+    ppr=(
+        "DEFAULT_TERMINATION",
+        "POWERWALK_TERMINATION",
+        "PPR",
+        "estimate_ppr",
+        "ppr_config",
+    ),
+    rwr=("RandomWalkWithRestart", "rwr_config", "rwr_scores"),
+    triangle=("TriangleClosingWalk", "common_neighbour_count"),
+    uniform=("UniformWalk",),
+)

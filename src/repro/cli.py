@@ -32,33 +32,20 @@ import argparse
 import sys
 import time
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from repro.algorithms import (
-    DeepWalk,
-    MetaPathWalk,
-    Node2Vec,
-    PPR,
-    RandomWalkWithRestart,
-    UniformWalk,
-    random_schemes,
-)
-from repro.cluster import (
-    DistributedWalkEngine,
-    FaultPlan,
-    FlakyLink,
-    MessageFaults,
-    NodeCrash,
-    NodeSlowdown,
-)
 from repro.core.config import WalkConfig
 from repro.core.engine import WalkEngine
 from repro.errors import ReproError
 from repro.graph.datasets import DATASETS, load_dataset
-from repro.graph.hetero import assign_random_edge_types
 from repro.graph.io import load_edge_list
-from repro.obs import Tracer, to_prometheus_text, write_chrome_trace
+
+# Module level holds what every engine subcommand runs; anything one
+# subcommand or one flag needs (an algorithm, the cluster simulator,
+# exporters, the service, the analyzer) is imported where it is used.
+if TYPE_CHECKING:
+    from repro.cluster.faults import FaultPlan, FlakyLink, NodeCrash, NodeSlowdown
+    from repro.obs.tracer import Tracer
 
 __all__ = ["main", "build_parser"]
 
@@ -159,13 +146,14 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--seed", type=int, default=0)
     _add_obs_arguments(serve)
 
-    lint = subparsers.add_parser(
+    # Listed for ``repro --help`` only: main() hands ``repro lint ...`` to
+    # the analyzer's own parser (repro.lint.__main__), so its flags — and
+    # the 4k-line package behind them — load for that subcommand alone.
+    subparsers.add_parser(
         "lint",
         help="determinism & distributed-safety static analysis",
+        add_help=False,
     )
-    from repro.lint.cli import add_lint_arguments
-
-    add_lint_arguments(lint)
 
     sanitize = subparsers.add_parser(
         "sanitize",
@@ -315,16 +303,29 @@ def _load_graph(args: argparse.Namespace):
 
 def _build_program(args: argparse.Namespace, graph):
     if args.algorithm == "uniform":
+        from repro.algorithms.uniform import UniformWalk
+
         return UniformWalk(), graph
     if args.algorithm == "deepwalk":
+        from repro.algorithms.deepwalk import DeepWalk
+
         return DeepWalk(), graph
     if args.algorithm == "ppr":
+        from repro.algorithms.ppr import PPR
+
         return PPR(), graph
     if args.algorithm == "rwr":
+        from repro.algorithms.rwr import RandomWalkWithRestart
+
         return RandomWalkWithRestart(args.restart), graph
     if args.algorithm == "node2vec":
+        from repro.algorithms.node2vec import Node2Vec
+
         return Node2Vec(p=args.p, q=args.q), graph
     if args.algorithm == "metapath":
+        from repro.algorithms.metapath import MetaPathWalk, random_schemes
+        from repro.graph.hetero import assign_random_edge_types
+
         if graph.edge_types is None:
             graph = assign_random_edge_types(graph, 5, seed=args.seed + 91)
         schemes = random_schemes(10, 5, 5, seed=args.seed)
@@ -333,6 +334,8 @@ def _build_program(args: argparse.Namespace, graph):
 
 
 def _parse_crash(spec: str) -> NodeCrash:
+    from repro.cluster.faults import NodeCrash
+
     parts = spec.split(":")
     if len(parts) not in (2, 3) or (len(parts) == 3 and parts[2] != "dead"):
         raise ReproError(
@@ -347,6 +350,8 @@ def _parse_crash(spec: str) -> NodeCrash:
 
 
 def _parse_slowdown(spec: str) -> NodeSlowdown:
+    from repro.cluster.faults import NodeSlowdown
+
     parts = spec.split(":")
     if not 2 <= len(parts) <= 5:
         raise ReproError(
@@ -371,6 +376,8 @@ def _parse_slowdown(spec: str) -> NodeSlowdown:
 
 
 def _parse_flaky_link(spec: str) -> FlakyLink:
+    from repro.cluster.faults import FlakyLink, MessageFaults
+
     parts = spec.split(":")
     if not 3 <= len(parts) <= 6:
         raise ReproError(
@@ -396,6 +403,14 @@ def _parse_flaky_link(spec: str) -> FlakyLink:
 
 
 def _build_fault_plan(args: argparse.Namespace) -> FaultPlan | None:
+    asked = (
+        args.drop, args.duplicate, args.delay_rate,
+        args.crash, args.fault_slowdown, args.fault_flaky_link,
+    )
+    if not any(asked):  # every fault flag at its default: no simulator code
+        return None
+    from repro.cluster.faults import FaultPlan, MessageFaults
+
     rates = MessageFaults(
         drop=args.drop, duplicate=args.duplicate, delay=args.delay_rate
     )
@@ -404,8 +419,6 @@ def _build_fault_plan(args: argparse.Namespace) -> FaultPlan | None:
     flaky_links = tuple(
         _parse_flaky_link(spec) for spec in args.fault_flaky_link
     )
-    if not rates.active and not crashes and not slowdowns and not flaky_links:
-        return None
     if args.nodes <= 0:
         raise ReproError("fault injection requires --nodes > 0")
     return FaultPlan(
@@ -444,11 +457,15 @@ def _apply_update_stream(graph, args: argparse.Namespace):
 def _make_tracer(args: argparse.Namespace) -> Tracer | None:
     if args.emit_trace is None:
         return None
+    from repro.obs.tracer import Tracer
+
     return Tracer(sample_every=max(args.trace_sample, 1))
 
 
 def _write_trace(tracer: Tracer | None, args: argparse.Namespace) -> None:
     if tracer is not None:
+        from repro.obs.exporters import write_chrome_trace
+
         write_chrome_trace(tracer, args.emit_trace)
         print(
             f"trace written to {args.emit_trace} "
@@ -478,6 +495,8 @@ def _run_walk(args: argparse.Namespace) -> int:
     print(f"graph: {graph}")
     print(f"algorithm: {program!r}")
     if args.nodes > 0:
+        from repro.cluster.engine import DistributedWalkEngine
+
         engine = DistributedWalkEngine(
             graph,
             program,
@@ -496,6 +515,8 @@ def _run_walk(args: argparse.Namespace) -> int:
         print(result.cluster.report())
     print(f"termination: {result.stats.termination}")
     if args.emit_metrics is not None:
+        from repro.obs.exporters import to_prometheus_text
+
         registry = result.stats.to_registry()
         if args.nodes > 0:
             result.cluster.to_registry(registry)
@@ -554,6 +575,9 @@ def _synthetic_request(index: int, args: argparse.Namespace):
     heavy DeepWalk corpus jobs (20%), mid-priority node2vec (10%), and
     deadline-tight lookups (10%).
     """
+    from repro.algorithms.deepwalk import DeepWalk
+    from repro.algorithms.node2vec import Node2Vec
+    from repro.algorithms.uniform import UniformWalk
     from repro.service import WalkRequest
 
     kind = index % 10
@@ -589,8 +613,6 @@ def _synthetic_request(index: int, args: argparse.Namespace):
 
 
 def _run_serve(args: argparse.Namespace) -> int:
-    import time
-
     from repro.service import DegradationPolicy, WalkService
 
     graph = _load_graph(args)
@@ -634,6 +656,8 @@ def _run_serve(args: argparse.Namespace) -> int:
         f"failed={metrics.failed} exact={balanced}"
     )
     if args.emit_metrics is not None:
+        from repro.obs.exporters import to_prometheus_text
+
         registry = metrics.to_registry()
         with open(args.emit_metrics, "w", encoding="utf-8") as handle:
             handle.write(to_prometheus_text(registry))
@@ -678,6 +702,8 @@ def _run_sanitize(args: argparse.Namespace) -> int:
                 for batch in update_batches[:epoch]:
                     target.commit(batch)
             if args.nodes > 0:
+                from repro.cluster.engine import DistributedWalkEngine
+
                 return DistributedWalkEngine(
                     target,
                     program,
@@ -713,6 +739,8 @@ def _run_sanitize(args: argparse.Namespace) -> int:
 
 
 def _run_info(args: argparse.Namespace) -> int:
+    import numpy as np
+
     graph = _load_graph(args)
     stats = graph.degree_stats()
     degrees = graph.out_degrees()
@@ -729,9 +757,13 @@ def _run_info(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        if argv[:1] == ["lint"]:
+            from repro.lint.__main__ import main as lint_main
+
+            return lint_main(argv[1:])
+        args = build_parser().parse_args(argv)
         if args.command == "walk":
             return _run_walk(args)
         if args.command == "bench":
@@ -740,10 +772,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _run_info(args)
         if args.command == "serve":
             return _run_serve(args)
-        if args.command == "lint":
-            from repro.lint.cli import run_lint
-
-            return run_lint(args)
         if args.command == "sanitize":
             return _run_sanitize(args)
     except (ReproError, OSError) as error:

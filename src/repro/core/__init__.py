@@ -6,13 +6,18 @@ Exports the programming model (:class:`WalkerProgram`), configuration
 :mod:`repro.cluster`.
 """
 
-from repro.core.config import DEFAULT_WALK_LENGTH, WalkConfig
-from repro.core.engine import WalkEngine, WalkResult
-from repro.core.program import StateQuery, WalkerProgram
-from repro.core.snapshot import restore_checkpoint, save_checkpoint
-from repro.core.stats import TerminationBreakdown, WalkStats
-from repro.core.trace import PathRecorder
-from repro.core.walker import NO_VERTEX, WalkerSet, WalkerView
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.config import DEFAULT_WALK_LENGTH, WalkConfig
+    from repro.core.engine import WalkEngine, WalkResult
+    from repro.core.program import StateQuery, WalkerProgram
+    from repro.core.snapshot import restore_checkpoint, save_checkpoint
+    from repro.core.stats import TerminationBreakdown, WalkStats
+    from repro.core.trace import PathRecorder
+    from repro.core.walker import NO_VERTEX, WalkerSet, WalkerView
 
 __all__ = [
     "WalkConfig",
@@ -30,3 +35,14 @@ __all__ = [
     "save_checkpoint",
     "restore_checkpoint",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    config=("DEFAULT_WALK_LENGTH", "WalkConfig"),
+    engine=("WalkEngine", "WalkResult"),
+    program=("StateQuery", "WalkerProgram"),
+    snapshot=("restore_checkpoint", "save_checkpoint"),
+    stats=("TerminationBreakdown", "WalkStats"),
+    trace=("PathRecorder",),
+    walker=("NO_VERTEX", "WalkerSet", "WalkerView"),
+)

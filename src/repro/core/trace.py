@@ -17,21 +17,40 @@ here iterate rows or iterations, never moves (docs/INTERNALS.md,
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from itertools import islice
 
 import numpy as np
 
-__all__ = ["PathRecorder", "split_paths", "write_walks"]
+from repro._textblock import decimal, join_columns
+
+__all__ = ["BLOCK_ROWS", "PathRecorder", "split_paths", "write_walks"]
+
+# Walks formatted per write.  A constant, not an option: the only thing
+# it trades is the fixed cost per block (one id table, a dozen array
+# passes) against the text held at once.  The 12 000 x 81 corpus takes
+# 77 ms in 512-row blocks, 40 ms at 2 048, 34 ms at 4 096 and 34 ms in
+# one piece; ~1 MB of text per block buys all but the last 6 ms.
+BLOCK_ROWS = 2048
 
 
 def write_walks(handle, walks: Iterable[Sequence[int]]) -> None:
     """Write one whitespace-separated walk per line — the one corpus
     formatter; :func:`repro.analysis.load_corpus` reads it back.  Rows
-    go through the file's own buffer one at a time, so a |V|-walker
-    flush never holds more than a line of text."""
-    handle.writelines(
-        " ".join(map(str, np.asarray(walk, dtype=np.int64).tolist())) + "\n"
-        for walk in walks
-    )
+    are formatted :data:`BLOCK_ROWS` at a time (``repro._textblock``),
+    so a |V|-walker flush holds one block of text, not the corpus."""
+    rows = iter(walks)
+    while block := list(islice(rows, BLOCK_ROWS)):
+        lengths = np.fromiter(map(len, block), dtype=np.int64, count=len(block))
+        tokens = np.concatenate(block, dtype=np.int64, casting="unsafe")
+        # One slot per token; a walk without tokens still ends in a
+        # newline, so it gets one too: a placeholder 0, blanked below.
+        last = np.cumsum(np.maximum(lengths, 1)) - 1  # each walk's final slot
+        holes = last[lengths == 0]
+        words = decimal(np.insert(tokens, holes - np.arange(holes.size), 0))
+        words[holes] = 0
+        ends = np.full(len(words), ord(" "), dtype=np.uint8)
+        ends[last] = ord("\n")
+        handle.write(join_columns([words], [ends]))
 
 
 def split_paths(tokens: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:

@@ -24,7 +24,7 @@ __all__ = ["CSRGraph", "DegreeStats"]
 # Largest vertex count for which the packed (source, target) -> int64
 # key used by the batch adjacency fast path cannot overflow:
 # (limit - 1) * limit + (limit - 1) must stay below 2**63.
-_KEY_VERTEX_LIMIT = 3_037_000_499
+KEY_VERTEX_LIMIT = 3_037_000_499
 
 # Fibonacci-hashing multiplier (2**64 / golden ratio, odd).
 _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
@@ -336,7 +336,7 @@ class CSRGraph:
         key would overflow int64 (|V| >= ~3e9), in which case callers
         fall back to :meth:`_bound_batch`.
         """
-        if self.num_vertices >= _KEY_VERTEX_LIMIT:
+        if self.num_vertices >= KEY_VERTEX_LIMIT:
             return None
         if self._edge_keys is None:
             degrees = np.diff(self._offsets)

@@ -42,12 +42,12 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import GraphError, WalError
 from repro.graph.csr import CSRGraph
-from repro.graph.wal import WalRecoveryReport, WriteAheadLog
 from repro.sampling.incremental import (
     MaintenanceStats,
     default_static_weights,
@@ -57,6 +57,9 @@ from repro.sampling.incremental import (
     verify_alias_tables,
     verify_its_tables,
 )
+
+if TYPE_CHECKING:  # a graph without a log never loads the log's code
+    from repro.graph.wal import WalRecoveryReport, WriteAheadLog
 
 __all__ = [
     "DynamicGraph",
@@ -327,9 +330,11 @@ class DynamicGraph:
         self._retain_epochs = max(1, int(retain_epochs))
         self.stats = DynamicGraphStats()
         self.maintenance = MaintenanceStats()
-        self._wal = (
-            WriteAheadLog.create(str(wal_path)) if wal_path is not None else None
-        )
+        self._wal: WriteAheadLog | None = None
+        if wal_path is not None:
+            from repro.graph.wal import WriteAheadLog
+
+            self._wal = WriteAheadLog.create(str(wal_path))
         # Test-only hooks: corrupt one incrementally maintained entry
         # (to exercise the verification fallback) / crash between the
         # two steps of a durable compaction.
@@ -663,6 +668,8 @@ class DynamicGraph:
         read-only view of history; committing to it would fork the
         log).  A full replay reattaches the log for further appends.
         """
+        from repro.graph.wal import WriteAheadLog
+
         log, records, report = WriteAheadLog.open(str(wal_path))
         dynamic = cls(base, base_epoch=base_epoch, **kwargs)
         report.records_replayed = 0

@@ -136,6 +136,33 @@ class TestWalk:
         assert all(len(walk) == 7 for walk in walks)
 
 
+class TestHostileEdgeList:
+    """Each of these escaped as a bare exception (or, for nan, loaded
+    and skewed every alias table over that vertex); `repro walk` now
+    reports one `error: file:line: ...` line and a non-zero exit."""
+
+    @pytest.mark.parametrize(
+        "content, line",
+        [
+            (b"# vertices abc\n0 1\n", 1),  # was ValueError
+            (b"0 1\n1 \xe9\n", 2),  # was UnicodeDecodeError
+            (b"99999999999999999999 1\n", 1),  # was OverflowError
+            (b"0 1 1.0\n1 0 nan\n", 2),  # was accepted
+            (b"0 1\n1 0 2.5\n", 2),  # ragged: was weight 1.0 filled in
+        ],
+    )
+    def test_one_line_error_no_traceback(self, content, line, capsys, tmp_path):
+        path = tmp_path / "hostile.txt"
+        path.write_bytes(content)
+        code = main(
+            ["walk", "--edge-list", str(path), "--walkers", "5", "--length", "3"]
+        )
+        captured = capsys.readouterr()
+        assert code != 0
+        (message,) = captured.err.splitlines()
+        assert message.startswith(f"error: {path}:{line}:")
+
+
 class TestBench:
     def test_memory_experiment(self, capsys):
         assert main(["bench", "memory"]) == 0

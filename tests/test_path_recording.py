@@ -9,9 +9,12 @@ the recorder's state: partial results, checkpoints, crash rollback,
 streaming, and the unbounded layout's memory bound.
 """
 
+import io
+
 import numpy as np
 import pytest
 
+from repro._textblock import decimal
 from repro.algorithms import (
     PPR,
     DeepWalk,
@@ -27,6 +30,7 @@ from repro.core import snapshot
 from repro.core.config import WalkConfig
 from repro.core.engine import WalkEngine
 from repro.core.snapshot import restore_checkpoint, save_checkpoint
+from repro.core.trace import BLOCK_ROWS, write_walks
 from repro.errors import SnapshotError
 from repro.graph.generators import uniform_degree_graph
 from repro.graph.hetero import assign_random_edge_types
@@ -240,6 +244,126 @@ def test_streamed_file_equals_in_memory_paths(name, nodes, tmp_path):
     saved_lines = (tmp_path / "m.txt").read_bytes().splitlines()
     assert len(streamed_lines) == len(recorded)
     assert sorted(streamed_lines) == sorted(saved_lines)
+
+
+def reference_corpus(walks) -> str:
+    """The one-line-at-a-time formatter write_walks replaced."""
+    return "".join(" ".join(map(str, walk)) + "\n" for walk in walks)
+
+
+def written(walks) -> str:
+    handle = io.StringIO()
+    write_walks(handle, walks)
+    return handle.getvalue()
+
+
+class TestBlockWriterAgainstReference:
+    """write_walks formats BLOCK_ROWS walks at a time; every byte must
+    be what formatting one walk at a time wrote."""
+
+    @pytest.mark.parametrize(
+        "rows",
+        [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 7],
+    )
+    def test_row_counts_around_the_block(self, rows):
+        rng = np.random.default_rng(rows)
+        walks = [rng.integers(0, 300, size=n) for n in rng.integers(1, 6, size=rows)]
+        assert written(walks) == reference_corpus(w.tolist() for w in walks)
+
+    def test_digit_boundaries_and_large_ids(self):
+        walks = [[0], [9, 10], [99, 100, 101], [2**31, 2**62], [10, 9, 0]]
+        assert written(walks) == reference_corpus(walks)
+        assert written([[2**31 - 1, 2**31, 2**31 + 1]] * 5) == reference_corpus(
+            [[2**31 - 1, 2**31, 2**31 + 1]] * 5
+        )
+
+    def test_both_ways_of_formatting_a_block(self):
+        """decimal() looks ids up in a table when the block spans fewer
+        ids than it has tokens and peels digits otherwise: the same
+        walks renumbered far apart take the other way, and both match
+        the reference."""
+        rng = np.random.default_rng(3)
+        dense = [rng.integers(0, 50, size=n) for n in rng.integers(1, 30, size=400)]
+        spread = rng.integers(0, 2**62, size=50)
+        sparse = [spread[walk] for walk in dense]
+        tokens = np.concatenate(dense)
+        assert tokens.max() - tokens.min() < tokens.size  # the table's side
+        far = np.concatenate(sparse)
+        assert far.max() - far.min() >= far.size  # the arithmetic side
+        assert written(dense) == reference_corpus(w.tolist() for w in dense)
+        assert written(sparse) == reference_corpus(w.tolist() for w in sparse)
+
+    def test_decimal_is_str_of_int_on_either_side(self):
+        extremes = [-(2**63), -10, -9, -1, 0, 1, 9, 10, 2**63 - 1]
+        for values in (extremes, list(range(-30, 30)) * 2):
+            text = decimal(np.array(values, dtype=np.int64))
+            assert [bytes(row).replace(b"\0", b"").decode() for row in text] == [
+                str(v) for v in values
+            ]
+
+    def test_walks_without_tokens_keep_their_lines(self):
+        walks = [[], [4, 5], [], [], [6], []]
+        assert written(walks) == "\n4 5\n\n\n6\n\n"
+        assert written([[], []]) == "\n\n"
+
+    def test_ragged_walks_of_the_log_recorder(self):
+        paths = make_engine("ppr").run().paths  # unbounded: geometric lengths
+        assert len({len(path) for path in paths}) > 5
+        assert written(paths) == reference_corpus(p.tolist() for p in paths)
+
+
+@pytest.mark.parametrize("name", ["deepwalk", "ppr"])
+def test_streamed_bytes_are_the_reference_of_the_recorded_corpus(name, tmp_path):
+    """Same seed, streamed vs kept in memory: the file holds exactly
+    the reference formatting of as_corpus(), line order aside."""
+    engine = make_engine(name)
+    engine.run()
+    corpus = engine._recorder.as_corpus()
+    make_engine(
+        name,
+        config=make_config(
+            name, record_paths=False, stream_paths_to=str(tmp_path / "s.txt")
+        ),
+    ).run()
+    streamed = (tmp_path / "s.txt").read_text().splitlines(keepends=True)
+    assert sorted(streamed) == sorted(
+        reference_corpus(corpus).splitlines(keepends=True)
+    )
+
+
+@pytest.mark.parametrize("name", ["deepwalk", "rwr", "ppr"])
+def test_interrupted_stream_then_close_writes_each_walker_once(name, tmp_path):
+    """Pause a streaming run, close the recorder: finished walkers were
+    flushed as they ended, the rest are written by close(), nobody
+    twice — the lines are the paths an in-memory run paused at the same
+    iteration holds."""
+    overrides = {}
+    if name != "ppr":
+        overrides["termination_probability"] = 0.2  # some end before the pause
+    engine = make_engine(
+        name,
+        config=make_config(
+            name,
+            record_paths=False,
+            stream_paths_to=str(tmp_path / "s.txt"),
+            **overrides,
+        ),
+    )
+    result = engine.run(max_iterations=4)
+    assert result.status == "paused"
+    # The log layout (ppr) has no rows to flush before close() sorts it.
+    flushed = engine._recorder.lines_written
+    assert (flushed == 0) if name == "ppr" else (0 < flushed)
+    assert flushed < engine.config.num_walkers
+    engine._recorder.close()
+    engine._recorder.close()  # idempotent
+    kept = make_engine(name, config=make_config(name, **overrides))
+    partial = kept.run(max_iterations=4).paths
+    lines = (tmp_path / "s.txt").read_text().splitlines(keepends=True)
+    assert len(lines) == engine.config.num_walkers
+    assert sorted(lines) == sorted(
+        reference_corpus(p.tolist() for p in partial).splitlines(keepends=True)
+    )
 
 
 def test_unbounded_heavy_tail_memory_is_linear_in_moves():
