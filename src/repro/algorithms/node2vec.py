@@ -192,18 +192,13 @@ class Node2Vec(WalkerProgram):
     ) -> np.ndarray:
         previous = walkers.previous[walker_ids]
         candidates = graph.targets[candidate_edges]
-        values = np.full(walker_ids.size, self.inout_pd, dtype=np.float64)
-
-        first_step = previous == NO_VERTEX
-        is_return = candidates == previous
-        values[is_return] = self.return_pd
-        undecided = np.flatnonzero(~(is_return | first_step))
-        if undecided.size:
-            adjacent = graph.has_edges_batch(
-                previous[undecided], candidates[undecided]
-            )
-            values[undecided[adjacent]] = 1.0
-        values[first_step] = 1.0
+        # One adjacency query per lane: asking for the return and
+        # first-step lanes too (the latter about vertex 0) and
+        # overwriting them costs less than indexing around them.
+        adjacent = graph.has_edges_batch(np.maximum(previous, 0), candidates)
+        values = np.where(adjacent, 1.0, self.inout_pd)
+        values[candidates == previous] = self.return_pd
+        values[previous == NO_VERTEX] = 1.0
         return values
 
     def batch_state_queries(

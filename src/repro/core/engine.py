@@ -233,8 +233,13 @@ class WalkEngine:
             and self.sync_mode == "step"
         )
         self._scratch = KernelScratch()
+        # Whether Pe must look for dead ends at all: a property of the
+        # tables (no vertex without static mass), not of the run.
+        self._has_dead_ends = bool((self.tables.totals <= 0.0).any())
         self._has_custom_continue = (
             type(program).should_continue is not WalkerProgram.should_continue
+            or type(program).batch_should_continue
+            is not WalkerProgram.batch_should_continue
         )
         self._has_teleports = (
             type(program).teleport_targets is not WalkerProgram.teleport_targets
@@ -396,10 +401,11 @@ class WalkEngine:
         walkers = self.walkers
 
         # No out-edges with positive static mass: nothing to sample.
-        dead = self.tables.totals[walkers.current[active]] <= 0.0
-        if dead.any():
-            self._kill(active[dead], "by_dead_end")
-            active = active[~dead]
+        if self._has_dead_ends:
+            dead = self.tables.totals[walkers.current[active]] <= 0.0
+            if dead.any():
+                self._kill(active[dead], "by_dead_end")
+                active = active[~dead]
 
         if config.max_steps is not None and active.size:
             done = walkers.steps[active] >= config.max_steps
@@ -415,15 +421,7 @@ class WalkEngine:
                 active = active[~stop]
 
         if self._has_custom_continue and active.size:
-            keep = np.asarray(
-                [
-                    self.program.should_continue(
-                        self.graph, self.walkers.view(int(walker_id))
-                    )
-                    for walker_id in active
-                ],
-                dtype=bool,
-            )
+            keep = self.program.batch_should_continue(self.graph, walkers, active)
             if not keep.all():
                 self._kill(active[~keep], "by_step_limit")
                 active = active[keep]
@@ -501,39 +499,42 @@ class WalkEngine:
         """Move/Update tail of one trial round: apply the accepted
         transitions, advance rejection streaks, fire the zero-mass
         guard.  Returns the resolved-lane mask (moved or guarded)."""
-        moved = accepted.copy()
-        if accepted.any():
-            self._commit_moves(
-                walker_ids[accepted], self.graph.targets[edges[accepted]]
-            )
-
         stuck_lanes = np.flatnonzero(~accepted)
-        if stuck_lanes.size:
-            stuck = walker_ids[stuck_lanes]
-            # The streak advances by trials actually consumed, so the
-            # fused kernel (K trials per round) reaches the guard after
-            # the same trial budget as the single-trial kernel.
-            if trials_spent is None:
-                self._rejection_streak[stuck] += 1
-            else:
-                self._rejection_streak[stuck] += trials_spent[stuck_lanes]
-            # Positional indexing — walker_ids carries no ordering
-            # guarantee, so a sorted-array search would silently flag
-            # the wrong lane.
-            guarded_lanes = stuck_lanes[
-                self._rejection_streak[stuck] >= ZERO_MASS_GUARD_TRIALS
-            ]
-            if guarded_lanes.size:
-                if self._batch:
-                    # The guard always resolves a walker (kill or an
-                    # exact move), so every guarded lane leaves the
-                    # pending set.
-                    self._run_guard(walker_ids[guarded_lanes])
-                    moved[guarded_lanes] = True
-                else:
-                    for lane in guarded_lanes:
-                        if self._guard_walker(int(walker_ids[lane])):
-                            moved[lane] = True
+        if stuck_lanes.size < accepted.size:
+            # Every lane moving (a static walk's every round) needs no
+            # gather through the mask.
+            movers = accepted if stuck_lanes.size else slice(None)
+            self._commit_moves(
+                walker_ids[movers], self.graph.targets[edges[movers]]
+            )
+        if stuck_lanes.size == 0:
+            return accepted
+        stuck = walker_ids[stuck_lanes]
+        # The streak advances by trials actually consumed, so the
+        # fused kernel (K trials per round) reaches the guard after
+        # the same trial budget as the single-trial kernel.
+        if trials_spent is None:
+            self._rejection_streak[stuck] += 1
+        else:
+            self._rejection_streak[stuck] += trials_spent[stuck_lanes]
+        # Positional indexing — walker_ids carries no ordering
+        # guarantee, so a sorted-array search would silently flag
+        # the wrong lane.
+        guarded_lanes = stuck_lanes[
+            self._rejection_streak[stuck] >= ZERO_MASS_GUARD_TRIALS
+        ]
+        if guarded_lanes.size == 0:
+            return accepted
+        moved = accepted.copy()
+        if self._batch:
+            # The guard always resolves a walker (kill or an exact
+            # move), so every guarded lane leaves the pending set.
+            self._run_guard(walker_ids[guarded_lanes])
+            moved[guarded_lanes] = True
+        else:
+            for lane in guarded_lanes:
+                if self._guard_walker(int(walker_ids[lane])):
+                    moved[lane] = True
         return moved
 
     def _commit_moves(self, movers: np.ndarray, targets: np.ndarray) -> None:

@@ -149,11 +149,20 @@ class GatherContext:
     vertices: np.ndarray
     upper: np.ndarray
     lower: np.ndarray
-    main_area: np.ndarray
+    totals: np.ndarray  # per *vertex*: the static tables' masses
+    _main_area: np.ndarray | None = None
 
     @property
     def size(self) -> int:
         return self.walker_ids.size
+
+    @property
+    def main_area(self) -> np.ndarray:
+        """Main dartboard area per lane — only outlier appendices are
+        weighed against it, so it is computed when first asked for."""
+        if self._main_area is None:
+            self._main_area = self.totals[self.vertices] * self.upper
+        return self._main_area
 
     def take(self, lanes: np.ndarray) -> "GatherContext":
         """The sub-context of the given lane positions (or mask)."""
@@ -162,7 +171,8 @@ class GatherContext:
             vertices=self.vertices[lanes],
             upper=self.upper[lanes],
             lower=self.lower[lanes],
-            main_area=self.main_area[lanes],
+            totals=self.totals,
+            _main_area=None if self._main_area is None else self._main_area[lanes],
         )
 
 
@@ -179,13 +189,12 @@ def gather_stage(
     arrays (length |V|).
     """
     vertices = walkers.current[walker_ids]
-    upper = upper_bounds[vertices]
     return GatherContext(
         walker_ids=walker_ids,
         vertices=vertices,
-        upper=upper,
+        upper=upper_bounds[vertices],
         lower=lower_bounds[vertices],
-        main_area=tables.totals[vertices] * upper,
+        totals=tables.totals,
     )
 
 
@@ -196,9 +205,10 @@ class TrialOutcome:
     ``accepted`` and ``edges`` align with the context's ``walker_ids``:
     where ``accepted[i]`` is True, ``edges[i]`` holds the flat index of
     the sampled edge; elsewhere ``edges[i]`` is -1.  ``pd_lanes`` lists
-    the lane positions whose trial evaluated Pd (main-region misses of
-    the pre-acceptance floor plus appendix darts) — the cluster engine
-    charges one evaluation to each such lane's node.
+    the lane positions whose trial evaluated Pd — main-region misses of
+    the pre-acceptance floor, ascending, then appendix darts, ascending
+    — and the cluster engine charges one evaluation to each such lane's
+    node.  ``accepted`` is a fresh array the caller may keep or mutate.
     """
 
     accepted: np.ndarray
@@ -286,19 +296,52 @@ def batch_trial_round(
     outlier_edges, outlier_masses, appendix_area = outlier_appendices(
         graph, program, walkers, ctx
     )
-
-    accepted = np.zeros(count, dtype=bool)
-    edges = np.full(count, -1, dtype=np.int64)
     counters.trials += count
 
+    def main_trials(lanes):
+        """Main-region trials at lane positions ``lanes`` (``None``:
+        every lane, indexed by nothing); returns the accept mask and
+        edges aligned with them, and the positions that evaluated Pd."""
+        if lanes is None:
+            at, high, low = vertices, upper, lower
+        else:
+            at, high, low = vertices[lanes], upper[lanes], lower[lanes]
+        candidates = tables.sample_batch(at, rng)
+        darts = scratch.random(rng, "trial_darts", (at.size,))
+        darts *= high
+        ok = darts <= low
+        need = np.flatnonzero(~ok)
+        counters.pre_accepts += at.size - need.size
+        pd_at = need if lanes is None else lanes[need]
+        if need.size:
+            ids, chosen = walker_ids[pd_at], candidates[need]
+            if main_dynamic_comp is None:
+                dynamic = program.batch_dynamic_comp(graph, walkers, ids, chosen)
+            else:
+                dynamic = main_dynamic_comp(ids, chosen)
+            counters.pd_evaluations += need.size
+            if validate_bounds:
+                _validate_envelope(
+                    graph,
+                    dynamic,
+                    upper[pd_at],
+                    chosen,
+                    outlier_edges[pd_at] if outlier_edges is not None else None,
+                )
+            ok[need] = darts[need] <= dynamic
+        return ok, np.where(ok, candidates, -1), pd_at
+
     if appendix_area is None:
-        main_lanes = np.arange(count)
+        accepted, edges, pd_lanes = main_trials(None)
     else:
-        total_area = ctx.main_area + appendix_area
-        region = rng.random(count) * total_area
+        # Draw sizes below depend on the region split, so this branch
+        # keeps lane lists and scatters back.
+        region = rng.random(count) * (ctx.main_area + appendix_area)
         in_main = region < ctx.main_area
         main_lanes = np.flatnonzero(in_main)
         appendix_lanes = np.flatnonzero(~in_main)
+        accepted = np.zeros(count, dtype=bool)
+        edges = np.full(count, -1, dtype=np.int64)
         _appendix_trials(
             graph,
             program,
@@ -314,49 +357,14 @@ def batch_trial_round(
             accepted,
             edges,
         )
+        pd_lanes = appendix_lanes
+        if main_lanes.size:
+            accepted[main_lanes], edges[main_lanes], pd_main = main_trials(
+                main_lanes
+            )
+            pd_lanes = np.concatenate([pd_main, appendix_lanes])
 
-    pd_lanes = np.zeros(0, dtype=np.int64)
-    if main_lanes.size:
-        whole_batch = main_lanes.size == count
-        candidates = tables.sample_batch(
-            vertices if whole_batch else vertices[main_lanes], rng
-        )
-        darts = scratch.random(rng, "trial_darts", (main_lanes.size,))
-        darts *= upper if whole_batch else upper[main_lanes]
-        pre = darts <= (lower if whole_batch else lower[main_lanes])
-        counters.pre_accepts += int(pre.sum())
-        pre_lanes = main_lanes[pre]
-        accepted[pre_lanes] = True
-        edges[pre_lanes] = candidates[pre]
-
-        need = np.flatnonzero(~pre)
-        if need.size:
-            lanes = main_lanes[need]
-            if main_dynamic_comp is None:
-                dynamic = program.batch_dynamic_comp(
-                    graph, walkers, walker_ids[lanes], candidates[need]
-                )
-            else:
-                dynamic = main_dynamic_comp(walker_ids[lanes], candidates[need])
-            counters.pd_evaluations += need.size
-            if validate_bounds:
-                _validate_envelope(
-                    graph,
-                    dynamic,
-                    upper[lanes],
-                    candidates[need],
-                    outlier_edges[lanes] if outlier_edges is not None else None,
-                )
-            passed = darts[need] <= dynamic
-            ok_lanes = lanes[passed]
-            accepted[ok_lanes] = True
-            edges[ok_lanes] = candidates[need][passed]
-            pd_lanes = lanes
-
-    if appendix_area is not None and appendix_lanes.size:
-        pd_lanes = np.concatenate([pd_lanes, appendix_lanes])
-
-    counters.accepts += int(accepted.sum())
+    counters.accepts += np.count_nonzero(accepted)
     return TrialOutcome(accepted=accepted, edges=edges, pd_lanes=pd_lanes)
 
 

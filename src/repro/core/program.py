@@ -196,6 +196,18 @@ class WalkerProgram:
         Pe.  Default: always continue."""
         return True
 
+    def batch_should_continue(
+        self, graph: CSRGraph, walkers: WalkerSet, walker_ids: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`should_continue` per walker of ``walker_ids`` as one
+        bool array — the hook the engines call.  The default loops the
+        scalar hook."""
+        return np.fromiter(
+            (self.should_continue(graph, walkers.view(int(w))) for w in walker_ids),
+            dtype=bool,
+            count=walker_ids.size,
+        )
+
     def teleport_targets(
         self,
         graph: CSRGraph,

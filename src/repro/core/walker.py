@@ -94,10 +94,11 @@ class WalkerSet:
     # ------------------------------------------------------------------
     def move(self, walker_ids: np.ndarray, new_vertices: np.ndarray) -> None:
         """Advance walkers one step: previous <- current <- target."""
+        left = self.current[walker_ids]
         if self.history is not None:
             self.history[walker_ids, 1:] = self.history[walker_ids, :-1]
-            self.history[walker_ids, 0] = self.current[walker_ids]
-        self.previous[walker_ids] = self.current[walker_ids]
+            self.history[walker_ids, 0] = left
+        self.previous[walker_ids] = left
         self.current[walker_ids] = new_vertices
         self.steps[walker_ids] += 1
 

@@ -28,7 +28,9 @@ KEY_VERTEX_LIMIT = 3_037_000_499
 
 # Fibonacci-hashing multiplier (2**64 / golden ratio, odd).
 _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
-_EMPTY_SLOT = np.int64(-1)
+# Below every key a query can form: sources are >= NO_VERTEX (-1), so
+# keys are >= -|V| — an empty slot never matches one.
+_EMPTY_SLOT = np.int64(np.iinfo(np.int64).min)
 
 
 def _hash_slots(keys: np.ndarray, bits: int) -> np.ndarray:
@@ -367,7 +369,8 @@ class CSRGraph:
         if self._key_hash is None:
             self._key_hash = _build_key_hash(keys)
         table, bits = self._key_hash
-        queries = sources * np.int64(self.num_vertices) + targets
+        queries = sources * np.int64(self.num_vertices)
+        queries += targets
         return _key_hash_contains(table, bits, queries)
 
     def edge_span_batch(

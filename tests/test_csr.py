@@ -133,8 +133,10 @@ class TestMembership:
         assert graph.edge_index(0, 3) == -1
 
     def test_has_edges_batch_matches_scalar(self):
+        """Every source from NO_VERTEX up: the packed key of (-1, |V|-1)
+        is -1, which an empty hash slot once answered "present" to."""
         graph = diamond_graph()
-        sources, targets = np.meshgrid(np.arange(4), np.arange(4), indexing="ij")
+        sources, targets = np.meshgrid(np.arange(-1, 4), np.arange(4), indexing="ij")
         sources, targets = sources.ravel(), targets.ravel()
         batch = graph.has_edges_batch(sources, targets)
         scalar = [graph.has_edge(int(s), int(t)) for s, t in zip(sources, targets)]

@@ -110,12 +110,37 @@ class TestTermination:
             def should_continue(self, graph, walker):
                 return walker.step == 0 or walker.current % 2 == 1
 
-        config = WalkConfig(num_walkers=40, max_steps=50, record_paths=True)
-        result = WalkEngine(graph, Homesick(), config).run()
+        class BatchHomesick(UniformWalk):
+            """The same rule through the batch hook alone."""
+
+            def batch_should_continue(self, graph, walkers, walker_ids):
+                return (walkers.steps[walker_ids] == 0) | (
+                    walkers.current[walker_ids] % 2 == 1
+                )
+
+        class Kills(list):
+            def on_kills(self, walker_ids):
+                self.append(walker_ids.tolist())
+
+        def walk(program):
+            kills = Kills()
+            config = WalkConfig(num_walkers=40, max_steps=50, record_paths=True)
+            engine = WalkEngine(graph, program, config)
+            engine.observe(kills)
+            return engine.run(), kills
+
+        result, kills = walk(Homesick())
         for path in result.paths:
             if len(path) > 1:
                 for vertex in path[1:-1]:
                     assert vertex % 2 == 1
+        assert result.stats.termination.by_step_limit == 40
+        assert result.stats.iterations < 50  # the hook ended them, not max_steps
+
+        twin, twin_kills = walk(BatchHomesick())
+        assert twin_kills == kills
+        assert twin.stats.termination == result.stats.termination
+        assert [p.tolist() for p in twin.paths] == [p.tolist() for p in result.paths]
 
 
 class TestStatsConsistency:

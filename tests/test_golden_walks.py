@@ -18,6 +18,16 @@ of a chaotic and a degraded run.  Those were generated at the commit
 before PR 17 rewrote the simulator's accounting: a faster simulator
 must charge exactly what the slower one did.
 
+The workload cells all walk an undirected, unweighted, degree-6 graph
+with an unfolded node2vec — no dead end, no weight, no appendix — so
+six ``BRANCH_CELLS`` run the two branches they leave dark: darts
+landing in outlier appendices (folded node2vec on a weighted graph,
+with and without main-region rejections beside them) and the dead-end
+side of the Update stage (DeepWalk with a termination coin on a
+directed graph with sinks), each local and 4-node.  They were generated
+at the commit before PR 20 rewrote the kernel's lane bookkeeping, and
+also pin the counters that prove the branch ran.
+
 A change that intentionally alters the RNG stream or the work counts
 regenerates the table with ``python -m tests.test_golden_walks`` and
 says so in its description.
@@ -37,8 +47,18 @@ from repro.cluster import (
     NodeSlowdown,
     StragglerPolicy,
 )
+from repro.algorithms import DeepWalk, Node2Vec
+from repro.core.config import WalkConfig
+from repro.graph.builder import assign_random_weights
+from repro.graph.generators import erdos_renyi_graph
 from repro.lint.sanitizer import DeterminismTracer
-from tests.test_path_recording import WORKLOADS, make_config, make_engine
+from tests.test_path_recording import (
+    PLAIN,
+    WORKLOADS,
+    make_config,
+    make_engine,
+    make_walk_engine,
+)
 
 # The five workloads cover static, trial-paced, fused, teleporting and
 # unbounded walks; nodes=0 is the local engine.
@@ -164,6 +184,50 @@ def measure_fault(cell: str) -> dict:
     return digest(
         make_engine("node2vec", nodes=4, config=config, **FAULT_CELLS[cell])
     )
+
+
+# name -> (program factory, graph, config).  1/p = 4 towers over the
+# folded envelope max(1, 1/q), so darts land in the return edge's
+# appendix; with q = 1 envelope and floor coincide and every main dart
+# pre-accepts, with q = 0.5 main darts also evaluate Pd and get
+# rejected beside the appendix ones.  A mean out-degree of 2 leaves
+# about one vertex in seven a sink.
+WEIGHTED = assign_random_weights(PLAIN, seed=3)
+BOUNDED = WalkConfig(num_walkers=120, max_steps=12, seed=9, record_paths=True)
+BRANCH_CELLS = {
+    "node2vec-folded-weighted": (
+        lambda: Node2Vec(p=0.25, q=1.0), WEIGHTED, BOUNDED
+    ),
+    "node2vec-folded-rejecting": (
+        lambda: Node2Vec(p=0.25, q=0.5), WEIGHTED, BOUNDED
+    ),
+    "deepwalk-directed-sinks": (
+        DeepWalk,
+        erdos_renyi_graph(150, 2.0, seed=4),
+        WalkConfig(
+            num_walkers=120,
+            max_steps=12,
+            termination_probability=0.1,
+            seed=9,
+            record_paths=True,
+        ),
+    ),
+}
+BRANCH_IDS = [
+    f"{name}-{where}" for name in sorted(BRANCH_CELLS) for where in ("local", "4node")
+]
+
+
+def measure_branch(cell: str) -> dict:
+    name, where = cell.rsplit("-", 1)
+    make_program, graph, config = BRANCH_CELLS[name]
+    engine = make_walk_engine(
+        graph, make_program(), config, nodes=0 if where == "local" else 4
+    )
+    summary = digest(engine)
+    summary["appendix_trials"] = int(engine.stats.counters.appendix_trials)
+    summary["termination"] = _fields(engine.stats.termination)
+    return summary
 
 
 GOLDEN: dict[str, dict] = {
@@ -619,6 +683,135 @@ GOLDEN: dict[str, dict] = {
             "restored_walkers": 24,
         },
     },
+    "deepwalk-directed-sinks-local": {
+        "rolling_hash": "ae0f23f30d80595628dfdf4ef635c49c",
+        "paths": "c86b6abca8ee24bc8e29638976f205fb",
+        "total_steps": 354,
+        "trials": 354,
+        "pd_evaluations": 0,
+        "full_scan_evaluations": 0,
+        "messages_sent": 0,
+        "appendix_trials": 0,
+        "termination": {
+            "by_step_limit": 6,
+            "by_probability": 40,
+            "by_dead_end": 74,
+        },
+    },
+    "deepwalk-directed-sinks-4node": {
+        "rolling_hash": "a186485762c29020462d5234a335fad1",
+        "paths": "c86b6abca8ee24bc8e29638976f205fb",
+        "total_steps": 354,
+        "trials": 354,
+        "pd_evaluations": 0,
+        "full_scan_evaluations": 0,
+        "messages_sent": 266,
+        "trials_per_node": [115, 90, 72, 77],
+        "pd_evaluations_per_node": [0, 0, 0, 0],
+        "simulated_seconds": "0x1.0cafe6b8056a7p-12",
+        "num_supersteps": 13,
+        "light_mode_node_supersteps": 52,
+        "walker_supersteps_per_node": [158, 116, 96, 104],
+        "bytes": 8512,
+        "local_deliveries": 88,
+        "matrices": {
+            "STATE_QUERY": "2ca5d3f9f96a9545",
+            "QUERY_RESPONSE": "2ca5d3f9f96a9545",
+            "WALKER_MIGRATE": "dac56e56b3c03e97",
+        },
+        "appendix_trials": 0,
+        "termination": {
+            "by_step_limit": 6,
+            "by_probability": 40,
+            "by_dead_end": 74,
+        },
+    },
+    "node2vec-folded-rejecting-local": {
+        "rolling_hash": "1eda7790ab12ba0993f8bd2eecd27101",
+        "paths": "fdb079224a8de1d2523ab5373367aaa8",
+        "total_steps": 1440,
+        "trials": 1625,
+        "pd_evaluations": 852,
+        "full_scan_evaluations": 0,
+        "messages_sent": 0,
+        "appendix_trials": 114,
+        "termination": {
+            "by_step_limit": 120,
+            "by_probability": 0,
+            "by_dead_end": 0,
+        },
+    },
+    "node2vec-folded-rejecting-4node": {
+        "rolling_hash": "2686a4b244a687865313420c3366ddf5",
+        "paths": "fdb079224a8de1d2523ab5373367aaa8",
+        "total_steps": 1440,
+        "trials": 1625,
+        "pd_evaluations": 852,
+        "full_scan_evaluations": 0,
+        "messages_sent": 1950,
+        "trials_per_node": [429, 398, 449, 349],
+        "pd_evaluations_per_node": [229, 213, 244, 166],
+        "simulated_seconds": "0x1.79ad15217a4e3p-11",
+        "num_supersteps": 20,
+        "light_mode_node_supersteps": 80,
+        "walker_supersteps_per_node": [468, 425, 470, 382],
+        "bytes": 52536,
+        "local_deliveries": 560,
+        "matrices": {
+            "STATE_QUERY": "cb3b972d8dea57f4",
+            "QUERY_RESPONSE": "073786802bac034a",
+            "WALKER_MIGRATE": "799f807785f8c27b",
+        },
+        "appendix_trials": 114,
+        "termination": {
+            "by_step_limit": 120,
+            "by_probability": 0,
+            "by_dead_end": 0,
+        },
+    },
+    "node2vec-folded-weighted-local": {
+        "rolling_hash": "76ac33385546d4b04024d26eaa24ea27",
+        "paths": "d46cc7af998a5f35166ebb6f52ff723b",
+        "total_steps": 1440,
+        "trials": 1440,
+        "pd_evaluations": 302,
+        "full_scan_evaluations": 0,
+        "messages_sent": 0,
+        "appendix_trials": 302,
+        "termination": {
+            "by_step_limit": 120,
+            "by_probability": 0,
+            "by_dead_end": 0,
+        },
+    },
+    "node2vec-folded-weighted-4node": {
+        "rolling_hash": "b0fccd8dcd6d7576ea817afe407654cf",
+        "paths": "d46cc7af998a5f35166ebb6f52ff723b",
+        "total_steps": 1440,
+        "trials": 1440,
+        "pd_evaluations": 302,
+        "full_scan_evaluations": 0,
+        "messages_sent": 1103,
+        "trials_per_node": [414, 372, 359, 295],
+        "pd_evaluations_per_node": [85, 70, 76, 71],
+        "simulated_seconds": "0x1.c960dc8eb6bcap-12",
+        "num_supersteps": 13,
+        "light_mode_node_supersteps": 52,
+        "walker_supersteps_per_node": [443, 398, 389, 330],
+        "bytes": 35296,
+        "local_deliveries": 337,
+        "matrices": {
+            "STATE_QUERY": "2ca5d3f9f96a9545",
+            "QUERY_RESPONSE": "2ca5d3f9f96a9545",
+            "WALKER_MIGRATE": "3a6e994bfa5425e0",
+        },
+        "appendix_trials": 302,
+        "termination": {
+            "by_step_limit": 120,
+            "by_probability": 0,
+            "by_dead_end": 0,
+        },
+    },
 }
 
 
@@ -632,9 +825,20 @@ def test_faulty_run_reproduces_golden_bill(cell):
     assert measure_fault(cell) == GOLDEN[cell]
 
 
+@pytest.mark.parametrize("cell", BRANCH_IDS)
+def test_dark_branch_reproduces_golden_digest(cell):
+    golden = GOLDEN[cell]
+    assert measure_branch(cell) == golden
+    if cell.startswith("node2vec"):
+        assert golden["appendix_trials"] > 0
+    else:
+        assert golden["termination"]["by_dead_end"] > 0
+
+
 if __name__ == "__main__":
     import pprint
 
     table = {cell_id(cell): measure(cell) for cell in CELLS}
     table.update({cell: measure_fault(cell) for cell in sorted(FAULT_CELLS)})
+    table.update({cell: measure_branch(cell) for cell in BRANCH_IDS})
     pprint.pprint(table, width=100, sort_dicts=False)

@@ -74,11 +74,18 @@ def make_config(name, **overrides):
 def make_engine(name, *, nodes=0, config=None, **engine_kwargs):
     make_program, graph, _ = WORKLOADS[name]
     config = config if config is not None else make_config(name)
+    return make_walk_engine(
+        graph, make_program(), config, nodes=nodes, **engine_kwargs
+    )
+
+
+def make_walk_engine(graph, program, config, *, nodes=0, **engine_kwargs):
+    """The local engine, or the distributed one on ``nodes`` nodes."""
     if nodes:
         return DistributedWalkEngine(
-            graph, make_program(), config, num_nodes=nodes, **engine_kwargs
+            graph, program, config, num_nodes=nodes, **engine_kwargs
         )
-    return WalkEngine(graph, make_program(), config, **engine_kwargs)
+    return WalkEngine(graph, program, config, **engine_kwargs)
 
 
 def as_lists(paths):
