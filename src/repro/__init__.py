@@ -26,32 +26,13 @@ Quickstart::
     print(result.stats.summary())
 """
 
-from typing import TYPE_CHECKING
-
 from repro._lazy import lazy_exports
-
-if TYPE_CHECKING:
-    from repro.core import (
-        WalkConfig,
-        WalkEngine,
-        WalkResult,
-        WalkerProgram,
-    )
-    from repro.errors import ReproError
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "WalkConfig",
-    "WalkEngine",
-    "WalkResult",
-    "WalkerProgram",
-    "ReproError",
-    "__version__",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__all__, __getattr__, __dir__ = lazy_exports(
     globals(),
     core=("WalkConfig", "WalkEngine", "WalkResult", "WalkerProgram"),
     errors=("ReproError",),
 )
+__all__.append("__version__")

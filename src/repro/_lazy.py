@@ -4,21 +4,18 @@ A package ``__init__`` that imports every submodule makes each process
 pay for code it never runs: ``import repro.graph.csr`` used to load the
 dynamic-graph store, the write-ahead log and — through them — the
 samplers and the metric exporters.  With :func:`lazy_exports` the
-package names where each public name lives and the submodule is imported
-the first time the name is asked for::
+package states once where each public name lives, and the submodule is
+imported the first time the name is asked for::
 
-    if TYPE_CHECKING:                      # what mypy and repro.lint read
-        from repro.graph.csr import CSRGraph, DegreeStats
-
-    __all__ = ["CSRGraph", "DegreeStats"]
-
-    __getattr__, __dir__ = lazy_exports(
+    __all__, __getattr__, __dir__ = lazy_exports(
         globals(), csr=("CSRGraph", "DegreeStats")
     )
 
-Adding an export is one name in each of the three places; a name that
-is in one and not another fails at import (here) or in
-``tests/test_imports.py`` (the ``TYPE_CHECKING`` block).
+That call is the single declaration: ``__all__`` is derived from it,
+and ``repro.lint``'s alias index reads the same keyword groups from the
+source (``lint/flow/ir.py``), so adding an export is one name in one
+place.  ``tests/test_imports.py`` checks that every declared name
+resolves from its stated submodule.
 """
 
 from __future__ import annotations
@@ -31,23 +28,22 @@ __all__ = ["lazy_exports"]
 
 def lazy_exports(
     namespace: dict[str, Any], **submodules: tuple[str, ...]
-) -> tuple[Callable[[str], Any], Callable[[], list[str]]]:
-    """``(__getattr__, __dir__)`` for the package whose ``globals()`` is
-    *namespace*: each keyword names a submodule and the public names it
-    provides.  A resolved name is stored in *namespace*, so the hook
-    runs once per name."""
+) -> tuple[list[str], Callable[[str], Any], Callable[[], list[str]]]:
+    """``(__all__, __getattr__, __dir__)`` for the package whose
+    ``globals()`` is *namespace*: each keyword names a submodule and the
+    public names it provides.  A resolved name is stored in *namespace*,
+    so the hook runs once per name.  A name stated under two submodules
+    fails at import."""
     package = namespace["__name__"]
+    names = [name for group in submodules.values() for name in group]
     home = {
         name: f"{package}.{submodule}"
-        for submodule, names in submodules.items()
-        for name in names
+        for submodule, group in submodules.items()
+        for name in group
     }
-    declared = set(namespace["__all__"])
-    mismatch = (declared - set(namespace)) ^ set(home)
-    if mismatch:
-        raise ImportError(
-            f"{package}: __all__ and lazy_exports() disagree on {sorted(mismatch)}"
-        )
+    if len(home) != len(names):
+        twice = sorted({name for name in names if names.count(name) > 1})
+        raise ImportError(f"{package}: lazy_exports() states {twice} twice")
 
     def __getattr__(name: str) -> Any:
         try:
@@ -60,6 +56,6 @@ def lazy_exports(
         return value
 
     def __dir__() -> list[str]:
-        return sorted(declared.union(namespace))
+        return sorted(home.keys() | namespace.keys())
 
-    return __getattr__, __dir__
+    return names, __getattr__, __dir__

@@ -303,8 +303,7 @@ class DistributedWalkEngine(WalkEngine):
             validate_bounds=validate_bounds,
             fuse_trials=fuse_trials,
         )
-        # self.graph, not the raw argument: the base class may have
-        # unwrapped a DynamicGraph/EpochSnapshot into its epoch's CSR.
+        # self.graph, not the raw argument: the prepared graph's CSR.
         self.partition: ContiguousPartition = partition_graph(
             self.graph, num_nodes
         )
@@ -376,6 +375,31 @@ class DistributedWalkEngine(WalkEngine):
         self._executed_supersteps = 0
 
     # ------------------------------------------------------------------
+    # Run state adds the cluster's logical counters.  Superstep times,
+    # the fault plane, node liveness and the owner table are physical
+    # truths, not run state: a checkpoint file stores them beside this
+    # dict, a rollback leaves them alone.
+    def _live_state(self) -> dict[str, np.ndarray]:
+        cluster = self.cluster
+        return {
+            **super()._live_state(),
+            "cluster_trials_per_node": cluster.trials_per_node,
+            "cluster_pd_per_node": cluster.pd_evaluations_per_node,
+            "cluster_walker_supersteps_per_node": cluster.walker_supersteps_per_node,
+        }
+
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        return {
+            **super().state_arrays(),
+            "cluster_scalars": self.cluster.pack(),
+            **self.network.state_arrays(),
+        }
+
+    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        super().load_state_arrays(arrays)
+        self.cluster.unpack(arrays["cluster_scalars"])
+        self.network.load_arrays(arrays)
+
     def _result(self, status: str) -> DistributedWalkResult:
         return DistributedWalkResult(
             self.stats, self.walkers, self._finish_paths(), status, self.cluster

@@ -338,17 +338,19 @@ class Network:
     # replayed supersteps resend messages for real, while injected
     # faults are external events that never rewind.
     # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict[str, np.ndarray]:
-        """Copy of the logical message counters, one row per kind."""
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        """Copy of the logical message counters by checkpoint key, one
+        row per kind."""
+        kinds = list(MessageKind)
         return {
-            "messages": np.stack([self._messages[kind] for kind in MessageKind]),
-            "local": np.asarray([self._local[kind] for kind in MessageKind]),
-            "scattered": np.stack([self._scattered[kind] for kind in MessageKind]),
+            "cluster_net_messages": np.stack([self._messages[k] for k in kinds]),
+            "cluster_net_local": np.asarray([self._local[k] for k in kinds]),
+            "cluster_net_scattered": np.stack([self._scattered[k] for k in kinds]),
         }
 
-    def restore_state(self, state: dict[str, np.ndarray]) -> None:
-        """Reset the logical counters to a :meth:`snapshot_state`."""
+    def load_arrays(self, state: dict[str, np.ndarray]) -> None:
+        """Reset the logical counters to a :meth:`state_arrays`."""
         for index, kind in enumerate(MessageKind):
-            self._messages[kind][:] = state["messages"][index]
-            self._local[kind] = int(state["local"][index])
-            self._scattered[kind][:] = state["scattered"][index]
+            self._messages[kind][:] = state["cluster_net_messages"][index]
+            self._local[kind] = int(state["cluster_net_local"][index])
+            self._scattered[kind][:] = state["cluster_net_scattered"][index]

@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.errors import NodeCrashError
 from repro.obs.counted import Counted, counter, state
-from repro.sampling.rng import restore_rng_words, rng_state_words
 
 __all__ = [
     "RecoveryStats",
@@ -69,66 +68,30 @@ class ClusterCheckpoint:
 
 
 def capture_cluster_state(engine) -> ClusterCheckpoint:
-    """Snapshot a :class:`DistributedWalkEngine`'s dynamic state."""
-    walkers = engine.walkers
-    state = {
-        "current": walkers.current.copy(),
-        "previous": walkers.previous.copy(),
-        "steps": walkers.steps.copy(),
-        "alive": walkers.alive.copy(),
-        "history": None if walkers.history is None else walkers.history.copy(),
-        "custom": {name: walkers.state(name).copy() for name in walkers._custom},
-        "rejection_streak": engine._rejection_streak.copy(),
-        "rng_state": rng_state_words(engine._rng),
-        "stats": engine.stats.pack(),
-        "active_per_iteration": list(engine.stats.active_per_iteration),
-        "trials_per_node": engine.cluster.trials_per_node.copy(),
-        "pd_evaluations_per_node": engine.cluster.pd_evaluations_per_node.copy(),
-        "walker_supersteps_per_node": (
-            engine.cluster.walker_supersteps_per_node.copy()
-        ),
-        "light_mode_node_supersteps": engine.cluster.light_mode_node_supersteps,
-        "network": engine.network.snapshot_state(),
-    }
+    """Snapshot a :class:`DistributedWalkEngine`'s logical state: a
+    copy of everything its ``state_arrays()`` enumerates."""
+    state = {key: np.copy(value) for key, value in engine.state_arrays().items()}
     return ClusterCheckpoint(iterations=engine.stats.iterations, state=state)
 
 
 def restore_cluster_state(engine, checkpoint: ClusterCheckpoint) -> None:
     """Rewind the engine's logical state to ``checkpoint``, in place.
 
-    Deliberately untouched: superstep times already paid (wasted work
-    stays on the bill), the fault plane (external events never rewind),
-    node liveness, and the owner table (re-homed vertices stay re-homed).
+    Deliberately untouched, because the engine's run state does not
+    hold them: superstep times already paid (wasted work stays on the
+    bill), the fault plane (external events never rewind), node
+    liveness, and the owner table (re-homed vertices stay re-homed).
     ``engine.stats`` is the same object afterwards — only its
     checkpointed counters are rewound, so its host clocks keep
     accumulating, its ``maintenance`` stays the graph's live reference,
     and a result a paused run already returned is not orphaned.
     """
-    state = checkpoint.state
-    walkers = engine.walkers
-    walkers.current[:] = state["current"]
-    walkers.previous[:] = state["previous"]
-    walkers.steps[:] = state["steps"]
-    walkers.alive[:] = state["alive"]
-    if walkers.history is not None:
-        walkers.history[:] = state["history"]
-    for name, values in state["custom"].items():
-        walkers.state(name)[:] = values
-    engine._rejection_streak[:] = state["rejection_streak"]
-    restore_rng_words(engine._rng, state["rng_state"])
-    engine.stats.unpack(state["stats"])
-    engine.stats.active_per_iteration[:] = state["active_per_iteration"]
-    engine.cluster.trials_per_node[:] = state["trials_per_node"]
-    engine.cluster.pd_evaluations_per_node[:] = state["pd_evaluations_per_node"]
-    engine.cluster.walker_supersteps_per_node[:] = state[
-        "walker_supersteps_per_node"
-    ]
-    engine.cluster.light_mode_node_supersteps = state["light_mode_node_supersteps"]
-    engine.network.restore_state(state["network"])
-    if engine._recorder is not None:
-        # Recorded counts equal walkers.steps, so restoring the steps
-        # is the whole rollback (see PathRecorder.rewind).
-        engine._recorder.rewind(state["steps"])
+    # What recovery has cost so far is a physical truth too, but it is
+    # packed beside the logical cluster counters: carry it across.
+    recovery = engine.cluster.recovery
+    paid = recovery.pack()
+    engine.load_state_arrays(checkpoint.state)
+    recovery.unpack(paid)
 
 
 def reassign_dead_vertices(

@@ -50,13 +50,11 @@ from repro.core.program import WalkerProgram
 from repro.core.stats import WalkStats
 from repro.core.trace import PathRecorder
 from repro.core.walker import WalkerSet
-from repro.errors import ProgramError
+from repro.errors import ProgramError, SnapshotError
 from repro.graph.csr import CSRGraph
-from repro.graph.dynamic import DynamicGraph, EpochSnapshot
-from repro.sampling.alias import VertexAliasTables
-from repro.sampling.its import VertexITSTables
+from repro.graph.prepared import PreparedGraph, prepare
 from repro.sampling.rejection import RejectionSampler
-from repro.sampling.rng import derive_rng
+from repro.sampling.rng import derive_rng, restore_rng_words, rng_state_words
 
 __all__ = ["EVENTS", "WalkEngine", "WalkResult", "ZERO_MASS_GUARD_TRIALS"]
 
@@ -144,7 +142,7 @@ class WalkEngine:
 
     def __init__(
         self,
-        graph: CSRGraph,
+        graph: CSRGraph | PreparedGraph,
         program: WalkerProgram,
         config: WalkConfig | None = None,
         use_lower_bound: bool = True,
@@ -154,19 +152,11 @@ class WalkEngine:
     ) -> None:
         config = config if config is not None else WalkConfig()
         program.validate()
-        # Dynamic graphs: the walk pins the current epoch's immutable
-        # snapshot — later commits to the DynamicGraph can never move
-        # arrays under a running engine (epoch-snapshot isolation).
-        snapshot = None
-        if isinstance(graph, DynamicGraph):
-            snapshot = graph.snapshot()
-        elif isinstance(graph, EpochSnapshot):
-            snapshot = graph
-        if snapshot is not None:
-            graph = snapshot.graph
-        self.snapshot = snapshot
-        self.graph_epoch = None if snapshot is None else snapshot.epoch
-        self.graph = graph
+        # The static half; a DynamicGraph is pinned to its current epoch
+        # here, so later commits never move arrays under a running engine.
+        prepared = prepare(graph)
+        self.graph = graph = prepared.graph
+        self.graph_epoch = prepared.epoch
         self.program = program
         self.config = config
         self.use_lower_bound = use_lower_bound
@@ -174,42 +164,22 @@ class WalkEngine:
         self._batch = program.supports_batch and not force_scalar
 
         init_start = time.perf_counter()
-        static = program.edge_static_comp(graph)
-        if snapshot is not None and static is None:
-            # Incrementally maintained tables (only touched vertices
-            # were rebuilt this epoch); bit-identical to a fresh build.
-            self.tables = snapshot.tables(config.static_sampler)
-        elif config.static_sampler == "alias":
-            self.tables = VertexAliasTables(graph, static)
-        else:
-            self.tables = VertexITSTables(graph, static)
+        self.tables = prepared.tables(
+            config.static_sampler, program.edge_static_comp(graph)
+        )
         self._scalar_sampler = RejectionSampler(self.tables)
-
         if program.dynamic:
-            if snapshot is not None:
-                self.upper, self.lower = snapshot.bounds_for(
-                    program, use_lower_bound
-                )
-            else:
-                self.upper = np.asarray(
-                    program.upper_bound_array(graph), dtype=np.float64
-                )
-                if use_lower_bound:
-                    self.lower = np.asarray(
-                        program.lower_bound_array(graph), dtype=np.float64
-                    )
-                else:
-                    self.lower = np.zeros(graph.num_vertices, dtype=np.float64)
+            self.upper, self.lower = prepared.bounds_for(program, use_lower_bound)
         else:
             # Static walk: Pd is identically 1, so the tight envelope
             # and lower bound coincide and every dart pre-accepts.
             self.upper = np.ones(graph.num_vertices, dtype=np.float64)
             self.lower = np.ones(graph.num_vertices, dtype=np.float64)
-        if np.any(self.lower > self.upper):
-            raise ProgramError("lower bound exceeds upper bound somewhere")
-        if np.any(self.upper <= 0):
-            raise ProgramError("upper bounds must be positive")
+        # Whether Pe must look for dead ends at all: a property of the
+        # tables (no vertex without static mass), not of the run.
+        self._has_dead_ends = prepared.has_dead_ends(self.tables)
 
+        # The other half: what a run advances (state_arrays).
         starts = config.resolve_starts(graph)
         self.walkers = WalkerSet(starts, history_depth=program.history_depth)
         self._rng = derive_rng(config.seed, 0xE17)
@@ -222,7 +192,11 @@ class WalkEngine:
         )
         self.observe(self._recorder)
         self._rejection_streak = np.zeros(self.walkers.num_walkers, dtype=np.int64)
-        self.stats = WalkStats()
+        # maintenance is a live reference: the owning DynamicGraph keeps
+        # accumulating verification and fallback counters into it.
+        self.stats = WalkStats(
+            graph_epoch=prepared.epoch, maintenance=prepared.maintenance
+        )
         # "trial" pacing for second-order programs, "step" otherwise.
         self.sync_mode = "trial" if program.order == 2 else "step"
         self.fuse_trials = fuse_trials
@@ -233,9 +207,6 @@ class WalkEngine:
             and self.sync_mode == "step"
         )
         self._scratch = KernelScratch()
-        # Whether Pe must look for dead ends at all: a property of the
-        # tables (no vertex without static mass), not of the run.
-        self._has_dead_ends = bool((self.tables.totals <= 0.0).any())
         self._has_custom_continue = (
             type(program).should_continue is not WalkerProgram.should_continue
             or type(program).batch_should_continue
@@ -244,11 +215,6 @@ class WalkEngine:
         self._has_teleports = (
             type(program).teleport_targets is not WalkerProgram.teleport_targets
         )
-        self.stats.graph_epoch = self.graph_epoch
-        if snapshot is not None:
-            # Live reference: the owning DynamicGraph keeps accumulating
-            # verification/fallback counters into the same object.
-            self.stats.maintenance = snapshot.maintenance
         self.stats.init_time_seconds = time.perf_counter() - init_start
 
     def observe(self, subscriber) -> None:
@@ -269,6 +235,65 @@ class WalkEngine:
         wrap_rng = getattr(subscriber, "wrap_rng", None)
         if wrap_rng is not None:
             self._rng = wrap_rng(self._rng)
+
+    # ------------------------------------------------------------------
+    # Run state, enumerated once: a crash rollback copies this dict and
+    # writes it back (repro.cluster.recovery); a checkpoint file is this
+    # dict plus the recorded paths (repro.core.snapshot) — hence its keys.
+    # ------------------------------------------------------------------
+    def _live_state(self) -> dict[str, np.ndarray]:
+        """The arrays a run advances in place, by checkpoint key."""
+        walkers = self.walkers
+        live = {
+            "current": walkers.current,
+            "previous": walkers.previous,
+            "steps": walkers.steps,
+            "alive": walkers.alive,
+            "rejection_streak": self._rejection_streak,
+        }
+        if walkers.history is not None:
+            live["history"] = walkers.history
+        for name in walkers.state_names:
+            live[f"state_{name}"] = walkers.state(name)
+        return live
+
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        """The run's logical state by checkpoint key.  In-place arrays
+        are the live ones — copy before keeping."""
+        return {
+            **self._live_state(),
+            "state_names": np.asarray(self.walkers.state_names, dtype="U64"),
+            "rng_state": rng_state_words(self._rng),
+            "stats_scalars": self.stats.pack(),
+            "active_per_iteration": np.asarray(
+                self.stats.active_per_iteration, dtype=np.int64
+            ),
+        }
+
+    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """Write a :meth:`state_arrays` dict back in place — arrays,
+        ``stats`` and the RNG stay the same objects — and rewind the
+        recorder to the restored step counts.  A missing key is a
+        ``KeyError``, state that cannot be this engine's a
+        :class:`~repro.errors.SnapshotError`."""
+        live = self._live_state()
+        if arrays["current"].size != self.walkers.num_walkers:
+            raise SnapshotError(
+                "checkpoint walker count does not match configuration"
+            )
+        if "history" in live and "history" not in arrays:
+            raise SnapshotError("checkpoint lacks walker history for this program")
+        if arrays["state_names"].tolist() != self.walkers.state_names:
+            raise SnapshotError("checkpoint walker state is not this program's")
+        for key, array in live.items():
+            array[:] = arrays[key]
+        restore_rng_words(self._rng, arrays["rng_state"])
+        self.stats.unpack(arrays["stats_scalars"])
+        self.stats.active_per_iteration[:] = arrays["active_per_iteration"].tolist()
+        if self._recorder is not None:
+            # Recorded counts equal walkers.steps, so restoring the
+            # steps is the whole rollback (see PathRecorder.rewind).
+            self._recorder.rewind(self.walkers.steps)
 
     # ------------------------------------------------------------------
     def run(

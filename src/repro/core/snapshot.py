@@ -1,12 +1,12 @@
 """Walk checkpoint and resume.
 
 Long walks (PPR with a heavy tail, |V| walkers on a large graph) want
-fault tolerance: :func:`save_checkpoint` captures a running engine's
-complete dynamic state — walker positions and custom state, recorded
-paths, statistics, and the RNG stream — into a single ``.npz``;
-:func:`restore_checkpoint` rebuilds an engine that continues the walk
-*bit-identically* to an uninterrupted run (the resume-determinism test
-asserts exactly that).
+fault tolerance: :func:`save_checkpoint` writes a running engine's run
+state — its ``state_arrays()``: walkers and their custom state,
+statistics, the RNG stream — plus the recorded paths into a single
+``.npz``; :func:`restore_checkpoint` rebuilds an engine that continues
+the walk *bit-identically* to an uninterrupted run (the
+resume-determinism test asserts exactly that).
 
 Format (version 4): every payload array is covered by a CRC32 recorded
 in the file; a truncated, corrupted, or version-skewed checkpoint
@@ -18,18 +18,13 @@ streams are six ``uint64`` words.  Version 3 stored RNG streams as
 pickles, so reading one means unpickling file content — it is refused,
 like version 2 (a per-iteration move log) before it.
 
-Distributed engines are first-class: a
-:class:`~repro.cluster.engine.DistributedWalkEngine` checkpoint
-additionally captures the per-node walker shards (walker state plus
-the owner table that homes each walker), per-node work counters,
-superstep times, node liveness, the logical network matrices,
-recovery statistics, and the fault plane's physical-layer state
-(delivery counters, triggered crashes, and the fault RNG stream).
-In-flight retry queues are *by construction* empty at every BSP
-barrier — reliable delivery resolves within the superstep's
-communication phase — so barrier-aligned checkpoints never need to
-serialise undelivered messages, the classic simplification of
-coordinated checkpointing.
+A :class:`~repro.cluster.engine.DistributedWalkEngine`'s run state
+already carries its per-node and network counters; its file adds the
+physical truths a rollback never touches — owner table, node liveness,
+superstep times, the fault plane's state (delivery counters, triggered
+crashes, fault RNG stream).  In-flight retry queues are *by
+construction* empty at every BSP barrier, so barrier-aligned
+checkpoints never serialise undelivered messages.
 
 Graph, program, config — and for distributed engines the fault plan —
 are not serialised: they are reproducible inputs the caller passes
@@ -51,8 +46,6 @@ from repro.core.engine import WalkEngine
 from repro.core.program import WalkerProgram
 from repro.errors import SnapshotCorruptError, SnapshotError
 from repro.graph.csr import CSRGraph
-from repro.graph.dynamic import DynamicGraph, EpochSnapshot
-from repro.sampling.rng import restore_rng_words, rng_state_words
 
 __all__ = ["save_checkpoint", "restore_checkpoint", "checkpoint_epoch"]
 
@@ -68,43 +61,10 @@ def _payload_checksum(payload: dict) -> int:
     return crc
 
 
-def _base_payload(engine: WalkEngine) -> dict:
-    walkers = engine.walkers
-    payload: dict[str, np.ndarray] = {
-        "version": np.asarray([FORMAT_VERSION]),
-        "current": walkers.current,
-        "previous": walkers.previous,
-        "steps": walkers.steps,
-        "alive": walkers.alive,
-        "rejection_streak": engine._rejection_streak,
-        "rng_state": rng_state_words(engine._rng),
-        "stats_scalars": engine.stats.pack(),
-        "active_per_iteration": np.asarray(
-            engine.stats.active_per_iteration, dtype=np.int64
-        ),
-    }
-
-    if engine.graph_epoch is not None:
-        # Dynamic-graph run: record the pinned epoch, so restore can
-        # demand the same one (replayed from the write-ahead log).
-        payload["graph_epoch"] = np.asarray([engine.graph_epoch], dtype=np.int64)
-
-    if walkers.history is not None:
-        payload["history"] = walkers.history
-
-    # Custom walker state arrays.
-    state_names = list(walkers._custom)
-    payload["state_names"] = np.asarray(state_names, dtype="U64")
-    for name in state_names:
-        payload[f"state_{name}"] = walkers.state(name)
-
-    if engine._recorder is not None:
-        payload["path_tokens"], payload["path_counts"] = engine._recorder.packed()
-    return payload
-
-
-def _cluster_payload(engine) -> dict:
-    """Distributed extras: shards, cluster counters, fault-plane state."""
+def _cluster_extras(engine) -> dict:
+    """What a distributed checkpoint stores beside the run state: the
+    cluster's physical truths (liveness, owner table, superstep times,
+    degraded nodes) and the fault plane's own state."""
     cluster = engine.cluster
     payload: dict[str, np.ndarray] = {
         "cluster_num_nodes": np.asarray([engine.num_nodes], dtype=np.int64),
@@ -113,19 +73,13 @@ def _cluster_payload(engine) -> dict:
         "cluster_executed_supersteps": np.asarray(
             [engine._executed_supersteps], dtype=np.int64
         ),
-        "cluster_trials_per_node": cluster.trials_per_node,
-        "cluster_pd_per_node": cluster.pd_evaluations_per_node,
-        "cluster_walker_supersteps_per_node": cluster.walker_supersteps_per_node,
         "cluster_superstep_times": np.asarray(
             cluster.superstep_times, dtype=np.float64
         ),
-        "cluster_scalars": cluster.pack(),
         "cluster_degraded_nodes": np.asarray(
             cluster.recovery.degraded_nodes, dtype=np.int64
         ),
     }
-    for name, counts in engine.network.snapshot_state().items():
-        payload[f"cluster_net_{name}"] = counts
     if engine.fault_plane is not None:
         payload.update(engine.fault_plane.state_dict())
     if engine.health is not None:
@@ -148,11 +102,17 @@ def save_checkpoint(engine: WalkEngine, path: str | os.PathLike) -> None:
             "checkpointing is not supported with streaming path output "
             "(already-spilled sequences cannot be captured)"
         )
-    payload = _base_payload(engine)
+    payload = {"version": np.asarray([FORMAT_VERSION]), **engine.state_arrays()}
+    if engine.graph_epoch is not None:
+        # Dynamic-graph run: record the pinned epoch, so restore can
+        # demand the same one (replayed from the write-ahead log).
+        payload["graph_epoch"] = np.asarray([engine.graph_epoch], dtype=np.int64)
+    if engine._recorder is not None:
+        payload["path_tokens"], payload["path_counts"] = engine._recorder.packed()
     from repro.cluster.engine import DistributedWalkEngine
 
     if isinstance(engine, DistributedWalkEngine):
-        payload.update(_cluster_payload(engine))
+        payload.update(_cluster_extras(engine))
     payload["checksum"] = np.asarray(
         [_payload_checksum(payload)], dtype=np.uint64
     )
@@ -207,32 +167,11 @@ def checkpoint_epoch(path: str | os.PathLike) -> int | None:
     return int(data["graph_epoch"][0])
 
 
-def _restore_base(engine: WalkEngine, data: dict, path) -> None:
-    walkers = engine.walkers
+def _restore(engine: WalkEngine, data: dict, path) -> None:
+    """Load the run state, the recorded paths and — into a distributed
+    engine — the cluster extras."""
     try:
-        if data["current"].size != walkers.num_walkers:
-            raise SnapshotError(
-                "checkpoint walker count does not match configuration"
-            )
-        walkers.current[:] = data["current"]
-        walkers.previous[:] = data["previous"]
-        walkers.steps[:] = data["steps"]
-        walkers.alive[:] = data["alive"]
-        if walkers.history is not None:
-            if "history" not in data:
-                raise SnapshotError(
-                    "checkpoint lacks walker history for this program"
-                )
-            walkers.history[:] = data["history"]
-        engine._rejection_streak[:] = data["rejection_streak"]
-        restore_rng_words(engine._rng, data["rng_state"])
-        engine.stats.unpack(data["stats_scalars"])
-        engine.stats.active_per_iteration = data["active_per_iteration"].tolist()
-
-        for name in data["state_names"]:
-            name = str(name)
-            walkers.state(name)[:] = data[f"state_{name}"]
-
+        engine.load_state_arrays(data)
         if engine._recorder is not None:
             if "path_tokens" not in data:
                 raise SnapshotError(
@@ -244,6 +183,8 @@ def _restore_base(engine: WalkEngine, data: dict, path) -> None:
                 raise SnapshotError(
                     f"checkpoint paths do not match configuration: {exc}"
                 ) from exc
+        if "cluster_num_nodes" in data:
+            _restore_cluster_extras(engine, data)
     except KeyError as exc:
         raise SnapshotError(f"malformed checkpoint {path}: {exc}") from exc
 
@@ -263,38 +204,23 @@ def _checked_owner_table(engine, table: np.ndarray) -> np.ndarray:
     return table
 
 
-def _restore_cluster(engine, data: dict, path) -> None:
-    try:
-        cluster = engine.cluster
-        engine._alive_nodes[:] = data["cluster_alive_nodes"]
-        engine._executed_supersteps = int(data["cluster_executed_supersteps"][0])
-        cluster.trials_per_node[:] = data["cluster_trials_per_node"]
-        cluster.pd_evaluations_per_node[:] = data["cluster_pd_per_node"]
-        cluster.walker_supersteps_per_node[:] = data[
-            "cluster_walker_supersteps_per_node"
-        ]
-        cluster.superstep_times[:] = data["cluster_superstep_times"].tolist()
-        cluster.unpack(data["cluster_scalars"])
-        cluster.recovery.degraded_nodes = data["cluster_degraded_nodes"].tolist()
-        # Without the key the partition's own table stands — what a
-        # run that never re-homed a vertex would have saved.
-        engine._owner_table[:] = _checked_owner_table(
-            engine, data.get("cluster_owner_lookup", engine._owner_table)
-        )
-        engine.network.restore_state(
-            {
-                name: data[f"cluster_net_{name}"]
-                for name in ("messages", "local", "scattered")
-            }
-        )
-        if engine.fault_plane is not None and "fault_rng_state" in data:
-            engine.fault_plane.load_state(data)
-        if engine.health is not None and "health_ewma" in data:
-            engine.health.load_arrays(data)
-        if engine.rebalancer is not None and "rebalance_nodes" in data:
-            engine.rebalancer.load_arrays(data)
-    except KeyError as exc:
-        raise SnapshotError(f"malformed checkpoint {path}: {exc}") from exc
+def _restore_cluster_extras(engine, data: dict) -> None:
+    cluster = engine.cluster
+    engine._alive_nodes[:] = data["cluster_alive_nodes"]
+    engine._executed_supersteps = int(data["cluster_executed_supersteps"][0])
+    cluster.superstep_times[:] = data["cluster_superstep_times"].tolist()
+    cluster.recovery.degraded_nodes = data["cluster_degraded_nodes"].tolist()
+    # Without the key the partition's own table stands — what a
+    # run that never re-homed a vertex would have saved.
+    engine._owner_table[:] = _checked_owner_table(
+        engine, data.get("cluster_owner_lookup", engine._owner_table)
+    )
+    if engine.fault_plane is not None and "fault_rng_state" in data:
+        engine.fault_plane.load_state(data)
+    if engine.health is not None and "health_ewma" in data:
+        engine.health.load_arrays(data)
+    if engine.rebalancer is not None and "rebalance_nodes" in data:
+        engine.rebalancer.load_arrays(data)
 
 
 def restore_checkpoint(
@@ -318,11 +244,9 @@ def restore_checkpoint(
     data = _verify_and_load(path)
     if "graph_epoch" in data:
         wanted = int(data["graph_epoch"][0])
-        actual = (
-            graph.epoch
-            if isinstance(graph, (DynamicGraph, EpochSnapshot))
-            else None
-        )
+        # A DynamicGraph or a pinned epoch says which epoch it is at; a
+        # static graph (CSR or prepared) has none.
+        actual = getattr(graph, "epoch", None)
         if actual != wanted:
             raise SnapshotError(
                 f"checkpoint was taken at graph epoch {wanted}, but the "
@@ -343,13 +267,11 @@ def restore_checkpoint(
         engine = DistributedWalkEngine(
             graph, program, config, num_nodes=num_nodes, **engine_kwargs
         )
-        _restore_base(engine, data, path)
-        _restore_cluster(engine, data, path)
-        return engine
-    if engine_kwargs:
+    elif engine_kwargs:
         raise SnapshotError(
             "engine options are only meaningful for distributed checkpoints"
         )
-    engine = WalkEngine(graph, program, config)
-    _restore_base(engine, data, path)
+    else:
+        engine = WalkEngine(graph, program, config)
+    _restore(engine, data, path)
     return engine

@@ -89,6 +89,11 @@ class WalkerSet:
     def has_state(self, name: str) -> bool:
         return name in self._custom
 
+    @property
+    def state_names(self) -> list[str]:
+        """Names of the attached custom state arrays, in attach order."""
+        return list(self._custom)
+
     # ------------------------------------------------------------------
     # Transitions
     # ------------------------------------------------------------------

@@ -42,12 +42,14 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import GraphError, WalError
 from repro.graph.csr import CSRGraph
+from repro.graph.prepared import PreparedGraph, build_tables, full_bounds
 from repro.sampling.incremental import (
     MaintenanceStats,
     default_static_weights,
@@ -76,6 +78,12 @@ _KIND_NAMES = {INSERT: "insert", DELETE: "delete", REWEIGHT: "reweight"}
 _KIND_CODES = {name: code for code, name in _KIND_NAMES.items()}
 
 _BATCH_HEADER = struct.Struct("<I")
+
+# kind -> (incremental build, verifier) of the sampler tables.
+_INCREMENTAL = {
+    "alias": (incremental_alias_tables, verify_alias_tables),
+    "its": (incremental_its_tables, verify_its_tables),
+}
 
 
 @dataclass(frozen=True)
@@ -203,53 +211,32 @@ class DynamicGraphStats:
         )
 
 
-class EpochSnapshot:
+class EpochSnapshot(PreparedGraph):
     """An immutable view of one committed epoch.
 
     ``graph`` is a real read-only :class:`CSRGraph` — every engine runs
-    on it unchanged — and the snapshot lazily carries the epoch's
-    sampler state (incrementally maintained by the owning
-    :class:`DynamicGraph`).  Snapshots stay valid after further
-    commits: later epochs build new arrays, they never mutate old ones.
+    on it unchanged — and the snapshot is the epoch's
+    :class:`~repro.graph.prepared.PreparedGraph`: its default tables
+    and its bounds come from the owning :class:`DynamicGraph`, which
+    maintains them incrementally from the previous epoch's.  Snapshots
+    stay valid after further commits: later epochs build new arrays,
+    they never mutate old ones.
     """
 
-    def __init__(
-        self,
-        owner: "DynamicGraph",
-        epoch: int,
-        graph: CSRGraph,
-        touched: np.ndarray,
-    ) -> None:
+    def __init__(self, owner: "DynamicGraph", epoch: int, graph: CSRGraph) -> None:
+        super().__init__(graph)
         self._owner = owner
         self.epoch = epoch
-        self.graph = graph
-        #: vertices whose adjacency changed relative to the previous epoch
-        self.touched = touched
-        self._tables: dict[str, object] = {}
-
-    @property
-    def num_vertices(self) -> int:
-        return self.graph.num_vertices
-
-    @property
-    def num_edges(self) -> int:
-        return self.graph.num_edges
 
     @property
     def maintenance(self) -> MaintenanceStats:
         """The owner's cumulative incremental-maintenance counters."""
         return self._owner.maintenance
 
-    def tables(self, kind: str):
-        """This epoch's sampler tables (``"alias"`` or ``"its"``)."""
-        if kind not in self._tables:
-            self._tables[kind] = self._owner._tables_for(self, kind)
-        return self._tables[kind]
+    def _default_tables(self, kind: str):
+        return self._owner._tables_for(self, kind)
 
-    def bounds_for(
-        self, program, use_lower_bound: bool = True
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Incrementally maintained Q(v) / L(v) arrays for ``program``."""
+    def _bounds(self, program, use_lower_bound: bool):
         return self._owner._bounds_for(self, program, use_lower_bound)
 
 
@@ -318,8 +305,8 @@ class DynamicGraph:
         self._overlay: dict[int, _Adjacency] = {}
         self._touched_by_epoch: dict[int, np.ndarray] = {}
         self._snapshots: dict[int, EpochSnapshot] = {}
-        self._table_cache: dict[str, tuple[int, object]] = {}
-        self._bounds_cache: dict[str, tuple[int, np.ndarray, np.ndarray]] = {}
+        # Table kind or bounds key -> (epoch, tables or (upper, lower)).
+        self._maintained_at: dict[str, tuple[int, object]] = {}
         self._weighted = base.weights is not None
         self._typed = base.edge_types is not None
         self._verify = verify
@@ -521,11 +508,7 @@ class DynamicGraph:
         cached = self._snapshots.get(self._epoch)
         if cached is not None:
             return cached
-        graph = self._materialize()
-        touched = self._touched_by_epoch.get(
-            self._epoch, np.zeros(0, dtype=np.int64)
-        )
-        snap = EpochSnapshot(self, self._epoch, graph, touched)
+        snap = EpochSnapshot(self, self._epoch, self._materialize())
         self._snapshots[self._epoch] = snap
         while len(self._snapshots) > self._retain_epochs:
             del self._snapshots[min(self._snapshots)]
@@ -740,50 +723,55 @@ class DynamicGraph:
             return np.zeros(0, dtype=np.int64)
         return np.unique(np.concatenate(parts))
 
-    def _tables_for(self, snap: EpochSnapshot, kind: str):
-        from repro.sampling.alias import VertexAliasTables
-        from repro.sampling.its import VertexITSTables
-
-        if kind not in ("alias", "its"):
-            raise GraphError(f"unknown sampler-table kind {kind!r}")
-        build_full = VertexAliasTables if kind == "alias" else VertexITSTables
-        build_incremental = (
-            incremental_alias_tables if kind == "alias" else incremental_its_tables
-        )
-        verify = verify_alias_tables if kind == "alias" else verify_its_tables
-
-        static = default_static_weights(snap.graph)
-        cached = self._table_cache.get(kind)
+    def _maintained(self, key: str, snap, full, incremental, mismatches):
+        """``snap``'s value of the structure kept epoch to epoch under
+        ``key``: the cached one, else ``incremental(previous, touched)``
+        — probed by ``mismatches(value, probes)`` when verifying — else
+        (nothing to start from, an untracked epoch, a failed probe)
+        ``full()``."""
+        cached = self._maintained_at.get(key)
+        if cached is not None and cached[0] == snap.epoch:
+            return cached[1]
         touched = (
             self._touched_between(cached[0], snap.epoch)
             if cached is not None and cached[0] < snap.epoch
             else None
         )
-        if cached is not None and cached[0] == snap.epoch:
-            return cached[1]
-        if touched is None:
-            tables = build_full(snap.graph)
-            self.maintenance.full_rebuilds += 1
-        else:
-            tables = build_incremental(cached[1], snap.graph, static, touched)
-            self.maintenance.epochs_maintained += 1
+        value = None
+        if touched is not None:
+            value = incremental(cached[1], touched)
             self.maintenance.vertices_rebuilt += int(touched.size)
-            self.maintenance.vertices_copied += (
-                snap.graph.num_vertices - int(touched.size)
-            )
-            if self._test_corrupt_incremental and touched.size:
-                self._corrupt_one_entry(tables, kind, int(touched[0]))
             if self._verify != "off":
                 probes = self._probe_vertices(snap, touched)
                 self.maintenance.verify_checks += int(probes.size)
-                bad = verify(tables, probes)
+                bad = mismatches(value, probes)
                 if bad:
                     self.maintenance.verify_mismatches += len(bad)
                     self.maintenance.verify_fallbacks += 1
-                    self.maintenance.full_rebuilds += 1
-                    tables = build_full(snap.graph)
-        self._table_cache[kind] = (snap.epoch, tables)
-        return tables
+                    value = None
+        if value is None:
+            value = full()
+            self.maintenance.full_rebuilds += 1
+        self._maintained_at[key] = (snap.epoch, value)
+        return value
+
+    def _tables_for(self, snap: EpochSnapshot, kind: str):
+        graph = snap.graph
+        # An unknown kind has no cache entry: build_tables refuses it.
+        build_incremental, verify = _INCREMENTAL.get(kind, (None, None))
+
+        def incremental(previous, touched):
+            tables = build_incremental(
+                previous, graph, default_static_weights(graph), touched
+            )
+            self.maintenance.epochs_maintained += 1
+            self.maintenance.vertices_copied += graph.num_vertices - int(touched.size)
+            if self._test_corrupt_incremental and touched.size:
+                self._corrupt_one_entry(tables, kind, int(touched[0]))
+            return tables
+
+        full = partial(build_tables, graph, kind)
+        return self._maintained(kind, snap, full, incremental, verify)
 
     def _probe_vertices(
         self, snap: EpochSnapshot, touched: np.ndarray
@@ -823,99 +811,60 @@ class DynamicGraph:
     def _bounds_for(
         self, snap: EpochSnapshot, program, use_lower_bound: bool
     ) -> tuple[np.ndarray, np.ndarray]:
-        from repro.core.program import WalkerProgram
+        graph = snap.graph
+        key = self._bounds_key(program, use_lower_bound)
+        if key is None:
+            return full_bounds(graph, program, use_lower_bound)
 
-        overrides_arrays = (
-            type(program).upper_bound_array is not WalkerProgram.upper_bound_array
-            or type(program).lower_bound_array
-            is not WalkerProgram.lower_bound_array
-        )
-        if overrides_arrays:
-            # The program computes its arrays wholesale (usually a
-            # constant fill); per-vertex maintenance could diverge from
-            # a global formula, so just call the override — it is the
-            # from-scratch semantics by definition.
-            upper = np.asarray(
-                program.upper_bound_array(snap.graph), dtype=np.float64
-            )
-            lower = (
-                np.asarray(program.lower_bound_array(snap.graph), np.float64)
-                if use_lower_bound
-                else np.zeros(snap.graph.num_vertices, dtype=np.float64)
-            )
+        def incremental(previous, touched):
+            upper, lower = previous[0].copy(), previous[1].copy()
+            for vertex in touched.tolist():
+                upper[vertex] = program.dynamic_upper_bound(graph, vertex)
+                if use_lower_bound:
+                    lower[vertex] = program.dynamic_lower_bound(graph, vertex)
             return upper, lower
 
-        key = self._program_signature(program, use_lower_bound)
-        cached = self._bounds_cache.get(key)
-        touched = (
-            self._touched_between(cached[0], snap.epoch)
-            if cached is not None and cached[0] < snap.epoch
-            else None
-        )
-        if cached is not None and cached[0] == snap.epoch:
-            return cached[1], cached[2]
-        if touched is None:
-            upper = np.asarray(
-                program.upper_bound_array(snap.graph), dtype=np.float64
-            )
-            lower = (
-                np.asarray(program.lower_bound_array(snap.graph), np.float64)
-                if use_lower_bound
-                else np.zeros(snap.graph.num_vertices, dtype=np.float64)
-            )
-            self.maintenance.full_rebuilds += 1
-        else:
-            upper = cached[1].copy()
-            lower = cached[2].copy()
-            for vertex in touched:
-                vertex = int(vertex)
-                upper[vertex] = program.dynamic_upper_bound(snap.graph, vertex)
-                if use_lower_bound:
-                    lower[vertex] = program.dynamic_lower_bound(
-                        snap.graph, vertex
-                    )
-            self.maintenance.vertices_rebuilt += int(touched.size)
-            if self._verify != "off":
-                probes = self._probe_vertices(snap, touched)
-                self.maintenance.verify_checks += int(probes.size)
-                bad = [
-                    int(v)
-                    for v in probes
-                    if upper[int(v)]
-                    != program.dynamic_upper_bound(snap.graph, int(v))
-                    or (
-                        use_lower_bound
-                        and lower[int(v)]
-                        != program.dynamic_lower_bound(snap.graph, int(v))
-                    )
-                ]
-                if bad:
-                    self.maintenance.verify_mismatches += len(bad)
-                    self.maintenance.verify_fallbacks += 1
-                    self.maintenance.full_rebuilds += 1
-                    upper = np.asarray(
-                        program.upper_bound_array(snap.graph), dtype=np.float64
-                    )
-                    lower = (
-                        np.asarray(
-                            program.lower_bound_array(snap.graph), np.float64
-                        )
-                        if use_lower_bound
-                        else np.zeros(snap.graph.num_vertices, np.float64)
-                    )
-        self._bounds_cache[key] = (snap.epoch, upper, lower)
-        return upper, lower
+        def mismatches(bounds, probes):
+            upper, lower = bounds
+            return [
+                v
+                for v in probes.tolist()
+                if upper[v] != program.dynamic_upper_bound(graph, v)
+                or (
+                    use_lower_bound
+                    and lower[v] != program.dynamic_lower_bound(graph, v)
+                )
+            ]
+
+        full = partial(full_bounds, graph, program, use_lower_bound)
+        return self._maintained(key, snap, full, incremental, mismatches)
 
     @staticmethod
-    def _program_signature(program, use_lower_bound: bool) -> str:
-        scalars = {
-            name: value
-            for name, value in sorted(vars(program).items())
-            if isinstance(value, (bool, int, float, str))
-        }
+    def _bounds_key(program, use_lower_bound: bool) -> str | None:
+        """Cache key of ``program``'s bounds, or ``None``: from scratch
+        every time.  Programs share an entry only when they must agree
+        on Q(v) / L(v): same class, every attribute a scalar of the same
+        value.  One holding anything else (an array of caps, a list of
+        schemes) would otherwise be served another instance's envelope,
+        possibly below its Pd; one overriding the array hooks computes
+        them wholesale, which per-vertex maintenance could diverge from.
+        """
+        from repro.core.program import WalkerProgram
+
+        cls = type(program)
+        attributes = sorted(vars(program).items())
+        if (
+            cls.upper_bound_array is not WalkerProgram.upper_bound_array
+            or cls.lower_bound_array is not WalkerProgram.lower_bound_array
+            or not all(
+                isinstance(value, (bool, int, float, str, type(None)))
+                for _, value in attributes
+            )
+        ):
+            return None
         return (
-            f"{type(program).__module__}.{type(program).__qualname__}"
-            f"|{scalars!r}|lower={use_lower_bound}"
+            f"{cls.__module__}.{cls.__qualname__}"
+            f"|{dict(attributes)!r}|lower={use_lower_bound}"
         )
 
 

@@ -97,6 +97,9 @@ def load_edge_list(
         line = data.count(b"\n", 0, offset) + 1
         return GraphFormatError(f"{path}:{line}: {problem}")
 
+    def row_offset(index: int) -> int:
+        return next(islice(_DATA_ROW.finditer(data), index, None)).start(1)
+
     declared_vertices: int | None = None
     for comment in _COMMENT.finditer(data):
         words = comment.group()[1:].split()
@@ -140,8 +143,7 @@ def load_edge_list(
     weights = rows["weight"] if columns >= 3 else None
     if weights is not None and not np.isfinite(weights).all():
         bad = int(np.flatnonzero(~np.isfinite(weights))[0])
-        row = next(islice(_DATA_ROW.finditer(data), bad, None))
-        raise fail(row.start(1), f"edge weight {weights[bad]} is not finite")
+        raise fail(row_offset(bad), f"edge weight {weights[bad]} is not finite")
 
     if num_vertices is None:
         num_vertices = declared_vertices
@@ -150,14 +152,26 @@ def load_edge_list(
             raise GraphFormatError(f"{path}: empty graph with no vertex count")
         num_vertices = int(max(rows["source"].max(), rows["target"].max())) + 1
 
-    return from_arrays(
-        num_vertices,
-        rows["source"],
-        rows["target"],
-        weights=weights,
-        edge_types=rows["edge_type"] if columns == 4 else None,
-        undirected=undirected,
-    )
+    try:
+        return from_arrays(
+            num_vertices,
+            rows["source"],
+            rows["target"],
+            weights=weights,
+            edge_types=rows["edge_type"] if columns == 4 else None,
+            undirected=undirected,
+        )
+    except MemoryError as exc:
+        # The vertex count is file content: one absurd id (or header)
+        # asks for per-vertex arrays no machine holds.
+        problem = f"a graph of {num_vertices} vertices does not fit in memory"
+        largest = np.maximum(rows["source"], rows["target"])
+        if rows.size and largest.max() + 1 == num_vertices:
+            worst = int(largest.argmax())
+            raise fail(
+                row_offset(worst), f"vertex id {largest[worst]}: {problem}"
+            ) from exc
+        raise GraphFormatError(f"{path}: {problem}") from exc
 
 
 def _payload_checksum(payload: dict[str, np.ndarray]) -> int:

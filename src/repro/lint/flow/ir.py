@@ -78,7 +78,10 @@ def collect_aliases(
     Extends the per-file alias map of :mod:`repro.lint.rules` with
     package-aware relative imports: inside ``repro.cluster.engine``,
     ``from .network import Network`` maps ``Network`` to
-    ``repro.cluster.network.Network``.
+    ``repro.cluster.network.Network``.  A package's
+    ``lazy_exports(globals(), csr=("CSRGraph",))`` call is its re-export
+    declaration (:mod:`repro._lazy`): each keyword group maps its names
+    into that submodule, as ``from .csr import CSRGraph`` would.
     """
     package_parts = module.split(".") if module else []
     if not is_package and package_parts:
@@ -105,6 +108,17 @@ def collect_aliases(
                     continue
                 local = name.asname or name.name
                 aliases[local] = f"{target}.{name.name}"
+        elif (
+            is_package
+            and isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "lazy_exports"
+        ):
+            for group in node.keywords:
+                if group.arg and isinstance(group.value, (ast.Tuple, ast.List)):
+                    for name in group.value.elts:
+                        if isinstance(name, ast.Constant):
+                            aliases[name.value] = f"{module}.{group.arg}.{name.value}"
     return aliases
 
 

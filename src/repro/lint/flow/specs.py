@@ -21,9 +21,11 @@ syntactic rules can only check one statement at a time:
 * **RK106** — a ``DynamicGraph.snapshot()`` epoch view must not
   outlive its epoch: storing one on ``self``/a module global (or
   capturing it in a closure that is stored) keeps serving stale
-  topology after the next ``commit()``.  The engine's constructor
-  (``core/engine.py``) is the sanctioned pinning point and is
-  allowlisted, mirroring RK201's allowlist idiom.
+  topology after the next ``commit()``.  Two files are sanctioned,
+  mirroring RK201's allowlist idiom: ``graph/prepared.py``, where
+  ``prepare()`` pins the epoch every engine, shard set and service
+  request walks, and ``core/engine.py``, whose constructor holds the
+  pinned graph and its tables for exactly one run.
 * **RK310** — the flow version of RK302: what *actually* reaches a
   process-boundary call site must be picklable.  Lambdas, generator
   expressions, nested functions, and open file handles are tainted at
@@ -181,14 +183,15 @@ RK106 = FlowSpec(
         "epoch-snapshot escape (flow): a DynamicGraph.snapshot() view is "
         "stored on self/a global or captured by a stored closure, so it "
         "can outlive its epoch and serve stale topology after the next "
-        "commit; take a fresh snapshot per walk (core/engine.py's "
-        "constructor pinning is the sanctioned exception)"
+        "commit; take a fresh snapshot per walk (graph/prepared.py's "
+        "prepare() and the engine constructor that holds its result "
+        "for one run are the sanctioned exceptions)"
     ),
     source_methods=frozenset({"snapshot", "snapshot_at"}),
     propagate_attrs=False,
     receiver_default="clean",
     escape_sinks=True,
-    allow_paths=("core/engine.py",),
+    allow_paths=("graph/prepared.py", "core/engine.py"),
     sink_message=(
         "epoch-snapshot view{trace} is stored somewhere that can outlive "
         "its epoch; hold it in a local and re-snapshot after commits"

@@ -15,46 +15,9 @@ Design rules (docs/INTERNALS.md section 16):
   (``engine.observe``); a disabled one is never bound.
 """
 
-from typing import TYPE_CHECKING
-
 from .._lazy import lazy_exports
 
-if TYPE_CHECKING:
-    from .exporters import (
-        to_chrome_trace,
-        to_json_lines,
-        to_prometheus_text,
-        write_chrome_trace,
-    )
-    from .metrics import (
-        ACTIVE_WALKER_BUCKETS,
-        DEFAULT_LATENCY_BUCKETS,
-        SUPERSTEP_SECONDS_BUCKETS,
-        Counter,
-        Gauge,
-        Histogram,
-        MetricsRegistry,
-    )
-    from .tracer import Span, Tracer, default_clock
-
-__all__ = [
-    "ACTIVE_WALKER_BUCKETS",
-    "DEFAULT_LATENCY_BUCKETS",
-    "SUPERSTEP_SECONDS_BUCKETS",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "Span",
-    "Tracer",
-    "default_clock",
-    "to_chrome_trace",
-    "to_json_lines",
-    "to_prometheus_text",
-    "write_chrome_trace",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__all__, __getattr__, __dir__ = lazy_exports(
     globals(),
     exporters=(
         "to_chrome_trace",

@@ -42,7 +42,7 @@ from repro.core.stats import WalkStats
 from repro.core.trace import split_paths
 from repro.errors import ConfigError
 from repro.graph.csr import CSRGraph
-from repro.graph.dynamic import DynamicGraph, EpochSnapshot
+from repro.graph.prepared import PreparedGraph, prepare
 from repro.obs import MetricsRegistry
 from repro.service.breaker import RetryBudget
 from repro.service.deadline import Deadline
@@ -130,7 +130,7 @@ def _run_shard(args):
 
 
 def run_parallel_walk(
-    graph: CSRGraph,
+    graph: CSRGraph | PreparedGraph,
     program: WalkerProgram,
     config: WalkConfig | None = None,
     num_workers: int = 2,
@@ -157,10 +157,9 @@ def run_parallel_walk(
     config = config if config is not None else WalkConfig()
     if isinstance(deadline, (int, float)):
         deadline = Deadline(float(deadline))
-    if isinstance(graph, DynamicGraph):
-        # One pin for every shard: a writer committing between worker
-        # starts must not leave shards walking different epochs.
-        graph = graph.snapshot()
+    # One pin for every shard: a writer committing between worker
+    # starts must not leave shards walking different epochs.
+    graph = prepare(graph)
     shards = shard_config(config, graph, num_workers)
     payloads = [(graph, program, shard, deadline) for shard in shards]
     registry = MetricsRegistry()
@@ -183,10 +182,8 @@ def run_parallel_walk(
             ),
         )
 
-    merged = WalkStats()
-    if isinstance(graph, EpochSnapshot):
-        # The owner's live counters, not a worker's pickled copy.
-        merged.maintenance = graph.maintenance
+    # The graph owner's live counters, not a worker's pickled copy.
+    merged = WalkStats(maintenance=graph.maintenance)
     all_paths: list[np.ndarray] | None = [] if config.record_paths else None
     lengths = []
     status = "complete"

@@ -10,48 +10,9 @@ when execution keeps failing.  See docs/INTERNALS.md §10 for the
 design tour and ``examples/overload.py`` for a bursty-stream demo.
 """
 
-from typing import TYPE_CHECKING
-
 from repro._lazy import lazy_exports
 
-if TYPE_CHECKING:
-    from repro.service.breaker import CircuitBreaker, RetryBudget
-    from repro.service.deadline import CancelToken, Deadline
-    from repro.service.degrade import DegradationPolicy, apply_degradation
-    from repro.service.pool import SupervisedPool
-    from repro.service.queue import SHED_POLICIES, AdmissionQueue
-    from repro.service.request import (
-        DEADLINE_EXCEEDED,
-        FAILED,
-        OK,
-        SHED,
-        WalkRequest,
-        WalkResponse,
-        WalkTicket,
-    )
-    from repro.service.service import WalkService
-
-__all__ = [
-    "WalkService",
-    "WalkRequest",
-    "WalkResponse",
-    "WalkTicket",
-    "Deadline",
-    "CancelToken",
-    "AdmissionQueue",
-    "SHED_POLICIES",
-    "DegradationPolicy",
-    "apply_degradation",
-    "CircuitBreaker",
-    "RetryBudget",
-    "SupervisedPool",
-    "OK",
-    "DEADLINE_EXCEEDED",
-    "SHED",
-    "FAILED",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__all__, __getattr__, __dir__ = lazy_exports(
     globals(),
     breaker=("CircuitBreaker", "RetryBudget"),
     deadline=("CancelToken", "Deadline"),

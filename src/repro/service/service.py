@@ -38,6 +38,7 @@ from repro.core.stats import ServiceMetrics
 from repro.errors import ServiceError
 from repro.graph.csr import CSRGraph
 from repro.graph.dynamic import DynamicGraph, EdgeUpdate, UpdateBatch
+from repro.graph.prepared import prepare
 from repro.service.breaker import CircuitBreaker
 from repro.service.deadline import Deadline
 from repro.service.degrade import DegradationPolicy, apply_degradation
@@ -253,11 +254,10 @@ class WalkService:
         # Degradation is decided by queue pressure at execution start.
         config = request.config
         graph = request.graph if request.graph is not None else self.graph
-        if isinstance(graph, DynamicGraph):
-            # Pin the current epoch now: the walk runs on an immutable
-            # snapshot regardless of updates applied while it executes.
-            with self._graph_lock:
-                graph = graph.snapshot()
+        # Pin the current epoch now: the walk runs on an immutable
+        # prepared graph regardless of updates applied while it executes.
+        with self._graph_lock:
+            graph = prepare(graph)
         degradations: tuple[str, ...] = ()
         if self.degradation is not None:
             config, degradations = apply_degradation(

@@ -19,6 +19,7 @@ from repro.algorithms import DeepWalk, Node2Vec, UniformWalk
 from repro.cluster import DistributedWalkEngine
 from repro.core.config import WalkConfig
 from repro.core.engine import WalkEngine
+from repro.core.program import WalkerProgram
 from repro.core.snapshot import (
     checkpoint_epoch,
     restore_checkpoint,
@@ -34,10 +35,12 @@ from repro.graph.dynamic import (
     parse_update_stream,
 )
 from repro.graph.generators import erdos_renyi_graph
+from repro.graph.prepared import PreparedGraph
 from repro.lint.sanitizer import run_sanitized
 from repro.sampling.alias import VertexAliasTables
 from repro.sampling.its import VertexITSTables
 from repro.service import WalkRequest, WalkService
+from tests.test_golden_walks import digest as golden_digest
 
 
 def small_graph(seed=3, num_vertices=40, weighted=True):
@@ -315,6 +318,42 @@ def test_verification_fallback_on_corruption():
     assert dyn.maintenance.verify_fallbacks >= 1
 
 
+class _CappedWalk(WalkerProgram):
+    """Q(v) = Pd = ``caps[v]``, read through the scalar hook: two
+    instances differ only in an array attribute."""
+
+    dynamic = True
+    supports_batch = True
+
+    def __init__(self, caps):
+        self.caps = np.asarray(caps, dtype=np.float64)
+
+    def dynamic_upper_bound(self, graph, vertex):
+        return float(self.caps[vertex])
+
+    def edge_dynamic_comp(self, graph, walker, edge_index, query_result=None):
+        return float(self.caps[walker.current])
+
+    def batch_dynamic_comp(self, graph, walkers, walker_ids, candidate_edges):
+        return self.caps[walkers.current[walker_ids]]
+
+
+def test_bounds_are_not_shared_between_programs_differing_in_an_array():
+    """The bounds cache used to key on scalar attributes only, so the
+    second program was served the first one's envelope — below its Pd,
+    a silently skewed law."""
+    snap = DynamicGraph(small_graph(seed=12)).snapshot()
+    count = snap.num_vertices
+    low = _CappedWalk(np.arange(1.0, count + 1.0))
+    high = _CappedWalk(np.full(count, 9.0 + count))
+    np.testing.assert_array_equal(snap.bounds_for(low)[0], low.caps)
+    np.testing.assert_array_equal(snap.bounds_for(high)[0], high.caps)
+    config = WalkConfig(num_walkers=30, max_steps=6, seed=2)
+    # validate_bounds raises on the first Pd above the envelope.
+    result = WalkEngine(snap, high, config, validate_bounds=True).run()
+    assert result.stats.total_steps > 0
+
+
 # ----------------------------------------------------------------------
 # WAL recovery and durable compaction
 # ----------------------------------------------------------------------
@@ -389,10 +428,14 @@ class TestEnginePinning:
         result = engine.run()
         assert result.stats.graph_epoch == 1
 
-        static = WalkEngine(
-            dyn.snapshot_at(1).graph, DeepWalk(), config, force_scalar=scalar
-        )
-        np.testing.assert_array_equal(result.paths, static.run().paths)
+        # The pinned epoch, its CSR and the same CSR wrapped fresh all
+        # walk the same way through the one constructor path.
+        pinned = dyn.snapshot_at(1)
+        assert isinstance(pinned, PreparedGraph) and pinned.epoch == 1
+        for graph in (pinned, pinned.graph, PreparedGraph(pinned.graph)):
+            again = WalkEngine(graph, DeepWalk(), config, force_scalar=scalar)
+            assert again.graph is pinned.graph
+            np.testing.assert_array_equal(result.paths, again.run().paths)
 
     def test_engine_on_snapshot_matches_materialized(self):
         dyn = DynamicGraph(small_graph(seed=8))
@@ -401,11 +444,20 @@ class TestEnginePinning:
         config = WalkConfig(
             num_walkers=25, max_steps=6, record_paths=True, seed=9
         )
-        from_snap = WalkEngine(snap, Node2Vec(p=2.0, q=0.5), config).run()
-        from_csr = WalkEngine(snap.graph, Node2Vec(p=2.0, q=0.5), config).run()
-        np.testing.assert_array_equal(from_snap.paths, from_csr.paths)
-        assert from_snap.stats.graph_epoch == 1
-        assert from_csr.stats.graph_epoch is None
+        digests = {
+            name: golden_digest(WalkEngine(graph, Node2Vec(p=2.0, q=0.5), config))
+            for name, graph in [("dynamic", dyn), ("epoch", snap), ("csr", snap.graph)]
+        }
+        assert digests["dynamic"] == digests["epoch"] == digests["csr"]
+        from_snap = WalkEngine(snap, Node2Vec(p=2.0, q=0.5), config)
+        from_csr = WalkEngine(snap.graph, Node2Vec(p=2.0, q=0.5), config)
+        # The epoch's tables are the owner's, incrementally maintained;
+        # a bare CSR builds its own — same arrays either way.
+        assert from_snap.tables is snap.tables("alias")
+        assert_tables_identical(from_snap.tables, from_csr.tables)
+        assert from_snap.run().stats.graph_epoch == 1
+        assert from_snap.stats.maintenance is dyn.maintenance
+        assert from_csr.run().stats.graph_epoch is None
 
     def test_distributed_engine_pins_epoch(self):
         base = erdos_renyi_graph(60, 5.0, seed=2, undirected=True)

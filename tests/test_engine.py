@@ -10,6 +10,7 @@ from repro.errors import ProgramError
 from repro.graph.builder import assign_random_weights, from_edges
 from repro.graph.generators import uniform_degree_graph
 from repro.graph.hetero import assign_random_edge_types
+from repro.graph.prepared import PreparedGraph
 
 from tests.helpers import diamond_graph, two_triangle_graph
 
@@ -70,6 +71,38 @@ class TestBasicExecution:
         )
         result = WalkEngine(graph, DeepWalk(), config).run()
         assert_paths_valid(graph, result.paths)
+
+
+class TestPreparedGraph:
+    """The ``graph`` argument also takes a PreparedGraph; the golden
+    prepared axis (tests/test_golden_walks.py) covers the digests."""
+
+    CONFIG = WalkConfig(num_walkers=20, max_steps=6, record_paths=True, seed=5)
+
+    def test_default_tables_are_kept_per_kind(self, graph):
+        shared = PreparedGraph(graph)
+        its = WalkConfig(num_walkers=20, max_steps=6, static_sampler="its")
+        engines = [
+            WalkEngine(shared, DeepWalk(), config)
+            for config in (self.CONFIG, its, self.CONFIG, its)
+        ]
+        assert engines[0].tables is engines[2].tables is shared.tables("alias")
+        assert engines[1].tables is engines[3].tables is shared.tables("its")
+        assert engines[0].tables is not engines[1].tables
+
+    def test_a_programs_own_static_component_is_built_per_engine(self, graph):
+        weighted = PreparedGraph(assign_random_weights(graph, seed=1))
+        first = WalkEngine(weighted, UniformWalk(), self.CONFIG)
+        second = WalkEngine(weighted, UniformWalk(), self.CONFIG)
+        assert first.tables is not second.tables
+        assert first.tables is not weighted.tables("alias")
+        np.testing.assert_array_equal(
+            first.run().paths, WalkEngine(weighted.graph, UniformWalk(), self.CONFIG).run().paths
+        )
+
+    def test_a_wrapped_graph_reports_no_epoch(self, graph):
+        stats = WalkEngine(PreparedGraph(graph), DeepWalk(), self.CONFIG).run().stats
+        assert stats.graph_epoch is None and stats.maintenance is None
 
 
 class TestTermination:

@@ -28,6 +28,10 @@ directed graph with sinks), each local and 4-node.  They were generated
 at the commit before PR 20 rewrote the kernel's lane bookkeeping, and
 also pin the counters that prove the branch ran.
 
+Every cell is measured once more on the *prepared* axis: two engines
+built over one shared ``PreparedGraph`` must both reproduce the cell's
+digest from tables built once — the same table, not a second one.
+
 A change that intentionally alters the RNG stream or the work counts
 regenerates the table with ``python -m tests.test_golden_walks`` and
 says so in its description.
@@ -49,6 +53,7 @@ from repro.cluster import (
 )
 from repro.algorithms import DeepWalk, Node2Vec
 from repro.core.config import WalkConfig
+from repro.graph import prepared
 from repro.graph.builder import assign_random_weights
 from repro.graph.generators import erdos_renyi_graph
 from repro.lint.sanitizer import DeterminismTracer
@@ -56,7 +61,6 @@ from tests.test_path_recording import (
     PLAIN,
     WORKLOADS,
     make_config,
-    make_engine,
     make_walk_engine,
 )
 
@@ -142,9 +146,22 @@ def _fields(stats) -> dict:
     }
 
 
-def measure(cell) -> dict:
+def workload_engine(cell, graph=None):
+    """A fresh engine for one workload cell; ``graph`` substitutes a
+    prepared graph for the workload's own CSR."""
     name, nodes, fused = cell
-    return digest(make_engine(name, nodes=nodes, fuse_trials=fused))
+    make_program, own_graph, _ = WORKLOADS[name]
+    return make_walk_engine(
+        own_graph if graph is None else graph,
+        make_program(),
+        make_config(name),
+        nodes=nodes,
+        fuse_trials=fused,
+    )
+
+
+def measure(cell) -> dict:
+    return digest(workload_engine(cell))
 
 
 # Same seed and 4-node node2vec walk as the healthy cell, made long
@@ -179,11 +196,19 @@ FAULT_CELLS = {
 }
 
 
-def measure_fault(cell: str) -> dict:
-    config = make_config("node2vec", max_steps=40)
-    return digest(
-        make_engine("node2vec", nodes=4, config=config, **FAULT_CELLS[cell])
+def fault_engine(cell: str, graph=None):
+    make_program, own_graph, _ = WORKLOADS["node2vec"]
+    return make_walk_engine(
+        own_graph if graph is None else graph,
+        make_program(),
+        make_config("node2vec", max_steps=40),
+        nodes=4,
+        **FAULT_CELLS[cell],
     )
+
+
+def measure_fault(cell: str) -> dict:
+    return digest(fault_engine(cell))
 
 
 # name -> (program factory, graph, config).  1/p = 4 towers over the
@@ -218,16 +243,26 @@ BRANCH_IDS = [
 ]
 
 
-def measure_branch(cell: str) -> dict:
+def branch_engine(cell: str, graph=None):
     name, where = cell.rsplit("-", 1)
-    make_program, graph, config = BRANCH_CELLS[name]
-    engine = make_walk_engine(
-        graph, make_program(), config, nodes=0 if where == "local" else 4
+    make_program, own_graph, config = BRANCH_CELLS[name]
+    return make_walk_engine(
+        own_graph if graph is None else graph,
+        make_program(),
+        config,
+        nodes=0 if where == "local" else 4,
     )
+
+
+def branch_digest(engine) -> dict:
     summary = digest(engine)
     summary["appendix_trials"] = int(engine.stats.counters.appendix_trials)
     summary["termination"] = _fields(engine.stats.termination)
     return summary
+
+
+def measure_branch(cell: str) -> dict:
+    return branch_digest(branch_engine(cell))
 
 
 GOLDEN: dict[str, dict] = {
@@ -833,6 +868,36 @@ def test_dark_branch_reproduces_golden_digest(cell):
         assert golden["appendix_trials"] > 0
     else:
         assert golden["termination"]["by_dead_end"] > 0
+
+
+# The prepared axis: every cell again, twice, through one PreparedGraph.
+# name -> (engine factory, its cell, the cell's digest function).
+PREPARED_CELLS = {cell_id(cell): (workload_engine, cell, digest) for cell in CELLS}
+PREPARED_CELLS.update((cell, (fault_engine, cell, digest)) for cell in FAULT_CELLS)
+PREPARED_CELLS.update((cell, (branch_engine, cell, branch_digest)) for cell in BRANCH_IDS)
+
+
+@pytest.mark.parametrize("name", sorted(PREPARED_CELLS))
+def test_prepared_graph_shared_by_two_engines(name, monkeypatch):
+    """An engine is a PreparedGraph plus run state: two engines over
+    one prepared graph both reproduce the cell's digest from tables
+    built once.  (Every cell's program samples the default static
+    component; ``tests/test_engine.py`` covers a program with its own.)"""
+    make, cell, summarise = PREPARED_CELLS[name]
+    plain = make(cell)
+    built = []
+
+    def counting(*args, build=prepared.build_tables):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(prepared, "build_tables", counting)
+    shared = prepared.PreparedGraph(plain.graph)
+    first, second = make(cell, shared), make(cell, shared)
+    assert built == [(plain.graph, "alias")]
+    assert first.tables is second.tables is shared.tables("alias")
+    assert first.graph is second.graph is plain.graph
+    assert summarise(first) == summarise(second) == GOLDEN[name]
 
 
 if __name__ == "__main__":

@@ -3,9 +3,9 @@
 Deterministic (no timing): each check runs in a fresh interpreter and
 inspects ``sys.modules``.  A plain ``repro walk`` must load none of the
 subsystems it does not run; every other subcommand must still find
-what it needs; the package ``__init__``s resolve their ``__all__``
-names on first access (``repro._lazy``) and stay readable to static
-tools through their ``TYPE_CHECKING`` blocks.
+what it needs; the package ``__init__``s state their exports once, in
+``lazy_exports(...)`` groups (``repro._lazy``), and resolve each name on
+first access.
 """
 
 import ast
@@ -41,6 +41,7 @@ NOT_FOR_A_PLAIN_WALK = (
     "repro.baselines",
     "repro.obs.exporters",
     "repro.graph.wal",
+    "repro.graph.dynamic",
     "repro.analysis",
 )
 
@@ -181,42 +182,35 @@ print(len(before), len(package.__all__))
         with pytest.raises(AttributeError, match=package.replace(".", r"\.")):
             module.no_such_name
 
-    def test_type_checking_block_declares_the_same_exports(self, package):
-        """mypy and repro.lint's alias index read the imports under
-        ``if TYPE_CHECKING:``; they must name exactly what the runtime
-        hook resolves, from the same modules."""
+    def test_declared_names_resolve_where_stated(self, package):
+        """The ``lazy_exports(...)`` groups are the one declaration —
+        ``__all__`` is derived from them, and ``repro.lint``'s alias
+        index reads them from the source: each name must be the object
+        the submodule it is stated under defines."""
+        from repro.lint.flow.ir import collect_aliases
+
         module = importlib.import_module(package)
         tree = ast.parse(Path(module.__file__).read_text())
-        guarded = [
-            node
-            for node in tree.body
-            if isinstance(node, ast.If)
-            and isinstance(node.test, ast.Name)
-            and node.test.id == "TYPE_CHECKING"
-        ]
-        assert len(guarded) == 1
-        declared = {}
-        for node in ast.walk(guarded[0]):
-            if isinstance(node, ast.ImportFrom):
-                base = package if node.level else ""
-                origin = ".".join(filter(None, [base, node.module]))
-                for alias in node.names:
-                    declared[alias.name] = origin
-        lazy = set(module.__all__) - {"__version__"}
-        assert set(declared) == lazy
-        for name, origin in declared.items():
-            value = getattr(module, name)
-            assert getattr(importlib.import_module(origin), name) is value
+        stated = {
+            name: origin
+            for name, origin in collect_aliases(tree, package, True).items()
+            if origin.startswith(package + ".") and name != "lazy_exports"
+        }
+        assert set(stated) == set(module.__all__) - {"__version__"}
+        for name, origin in stated.items():
+            home = importlib.import_module(origin.rsplit(".", 1)[0])
+            assert getattr(home, name) is getattr(module, name)
 
 
 def test_disagreeing_declarations_fail_at_import():
+    """The only way left to disagree: one name under two submodules."""
     from repro._lazy import lazy_exports
 
-    namespace = {"__name__": "pkg", "__all__": ["a", "b"]}
-    with pytest.raises(ImportError, match=r"pkg: .*\['b'\]"):
-        lazy_exports(namespace, mod=("a",))
-    with pytest.raises(ImportError, match=r"\['c'\]"):
-        lazy_exports(namespace, mod=("a", "b", "c"))
+    namespace = {"__name__": "pkg"}
+    with pytest.raises(ImportError, match=r"pkg: .*\['b'\] twice"):
+        lazy_exports(namespace, mod=("a", "b"), other=("b", "c"))
+    exported, _, _ = lazy_exports(namespace, mod=("a", "b"), other=("c",))
+    assert exported == ["a", "b", "c"]
 
 
 def test_flow_index_still_resolves_package_reexports():

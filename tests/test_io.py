@@ -248,6 +248,11 @@ REJECTED = {
     "non-ASCII comment": (b"0 1\n# caf\xc3\xa9\n1 0\n", 2, "non-ASCII byte"),
     "lone carriage returns": (b"0 1\r1 2\r", 1, "cannot parse"),
     "empty without count": (b"# nothing\n", None, "empty graph"),
+    # 29 TiB of offsets: numpy's MemoryError used to escape (ROADMAP 6e).
+    "id no machine holds": (b"0 1\n0 4000000000000\n", 2, "vertex id 4000000000000"),
+    "header no machine holds": (
+        b"# vertices 4000000000000\n0 1\n", None, "does not fit in memory"
+    ),
 }
 
 
