@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.obs.counted import Counted, counter, group, series, state
 from repro.obs.metrics import ACTIVE_WALKER_BUCKETS, DEFAULT_LATENCY_BUCKETS
-from repro.sampling.incremental import MaintenanceStats
+from repro.sampling.tables import MaintenanceStats
 from repro.sampling.rejection import SamplingCounters
 
 __all__ = ["WalkStats", "TerminationBreakdown", "ServiceMetrics"]

@@ -450,9 +450,15 @@ class CSRGraph:
     def validate(self) -> None:
         """Check structural invariants; raises :class:`GraphError`.
 
-        Verifies per-vertex target sorting and, for graphs flagged
-        undirected, that every edge has its reverse stored too.
+        Verifies per-vertex target sorting, that every weight is
+        finite and, for graphs flagged undirected, that every edge has
+        its reverse stored too.
         """
+        if self._weights is not None and not np.isfinite(self._weights).all():
+            edge = int(np.argmin(np.isfinite(self._weights)))
+            raise GraphError(
+                f"weight of edge {edge} is not finite ({self._weights[edge]})"
+            )
         for vertex in range(self.num_vertices):
             start, end = self.edge_range(vertex)
             slice_ = self._targets[start:end]

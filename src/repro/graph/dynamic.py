@@ -31,7 +31,7 @@ needing cross-file atomicity.
 
 Sampler maintenance is incremental and **self-verifying**: per epoch,
 only touched vertices' alias / ITS / Q(v) entries are rebuilt (see
-:mod:`repro.sampling.incremental` for why that is bit-exact), and an
+:mod:`repro.sampling.tables` for why that is bit-exact), and an
 optional verification mode re-derives sampled vertices from scratch,
 counts any mismatch, and falls back to a full rebuild — the tables a
 walk sees are never silently wrong.
@@ -50,14 +50,10 @@ import numpy as np
 from repro.errors import GraphError, WalError
 from repro.graph.csr import CSRGraph
 from repro.graph.prepared import PreparedGraph, build_tables, full_bounds
-from repro.sampling.incremental import (
+from repro.sampling.tables import (
     MaintenanceStats,
-    default_static_weights,
-    incremental_alias_tables,
-    incremental_its_tables,
     slice_gather_map,
-    verify_alias_tables,
-    verify_its_tables,
+    untouched_vertices,
 )
 
 if TYPE_CHECKING:  # a graph without a log never loads the log's code
@@ -78,12 +74,6 @@ _KIND_NAMES = {INSERT: "insert", DELETE: "delete", REWEIGHT: "reweight"}
 _KIND_CODES = {name: code for code, name in _KIND_NAMES.items()}
 
 _BATCH_HEADER = struct.Struct("<I")
-
-# kind -> (incremental build, verifier) of the sampler tables.
-_INCREMENTAL = {
-    "alias": (incremental_alias_tables, verify_alias_tables),
-    "its": (incremental_its_tables, verify_its_tables),
-}
 
 
 @dataclass(frozen=True)
@@ -547,9 +537,7 @@ class DynamicGraph:
         edge_types = np.empty(num_edges, dtype=np.int32) if self._typed else None
 
         overlay_vertices = np.asarray(sorted(self._overlay), dtype=np.int64)
-        mask = np.ones(base.num_vertices, dtype=bool)
-        mask[overlay_vertices] = False
-        untouched = np.nonzero(mask)[0]
+        untouched = untouched_vertices(base.num_vertices, overlay_vertices)
         src, dst = slice_gather_map(base.offsets, offsets, untouched)
         targets[dst] = base.targets[src]
         if weights is not None:
@@ -757,21 +745,21 @@ class DynamicGraph:
 
     def _tables_for(self, snap: EpochSnapshot, kind: str):
         graph = snap.graph
-        # An unknown kind has no cache entry: build_tables refuses it.
-        build_incremental, verify = _INCREMENTAL.get(kind, (None, None))
 
         def incremental(previous, touched):
-            tables = build_incremental(
-                previous, graph, default_static_weights(graph), touched
-            )
+            tables = previous.updated(graph, None, touched)
             self.maintenance.epochs_maintained += 1
             self.maintenance.vertices_copied += graph.num_vertices - int(touched.size)
             if self._test_corrupt_incremental and touched.size:
-                self._corrupt_one_entry(tables, kind, int(touched[0]))
+                tables.totals[touched[0]] += 1.0
             return tables
 
+        def mismatches(tables, probes):
+            return tables.mismatches(probes)
+
+        # An unknown kind has no cache entry: build_tables refuses it.
         full = partial(build_tables, graph, kind)
-        return self._maintained(kind, snap, full, incremental, verify)
+        return self._maintained(kind, snap, full, incremental, mismatches)
 
     def _probe_vertices(
         self, snap: EpochSnapshot, touched: np.ndarray
@@ -785,25 +773,13 @@ class DynamicGraph:
         if touched.size:
             count = min(self._verify_samples, int(touched.size))
             picks.append(rng.choice(touched, size=count, replace=False))
-        mask = np.ones(snap.graph.num_vertices, dtype=bool)
-        mask[touched] = False
-        untouched = np.nonzero(mask)[0]
+        untouched = untouched_vertices(snap.graph.num_vertices, touched)
         if untouched.size:
             count = min(2, int(untouched.size))
             picks.append(rng.choice(untouched, size=count, replace=False))
         if not picks:
             return np.zeros(0, dtype=np.int64)
         return np.unique(np.concatenate(picks))
-
-    @staticmethod
-    def _corrupt_one_entry(tables, kind: str, vertex: int) -> None:
-        start, end = tables.graph.edge_range(vertex)
-        if start == end:
-            tables._totals[vertex] = tables._totals[vertex] + 1.0
-        elif kind == "alias":
-            tables._prob[start] = tables._prob[start] * 0.5 + 0.25
-        else:
-            tables._cdf[start] = tables._cdf[start] + 0.125
 
     # ------------------------------------------------------------------
     # Incremental Q(v) / L(v) maintenance

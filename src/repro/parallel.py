@@ -79,6 +79,10 @@ def shard_config(
     """
     if num_shards <= 0:
         raise ConfigError("num_shards must be positive")
+    if config.stream_paths_to is not None:
+        raise ConfigError(
+            "a sharded walk cannot stream to one file; use record_paths"
+        )
     total = config.resolve_num_walkers(graph)
     if num_shards > total:
         num_shards = total
@@ -104,17 +108,14 @@ def shard_config(
         else:
             shard_starts = None
         shards.append(
-            WalkConfig(
+            config.evolve(
                 num_walkers=count,
-                max_steps=config.max_steps,
-                termination_probability=config.termination_probability,
+                walks_per_vertex=None,
                 start_vertices=shard_starts,
                 start_distribution=(
                     config.start_distribution if shard_starts is None else None
                 ),
                 seed=(config.seed * 1_000_003 + shard) & 0x7FFFFFFF,
-                record_paths=config.record_paths,
-                static_sampler=config.static_sampler,
             )
         )
     return shards

@@ -11,16 +11,26 @@ component Ps as the candidate-edge generator inside rejection sampling.
 :class:`VertexAliasTables` stores every vertex's table in flat arrays
 aligned with the CSR edge arrays, so batch sampling across thousands of
 walkers at different vertices is a handful of numpy operations.
+:func:`build_alias_segments` is the one place a table slice is derived
+from a weight slice; the per-vertex and the per-(vertex, type) tables,
+epoch maintenance and verification all call it.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.errors import SamplingError
-from repro.graph.csr import CSRGraph
+from repro.sampling.tables import VertexTables, compact_slices
 
-__all__ = ["AliasTable", "VertexAliasTables", "build_alias_arrays"]
+__all__ = [
+    "AliasTable",
+    "VertexAliasTables",
+    "build_alias_arrays",
+    "build_alias_segments",
+]
 
 
 def build_alias_arrays(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -36,6 +46,9 @@ def build_alias_arrays(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if weights.min() < 0:
         raise SamplingError("alias weights must be non-negative")
     total = weights.sum()
+    if not math.isfinite(total):
+        # No comparison below orders a NaN: ``prob`` would stay unwritten.
+        raise SamplingError("alias weights must have a finite sum")
     if total <= 0:
         raise SamplingError("alias weights must not all be zero")
 
@@ -93,100 +106,50 @@ class AliasTable:
         return np.where(take_bucket, buckets, self._alias[buckets])
 
 
-class VertexAliasTables:
+def build_alias_segments(
+    values: np.ndarray, offsets: np.ndarray, segments: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Alias tables of ``segments`` of ``values`` -> (totals, prob, alias).
+
+    Segment ``i`` is ``values[offsets[i]:offsets[i+1]]``; ``None``
+    builds every segment.  The tables are laid end to end in the order
+    asked for, each one Vose's over its segment alone, with ``alias``
+    counting from the segment's own start — so a table does not depend
+    on where its segment lies.  An all-zero segment cannot be sampled:
+    its buckets are marked unusable (``prob`` 0) and its total is 0.
+    """
+    values, offsets = compact_slices(values, offsets, segments)
+    prob = np.empty(values.size, dtype=np.float64)
+    alias = np.empty(values.size, dtype=np.int64)
+    totals = np.zeros(offsets.size - 1, dtype=np.float64)
+    bounds = offsets.tolist()
+    for segment, (start, end) in enumerate(zip(bounds, bounds[1:])):
+        if start == end:
+            continue
+        weights = values[start:end]
+        total = weights.sum()
+        totals[segment] = total
+        if total <= 0:
+            prob[start:end] = 0.0
+            alias[start:end] = 0
+        else:
+            prob[start:end], alias[start:end] = build_alias_arrays(weights)
+    return totals, prob, alias
+
+
+class VertexAliasTables(VertexTables):
     """Per-vertex alias tables over each vertex's out-edge weights.
 
     The table of vertex ``v`` occupies the same flat index range as its
-    CSR edge slice, so a sampled bucket maps directly to a flat edge
-    index.  Build cost is O(|E|) total, matching the paper's O(n)
-    per-vertex pre-processing bound.
-
-    Parameters
-    ----------
-    graph:
-        the graph whose static component to pre-process.
-    static_weights:
-        optional flat array of per-edge static components Ps.  Defaults
-        to the graph's weights (or all-ones when unweighted) — the
-        ``edgeStaticComp`` default of the paper's API.
+    CSR edge slice, with alias entries local to the slice: a sampled
+    bucket plus the slice's start is a flat edge index.  Build cost is
+    O(|E|) total, matching the paper's O(n) per-vertex pre-processing
+    bound.  Parameters as :class:`~repro.sampling.tables.VertexTables`.
     """
 
-    def __init__(self, graph: CSRGraph, static_weights: np.ndarray | None = None) -> None:
-        if static_weights is None:
-            static_weights = (
-                graph.weights
-                if graph.weights is not None
-                else np.ones(graph.num_edges, dtype=np.float64)
-            )
-        static_weights = np.asarray(static_weights, dtype=np.float64)
-        if static_weights.size != graph.num_edges:
-            raise SamplingError("static weights must align with graph edges")
-        if graph.num_edges and static_weights.min() < 0:
-            raise SamplingError("static weights must be non-negative")
+    _PER_EDGE = ("_prob", "_alias")
 
-        self._graph = graph
-        self._static = static_weights
-        self._prob = np.empty(graph.num_edges, dtype=np.float64)
-        self._alias = np.empty(graph.num_edges, dtype=np.int64)
-        self._totals = np.zeros(graph.num_vertices, dtype=np.float64)
-        for vertex in range(graph.num_vertices):
-            start, end = graph.edge_range(vertex)
-            if start == end:
-                continue
-            slice_weights = static_weights[start:end]
-            total = slice_weights.sum()
-            self._totals[vertex] = total
-            if total <= 0:
-                # All-zero static weights: vertex is a dead end for
-                # sampling purposes; mark buckets unusable.
-                self._prob[start:end] = 0.0
-                self._alias[start:end] = start
-                continue
-            prob, alias = build_alias_arrays(slice_weights)
-            self._prob[start:end] = prob
-            self._alias[start:end] = alias + start  # flatten local indices
-
-    @classmethod
-    def _from_state(
-        cls,
-        graph: CSRGraph,
-        static_weights: np.ndarray,
-        prob: np.ndarray,
-        alias: np.ndarray,
-        totals: np.ndarray,
-    ) -> "VertexAliasTables":
-        """Install pre-computed flat tables (incremental path).
-
-        The caller (:mod:`repro.sampling.incremental`) guarantees the
-        arrays equal what ``__init__`` would compute over ``graph``:
-        untouched vertices' slices are copied (with flat alias indices
-        shifted to the new layout) and touched vertices re-run Vose.
-        """
-        tables = cls.__new__(cls)
-        tables._graph = graph
-        tables._static = static_weights
-        tables._prob = prob
-        tables._alias = alias
-        tables._totals = totals
-        return tables
-
-    @property
-    def graph(self) -> CSRGraph:
-        return self._graph
-
-    @property
-    def static_weights(self) -> np.ndarray:
-        """The Ps array the tables were built over."""
-        return self._static
-
-    def total_static(self, vertex: int) -> float:
-        """Sum of Ps over ``vertex``'s out-edges."""
-        return float(self._totals[vertex])
-
-    @property
-    def totals(self) -> np.ndarray:
-        """Per-vertex total static mass (|V|-length array)."""
-        return self._totals
+    _build = staticmethod(build_alias_segments)
 
     def sample(self, vertex: int, rng: np.random.Generator) -> int:
         """Draw a flat edge index from ``vertex``'s static distribution.
@@ -200,7 +163,7 @@ class VertexAliasTables:
         bucket = start + int(rng.integers(0, end - start))
         if rng.random() < self._prob[bucket]:
             return bucket
-        return int(self._alias[bucket])
+        return start + int(self._alias[bucket])
 
     def sample_batch(
         self, vertices: np.ndarray, rng: np.random.Generator
@@ -217,4 +180,4 @@ class VertexAliasTables:
         buckets = starts + (rng.random(vertices.size) * degrees).astype(np.int64)
         coins = rng.random(vertices.size)
         take_bucket = coins < self._prob[buckets]
-        return np.where(take_bucket, buckets, self._alias[buckets])
+        return np.where(take_bucket, buckets, starts + self._alias[buckets])

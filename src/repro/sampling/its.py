@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import SamplingError
-from repro.graph.csr import CSRGraph
+from repro.sampling.tables import VertexTables, compact_slices
 
 __all__ = ["VertexITSTables", "its_sample_from_cdf", "segmented_cumsum"]
 
@@ -31,19 +31,26 @@ __all__ = ["VertexITSTables", "its_sample_from_cdf", "segmented_cumsum"]
 _RANK_ITERATION_CUTOFF = 256
 
 
-def segmented_cumsum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+def segmented_cumsum(
+    values: np.ndarray, offsets: np.ndarray, segments: np.ndarray | None = None
+) -> np.ndarray:
     """Per-slice inclusive prefix sums, slice ``i`` = ``[offsets[i], offsets[i+1])``.
 
-    Bit-identical to running ``np.cumsum`` on every slice separately:
-    each slice is accumulated strictly left-to-right in float64, with no
-    cross-slice carry.  That per-slice decomposability is what lets the
-    dynamic-graph path rebuild only touched vertices' CDFs and byte-copy
-    the rest while remaining exactly equal to a from-scratch build.
+    ``segments`` picks the slices to accumulate (``None``: all of
+    them); the result holds theirs laid end to end in the order asked
+    for.  Bit-identical to running ``np.cumsum`` on every slice
+    separately: each slice is accumulated strictly left-to-right in
+    float64, with no cross-slice carry.  That per-slice decomposability
+    is what lets the dynamic-graph path rebuild only touched vertices'
+    CDFs and byte-copy the rest while remaining exactly equal to a
+    from-scratch build.
     """
-    values = np.asarray(values, dtype=np.float64)
+    values, offsets = compact_slices(
+        np.asarray(values, dtype=np.float64), offsets, segments
+    )
     out = values.copy()
-    starts = np.asarray(offsets[:-1], dtype=np.int64)
-    degrees = np.asarray(offsets[1:], dtype=np.int64) - starts
+    starts = offsets[:-1]
+    degrees = offsets[1:] - starts
     if out.size == 0 or degrees.size == 0:
         return out
     max_degree = int(degrees.max())
@@ -69,7 +76,7 @@ def its_sample_from_cdf(cdf: np.ndarray, rng: np.random.Generator) -> int:
     return int(np.searchsorted(cdf, draw, side="right"))
 
 
-class VertexITSTables:
+class VertexITSTables(VertexTables):
     """Per-vertex inclusive prefix sums over out-edge static weights.
 
     Layout matches :class:`~repro.sampling.alias.VertexAliasTables`:
@@ -77,89 +84,36 @@ class VertexITSTables:
     with ``cdf[offsets[v+1]-1]`` equal to the vertex's total weight.
     """
 
-    def __init__(self, graph: CSRGraph, static_weights: np.ndarray | None = None) -> None:
-        if static_weights is None:
-            static_weights = (
-                graph.weights
-                if graph.weights is not None
-                else np.ones(graph.num_edges, dtype=np.float64)
-            )
-        static_weights = np.asarray(static_weights, dtype=np.float64)
-        if static_weights.size != graph.num_edges:
-            raise SamplingError("static weights must align with graph edges")
-        if graph.num_edges and static_weights.min() < 0:
-            raise SamplingError("static weights must be non-negative")
+    _PER_EDGE = ("_cdf",)
 
-        self._graph = graph
-        self._static = static_weights
-        # Per-vertex prefix sums first (strictly per-slice, so a
-        # dynamic-graph epoch can rebuild just the touched slices and
-        # stay bit-identical to this from-scratch path), then the
-        # global-coordinate arrays are *derived* from them.
-        cdf = segmented_cumsum(static_weights, graph.offsets)
-        degrees = graph.out_degrees()
+    @staticmethod
+    def _build(values, offsets, segments=None):
+        cdf = segmented_cumsum(values, offsets, segments)
+        if segments is None:
+            degrees = np.diff(offsets)
+        else:
+            degrees = offsets[segments + 1] - offsets[segments]
+        ends = np.cumsum(degrees)
         nonempty = degrees > 0
-        totals = np.zeros(graph.num_vertices, dtype=np.float64)
-        ends = graph.offsets[1:]
+        totals = np.zeros(degrees.size, dtype=np.float64)
         totals[nonempty] = cdf[ends[nonempty] - 1]
-        self._install(cdf, totals)
+        return totals, cdf
 
-    def _install(self, cdf: np.ndarray, totals: np.ndarray) -> None:
+    def _install(self, totals: np.ndarray, arrays: list[np.ndarray]) -> None:
         """Derive the global-coordinate arrays from per-vertex state.
 
         ``base[v]`` is the exclusive prefix sum of per-vertex totals and
         ``running`` shifts every slice into those global coordinates:
         batch sampling maps each draw to ``base[v] + u * total[v]`` and
-        resolves every lane with one searchsorted.  Kept as a separate
-        step so the incremental-maintenance path (new ``cdf``/``totals``
-        with only touched slices rebuilt) derives them identically.
+        resolves every lane with one searchsorted.  They do depend on
+        where a slice lies, so they are derived here — after a full
+        build and after an epoch's update alike — never copied.
         """
-        graph = self._graph
-        self._cdf = cdf
-        self._totals = totals
-        base = np.zeros(graph.num_vertices, dtype=np.float64)
+        super()._install(totals, arrays)
+        base = np.zeros(totals.size, dtype=np.float64)
         np.cumsum(totals[:-1], out=base[1:])
         self._base = base
-        degrees = np.diff(graph.offsets)
-        self._running = cdf + np.repeat(base, degrees)
-
-    @classmethod
-    def _from_state(
-        cls,
-        graph: CSRGraph,
-        static_weights: np.ndarray,
-        cdf: np.ndarray,
-        totals: np.ndarray,
-    ) -> "VertexITSTables":
-        """Install pre-computed per-vertex state (incremental path).
-
-        The caller (:mod:`repro.sampling.incremental`) guarantees that
-        ``cdf``/``totals`` equal what ``__init__`` would compute; the
-        global-coordinate arrays are derived through the same
-        :meth:`_install`, so the result is bit-identical to a
-        from-scratch build.
-        """
-        tables = cls.__new__(cls)
-        tables._graph = graph
-        tables._static = static_weights
-        tables._install(cdf, totals)
-        return tables
-
-    @property
-    def graph(self) -> CSRGraph:
-        return self._graph
-
-    @property
-    def static_weights(self) -> np.ndarray:
-        return self._static
-
-    def total_static(self, vertex: int) -> float:
-        return float(self._totals[vertex])
-
-    @property
-    def totals(self) -> np.ndarray:
-        """Per-vertex total static mass (|V|-length array)."""
-        return self._totals
+        self._running = self._cdf + np.repeat(base, np.diff(self._graph.offsets))
 
     def cdf_of(self, vertex: int) -> np.ndarray:
         """The inclusive prefix-sum slice of ``vertex``."""

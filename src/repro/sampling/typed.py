@@ -25,7 +25,8 @@ import numpy as np
 
 from repro.errors import SamplingError
 from repro.graph.csr import CSRGraph
-from repro.sampling.alias import build_alias_arrays
+from repro.sampling.alias import build_alias_segments
+from repro.sampling.tables import static_component
 
 __all__ = ["TypedVertexAliasTables"]
 
@@ -38,7 +39,8 @@ class TypedVertexAliasTables:
     graph:
         a heterogeneous graph (``edge_types`` required).
     static_weights:
-        optional per-edge Ps; defaults to graph weights or ones.
+        optional per-edge Ps; see
+        :func:`~repro.sampling.tables.static_component` for the default.
     """
 
     def __init__(
@@ -46,18 +48,8 @@ class TypedVertexAliasTables:
     ) -> None:
         if graph.edge_types is None:
             raise SamplingError("TypedVertexAliasTables needs edge types")
-        if static_weights is None:
-            static_weights = (
-                graph.weights
-                if graph.weights is not None
-                else np.ones(graph.num_edges, dtype=np.float64)
-            )
-        static_weights = np.asarray(static_weights, dtype=np.float64)
-        if static_weights.size != graph.num_edges:
-            raise SamplingError("static weights must align with graph edges")
-
         self._graph = graph
-        self._static = static_weights
+        self._static = static_component(graph, static_weights)
         self.num_types = int(graph.edge_types.max()) + 1 if graph.num_edges else 0
 
         # Flat grouped layout: edges sorted by (vertex, type) so each
@@ -65,56 +57,32 @@ class TypedVertexAliasTables:
         # ``_flat_prob`` / ``_flat_alias`` (alias entries are local to
         # the span), with dense (|V| x T) start/count/total maps.  The
         # dense maps make ``sample_batch`` a handful of gathers instead
-        # of a per-lane dict walk.
+        # of a per-lane dict walk.  A group is a segment of the sorted
+        # Ps array, so its table comes from the per-vertex builder.
         num_types = max(self.num_types, 1)
         shape = (graph.num_vertices, num_types)
+        sources = np.repeat(
+            np.arange(graph.num_vertices, dtype=np.int64), np.diff(graph.offsets)
+        )
+        keys = sources * num_types + graph.edge_types
+        # Stable sort keeps each group's edges in CSR order.
+        order = np.argsort(keys, kind="stable").astype(np.int64)
+        group_keys, group_firsts, group_sizes = np.unique(
+            keys[order], return_index=True, return_counts=True
+        )
+        self._flat_edges = order
+        group_totals, self._flat_prob, self._flat_alias = build_alias_segments(
+            self._static[order], np.append(group_firsts, order.size)
+        )
         self._totals = np.zeros(shape, dtype=np.float64)
         self._group_start = np.zeros(shape, dtype=np.int64)
         self._group_count = np.zeros(shape, dtype=np.int64)
-
-        if graph.num_edges:
-            sources = np.repeat(
-                np.arange(graph.num_vertices, dtype=np.int64),
-                np.diff(graph.offsets),
-            )
-            keys = sources * num_types + graph.edge_types
-            # Stable sort keeps each group's edges in CSR order.
-            order = np.argsort(keys, kind="stable").astype(np.int64)
-            group_keys, group_firsts, group_sizes = np.unique(
-                keys[order], return_index=True, return_counts=True
-            )
-        else:
-            order = np.zeros(0, dtype=np.int64)
-            group_keys = group_firsts = group_sizes = np.zeros(0, dtype=np.int64)
-
-        flat_edges = []
-        flat_prob = []
-        flat_alias = []
-        cursor = 0
-        for key, first, size in zip(group_keys, group_firsts, group_sizes):
-            edges = order[first : first + size]
-            weights = static_weights[edges]
-            total = float(weights.sum())
-            if total <= 0:
-                continue
-            prob, alias = build_alias_arrays(weights)
-            vertex, edge_type = divmod(int(key), num_types)
-            flat_edges.append(edges)
-            flat_prob.append(prob)
-            flat_alias.append(alias)
-            self._totals[vertex, edge_type] = total
-            self._group_start[vertex, edge_type] = cursor
-            self._group_count[vertex, edge_type] = size
-            cursor += size
-
-        if flat_edges:
-            self._flat_edges = np.concatenate(flat_edges)
-            self._flat_prob = np.concatenate(flat_prob)
-            self._flat_alias = np.concatenate(flat_alias).astype(np.int64)
-        else:
-            self._flat_edges = np.zeros(0, dtype=np.int64)
-            self._flat_prob = np.zeros(0, dtype=np.float64)
-            self._flat_alias = np.zeros(0, dtype=np.int64)
+        self._totals.flat[group_keys] = group_totals
+        self._group_start.flat[group_keys] = group_firsts
+        # A zero-mass group keeps its (unusable) span but is never drawn.
+        self._group_count.flat[group_keys] = np.where(
+            group_totals > 0, group_sizes, 0
+        )
 
     @property
     def graph(self) -> CSRGraph:
@@ -127,7 +95,7 @@ class TypedVertexAliasTables:
     def total_entries(self) -> int:
         """Total table entries — O(|E|), the paper's point that typed
         partitioning adds no pre-processing overhead."""
-        return int(self._flat_edges.size)
+        return int(self._group_count.sum())
 
     def has_type(self, vertex: int, edge_type: int) -> bool:
         """Whether ``vertex`` has positive-mass edges of ``edge_type``."""

@@ -5,10 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms import UniformWalk
+from repro.core.config import WalkConfig
+from repro.core.engine import WalkEngine
 from repro.errors import SamplingError
-from repro.graph.builder import assign_random_weights, from_edges
+from repro.graph.builder import assign_random_weights, from_arrays, from_edges
 from repro.graph.generators import truncated_power_law_graph
 from repro.sampling.alias import AliasTable, VertexAliasTables, build_alias_arrays
+from repro.sampling.its import VertexITSTables
+from repro.sampling.typed import TypedVertexAliasTables
 
 from tests.helpers import assert_matches_distribution, diamond_graph
 
@@ -55,6 +60,13 @@ class TestBuildAliasArrays:
             build_alias_arrays(np.array([-1.0, 2.0]))
         with pytest.raises(SamplingError):
             build_alias_arrays(np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_is_refused_not_left_unwritten(self, bad):
+        # No entry of a NaN-scaled slice is ``< 1`` or ``>= 1``: ``prob``
+        # used to come back as whatever ``np.empty`` found in memory.
+        with pytest.raises(SamplingError, match="finite"):
+            build_alias_arrays(np.array([1.0, bad, 2.0]))
 
 
 class TestAliasTable:
@@ -110,6 +122,26 @@ class TestVertexAliasTables:
         start, end = graph.edge_range(2)
         samples = [tables.sample(2, rng) - start for _ in range(10_000)]
         assert_matches_distribution(samples, custom[start:end])
+
+    @pytest.mark.parametrize(
+        "tables", [VertexAliasTables, VertexITSTables, TypedVertexAliasTables]
+    )
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_static_component_names_the_edge(self, tables, bad):
+        graph = from_arrays(3, [0, 0, 1, 2], [1, 2, 2, 0], edge_types=[0, 1, 0, 0])
+        static = np.array([1.0, 2.0, bad, 1.0])
+        with pytest.raises(SamplingError, match="edge 2 is not finite"):
+            tables(graph, static)
+
+    def test_walk_over_a_reciprocal_of_a_zero_weight_is_refused(self):
+        class Reciprocal(UniformWalk):
+            def edge_static_comp(self, graph):
+                with np.errstate(divide="ignore"):
+                    return 1.0 / graph.weights
+
+        graph = from_edges(3, [(0, 1, 2.0), (1, 2, 0.0), (2, 0, 1.0)])
+        with pytest.raises(SamplingError, match="edge 1 is not finite"):
+            WalkEngine(graph, Reciprocal(), WalkConfig(num_walkers=3, max_steps=4))
 
     def test_dead_end_vertex(self):
         graph = from_edges(3, [(0, 1)])

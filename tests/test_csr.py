@@ -174,6 +174,12 @@ class TestValidateAndEquality:
         with pytest.raises(GraphError):
             graph.validate()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_validate_detects_a_non_finite_weight(self, bad):
+        graph = from_edges(3, [(0, 1, 1.0), (1, 2, bad), (2, 0, 1.0)])
+        with pytest.raises(GraphError, match="edge 1 is not finite"):
+            graph.validate()
+
     def test_equality(self):
         assert diamond_graph() == diamond_graph()
         assert diamond_graph() != diamond_graph(weights=True)

@@ -181,11 +181,14 @@ class TestCommit:
 # Property test: epochs + compaction == from-scratch build
 # ----------------------------------------------------------------------
 def assert_tables_identical(ours, reference):
-    """Exact (bit-level) equality of two sampler-table objects."""
+    """Exact (bit-level) equality of two sampler-table objects: the
+    per-edge arrays the class declares, whatever is derived from them,
+    and the typed tables' grouped layout."""
     assert type(ours) is type(reference)
     compared = 0
-    for attr in ("_prob", "_alias", "_totals", "_cdf", "_base",
-                 "_running", "_static"):
+    for attr in (*getattr(type(ours), "_PER_EDGE", ()), "_totals", "_base",
+                 "_running", "_static", "_flat_edges", "_flat_prob",
+                 "_flat_alias", "_group_start", "_group_count"):
         mine = getattr(ours, attr, None)
         theirs = getattr(reference, attr, None)
         assert (mine is None) == (theirs is None), attr

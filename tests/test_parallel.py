@@ -1,5 +1,6 @@
 """Tests for multi-process walk execution."""
 
+import dataclasses
 import os
 import time
 
@@ -58,6 +59,31 @@ class TestShardConfig:
     def test_invalid_shards(self, graph):
         with pytest.raises(ConfigError):
             shard_config(WalkConfig(num_walkers=5), graph, 0)
+
+    def test_streaming_to_one_file_is_refused(self, graph, tmp_path):
+        # The shards used to drop the target: no file, ``paths=None``.
+        config = WalkConfig(
+            num_walkers=10, max_steps=5, stream_paths_to=str(tmp_path / "corpus")
+        )
+        with pytest.raises(ConfigError, match="cannot stream to one file"):
+            run_parallel_walk(graph, UniformWalk(), config, num_workers=2)
+
+    def test_shards_keep_every_field_they_do_not_split(self, graph):
+        config = WalkConfig(
+            walks_per_vertex=2,
+            max_steps=None,
+            termination_probability=0.25,
+            seed=9,
+            record_paths=True,
+            static_sampler="its",
+            checkpoint_every=3,
+        )
+        split = {"num_walkers", "walks_per_vertex", "start_vertices",
+                 "start_distribution", "seed"}
+        for shard in shard_config(config, graph, 3):
+            for field in dataclasses.fields(WalkConfig):
+                if field.name not in split:
+                    assert getattr(shard, field.name) == getattr(config, field.name)
 
     def test_start_vertices_shorter_than_walkers_rejected(self, graph):
         config = WalkConfig(

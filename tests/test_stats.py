@@ -20,7 +20,7 @@ from repro.core.stats import ServiceMetrics, TerminationBreakdown, WalkStats
 from repro.errors import ObsError, SnapshotError
 from repro.obs import to_prometheus_text
 from repro.obs.counted import Counted, counter, state
-from repro.sampling.incremental import MaintenanceStats
+from repro.sampling.tables import MaintenanceStats
 from repro.sampling.rejection import SamplingCounters
 
 
