@@ -76,6 +76,7 @@ def _key_hash_contains(
     table: np.ndarray, bits: int, queries: np.ndarray
 ) -> np.ndarray:
     """Vectorised membership test against :func:`_build_key_hash`."""
+    shape, queries = queries.shape, queries.ravel()  # lanes below are flat
     mask = np.uint64(table.size - 1)
     slots = _hash_slots(queries, bits)
     # First probe on the full batch without lane tracking — at the
@@ -96,7 +97,7 @@ def _key_hash_contains(
         slots = slots[unresolved]
         values = values[unresolved]
         distance += np.uint64(1)
-    return found
+    return found.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -193,10 +194,12 @@ class CSRGraph:
         self._edge_types = edge_types
         self._vertex_types = vertex_types
         self._undirected = bool(undirected)
-        # Sorted (source, target) keys for O(1)-dispatch adjacency
-        # queries, plus a hash set over them for O(1)-probe membership
-        # tests; both built lazily on the first batch lookup.
+        # Sorted (source, target) keys, built on the first batch lookup
+        # and bisected until as many membership queries were answered
+        # as there are keys; only then is the hash set over them built
+        # (see has_edges_batch).
         self._edge_keys: np.ndarray | None = None
+        self._bisected_queries = 0
         self._key_hash: tuple[np.ndarray, int] | None = None
         for array in (offsets, targets, weights, edge_types, vertex_types):
             if array is not None:
@@ -354,7 +357,12 @@ class CSRGraph:
         """Vectorised ``has_edge`` over aligned source/target arrays.
 
         Used by the vectorised node2vec kernel to answer many state
-        queries at once.
+        queries at once.  Pay as you go: a probe of the hash set is
+        several times cheaper than a bisection of the sorted keys, but
+        building the set costs about what bisecting one query per key
+        does — so queries are bisected until that many were answered,
+        and the set is built only for a graph that outlives them (a
+        short-lived epoch of a dynamic graph never pays for it).
         """
         sources = np.asarray(sources, dtype=np.int64)
         targets = np.asarray(targets, dtype=np.int64)
@@ -366,11 +374,15 @@ class CSRGraph:
         if keys is None:
             first, _count = self.edge_span_batch(sources, targets)
             return first >= 0
-        if self._key_hash is None:
-            self._key_hash = _build_key_hash(keys)
-        table, bits = self._key_hash
         queries = sources * np.int64(self.num_vertices)
         queries += targets
+        if self._key_hash is None:
+            if self._bisected_queries < keys.size:
+                self._bisected_queries += queries.size
+                at = np.minimum(np.searchsorted(keys, queries), keys.size - 1)
+                return keys[at] == queries
+            self._key_hash = _build_key_hash(keys)
+        table, bits = self._key_hash
         return _key_hash_contains(table, bits, queries)
 
     def edge_span_batch(

@@ -14,7 +14,9 @@ from *visibility*:
   immutable :class:`EpochSnapshot` — a real ``CSRGraph`` plus
   incrementally maintained sampler state — that running walks pin and
   later commits can never perturb (snapshot isolation by
-  immutability);
+  immutability).  Every per-epoch structure is *the previous
+  materialised epoch plus the touched set* (untouched stretches block-
+  copied, touched slices rebuilt); a superseded epoch keeps its CSR only;
 * :meth:`DynamicGraph.compact` folds the delta buffer back into the
   base CSR, bounding overlay growth.
 
@@ -39,10 +41,12 @@ walk sees are never silently wrong.
 
 from __future__ import annotations
 
+import bisect
 import os
 import struct
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -52,8 +56,8 @@ from repro.graph.csr import CSRGraph
 from repro.graph.prepared import PreparedGraph, build_tables, full_bounds
 from repro.sampling.tables import (
     MaintenanceStats,
-    slice_gather_map,
-    untouched_vertices,
+    copy_untouched_runs,
+    slice_indices,
 )
 
 if TYPE_CHECKING:  # a graph without a log never loads the log's code
@@ -115,18 +119,13 @@ class UpdateBatch:
 
     @classmethod
     def from_updates(cls, updates: list[EdgeUpdate] | tuple) -> "UpdateBatch":
-        updates = list(updates)
-        return cls(
-            kinds=np.asarray(
-                [_KIND_CODES[u.kind] for u in updates], dtype=np.uint8
-            ),
-            sources=np.asarray([u.source for u in updates], dtype=np.int64),
-            targets=np.asarray([u.target for u in updates], dtype=np.int64),
-            weights=np.asarray([u.weight for u in updates], dtype=np.float64),
-            edge_types=np.asarray(
-                [u.edge_type for u in updates], dtype=np.int32
-            ),
-        )
+        rows = [
+            (_KIND_CODES[u.kind], u.source, u.target, u.weight, u.edge_type)
+            for u in updates
+        ]
+        dtypes = (np.uint8, np.int64, np.int64, np.float64, np.int32)
+        columns = zip(*rows) if rows else ((),) * 5
+        return cls(*(np.array(c, dtype=d) for c, d in zip(columns, dtypes)))
 
     def updates(self) -> list[EdgeUpdate]:
         return [
@@ -210,7 +209,9 @@ class EpochSnapshot(PreparedGraph):
     and its bounds come from the owning :class:`DynamicGraph`, which
     maintains them incrementally from the previous epoch's.  Snapshots
     stay valid after further commits: later epochs build new arrays,
-    they never mutate old ones.
+    they never mutate old ones.  Once a newer epoch is snapshotted the
+    owner retains this one's graph only (:meth:`DynamicGraph.snapshot_at`
+    wraps it afresh); tables asked of it then are built from scratch.
     """
 
     def __init__(self, owner: "DynamicGraph", epoch: int, graph: CSRGraph) -> None:
@@ -228,27 +229,6 @@ class EpochSnapshot(PreparedGraph):
 
     def _bounds(self, program, use_lower_bound: bool):
         return self._owner._bounds_for(self, program, use_lower_bound)
-
-
-class _Adjacency:
-    """Mutable copy of one vertex's edge slice (the delta buffer unit)."""
-
-    __slots__ = ("targets", "weights", "edge_types")
-
-    def __init__(
-        self,
-        targets: np.ndarray,
-        weights: np.ndarray,
-        edge_types: np.ndarray,
-    ) -> None:
-        self.targets = targets
-        self.weights = weights
-        self.edge_types = edge_types
-
-    def copy(self) -> "_Adjacency":
-        return _Adjacency(
-            self.targets.copy(), self.weights.copy(), self.edge_types.copy()
-        )
 
 
 class DynamicGraph:
@@ -292,7 +272,9 @@ class DynamicGraph:
         self._base = base
         self._base_epoch = int(base_epoch)
         self._epoch = int(base_epoch)
-        self._overlay: dict[int, _Adjacency] = {}
+        # The delta buffer: vertex -> (lo, hi, columns), its slice of the
+        # (targets, weights, edge_types) its last commit staged, never rewritten.
+        self._overlay: dict[int, tuple] = {}
         self._touched_by_epoch: dict[int, np.ndarray] = {}
         self._snapshots: dict[int, EpochSnapshot] = {}
         # Table kind or bounds key -> (epoch, tables or (upper, lower)).
@@ -367,12 +349,12 @@ class DynamicGraph:
             if isinstance(updates, UpdateBatch)
             else UpdateBatch.from_updates(updates)
         )
-        staged, counts = self._stage_batch(batch)
+        staged = self._stage_batch(batch)
         if self._wal is not None:
             self._wal.append(self._epoch + 1, batch.to_bytes())
             self.stats.wal_records_written = self._wal.records_written
             self.stats.wal_bytes_written = self._wal.bytes_written
-        self._install(batch, staged, counts)
+        self._install(batch, staged)
         if (
             self._compact_every > 0
             and self._commits_since_compaction >= self._compact_every
@@ -380,115 +362,144 @@ class DynamicGraph:
             self.compact()
         return self._epoch
 
-    def _install(
-        self,
-        batch: UpdateBatch,
-        staged: dict[int, _Adjacency],
-        counts: tuple[int, int, int],
-    ) -> None:
+    def _install(self, batch: UpdateBatch, staged: dict[int, tuple]) -> None:
         self._overlay.update(staged)
         self._epoch += 1
         self._commits_since_compaction += 1
-        touched = np.asarray(sorted(staged), dtype=np.int64)
-        self._touched_by_epoch[self._epoch] = touched
-        inserts, deletes, reweights = counts
+        self._touched_by_epoch[self._epoch] = np.fromiter(staged, np.int64, len(staged))
+        # Only an installed batch may turn the graph weighted or typed.
+        inserted = batch.kinds == INSERT
+        inserts, deletes, reweights = np.bincount(batch.kinds, minlength=3).tolist()
+        self._weighted |= bool(reweights or (batch.weights[inserted] != 1.0).any())
+        self._typed |= bool((batch.edge_types[inserted] != 0).any())
         self.stats.epochs_committed += 1
         self.stats.updates_submitted += len(batch)
         self.stats.inserts_applied += inserts
         self.stats.deletes_applied += deletes
         self.stats.reweights_applied += reweights
 
-    def _stage_batch(
-        self, batch: UpdateBatch
-    ) -> tuple[dict[int, _Adjacency], tuple[int, int, int]]:
-        """Apply ``batch`` to copies of the touched adjacencies.
+    def _stage_batch(self, batch: UpdateBatch) -> dict[int, tuple]:
+        """The delta-buffer entries of the touched vertices as ``batch``
+        leaves them.  Pure with respect to ``self``: any validation
+        error aborts the commit with no side effects.
 
-        Pure with respect to ``self``: nothing is installed, so any
-        validation error aborts the commit with no side effects.
+        Updates apply one after another: an insert lands after the
+        parallel edges already there, a delete or reweight hits the
+        first copy.  So each (source, target) run is a queue — inserts
+        join its back, the k-th delete takes entry k of ``existing +
+        inserted``, a reweight addresses the entry then at the front —
+        and one stable sort by run simulates the whole batch.
         """
-        staged: dict[int, _Adjacency] = {}
-        counts = [0, 0, 0]
-        mirror = self._base.is_undirected
-        num_vertices = self._base.num_vertices
-        for i in range(len(batch)):
-            kind = int(batch.kinds[i])
-            source = int(batch.sources[i])
-            target = int(batch.targets[i])
-            weight = float(batch.weights[i])
-            edge_type = int(batch.edge_types[i])
-            for vertex in (source, target):
-                if not 0 <= vertex < num_vertices:
-                    raise GraphError(
-                        f"update endpoint {vertex} out of range "
-                        f"[0, {num_vertices})"
-                    )
-            if kind != DELETE and (weight < 0 or not np.isfinite(weight)):
-                raise GraphError(
-                    f"update weight must be finite and non-negative, "
-                    f"got {weight!r}"
-                )
-            self._stage_one(staged, kind, source, target, weight, edge_type)
-            if mirror:
-                self._stage_one(staged, kind, target, source, weight, edge_type)
-            counts[kind] += 1
-        return staged, tuple(counts)
+        count = self._base.num_vertices
+        kinds, sources, targets = batch.kinds, batch.sources, batch.targets
+        weights = batch.weights
+        if kinds.size and kinds.max() > REWEIGHT:
+            raise GraphError(f"unknown update kind code {int(kinds.max())}")
+        invalid = (kinds != DELETE) & ~(np.isfinite(weights) & (weights >= 0))
+        invalid |= np.minimum(sources, targets) < 0
+        invalid |= np.maximum(sources, targets) >= count
+        # Updates before the first invalid one are staged all the same:
+        # a missing edge among them is the error met first, one at a time.
+        valid = int(np.argmax(invalid)) if invalid.any() else len(batch)
+        ops = [a[:valid] for a in (kinds, sources, targets, weights, batch.edge_types)]
+        if self._base.is_undirected:  # each update, then its mirror image
+            ops = [np.repeat(array, 2) for array in ops]
+            ops[1][1::2], ops[2][1::2] = ops[2][1::2], ops[1][1::2].copy()
+        kinds, sources, targets, weights, edge_types = ops
 
-    def _stage_one(
-        self,
-        staged: dict[int, _Adjacency],
-        kind: int,
-        source: int,
-        target: int,
-        weight: float,
-        edge_type: int,
-    ) -> None:
-        adj = staged.get(source)
-        if adj is None:
-            existing = self._overlay.get(source)
-            adj = existing.copy() if existing is not None else self._slice(source)
-            staged[source] = adj
-        if kind == INSERT:
-            # After any existing edges to the same target: matches the
-            # stable (source, target) lexsort of GraphBuilder, where
-            # newly added parallel edges follow previously added ones.
-            position = int(np.searchsorted(adj.targets, target, side="right"))
-            adj.targets = np.insert(adj.targets, position, target)
-            adj.weights = np.insert(adj.weights, position, weight)
-            adj.edge_types = np.insert(adj.edge_types, position, edge_type)
-            if weight != 1.0:
-                self._weighted = True
-            if edge_type != 0:
-                self._typed = True
-            return
-        position = int(np.searchsorted(adj.targets, target, side="left"))
-        if position >= adj.targets.size or adj.targets[position] != target:
-            verb = _KIND_NAMES[kind]
+        touched, local = np.unique(sources, return_inverse=True)
+        touched, offsets, existing = self._gather(touched)
+        local = np.argsort(touched)[local]  # _gather's order, not ascending
+        span = np.int64(count)
+        keys = local * span + targets  # by (touched vertex, target)
+        order = np.argsort(keys, kind="stable")
+        keys, local, sorted_kinds = keys[order], local[order], kinds[order]
+        inserting, deleting = sorted_kinds == INSERT, sorted_kinds == DELETE
+        degrees = np.diff(offsets)
+        existing_keys = np.repeat(np.arange(touched.size) * span, degrees)
+        existing_keys += existing[0]
+        first = np.searchsorted(existing_keys, keys, side="left")
+        after = np.searchsorted(existing_keys, keys, side="right")
+        heads = np.diff(keys, prepend=-1) != 0
+        head = np.flatnonzero(heads)[np.cumsum(heads) - 1]  # of its run, per op
+        # Per operation: the inserts / deletes before it in its run, and
+        # (``ahead``) the inserts of the runs sorted before its own.
+        inserted = np.cumsum(inserting) - inserting
+        deleted = np.cumsum(deleting) - deleting
+        ahead = inserted[head]
+        inserted -= ahead
+        deleted -= deleted[head]
+        held = after - first
+        missing = ~inserting & (held + inserted <= deleted)
+        if missing.any():
+            at = int(order[missing].min())
             raise GraphError(
-                f"{verb} of missing edge {source}->{target} "
-                f"(epoch {self._epoch})"
+                f"{_KIND_NAMES[int(kinds[at])]} of missing edge "
+                f"{int(sources[at])}->{int(targets[at])} (epoch {self._epoch})"
             )
-        if kind == DELETE:
-            adj.targets = np.delete(adj.targets, position)
-            adj.weights = np.delete(adj.weights, position)
-            adj.edge_types = np.delete(adj.edge_types, position)
-        else:  # REWEIGHT
-            adj.weights[position] = weight
-            self._weighted = True
+        if valid < len(batch):
+            for end in (int(batch.sources[valid]), int(batch.targets[valid])):
+                if not 0 <= end < count:
+                    raise GraphError(f"update endpoint {end} out of range [0, {count})")
+            raise GraphError(
+                f"update weight must be finite and non-negative, "
+                f"got {float(batch.weights[valid])!r}"
+            )
+        # Entries: the existing ones, then the inserts in sorted order.
+        # A delete or reweight addresses entry ``deleted`` of its run.
+        placed, total = order[inserting], existing_keys.size
+        columns = [
+            np.concatenate((old, new[placed].astype(old.dtype)))
+            for old, new in zip(existing, (targets, weights, edge_types))
+        ]
+        slot = np.where(deleted < held, first + deleted, total + ahead + deleted - held)
+        keep = np.ones(total + placed.size, dtype=bool)
+        keep[slot[deleting]] = False
+        reweighting = np.flatnonzero(sorted_kinds == REWEIGHT)
+        reweighted = slot[reweighting]
+        # Several reweights of one entry: the last submitted stands.
+        last = np.diff(reweighted, append=-1) != 0
+        columns[1][reweighted[last]] = weights[order[reweighting[last]]]
+        # An insert goes after every existing entry of its run, and
+        # after the inserts sorted before it.
+        merged = np.insert(
+            np.arange(total), after[inserting], np.arange(total, keep.size)
+        )
+        merged = merged[keep[merged]]
+        columns = tuple(column[merged] for column in columns)
+        degrees += np.bincount(local[inserting], minlength=touched.size)
+        degrees -= np.bincount(local[deleting], minlength=touched.size)
+        bounds = np.cumsum(degrees).tolist()
+        return dict(zip(touched.tolist(), zip([0] + bounds, bounds, repeat(columns))))
 
-    def _slice(self, vertex: int) -> _Adjacency:
-        start, end = self._base.edge_range(vertex)
-        targets = self._base.targets[start:end].copy()
-        weights = (
-            self._base.weights[start:end].copy()
-            if self._base.weights is not None
-            else np.ones(end - start, dtype=np.float64)
+    def _gather(self, vertices: np.ndarray):
+        """The current adjacencies of ``vertices`` laid end to end, the
+        ones the base still holds first (one gather), then the delta
+        buffer's: ``(vertices in that order, offsets, columns)``, with
+        weights and types spelled out (1.0 / 0) where the base has none."""
+        base = self._base
+        entries = list(map(self._overlay.get, vertices.tolist()))
+        fresh = np.array([entry is None for entry in entries], dtype=bool)
+        held = [entry for entry in entries if entry is not None]
+        kept = vertices[fresh]
+        degrees = base.offsets[kept + 1] - base.offsets[kept]
+        offsets = np.zeros(vertices.size + 1, dtype=np.int64)
+        np.cumsum(
+            np.concatenate((degrees, [hi - lo for lo, hi, _ in held])),
+            out=offsets[1:],
         )
-        edge_types = (
-            self._base.edge_types[start:end].copy()
-            if self._base.edge_types is not None
-            else np.zeros(end - start, dtype=np.int32)
+        source = slice_indices(base.offsets, kept)
+        blanks = ((0, np.int64), (1.0, np.float64), (0, np.int32))
+        columns = tuple(
+            np.concatenate(
+                [np.full(source.size, *blank) if old is None else old[source]]
+                + [staged[column][lo:hi] for lo, hi, staged in held]
+            )
+            for column, (old, blank) in enumerate(
+                zip((base.targets, base.weights, base.edge_types), blanks)
+            )
         )
-        return _Adjacency(targets, weights, edge_types)
+        return np.concatenate((kept, vertices[~fresh])), offsets, columns
 
     # ------------------------------------------------------------------
     # Snapshots
@@ -499,6 +510,10 @@ class DynamicGraph:
         if cached is not None:
             return cached
         snap = EpochSnapshot(self, self._epoch, self._materialize())
+        # Retention keeps graphs, not prepared state: superseded epochs
+        # are wrapped afresh, without the table memo a running walk may hold.
+        for epoch, old in self._snapshots.items():
+            self._snapshots[epoch] = EpochSnapshot(self, epoch, old.graph)
         self._snapshots[self._epoch] = snap
         while len(self._snapshots) > self._retain_epochs:
             del self._snapshots[min(self._snapshots)]
@@ -522,49 +537,39 @@ class DynamicGraph:
         return snap
 
     def _materialize(self) -> CSRGraph:
-        base = self._base
-        if not self._overlay:
-            return base
-        degrees = np.diff(base.offsets).copy()
-        for vertex, adj in self._overlay.items():
-            degrees[vertex] = adj.targets.size
-        offsets = np.zeros(base.num_vertices + 1, dtype=np.int64)
+        """The current epoch's CSR: the nearest materialised epoch
+        before it — the last snapshot, else the base — with the slices
+        of the vertices touched since replaced from the delta buffer."""
+        prior, since = self._base, self._base_epoch
+        if self._snapshots:
+            since = max(self._snapshots)
+            prior = self._snapshots[since].graph
+        touched = self._touched_between(since, self._epoch)
+        if touched is None:  # an untracked epoch: base + the whole buffer
+            prior, touched = self._base, np.asarray(sorted(self._overlay))
+        if not touched.size:
+            return prior
+        order, local, rebuilt = self._gather(touched)
+        degrees = np.diff(prior.offsets)
+        degrees[order] = np.diff(local)
+        offsets = np.zeros(prior.num_vertices + 1, dtype=np.int64)
         np.cumsum(degrees, out=offsets[1:])
-        num_edges = int(offsets[-1])
-
-        targets = np.empty(num_edges, dtype=np.int64)
-        weights = np.empty(num_edges, dtype=np.float64) if self._weighted else None
-        edge_types = np.empty(num_edges, dtype=np.int32) if self._typed else None
-
-        overlay_vertices = np.asarray(sorted(self._overlay), dtype=np.int64)
-        untouched = untouched_vertices(base.num_vertices, overlay_vertices)
-        src, dst = slice_gather_map(base.offsets, offsets, untouched)
-        targets[dst] = base.targets[src]
-        if weights is not None:
-            weights[dst] = (
-                base.weights[src] if base.weights is not None else 1.0
-            )
-        if edge_types is not None:
-            edge_types[dst] = (
-                base.edge_types[src] if base.edge_types is not None else 0
-            )
-        for vertex in overlay_vertices:
-            adj = self._overlay[int(vertex)]
-            start = offsets[vertex]
-            end = start + adj.targets.size
-            targets[start:end] = adj.targets
-            if weights is not None:
-                weights[start:end] = adj.weights
-            if edge_types is not None:
-                edge_types[start:end] = adj.edge_types
-        return CSRGraph(
-            offsets=offsets,
-            targets=targets,
-            weights=weights,
-            edge_types=edge_types,
-            vertex_types=base.vertex_types,
-            undirected=base.is_undirected,
-        )
+        at = slice_indices(offsets, order)
+        columns, copied = [], []
+        for old, new, kept, blank in zip(
+            (prior.targets, prior.weights, prior.edge_types),
+            rebuilt,
+            (True, self._weighted, self._typed),
+            (0, 1.0, 0),  # what a graph without the column stands for
+        ):
+            column = np.full(offsets[-1], blank, dtype=new.dtype) if kept else None
+            if kept:
+                column[at] = new
+                if old is not None:
+                    copied.append((old, column))
+            columns.append(column)
+        copy_untouched_runs(prior.offsets, offsets, touched, copied)
+        return CSRGraph(offsets, *columns, prior.vertex_types, prior.is_undirected)
 
     # ------------------------------------------------------------------
     # Compaction
@@ -659,8 +664,7 @@ class DynamicGraph:
                     f"{dynamic._epoch + 1}, found {epoch})"
                 )
             batch = UpdateBatch.from_bytes(payload)
-            staged, counts = dynamic._stage_batch(batch)
-            dynamic._install(batch, staged, counts)
+            dynamic._install(batch, dynamic._stage_batch(batch))
             report.records_replayed += 1
         if partial:
             log.close()
@@ -740,7 +744,9 @@ class DynamicGraph:
         if value is None:
             value = full()
             self.maintenance.full_rebuilds += 1
-        self._maintained_at[key] = (snap.epoch, value)
+        # A superseded epoch asking late never displaces a newer entry.
+        if cached is None or cached[0] < snap.epoch:
+            self._maintained_at[key] = (snap.epoch, value)
         return value
 
     def _tables_for(self, snap: EpochSnapshot, kind: str):
@@ -773,7 +779,7 @@ class DynamicGraph:
         if touched.size:
             count = min(self._verify_samples, int(touched.size))
             picks.append(rng.choice(touched, size=count, replace=False))
-        untouched = untouched_vertices(snap.graph.num_vertices, touched)
+        untouched = np.setdiff1d(np.arange(snap.graph.num_vertices), touched)
         if untouched.size:
             count = min(2, int(untouched.size))
             picks.append(rng.choice(untouched, size=count, replace=False))
@@ -935,21 +941,14 @@ def generate_churn_batches(
     """
     rng = np.random.default_rng(seed)
     num_vertices = graph.num_vertices
-    # Track the evolving logical edge set (canonical orientation for
-    # undirected graphs) so deletes always hit and inserts never
-    # create unintended parallel edges.
-    sources = np.repeat(
-        np.arange(num_vertices, dtype=np.int64), graph.out_degrees()
-    )
+    # The evolving logical edge set (canonical orientation if undirected),
+    # kept sorted: deletes always hit, inserts never add a parallel edge.
+    sources = np.repeat(np.arange(num_vertices), graph.out_degrees())
+    ends = np.stack((sources, graph.targets))
     if graph.is_undirected:
-        pairs = set(
-            zip(
-                np.minimum(sources, graph.targets).tolist(),
-                np.maximum(sources, graph.targets).tolist(),
-            )
-        )
-    else:
-        pairs = set(zip(sources.tolist(), graph.targets.tolist()))
+        ends = np.sort(ends, axis=0)
+    keys = np.unique(ends[0] * num_vertices + ends[1])
+    pairs = list(zip((keys // num_vertices).tolist(), (keys % num_vertices).tolist()))
     batches: list[UpdateBatch] = []
     for _ in range(num_epochs):
         updates: list[EdgeUpdate] = []
@@ -961,19 +960,19 @@ def generate_churn_batches(
                     v = int(rng.integers(num_vertices))
                     if graph.is_undirected:
                         u, v = min(u, v), max(u, v)
-                    if u != v and (u, v) not in pairs:
+                    at = bisect.bisect_left(pairs, (u, v))
+                    if u != v and pairs[at : at + 1] != [(u, v)]:
                         break
                 else:
                     continue
-                pairs.add((u, v))
+                pairs.insert(at, (u, v))
                 weight = float(rng.uniform(weight_low, weight_high))
                 updates.append(EdgeUpdate("insert", u, v, weight))
             elif action < 0.7:
-                u, v = sorted(pairs)[int(rng.integers(len(pairs)))]
-                pairs.remove((u, v))
+                u, v = pairs.pop(int(rng.integers(len(pairs))))
                 updates.append(EdgeUpdate("delete", u, v))
             else:
-                u, v = sorted(pairs)[int(rng.integers(len(pairs)))]
+                u, v = pairs[int(rng.integers(len(pairs)))]
                 weight = float(rng.uniform(weight_low, weight_high))
                 updates.append(EdgeUpdate("reweight", u, v, weight))
         batches.append(UpdateBatch.from_updates(updates))

@@ -10,10 +10,11 @@ derivation, and everything else is that builder plus a copy:
 
 * a from-scratch table builds every segment;
 * :meth:`VertexTables.updated` — the next epoch of a dynamic graph —
-  gathers untouched slices verbatim to where the new CSR layout puts
-  them and builds the touched ones.  Copying an untouched slice *is*
-  rebuilding it, with no fix-up, so the result is bit-identical to a
-  from-scratch build over the new graph;
+  copies the untouched stretches verbatim to where the new CSR layout
+  puts them (:func:`copy_untouched_runs`, which the CSR arrays of the
+  epoch go through as well) and builds the touched slices.  Copying an
+  untouched slice *is* rebuilding it, with no fix-up, so the result is
+  bit-identical to a from-scratch build over the new graph;
 * :meth:`VertexTables.mismatches` builds the probed slices again and
   compares exactly — the runtime defence of that identity, which
   :class:`~repro.graph.dynamic.DynamicGraph` counts in
@@ -35,9 +36,9 @@ __all__ = [
     "MaintenanceStats",
     "VertexTables",
     "compact_slices",
-    "slice_gather_map",
+    "copy_untouched_runs",
+    "slice_indices",
     "static_component",
-    "untouched_vertices",
 ]
 
 
@@ -70,14 +71,18 @@ class MaintenanceStats(Counted, prefix="walk_sampler"):
 
 
 def static_component(
-    graph: CSRGraph, static_weights: np.ndarray | None = None
+    graph: CSRGraph,
+    static_weights: np.ndarray | None = None,
+    segments: np.ndarray | None = None,
 ) -> np.ndarray:
     """The validated per-edge static component Ps.
 
     ``None`` is the ``edgeStaticComp`` default of the paper's API: the
     graph's weights, or all-ones when unweighted.  A non-finite entry
     is refused here, by edge index: no later comparison orders a NaN,
-    so the builders would leave its slice unwritten.
+    so the builders would leave its slice unwritten.  ``segments``
+    names the only vertices whose slices still need the check (the
+    rest were checked when the tables being updated were built).
     """
     if static_weights is None:
         static_weights = (
@@ -88,18 +93,21 @@ def static_component(
     static = np.asarray(static_weights, dtype=np.float64)
     if static.size != graph.num_edges:
         raise SamplingError("static weights must align with graph edges")
-    finite = np.isfinite(static)
+    at = None if segments is None else slice_indices(graph.offsets, segments)
+    checked = static if at is None else static[at]
+    finite = np.isfinite(checked)
     if not finite.all():
         edge = int(np.argmin(finite))
+        edge = edge if at is None else int(at[edge])
         raise SamplingError(
             f"static weight of edge {edge} is not finite ({static[edge]})"
         )
-    if graph.num_edges and static.min() < 0:
+    if checked.size and checked.min() < 0:
         raise SamplingError("static weights must be non-negative")
     return static
 
 
-def _slice_indices(offsets: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+def slice_indices(offsets: np.ndarray, vertices: np.ndarray) -> np.ndarray:
     """Flat indices of ``vertices``' edge slices, slice after slice."""
     starts = offsets[vertices]
     degrees = offsets[vertices + 1] - starts
@@ -107,36 +115,31 @@ def _slice_indices(offsets: np.ndarray, vertices: np.ndarray) -> np.ndarray:
     return np.arange(degrees.sum(), dtype=np.int64) + np.repeat(shift, degrees)
 
 
-def slice_gather_map(
+def copy_untouched_runs(
     old_offsets: np.ndarray,
     new_offsets: np.ndarray,
-    vertices: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flat (src, dst) index arrays copying ``vertices``' edge slices.
+    touched: np.ndarray,
+    arrays: list[tuple[np.ndarray, np.ndarray]],
+) -> None:
+    """Copy every vertex's edge slice outside ``touched`` from the old
+    layout to the new one, for each ``(old, new)`` pair of flat arrays.
 
-    ``vertices`` must have identical degree under both layouts (they
-    are the *untouched* vertices of an epoch); raises
-    :class:`SamplingError` otherwise, because a silent mis-copy would
-    corrupt every downstream sample.
+    The vertices between two neighbours of ``touched`` (ascending, no
+    repeats) lie back to back in both layouts, so an array moves in at
+    most ``touched.size + 1`` block copies: the cost follows the touched
+    set, not |E|.  A stretch that changed length is refused — a silent
+    mis-copy would corrupt every downstream sample.
     """
-    vertices = np.asarray(vertices, dtype=np.int64)
-    if not np.array_equal(
-        old_offsets[vertices + 1] - old_offsets[vertices],
-        new_offsets[vertices + 1] - new_offsets[vertices],
-    ):
-        raise SamplingError(
-            "slice_gather_map over vertices whose degree changed"
-        )
-    return _slice_indices(old_offsets, vertices), _slice_indices(
-        new_offsets, vertices
-    )
-
-
-def untouched_vertices(num_vertices: int, touched: np.ndarray) -> np.ndarray:
-    """The vertices not in ``touched``, ascending."""
-    mask = np.ones(num_vertices, dtype=bool)
-    mask[touched] = False
-    return np.nonzero(mask)[0]
+    first = np.concatenate(([0], touched + 1))
+    last = np.concatenate((touched, [old_offsets.size - 1]))
+    old_starts, new_starts = old_offsets[first], new_offsets[first]
+    lengths = old_offsets[last] - old_starts
+    if not np.array_equal(lengths, new_offsets[last] - new_starts):
+        raise SamplingError("copy_untouched_runs over vertices whose degree changed")
+    runs = np.stack((old_starts, new_starts, lengths), axis=1)[lengths > 0].tolist()
+    for old, new in arrays:
+        for source, target, length in runs:
+            new[target : target + length] = old[source : source + length]
 
 
 def compact_slices(
@@ -150,7 +153,7 @@ def compact_slices(
     segments = np.asarray(segments, dtype=np.int64)
     packed = np.zeros(segments.size + 1, dtype=np.int64)
     np.cumsum(offsets[segments + 1] - offsets[segments], out=packed[1:])
-    return values[_slice_indices(offsets, segments)], packed
+    return values[slice_indices(offsets, segments)], packed
 
 
 class VertexTables:
@@ -217,23 +220,21 @@ class VertexTables:
         vertices' slices.  Bit-identical to ``type(self)(graph,
         static_weights)``.
         """
-        touched = np.asarray(touched, dtype=np.int64)
+        touched = np.unique(np.asarray(touched, dtype=np.int64))
         new = type(self).__new__(type(self))
         new._graph = graph
-        new._static = static_component(graph, static_weights)
-        kept = untouched_vertices(graph.num_vertices, touched)
-        src, dst = slice_gather_map(self._graph.offsets, graph.offsets, kept)
-        rebuilt_at = _slice_indices(graph.offsets, touched)
+        new._static = static_component(graph, static_weights, touched)
+        rebuilt_at = slice_indices(graph.offsets, touched)
         rebuilt_totals, *rebuilt = self._build(new._static, graph.offsets, touched)
-        totals = np.zeros(graph.num_vertices, dtype=np.float64)
-        totals[kept] = self._totals[kept]
+        totals = self._totals.copy()
         totals[touched] = rebuilt_totals
-        arrays = []
-        for name, fresh in zip(self._PER_EDGE, rebuilt):
-            array = np.empty(graph.num_edges, dtype=fresh.dtype)
-            array[dst] = getattr(self, name)[src]
+        arrays = [np.empty(graph.num_edges, dtype=fresh.dtype) for fresh in rebuilt]
+        for array, fresh in zip(arrays, rebuilt):
             array[rebuilt_at] = fresh
-            arrays.append(array)
+        kept = [getattr(self, name) for name in self._PER_EDGE]
+        copy_untouched_runs(
+            self._graph.offsets, graph.offsets, touched, list(zip(kept, arrays))
+        )
         new._install(totals, arrays)
         return new
 
@@ -248,7 +249,7 @@ class VertexTables:
         offsets = self._graph.offsets
         totals, *expected = self._build(self._static, offsets, vertices)
         differs = self._totals[vertices] != totals
-        at = _slice_indices(offsets, vertices)
+        at = slice_indices(offsets, vertices)
         owner = np.repeat(
             np.arange(vertices.size), offsets[vertices + 1] - offsets[vertices]
         )

@@ -1,11 +1,15 @@
 """Unit tests for CSR graph storage."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GraphError
+from repro.graph import csr
 from repro.graph.builder import from_arrays, from_edges
 from repro.graph.csr import CSRGraph
 
@@ -160,6 +164,96 @@ class TestMembership:
         assert counts.tolist() == [2, 1, 0]
         assert first[0] >= 0 and graph.targets[first[0]] == 1
         assert first[2] == -1
+
+
+class TestPayAsYouGoIndex:
+    """``has_edges_batch`` bisects the sorted keys until it answered as
+    many queries as the graph has edge keys, then builds the hash set:
+    both sides of that switch must say what ``has_edge`` says."""
+
+    @staticmethod
+    def hashed(graph):
+        """A copy of ``graph`` already past the switch."""
+        twin = CSRGraph(graph.offsets, graph.targets)
+        twin._bisected_queries = twin.num_edges
+        return twin
+
+    @given(data=st.data(), num_vertices=st.integers(1, 9))
+    @settings(max_examples=120, deadline=None)
+    def test_bisect_hash_and_scalar_agree(self, data, num_vertices):
+        vertex = st.integers(0, num_vertices - 1)
+        edges = data.draw(st.lists(st.tuples(vertex, vertex), max_size=40))
+        graph = from_edges(num_vertices, edges)  # parallel edges, self-loops, empty
+        # Sources from NO_VERTEX (-1) up: an empty hash slot once
+        # answered "present" to the key of (-1, |V|-1).  The last key
+        # of the array and absent targets beyond it are drawn too.
+        pairs = data.draw(st.lists(st.tuples(st.integers(-1, num_vertices - 1), vertex)))
+        shape = data.draw(st.sampled_from([(len(pairs),), (len(pairs), 1), (1, len(pairs))]))
+        sources = np.array([s for s, _ in pairs], dtype=np.int64).reshape(shape)
+        targets = np.array([t for _, t in pairs], dtype=np.int64).reshape(shape)
+        bisected = graph.has_edges_batch(sources, targets)
+        assert graph._key_hash is None or not graph.num_edges
+        hashed = self.hashed(graph).has_edges_batch(sources, targets)
+        scalar = [s >= 0 and graph.has_edge(s, t) for s, t in pairs]
+        assert bisected.shape == hashed.shape == shape
+        assert bisected.dtype == hashed.dtype == bool
+        np.testing.assert_array_equal(bisected.ravel(), scalar)
+        np.testing.assert_array_equal(hashed.ravel(), scalar)
+
+    def test_two_dimensional_queries_survive_hash_collisions(self):
+        """The probe loop indexed a 2-D answer with flat lanes; only a
+        collision reaches it."""
+        rng = np.random.default_rng(0)
+        graph = from_arrays(300, rng.integers(0, 300, 4000), rng.integers(0, 300, 4000))
+        sources, targets = rng.integers(0, 300, (2, 50, 40))
+        flat = self.hashed(graph).has_edges_batch(sources.ravel(), targets.ravel())
+        square = self.hashed(graph).has_edges_batch(sources, targets)
+        np.testing.assert_array_equal(square, flat.reshape(50, 40))
+        np.testing.assert_array_equal(graph.has_edges_batch(sources, targets), square)
+
+    def test_hash_is_built_once_when_the_queries_add_up(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        graph = from_arrays(60, rng.integers(0, 60, 500), rng.integers(0, 60, 500))
+        builds = []
+
+        def counting(keys, build=csr._build_key_hash):
+            builds.append(keys.size)
+            return build(keys)
+
+        monkeypatch.setattr(csr, "_build_key_hash", counting)
+        sources, targets = rng.integers(0, 60, (2, 128))
+        expected = [graph.has_edge(int(s), int(t)) for s, t in zip(sources, targets)]
+        for batch in range(8):  # 4 x 128 = 512 >= 500 keys: hashed from the 5th on
+            np.testing.assert_array_equal(
+                graph.has_edges_batch(sources, targets), expected
+            )
+            assert builds == ([] if batch < 4 else [500])
+        assert graph._bisected_queries == 512
+
+    def test_two_threads_across_the_switch(self):
+        rng = np.random.default_rng(2)
+        graph = from_arrays(80, rng.integers(0, 80, 900), rng.integers(0, 80, 900))
+        sources, targets = rng.integers(-1, 80, 64), rng.integers(0, 80, 64)
+        expected = [s >= 0 and graph.has_edge(int(s), int(t)) for s, t in zip(sources, targets)]
+        wrong = []
+
+        def hammer():
+            for _ in range(60):  # 2 x 60 x 64 queries: well past 900 keys
+                if graph.has_edges_batch(sources, targets).tolist() != expected:
+                    wrong.append(graph._bisected_queries)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == [] and graph._key_hash is not None
 
 
 class TestValidateAndEquality:

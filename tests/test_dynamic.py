@@ -11,6 +11,8 @@ per-epoch certification) rides on that equivalence.
 """
 
 import bisect
+import hashlib
+import time
 
 import numpy as np
 import pytest
@@ -34,12 +36,14 @@ from repro.graph.dynamic import (
     generate_churn_batches,
     parse_update_stream,
 )
+from repro.graph.datasets import load_dataset
 from repro.graph.generators import erdos_renyi_graph
 from repro.graph.prepared import PreparedGraph
 from repro.lint.sanitizer import run_sanitized
 from repro.sampling.alias import VertexAliasTables
 from repro.sampling.its import VertexITSTables
 from repro.service import WalkRequest, WalkService
+from tests.test_dynamic_chaos import churn_graph
 from tests.test_golden_walks import digest as golden_digest
 
 
@@ -126,6 +130,24 @@ class TestCommit:
         # Staging failed before anything was installed: no partial epoch.
         assert dyn.epoch == 0
         assert not dyn.snapshot().graph.has_edge(0, 2)
+
+    def test_rejected_batch_leaves_no_flag_behind(self):
+        """Staging used to mark the graph weighted as it went, so the
+        epoch *after* a rejected batch materialised a weights array."""
+        dyn = DynamicGraph(from_edges(4, [(0, 1), (1, 2)]))
+        assert dyn.base.weights is None
+        rejected = [EdgeUpdate("insert", 0, 2, 2.5), EdgeUpdate("delete", 0, 3)]
+        with pytest.raises(GraphError, match="delete of missing edge 0->3"):
+            dyn.commit(rejected)
+        assert dyn.epoch == 0
+        dyn.commit([EdgeUpdate("insert", 0, 2, edge_type=0)])
+        graph = dyn.snapshot().graph
+        assert graph.weights is None and graph.edge_types is None
+        # ...and an accepted one still turns it weighted / typed.
+        dyn.commit([EdgeUpdate("insert", 0, 3, 2.5, edge_type=1)])
+        graph = dyn.snapshot().graph
+        assert graph.weights.tolist() == [1.0, 1.0, 2.5, 1.0]
+        assert graph.edge_types.tolist() == [0, 0, 1, 0]
 
     def test_reweight_missing_edge_raises(self):
         dyn = DynamicGraph(from_edges(4, [(0, 1)]))
@@ -358,6 +380,69 @@ def test_bounds_are_not_shared_between_programs_differing_in_an_array():
 
 
 # ----------------------------------------------------------------------
+# Retention: a superseded epoch keeps its graph, not its prepared state
+# ----------------------------------------------------------------------
+class TestRetention:
+    CONFIG = WalkConfig(num_walkers=30, max_steps=8, record_paths=True, seed=4)
+
+    def _two_epochs(self):
+        dyn = DynamicGraph(small_graph(seed=15))
+        dyn.snapshot().tables("alias")
+        dyn.commit([EdgeUpdate("insert", 0, 1, 2.0)])
+        return dyn, dyn.snapshot()
+
+    def test_superseded_epoch_drops_its_tables_not_a_running_walk(self):
+        dyn, first = self._two_epochs()
+        expected = golden_digest(WalkEngine(first.graph, DeepWalk(), self.CONFIG))
+        pinned = WalkEngine(dyn, DeepWalk(), self.CONFIG)  # built on epoch 1
+        assert pinned.tables is first.tables("alias")
+        dyn.commit([EdgeUpdate("delete", 0, 1)])
+        second = dyn.snapshot()
+        retained = dyn.snapshot_at(1)
+        assert retained._tables == {} and retained.graph is first.graph
+        assert second._tables == {} and dyn.snapshot_at(2) is second
+        assert golden_digest(pinned) == expected  # its tables are its own
+        assert pinned.stats.graph_epoch == 1
+
+    def test_late_tables_on_a_superseded_epoch_are_built_from_scratch(self):
+        dyn, _ = self._two_epochs()
+        dyn.commit([EdgeUpdate("insert", 2, 3, 1.5)])
+        newest = dyn.snapshot().tables("alias")
+        assert dyn._maintained_at["alias"][0] == 2
+        before = dyn.maintenance.full_rebuilds
+        retained = dyn.snapshot_at(1)
+        late = retained.tables("alias")
+        assert_tables_identical(late, VertexAliasTables(retained.graph))
+        assert dyn.maintenance.full_rebuilds == before + 1
+        # The newer entry was not displaced: epoch 3 is still incremental.
+        assert dyn._maintained_at["alias"] == (2, newest)
+        assert retained.tables("alias") is late  # memoised again, on the wrapper
+        dyn.commit([EdgeUpdate("reweight", 2, 3, 0.5)])
+        rebuilt = dyn.maintenance.vertices_rebuilt
+        dyn.snapshot().tables("alias")
+        assert dyn.maintenance.full_rebuilds == before + 1
+        assert dyn.maintenance.vertices_rebuilt == rebuilt + 1
+
+    def test_commit_snapshot_tables_cycle_rebuilds_only_what_was_touched(self):
+        """The e2e epoch probe in small: one full build, then per epoch
+        exactly the touched vertices, no fallback."""
+        base = small_graph(seed=16, num_vertices=80)
+        batches = generate_churn_batches(base, num_epochs=8, updates_per_epoch=9, seed=2)
+        dyn = DynamicGraph(base, verify="sample")
+        dyn.snapshot().tables("alias")
+        touched = 0
+        for batch in batches:
+            dyn.commit(batch)
+            touched += np.unique(batch.sources).size
+            dyn.snapshot().tables("alias")
+        stats = dyn.maintenance
+        assert (stats.vertices_rebuilt, stats.full_rebuilds, stats.verify_fallbacks) == (
+            touched, 1, 0
+        )
+        assert stats.epochs_maintained == 8 and len(dyn._snapshots) == 8
+
+
+# ----------------------------------------------------------------------
 # WAL recovery and durable compaction
 # ----------------------------------------------------------------------
 class TestWalRecovery:
@@ -585,3 +670,43 @@ def test_generate_churn_batches_replayable():
         second.commit(batch)
     assert first.snapshot().graph == second.snapshot().graph
     assert first.stats.conservation_balanced()
+
+
+# ``UpdateBatch.to_bytes`` of whole streams, pinned at 554ca43 where the
+# generator re-sorted the edge set for every delete and reweight: the
+# three CI chaos seeds on ``tests/test_dynamic_chaos.py``'s graph
+# (undirected, weighted) and one directed, unweighted graph.
+CHURN_STREAM_DIGESTS = {
+    101: "22befbf997b52c6d4ba0f5c9e975c547",
+    202: "5ee251f60fb7055fe573e08bc5585dd9",
+    303: "6c873ad29c97cb18778b63db915144fc",
+    "directed": "6993e78a2ad439ed6dcfcefb70427960",
+}
+
+
+@pytest.mark.parametrize("seed", CHURN_STREAM_DIGESTS)
+def test_generate_churn_batches_stream_is_unchanged(seed):
+    if seed == "directed":
+        graph = erdos_renyi_graph(60, 4.0, seed=5)
+        batches = generate_churn_batches(graph, num_epochs=4, updates_per_epoch=25, seed=9)
+    else:
+        graph = churn_graph(seed)
+        batches = generate_churn_batches(graph, num_epochs=7, updates_per_epoch=12, seed=seed)
+    stream = b"".join(batch.to_bytes() for batch in batches)
+    digest = hashlib.blake2b(stream, digest_size=16).hexdigest()
+    assert digest == CHURN_STREAM_DIGESTS[seed]
+
+
+def test_generate_churn_batches_keeps_its_edge_set_sorted():
+    """2 000 updates against 281 k edges took 107 s when every delete
+    and reweight re-sorted the set; 0.3 s now.  The bound is loose on
+    purpose — it separates the two, not two machines."""
+    graph = load_dataset("livejournal", scale=1.0, weighted=True)
+    started = time.perf_counter()
+    batches = generate_churn_batches(graph, num_epochs=20, updates_per_epoch=100, seed=1)
+    assert time.perf_counter() - started < 2.0
+    assert sum(len(batch) for batch in batches) == 2000
+    dyn = DynamicGraph(graph)
+    for batch in batches:
+        dyn.commit(batch)
+    assert dyn.stats.conservation_balanced() and dyn.epoch == 20

@@ -28,6 +28,13 @@ directed graph with sinks), each local and 4-node.  They were generated
 at the commit before PR 20 rewrote the kernel's lane bookkeeping, and
 also pin the counters that prove the branch ran.
 
+Six ``CHURN_CELLS`` walk a :class:`~repro.graph.dynamic.DynamicGraph`
+after five committed epochs of inserts, deletes and reweights (one
+snapshot skipped, one cell compacting mid-way, one walking a retained
+superseded epoch) and also pin the epoch's CSR and alias-table bytes.
+They were generated at 554ca43, the commit before PR 23 rewrote batch
+staging, materialisation and table maintenance.
+
 Every cell is measured once more on the *prepared* axis: two engines
 built over one shared ``PreparedGraph`` must both reproduce the cell's
 digest from tables built once — the same table, not a second one.
@@ -55,6 +62,7 @@ from repro.algorithms import DeepWalk, Node2Vec
 from repro.core.config import WalkConfig
 from repro.graph import prepared
 from repro.graph.builder import assign_random_weights
+from repro.graph.dynamic import DynamicGraph, generate_churn_batches
 from repro.graph.generators import erdos_renyi_graph
 from repro.lint.sanitizer import DeterminismTracer
 from tests.test_path_recording import (
@@ -263,6 +271,60 @@ def branch_digest(engine) -> dict:
 
 def measure_branch(cell: str) -> dict:
     return branch_digest(branch_engine(cell))
+
+
+# Five epochs of churn on the weighted graph, 40 updates each (about
+# 40% inserts, 30% deletes, 30% reweights), mirrored: it is undirected.
+CHURN_BATCHES = generate_churn_batches(
+    WEIGHTED, num_epochs=5, updates_per_epoch=40, seed=6
+)
+
+
+def churned(compact_after=None) -> DynamicGraph:
+    """``WEIGHTED`` after the five batches.  Every epoch but the second
+    is snapshotted and its tables asked for, so epoch 3 is maintained
+    across a skipped one; ``compact_after`` folds the overlay there."""
+    dynamic = DynamicGraph(WEIGHTED)
+    dynamic.snapshot().tables("alias")
+    for epoch, batch in enumerate(CHURN_BATCHES, start=1):
+        assert dynamic.commit(batch) == epoch
+        if epoch != 2:
+            dynamic.snapshot().tables("alias")
+        if epoch == compact_after:
+            dynamic.compact()
+    return dynamic
+
+
+# name -> (program factory, nodes, graph factory).  "superseded" walks
+# epoch 3 after epochs 4 and 5 were committed and snapshotted.
+CHURN_CELLS = {
+    "deepwalk-churn-local": (DeepWalk, 0, churned),
+    "deepwalk-churn-4node": (DeepWalk, 4, churned),
+    "node2vec-churn-local": (lambda: Node2Vec(p=0.25, q=0.5), 0, churned),
+    "node2vec-churn-4node": (lambda: Node2Vec(p=0.25, q=0.5), 4, churned),
+    "node2vec-churn-compacted-local": (
+        lambda: Node2Vec(p=0.25, q=0.5), 0, lambda: churned(compact_after=3)
+    ),
+    "node2vec-churn-superseded-4node": (
+        lambda: Node2Vec(p=0.25, q=0.5), 4, lambda: churned().snapshot_at(3)
+    ),
+}
+
+
+def measure_churn(cell: str) -> dict:
+    make_program, nodes, make_graph = CHURN_CELLS[cell]
+    engine = make_walk_engine(make_graph(), make_program(), BOUNDED, nodes=nodes)
+    summary = branch_digest(engine)
+    summary["graph_epoch"] = engine.graph_epoch
+    graph, tables = engine.graph, engine.tables
+    for name, arrays in (
+        ("csr", (graph.offsets, graph.targets, graph.weights)),
+        ("tables", (tables.totals, tables._prob, tables._alias)),
+    ):
+        summary[name] = hashlib.blake2b(
+            b"".join(array.tobytes() for array in arrays), digest_size=16
+        ).hexdigest()
+    return summary
 
 
 GOLDEN: dict[str, dict] = {
@@ -847,6 +909,153 @@ GOLDEN: dict[str, dict] = {
             "by_dead_end": 0,
         },
     },
+    "deepwalk-churn-local": {
+        "rolling_hash": "a1d50351940c9539df73c86b72293ae2",
+        "paths": "65650f3de463824b9735f25c78e30b13",
+        "total_steps": 1440,
+        "trials": 1440,
+        "pd_evaluations": 0,
+        "full_scan_evaluations": 0,
+        "messages_sent": 0,
+        "appendix_trials": 0,
+        "termination": {
+            "by_step_limit": 120,
+            "by_probability": 0,
+            "by_dead_end": 0,
+        },
+        "graph_epoch": 5,
+        "csr": "6da0958c5b5c044e1d79742cfdae6594",
+        "tables": "b7244fd9aaed1ab6da0ff7b447d478c0",
+    },
+    "deepwalk-churn-4node": {
+        "rolling_hash": "a88234ebeb4ff4e352f4d611e6f8a0af",
+        "paths": "65650f3de463824b9735f25c78e30b13",
+        "total_steps": 1440,
+        "trials": 1440,
+        "pd_evaluations": 0,
+        "full_scan_evaluations": 0,
+        "messages_sent": 1133,
+        "trials_per_node": [389, 344, 380, 327],
+        "pd_evaluations_per_node": [0, 0, 0, 0],
+        "simulated_seconds": "0x1.b625c15aa8c30p-12",
+        "num_supersteps": 13,
+        "light_mode_node_supersteps": 52,
+        "walker_supersteps_per_node": [425, 375, 399, 361],
+        "bytes": 36256,
+        "local_deliveries": 307,
+        "matrices": {
+            "STATE_QUERY": "2ca5d3f9f96a9545",
+            "QUERY_RESPONSE": "2ca5d3f9f96a9545",
+            "WALKER_MIGRATE": "e32469acdbbdd064",
+        },
+        "appendix_trials": 0,
+        "termination": {
+            "by_step_limit": 120,
+            "by_probability": 0,
+            "by_dead_end": 0,
+        },
+        "graph_epoch": 5,
+        "csr": "6da0958c5b5c044e1d79742cfdae6594",
+        "tables": "b7244fd9aaed1ab6da0ff7b447d478c0",
+    },
+    "node2vec-churn-local": {
+        "rolling_hash": "570bda7fa6e2c1bc906c21db247a093c",
+        "paths": "eb86d81b91fa5426ab1846c960ab8a98",
+        "total_steps": 1440,
+        "trials": 1609,
+        "pd_evaluations": 837,
+        "full_scan_evaluations": 0,
+        "messages_sent": 0,
+        "appendix_trials": 115,
+        "termination": {
+            "by_step_limit": 120,
+            "by_probability": 0,
+            "by_dead_end": 0,
+        },
+        "graph_epoch": 5,
+        "csr": "6da0958c5b5c044e1d79742cfdae6594",
+        "tables": "b7244fd9aaed1ab6da0ff7b447d478c0",
+    },
+    "node2vec-churn-4node": {
+        "rolling_hash": "d2a1d1cb92c20953a7ea1ddeebadda3d",
+        "paths": "eb86d81b91fa5426ab1846c960ab8a98",
+        "total_steps": 1440,
+        "trials": 1609,
+        "pd_evaluations": 837,
+        "full_scan_evaluations": 0,
+        "messages_sent": 1984,
+        "trials_per_node": [449, 413, 378, 369],
+        "pd_evaluations_per_node": [241, 222, 190, 184],
+        "simulated_seconds": "0x1.76c2d4fc46371p-11",
+        "num_supersteps": 19,
+        "light_mode_node_supersteps": 76,
+        "walker_supersteps_per_node": [483, 448, 393, 405],
+        "bytes": 53456,
+        "local_deliveries": 512,
+        "matrices": {
+            "STATE_QUERY": "ebdb5dca8cb63566",
+            "QUERY_RESPONSE": "4d4f6e6cdbbb8d96",
+            "WALKER_MIGRATE": "550e34ff806d7332",
+        },
+        "appendix_trials": 115,
+        "termination": {
+            "by_step_limit": 120,
+            "by_probability": 0,
+            "by_dead_end": 0,
+        },
+        "graph_epoch": 5,
+        "csr": "6da0958c5b5c044e1d79742cfdae6594",
+        "tables": "b7244fd9aaed1ab6da0ff7b447d478c0",
+    },
+    "node2vec-churn-compacted-local": {
+        "rolling_hash": "570bda7fa6e2c1bc906c21db247a093c",
+        "paths": "eb86d81b91fa5426ab1846c960ab8a98",
+        "total_steps": 1440,
+        "trials": 1609,
+        "pd_evaluations": 837,
+        "full_scan_evaluations": 0,
+        "messages_sent": 0,
+        "appendix_trials": 115,
+        "termination": {
+            "by_step_limit": 120,
+            "by_probability": 0,
+            "by_dead_end": 0,
+        },
+        "graph_epoch": 5,
+        "csr": "6da0958c5b5c044e1d79742cfdae6594",
+        "tables": "b7244fd9aaed1ab6da0ff7b447d478c0",
+    },
+    "node2vec-churn-superseded-4node": {
+        "rolling_hash": "7159f37dd847792e09c5973c6f7c845d",
+        "paths": "8bde9f3314c384992b6cb7b2fd468986",
+        "total_steps": 1440,
+        "trials": 1606,
+        "pd_evaluations": 854,
+        "full_scan_evaluations": 0,
+        "messages_sent": 2004,
+        "trials_per_node": [454, 398, 424, 330],
+        "pd_evaluations_per_node": [248, 208, 224, 174],
+        "simulated_seconds": "0x1.94c57468dd8f0p-11",
+        "num_supersteps": 24,
+        "light_mode_node_supersteps": 96,
+        "walker_supersteps_per_node": [489, 421, 458, 358],
+        "bytes": 53640,
+        "local_deliveries": 538,
+        "matrices": {
+            "STATE_QUERY": "e9208bca738f627c",
+            "QUERY_RESPONSE": "bcfc38c314f65ab3",
+            "WALKER_MIGRATE": "f845e2e04590deb8",
+        },
+        "appendix_trials": 111,
+        "termination": {
+            "by_step_limit": 120,
+            "by_probability": 0,
+            "by_dead_end": 0,
+        },
+        "graph_epoch": 3,
+        "csr": "570f4e54724fc6ba7092751dfebf1164",
+        "tables": "ca6265a7f19b02b4823b298cf01a4bf4",
+    },
 }
 
 
@@ -868,6 +1077,11 @@ def test_dark_branch_reproduces_golden_digest(cell):
         assert golden["appendix_trials"] > 0
     else:
         assert golden["termination"]["by_dead_end"] > 0
+
+
+@pytest.mark.parametrize("cell", sorted(CHURN_CELLS))
+def test_walk_after_churn_reproduces_golden_digest(cell):
+    assert measure_churn(cell) == GOLDEN[cell]
 
 
 # The prepared axis: every cell again, twice, through one PreparedGraph.
@@ -906,4 +1120,5 @@ if __name__ == "__main__":
     table = {cell_id(cell): measure(cell) for cell in CELLS}
     table.update({cell: measure_fault(cell) for cell in sorted(FAULT_CELLS)})
     table.update({cell: measure_branch(cell) for cell in BRANCH_IDS})
+    table.update({cell: measure_churn(cell) for cell in sorted(CHURN_CELLS)})
     pprint.pprint(table, width=100, sort_dicts=False)
