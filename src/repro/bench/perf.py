@@ -12,8 +12,8 @@ Methodology
 -----------
 * Workloads: DeepWalk (static), node2vec with the paper's default
   p = 2, q = 0.5 (second-order, trial-paced), and Meta-path (first
-  order, dynamic, step-paced — the workload the fused multi-trial
-  kernel targets), all on the LiveJournal stand-in at scale 1.0 with
+  order, dynamic, step-paced — the workload trial fusion
+  targets), all on the LiveJournal stand-in at scale 1.0 with
   10k walkers of length 80.
 * Timing: the walk loop only (``WalkStats.wall_time_seconds``);
   every repeat runs the *same* seeded workload, and the report carries
@@ -165,7 +165,7 @@ def run_perf(
             **fused,
             "single_trial_steps_per_sec": single["steps_per_sec"],
         }
-        # Only meaningful where the fused kernel actually engages
+        # Only meaningful where trial fusion actually engages
         # (step-paced dynamic programs); elsewhere both runs take the
         # same path and the ratio would be timing noise — the key is
         # omitted rather than carried as null.

@@ -260,10 +260,6 @@ class FaultPlan:
         return bool(self.slowdowns)
 
     @property
-    def has_flaky_links(self) -> bool:
-        return bool(self.flaky_links)
-
-    @property
     def has_degradations(self) -> bool:
         """True when the plan degrades nodes or links (the straggler
         plane: health monitoring, speculation, and rebalancing key off

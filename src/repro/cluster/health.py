@@ -154,11 +154,6 @@ class HealthMonitor:
         """Nodes whose suspicion cleared at the last observation."""
         return list(self._newly_cleared)
 
-    def median_time(self, alive: np.ndarray) -> float:
-        """Robust cluster-center superstep time over alive nodes."""
-        reference = self.ewma[np.asarray(alive, dtype=bool)]
-        return float(np.median(reference)) if reference.size else 0.0
-
     def observe(self, node_times: np.ndarray, alive: np.ndarray) -> None:
         """Fold one superstep's per-node completion times (the BSP
         heartbeat) into the detector and update suspicion states."""

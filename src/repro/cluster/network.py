@@ -314,13 +314,6 @@ class Network:
             self.local_deliveries(),
         )
 
-    def per_kind_totals(self) -> dict[str, int]:
-        """Remote-message count per :class:`MessageKind` name (for
-        metric labels; deterministic key order)."""
-        return {
-            kind.name: self.total_messages(kind) for kind in MessageKind
-        }
-
     def sent_by_node(self) -> np.ndarray:
         """Remote messages sent per node (row sums + scatters)."""
         total = self.matrix().sum(axis=1)

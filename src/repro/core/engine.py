@@ -40,8 +40,8 @@ from repro.core.kernels import (
     GatherContext,
     KernelScratch,
     adaptive_trial_count,
-    batch_multi_trial_round,
     batch_trial_round,
+    first_accepts,
     full_scan_distribution,
     full_scan_spans,
     gather_stage,
@@ -131,13 +131,14 @@ class WalkEngine:
         first violation (which would otherwise silently skew the
         sampled law).  Off by default for speed.
     fuse_trials:
-        use the fused multi-trial kernel for step-paced dynamic
-        programs, speculating K trials per round with K adapted to the
-        running acceptance rate.  Trial (second-order) pacing is
-        never fused — one trial per superstep there is a semantic, not
-        an inefficiency — and static programs pre-accept every first
-        dart, so speculation would be pure waste.  Off gives the
-        single-trial kernel, kept as the semantic reference.
+        widen each round of a step-paced dynamic program to K
+        speculative trials per walker (K lanes of the one batch
+        kernel), K adapted to the running acceptance rate.  Trial
+        (second-order) pacing is never fused — one trial per
+        superstep there is a semantic, not an inefficiency — and
+        static programs pre-accept every first dart, so speculation
+        would be pure waste.  Off gives one trial per walker per
+        round, the semantic reference.
     """
 
     def __init__(
@@ -462,39 +463,33 @@ class WalkEngine:
         """
         counters = self.stats.counters
         trials_spent = None
-        if self._fuse:
-            outcome = batch_multi_trial_round(
-                self.graph,
-                self.tables,
-                self.program,
-                self.walkers,
-                ctx,
-                self._rng,
-                counters,
-                self._scratch,
-                num_trials=adaptive_trial_count(counters),
-                validate_bounds=self.validate_bounds,
-            )
-            accepted, edges = outcome.accepted, outcome.edges
-            trials_spent = outcome.trials_used
-            self._account_lane_work(
-                ctx.vertices, trials_spent, slice(None), outcome.pd_evaluations
-            )
-        elif self._batch:
+        if self._batch:
+            # A fused round is the same kernel over a widened context:
+            # K speculative trials per walker as K lanes, of which each
+            # walker keeps (and is charged up to) its first accept.
+            k = adaptive_trial_count(counters) if self._fuse else 1
             outcome = batch_trial_round(
                 self.graph,
                 self.tables,
                 self.program,
                 self.walkers,
-                ctx,
+                ctx.repeat(k) if self._fuse else ctx,
                 self._rng,
-                counters,
+                None if self._fuse else counters,
                 self._scratch,
                 validate_bounds=self.validate_bounds,
                 main_dynamic_comp=self._main_dynamic_comp,
             )
-            accepted, edges = outcome.accepted, outcome.edges
-            self._account_lane_work(ctx.vertices, 1, outcome.pd_lanes, 1)
+            if self._fuse:
+                accepted, edges, trials_spent, pd_spent = first_accepts(
+                    outcome, k, counters
+                )
+                self._account_lane_work(
+                    ctx.vertices, trials_spent, slice(None), pd_spent
+                )
+            else:
+                accepted, edges = outcome.accepted, outcome.edges
+                self._account_lane_work(ctx.vertices, 1, outcome.pd_lanes, 1)
         else:
             accepted, edges = self._scalar_round(ctx.walker_ids)
         return self._commit_round(ctx.walker_ids, accepted, edges, trials_spent)
@@ -508,8 +503,8 @@ class WalkEngine:
     def _main_dynamic_comp(
         self, walker_ids: np.ndarray, edges: np.ndarray
     ) -> np.ndarray:
-        """Pd for the single-trial kernel's main-region candidates that
-        missed pre-acceptance."""
+        """Pd for the trial kernel's main-region candidates that missed
+        pre-acceptance."""
         return self.program.batch_dynamic_comp(
             self.graph, self.walkers, walker_ids, edges
         )
@@ -535,9 +530,9 @@ class WalkEngine:
         if stuck_lanes.size == 0:
             return accepted
         stuck = walker_ids[stuck_lanes]
-        # The streak advances by trials actually consumed, so the
-        # fused kernel (K trials per round) reaches the guard after
-        # the same trial budget as the single-trial kernel.
+        # The streak advances by trials actually consumed, so a
+        # fused round (K trials per walker) reaches the guard after
+        # the same trial budget as single-trial rounds.
         if trials_spent is None:
             self._rejection_streak[stuck] += 1
         else:

@@ -18,7 +18,10 @@ in the batch:
    accept with (true chopped area) / (estimated appendix area).
 
 Walkers whose trial is rejected simply appear in the next round's
-batch.
+batch.  The trials of a walker that has not moved are i.i.d., so K
+speculative trials of one walker are K lanes of the same round: a
+*widened* round runs the kernel over :meth:`GatherContext.repeat` and
+:func:`first_accepts` keeps each walker's first accept.
 """
 
 from __future__ import annotations
@@ -35,14 +38,13 @@ from repro.sampling.rejection import SamplingCounters
 
 __all__ = [
     "TrialOutcome",
-    "MultiTrialOutcome",
     "GatherContext",
     "FullScanSpans",
     "KernelScratch",
     "ZERO_MASS_GUARD_TRIALS",
     "adaptive_trial_count",
     "batch_trial_round",
-    "batch_multi_trial_round",
+    "first_accepts",
     "full_scan_distribution",
     "full_scan_mass",
     "full_scan_spans",
@@ -58,7 +60,7 @@ StaticTables = VertexAliasTables | VertexITSTables
 ZERO_MASS_GUARD_TRIALS = 64
 
 # Fused-trial clamp: at least 2 trials per fused round (1 would be the
-# single-trial kernel with extra bookkeeping), at most 16 (beyond the
+# plain round with extra bookkeeping), at most 16 (beyond the
 # ~95th percentile of geometric waiting times worth speculating on).
 TRIAL_FUSION_MIN = 2
 TRIAL_FUSION_MAX = 16
@@ -74,8 +76,8 @@ class KernelScratch:
     """Grow-only buffer pool reused across trial rounds.
 
     The engines call the kernels hundreds of times per walk with
-    near-identical batch shapes; recycling the random-draw and mask
-    buffers avoids re-allocating a few MB per round.  Buffers are keyed
+    near-identical batch shapes; recycling the dart buffer avoids
+    re-allocating up to a few MB per round.  Buffers are keyed
     by name and grown geometrically, so a pool stabilises after the
     first few rounds.
     """
@@ -175,6 +177,23 @@ class GatherContext:
             _main_area=None if self._main_area is None else self._main_area[lanes],
         )
 
+    def repeat(self, k: int) -> "GatherContext":
+        """The widened context: every lane ``k`` times in a row — ``k``
+        speculative trials of a walker are ``k`` lanes of one round
+        (lane ``i * k + c`` is walker ``i``'s trial ``c``)."""
+        if k < 1:
+            raise ValueError("a round needs at least one trial per walker")
+        return GatherContext(
+            walker_ids=np.repeat(self.walker_ids, k),
+            vertices=np.repeat(self.vertices, k),
+            upper=np.repeat(self.upper, k),
+            lower=np.repeat(self.lower, k),
+            totals=self.totals,
+            _main_area=(
+                None if self._main_area is None else np.repeat(self._main_area, k)
+            ),
+        )
+
 
 def gather_stage(
     tables: StaticTables,
@@ -207,35 +226,18 @@ class TrialOutcome:
     the sampled edge; elsewhere ``edges[i]`` is -1.  ``pd_lanes`` lists
     the lane positions whose trial evaluated Pd — main-region misses of
     the pre-acceptance floor, ascending, then appendix darts, ascending
-    — and the cluster engine charges one evaluation to each such lane's
-    node.  ``accepted`` is a fresh array the caller may keep or mutate.
+    (``appendix_lanes``) — and the cluster engine charges one evaluation
+    to each such lane's node.  Every other lane pre-accepted.
+    ``accepted`` is a fresh array the caller may keep or mutate.
     """
 
     accepted: np.ndarray
     edges: np.ndarray
     pd_lanes: np.ndarray
+    appendix_lanes: np.ndarray
 
 
-@dataclass
-class MultiTrialOutcome:
-    """Result of one fused multi-trial round.
-
-    All arrays align with the context's ``walker_ids``.  ``trials_used``
-    is the number of sequential trials the walker *observably* consumed —
-    the index of its first accepted trial plus one, or the full K when
-    every speculated trial was rejected.  ``pd_evaluations`` counts the
-    Pd evaluations attributable to those consumed trials; speculative
-    evaluations past the first accept are performed but never counted,
-    so counters match a sequential execution in distribution.  The
-    per-walker breakdown exists because callers (the cluster engine's
-    per-node accounting, the zero-mass guard's rejection streaks) need
-    to attribute work to individual walkers, not just totals.
-    """
-
-    accepted: np.ndarray
-    edges: np.ndarray
-    trials_used: np.ndarray
-    pd_evaluations: np.ndarray
+_NO_LANES = np.zeros(0, dtype=np.int64)
 
 
 def outlier_appendices(
@@ -265,7 +267,7 @@ def batch_trial_round(
     walkers: WalkerSet,
     ctx: GatherContext,
     rng: np.random.Generator,
-    counters: SamplingCounters,
+    counters: SamplingCounters | None,
     scratch: KernelScratch,
     validate_bounds: bool = False,
     main_dynamic_comp=None,
@@ -276,6 +278,9 @@ def batch_trial_round(
     once per superstep); every walker in it must reside at a vertex
     with positive static mass — the engine filters dead ends
     beforehand.  ``scratch`` recycles the dart buffer across rounds.
+    ``counters`` is charged one trial per lane; a widened round passes
+    ``None`` and lets :func:`first_accepts` charge the trials each
+    walker consumed.
 
     ``validate_bounds`` enables the debug check that every evaluated Pd
     respects the declared envelope (values above it are legal only on
@@ -296,7 +301,6 @@ def batch_trial_round(
     outlier_edges, outlier_masses, appendix_area = outlier_appendices(
         graph, program, walkers, ctx
     )
-    counters.trials += count
 
     def main_trials(lanes):
         """Main-region trials at lane positions ``lanes`` (``None``:
@@ -311,15 +315,18 @@ def batch_trial_round(
         darts *= high
         ok = darts <= low
         need = np.flatnonzero(~ok)
-        counters.pre_accepts += at.size - need.size
-        pd_at = need if lanes is None else lanes[need]
+        # Nobody pre-accepted (a zero lower bound: every meta-path
+        # round): Pd on the arrays as they are, no gather through need.
+        everyone = need.size == at.size
+        pd_at = need if lanes is None else (lanes if everyone else lanes[need])
         if need.size:
-            ids, chosen = walker_ids[pd_at], candidates[need]
+            whole = everyone and lanes is None
+            ids = walker_ids if whole else walker_ids[pd_at]
+            chosen = candidates if everyone else candidates[need]
             if main_dynamic_comp is None:
                 dynamic = program.batch_dynamic_comp(graph, walkers, ids, chosen)
             else:
                 dynamic = main_dynamic_comp(ids, chosen)
-            counters.pd_evaluations += need.size
             if validate_bounds:
                 _validate_envelope(
                     graph,
@@ -328,11 +335,15 @@ def batch_trial_round(
                     chosen,
                     outlier_edges[pd_at] if outlier_edges is not None else None,
                 )
-            ok[need] = darts[need] <= dynamic
+            if everyone:
+                np.less_equal(darts, dynamic, out=ok)
+            else:
+                ok[need] = darts[need] <= dynamic
         return ok, np.where(ok, candidates, -1), pd_at
 
     if appendix_area is None:
         accepted, edges, pd_lanes = main_trials(None)
+        appendix_lanes = _NO_LANES
     else:
         # Draw sizes below depend on the region split, so this branch
         # keeps lane lists and scatters back.
@@ -342,21 +353,18 @@ def batch_trial_round(
         appendix_lanes = np.flatnonzero(~in_main)
         accepted = np.zeros(count, dtype=bool)
         edges = np.full(count, -1, dtype=np.int64)
-        _appendix_trials(
-            graph,
-            program,
-            walkers,
-            walker_ids,
-            appendix_lanes,
-            outlier_edges,
-            outlier_masses,
-            appendix_area,
-            upper,
-            rng,
-            counters,
-            accepted,
-            edges,
-        )
+        if appendix_lanes.size:
+            # Appendix darts: Pd of the declared outlier edge, accepted
+            # with (true chopped area) / (estimated appendix area).
+            at = appendix_lanes
+            outliers = outlier_edges[at]
+            dynamic = program.batch_dynamic_comp(
+                graph, walkers, walker_ids[at], outliers
+            )
+            chopped = outlier_masses[at] * np.maximum(dynamic - upper[at], 0.0)
+            passed = rng.random(at.size) * appendix_area[at] < chopped
+            accepted[at[passed]] = True
+            edges[at[passed]] = outliers[passed]
         pd_lanes = appendix_lanes
         if main_lanes.size:
             accepted[main_lanes], edges[main_lanes], pd_main = main_trials(
@@ -364,8 +372,77 @@ def batch_trial_round(
             )
             pd_lanes = np.concatenate([pd_main, appendix_lanes])
 
-    counters.accepts += np.count_nonzero(accepted)
-    return TrialOutcome(accepted=accepted, edges=edges, pd_lanes=pd_lanes)
+    outcome = TrialOutcome(accepted, edges, pd_lanes, appendix_lanes)
+    if counters is not None:
+        _charge(counters, outcome)
+    return outcome
+
+
+def first_accepts(
+    outcome: TrialOutcome, k: int, counters: SamplingCounters
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Reduce a round over ``ctx.repeat(k)`` to each walker's first
+    accept: per walker ``accepted``, ``edges`` (-1 when all ``k`` trials
+    rejected), ``trials_used`` — the first accepting trial's index plus
+    one, or ``k`` — and the Pd evaluations among those trials.
+
+    Trials past the first accept are *speculative*: their darts were
+    drawn and their Pd may have been evaluated, but they reach neither
+    the outcome nor ``counters``, so the sampled law and the counted
+    work match a sequential execution trial for trial.  The per-walker
+    breakdown lets the cluster engine bill nodes and rejection streaks
+    advance by trials consumed.
+    """
+    first = outcome.accepted.reshape(-1, k).argmax(axis=1)
+    # Flat position of the first accepting cell — of trial 0, itself a
+    # rejection with edge -1, where none accepted.
+    first_cell = first + np.arange(0, outcome.accepted.size, k)
+    accepted = outcome.accepted[first_cell]
+    trials_used = np.where(accepted, first + 1, k)
+    pd_used = _charge(counters, outcome, k, accepted, trials_used)
+    return accepted, outcome.edges[first_cell], trials_used, pd_used
+
+
+def _charge(
+    counters: SamplingCounters,
+    outcome: TrialOutcome,
+    k: int = 1,
+    accepted: np.ndarray | None = None,
+    trials_used: np.ndarray | None = None,
+) -> np.ndarray | None:
+    """Charge one round's *consumed* trials to ``counters`` — the one
+    place the five fields move.
+
+    A plain round consumed every lane, so the counts are array sizes.
+    A widened round (``k`` lanes per walker) consumed lane ``i * k + c``
+    iff ``c < trials_used[i]``; its Pd evaluations per walker are
+    returned.  Either way a consumed trial that did not evaluate Pd
+    pre-accepted — and, accepting, was its walker's last.
+    """
+    if trials_used is None:
+        accepted, pd_used = outcome.accepted, None
+        trials = outcome.accepted.size
+        pd_evaluations = outcome.pd_lanes.size
+        appendix_trials = outcome.appendix_lanes.size
+    else:
+        if outcome.pd_lanes.size == outcome.accepted.size:
+            pd_used = trials_used
+        else:
+            evaluated = np.zeros(outcome.accepted.size, dtype=bool)
+            evaluated[outcome.pd_lanes] = True
+            evaluated = evaluated.reshape(-1, k)
+            evaluated &= np.arange(k) < trials_used[:, None]
+            pd_used = evaluated.sum(axis=1)
+        walker, trial = np.divmod(outcome.appendix_lanes, k)
+        appendix_trials = int(np.count_nonzero(trial < trials_used[walker]))
+        trials = int(trials_used.sum())
+        pd_evaluations = int(pd_used.sum())
+    counters.trials += trials
+    counters.pd_evaluations += pd_evaluations
+    counters.pre_accepts += trials - pd_evaluations
+    counters.appendix_trials += appendix_trials
+    counters.accepts += int(np.count_nonzero(accepted))
+    return pd_used
 
 
 def _validate_envelope(
@@ -398,231 +475,6 @@ def _validate_envelope(
             f"envelope {upper[lane]} for a non-outlier edge "
             f"{int(candidate_edges[lane])}; the sampled law would be wrong"
         )
-
-
-def _appendix_trials(
-    graph,
-    program: WalkerProgram,
-    walkers: WalkerSet,
-    walker_ids: np.ndarray,
-    lanes: np.ndarray,
-    outlier_edges: np.ndarray,
-    outlier_masses: np.ndarray,
-    appendix_area: np.ndarray,
-    upper: np.ndarray,
-    rng: np.random.Generator,
-    counters: SamplingCounters,
-    accepted: np.ndarray,
-    edges: np.ndarray,
-) -> None:
-    """Darts landing in outlier appendices (mutates accepted/edges)."""
-    if lanes.size == 0:
-        return
-    counters.appendix_trials += lanes.size
-    target_edges = outlier_edges[lanes]
-    dynamic = program.batch_dynamic_comp(
-        graph, walkers, walker_ids[lanes], target_edges
-    )
-    counters.pd_evaluations += lanes.size
-    chopped = outlier_masses[lanes] * np.maximum(dynamic - upper[lanes], 0.0)
-    passed = rng.random(lanes.size) * appendix_area[lanes] < chopped
-    ok_lanes = lanes[passed]
-    accepted[ok_lanes] = True
-    edges[ok_lanes] = target_edges[passed]
-
-
-def batch_multi_trial_round(
-    graph,
-    tables: StaticTables,
-    program: WalkerProgram,
-    walkers: WalkerSet,
-    ctx: GatherContext,
-    rng: np.random.Generator,
-    counters: SamplingCounters,
-    scratch: KernelScratch,
-    num_trials: int,
-    validate_bounds: bool = False,
-) -> MultiTrialOutcome:
-    """K speculative rejection trials per lane, fused into one round.
-
-    Semantically equivalent to running :func:`batch_trial_round` up to
-    ``num_trials`` times on the shrinking rejected set, but all K
-    candidate/dart pairs are drawn in one shot and each walker's first
-    accepted trial is resolved with a vectorised first-success
-    selection (accept-mask ``argmax`` over the (walker, trial) cell
-    layout).  Trials past the first accept are *speculative*: their
-    darts are drawn and their Pd may be evaluated, but they contribute
-    nothing to the outcome or the counters, so the sampled law and the
-    counter totals match a sequential execution trial-for-trial.
-
-    Counter accounting per walker with first accept at column ``a``
-    (``a = K`` when all trials rejected):
-
-    - ``trials``         += ``min(a + 1, K)``
-    - ``pre_accepts``    += 1 iff the accepting cell pre-accepted
-    - ``pd_evaluations`` += Pd-requiring cells at columns ``<= a``
-    - ``appendix_trials``+= appendix cells at columns ``<= a``
-
-    The per-walker consumption is also returned (see
-    :class:`MultiTrialOutcome`) so distributed callers can attribute
-    work to nodes and rejection streaks can advance by trials consumed.
-    """
-    walker_ids = ctx.walker_ids
-    vertices, upper, lower = ctx.vertices, ctx.upper, ctx.lower
-    main_area = ctx.main_area
-    count = walker_ids.size
-    k = int(num_trials)
-    if k < 1:
-        raise ValueError("num_trials must be >= 1")
-
-    outlier_edges, outlier_masses, appendix_area = outlier_appendices(
-        graph, program, walkers, ctx
-    )
-    if appendix_area is not None and not appendix_area.any():
-        appendix_area = None
-
-    cols = np.arange(k)
-
-    # Region choice and candidate/dart draws for every (walker, trial)
-    # cell.  Darts are thrown for appendix cells too — an independent
-    # wasted draw changes nothing distributionally and keeps the dart
-    # matrix a single vectorised fill.
-    darts = scratch.random(rng, "darts", (count, k))
-    if appendix_area is None:
-        in_main = None
-        candidates = tables.sample_batch(np.repeat(vertices, k), rng).reshape(
-            count, k
-        )
-        darts *= upper[:, None]
-        pre = darts <= lower[:, None]
-    else:
-        total_area = main_area + appendix_area
-        region = scratch.random(rng, "region", (count, k))
-        region *= total_area[:, None]
-        in_main = region < main_area[:, None]
-        main_rows, main_cols = np.nonzero(in_main)
-        candidates = scratch.get("candidates", (count, k), np.int64)
-        candidates.fill(-1)
-        if main_rows.size:
-            candidates[main_rows, main_cols] = tables.sample_batch(
-                vertices[main_rows], rng
-            )
-        darts *= upper[:, None]
-        pre = in_main & (darts <= lower[:, None])
-
-    # First pre-accepting column per walker; trials beyond it are dead
-    # speculation and need no Pd at all.
-    pre_any = pre.any(axis=1)
-    pre_pos = np.where(pre_any, pre.argmax(axis=1), k)
-    live = cols[None, :] < pre_pos[:, None]
-
-    accept = scratch.get("accept", (count, k), bool)
-    np.copyto(accept, pre)
-
-    # Main-region cells needing a Pd evaluation.
-    if in_main is None and not pre_any.any():
-        # Fast path for no appendix and no pre-accepts (e.g. a zero
-        # lower bound): every cell needs Pd, so evaluate the whole cell
-        # matrix flat and skip the nonzero/gather machinery.
-        need_pd = None
-        dynamic = program.batch_dynamic_comp(
-            graph, walkers, np.repeat(walker_ids, k), candidates.reshape(-1)
-        )
-        if validate_bounds:
-            _validate_envelope(
-                graph,
-                dynamic,
-                np.repeat(upper, k),
-                candidates.reshape(-1),
-                np.repeat(outlier_edges, k) if outlier_edges is not None else None,
-            )
-        np.less_equal(
-            darts.reshape(-1), dynamic, out=accept.reshape(-1)
-        )
-    else:
-        if in_main is None:
-            need_pd = live & ~pre
-        else:
-            need_pd = live & in_main & ~pre
-        pd_rows, pd_cols = np.nonzero(need_pd)
-        if pd_rows.size:
-            cell_candidates = candidates[pd_rows, pd_cols]
-            dynamic = program.batch_dynamic_comp(
-                graph, walkers, walker_ids[pd_rows], cell_candidates
-            )
-            if validate_bounds:
-                _validate_envelope(
-                    graph,
-                    dynamic,
-                    upper[pd_rows],
-                    cell_candidates,
-                    outlier_edges[pd_rows] if outlier_edges is not None else None,
-                )
-            passed = darts[pd_rows, pd_cols] <= dynamic
-            accept[pd_rows[passed], pd_cols[passed]] = True
-
-    # Appendix cells: the outlier's Pd is a per-walker constant (same
-    # edge, same walker state), so evaluate it once per walker and
-    # broadcast, then draw the chopped-area coin per cell.
-    if in_main is None:
-        appendix_cells = None
-    else:
-        appendix_cells = live & ~in_main
-        ap_rows, ap_cols = np.nonzero(appendix_cells)
-        if ap_rows.size:
-            ap_walkers = np.unique(ap_rows)
-            dynamic_out = program.batch_dynamic_comp(
-                graph, walkers, walker_ids[ap_walkers], outlier_edges[ap_walkers]
-            )
-            chopped = np.zeros(count, dtype=np.float64)
-            chopped[ap_walkers] = outlier_masses[ap_walkers] * np.maximum(
-                dynamic_out - upper[ap_walkers], 0.0
-            )
-            coins = rng.random(ap_rows.size) * appendix_area[ap_rows]
-            passed = coins < chopped[ap_rows]
-            accept[ap_rows[passed], ap_cols[passed]] = True
-
-    # First-success selection.
-    accepted = accept.any(axis=1)
-    first = np.where(accepted, accept.argmax(axis=1), k)
-    trials_used = np.minimum(first + 1, k).astype(np.int64)
-
-    edges = np.full(count, -1, dtype=np.int64)
-    hit = np.flatnonzero(accepted)
-    if hit.size:
-        hit_cols = first[hit]
-        if in_main is None:
-            edges[hit] = candidates[hit, hit_cols]
-        else:
-            from_main = in_main[hit, hit_cols]
-            edges[hit] = np.where(
-                from_main, candidates[hit, hit_cols], outlier_edges[hit]
-            )
-
-    # Counters: only cells at columns <= first accept are "consumed";
-    # speculative work past the accept is free and uncounted.
-    if need_pd is None:
-        # No pre-accepts and no appendix: every consumed cell is a
-        # main-region Pd evaluation.
-        pd_per_walker = trials_used.copy()
-    else:
-        consumed = cols[None, :] <= first[:, None]
-        pd_per_walker = (need_pd & consumed).sum(axis=1).astype(np.int64)
-        if appendix_cells is not None:
-            appendix_consumed = appendix_cells & consumed
-            pd_per_walker += appendix_consumed.sum(axis=1)
-            counters.appendix_trials += int(appendix_consumed.sum())
-    counters.trials += int(trials_used.sum())
-    counters.pd_evaluations += int(pd_per_walker.sum())
-    counters.pre_accepts += int((pre_any & (first == pre_pos)).sum())
-    counters.accepts += int(accepted.sum())
-
-    return MultiTrialOutcome(
-        accepted=accepted,
-        edges=edges,
-        trials_used=trials_used,
-        pd_evaluations=pd_per_walker,
-    )
 
 
 @dataclass

@@ -35,12 +35,16 @@ separates immutable datasets from mutable state.
 from __future__ import annotations
 
 import os
-import struct
-import zipfile
-import zlib
 
 import numpy as np
 
+from repro._npz import (
+    ChecksumError,
+    UnreadableNpz,
+    read_members,
+    save_checked,
+    verify_checksum,
+)
 from repro.core.config import WalkConfig
 from repro.core.engine import WalkEngine
 from repro.core.program import WalkerProgram
@@ -50,15 +54,6 @@ from repro.graph.csr import CSRGraph
 __all__ = ["save_checkpoint", "restore_checkpoint", "checkpoint_epoch"]
 
 FORMAT_VERSION = 4
-
-
-def _payload_checksum(payload: dict) -> int:
-    """CRC32 over every key and array payload, in sorted key order."""
-    crc = 0
-    for key in sorted(payload):
-        crc = zlib.crc32(key.encode("utf-8"), crc)
-        crc = zlib.crc32(np.ascontiguousarray(payload[key]).tobytes(), crc)
-    return crc
 
 
 def _cluster_extras(engine) -> dict:
@@ -113,27 +108,16 @@ def save_checkpoint(engine: WalkEngine, path: str | os.PathLike) -> None:
 
     if isinstance(engine, DistributedWalkEngine):
         payload.update(_cluster_extras(engine))
-    payload["checksum"] = np.asarray(
-        [_payload_checksum(payload)], dtype=np.uint64
-    )
-    np.savez_compressed(path, **payload)
+    save_checked(path, payload, np.uint64)
 
 
 def _verify_and_load(path: str | os.PathLike) -> dict:
     """Read a checkpoint into memory, verifying version and checksum."""
     try:
-        with np.load(path, allow_pickle=False) as data:
-            arrays = {key: data[key] for key in data.files}
-    except (
-        OSError,
-        ValueError,
-        EOFError,
-        zipfile.BadZipFile,
-        zlib.error,
-        struct.error,
-    ) as exc:
-        if isinstance(exc, OSError) and not os.path.exists(path):
-            raise SnapshotError(f"unreadable checkpoint {path}: {exc}") from exc
+        arrays = read_members(path)
+    except FileNotFoundError as exc:
+        raise SnapshotError(f"unreadable checkpoint {path}: {exc}") from exc
+    except UnreadableNpz as exc:
         raise SnapshotCorruptError(
             f"unreadable checkpoint {path}: {exc}"
         ) from exc
@@ -144,12 +128,12 @@ def _verify_and_load(path: str | os.PathLike) -> dict:
         raise SnapshotError(
             f"checkpoint version {version} unsupported (expected {FORMAT_VERSION})"
         )
-    stored = int(arrays["checksum"][0])
-    recorded = {k: v for k, v in arrays.items() if k != "checksum"}
-    if _payload_checksum(recorded) != stored:
+    try:
+        verify_checksum(arrays)
+    except ChecksumError as exc:
         raise SnapshotCorruptError(
             f"corrupt checkpoint {path}: payload checksum mismatch"
-        )
+        ) from exc
     return arrays
 
 

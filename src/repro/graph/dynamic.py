@@ -79,6 +79,9 @@ _KIND_CODES = {name: code for code, name in _KIND_NAMES.items()}
 
 _BATCH_HEADER = struct.Struct("<I")
 
+# Touched vertices probed per table build under ``verify="sample"``.
+VERIFY_SAMPLES = 8
+
 
 @dataclass(frozen=True)
 class EdgeUpdate:
@@ -243,14 +246,12 @@ class DynamicGraph:
         a write-ahead log at this path *before* being applied.
     verify:
         self-verification of incremental sampler maintenance:
-        ``"off"`` (default), ``"sample"`` (probe ``verify_samples``
-        touched vertices plus a couple of untouched ones per table
-        build), or ``"full"`` (probe every vertex).  A failed probe is
-        counted and triggers a from-scratch rebuild.
-    verify_samples, seed:
-        probe count and the deterministic seed the probes derive from.
-    compact_every:
-        auto-compact after this many commits (0 = manual only).
+        ``"off"`` (default), ``"sample"`` (probe up to
+        ``VERIFY_SAMPLES`` touched vertices plus a couple of untouched
+        ones per table build), or ``"full"`` (probe every vertex).  A
+        failed probe is counted and triggers a from-scratch rebuild.
+    seed:
+        the deterministic seed the probes derive from.
     retain_epochs:
         how many recent :class:`EpochSnapshot` objects to keep
         addressable through :meth:`snapshot_at`.
@@ -261,9 +262,7 @@ class DynamicGraph:
         base: CSRGraph,
         wal_path: str | os.PathLike | None = None,
         verify: str = "off",
-        verify_samples: int = 8,
         seed: int = 0,
-        compact_every: int = 0,
         retain_epochs: int = 8,
         base_epoch: int = 0,
     ) -> None:
@@ -282,10 +281,7 @@ class DynamicGraph:
         self._weighted = base.weights is not None
         self._typed = base.edge_types is not None
         self._verify = verify
-        self._verify_samples = int(verify_samples)
         self._seed = int(seed)
-        self._compact_every = int(compact_every)
-        self._commits_since_compaction = 0
         self._retain_epochs = max(1, int(retain_epochs))
         self.stats = DynamicGraphStats()
         self.maintenance = MaintenanceStats()
@@ -355,17 +351,11 @@ class DynamicGraph:
             self.stats.wal_records_written = self._wal.records_written
             self.stats.wal_bytes_written = self._wal.bytes_written
         self._install(batch, staged)
-        if (
-            self._compact_every > 0
-            and self._commits_since_compaction >= self._compact_every
-        ):
-            self.compact()
         return self._epoch
 
     def _install(self, batch: UpdateBatch, staged: dict[int, tuple]) -> None:
         self._overlay.update(staged)
         self._epoch += 1
-        self._commits_since_compaction += 1
         self._touched_by_epoch[self._epoch] = np.fromiter(staged, np.int64, len(staged))
         # Only an installed batch may turn the graph weighted or typed.
         inserted = batch.kinds == INSERT
@@ -587,7 +577,6 @@ class DynamicGraph:
         self._base = snap.graph
         self._base_epoch = self._epoch
         self._overlay.clear()
-        self._commits_since_compaction = 0
         self.stats.compactions += 1
 
     def save_compacted(
@@ -777,7 +766,7 @@ class DynamicGraph:
         rng = derive_rng(self._seed, snap.epoch)
         picks = []
         if touched.size:
-            count = min(self._verify_samples, int(touched.size))
+            count = min(VERIFY_SAMPLES, int(touched.size))
             picks.append(rng.choice(touched, size=count, replace=False))
         untouched = np.setdiff1d(np.arange(snap.graph.num_vertices), touched)
         if untouched.size:

@@ -11,12 +11,17 @@ from __future__ import annotations
 import io
 import os
 import re
-import struct
-import zlib
 from itertools import islice
 
 import numpy as np
 
+from repro._npz import (
+    ChecksumError,
+    UnreadableNpz,
+    read_members,
+    save_checked,
+    verify_checksum,
+)
 from repro._textblock import decimal, join_columns, text_matrix
 from repro.errors import GraphFormatError, SnapshotCorruptError
 from repro.graph.builder import from_arrays
@@ -174,15 +179,6 @@ def load_edge_list(
         raise GraphFormatError(f"{path}: {problem}") from exc
 
 
-def _payload_checksum(payload: dict[str, np.ndarray]) -> int:
-    """CRC32 over key names and array bytes, in sorted-key order."""
-    crc = 0
-    for key in sorted(payload):
-        crc = zlib.crc32(key.encode("ascii"), crc)
-        crc = zlib.crc32(np.ascontiguousarray(payload[key]).tobytes(), crc)
-    return crc
-
-
 def save_binary(
     graph: CSRGraph, path: str | os.PathLike, epoch: int | None = None
 ) -> None:
@@ -205,10 +201,7 @@ def save_binary(
         payload["vertex_types"] = graph.vertex_types
     if epoch is not None:
         payload["graph_epoch"] = np.asarray([epoch], dtype=np.int64)
-    payload["checksum"] = np.asarray(
-        [_payload_checksum(payload)], dtype=np.uint32
-    )
-    np.savez_compressed(path, **payload)
+    save_checked(path, payload, np.uint32)
 
 
 def load_binary(
@@ -216,40 +209,24 @@ def load_binary(
 ) -> CSRGraph | tuple[CSRGraph, int | None]:
     """Load a graph previously saved by :func:`save_binary`.
 
-    Verifies the payload checksum when present (files written before
-    checksumming load unverified) and maps every flavour of torn or
+    Verifies the payload checksum — a file without one is refused, no
+    writer ever produced it — and maps every flavour of torn or
     bit-flipped file onto :class:`~repro.errors.SnapshotCorruptError`
     instead of leaking raw numpy/zip/zlib errors.  ``with_epoch=True``
     additionally returns the stored epoch id (``None`` on untagged
     files).
     """
-    import zipfile  # 9 ms of stdlib that reading a text edge list never needs
-
     try:
-        with np.load(path) as data:
-            arrays = {key: data[key] for key in data.files}
-    except (
-        OSError,
-        ValueError,
-        EOFError,
-        zipfile.BadZipFile,
-        zlib.error,
-        struct.error,
-    ) as exc:
-        if isinstance(exc, OSError) and not os.path.exists(path):
-            raise GraphFormatError(f"{path}: no such file") from exc
+        arrays = read_members(path)
+        verify_checksum(arrays)
+    except FileNotFoundError as exc:
+        raise GraphFormatError(f"{path}: no such file") from exc
+    except UnreadableNpz as exc:
         raise SnapshotCorruptError(
             f"{path}: unreadable graph file ({exc})"
         ) from exc
-
-    stored_crc = arrays.pop("checksum", None)
-    if stored_crc is not None:
-        expected = _payload_checksum(arrays)
-        if int(stored_crc[0]) != expected:
-            raise SnapshotCorruptError(
-                f"{path}: checksum mismatch (stored {int(stored_crc[0])}, "
-                f"computed {expected}); the file is damaged"
-            )
+    except ChecksumError as exc:
+        raise SnapshotCorruptError(f"{path}: {exc}; the file is damaged") from exc
     epoch_array = arrays.pop("graph_epoch", None)
     epoch = None if epoch_array is None else int(epoch_array[0])
     try:

@@ -475,13 +475,6 @@ class Linter:
         return drift
 
     # ------------------------------------------------------------------
-    def lint_file(self, path: str) -> list[Finding]:
-        context = self._parse_file(path)
-        return self._apply_suppressions(
-            context.source, context.path, self._run_syntactic(context),
-            tree=context.tree,
-        )
-
     def lint_source(
         self, source: str, path: str, rel_path: str | None = None
     ) -> list[Finding]:

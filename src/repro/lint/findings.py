@@ -66,7 +66,3 @@ class Finding:
             f"{self.path}:{self.line}:{self.column + 1}: "
             f"{self.rule_id} [{self.severity.label}]{tag} {self.message}"
         )
-
-    def baseline_key(self) -> tuple[str, str]:
-        """The (path, rule) bucket this finding counts against."""
-        return (self.path, self.rule_id)

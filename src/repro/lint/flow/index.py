@@ -181,9 +181,3 @@ class ProjectIndex:
             if resolved is not None and resolved[0] == "class":
                 order.extend(self.class_mro(resolved[1], _seen))
         return order
-
-    def is_subclass(self, ref: ClassRef, dotted_base: str) -> bool:
-        resolved = self.resolve(dotted_base)
-        if resolved is None or resolved[0] != "class":
-            return False
-        return resolved[1] in self.class_mro(ref)

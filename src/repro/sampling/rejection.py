@@ -97,7 +97,7 @@ class SamplingCounters(Counted, prefix="walk"):
     def acceptance_rate(self) -> float | None:
         """Observed accepts/trials, or ``None`` before any trials.
 
-        The fused multi-trial kernel sizes its speculation from this
+        A fused (widened) trial round sizes its speculation from this
         rate (see :func:`repro.core.kernels.adaptive_trial_count`)."""
         if self.trials <= 0:
             return None

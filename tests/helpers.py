@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import stats
 
+from repro.core.kernels import batch_trial_round, first_accepts
 from repro.graph.builder import from_edges
 
 __all__ = [
@@ -13,6 +14,7 @@ __all__ = [
     "empirical_counts",
     "assert_matches_distribution",
     "exact_node2vec_law",
+    "widened_round",
     "ReplayPathOracle",
 ]
 
@@ -94,6 +96,22 @@ def exact_node2vec_law(
     total = law.sum()
     assert total > 0
     return law / total
+
+
+def widened_round(
+    graph, tables, program, walkers, ctx, rng, counters, scratch, num_trials,
+    validate_bounds=False, main_dynamic_comp=None,
+):
+    """A fused round as ``WalkEngine._trial_round`` runs it: the batch
+    kernel over ``num_trials`` lanes per walker, then each walker's
+    first accept.  Returns ``(accepted, edges, trials_used, pd_used)``
+    per walker and the per-cell outcome they were reduced from."""
+    cells = batch_trial_round(
+        graph, tables, program, walkers, ctx.repeat(num_trials), rng, None,
+        scratch, validate_bounds=validate_bounds,
+        main_dynamic_comp=main_dynamic_comp,
+    )
+    return first_accepts(cells, num_trials, counters), cells
 
 
 class ReplayPathOracle:

@@ -496,6 +496,26 @@ class TestWalRecovery:
         assert loaded.snapshot().graph == final
         assert expected.has_edge(0, 1)  # pre-compaction view unaffected
 
+    def test_compacted_base_without_checksum_is_refused(self, tmp_path):
+        """No WAL is recovered on top of a base nothing vouches for."""
+        from repro.errors import SnapshotCorruptError
+
+        wal = tmp_path / "graph.wal"
+        npz = tmp_path / "base.npz"
+        dyn = DynamicGraph(small_graph(seed=6), wal_path=wal)
+        dyn.commit([EdgeUpdate("insert", 0, 1, 2.0)])
+        dyn.save_compacted(npz)
+        dyn.commit([EdgeUpdate("insert", 1, 0, 3.0)])
+        dyn.close()
+        assert DynamicGraph.load_compacted(npz, wal).epoch == 2
+
+        with np.load(npz) as data:
+            arrays = {key: data[key] for key in data.files if key != "checksum"}
+        arrays["targets"][5] = (arrays["targets"][5] + 1) % dyn.num_vertices
+        np.savez_compressed(npz, **arrays)
+        with pytest.raises(SnapshotCorruptError, match="no checksum member"):
+            DynamicGraph.load_compacted(npz, wal)
+
 
 # ----------------------------------------------------------------------
 # Epoch pinning through the engine stack

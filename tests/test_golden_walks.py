@@ -391,12 +391,12 @@ GOLDEN: dict[str, dict] = {
         },
     },
     "metapath-local-fused": {
-        "rolling_hash": "9a242f68f44a4f9510ae9c868992609c",
-        "paths": "7d282827675678fd1786fd027d6c44bf",
-        "total_steps": 1027,
-        "trials": 9024,
-        "pd_evaluations": 9024,
-        "full_scan_evaluations": 623,
+        "rolling_hash": "b19694eb1881457fa1b88f60c05f0d6d",
+        "paths": "29ca5f06b4458f952e66c25084db2d4b",
+        "total_steps": 1047,
+        "trials": 9317,
+        "pd_evaluations": 9317,
+        "full_scan_evaluations": 600,
         "messages_sent": 0,
     },
     "metapath-local-single": {
@@ -409,25 +409,25 @@ GOLDEN: dict[str, dict] = {
         "messages_sent": 0,
     },
     "metapath-4node-fused": {
-        "rolling_hash": "c039fb1127c87f4a1f5978cea2736e21",
-        "paths": "7d282827675678fd1786fd027d6c44bf",
-        "total_steps": 1027,
-        "trials": 9024,
-        "pd_evaluations": 9024,
-        "full_scan_evaluations": 623,
-        "messages_sent": 797,
-        "trials_per_node": [3115, 1603, 2236, 2070],
-        "pd_evaluations_per_node": [3394, 1635, 2372, 2246],
-        "simulated_seconds": "0x1.48100f16c9453p-10",
+        "rolling_hash": "fd16f20202b106821e7479a5f4391d62",
+        "paths": "29ca5f06b4458f952e66c25084db2d4b",
+        "total_steps": 1047,
+        "trials": 9317,
+        "pd_evaluations": 9317,
+        "full_scan_evaluations": 600,
+        "messages_sent": 803,
+        "trials_per_node": [3064, 2073, 1963, 2217],
+        "pd_evaluations_per_node": [3315, 2175, 2060, 2367],
+        "simulated_seconds": "0x1.3bea3bf3762edp-10",
         "num_supersteps": 13,
         "light_mode_node_supersteps": 52,
-        "walker_supersteps_per_node": [305, 290, 287, 265],
-        "bytes": 25504,
-        "local_deliveries": 230,
+        "walker_supersteps_per_node": [322, 300, 272, 273],
+        "bytes": 25696,
+        "local_deliveries": 244,
         "matrices": {
             "STATE_QUERY": "2ca5d3f9f96a9545",
             "QUERY_RESPONSE": "2ca5d3f9f96a9545",
-            "WALKER_MIGRATE": "9845a20aaa747199",
+            "WALKER_MIGRATE": "d0d894525e0ec0aa",
         },
     },
     "metapath-4node-single": {

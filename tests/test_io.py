@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import GraphFormatError
+from repro._npz import save_checked
+from repro.errors import GraphFormatError, SnapshotCorruptError
 from repro.graph.builder import assign_random_weights, from_arrays, from_edges
 from repro.graph.generators import truncated_power_law_graph
 from repro.graph.hetero import assign_random_edge_types
@@ -319,6 +320,69 @@ class TestBinaryRoundTrip:
 
     def test_missing_arrays(self, tmp_path):
         path = tmp_path / "broken.npz"
-        np.savez(path, offsets=np.array([0, 1]))
-        with pytest.raises(GraphFormatError):
+        save_checked(path, {"offsets": np.array([0, 1])}, np.uint32)
+        with pytest.raises(GraphFormatError, match="missing CSR array"):
             load_binary(path)
+
+
+def _resave(path, edit, seal):
+    """Re-save the graph file at ``path`` after ``edit(arrays)``, with
+    a checksum that is valid again (``seal``) or with none at all."""
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files}
+    del arrays["checksum"]
+    edit(arrays)
+    if seal:
+        save_checked(path, arrays, np.uint32)
+    else:
+        np.savez_compressed(path, **arrays)
+
+
+class TestMalformedContentIsTyped:
+    """A graph file is believed only with its checksum: one without the
+    member is refused as damaged (no writer ever produced it), and one
+    sealed over impossible content raises a typed error too."""
+
+    @pytest.fixture
+    def saved(self, graph, tmp_path):
+        path = tmp_path / "graph.npz"
+        save_binary(assign_random_weights(graph, seed=1), path)
+        return path
+
+    def test_file_without_checksum_is_refused(self, graph, saved):
+        def retarget(arrays):
+            arrays["targets"][5] = (arrays["targets"][5] + 1) % graph.num_vertices
+
+        _resave(saved, retarget, seal=False)
+        with pytest.raises(SnapshotCorruptError, match="no checksum member"):
+            load_binary(saved)
+
+    def test_untouched_file_without_checksum_is_refused_too(self, saved):
+        _resave(saved, lambda arrays: None, seal=False)
+        with pytest.raises(SnapshotCorruptError, match="no checksum member"):
+            load_binary(saved)
+
+    def test_stale_checksum_is_refused(self, saved):
+        with np.load(saved) as data:
+            arrays = {key: data[key] for key in data.files}
+        arrays["weights"][0] += 1.0
+        np.savez_compressed(saved, **arrays)
+        with pytest.raises(SnapshotCorruptError, match="checksum mismatch"):
+            load_binary(saved)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda arrays: arrays.pop("targets"),
+            lambda arrays: arrays.pop("undirected"),
+            lambda arrays: arrays.update(offsets=arrays["offsets"][:-1]),
+            lambda arrays: arrays.update(weights=arrays["weights"][:-1]),
+        ],
+        ids=["no-targets", "no-undirected", "offsets-short", "weights-short"],
+    )
+    def test_sealed_but_impossible_content_is_typed(self, saved, edit):
+        from repro.errors import ReproError
+
+        _resave(saved, edit, seal=True)
+        with pytest.raises(ReproError):
+            load_binary(saved)

@@ -1,11 +1,12 @@
-"""Equivalence and accounting tests for the fused multi-trial kernel.
+"""Equivalence and accounting tests for fused (multi-trial) rounds.
 
-Satellite coverage for the kernel-fusion PR: the fused
-``batch_multi_trial_round`` must sample the *same law* as the scalar
-``RejectionSampler`` and the single-trial ``batch_trial_round`` (checked
-by chi-square against the exactly enumerated node2vec law, with outlier
-folding both on and off), and its counters must add up identically in
-expectation (trials, Pd evaluations, pre-accepts per accepted move).
+A fused round — ``batch_trial_round`` over ``ctx.repeat(K)`` reduced by
+``first_accepts`` (``tests.helpers.widened_round``) — must sample the
+*same law* as the scalar ``RejectionSampler`` and the plain
+``batch_trial_round`` (checked by chi-square against the exactly
+enumerated node2vec law, with outlier folding both on and off), and its
+counters must add up identically in expectation (trials, Pd
+evaluations, pre-accepts per accepted move).
 """
 
 import numpy as np
@@ -16,11 +17,9 @@ from repro.core.engine import WalkEngine, ZERO_MASS_GUARD_TRIALS
 from repro.core.config import WalkConfig
 from repro.core.kernels import (
     KernelScratch,
-    MultiTrialOutcome,
     TRIAL_FUSION_MAX,
     TRIAL_FUSION_MIN,
     adaptive_trial_count,
-    batch_multi_trial_round,
     batch_trial_round,
     gather_stage,
 )
@@ -34,6 +33,7 @@ from tests.helpers import (
     assert_matches_distribution,
     diamond_graph,
     exact_node2vec_law,
+    widened_round,
 )
 
 CURRENT, PREVIOUS = 1, 0
@@ -64,11 +64,11 @@ def multi_trial_targets(p, q, num_trials, seed, min_samples=30_000):
     scratch = KernelScratch()
     targets = []
     while len(targets) < min_samples:
-        outcome = batch_multi_trial_round(
+        (accepted, edges, _, _), _ = widened_round(
             graph, tables, program, walkers, ctx, rng, counters, scratch,
             num_trials=num_trials, validate_bounds=True,
         )
-        targets.extend(graph.targets[outcome.edges[outcome.accepted]].tolist())
+        targets.extend(graph.targets[edges[accepted]].tolist())
     return targets, counters
 
 
@@ -140,7 +140,7 @@ class TestCountersConsistency:
             )
         )
         fused = run(
-            lambda rng, counters: batch_multi_trial_round(
+            lambda rng, counters: widened_round(
                 graph, tables, program, walkers, ctx, rng, counters, scratch,
                 num_trials=5,
             )
@@ -160,27 +160,27 @@ class TestCountersConsistency:
         )
         rng = np.random.default_rng(37)
         counters = SamplingCounters()
-        outcome = batch_multi_trial_round(
+        (accepted, edges, trials_used, pd_used), cells = widened_round(
             graph, tables, program, walkers, ctx, rng, counters,
             KernelScratch(), num_trials=6,
         )
-        assert isinstance(outcome, MultiTrialOutcome)
-        assert np.all((outcome.trials_used >= 1) & (outcome.trials_used <= 6))
+        assert cells.accepted.size == 6 * accepted.size
+        assert np.all((trials_used >= 1) & (trials_used <= 6))
         # Rejected walkers consumed the full speculation budget.
-        assert np.all(outcome.trials_used[~outcome.accepted] == 6)
-        assert np.all(outcome.edges[~outcome.accepted] == -1)
-        assert np.all(outcome.edges[outcome.accepted] >= 0)
-        assert np.all(outcome.pd_evaluations <= outcome.trials_used)
-        assert counters.trials == int(outcome.trials_used.sum())
-        assert counters.pd_evaluations == int(outcome.pd_evaluations.sum())
-        assert counters.accepts == int(outcome.accepted.sum())
+        assert np.all(trials_used[~accepted] == 6)
+        assert np.all(edges[~accepted] == -1)
+        assert np.all(edges[accepted] >= 0)
+        assert np.all(pd_used <= trials_used)
+        assert counters.trials == int(trials_used.sum())
+        assert counters.pd_evaluations == int(pd_used.sum())
+        assert counters.accepts == int(accepted.sum())
 
     def test_rejects_non_positive_trial_count(self):
         graph, program, tables, walkers, ctx = node2vec_setup(
             2.0, 0.5, count=4
         )
         with pytest.raises(ValueError):
-            batch_multi_trial_round(
+            widened_round(
                 graph, tables, program, walkers, ctx,
                 np.random.default_rng(0), SamplingCounters(), KernelScratch(),
                 num_trials=0,

@@ -14,6 +14,7 @@ import io
 import numpy as np
 import pytest
 
+from repro._npz import save_checked
 from repro._textblock import decimal
 from repro.algorithms import (
     PPR,
@@ -26,7 +27,6 @@ from repro.analysis import save_corpus
 from repro.cluster import DistributedWalkEngine
 from repro.cluster.faults import FaultPlan, NodeCrash
 from repro.cluster.recovery import capture_cluster_state, restore_cluster_state
-from repro.core import snapshot
 from repro.core.config import WalkConfig
 from repro.core.engine import WalkEngine
 from repro.core.snapshot import restore_checkpoint, save_checkpoint
@@ -179,10 +179,7 @@ class TestCheckpointResume:
         )
         payload["recorder_walkers"] = np.concatenate(oracle.move_walkers)
         payload["recorder_vertices"] = np.concatenate(oracle.move_vertices)
-        payload["checksum"] = np.asarray(
-            [snapshot._payload_checksum(payload)], dtype=np.uint64
-        )
-        np.savez_compressed(tmp_path / "v2.npz", **payload)
+        save_checked(tmp_path / "v2.npz", payload, np.uint64)
         with pytest.raises(SnapshotError, match=r"version 2 .*expected 4"):
             restore_checkpoint(
                 PLAIN, DeepWalk(), make_config("deepwalk"), tmp_path / "v2.npz"

@@ -19,11 +19,8 @@ from repro.cluster import (
 )
 from repro.core.config import WalkConfig
 from repro.core.engine import WalkEngine
-from repro.core.snapshot import (
-    _payload_checksum,
-    restore_checkpoint,
-    save_checkpoint,
-)
+from repro._npz import save_checked
+from repro.core.snapshot import restore_checkpoint, save_checkpoint
 from repro.errors import ReproError, SnapshotError
 from repro.graph.generators import uniform_degree_graph
 from repro.graph.hetero import assign_random_edge_types
@@ -41,8 +38,7 @@ def _rewrite(path, edit, target=None):
         arrays = {key: data[key] for key in data.files}
     del arrays["checksum"]
     edit(arrays)
-    arrays["checksum"] = np.asarray([_payload_checksum(arrays)], dtype=np.uint64)
-    np.savez_compressed(target if target is not None else path, **arrays)
+    save_checked(target if target is not None else path, arrays, np.uint64)
 
 
 class TestPartialRun:
