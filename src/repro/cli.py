@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # Listed for ``repro --help`` only: main() hands ``repro lint ...`` to
     # the analyzer's own parser (repro.lint.__main__), so its flags — and
-    # the 4k-line package behind them — load for that subcommand alone.
+    # the package behind them — load for that subcommand alone.
     subparsers.add_parser(
         "lint",
         help="determinism & distributed-safety static analysis",

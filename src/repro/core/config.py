@@ -52,8 +52,8 @@ class WalkConfig:
         sampled (the paper's "distribution of starting locations" API,
         section 5.2).  Mutually exclusive with ``start_vertices``.
     seed:
-        master seed; all randomness (starts, sampling, termination
-        coins) derives from it deterministically.
+        non-negative master seed; all randomness (starts, sampling,
+        termination coins) derives from it deterministically.
     record_paths:
         whether the engine keeps full walk sequences (needed by
         DeepWalk/node2vec corpus generation; off for pure benchmarks).
@@ -112,6 +112,8 @@ class WalkConfig:
             )
         if self.static_sampler not in ("alias", "its"):
             raise ConfigError("static_sampler must be 'alias' or 'its'")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.checkpoint_every is not None and self.checkpoint_every < 0:
             raise ConfigError("checkpoint_every must be non-negative")
 

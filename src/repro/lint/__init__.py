@@ -1,27 +1,25 @@
 """``repro.lint`` — determinism & distributed-safety static analysis.
 
 A project-specific, stdlib-only (``ast``-driven) linter enforcing the
-invariants this reproduction's correctness rests on:
+invariants this reproduction's correctness rests on, one rule per
+invariant:
 
 * **RNG discipline** (RK101-RK103) — every random draw comes from an
   explicitly seeded ``np.random.Generator``; no stdlib ``random``, no
-  unseeded ``default_rng()``, no legacy numpy global state.
-* **Simulated-time purity** (RK201) — no wall-clock reads inside the
-  cluster simulator, so replay stays bit-identical.
-* **Cross-process safety** (RK301-RK302) — callables and payloads
-  crossing process boundaries must survive pickling everywhere, not
-  just under ``fork``.
-* **Generic hygiene** (RK401-RK403) — mutable defaults, bare
-  ``except:``, and unsorted set iteration.
+  unseeded ``default_rng()`` / bit generator / ``SeedSequence()``, no
+  legacy numpy global state.
+* **Shared-state hygiene** (RK105, RK204, RK206, RK403) — no in-place
+  CSR writes outside ``graph/``, no lockstep retry sleeps, no host-clock
+  tracers in simulated time, no unsorted set iteration.
 * **Whole-program flow rules** (RK106/RK110/RK210/RK310) — the
   interprocedural layer in :mod:`repro.lint.flow`: RNG escape across
-  message/process boundaries, wall-clock taint reaching simulated-time
-  code through helpers, epoch-snapshot views outliving their epoch,
-  and unpicklable values that *actually* reach spawn call sites.
+  message/process boundaries, wall-clock reads in simulated-time code
+  (direct or through helpers), epoch-snapshot views outliving their
+  epoch, and unpicklable values reaching spawn call sites.
 
-Findings can be suppressed per line (``# lint: disable=RK101 --
-reason``) or absorbed by a checked-in count-based baseline
-(``lint-baseline.json``); see :mod:`repro.lint.baseline`.
+Mutable default arguments and bare ``except:`` are ruff's (``B006``,
+``E722``).  The only exemption is an inline suppression with a reason
+(``# lint: disable=RK101 -- reason``).
 
 The *runtime* counterpart — the determinism sanitizer that records a
 rolling hash of every RNG draw, message delivery, and walker
@@ -31,7 +29,6 @@ it needs numpy and the engines; the static analyzer deliberately
 imports neither.
 """
 
-from repro.lint.baseline import Baseline
 from repro.lint.engine import (
     DEFAULT_RULES,
     Linter,
@@ -40,16 +37,14 @@ from repro.lint.engine import (
     rule_catalog,
 )
 from repro.lint.findings import Finding, Severity
-from repro.lint.flow import FLOW_RULES, FlowCache, FlowSpec, ProjectIndex
+from repro.lint.flow import FLOW_RULES, FlowSpec, ProjectIndex
 from repro.lint.rules import FileContext, Rule
 
 __all__ = [
-    "Baseline",
     "DEFAULT_RULES",
     "FLOW_RULES",
     "FileContext",
     "Finding",
-    "FlowCache",
     "FlowSpec",
     "LintReport",
     "Linter",

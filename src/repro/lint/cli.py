@@ -4,27 +4,22 @@ Kept separate from :mod:`repro.cli` so the static analyzer stays
 importable without numpy (the main CLI imports the engines at module
 load; CI lint jobs shouldn't need a working numerical stack to check
 source hygiene).  :func:`run_lint` is the single entry point: it
-returns the process exit code — 0 on clean (modulo baseline), 1 on any
-blocking finding, 2 on operational errors (unparseable files, busted
-baseline, blown ``--flow-budget``) — so it composes with CI and
-pre-commit.
+returns the process exit code — 0 on clean, 1 on any blocking finding,
+2 on operational errors (unparseable files, a malformed or reasonless
+suppression, a blown ``--flow-budget``) — so it composes with CI and
+pre-commit.  Both rule layers always run; there is no baseline, cache
+or second report format.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 
 from repro.errors import LintError
-from repro.lint.baseline import Baseline
-from repro.lint.engine import DEFAULT_RULES, Linter, rule_catalog
+from repro.lint.engine import Linter, rule_catalog
 
-__all__ = ["run_lint", "DEFAULT_BASELINE_NAME", "DEFAULT_CACHE_NAME",
-           "add_lint_arguments"]
-
-DEFAULT_BASELINE_NAME = "lint-baseline.json"
-DEFAULT_CACHE_NAME = ".repro-lint-cache.json"
+__all__ = ["run_lint", "add_lint_arguments"]
 
 
 def add_lint_arguments(parser) -> None:
@@ -35,20 +30,7 @@ def add_lint_arguments(parser) -> None:
     )
     parser.add_argument(
         "--strict", action="store_true",
-        help="fail on warnings, stale suppressions and baseline drift "
-        "too, not just errors",
-    )
-    parser.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help=f"baseline file (default: ./{DEFAULT_BASELINE_NAME} if present)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline file; every finding counts",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline from the current findings and exit 0",
+        help="fail on warnings and stale suppressions too, not just errors",
     )
     parser.add_argument(
         "--exclude", action="append", default=[], metavar="PATH",
@@ -60,122 +42,28 @@ def add_lint_arguments(parser) -> None:
         help="print the rule catalog and exit",
     )
     parser.add_argument(
-        "--no-flow", action="store_true",
-        help="skip the whole-program flow analysis layer (RK106/RK110/"
-        "RK210/RK310); syntactic rules only",
-    )
-    parser.add_argument(
-        "--changed-only", action="store_true",
-        help="report findings only for files whose content changed "
-        "since the last cached run (the analysis itself stays "
-        "whole-program); implies using the flow cache",
-    )
-    parser.add_argument(
-        "--cache", default=None, metavar="FILE",
-        help="flow-analysis cache file (default: "
-        f"./{DEFAULT_CACHE_NAME}); summaries are keyed on content "
-        "hashes, so warm runs skip unchanged files",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="neither read nor write the flow cache",
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
-        dest="output_format",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--output", default=None, metavar="FILE",
-        help="write the report there instead of stdout",
-    )
-    parser.add_argument(
         "--flow-budget", type=float, default=None, metavar="SECONDS",
         help="fail (exit 2) if the flow pass exceeds this wall-time "
         "budget — CI's guard against analysis-time regressions",
     )
 
 
-def _resolve_baseline_path(args) -> str | None:
-    if args.no_baseline:
-        return None
-    if args.baseline is not None:
-        return args.baseline
-    return DEFAULT_BASELINE_NAME if os.path.exists(DEFAULT_BASELINE_NAME) else None
-
-
-def _resolve_cache_path(args) -> str | None:
-    if getattr(args, "no_cache", False):
-        return None
-    cache = getattr(args, "cache", None)
-    return cache if cache is not None else DEFAULT_CACHE_NAME
-
-
-def _emit(report, args, out) -> None:
-    fmt = getattr(args, "output_format", "text")
-    if fmt == "json":
-        text = json.dumps(report.to_json_obj(), indent=2, sort_keys=True)
-    elif fmt == "sarif":
-        text = json.dumps(report.to_sarif_obj(), indent=2, sort_keys=True)
-    else:
-        text = report.format()
-    target = getattr(args, "output", None)
-    if target is not None:
-        with open(target, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        print(f"report written to {target}", file=out)
-    else:
-        print(text, file=out)
-
-
 def run_lint(args, stdout=None) -> int:
     """Execute a lint run described by parsed *args*; returns exit code."""
     out = stdout if stdout is not None else sys.stdout
     if args.rules:
-        for rule_id, severity, description in rule_catalog(DEFAULT_RULES):
+        for rule_id, severity, description in rule_catalog():
             print(f"{rule_id} [{severity}] {description}", file=out)
         return 0
-
-    baseline_path = _resolve_baseline_path(args)
-    cache_path = _resolve_cache_path(args)
-    flow = not getattr(args, "no_flow", False)
     try:
-        if args.update_baseline:
-            # Build the baseline from a run WITHOUT one, so existing
-            # entries don't mask what the update should record.
-            linter = Linter(
-                root=os.getcwd(), exclude=tuple(args.exclude), flow=flow,
-                cache_path=cache_path,
-            )
-            report = linter.lint_paths(list(args.paths))
-            target = baseline_path if baseline_path else DEFAULT_BASELINE_NAME
-            Baseline.from_findings(report.findings).save(target)
-            print(
-                f"baseline {target} updated with "
-                f"{len(report.findings)} finding(s)",
-                file=out,
-            )
-            return 0
-
-        baseline = (
-            Baseline.load(baseline_path) if baseline_path is not None else None
-        )
-        linter = Linter(
-            baseline=baseline, root=os.getcwd(), exclude=tuple(args.exclude),
-            flow=flow, cache_path=cache_path,
-            changed_only=getattr(args, "changed_only", False),
-        )
+        linter = Linter(root=os.getcwd(), exclude=tuple(args.exclude))
         report = linter.lint_paths(list(args.paths))
     except LintError as exc:
         print(f"lint error: {exc}", file=out)
         return 2
-    _emit(report, args, out)
-    budget = getattr(args, "flow_budget", None)
-    if (
-        budget is not None
-        and report.flow_seconds is not None
-        and report.flow_seconds > budget
-    ):
+    print(report.format(), file=out)
+    budget = args.flow_budget
+    if budget is not None and report.flow_seconds > budget:
         print(
             f"FAILED: flow pass took {report.flow_seconds:.2f}s, over the "
             f"{budget:.2f}s budget",

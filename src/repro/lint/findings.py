@@ -2,14 +2,15 @@
 
 A :class:`Finding` is one rule violation at one source location.  It is
 deliberately a plain frozen dataclass — rules produce them, the engine
-filters them (suppressions, baseline), and the CLI formats them — so
-the three layers stay decoupled.
+filters them (suppressions), and the CLI formats them — so the three
+layers stay decoupled.  :func:`in_scope` is the one path-scope check
+both rule layers use.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class Severity(enum.IntEnum):
@@ -47,9 +48,6 @@ class Finding:
         human-readable description of what is wrong and how to fix it.
     severity:
         see :class:`Severity`.
-    baselined:
-        set by the engine when a checked-in baseline entry absorbs this
-        finding; baselined findings are reported but never fatal.
     """
 
     rule_id: str
@@ -58,11 +56,29 @@ class Finding:
     column: int
     message: str
     severity: Severity = Severity.ERROR
-    baselined: bool = field(default=False, compare=False)
 
     def format(self) -> str:
-        tag = " [baselined]" if self.baselined else ""
         return (
             f"{self.path}:{self.line}:{self.column + 1}: "
-            f"{self.rule_id} [{self.severity.label}]{tag} {self.message}"
+            f"{self.rule_id} [{self.severity.label}] {self.message}"
         )
+
+
+def in_scope(
+    rel_path: str, packages: tuple[str, ...], allow_paths: tuple[str, ...]
+) -> bool:
+    """Does a rule scoped to *packages*, minus *allow_paths*, cover a file?
+
+    Both are runs of path components matched anywhere in the
+    scan-relative path: ``"cluster"`` covers ``src/repro/cluster/x.py``,
+    ``"cluster/engine.py"`` names one file and ``"graph"`` a whole
+    package.  No *packages* means every file.
+    """
+    padded = f"/{rel_path}/"
+
+    def matches(pattern: str) -> bool:
+        return f"/{pattern}/" in padded
+
+    if packages and not any(matches(p) for p in packages):
+        return False
+    return not any(matches(a) for a in allow_paths)

@@ -2,12 +2,12 @@
 
 The syntactic rules in :mod:`repro.lint.rules_*` see one file at a
 time, so a single helper-function hop of indirection defeats them:
-``rng = make_rng(); pool.run(step, rng)`` is invisible to RK101-RK103
-because the creation and the escape sit in different statements (or
-different modules).  This subpackage closes that gap with a small,
+``rng = make_rng(); pool.run(step, rng)`` is invisible to a per-call
+check because the creation and the escape sit in different statements
+(or different modules).  This subpackage closes that gap with a small,
 stdlib-only interprocedural taint analysis:
 
-1. :class:`~repro.lint.flow.index.ProjectIndex` parses every module
+1. :class:`~repro.lint.flow.index.ProjectIndex` lowers every module
    once, resolves import aliases project-wide (including relative
    imports and re-exports through ``__init__``), and records per-module
    symbol tables plus class hierarchies;
@@ -20,16 +20,11 @@ stdlib-only interprocedural taint analysis:
    frames;
 4. :mod:`~repro.lint.flow.specs` declares the four flow rules as
    source/sink/sanitizer data: **RK110** (RNG escape), **RK210**
-   (interprocedural wall-clock taint into simulated time), **RK106**
-   (epoch-snapshot escape), **RK310** (flow-based spawn-payload
-   purity).
-
-:class:`~repro.lint.flow.cache.FlowCache` keys extracted module
-summaries on file content hashes so repeated runs (CI, pre-commit)
-skip re-extraction of unchanged files.
+   (wall-clock reads in simulated time), **RK106** (epoch-snapshot
+   escape), **RK310** (spawn-payload purity).  Each is the only rule
+   for its invariant: a same-statement case is a zero-hop flow.
 """
 
-from repro.lint.flow.cache import FlowCache
 from repro.lint.flow.callgraph import CallResolver, build_call_graph
 from repro.lint.flow.index import ProjectIndex
 from repro.lint.flow.specs import FLOW_RULES, FlowSpec
@@ -38,7 +33,6 @@ from repro.lint.flow.taint import TaintAnalysis, run_flow_rules
 __all__ = [
     "FLOW_RULES",
     "CallResolver",
-    "FlowCache",
     "FlowSpec",
     "ProjectIndex",
     "TaintAnalysis",

@@ -27,10 +27,10 @@ from typing import Any
 
 from repro.lint.flow.index import ClassRef, ProjectIndex
 
-__all__ = ["CallResolver", "build_call_graph"]
+__all__ = ["CallResolver", "build_call_graph", "chain_of"]
 
 
-def _dotted_of(expr: dict[str, Any]) -> tuple[str | None, list[str]]:
+def chain_of(expr: dict[str, Any]) -> tuple[str | None, list[str]]:
     """(root name, attribute chain) of a Name/Attribute IR expression."""
     chain: list[str] = []
     while expr.get("k") == "attr":
@@ -73,7 +73,7 @@ class CallResolver:
         return types
 
     def _resolve_dotted_fn(self, fn: dict[str, Any], module: dict[str, Any]):
-        root, chain = _dotted_of(fn)
+        root, chain = chain_of(fn)
         if root is None:
             return None
         aliases = module.get("aliases", {})
@@ -113,7 +113,7 @@ class CallResolver:
             return ("func", fn["id"], False)
         module = self.index.modules.get(func["module"], {})
         types = types if types is not None else {}
-        root, chain = _dotted_of(fn)
+        root, chain = chain_of(fn)
         if root is None:
             return None
         local_names = self._local_names(func)

@@ -36,28 +36,21 @@ class ProjectIndex:
     # ------------------------------------------------------------------
     @classmethod
     def build(
-        cls,
-        files: Iterable[tuple[str, str, str, ast.AST | None]],
-        cached: dict[str, dict] | None = None,
+        cls, files: Iterable[tuple[str, str, str, ast.AST | None]]
     ) -> "ProjectIndex":
         """Index ``(path, rel_path, source, tree)`` tuples.
 
-        ``cached`` maps *path* to a previously extracted module summary
-        (content-hash validated by the caller); cache hits skip
-        re-extraction entirely.  ``tree`` may be ``None`` for cache
-        hits; otherwise the already-parsed AST is reused so no file is
-        parsed twice in one lint run.
+        ``tree`` may be ``None``; otherwise the already-parsed AST is
+        reused so no file is parsed twice in one lint run.
         """
         index = cls()
         for path, rel_path, source, tree in files:
-            summary = cached.get(path) if cached else None
-            if summary is None:
-                module, is_package = module_name_for(path)
-                if tree is None:
-                    tree = ast.parse(source, filename=path)
-                summary = extract_module(tree, module, rel_path, path,
-                                         is_package)
-            index.add_module(summary)
+            module, is_package = module_name_for(path)
+            if tree is None:
+                tree = ast.parse(source, filename=path)
+            index.add_module(
+                extract_module(tree, module, rel_path, path, is_package)
+            )
         return index
 
     def add_module(self, summary: dict[str, Any]) -> None:

@@ -1,9 +1,7 @@
-"""AST → flow IR extraction: one JSON-serializable summary per module.
+"""AST → flow IR extraction: one summary per module.
 
 The taint engine never touches ``ast`` nodes: each module is lowered
-once into a small dict-based IR (so summaries can be cached on file
-content hashes, see :mod:`repro.lint.flow.cache`).  Expressions become
-tagged dicts::
+once into a small dict-based IR.  Expressions become tagged dicts::
 
     {"k": "name", "id": "rng"}
     {"k": "attr", "base": <expr>, "attr": "bit_generator"}
@@ -75,9 +73,11 @@ def collect_aliases(
 ) -> dict[str, str]:
     """Local name → canonical dotted name, with relative imports resolved.
 
-    Extends the per-file alias map of :mod:`repro.lint.rules` with
-    package-aware relative imports: inside ``repro.cluster.engine``,
-    ``from .network import Network`` maps ``Network`` to
+    The one import table of both rule layers
+    (:class:`repro.lint.rules.FileContext` reads it too).  ``import
+    numpy as np`` maps ``np`` to ``numpy``; relative imports are
+    package-aware: inside ``repro.cluster.engine``, ``from .network
+    import Network`` maps ``Network`` to
     ``repro.cluster.network.Network``.  A package's
     ``lazy_exports(globals(), csr=("CSRGraph",))`` call is its re-export
     declaration (:mod:`repro._lazy`): each keyword group maps its names
@@ -522,5 +522,5 @@ class _ModuleExtractor:
 
 def extract_module(tree: ast.AST, module: str, rel_path: str, path: str,
                    is_package: bool) -> dict:
-    """Lower one parsed module into its JSON-serializable flow summary."""
+    """Lower one parsed module into its flow summary."""
     return _ModuleExtractor(tree, module, rel_path, path, is_package).extract()

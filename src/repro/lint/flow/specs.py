@@ -2,9 +2,8 @@
 
 Each :class:`FlowSpec` is pure data — the taint engine interprets it,
 so adding a flow rule means declaring what *creates* taint, what
-*clears* it, and where tainted values must never *arrive*.  The four
-rules shipped here are the interprocedural versions of invariants the
-syntactic rules can only check one statement at a time:
+*clears* it, and where tainted values must never *arrive*.  Each rule
+is the one check for its invariant, same-statement cases included:
 
 * **RK110** — an ``np.random.Generator`` / ``TracedRNG`` must stay in
   the walker/node context that created it.  Serializing one
@@ -13,43 +12,71 @@ syntactic rules can only check one statement at a time:
   and breaks replay determinism.  The sanctioned way to move RNG state
   is ``rng.bit_generator.state`` (plain picklable dict) or a derived
   seed — both sanitize the taint.
-* **RK210** — the flow version of RK201: a wall-clock reading may not
-  *flow* into simulated-time (``cluster/``) code, no matter how many
-  helper frames it crosses.  The RK201 allowlist exempts only the
-  *read* (host-side profiling in ``cluster/engine.py``); the moment
-  such a value flows into non-allowlisted cluster code, RK210 fires.
+* **RK210** — no wall-clock reading in simulated-time (``cluster/``)
+  code: not read there directly, and not *flowing* in through any
+  number of helper frames.  ``cluster/engine.py`` is allowlisted for
+  the *read* only (host-side profiling of the simulation run); the
+  moment such a value flows into other cluster code, RK210 fires.
 * **RK106** — a ``DynamicGraph.snapshot()`` epoch view must not
   outlive its epoch: storing one on ``self``/a module global (or
   capturing it in a closure that is stored) keeps serving stale
-  topology after the next ``commit()``.  Two files are sanctioned,
-  mirroring RK201's allowlist idiom: ``graph/prepared.py``, where
-  ``prepare()`` pins the epoch every engine, shard set and service
-  request walks, and ``core/engine.py``, whose constructor holds the
-  pinned graph and its tables for exactly one run.
-* **RK310** — the flow version of RK302: what *actually* reaches a
-  process-boundary call site must be picklable.  Lambdas, generator
-  expressions, nested functions, and open file handles are tainted at
-  creation; materializing (``list(...)``) sanitizes.  Same-statement
-  violations are left to RK301/RK302 so the two layers never
-  double-report.
+  topology after the next ``commit()``.  Two files are sanctioned:
+  ``graph/prepared.py``, where ``prepare()`` pins the epoch every
+  engine, shard set and service request walks, and ``core/engine.py``,
+  whose constructor holds the pinned graph and its tables for exactly
+  one run.
+* **RK310** — what reaches a process-boundary call site must be
+  picklable under ``spawn``.  Lambdas, generator expressions, nested
+  functions, and open file handles are tainted at creation, whether
+  they are written into the call itself or arrive through variables
+  and helpers; materializing (``list(...)``) sanitizes.
+
+``packages`` / ``allow_paths`` scope a spec with the same
+:func:`~repro.lint.findings.in_scope` check the syntactic rules use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.lint.findings import Severity
-from repro.lint.rules_time import (
-    SIMULATED_TIME_PACKAGES,
-    WALL_CLOCK_ALLOWLIST,
-    _WALL_CLOCK_CALLS,
+from repro.lint.findings import Severity, in_scope
+
+__all__ = ["FlowSpec", "FLOW_RULES"]
+
+# Packages whose execution is paced by simulated time (RK206, RK210).
+SIMULATED_TIME_PACKAGES = ("cluster",)
+
+# Files allowed to read the host clock inside a simulated-time package,
+# because they account *host* wall time of the simulation run
+# (WalkStats.wall_time_seconds), which is documented as host-side
+# profiling and never feeds simulated seconds, message order, or any
+# replayed decision.
+WALL_CLOCK_ALLOWLIST = ("cluster/engine.py",)
+
+# Calls that read the host clock — RK210's sources and the clocks RK206
+# refuses as an injected tracer clock.  ``default_clock`` is the tracer
+# module's own alias for ``time.perf_counter``.
+WALL_CLOCK_CALLS = frozenset(
+    {
+        "time.time",
+        "time.time_ns",
+        "time.perf_counter",
+        "time.perf_counter_ns",
+        "time.monotonic",
+        "time.monotonic_ns",
+        "time.process_time",
+        "time.process_time_ns",
+        "datetime.datetime.now",
+        "datetime.datetime.utcnow",
+        "datetime.datetime.today",
+        "datetime.date.today",
+        "repro.obs.default_clock",
+        "repro.obs.tracer.default_clock",
+    }
 )
 
-__all__ = ["FlowSpec", "FLOW_RULES", "flow_rule_ids"]
-
 # Methods whose first positional argument (and everything after it)
-# crosses a process boundary — shared with rules_process.py's
-# syntactic RK301/RK302.
+# crosses a process boundary, when the receiver looks like a pool.
 CROSS_PROCESS_METHODS = frozenset(
     {"run", "map", "starmap", "imap", "imap_unordered", "apply",
      "apply_async", "submit"}
@@ -95,7 +122,6 @@ class FlowSpec:
     # object) or "taint" (the object's essence survives the call).
     receiver_default: str = "clean"
     tainting_methods: frozenset[str] = frozenset()
-    propagate_unknown_calls: bool = True
 
     # -- sinks ---------------------------------------------------------
     # None: process boundaries are not sinks; "payload": args after the
@@ -104,19 +130,18 @@ class FlowSpec:
     sink_calls: dict = field(default_factory=dict)    # dotted -> positions|None
     sink_methods: dict = field(default_factory=dict)  # attr name -> positions|None
     escape_sinks: bool = False                        # self/global stores (RK106)
-    # (packages, allowlist): tainted values may not flow into functions
-    # of these packages (RK210).
-    region: tuple[tuple[str, ...], tuple[str, ...]] | None = None
-    # rel_path suffixes where this rule's sinks are sanctioned.
+    # Scope, as for a syntactic rule: the files whose sinks count.
+    packages: tuple[str, ...] = ()
     allow_paths: tuple[str, ...] = ()
-    # Skip findings whose only source sits on the sink's own line
-    # (covered by the syntactic twin rule).
-    skip_same_line: bool = False
+    # The scope is itself the sink (RK210): a source called inside it,
+    # a tainted argument handed into it, or a tainted helper result
+    # consumed inside it.
+    region: bool = False
 
     sink_message: str = ""
 
-    def sanctioned(self, rel_path: str) -> bool:
-        return any(rel_path.endswith(suffix) for suffix in self.allow_paths)
+    def applies(self, rel_path: str) -> bool:
+        return in_scope(rel_path, self.packages, self.allow_paths)
 
 
 RK110 = FlowSpec(
@@ -162,17 +187,21 @@ RK110 = FlowSpec(
 RK210 = FlowSpec(
     rule_id="RK210",
     description=(
-        "wall-clock taint (flow): a host-clock reading flows — through "
-        "any number of helpers — into simulated-time cluster code; "
-        "simulation decisions must derive from the cost model "
-        "(supersedes RK201's per-file allowlist for indirect flows)"
+        "wall clock in simulated time (flow): a host-clock reading inside "
+        "simulated-time cluster code, read there directly or flowing in "
+        "through any number of helpers; simulation decisions "
+        "must derive from the cost model so replay stays bit-identical "
+        "(allowlist: host-side wall-time accounting files, for the read "
+        "only)"
     ),
-    source_calls=frozenset(_WALL_CLOCK_CALLS),
+    source_calls=WALL_CLOCK_CALLS,
     sanitize_calls=frozenset(),  # int(time.time()) is still wall clock
     receiver_default="taint",
-    region=(SIMULATED_TIME_PACKAGES, WALL_CLOCK_ALLOWLIST),
+    packages=SIMULATED_TIME_PACKAGES,
+    allow_paths=WALL_CLOCK_ALLOWLIST,
+    region=True,
     sink_message=(
-        "wall-clock value{trace} flows into simulated-time code here; "
+        "wall-clock value{trace} reaches simulated-time code here; "
         "derive it from the cost model's simulated seconds instead"
     ),
 )
@@ -201,11 +230,11 @@ RK106 = FlowSpec(
 RK310 = FlowSpec(
     rule_id="RK310",
     description=(
-        "spawn-payload purity (flow): a value that actually reaches a "
-        "process-boundary call site is unpicklable (lambda, generator "
-        "expression, nested function, open file) even though the call "
-        "site itself looks clean; build payloads from module-level "
-        "callables and materialized data"
+        "spawn-payload purity (flow): a value that reaches a "
+        "process-boundary call site — written there or arriving through "
+        "variables and helpers — is unpicklable (lambda, generator "
+        "expression, nested function, open file); build payloads from "
+        "module-level callables and materialized data"
     ),
     lambda_source=True,
     genexp_source=True,
@@ -215,7 +244,6 @@ RK310 = FlowSpec(
     | frozenset({"list", "tuple", "set", "dict", "sorted", "frozenset"}),
     receiver_default="clean",
     process_boundary="all",
-    skip_same_line=True,
     sink_message=(
         "unpicklable value{trace} reaches this process-boundary call "
         "site; it dies at pickling time under spawn start methods"
@@ -223,7 +251,3 @@ RK310 = FlowSpec(
 )
 
 FLOW_RULES: tuple[FlowSpec, ...] = (RK106, RK110, RK210, RK310)
-
-
-def flow_rule_ids() -> frozenset[str]:
-    return frozenset(spec.rule_id for spec in FLOW_RULES)

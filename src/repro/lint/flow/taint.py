@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.lint.findings import Finding
-from repro.lint.flow.callgraph import CallResolver
+from repro.lint.flow.callgraph import CallResolver, chain_of
 from repro.lint.flow.index import ProjectIndex
 from repro.lint.flow.specs import (
     CONTAINER_MUTATORS,
@@ -90,6 +90,7 @@ class TaintAnalysis:
         }
         self.class_attrs: dict[tuple[str, str, str], frozenset] = {}
         self.globals_taint: dict[tuple[str, str], frozenset] = {}
+        self._scope: dict[str, bool] = {}
         self._changed = False
 
     # ------------------------------------------------------------------
@@ -121,10 +122,6 @@ class TaintAnalysis:
                 key=lambda lb: (lb[1], lb[2]),
             )
             if not sources:
-                continue
-            if self.spec.skip_same_line and all(
-                src[1] == rel_path and src[2] == line for src in sources
-            ):
                 continue
             origins = ", ".join(
                 f"{src[1]}:{src[2]}" for src in sources[:2]
@@ -188,7 +185,7 @@ class TaintAnalysis:
                 if merged != self.class_attrs.get(key, frozenset()):
                     self.class_attrs[key] = merged
                     self._changed = True
-            if labels and spec.escape_sinks and not spec.sanctioned(rel_path):
+            if labels and spec.escape_sinks and self._applies(rel_path):
                 site = (func_path(self.index, func), rel_path,
                         fact["line"], fact["col"], "escape")
                 self._record(labels, site, out)
@@ -199,7 +196,7 @@ class TaintAnalysis:
             if merged != self.globals_taint.get(key, frozenset()):
                 self.globals_taint[key] = merged
                 self._changed = True
-            if labels and spec.escape_sinks and not spec.sanctioned(rel_path):
+            if labels and spec.escape_sinks and self._applies(rel_path):
                 site = (func_path(self.index, func), rel_path,
                         fact["line"], fact["col"], "escape")
                 self._record(labels, site, out)
@@ -211,7 +208,7 @@ class TaintAnalysis:
             elif (
                 labels
                 and spec.escape_sinks
-                and not spec.sanctioned(rel_path)
+                and self._applies(rel_path)
                 and base.get("k") == "attr"
                 and base.get("base", {}).get("k") == "name"
                 and base["base"].get("id") == "self"
@@ -225,6 +222,13 @@ class TaintAnalysis:
             self._expr(fact["value"], func, env, out)
 
     # ------------------------------------------------------------------
+    def _applies(self, rel_path: str) -> bool:
+        """``spec.applies``, memoized: it is asked once per call site."""
+        hit = self._scope.get(rel_path)
+        if hit is None:
+            hit = self._scope[rel_path] = self.spec.applies(rel_path)
+        return hit
+
     def _record(self, labels: set[Label], site: Site, out: _Out) -> None:
         src_labels = {lb for lb in labels if isinstance(lb, tuple)}
         if src_labels:
@@ -290,7 +294,7 @@ class TaintAnalysis:
                 key = (ref[0], ref[1], expr["attr"])
                 labels |= self.class_attrs.get(key, frozenset())
         # Fully dotted chains may name a tainted module global.
-        root, chain = _chain_of(expr)
+        root, chain = chain_of(expr)
         if root is not None and root not in env:
             module = self.index.modules.get(func["module"], {})
             dotted = ".".join(
@@ -333,7 +337,10 @@ class TaintAnalysis:
 
         # -- sources and sanitizers ------------------------------------
         if dotted is not None and dotted in spec.source_calls:
-            return {("SRC", rel_path, expr["line"])}
+            source: set[Label] = {("SRC", rel_path, expr["line"])}
+            self._check_region(None, arg_labels, kw_labels, source,
+                               path, rel_path, loc, out)
+            return source
         if attr_name is not None and attr_name in spec.source_methods:
             self._expr(fn["base"], func, env, out)
             return {("SRC", rel_path, expr["line"])}
@@ -349,14 +356,10 @@ class TaintAnalysis:
                 path, rel_path, loc, out,
             )
             self._check_region(resolved[1], arg_labels, kw_labels, result,
-                               func, path, rel_path, loc, out)
+                               path, rel_path, loc, out)
             return result
         if resolved is not None and resolved[0] == "class":
-            result: set[Label] = set()
-            for labels in arg_labels:
-                result |= labels
-            for _, labels in kw_labels:
-                result |= labels
+            result = _union(arg_labels, kw_labels)
             init = self.index.find_method(resolved[1], "__init__")
             if init is not None:
                 result |= self._apply_summary(
@@ -366,23 +369,13 @@ class TaintAnalysis:
             return result
 
         # -- unresolved call -------------------------------------------
-        result = set()
-        if spec.propagate_unknown_calls:
-            for labels in arg_labels:
-                result |= labels
-            for _, labels in kw_labels:
-                result |= labels
+        result = _union(arg_labels, kw_labels)
         if attr_name is not None:
             recv = self._expr(fn["base"], func, env, out)
             if attr_name in CONTAINER_MUTATORS:
                 base = fn["base"]
                 if base.get("k") == "name" and base["id"] in env:
-                    merged: set[Label] = set()
-                    for labels in arg_labels:
-                        merged |= labels
-                    for _, labels in kw_labels:
-                        merged |= labels
-                    env[base["id"]].update(merged)
+                    env[base["id"]].update(_union(arg_labels, kw_labels))
             if recv and (
                 attr_name in spec.tainting_methods
                 or spec.receiver_default == "taint"
@@ -404,8 +397,9 @@ class TaintAnalysis:
                 result |= by_param.get(int(lb[1:]), set())
         # A call made from a sanctioned file is a blessed flow: the
         # allowlisted pinning point may hand its view to the samplers
-        # and tables it owns (their lifetime is bounded by its own).
-        if not self.spec.sanctioned(rel_path):
+        # and tables it owns (their lifetime is bounded by its own).  A
+        # region's allowlist exempts only the read, never the flow.
+        if self.spec.region or self._applies(rel_path):
             for index, site in psinks:
                 labels = by_param.get(index, set())
                 if labels:
@@ -434,17 +428,13 @@ class TaintAnalysis:
     def _check_explicit_sinks(self, dotted, attr_name, arg_labels,
                               kw_labels, path, rel_path, loc, out: _Out):
         spec = self.spec
-        if spec.sanctioned(rel_path):
-            return
-        positions = None
-        matched = False
         if dotted is not None and dotted in spec.sink_calls:
             positions = spec.sink_calls[dotted]
-            matched = True
         elif attr_name is not None and attr_name in spec.sink_methods:
             positions = spec.sink_methods[attr_name]
-            matched = True
-        if not matched:
+        else:
+            return
+        if not self._applies(rel_path):
             return
         site = (path, rel_path, loc[0], loc[1], "sink-call")
         for j, labels in enumerate(arg_labels):
@@ -460,17 +450,16 @@ class TaintAnalysis:
     def _pool_receiver(self, fn: dict, func: dict) -> bool:
         """Does a ``recv.run/map/submit(...)`` receiver look like a pool?
 
-        The syntactic RK301/RK302 can use the bare method-name
-        heuristic because they only fire on values visible at the call
-        site; the flow layer propagates taint into *every* such call,
-        so ``baseline.apply(findings)`` or ``engine.run(walkers)``
-        would otherwise count as process boundaries.  Gate on the
-        receiver: its name mentions pool/executor, its resolved local
+        The bare method name is not enough: taint propagates into
+        *every* such call, so ``engine.run(walkers)`` or
+        ``tables.apply(updates)`` would otherwise count as process
+        boundaries.  Gate on the receiver: its name mentions
+        pool/executor, its resolved local
         type is a ``*Pool``/``*Executor`` class, or it is the
         ``multiprocessing``/``concurrent.futures`` module itself.
         """
         base = fn["base"]
-        root, chain = _chain_of(base)
+        root, chain = chain_of(base)
         if root is None:
             return False
         parts = [p.lower() for p in [root, *chain] if p != "self"]
@@ -489,7 +478,7 @@ class TaintAnalysis:
     def _check_process_boundary(self, fn, attr_name, arg_labels, kw_labels,
                                 func, path, rel_path, loc, out: _Out):
         spec = self.spec
-        if spec.process_boundary is None or spec.sanctioned(rel_path):
+        if spec.process_boundary is None or not self._applies(rel_path):
             return
         site = (path, rel_path, loc[0], loc[1], "process-boundary")
         if (
@@ -516,21 +505,14 @@ class TaintAnalysis:
                     self._record(labels, site, out)
 
     def _check_region(self, callee_id, arg_labels, kw_labels, result,
-                      func, path, rel_path, loc, out: _Out):
+                      path, rel_path, loc, out: _Out):
+        """Region sinks; *callee_id* is None for a source call itself."""
         spec = self.spec
-        if spec.region is None:
+        if not spec.region:
             return
-        packages, allow = spec.region
-        caller_in = _in_region(rel_path, packages) and not _allowed(
-            rel_path, allow
-        )
-        callee_rel = (
-            self.index.rel_path_of(callee_id) if callee_id is not None else ""
-        )
-        callee_in = (
-            callee_id is not None
-            and _in_region(callee_rel, packages)
-            and not _allowed(callee_rel, allow)
+        caller_in = self._applies(rel_path)
+        callee_in = callee_id is not None and self._applies(
+            self.index.rel_path_of(callee_id)
         )
         if callee_in and not caller_in:
             # (a) tainted value handed into simulated-time code from
@@ -546,15 +528,15 @@ class TaintAnalysis:
                 if labels:
                     self._record(labels, site, out)
         elif caller_in and any(isinstance(lb, tuple) for lb in result):
-            # (b) simulated-time code consuming a helper's wall-clock
-            # return value (the direct primitive call is RK201's job).
+            # (b) simulated-time code reading the clock, directly or as
+            # a helper's return value.
             site = (path, rel_path, loc[0], loc[1], "region-consume")
             self._record({lb for lb in result if isinstance(lb, tuple)},
                          site, out)
 
     # ------------------------------------------------------------------
     def _canonical_dotted(self, fn: dict, func: dict, env) -> str | None:
-        root, chain = _chain_of(fn)
+        root, chain = chain_of(fn)
         if root is None:
             return None
         params = set(func["params"]) | set(func.get("kwonly", ()))
@@ -565,24 +547,14 @@ class TaintAnalysis:
         return ".".join([resolved_root] + chain)
 
 
-def _chain_of(expr: dict) -> tuple[str | None, list[str]]:
-    chain: list[str] = []
-    while expr.get("k") == "attr":
-        chain.append(expr["attr"])
-        expr = expr["base"]
-    if expr.get("k") != "name":
-        return None, []
-    chain.reverse()
-    return expr["id"], chain
-
-
-def _in_region(rel_path: str, packages: tuple[str, ...]) -> bool:
-    parts = rel_path.split("/")
-    return any(pkg in parts for pkg in packages)
-
-
-def _allowed(rel_path: str, allow: tuple[str, ...]) -> bool:
-    return any(rel_path.endswith(suffix) for suffix in allow)
+def _union(arg_labels, kw_labels) -> set[Label]:
+    """Every label passed to a call, positionally or by keyword."""
+    result: set[Label] = set()
+    for labels in arg_labels:
+        result |= labels
+    for _, labels in kw_labels:
+        result |= labels
+    return result
 
 
 def func_path(index: ProjectIndex, func: dict) -> str:

@@ -1,14 +1,17 @@
 """Rule plumbing: the per-file analysis context and the rule base class.
 
 Every rule is an :class:`ast.NodeVisitor` subclass with a stable id
-(``RK101`` …), a severity, and a one-line description.  The engine
-instantiates each rule once per file with a :class:`FileContext` and
-collects whatever the rule reports via :meth:`Rule.report`.
+(``RK101`` …), a severity, a one-line description and an optional path
+scope.  The engine instantiates each rule once per file with a
+:class:`FileContext` and collects whatever the rule reports via
+:meth:`Rule.report`.
 
-The context pre-resolves import aliases so rules can match *canonical*
-dotted names instead of guessing at surface syntax: ``np.random.seed``,
-``numpy.random.seed`` and ``from numpy import random as r; r.seed``
-all resolve to ``numpy.random.seed``.
+The context pre-resolves import aliases — with the flow layer's
+:func:`~repro.lint.flow.ir.collect_aliases`, so both layers read one
+import table — and rules match *canonical* dotted names instead of
+guessing at surface syntax: ``np.random.seed``, ``numpy.random.seed``
+and ``from numpy import random as r; r.seed`` all resolve to
+``numpy.random.seed``.
 """
 
 from __future__ import annotations
@@ -16,36 +19,10 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from repro.lint.findings import Finding, Severity
+from repro.lint.findings import Finding, Severity, in_scope
+from repro.lint.flow.ir import collect_aliases, module_name_for
 
 __all__ = ["FileContext", "Rule", "resolve_dotted"]
-
-
-def _collect_aliases(tree: ast.AST) -> dict[str, str]:
-    """Map local names to the canonical dotted names they import.
-
-    ``import numpy as np``            → ``{"np": "numpy"}``
-    ``from numpy import random``      → ``{"random": "numpy.random"}``
-    ``from time import perf_counter`` → ``{"perf_counter": "time.perf_counter"}``
-
-    Only module-level and function-level imports are walked; the
-    mapping is flat (last import of a name wins), which matches how a
-    module actually behaves for the patterns these rules target.
-    """
-    aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for name in node.names:
-                local = name.asname or name.name.split(".")[0]
-                # `import a.b` binds `a`; `import a.b as c` binds c→a.b.
-                aliases[local] = name.name if name.asname else local
-        elif isinstance(node, ast.ImportFrom):
-            if node.module is None or node.level:
-                continue  # relative imports never reach stdlib/numpy
-            for name in node.names:
-                local = name.asname or name.name
-                aliases[local] = f"{node.module}.{name.name}"
-    return aliases
 
 
 def resolve_dotted(node: ast.AST, aliases: dict[str, str]) -> str | None:
@@ -69,8 +46,8 @@ class FileContext:
     """Everything a rule may need to know about the file under analysis.
 
     ``rel_path`` uses ``/`` separators and is relative to the scan root
-    (so path-scoped rules like the simulated-time rule match it against
-    package-relative suffixes such as ``cluster/engine.py``).
+    (so path-scoped rules match it against package-relative components
+    such as ``cluster/engine.py``).
     """
 
     path: str
@@ -82,12 +59,13 @@ class FileContext:
     @classmethod
     def parse(cls, path: str, rel_path: str, source: str) -> "FileContext":
         tree = ast.parse(source, filename=path)
+        module, is_package = module_name_for(path)
         return cls(
             path=path,
             rel_path=rel_path,
             source=source,
             tree=tree,
-            aliases=_collect_aliases(tree),
+            aliases=collect_aliases(tree, module, is_package),
         )
 
     def resolve(self, node: ast.AST) -> str | None:
@@ -104,19 +82,24 @@ class Rule(ast.NodeVisitor):
     Subclasses set the class attributes and implement ``visit_*``
     methods, calling :meth:`report` for every violation.  A fresh rule
     instance is created per file, so instance state (scope stacks etc.)
-    never leaks across files.
+    never leaks across files.  ``packages`` / ``allow_paths`` scope the
+    rule the way :class:`~repro.lint.flow.specs.FlowSpec` scopes a flow
+    rule (see :func:`~repro.lint.findings.in_scope`).
     """
 
     rule_id: str = "RK000"
     severity: Severity = Severity.ERROR
     description: str = ""
+    packages: tuple[str, ...] = ()
+    allow_paths: tuple[str, ...] = ()
 
     def __init__(self, context: FileContext) -> None:
         self.context = context
         self.findings: list[Finding] = []
 
     def run(self) -> list[Finding]:
-        self.visit(self.context.tree)
+        if in_scope(self.context.rel_path, self.packages, self.allow_paths):
+            self.visit(self.context.tree)
         return self.findings
 
     def report(self, node: ast.AST, message: str) -> None:

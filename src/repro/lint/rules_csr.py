@@ -44,10 +44,6 @@ _MUTATOR_METHODS = frozenset(
 _MUTATOR_FUNCTIONS = frozenset({"numpy.copyto", "numpy.put", "numpy.place"})
 
 
-def _in_graph_package(rel_path: str) -> bool:
-    return "graph" in rel_path.split("/")
-
-
 class CsrMutationRule(Rule):
     """RK105: no in-place writes to CSR arrays outside ``graph/``."""
 
@@ -59,11 +55,7 @@ class CsrMutationRule(Rule):
         "tables alias these arrays, so mutate through "
         "DynamicGraph.commit instead"
     )
-
-    def run(self) -> list:
-        if _in_graph_package(self.context.rel_path):
-            return []
-        return super().run()
+    allow_paths = ("graph",)
 
     # -- subscript stores ----------------------------------------------
     def visit_Assign(self, node: ast.Assign) -> None:

@@ -1,14 +1,11 @@
-"""Generic determinism-adjacent hygiene rules (RK401-RK403).
+"""Set-iteration order rule (RK403).
 
-* ``RK401`` — mutable default arguments: one shared object across all
-  calls, i.e. hidden cross-request state in a serving system.
-* ``RK402`` — bare ``except:``: swallows ``KeyboardInterrupt`` and
-  ``SystemExit``, turning a cancel into a hang (the serving layer's
-  accounting depends on failures surfacing).
-* ``RK403`` — iterating a ``set``/``frozenset`` whose order feeds
-  downstream behaviour: string hashing is salted per process
-  (``PYTHONHASHSEED``), so set order differs run-to-run — fatal when
-  it decides message dispatch or serialisation order.  Sort first.
+Iterating a ``set``/``frozenset`` whose order feeds downstream
+behaviour is nondeterministic across processes: string hashing is
+salted per process (``PYTHONHASHSEED``), so set order differs
+run-to-run — fatal when it decides message dispatch or serialisation
+order.  Sort first.  (Mutable default arguments and bare ``except:``
+are ruff's ``B006`` and ``E722``.)
 """
 
 from __future__ import annotations
@@ -18,70 +15,7 @@ import ast
 from repro.lint.findings import Severity
 from repro.lint.rules import Rule
 
-__all__ = ["MutableDefaultRule", "BareExceptRule", "SetIterationRule"]
-
-_MUTABLE_CONSTRUCTORS = frozenset({"list", "dict", "set"})
-
-
-class MutableDefaultRule(Rule):
-    """RK401: no mutable default argument values."""
-
-    rule_id = "RK401"
-    severity = Severity.WARNING
-    description = (
-        "mutable default argument is one shared object across every "
-        "call; default to None and construct inside the function"
-    )
-
-    def _check_defaults(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
-        defaults = list(node.args.defaults) + [
-            d for d in node.args.kw_defaults if d is not None
-        ]
-        for default in defaults:
-            if isinstance(default, (ast.List, ast.Dict, ast.Set)):
-                self.report(
-                    default,
-                    f"mutable default in {node.name}(); use None and "
-                    "construct per call",
-                )
-            elif (
-                isinstance(default, ast.Call)
-                and isinstance(default.func, ast.Name)
-                and default.func.id in _MUTABLE_CONSTRUCTORS
-            ):
-                self.report(
-                    default,
-                    f"mutable default {default.func.id}() in {node.name}(); "
-                    "use None and construct per call",
-                )
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._check_defaults(node)
-        self.generic_visit(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._check_defaults(node)
-        self.generic_visit(node)
-
-
-class BareExceptRule(Rule):
-    """RK402: no bare ``except:`` clauses."""
-
-    rule_id = "RK402"
-    severity = Severity.WARNING
-    description = (
-        "bare except swallows KeyboardInterrupt/SystemExit; catch "
-        "Exception (or the precise error) instead"
-    )
-
-    def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
-        if node.type is None:
-            self.report(
-                node,
-                "bare except: catches KeyboardInterrupt and SystemExit; "
-                "name the exception type",
-            )
-        self.generic_visit(node)
+__all__ = ["SetIterationRule"]
 
 
 def _is_set_expression(node: ast.AST) -> bool:

@@ -30,7 +30,7 @@ __all__ = ["FixedRetryBackoffRule", "RETRY_SCOPED_PACKAGES"]
 
 # Packages where retry loops talk to (simulated or real) peers and
 # synchronized retries are harmful.  Matched as path components of the
-# file's scan-relative path, like RK201's simulated-time scoping.
+# file's scan-relative path, like RK210's simulated-time region.
 RETRY_SCOPED_PACKAGES = ("cluster", "service")
 
 _SLEEP_CALLS = frozenset({"time.sleep", "asyncio.sleep"})
@@ -47,11 +47,6 @@ _JITTER_CALL_PREFIXES = (
 _JITTER_NAME_HINTS = ("jitter", "rng", "random", "hash_unit", "backoff_wait")
 
 
-def _in_retry_scope(rel_path: str) -> bool:
-    parts = rel_path.split("/")
-    return any(pkg in parts for pkg in RETRY_SCOPED_PACKAGES)
-
-
 class FixedRetryBackoffRule(Rule):
     """RK204: no fixed-delay or unjittered-backoff sleeps in retry loops."""
 
@@ -63,15 +58,11 @@ class FixedRetryBackoffRule(Rule):
         "deterministic jitter (LinkTimers.backoff_wait) so peers do not "
         "retry in lockstep"
     )
+    packages = RETRY_SCOPED_PACKAGES
 
     def __init__(self, context) -> None:
         super().__init__(context)
         self._loop_depth = 0
-
-    def run(self) -> list:
-        if not _in_retry_scope(self.context.rel_path):
-            return []
-        return super().run()
 
     # -- loop tracking -------------------------------------------------
     def _visit_loop(self, node: ast.AST) -> None:

@@ -8,8 +8,9 @@ code silently breaks that:
 
 * ``RK101`` — the stdlib :mod:`random` module (one hidden global
   stream, shared by everything in the process);
-* ``RK102`` — ``np.random.default_rng()`` without a seed (OS entropy:
-  a different walk every run, irreproducible by construction);
+* ``RK102`` — ``np.random.default_rng()``, a bit generator or a
+  ``SeedSequence`` without a seed (OS entropy: a different walk every
+  run, irreproducible by construction);
 * ``RK103`` — numpy's *legacy* global-state API (``np.random.seed``,
   ``np.random.rand`` …), whose draws depend on every other legacy call
   in the process.
@@ -61,32 +62,45 @@ class StdlibRandomRule(Rule):
         return isinstance(root, ast.Name) and root.id in self.context.aliases
 
 
+# Constructors that fall back to OS entropy when their seed argument
+# (first positional, or this keyword) is missing or None.
+_SEED_ARGUMENT = {
+    "numpy.random.default_rng": "seed",
+    "numpy.random.SeedSequence": "entropy",
+    **{
+        f"numpy.random.{bit_generator}": "seed"
+        for bit_generator in ("PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64")
+    },
+}
+
+
 class UnseededGeneratorRule(Rule):
-    """RK102: ``default_rng()`` must receive an explicit seed."""
+    """RK102: generators, bit generators and seed sequences need a seed."""
 
     rule_id = "RK102"
     severity = Severity.ERROR
     description = (
-        "np.random.default_rng() without a seed draws OS entropy and is "
-        "irreproducible; pass a seed, SeedSequence, or use "
-        "repro.sampling.rng.derive_rng"
+        "np.random.default_rng(), a bit generator or SeedSequence() "
+        "without a seed draws OS entropy and is irreproducible; pass a "
+        "seed, or use repro.sampling.rng.derive_rng"
     )
 
     def visit_Call(self, node: ast.Call) -> None:
-        name = self.context.resolve_call(node)
-        if name == "numpy.random.default_rng":
-            unseeded = not node.args and not node.keywords
-            none_seeded = (
-                len(node.args) == 1
-                and not node.keywords
-                and isinstance(node.args[0], ast.Constant)
-                and node.args[0].value is None
-            )
-            if unseeded or none_seeded:
+        name = self.context.resolve_call(node) or ""
+        keyword = _SEED_ARGUMENT.get(name)
+        if keyword is not None:
+            seed = node.args[0] if node.args else None
+            for kw in node.keywords:
+                if kw.arg in (keyword, None):  # None: a **splat may seed it
+                    seed = kw.value
+            if seed is None or (
+                isinstance(seed, ast.Constant) and seed.value is None
+            ):
                 self.report(
                     node,
-                    "default_rng() without an explicit seed is seeded from "
-                    "the OS; every run samples a different walk",
+                    f"{name.rsplit('.', 1)[1]}() without an explicit seed "
+                    "is seeded from the OS; every run samples a different "
+                    "walk",
                 )
         self.generic_visit(node)
 

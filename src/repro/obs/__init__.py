@@ -2,12 +2,12 @@
 exporters, and the declarations every stats class derives its merge,
 checkpoint packing and metric export from (:mod:`repro.obs.counted`).
 
-Design rules (docs/INTERNALS.md section 16):
+Design rules (docs/INTERNALS.md section 15):
 
 * **Clock injection.**  :class:`Tracer` never owns time — local
   engines inject ``perf_counter``; the cluster simulator passes its
   simulated seconds through :meth:`Tracer.record_span` and performs no
-  clock reads at all (lint rules RK201/RK206/RK210 enforce this).
+  clock reads at all (lint rules RK206/RK210 enforce this).
 * **Observation only.**  Nothing in this package draws randomness or
   feeds back into engine control flow, so attaching a tracer cannot
   change a walk and simulated traces replay bit-identically.

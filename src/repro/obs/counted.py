@@ -9,7 +9,7 @@ rest — ``merge``, ``pack`` / ``unpack`` and the projection into a
 stays plain instance attributes: the helpers only attach
 ``dataclasses.field`` metadata, nothing intercepts a read or a write.
 
-Folds (docs/INTERNALS.md section 16 has the table): ``sum``, ``max``,
+Folds (docs/INTERNALS.md section 15 has the table): ``sum``, ``max``,
 ``series`` (lists aligned by position add), ``samples`` (lists
 concatenate), ``same`` (sources must agree), ``group`` (a nested stats
 object folds field by field) and ``keep`` (a live reference to counters

@@ -10,7 +10,7 @@ Two ways to put a span on the timeline:
   takes timestamps the caller already owns.  The cluster simulator uses
   this exclusively with its simulated seconds, so tracing a distributed
   run performs **zero clock reads** inside ``repro.cluster`` (lint
-  rules RK201/RK210/RK206 stay clean) and a degraded run's trace is
+  rules RK210/RK206 stay clean) and a degraded run's trace is
   bit-identical across replay.
 
 Causality is tracked two ways: the measured path keeps a per-track

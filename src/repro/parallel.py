@@ -115,7 +115,7 @@ def shard_config(
                 start_distribution=(
                     config.start_distribution if shard_starts is None else None
                 ),
-                seed=(config.seed * 1_000_003 + shard) & 0x7FFFFFFF,
+                seed=config.seed * 1_000_003 + shard,
             )
         )
     return shards

@@ -124,7 +124,7 @@ class SupervisedPool:
         child inherits memory; under ``spawn``/``forkserver`` the same
         call dies at pickling time with an opaque error, usually on the
         one platform the author didn't test.  The static analyzer
-        (rule RK301 in :mod:`repro.lint`) flags this at review time;
+        (rule RK310 in :mod:`repro.lint`) flags this at review time;
         this is the runtime backstop, raising a named error *before*
         any worker is spawned instead of after.
         """

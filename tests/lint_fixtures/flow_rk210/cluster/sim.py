@@ -1,5 +1,5 @@
-"""Simulated-time code.  No direct clock reads (RK201 is silent), but
-wall-clock values still arrive through calls — RK210's territory."""
+"""Simulated-time code.  No direct clock reads, but wall-clock values
+still arrive through calls — RK210's flow half."""
 
 from flow_rk210.hosttime import budget_seconds
 

@@ -1,7 +1,6 @@
-"""Process-boundary call sites.  The flagged calls are exactly the
-ones the syntactic RK301/RK302 miss: the unpicklable value is hidden
-behind a variable or a helper call.  The same-line lambda stays
-RK301's finding — the two layers never double-report."""
+"""Process-boundary call sites.  The unpicklable value is hidden behind
+a variable or a helper call, or — the zero-hop case — written into the
+call itself; RK310 reports all three at the call site."""
 
 from flow_rk310.tasks import build_task_indirect, shard_ids, worker_fn
 
@@ -21,8 +20,8 @@ def ships_open_handle(pool: WorkerPool, path):
     return pool.run(worker_fn, handle)  # expect: RK310
 
 
-def same_line_lambda_is_rk301s_job(pool: WorkerPool):
-    return pool.run(lambda x: x, 1)  # expect: RK301
+def same_line_lambda(pool: WorkerPool):
+    return pool.run(lambda x: x, 1)  # expect: RK310
 
 
 def ships_materialised_payload(pool: WorkerPool):

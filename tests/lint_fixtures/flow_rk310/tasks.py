@@ -1,5 +1,5 @@
 """Task factories.  The lambdas are born here; the call sites that
-ship them to workers live in runner.py and look clean to RK301/RK302."""
+ship them to workers live in runner.py and look clean on their face."""
 
 
 def build_task():

@@ -1,4 +1,4 @@
-"""RK401/RK402/RK403 negatives."""
+"""RK403 negatives, beside ruff's B006 / E722 territory."""
 
 
 def collect(item, bucket=None):

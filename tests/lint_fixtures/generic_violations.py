@@ -1,26 +1,8 @@
-"""RK401/RK402/RK403 positives: generic determinism footguns."""
+"""RK403 positives: set iteration order feeding behaviour.
 
-
-def collect(item, bucket=[]):  # expect: RK401
-    bucket.append(item)
-    return bucket
-
-
-def tally(key, counts={}):  # expect: RK401
-    counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def merge(items, *, seen=set()):  # expect: RK401
-    seen.update(items)
-    return seen
-
-
-def swallow_everything(fn):
-    try:
-        return fn()
-    except:  # expect: RK402
-        return None
+Mutable defaults and bare ``except:`` are ruff's (B006, E722); this
+directory is excluded from ruff, so they have no fixture here.
+"""
 
 
 def order_depends_on_hash_seed(a, b, c):

@@ -2,7 +2,7 @@
 """RK206 positives: host-clock tracers inside a simulated-time module.
 
 Only clock *references* appear here (never ``time.*()`` calls), so
-RK201 stays silent and every finding below is RK206's alone.
+RK210 stays silent and every finding below is RK206's alone.
 """
 
 import time

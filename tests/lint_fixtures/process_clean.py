@@ -1,4 +1,4 @@
-"""RK301/RK302 negatives: the portable cross-process contract."""
+"""RK310 negatives: the portable cross-process contract."""
 
 import multiprocessing
 
@@ -14,7 +14,7 @@ def run_module_level(pool, shards):
 
 def run_with_parent_side_describe(pool, shards):
     # describe= is invoked on the parent side only; a lambda there is
-    # explicitly allowed (_PARENT_SIDE_KWARGS).
+    # explicitly allowed (PARENT_SIDE_KWARGS).
     return pool.run(walk_shard, shards, describe=lambda s: s.name)
 
 
@@ -26,5 +26,5 @@ def spawn_module_level(shards):
 
 def local_map_is_not_cross_process(items):
     # builtins.map takes lambdas all day; only pool-style attribute
-    # calls are treated as boundaries.
+    # calls on a pool-like receiver are treated as boundaries.
     return list(map(lambda x: x + 1, items))

@@ -19,7 +19,16 @@ def unseeded_generators():
     a = np.random.default_rng()  # expect: RK102
     b = np.random.default_rng(None)  # expect: RK102
     c = default_rng()  # expect: RK102
-    return a, b, c
+    d = np.random.default_rng(seed=None)  # expect: RK102
+    return a, b, c, d
+
+
+def unseeded_bit_generators():
+    a = np.random.Generator(np.random.PCG64())  # expect: RK102
+    b = np.random.SeedSequence()  # expect: RK102
+    c = np.random.MT19937(seed=None)  # expect: RK102
+    d = np.random.SeedSequence(entropy=None, spawn_key=(1,))  # expect: RK102
+    return a, b, c, d
 
 
 def legacy_global_state(n):

@@ -1,5 +1,5 @@
 # lint-fixture-path: src/repro/cluster/engine.py
-"""RK201 negative: the allowlisted wall-time-accounting file."""
+"""RK210 negative: the allowlisted wall-time-accounting file."""
 
 import time
 

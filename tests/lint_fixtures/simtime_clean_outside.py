@@ -1,11 +1,11 @@
 # lint-fixture-path: src/repro/service/server.py
-"""RK201 negative: wall-clock reads outside simulated-time packages."""
+"""RK210 negative: wall-clock reads outside simulated-time packages."""
 
 import time
 
 
 def deadline_remaining(deadline):
-    # The serving layer runs on real time; RK201 is scoped to the
+    # The serving layer runs on real time; RK210 is scoped to the
     # simulator packages and must stay silent here.
     return deadline - time.monotonic()
 

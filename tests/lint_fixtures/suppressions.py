@@ -40,10 +40,10 @@ def _identity(fn):
     return fn
 
 
-# lint: disable=RK401 -- fixture: decorated def, disable above decorator
+# lint: disable=RK101 -- fixture: decorated def, disable above decorator
 @_identity
-def decorated_mutable_default(acc=[]):
-    return acc
+def decorated_random_default(coin=random.random()):
+    return coin
 
 
 def multiline_stale_disable(items):

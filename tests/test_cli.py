@@ -162,6 +162,17 @@ class TestHostileEdgeList:
         (message,) = captured.err.splitlines()
         assert message.startswith(f"error: {path}:{line}:")
 
+    def test_negative_seed_one_line_error(self, capsys):
+        code = main(
+            ["walk", "--dataset", "livejournal", "--scale", "0.05",
+             "--walkers", "5", "--length", "3", "--seed", "-1"]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.splitlines() == [
+            "error: seed must be non-negative"
+        ]
+
 
 class TestBench:
     def test_memory_experiment(self, capsys):

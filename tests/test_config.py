@@ -40,6 +40,13 @@ class TestValidation:
         with pytest.raises(ConfigError):
             WalkConfig(static_sampler="magic")
 
+    def test_negative_seed_is_a_config_error(self):
+        # numpy's SeedSequence would otherwise raise a bare ValueError
+        # from inside the engine constructor.
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            WalkConfig(seed=-1)
+        WalkConfig(seed=2**40)
+
 
 class TestResolution:
     def test_default_walker_count_is_num_vertices(self):

@@ -135,7 +135,7 @@ def test_help_of_each_subcommand(command):
 def test_lint_through_the_main_cli(tmp_path):
     (tmp_path / "clean.py").write_text("VALUE = 1\n")
     code = "import sys, repro.cli; sys.exit(repro.cli.main(sys.argv[1:]))"
-    done = run_python(code, "lint", "clean.py", "--no-cache", cwd=tmp_path)
+    done = run_python(code, "lint", "clean.py", cwd=tmp_path)
     assert done.returncode == 0, done.stdout + done.stderr
 
 

@@ -4,36 +4,28 @@ The flow fixture *packages* under ``tests/lint_fixtures/flow_*/`` are
 linted end-to-end through :meth:`Linter.lint_paths` (syntactic rules +
 flow rules + suppressions), with inline ``# expect:`` markers asserted
 as set equality — every unmarked line doubles as a negative test.
-Each package is built so the flagged flows are invisible to the
-syntactic layer (creation and escape in different statements or
-modules), which is the supersession contract: RK110/RK210/RK106/RK310
-catch what RK10x/RK201/RK30x cannot.
+Each package holds its rule's flows across statements, helpers and
+modules; the single-file ``simtime_*`` and ``process_*`` fixtures hold
+RK210's and RK310's zero-hop cases: one rule per invariant, whatever
+the distance between source and sink.
 """
 
 import argparse
 import io
-import json
 import re
 import textwrap
 from pathlib import Path
 
 import pytest
 
-from repro.lint import (
-    Baseline,
-    Linter,
-    Severity,
-    render_rule_catalog_markdown,
-)
+from repro.lint import Linter, render_rule_catalog_markdown
 from repro.lint.cli import add_lint_arguments, run_lint
 from repro.lint.flow import (
     FLOW_RULES,
-    FlowCache,
     ProjectIndex,
     build_call_graph,
     run_flow_rules,
 )
-from repro.lint.flow.cache import content_hash
 from repro.lint.flow.ir import collect_aliases, module_name_for
 
 TESTS_DIR = Path(__file__).resolve().parent
@@ -60,8 +52,8 @@ def _expected_in(directory: Path) -> set[tuple[str, int, str]]:
     return expected
 
 
-def _lint_dir(directory: Path, **kwargs) -> set[tuple[str, int, str]]:
-    linter = Linter(root=str(FIXTURE_DIR), **kwargs)
+def _lint_dir(directory: Path) -> set[tuple[str, int, str]]:
+    linter = Linter(root=str(FIXTURE_DIR))
     report = linter.lint_paths([str(directory)])
     actual = set()
     for f in report.findings:
@@ -90,20 +82,6 @@ class TestFlowFixtures:
     )
     def test_fixture_findings_match_expectations(self, fixture_dir):
         assert _lint_dir(fixture_dir) == _expected_in(fixture_dir)
-
-    @pytest.mark.parametrize(
-        "fixture_dir", FLOW_FIXTURE_DIRS, ids=lambda p: p.name
-    )
-    def test_syntactic_layer_misses_the_flow_findings(self, fixture_dir):
-        # The supersession contract: with the flow layer off, none of
-        # the flow-rule expectations fire — each fixture's flagged
-        # lines are invisible to the per-file rules.
-        syntactic = _lint_dir(fixture_dir, flow=False)
-        flow_expected = {
-            e for e in _expected_in(fixture_dir) if e[2] in FLOW_RULE_IDS
-        }
-        assert flow_expected  # every fixture dir carries a positive
-        assert syntactic & flow_expected == set()
 
     def test_every_flow_rule_has_positive_and_negative_coverage(self):
         covered = set()
@@ -183,112 +161,6 @@ class TestCallGraph:
         ]
 
 
-class TestFlowCache:
-    def test_warm_run_reuses_summaries(self, tmp_path):
-        cache_path = str(tmp_path / "cache.json")
-        linter = Linter(root=str(FIXTURE_DIR), cache_path=cache_path)
-        cold = linter.lint_paths([str(FIXTURE_DIR / "flow_rk110")])
-        assert cold.flow_cache_misses > 0 and cold.flow_cache_hits == 0
-
-        warm_linter = Linter(root=str(FIXTURE_DIR), cache_path=cache_path)
-        warm = warm_linter.lint_paths([str(FIXTURE_DIR / "flow_rk110")])
-        assert warm.flow_cache_misses == 0
-        assert warm.flow_cache_hits == cold.flow_cache_misses
-        assert {(f.line, f.rule_id) for f in warm.findings} == {
-            (f.line, f.rule_id) for f in cold.findings
-        }
-
-    def test_content_hash_invalidates(self, tmp_path):
-        cache = FlowCache(str(tmp_path / "c.json"))
-        cache.put_summary("k", content_hash("a = 1\n"), {"rel_path": "k"})
-        assert cache.get_summary("k", content_hash("a = 1\n")) is not None
-        assert cache.get_summary("k", content_hash("a = 2\n")) is None
-
-    def test_corrupt_cache_starts_fresh(self, tmp_path):
-        target = tmp_path / "c.json"
-        target.write_text("{not json")
-        cache = FlowCache.load(str(target))
-        assert cache.entries == {}
-
-    def test_changed_only_scopes_reporting(self, tmp_path):
-        # Two files, each with a violation; after a cached run, editing
-        # one file scopes --changed-only reporting to it alone.
-        pkg = tmp_path / "proj"
-        pkg.mkdir()
-        source = (
-            "import numpy as np\n"
-            "import pickle\n"
-            "\n"
-            "\n"
-            "def leak(seed):\n"
-            "    rng = np.random.default_rng(seed)\n"
-            "    return pickle.dumps(rng)\n"
-        )
-        (pkg / "one.py").write_text(source)
-        (pkg / "two.py").write_text(source)
-        cache_path = str(tmp_path / "cache.json")
-
-        first = Linter(root=str(tmp_path), cache_path=cache_path).lint_paths(
-            [str(pkg)]
-        )
-        assert {Path(f.path).name for f in first.findings} == {
-            "one.py", "two.py"
-        }
-
-        (pkg / "two.py").write_text(source + "\n# touched\n")
-        second = Linter(
-            root=str(tmp_path), cache_path=cache_path, changed_only=True
-        ).lint_paths([str(pkg)])
-        assert {Path(f.path).name for f in second.findings} == {"two.py"}
-
-
-class TestBaselineDrift:
-    BAD = "import random\n\n\ndef f(xs):\n    return random.choice(xs)\n"
-
-    def test_rk002_reported_for_overallocated_entry(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text(self.BAD)
-        baseline = Baseline({str(bad): {"RK101": 3}})
-        report = Linter(baseline=baseline, flow=False).lint_paths([str(bad)])
-        drift = [f for f in report.findings if f.rule_id == "RK002"]
-        assert len(drift) == 1
-        assert drift[0].severity == Severity.INFO
-        assert "2 more RK101" in drift[0].message
-        # INFO blocks only under --strict.
-        assert report.exit_code(strict=False) == 0
-        assert report.exit_code(strict=True) == 1
-
-    def test_no_rk002_when_budget_fully_used(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text(self.BAD)
-        baseline = Baseline({str(bad): {"RK101": 1}})
-        report = Linter(baseline=baseline, flow=False).lint_paths([str(bad)])
-        assert [f.rule_id for f in report.findings] == ["RK101"]
-
-    def test_unscanned_existing_file_not_judged(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text(self.BAD)
-        other = tmp_path / "other.py"
-        other.write_text("x = 1\n")
-        baseline = Baseline(
-            {str(bad): {"RK101": 1}, str(other): {"RK101": 5}}
-        )
-        # other.py exists but is not part of this scan: no drift call.
-        report = Linter(baseline=baseline, flow=False).lint_paths([str(bad)])
-        assert [f.rule_id for f in report.findings] == ["RK101"]
-
-    def test_deleted_file_entry_is_drift(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text(self.BAD)
-        gone = tmp_path / "gone.py"  # never created
-        baseline = Baseline(
-            {str(bad): {"RK101": 1}, str(gone): {"RK101": 2}}
-        )
-        report = Linter(baseline=baseline, flow=False).lint_paths([str(bad)])
-        drift = [f for f in report.findings if f.rule_id == "RK002"]
-        assert len(drift) == 1 and drift[0].path == str(gone)
-
-
 class TestOutputFormats:
     BAD = (
         "import numpy as np\n"
@@ -305,74 +177,28 @@ class TestOutputFormats:
         bad.write_text(self.BAD)
         return bad
 
-    def test_json_format(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        bad = self._write_bad(tmp_path)
-        target = tmp_path / "report.json"
-        out = io.StringIO()
-        code = run_lint(
-            _parse_args(
-                [str(bad), "--no-baseline", "--no-cache",
-                 "--format", "json", "--output", str(target)]
-            ),
-            stdout=out,
-        )
-        assert code == 1
-        payload = json.loads(target.read_text())
-        assert payload["files_checked"] == 1
-        rules = {f["rule_id"] for f in payload["findings"]}
-        assert "RK110" in rules
-        assert payload["flow_seconds"] is not None
-
-    def test_sarif_format(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        bad = self._write_bad(tmp_path)
-        target = tmp_path / "report.sarif"
-        run_lint(
-            _parse_args(
-                [str(bad), "--no-baseline", "--no-cache",
-                 "--format", "sarif", "--output", str(target)]
-            ),
-            stdout=io.StringIO(),
-        )
-        payload = json.loads(target.read_text())
-        assert payload["version"] == "2.1.0"
-        run = payload["runs"][0]
-        assert run["tool"]["driver"]["name"] == "repro-lint"
-        rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert {"RK110", "RK210", "RK106", "RK310", "RK002"} <= rule_ids
-        results = run["results"]
-        assert any(r["ruleId"] == "RK110" for r in results)
-        loc = results[0]["locations"][0]["physicalLocation"]
-        assert loc["region"]["startLine"] >= 1
-
     def test_flow_budget_exceeded_exits_two(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         bad = self._write_bad(tmp_path)
         out = io.StringIO()
         code = run_lint(
-            _parse_args(
-                [str(bad), "--no-baseline", "--no-cache",
-                 "--flow-budget", "0.0"]
-            ),
-            stdout=out,
+            _parse_args([str(bad), "--flow-budget", "0.0"]), stdout=out
         )
         assert code == 2
         assert "over the" in out.getvalue()
 
-    def test_no_flow_skips_flow_rules_and_budget(self, tmp_path, monkeypatch):
+    def test_flow_layer_always_runs(self, tmp_path, monkeypatch):
+        # No flag turns the flow layer off: RK110 reports and the
+        # budget applies on every run.
         monkeypatch.chdir(tmp_path)
         bad = self._write_bad(tmp_path)
         out = io.StringIO()
         code = run_lint(
-            _parse_args(
-                [str(bad), "--no-baseline", "--no-flow",
-                 "--flow-budget", "0.0"]
-            ),
-            stdout=out,
+            _parse_args([str(bad), "--flow-budget", "600"]), stdout=out
         )
-        assert code == 0  # RK110 needs the flow layer; budget ignored
-        assert "RK110" not in out.getvalue()
+        assert code == 1
+        assert "RK110" in out.getvalue()
+        assert "flow pass" in out.getvalue()
 
 
 class TestDocsSync:
@@ -422,14 +248,17 @@ class TestSuppressionAnchoring:
 
     def test_decorator_anchor_via_source(self):
         source = textwrap.dedent("""\
+            import random
+
+
             def deco(fn):
                 return fn
 
 
-            # lint: disable=RK401 -- fixture: anchored above decorator
+            # lint: disable=RK101 -- fixture: anchored above decorator
             @deco
-            def f(acc=[]):
-                return acc
+            def f(coin=random.random()):
+                return coin
         """)
         assert Linter().lint_source(source, "mod.py") == []
 

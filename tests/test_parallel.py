@@ -124,6 +124,29 @@ class TestShardConfig:
         seeds_b = {s.seed for s in shard_config(config_b, graph, 4)}
         assert not seeds_a & seeds_b
 
+    def test_shard_seeds_never_alias_across_master_seeds(self, graph):
+        # (seed, shard) -> shard seed must be injective for every master
+        # seed SeedSequence accepts, 2**31 and above included.
+        masters = [0, 1, 2, 2146, 2147, 2**31 - 1, 2**31, 2**31 + 1, 2**32, 2**40]
+        shard_seeds = [
+            shard.seed
+            for seed in masters
+            for shard in shard_config(
+                WalkConfig(num_walkers=8, max_steps=5, seed=seed), graph, 8
+            )
+        ]
+        assert len(set(shard_seeds)) == len(shard_seeds) == 80
+
+    def test_master_seeds_2_pow_31_apart_walk_differently(self, graph):
+        def corpus(seed):
+            config = WalkConfig(
+                num_walkers=20, max_steps=8, record_paths=True, seed=seed
+            )
+            result = run_parallel_walk(graph, UniformWalk(), config, num_workers=2)
+            return [path.tolist() for path in result.paths]
+
+        assert corpus(0) != corpus(2**31)
+
 
 class TestParallelExecution:
     def test_single_worker_matches_walker_count(self, graph):
