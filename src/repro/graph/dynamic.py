@@ -16,7 +16,8 @@ from *visibility*:
   later commits can never perturb (snapshot isolation by
   immutability).  Every per-epoch structure is *the previous
   materialised epoch plus the touched set* (untouched stretches block-
-  copied, touched slices rebuilt); a superseded epoch keeps its CSR only;
+  copied, touched slices rebuilt); a superseded epoch keeps the slices
+  its successor replaced, to be rebuilt once no walk holds its CSR;
 * :meth:`DynamicGraph.compact` folds the delta buffer back into the
   base CSR, bounding overlay growth.
 
@@ -44,6 +45,8 @@ from __future__ import annotations
 import bisect
 import os
 import struct
+import threading
+import weakref
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
@@ -213,8 +216,8 @@ class EpochSnapshot(PreparedGraph):
     maintains them incrementally from the previous epoch's.  Snapshots
     stay valid after further commits: later epochs build new arrays,
     they never mutate old ones.  Once a newer epoch is snapshotted the
-    owner retains this one's graph only (:meth:`DynamicGraph.snapshot_at`
-    wraps it afresh); tables asked of it then are built from scratch.
+    owner holds this graph weakly (:meth:`DynamicGraph.snapshot_at`
+    rebuilds it once dropped); tables asked of it are built from scratch.
     """
 
     def __init__(self, owner: "DynamicGraph", epoch: int, graph: CSRGraph) -> None:
@@ -232,6 +235,26 @@ class EpochSnapshot(PreparedGraph):
 
     def _bounds(self, program, use_lower_bound: bool):
         return self._owner._bounds_for(self, program, use_lower_bound)
+
+
+def _replace_slices(prior: CSRGraph, vertices, local, columns) -> CSRGraph:
+    """``prior`` with ``vertices``' slices replaced by ``columns`` (end to
+    end at ``local`` offsets; ``None``: no such column), the rest copied."""
+    degrees = np.diff(prior.offsets)
+    degrees[vertices] = np.diff(local)
+    offsets = np.concatenate(([0], np.cumsum(degrees)))
+    at = slice_indices(offsets, vertices)
+    result, copied = [], []
+    olds = (prior.targets, prior.weights, prior.edge_types)
+    for old, new, blank in zip(olds, columns, (0, 1.0, 0)):  # blank: the absent value
+        column = None if new is None else np.full(offsets[-1], blank, dtype=new.dtype)
+        if column is not None:
+            column[at] = new
+            if old is not None:
+                copied.append((old, column))
+        result.append(column)
+    copy_untouched_runs(prior.offsets, offsets, np.sort(vertices), copied)
+    return CSRGraph(offsets, *result, prior.vertex_types, prior.is_undirected)
 
 
 class DynamicGraph:
@@ -253,8 +276,8 @@ class DynamicGraph:
     seed:
         the deterministic seed the probes derive from.
     retain_epochs:
-        how many recent :class:`EpochSnapshot` objects to keep
-        addressable through :meth:`snapshot_at`.
+        how many recent snapshotted epochs :meth:`snapshot_at` reaches;
+        a superseded one costs its touched slices, not a CSR.
     """
 
     def __init__(
@@ -274,10 +297,13 @@ class DynamicGraph:
         # The delta buffer: vertex -> (lo, hi, columns), its slice of the
         # (targets, weights, edge_types) its last commit staged, never rewritten.
         self._overlay: dict[int, tuple] = {}
-        self._touched_by_epoch: dict[int, np.ndarray] = {}
-        self._snapshots: dict[int, EpochSnapshot] = {}
+        self._touched_by_epoch: dict[int, np.ndarray] = {}  # up to _pruned: gone
+        self._pruned = self._base_epoch
+        self._latest: EpochSnapshot | None = None
+        self._retained: dict[int, tuple] = {}  # superseded epoch -> reverse delta
         # Table kind or bounds key -> (epoch, tables or (upper, lower)).
         self._maintained_at: dict[str, tuple[int, object]] = {}
+        self._pid = None  # _locked() makes the lock and _held per process
         self._weighted = base.weights is not None
         self._typed = base.edge_types is not None
         self._verify = verify
@@ -295,6 +321,17 @@ class DynamicGraph:
         # two steps of a durable compaction.
         self._test_corrupt_incremental = False
         self._test_crash_in_compaction = False
+
+    def _locked(self) -> threading.Lock:
+        """The lock over maintenance and retention, and ``_held``: made
+        anew in a forked child or an unpickled copy, where no holder is left."""
+        if self._pid != os.getpid():
+            self._lock, self._pid = threading.Lock(), os.getpid()
+            self._held = weakref.WeakValueDictionary()
+        return self._lock
+
+    def __getstate__(self) -> dict:  # locks and weak references do not pickle
+        return dict(self.__dict__, _lock=None, _pid=None, _held=None)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -496,70 +533,78 @@ class DynamicGraph:
     # ------------------------------------------------------------------
     def snapshot(self) -> EpochSnapshot:
         """The current epoch as an immutable view (cached per epoch)."""
-        cached = self._snapshots.get(self._epoch)
-        if cached is not None:
-            return cached
+        latest = self._latest
+        if latest is not None and latest.epoch == self._epoch:
+            return latest
         snap = EpochSnapshot(self, self._epoch, self._materialize())
-        # Retention keeps graphs, not prepared state: superseded epochs
-        # are wrapped afresh, without the table memo a running walk may hold.
-        for epoch, old in self._snapshots.items():
-            self._snapshots[epoch] = EpochSnapshot(self, epoch, old.graph)
-        self._snapshots[self._epoch] = snap
-        while len(self._snapshots) > self._retain_epochs:
-            del self._snapshots[min(self._snapshots)]
+        with self._locked():
+            if latest is not None:  # superseded: a delta, its CSR held weakly
+                self._retained[latest.epoch] = self._reverse_delta(latest, snap)
+                self._held[latest.epoch] = latest.graph
+                while len(self._retained) >= self._retain_epochs:
+                    del self._retained[min(self._retained)]
+            self._latest = snap
+            self._prune()
         return snap
 
     def snapshot_at(self, epoch: int) -> EpochSnapshot:
-        """A retained snapshot by epoch id.
-
-        Only epochs still in the retention window are addressable in
-        memory; older ones must be reconstructed by
+        """An epoch in the retention window, wrapped afresh if superseded:
+        its CSR while a walk holds it, else rebuilt from the newest one.
+        Older epochs must be reconstructed by
         :meth:`recover`\\ ``(..., replay_to=epoch)`` from the WAL.
         """
-        if epoch == self._epoch:
-            return self.snapshot()
-        snap = self._snapshots.get(epoch)
-        if snap is None:
-            raise GraphError(
-                f"epoch {epoch} is not retained (current {self._epoch}); "
-                "recover from the write-ahead log with replay_to"
-            )
-        return snap
+        latest = self.snapshot() if epoch == self._epoch else self._latest
+        if latest is not None and latest.epoch == epoch:
+            return latest
+        with self._locked():
+            if epoch in self._retained:
+                graph = self._held.get(epoch) or self._rebuilt(epoch)
+                return EpochSnapshot(self, epoch, graph)
+        if epoch > self._epoch:
+            raise GraphError(f"epoch {epoch} is not committed yet (at {self._epoch})")
+        if epoch < self._base_epoch:
+            raise GraphError(f"epoch {epoch} is before this graph's base epoch")
+        raise GraphError(
+            f"epoch {epoch} is not retained (current {self._epoch}); "
+            "recover from the write-ahead log with replay_to"
+        )
 
     def _materialize(self) -> CSRGraph:
         """The current epoch's CSR: the nearest materialised epoch
         before it — the last snapshot, else the base — with the slices
         of the vertices touched since replaced from the delta buffer."""
         prior, since = self._base, self._base_epoch
-        if self._snapshots:
-            since = max(self._snapshots)
-            prior = self._snapshots[since].graph
+        if self._latest is not None:
+            prior, since = self._latest.graph, self._latest.epoch
         touched = self._touched_between(since, self._epoch)
         if touched is None:  # an untracked epoch: base + the whole buffer
             prior, touched = self._base, np.asarray(sorted(self._overlay))
         if not touched.size:
             return prior
         order, local, rebuilt = self._gather(touched)
-        degrees = np.diff(prior.offsets)
-        degrees[order] = np.diff(local)
-        offsets = np.zeros(prior.num_vertices + 1, dtype=np.int64)
-        np.cumsum(degrees, out=offsets[1:])
-        at = slice_indices(offsets, order)
-        columns, copied = [], []
-        for old, new, kept, blank in zip(
-            (prior.targets, prior.weights, prior.edge_types),
-            rebuilt,
-            (True, self._weighted, self._typed),
-            (0, 1.0, 0),  # what a graph without the column stands for
-        ):
-            column = np.full(offsets[-1], blank, dtype=new.dtype) if kept else None
-            if kept:
-                column[at] = new
-                if old is not None:
-                    copied.append((old, column))
-            columns.append(column)
-        copy_untouched_runs(prior.offsets, offsets, touched, copied)
-        return CSRGraph(offsets, *columns, prior.vertex_types, prior.is_undirected)
+        kept = (True, self._weighted, self._typed)
+        columns = [new if k else None for new, k in zip(rebuilt, kept)]
+        return _replace_slices(prior, order, local, columns)
+
+    def _reverse_delta(self, old: EpochSnapshot, new: EpochSnapshot) -> tuple:
+        """The slices ``new`` replaced, as ``old`` had them: ``(vertices,
+        local offsets, columns)`` — every vertex's if untracked."""
+        graph, touched = old.graph, self._touched_between(old.epoch, new.epoch)
+        if touched is None:
+            touched = np.arange(graph.num_vertices)
+        local = np.cumsum(np.concatenate(([0], graph.out_degrees()[touched])))
+        at = slice_indices(graph.offsets, touched)
+        columns = (graph.targets, graph.weights, graph.edge_types)
+        return touched, local, [None if c is None else c[at] for c in columns]
+
+    def _rebuilt(self, epoch: int) -> CSRGraph:
+        """A retained epoch's CSR: down from the newest snapshot, each
+        epoch's CSR if still held, else the one above with its delta."""
+        graph = self._latest.graph
+        for at in sorted((e for e in self._retained if e >= epoch), reverse=True):
+            graph = self._held.get(at) or _replace_slices(graph, *self._retained[at])
+            self._held[at] = graph
+        return graph
 
     # ------------------------------------------------------------------
     # Compaction
@@ -628,14 +673,18 @@ class DynamicGraph:
         Torn tails are truncated and reported
         (``stats.recovery``); records with epochs the base already
         folded in (``<= base_epoch``) are skipped.  ``replay_to`` stops
-        at a specific epoch — the checkpoint-restore path — in which
-        case the WAL is left untouched and detached (the instance is a
-        read-only view of history; committing to it would fork the
-        log).  A full replay reattaches the log for further appends.
+        at an epoch in ``[base_epoch, last logged]`` — the checkpoint-
+        restore path — leaving the WAL untouched and detached (the
+        instance is a read-only view of history; committing to it would
+        fork the log).  A full replay reattaches the log for appends.
         """
         from repro.graph.wal import WriteAheadLog
 
         log, records, report = WriteAheadLog.open(str(wal_path))
+        last = max([base_epoch, *(epoch for epoch, _ in records)])
+        if replay_to is not None and not base_epoch <= replay_to <= last:
+            log.close()
+            raise WalError(f"{wal_path}: no epoch {replay_to} in {[base_epoch, last]}")
         dynamic = cls(base, base_epoch=base_epoch, **kwargs)
         report.records_replayed = 0
         partial = False
@@ -688,55 +737,56 @@ class DynamicGraph:
     # Incremental sampler maintenance
     # ------------------------------------------------------------------
     def _touched_between(self, old: int, new: int) -> np.ndarray | None:
-        """Union of touched vertices over epochs ``(old, new]``.
-
-        ``None`` when any epoch in the range is no longer tracked
-        (recovered instances only track replayed epochs) — the caller
-        must fall back to a full rebuild.
-        """
-        parts = []
-        for epoch in range(old + 1, new + 1):
-            touched = self._touched_by_epoch.get(epoch)
-            if touched is None:
-                return None
-            parts.append(touched)
-        if not parts:
-            return np.zeros(0, dtype=np.int64)
-        return np.unique(np.concatenate(parts))
+        """Union of touched vertices over epochs ``(old, new]``, or ``None``
+        when one is untracked (before a recovered instance's base, or pruned)."""
+        parts = [self._touched_by_epoch.get(e) for e in range(old + 1, new + 1)]
+        if any(part is None for part in parts):
+            return None
+        return np.unique(np.concatenate([np.zeros(0, dtype=np.int64), *parts]))
 
     def _maintained(self, key: str, snap, full, incremental, mismatches):
         """``snap``'s value of the structure kept epoch to epoch under
         ``key``: the cached one, else ``incremental(previous, touched)``
         — probed by ``mismatches(value, probes)`` when verifying — else
         (nothing to start from, an untracked epoch, a failed probe)
-        ``full()``."""
-        cached = self._maintained_at.get(key)
-        if cached is not None and cached[0] == snap.epoch:
-            return cached[1]
-        touched = (
-            self._touched_between(cached[0], snap.epoch)
-            if cached is not None and cached[0] < snap.epoch
-            else None
-        )
-        value = None
-        if touched is not None:
-            value = incremental(cached[1], touched)
-            self.maintenance.vertices_rebuilt += int(touched.size)
-            if self._verify != "off":
-                probes = self._probe_vertices(snap, touched)
-                self.maintenance.verify_checks += int(probes.size)
-                bad = mismatches(value, probes)
-                if bad:
-                    self.maintenance.verify_mismatches += len(bad)
-                    self.maintenance.verify_fallbacks += 1
-                    value = None
-        if value is None:
-            value = full()
-            self.maintenance.full_rebuilds += 1
-        # A superseded epoch asking late never displaces a newer entry.
-        if cached is None or cached[0] < snap.epoch:
-            self._maintained_at[key] = (snap.epoch, value)
-        return value
+        ``full()``.  Locked: concurrent first askers share one build."""
+        with self._locked():
+            cached = self._maintained_at.get(key)
+            if cached is not None and cached[0] == snap.epoch:
+                return cached[1]
+            touched = (
+                self._touched_between(cached[0], snap.epoch)
+                if cached is not None and cached[0] < snap.epoch
+                else None
+            )
+            value = None
+            if touched is not None:
+                value = incremental(cached[1], touched)
+                self.maintenance.vertices_rebuilt += int(touched.size)
+                if self._verify != "off":
+                    probes = self._probe_vertices(snap, touched)
+                    self.maintenance.verify_checks += int(probes.size)
+                    bad = mismatches(value, probes)
+                    if bad:
+                        self.maintenance.verify_mismatches += len(bad)
+                        self.maintenance.verify_fallbacks += 1
+                        value = None
+            if value is None:
+                value = full()
+                self.maintenance.full_rebuilds += 1
+            # A superseded epoch asking late never displaces a newer entry.
+            if cached is None or cached[0] < snap.epoch:
+                self._maintained_at[key] = (snap.epoch, value)
+                self._prune()
+            return value
+
+    def _prune(self) -> None:
+        """Drop the touched sets before both the newest snapshot and
+        every ``_maintained_at`` epoch: nothing asks for them again."""
+        floor = min([self._latest.epoch, *(e for e, _ in self._maintained_at.values())])
+        for epoch in range(self._pruned + 1, floor + 1):
+            self._touched_by_epoch.pop(epoch, None)
+        self._pruned = max(self._pruned, floor)
 
     def _tables_for(self, snap: EpochSnapshot, kind: str):
         graph = snap.graph

@@ -11,7 +11,12 @@ per-epoch certification) rides on that equivalence.
 """
 
 import bisect
+import copy
+import gc
 import hashlib
+import pickle
+import sys
+import threading
 import time
 
 import numpy as np
@@ -197,6 +202,21 @@ class TestCommit:
         assert dyn.snapshot_at(3).epoch == 3
         with pytest.raises(GraphError, match="replay_to"):
             dyn.snapshot_at(1)
+
+    def test_snapshot_at_says_why_an_epoch_is_missing(self):
+        """Every missing epoch used to point at ``replay_to``, which
+        cannot reach a future epoch or one before the base either."""
+        dyn = DynamicGraph(from_edges(4, [(0, 1)]), retain_epochs=2, base_epoch=3)
+        for _ in range(3):
+            dyn.commit([EdgeUpdate("reweight", 0, 1, 2.0)])
+            dyn.snapshot()
+        assert dyn.snapshot_at(5).epoch == 5
+        with pytest.raises(GraphError, match="epoch 7 is not committed yet"):
+            dyn.snapshot_at(7)
+        with pytest.raises(GraphError, match="epoch 2 is before this graph's base"):
+            dyn.snapshot_at(2)
+        with pytest.raises(GraphError, match="epoch 4 is not retained.*replay_to"):
+            dyn.snapshot_at(4)
 
 
 # ----------------------------------------------------------------------
@@ -439,7 +459,123 @@ class TestRetention:
         assert (stats.vertices_rebuilt, stats.full_rebuilds, stats.verify_fallbacks) == (
             touched, 1, 0
         )
-        assert stats.epochs_maintained == 8 and len(dyn._snapshots) == 8
+        assert stats.epochs_maintained == 8
+        # The window reaches the last 8 epochs; rebuilding one costs no tables.
+        assert [dyn.snapshot_at(e).epoch for e in range(1, 9)] == list(range(1, 9))
+        with pytest.raises(GraphError, match="not retained"):
+            dyn.snapshot_at(0)
+        assert dyn.maintenance.full_rebuilds == 1
+
+    def test_dropped_epochs_are_rebuilt_across_new_columns_and_compaction(self):
+        """Nothing holds epochs 0-2 any more: each is rebuilt from the
+        newest CSR through the reverse deltas, without the weights and
+        types that arrived after it."""
+        dyn = DynamicGraph(from_edges(6, [(0, 1), (1, 2), (2, 3), (4, 5)]))
+        expected = {0: copy.deepcopy(dyn.snapshot().graph)}
+        for batch in (
+            [EdgeUpdate("insert", 0, 2)],
+            [EdgeUpdate("insert", 3, 4, 2.5)],  # turns weighted
+            [EdgeUpdate("delete", 1, 2), EdgeUpdate("insert", 5, 0, edge_type=2)],
+            "compact",
+            [EdgeUpdate("reweight", 0, 1, 0.5)],
+            [EdgeUpdate("delete", 0, 2), EdgeUpdate("insert", 2, 1)],
+        ):
+            if batch == "compact":
+                dyn.compact()
+                continue
+            epoch = dyn.commit(batch)
+            expected[epoch] = copy.deepcopy(dyn.snapshot().graph)
+        gc.collect()
+        assert [dyn._held.get(epoch) is None for epoch in range(5)] == [
+            True, True, True, False, True  # epoch 3 is the compacted base
+        ]
+        for epoch, graph in expected.items():
+            rebuilt = dyn.snapshot_at(epoch).graph
+            assert rebuilt == graph and (rebuilt.weights is None) == (epoch < 2)
+            assert (rebuilt.edge_types is None) == (epoch < 3)
+        assert dyn.snapshot_at(1).graph is dyn.snapshot_at(1).graph  # while held
+
+    def test_a_superseded_epoch_retains_its_touched_slices_not_its_csr(self):
+        """Vertex 0 has the same slice in a 100- and a 20 000-vertex graph:
+        once an insert there supersedes epoch 1, it costs the same bytes."""
+        retained = []
+        for count in (100, 20_000):
+            path = [(v, v + 1) for v in range(1, count - 1)]
+            dyn = DynamicGraph(from_edges(count, [(0, 1), (0, 2), *path]))
+            dyn.snapshot()
+            dyn.commit([EdgeUpdate("insert", 1, 3)])
+            dyn.snapshot()
+            dyn.commit([EdgeUpdate("insert", 0, 3)])
+            dyn.snapshot()
+            assert dyn._held.get(1) is None  # epoch 1's CSR is gone
+            touched, local, columns = dyn._retained[1]
+            assert touched.tolist() == [0] and columns[0].tolist() == [1, 2]
+            arrays = (touched, local, *columns)
+            retained.append(sum(a.nbytes for a in arrays if a is not None))
+        assert retained[0] == retained[1] < 100
+
+    def test_touched_sets_are_pruned_once_nothing_can_ask_for_them(self):
+        """``_touched_by_epoch`` gained an array per commit, forever."""
+        base = small_graph(seed=18)
+        batches = generate_churn_batches(base, num_epochs=500, updates_per_epoch=2, seed=5)
+        dyn = DynamicGraph(base)
+        dyn.snapshot().tables("alias")
+        held = []
+        for epoch, batch in enumerate(batches, start=1):
+            dyn.commit(batch)
+            held.append(len(dyn._touched_by_epoch))
+            snap = dyn.snapshot()
+            if epoch % 2 == 0:  # tables lag one epoch behind half the time
+                snap.tables("alias")
+        assert max(held) == 2 and not dyn._touched_by_epoch
+        stats = dyn.maintenance
+        assert (stats.epochs_maintained, stats.full_rebuilds) == (250, 1)
+
+
+class TestOwnerLock:
+    def test_concurrent_first_use_of_an_epoch_builds_its_tables_once(self):
+        """Threads asking a fresh epoch for its tables at once each built
+        (and counted) them, and walked different table objects."""
+        graph = assign_random_weights(erdos_renyi_graph(5000, 8.0, seed=1), seed=2)
+        batches = generate_churn_batches(graph, num_epochs=10, updates_per_epoch=20, seed=3)
+        dyn = DynamicGraph(graph)
+        dyn.snapshot().tables("alias")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for batch in batches:
+                dyn.commit(batch)
+                snap, barrier, got = dyn.snapshot(), threading.Barrier(4), []
+
+                def ask(snap=snap, barrier=barrier, got=got):
+                    barrier.wait(timeout=10.0)
+                    got.append(snap.tables("alias"))
+
+                threads = [threading.Thread(target=ask) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10.0)
+                    assert not thread.is_alive()
+                assert len(got) == 4 and all(tables is got[0] for tables in got)
+        finally:
+            sys.setswitchinterval(interval)
+        stats = dyn.maintenance
+        assert (stats.epochs_maintained, stats.full_rebuilds) == (10, 1)
+
+    def test_a_pickled_snapshot_walks_to_the_same_digest(self):
+        dyn = DynamicGraph(small_graph(seed=19))
+        dyn.commit([EdgeUpdate("insert", 0, 1, 2.0)])
+        first = copy.deepcopy(dyn.snapshot().graph)
+        dyn.commit([EdgeUpdate("delete", 0, 1)])
+        snap = dyn.snapshot()
+        config = WalkConfig(num_walkers=30, max_steps=8, record_paths=True, seed=4)
+        thawed = pickle.loads(pickle.dumps(snap))
+        assert thawed.epoch == 2 and thawed._owner is not dyn
+        assert golden_digest(WalkEngine(thawed, DeepWalk(), config)) == golden_digest(
+            WalkEngine(snap, DeepWalk(), config)
+        )
+        assert thawed._owner.snapshot_at(1).graph == first  # rebuilt from its delta
 
 
 # ----------------------------------------------------------------------
@@ -477,6 +613,22 @@ class TestWalRecovery:
         assert partial.epoch == 1
         graph = partial.snapshot().graph
         assert graph.has_edge(1, 2) and not graph.has_edge(2, 3)
+
+    def test_recover_refuses_an_epoch_outside_the_log(self, tmp_path):
+        """``replay_to=5`` on a two-epoch log used to land on epoch 2 with
+        the log reattached, and ``replay_to=-3`` on epoch 0."""
+        wal = tmp_path / "graph.wal"
+        base = from_edges(4, [(0, 1)])
+        dyn = DynamicGraph(base, wal_path=wal)
+        dyn.commit([EdgeUpdate("insert", 1, 2)])
+        dyn.commit([EdgeUpdate("insert", 2, 3)])
+        dyn.close()
+        for replay_to in (5, -3):
+            with pytest.raises(WalError, match=rf"no epoch {replay_to} in \[0, 2\]"):
+                DynamicGraph.recover(base, wal, replay_to=replay_to)
+        with pytest.raises(WalError, match=r"no epoch 0 in \[1, 2\]"):
+            DynamicGraph.recover(base, wal, replay_to=0, base_epoch=1)
+        assert DynamicGraph.recover(base, wal, replay_to=0).epoch == 0
 
     def test_save_compacted_roundtrip(self, tmp_path):
         wal = tmp_path / "graph.wal"

@@ -182,6 +182,7 @@ def test_epoch_chains_equal_base_plus_overlay_and_scratch_tables(world, epochs, 
         dynamic = DynamicGraph(world.base, wal_path=wal, verify="full", retain_epochs=3)
         reference = ReferenceDynamicGraph(world.base)
         graphs = {0: world.base}
+        materialised = []  # the epochs snapshot_at reaches: the last 3 of these
         for epoch in range(1, epochs + 1):
             batch, after = world.batch(hostile=data.draw(st.booleans()))
             error = outcome(reference.commit, batch)[1]
@@ -200,10 +201,16 @@ def test_epoch_chains_equal_base_plus_overlay_and_scratch_tables(world, epochs, 
                 for kind, build in (("alias", VertexAliasTables), ("its", VertexITSTables)):
                     if data.draw(st.booleans()):
                         assert_tables_identical(snapshot.tables(kind), build(snapshot.graph))
+                materialised.append(epoch)
+                del snapshot  # superseded epochs no test holds are rebuilt
+                for retained in materialised[-3:]:
+                    assert_same_graph(dynamic.snapshot_at(retained).graph, graphs[retained])
             if data.draw(st.integers(0, 3)) == 0:
-                dynamic.compact()
+                dynamic.compact()  # materialises the epoch if nothing did
                 reference.compact()
                 assert_same_graph(dynamic.base, reference._base)
+                if materialised[-1:] != [epoch]:
+                    materialised.append(epoch)
         assert_same_graph(dynamic.snapshot().graph, graphs[epochs])
         assert dynamic.maintenance.verify_mismatches == 0
         assert dynamic.maintenance.verify_fallbacks == 0

@@ -7,12 +7,18 @@ The acceptance criteria pinned here:
   conservation law ``submitted == served + shed + failed``;
 * every deadline-exceeded response carries a well-formed partial
   result;
+* with a writer committing to a dynamic graph while two workers serve,
+  the same law holds, each pinned epoch's tables are built once, and
+  the graph keeps no touched set nothing can ask for and no superseded
+  CSR no walk holds;
 * a run whose worker process is killed mid-flight finishes with
   :class:`~repro.errors.WorkerError` naming the shard, not a hang or a
   timeout.
 """
 
+import gc
 import os
+import threading
 import time
 
 import numpy as np
@@ -22,6 +28,8 @@ from repro.algorithms import DeepWalk, UniformWalk
 from repro.core.config import WalkConfig
 from repro.core.stats import ServiceMetrics
 from repro.errors import WorkerError
+from repro.graph.builder import assign_random_weights
+from repro.graph.dynamic import DynamicGraph, generate_churn_batches
 from repro.graph.generators import uniform_degree_graph
 from repro.parallel import run_parallel_walk
 from repro.service import (
@@ -157,6 +165,50 @@ def test_soak_mixed_stream_exact_accounting():
                 isinstance(p, np.ndarray) and p.dtype == np.int64
                 for p in result.paths
             )
+
+
+@pytest.mark.slow
+def test_soak_churning_writer_exact_accounting():
+    """Requests on two workers while a writer commits: every epoch's
+    tables are built once, and the graph keeps neither a touched set
+    nothing can ask for nor the CSR of an epoch no walk holds."""
+    graph = assign_random_weights(uniform_degree_graph(400, 6, seed=4), seed=5)
+    batches = generate_churn_batches(graph, num_epochs=30, updates_per_epoch=6, seed=6)
+    dynamic = DynamicGraph(graph)
+
+    def request(index):
+        config = WalkConfig(num_walkers=32, max_steps=10, seed=index)
+        return WalkRequest(program=DeepWalk(), config=config)
+
+    with WalkService(dynamic, num_workers=2, queue_capacity=16) as service:
+
+        def writer():
+            for batch in batches:
+                service.apply_updates(batch)
+                time.sleep(0.015)
+
+        thread = threading.Thread(target=writer)
+        thread.start()
+        tickets = []
+        while thread.is_alive():
+            tickets += [service.submit(request(len(tickets) + i)) for i in range(4)]
+            tickets[-1].wait(timeout=30.0)
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        tickets.append(service.submit(request(len(tickets))))  # the last epoch
+        responses = [ticket.wait(timeout=30.0) for ticket in tickets]
+    metrics = service.metrics
+    assert metrics.submitted == len(responses)
+    assert metrics.served + metrics.shed + metrics.failed == len(responses)
+    assert metrics.served == len(responses) and responses[-1].graph_epoch == 30
+    # Each epoch a request pinned had its tables built exactly once.
+    stats = dynamic.maintenance
+    walked = {response.graph_epoch for response in responses}
+    assert stats.epochs_maintained + stats.full_rebuilds == len(walked) > 10
+    assert not dynamic._touched_by_epoch
+    gc.collect()  # nothing holds a superseded epoch's CSR but a walk
+    assert len(dynamic._retained) == 7
+    assert all(dynamic._held.get(epoch) is None for epoch in dynamic._retained)
 
 
 @pytest.mark.slow
