@@ -1,21 +1,39 @@
 """Unit and property tests for alias-method sampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import UniformWalk
 from repro.core.config import WalkConfig
 from repro.core.engine import WalkEngine
 from repro.errors import SamplingError
+from repro.graph import load_dataset
 from repro.graph.builder import assign_random_weights, from_arrays, from_edges
 from repro.graph.generators import truncated_power_law_graph
-from repro.sampling.alias import AliasTable, VertexAliasTables, build_alias_arrays
+from repro.sampling.alias import (
+    AliasTable,
+    VertexAliasTables,
+    build_alias_arrays,
+    build_alias_segments,
+)
 from repro.sampling.its import VertexITSTables
 from repro.sampling.typed import TypedVertexAliasTables
 
 from tests.helpers import assert_matches_distribution, diamond_graph
+
+
+def assert_table_of_rescaled(weights):
+    """The table of ``weights`` is, bit for bit, that of ``weights *
+    2**1074`` (an exact scaling) -> that table."""
+    prob, alias = build_alias_arrays(weights)
+    rescaled_prob, rescaled_alias = build_alias_arrays(np.ldexp(weights, 1074))
+    np.testing.assert_array_equal(prob.view(np.uint64), rescaled_prob.view(np.uint64))
+    np.testing.assert_array_equal(alias, rescaled_alias)
+    return prob, alias
 
 
 class TestBuildAliasArrays:
@@ -67,6 +85,16 @@ class TestBuildAliasArrays:
         # used to come back as whatever ``np.empty`` found in memory.
         with pytest.raises(SamplingError, match="finite"):
             build_alias_arrays(np.array([1.0, bad, 2.0]))
+
+    @pytest.mark.parametrize(
+        "weights", [[5e-324, 5e-324, 0.0], [0.0, 5e-324], [1e-310, 0.0, 3e-310]]
+    )
+    def test_subnormal_total_builds_the_table_of_the_rescaled_weights(self, weights):
+        # ``n / total`` overflows here, and a zero weight scaled to
+        # ``0 * inf`` is a NaN: its bucket used to read [1, 1, 1] or garbage.
+        weights = np.array(weights)
+        prob, _alias = assert_table_of_rescaled(weights)
+        assert np.all(prob[weights == 0] == 0)
 
 
 class TestAliasTable:
@@ -143,6 +171,17 @@ class TestVertexAliasTables:
         with pytest.raises(SamplingError, match="edge 1 is not finite"):
             WalkEngine(graph, Reciprocal(), WalkConfig(num_walkers=3, max_steps=4))
 
+    def test_subnormal_total_vertex_never_draws_its_zero_weight_edge(self):
+        graph = from_arrays(
+            4, [0, 0, 0, 1], [1, 2, 3, 0], weights=[5e-324, 5e-324, 0.0, 1.0]
+        )
+        tables = VertexAliasTables(graph)
+        start, end = graph.edge_range(0)
+        zero_edge = start + int(np.flatnonzero(graph.weights[start:end] == 0)[0])
+        vertices = np.zeros(4000, dtype=np.int64)
+        draws = tables.sample_batch(vertices, np.random.default_rng(8))
+        assert set(draws.tolist()) == set(range(start, end)) - {zero_edge}
+
     def test_dead_end_vertex(self):
         graph = from_edges(3, [(0, 1)])
         tables = VertexAliasTables(graph)
@@ -199,3 +238,36 @@ def test_alias_mass_conservation_property(weights):
         mass[bucket] += prob[bucket] * per_bucket
         mass[alias[bucket]] += (1 - prob[bucket]) * per_bucket
     np.testing.assert_allclose(mass, weights, rtol=1e-6, atol=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    units=st.lists(st.integers(0, 2**20), min_size=1, max_size=300),
+    exponent=st.integers(-1074, -1000),
+)
+def test_tiny_totals_never_sample_a_zero_weight(units, exponent):
+    """Weights ``units * 2**exponent`` (exact), so the total is tiny and
+    ``n / total`` may overflow: no zero-weight bucket keeps its outcome,
+    no bucket aliases one, and the table is that of the weights scaled
+    by an exact power of two."""
+    assume(any(units))
+    weights = np.ldexp(np.array(units, dtype=np.float64), exponent)
+    prob, alias = assert_table_of_rescaled(weights)
+    zero = weights == 0
+    assert np.all(prob[zero] == 0)
+    assert not zero[alias].any()
+
+
+def test_alias_segments_peak_memory_stays_near_their_output():
+    """A full build holds one segment's Python lists at a time: an
+    |E|-sized list of boxed floats alone costs twice the tables it
+    produces."""
+    graph = assign_random_weights(load_dataset("twitter", scale=1.0), seed=1)
+    assert graph.num_edges >= 300_000
+    tracemalloc.start()
+    try:
+        tables = build_alias_segments(graph.weights, graph.offsets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * sum(array.nbytes for array in tables)

@@ -8,17 +8,20 @@ not, with empty vertices, all-zero slices and a hub above the
 rank-iteration cutoff — and requires the from-scratch tables, chains of
 ``updated(...)`` under degree-changing touched sets and the typed
 groups to equal them bit for bit, and ``mismatches`` to name exactly
-the vertices whose slices were damaged.  A rewrite of either builder
-(ROADMAP 2a) has to keep this file green.
+the vertices whose slices were damaged.  The pairing pass itself is
+held to the frozen one on single segments too — degrees up to 300,
+duplicates, zeros, weights over 1e-300...1e300 and long stack chains —
+comparing the bits of ``prob``.  A rewrite of either builder (ROADMAP
+2a) has to keep this file green.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.graph.builder import from_arrays
-from repro.sampling.alias import VertexAliasTables
+from repro.sampling.alias import VertexAliasTables, build_alias_arrays
 from repro.sampling.its import _RANK_ITERATION_CUTOFF, VertexITSTables
 from repro.sampling.typed import TypedVertexAliasTables
 from tests.reference_tables import (
@@ -165,6 +168,57 @@ def test_typed_tables_equal_a_per_group_build(edges, custom):
             np.testing.assert_array_equal(tables._flat_alias[span], alias)
             entries += group.size
     assert tables.total_entries() == entries
+
+
+@st.composite
+def weight_segments(draw):
+    """One segment of 1-300 weights, with ``n / total`` finite: drawn
+    from a small pool (duplicates; zeros; one value makes it uniform),
+    or log-uniform over a drawn span of 1e-300...1e300, some zeroed."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 300))
+    if draw(st.booleans()):
+        magnitudes = st.builds(
+            lambda mantissa, exponent: mantissa * 10.0**exponent,
+            st.floats(1.0, 9.0),
+            st.integers(-300, 299),
+        )
+        values = st.one_of(st.just(0.0), magnitudes)
+        pool = draw(st.lists(values, min_size=1, max_size=6))
+        weights = np.array(pool)[rng.integers(len(pool), size=n)]
+    else:
+        low = draw(st.integers(-300, 300))
+        high = draw(st.integers(low, 300))
+        weights = 10.0 ** rng.uniform(low, high, size=n)
+        weights[rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = 0.0
+    assume(weights.sum() > 0)
+    return weights
+
+
+def assert_equals_frozen_pass(weights):
+    prob, alias = build_alias_arrays(weights)
+    expected_prob, expected_alias = reference_build_alias_arrays(weights)
+    np.testing.assert_array_equal(prob.view(np.uint64), expected_prob.view(np.uint64))
+    np.testing.assert_array_equal(alias, expected_alias)
+    return alias
+
+
+@given(weights=weight_segments())
+@settings(max_examples=150, deadline=None)
+def test_pairing_pass_equals_the_frozen_pass_bitwise(weights):
+    assert_equals_frozen_pass(weights)
+
+
+@pytest.mark.parametrize("n", [2, 64, 65, 300, 5000])
+def test_a_long_large_chain_equals_the_frozen_pass(n):
+    # One heavy weight among light ones: ``large`` holds the heavy
+    # outcome alone, popped and pushed back n - 1 times.
+    rng = np.random.default_rng(n)
+    weights = rng.random(n)
+    heavy = int(rng.integers(n))
+    weights[heavy] = 1e3 * n
+    alias = assert_equals_frozen_pass(weights)
+    assert np.all(np.delete(alias, heavy) == heavy)
 
 
 @pytest.mark.parametrize(
