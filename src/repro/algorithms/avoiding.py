@@ -21,6 +21,7 @@ from repro.core.program import WalkerProgram
 from repro.core.walker import NO_VERTEX, WalkerSet, WalkerView
 from repro.errors import ProgramError
 from repro.graph.csr import CSRGraph
+from repro.sampling.tables import unit_weights
 
 __all__ = ["WindowedSelfAvoidingWalk"]
 
@@ -52,7 +53,7 @@ class WindowedSelfAvoidingWalk(WalkerProgram):
     def edge_static_comp(self, graph: CSRGraph) -> np.ndarray | None:
         if self.biased:
             return None
-        return np.ones(graph.num_edges, dtype=np.float64)
+        return unit_weights(graph.num_edges)
 
     # ------------------------------------------------------------------
     def edge_dynamic_comp(

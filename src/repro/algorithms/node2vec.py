@@ -39,6 +39,7 @@ from repro.core.walker import NO_VERTEX, WalkerSet, WalkerView
 from repro.errors import ProgramError
 from repro.graph.csr import CSRGraph
 from repro.sampling.rejection import OutlierSpec
+from repro.sampling.tables import unit_weights
 
 __all__ = ["Node2Vec", "node2vec_config"]
 
@@ -94,7 +95,7 @@ class Node2Vec(WalkerProgram):
     def edge_static_comp(self, graph: CSRGraph) -> np.ndarray | None:
         if self.biased:
             return None  # graph weights (1.0 when unweighted)
-        return np.ones(graph.num_edges, dtype=np.float64)
+        return unit_weights(graph.num_edges)
 
     def _static_of(self, graph: CSRGraph, edge_index: int) -> float:
         if self.biased and graph.weights is not None:

@@ -12,6 +12,7 @@ import numpy as np
 
 from repro.core.program import WalkerProgram
 from repro.graph.csr import CSRGraph
+from repro.sampling.tables import unit_weights
 
 __all__ = ["UniformWalk"]
 
@@ -26,4 +27,4 @@ class UniformWalk(WalkerProgram):
 
     def edge_static_comp(self, graph: CSRGraph) -> np.ndarray:
         # Explicit all-ones: ignore edge weights even on weighted graphs.
-        return np.ones(graph.num_edges, dtype=np.float64)
+        return unit_weights(graph.num_edges)

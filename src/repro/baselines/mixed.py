@@ -21,6 +21,7 @@ import numpy as np
 from repro.algorithms.node2vec import Node2Vec
 from repro.core.walker import WalkerSet
 from repro.graph.csr import CSRGraph
+from repro.sampling.tables import unit_weights
 
 __all__ = ["MixedNode2Vec"]
 
@@ -39,11 +40,11 @@ class MixedNode2Vec(Node2Vec):
 
     def edge_static_comp(self, graph: CSRGraph) -> np.ndarray:
         """Uniform candidates: the weight is NOT pre-processed."""
-        return np.ones(graph.num_edges, dtype=np.float64)
+        return unit_weights(graph.num_edges)
 
     def _mixed_weights(self, graph: CSRGraph) -> np.ndarray:
         if graph.weights is None:
-            return np.ones(graph.num_edges, dtype=np.float64)
+            return unit_weights(graph.num_edges)
         return graph.weights
 
     def upper_bound_array(self, graph: CSRGraph) -> np.ndarray:

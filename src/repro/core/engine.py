@@ -48,7 +48,7 @@ from repro.core.kernels import (
 )
 from repro.core.program import WalkerProgram
 from repro.core.stats import WalkStats
-from repro.core.trace import PathRecorder
+from repro.core.trace import PathRecorder, token_dtype
 from repro.core.walker import WalkerSet
 from repro.errors import ProgramError, SnapshotError
 from repro.graph.csr import CSRGraph
@@ -187,7 +187,12 @@ class WalkEngine:
         program.setup_walkers(graph, self.walkers, derive_rng(config.seed, 0x5E7))
         self._hooks: dict[str, list] = {event: [] for event in EVENTS}
         self._recorder = (
-            PathRecorder(starts, config.max_steps, config.stream_paths_to)
+            PathRecorder(
+                starts,
+                config.max_steps,
+                config.stream_paths_to,
+                token_dtype(graph.num_vertices, starts.size),
+            )
             if config.record_paths or config.stream_paths_to is not None
             else None
         )

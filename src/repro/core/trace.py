@@ -9,9 +9,10 @@ replayed afterwards.  A bounded walk owns one dense ``(num_walkers,
 max_steps + 1)`` token matrix and a per-walker move count; an unbounded
 one (``max_steps is None``: PPR's heavy tail) keeps a flat append-only
 token log instead, O(total moves) rather than O(walkers x longest
-walk), grouped by one stable argsort when paths are read.  Python loops
-here iterate rows or iterations, never moves (docs/INTERNALS.md,
-"Path recording").
+walk), grouped by one stable argsort when paths are read.  Tokens are
+int32 whenever every vertex and walker id fits (:func:`token_dtype`).
+Python loops here iterate rows or iterations, never moves
+(docs/INTERNALS.md, "Path recording").
 """
 
 from __future__ import annotations
@@ -23,7 +24,13 @@ import numpy as np
 
 from repro._textblock import decimal, join_columns
 
-__all__ = ["BLOCK_ROWS", "PathRecorder", "split_paths", "write_walks"]
+__all__ = [
+    "BLOCK_ROWS",
+    "PathRecorder",
+    "split_paths",
+    "token_dtype",
+    "write_walks",
+]
 
 # Walks formatted per write.  A constant, not an option: the only thing
 # it trades is the fixed cost per block (one id table, a dozen array
@@ -31,6 +38,14 @@ __all__ = ["BLOCK_ROWS", "PathRecorder", "split_paths", "write_walks"]
 # 77 ms in 512-row blocks, 40 ms at 2 048, 34 ms at 4 096 and 34 ms in
 # one piece; ~1 MB of text per block buys all but the last 6 ms.
 BLOCK_ROWS = 2048
+
+
+def token_dtype(num_vertices: int, num_walkers: int) -> np.dtype:
+    """The narrowest integer type a recorder needs: int32 while every
+    vertex id and walker id is below 2**31, else int64.  Half the bytes
+    of every recorded path, shard hand-off and checkpoint."""
+    fits = max(num_vertices, num_walkers) <= np.iinfo(np.int32).max + 1
+    return np.dtype(np.int32 if fits else np.int64)
 
 
 def write_walks(handle, walks: Iterable[Sequence[int]]) -> None:
@@ -70,7 +85,9 @@ class PathRecorder:
     ``counts`` (moves per walker) always equals ``walkers.steps``: every
     move goes through the engine's ``moves`` event.  With ``stream_to`` the
     sequences go to a corpus file instead, each ``kills`` batch as it
-    happens — termination order (skip-gram shuffles anyway).
+    happens — termination order (skip-gram shuffles anyway).  Tokens
+    (and the log's walker ids) are ``dtype``; the engine passes
+    :func:`token_dtype` of its graph.
     """
 
     def __init__(
@@ -78,16 +95,18 @@ class PathRecorder:
         start_vertices: np.ndarray,
         max_steps: int | None = None,
         stream_to=None,
+        dtype: np.dtype = np.dtype(np.int64),
     ) -> None:
         starts = np.asarray(start_vertices, dtype=np.int64)
+        self._dtype = np.dtype(dtype)
         self._counts = np.zeros(starts.size, dtype=np.int64)
         if max_steps is not None:
-            self._matrix = np.zeros((starts.size, max_steps + 1), dtype=np.int64)
+            self._matrix = np.zeros((starts.size, max_steps + 1), dtype=self._dtype)
             self._matrix[:, 0] = starts
         else:
             # Log rows: walker id, token.  Starts are its first entries.
             self._matrix = None
-            self._log = np.stack([np.arange(starts.size), starts])
+            self._log = np.stack([np.arange(starts.size), starts], dtype=self._dtype)
             self._used = starts.size
         self._written = np.zeros(starts.size, dtype=bool)
         self._handle = (
@@ -107,7 +126,7 @@ class PathRecorder:
         else:
             used, self._used = self._used, self._used + len(walker_ids)
             if self._used > self._log.shape[1]:
-                spare = np.empty((2, self._used), dtype=np.int64)
+                spare = np.empty((2, self._used), dtype=self._dtype)
                 self._log = np.concatenate([self._log[:, :used], spare], axis=1)
             self._log[0, used : self._used] = walker_ids
             self._log[1, used : self._used] = vertices
@@ -122,14 +141,19 @@ class PathRecorder:
         return tokens[np.argsort(ids, kind="stable")], self._counts
 
     def restore(self, tokens: np.ndarray, counts: np.ndarray) -> None:
-        """Load a :meth:`packed` pair back (checkpoint resume);
-        ``ValueError`` if it was packed under the other layout."""
+        """Load a :meth:`packed` pair back (checkpoint resume), of any
+        integer type — an int64 pair written before tokens narrowed
+        included; ``ValueError`` if it was packed under the other layout
+        or holds an id this recorder's type cannot."""
+        limits = np.iinfo(self._dtype)
+        if tokens.size and not limits.min <= tokens.min() <= tokens.max() <= limits.max:
+            raise ValueError(f"packed paths hold ids beyond {self._dtype}")
         self.rewind(counts)
         if self._matrix is not None and tokens.shape == self._matrix.shape:
             self._matrix[:] = tokens
         elif self._matrix is None and tokens.shape == (self._used,):
             ids = np.repeat(np.arange(counts.size), counts + 1)
-            self._log = np.stack([ids, tokens])
+            self._log = np.stack([ids, tokens], dtype=self._dtype)
         else:
             raise ValueError(f"packed paths of shape {tokens.shape} do not fit")
 

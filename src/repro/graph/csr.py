@@ -13,6 +13,8 @@ owner answering a walker-to-vertex state query.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +33,11 @@ _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 # Below every key a query can form: sources are >= NO_VERTEX (-1), so
 # keys are >= -|V| — an empty slot never matches one.
 _EMPTY_SLOT = np.int64(np.iinfo(np.int64).min)
+# Keys inserted into the hash set per pass.  A constant, not an option:
+# each key in flight costs ~50 bytes of temporaries beside the table.
+# On twitter x1 (8.4 MB table) 2**14 keys hold 0.8 MB and build in 22
+# ms; 2**20 (one pass) held 15.8 MB and took 31 ms.
+_HASH_CHUNK = 1 << 14
 
 
 def _hash_slots(keys: np.ndarray, bits: int) -> np.ndarray:
@@ -45,31 +52,40 @@ def _build_key_hash(sorted_keys: np.ndarray) -> tuple[np.ndarray, int]:
     per round: every round scatters the pending keys into empty slots
     (last write wins) and a gather-back identifies which keys actually
     landed — no per-round sort.  Load factor stays at or below ~0.4.
+    Keys go in :data:`_HASH_CHUNK` at a time, deduplicated per chunk, so
+    the temporaries beside the table are a chunk's, not |E|'s.  A key
+    lands at the first slot of its probe sequence that was empty, in
+    any insertion order, so a query finds it before an empty slot.
     """
-    if sorted_keys.size:
-        # Keys arrive sorted, so a single comparison pass deduplicates.
-        unique = sorted_keys[
-            np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
-        ]
-    else:
-        unique = sorted_keys
-    bits = max(4, int(np.ceil(np.log2(max(unique.size * 2.5, 2)))))
+    chunks = range(0, sorted_keys.size, _HASH_CHUNK)
+    distinct = sum(_first_of_runs(sorted_keys, low).size for low in chunks)
+    bits = max(4, int(np.ceil(np.log2(max(distinct * 2.5, 2)))))
     table = np.full(1 << bits, _EMPTY_SLOT, dtype=np.int64)
     mask = np.uint64(table.size - 1)
-    pending = unique
-    slots = _hash_slots(unique, bits)
-    distance = np.uint64(0)
-    while pending.size:
-        probe = (slots + distance) & mask
-        open_lanes = np.flatnonzero(table[probe] == _EMPTY_SLOT)
-        table[probe[open_lanes]] = pending[open_lanes]
-        landed = table[probe[open_lanes]] == pending[open_lanes]
-        keep = np.ones(pending.size, dtype=bool)
-        keep[open_lanes[landed]] = False
-        pending = pending[keep]
-        slots = slots[keep]
-        distance += np.uint64(1)
+    for low in chunks:
+        pending = _first_of_runs(sorted_keys, low)
+        slots = _hash_slots(pending, bits)
+        distance = np.uint64(0)
+        while pending.size:
+            probe = (slots + distance) & mask
+            open_lanes = np.flatnonzero(table[probe] == _EMPTY_SLOT)
+            table[probe[open_lanes]] = pending[open_lanes]
+            landed = table[probe[open_lanes]] == pending[open_lanes]
+            keep = np.ones(pending.size, dtype=bool)
+            keep[open_lanes[landed]] = False
+            pending = pending[keep]
+            slots = slots[keep]
+            distance += np.uint64(1)
     return table, bits
+
+
+def _first_of_runs(sorted_keys: np.ndarray, low: int) -> np.ndarray:
+    """The chunk of ``sorted_keys`` at ``low`` without repeats — and
+    without the key that ends the chunk before it (sorted input, so a
+    repeat is always the previous key; no key equals an empty slot)."""
+    chunk = sorted_keys[low : low + _HASH_CHUNK]
+    previous = sorted_keys[low - 1] if low else _EMPTY_SLOT
+    return chunk[chunk != np.concatenate(([previous], chunk[:-1]))]
 
 
 def _key_hash_contains(
@@ -197,13 +213,24 @@ class CSRGraph:
         # Sorted (source, target) keys, built on the first batch lookup
         # and bisected until as many membership queries were answered
         # as there are keys; only then is the hash set over them built
-        # (see has_edges_batch).
+        # (see has_edges_batch).  All three change under _locked().
         self._edge_keys: np.ndarray | None = None
         self._bisected_queries = 0
         self._key_hash: tuple[np.ndarray, int] | None = None
+        self._pid = None
         for array in (offsets, targets, weights, edge_types, vertex_types):
             if array is not None:
                 array.setflags(write=False)
+
+    def _locked(self) -> threading.Lock:
+        """The lock over the adjacency index: made anew in a forked
+        child or an unpickled copy, where no holder is left."""
+        if self._pid != os.getpid():
+            self._lock, self._pid = threading.Lock(), os.getpid()
+        return self._lock
+
+    def __getstate__(self) -> dict:  # locks do not pickle
+        return dict(self.__dict__, _lock=None, _pid=None)
 
     # ------------------------------------------------------------------
     # Basic shape
@@ -344,13 +371,16 @@ class CSRGraph:
         if self.num_vertices >= KEY_VERTEX_LIMIT:
             return None
         if self._edge_keys is None:
-            degrees = np.diff(self._offsets)
-            sources = np.repeat(
-                np.arange(self.num_vertices, dtype=np.int64), degrees
-            )
-            keys = sources * np.int64(self.num_vertices) + self._targets
-            keys.setflags(write=False)
-            self._edge_keys = keys
+            with self._locked():
+                if self._edge_keys is None:
+                    keys = np.repeat(
+                        np.arange(self.num_vertices, dtype=np.int64),
+                        np.diff(self._offsets),
+                    )
+                    keys *= np.int64(self.num_vertices)
+                    keys += self._targets
+                    keys.setflags(write=False)
+                    self._edge_keys = keys
         return self._edge_keys
 
     def has_edges_batch(self, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -362,7 +392,9 @@ class CSRGraph:
         building the set costs about what bisecting one query per key
         does — so queries are bisected until that many were answered,
         and the set is built only for a graph that outlives them (a
-        short-lived epoch of a dynamic graph never pays for it).
+        short-lived epoch of a dynamic graph never pays for it).  The
+        switch is taken under the graph's lock, so threads that cross it
+        together build the set once.
         """
         sources = np.asarray(sources, dtype=np.int64)
         targets = np.asarray(targets, dtype=np.int64)
@@ -376,13 +408,18 @@ class CSRGraph:
             return first >= 0
         queries = sources * np.int64(self.num_vertices)
         queries += targets
-        if self._key_hash is None:
-            if self._bisected_queries < keys.size:
-                self._bisected_queries += queries.size
+        key_hash = self._key_hash
+        if key_hash is None:
+            with self._locked():
+                key_hash = self._key_hash
+                if key_hash is None and self._bisected_queries < keys.size:
+                    self._bisected_queries += queries.size
+                elif key_hash is None:
+                    key_hash = self._key_hash = _build_key_hash(keys)
+            if key_hash is None:
                 at = np.minimum(np.searchsorted(keys, queries), keys.size - 1)
                 return keys[at] == queries
-            self._key_hash = _build_key_hash(keys)
-        table, bits = self._key_hash
+        table, bits = key_hash
         return _key_hash_contains(table, bits, queries)
 
     def edge_span_batch(

@@ -39,6 +39,7 @@ __all__ = [
     "copy_untouched_runs",
     "slice_indices",
     "static_component",
+    "unit_weights",
 ]
 
 
@@ -70,6 +71,12 @@ class MaintenanceStats(Counted, prefix="walk_sampler"):
         )
 
 
+def unit_weights(size: int) -> np.ndarray:
+    """``size`` ones as one read-only zero-stride view: the Ps of an
+    unweighted walk, which owns no |E| buffer."""
+    return np.broadcast_to(np.float64(1.0), (size,))
+
+
 def static_component(
     graph: CSRGraph,
     static_weights: np.ndarray | None = None,
@@ -78,18 +85,17 @@ def static_component(
     """The validated per-edge static component Ps.
 
     ``None`` is the ``edgeStaticComp`` default of the paper's API: the
-    graph's weights, or all-ones when unweighted.  A non-finite entry
+    graph's weights, or :func:`unit_weights` when unweighted (valid by
+    construction, so returned unchecked).  A non-finite entry
     is refused here, by edge index: no later comparison orders a NaN,
     so the builders would leave its slice unwritten.  ``segments``
     names the only vertices whose slices still need the check (the
     rest were checked when the tables being updated were built).
     """
+    if static_weights is None and graph.weights is None:
+        return unit_weights(graph.num_edges)
     if static_weights is None:
-        static_weights = (
-            graph.weights
-            if graph.weights is not None
-            else np.ones(graph.num_edges, dtype=np.float64)
-        )
+        static_weights = graph.weights
     static = np.asarray(static_weights, dtype=np.float64)
     if static.size != graph.num_edges:
         raise SamplingError("static weights must align with graph edges")

@@ -1,5 +1,6 @@
 """Unit tests for CSR graph storage."""
 
+import pickle
 import sys
 import threading
 
@@ -8,10 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms import Node2Vec
+from repro.core.config import WalkConfig
+from repro.core.engine import WalkEngine
 from repro.errors import GraphError
-from repro.graph import csr
+from repro.graph import csr, load_dataset
 from repro.graph.builder import from_arrays, from_edges
 from repro.graph.csr import CSRGraph
+from repro.parallel import run_parallel_walk, shard_config
 
 from tests.helpers import diamond_graph
 
@@ -254,6 +259,73 @@ class TestPayAsYouGoIndex:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == [] and graph._key_hash is not None
+
+    def test_four_threads_crossing_the_switch_build_the_set_once(self, monkeypatch):
+        """Service workers share one graph: threads that reach the switch
+        together must not each pay for a hash set."""
+        graph = load_dataset("livejournal", scale=0.25)
+        keys = graph._edge_key_array()
+        builds = []
+
+        def counting(keys, build=csr._build_key_hash):
+            builds.append(keys.size)
+            return build(keys)
+
+        monkeypatch.setattr(csr, "_build_key_hash", counting)
+        graph._bisected_queries = keys.size  # the next query builds
+        rng = np.random.default_rng(4)
+        sources, targets = rng.integers(0, graph.num_vertices, (2, 4, 4096))
+        expected = [
+            np.isin(sources[i] * graph.num_vertices + targets[i], keys)
+            for i in range(4)
+        ]
+        answers = [None] * 4
+        start = threading.Barrier(4)
+
+        def query(lane):
+            start.wait()
+            answers[lane] = graph.has_edges_batch(sources[lane], targets[lane])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=query, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert builds == [keys.size]
+        for answer, wanted in zip(answers, expected):
+            np.testing.assert_array_equal(answer, wanted)
+
+    @pytest.mark.parametrize("hashed", [False, True])
+    def test_a_pickled_graph_answers_queries(self, hashed):
+        rng = np.random.default_rng(5)
+        graph = from_arrays(90, rng.integers(0, 90, 700), rng.integers(0, 90, 700))
+        sources, targets = rng.integers(0, 90, (2, 256))
+        if hashed:
+            graph._bisected_queries = graph.num_edges
+        expected = graph.has_edges_batch(sources, targets)  # the lock exists now
+        twin = pickle.loads(pickle.dumps(graph))
+        assert twin._pid is None and (twin._key_hash is not None) == hashed
+        twin._bisected_queries = twin.num_edges  # the copy builds its own set
+        np.testing.assert_array_equal(twin.has_edges_batch(sources, targets), expected)
+
+    def test_a_forked_shard_answers_while_the_parent_holds_the_lock(self):
+        """Shards inherit the graph through fork; a lock held in the parent
+        at that moment has no holder in the child, which makes its own."""
+        graph = load_dataset("livejournal", scale=0.05)
+        config = WalkConfig(num_walkers=200, max_steps=10, seed=1, record_paths=True)
+        with graph._locked():
+            merged = run_parallel_walk(
+                graph, Node2Vec(p=2.0, q=0.5), config, num_workers=2, shard_timeout=60
+            )
+        expected = []
+        for shard in shard_config(config, graph, 2):
+            expected += WalkEngine(graph, Node2Vec(p=2.0, q=0.5), shard).run().paths
+        assert [p.tolist() for p in merged.paths] == [p.tolist() for p in expected]
 
 
 class TestValidateAndEquality:

@@ -27,6 +27,7 @@ import pytest
 from repro.algorithms import DeepWalk, UniformWalk
 from repro.core.config import WalkConfig
 from repro.core.stats import ServiceMetrics
+from repro.core.trace import token_dtype
 from repro.errors import WorkerError
 from repro.graph.builder import assign_random_weights
 from repro.graph.dynamic import DynamicGraph, generate_churn_batches
@@ -162,7 +163,8 @@ def test_soak_mixed_stream_exact_accounting():
         if result.paths is not None:
             assert all(len(p) >= 1 for p in result.paths)
             assert all(
-                isinstance(p, np.ndarray) and p.dtype == np.int64
+                isinstance(p, np.ndarray)
+                and p.dtype == token_dtype(graph.num_vertices, result.walk_lengths.size)
                 for p in result.paths
             )
 
