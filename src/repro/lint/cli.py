@@ -6,9 +6,8 @@ load; CI lint jobs shouldn't need a working numerical stack to check
 source hygiene).  :func:`run_lint` is the single entry point: it
 returns the process exit code — 0 on clean, 1 on any blocking finding,
 2 on operational errors (unparseable files, a malformed or reasonless
-suppression, a blown ``--flow-budget``) — so it composes with CI and
-pre-commit.  Both rule layers always run; there is no baseline, cache
-or second report format.
+suppression) — so it composes with CI and pre-commit.  Both rule
+layers always run; there is no baseline, cache or second report format.
 """
 
 from __future__ import annotations
@@ -41,11 +40,6 @@ def add_lint_arguments(parser) -> None:
         "--rules", action="store_true",
         help="print the rule catalog and exit",
     )
-    parser.add_argument(
-        "--flow-budget", type=float, default=None, metavar="SECONDS",
-        help="fail (exit 2) if the flow pass exceeds this wall-time "
-        "budget — CI's guard against analysis-time regressions",
-    )
 
 
 def run_lint(args, stdout=None) -> int:
@@ -62,14 +56,6 @@ def run_lint(args, stdout=None) -> int:
         print(f"lint error: {exc}", file=out)
         return 2
     print(report.format(), file=out)
-    budget = args.flow_budget
-    if budget is not None and report.flow_seconds > budget:
-        print(
-            f"FAILED: flow pass took {report.flow_seconds:.2f}s, over the "
-            f"{budget:.2f}s budget",
-            file=out,
-        )
-        return 2
     code = report.exit_code(strict=args.strict)
     if code:
         blocking = report.blocking(strict=args.strict)

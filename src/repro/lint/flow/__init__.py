@@ -11,10 +11,10 @@ stdlib-only interprocedural taint analysis:
    once, resolves import aliases project-wide (including relative
    imports and re-exports through ``__init__``), and records per-module
    symbol tables plus class hierarchies;
-2. :mod:`~repro.lint.flow.callgraph` resolves call sites — dotted
-   names, ``self.method()`` through the engine/cluster class
+2. :mod:`~repro.lint.flow.callgraph` resolves every call site once —
+   dotted names, ``self.method()`` through the engine/cluster class
    hierarchies, and locally-constructed instances — into graph edges;
-3. :mod:`~repro.lint.flow.taint` runs a fixed-point taint engine over
+3. :mod:`~repro.lint.flow.taint` runs a callee-first worklist over
    per-function summaries (which parameters reach which sinks, what
    the return value carries), so taint crosses any number of helper
    frames;

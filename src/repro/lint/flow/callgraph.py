@@ -15,10 +15,9 @@ codebase:
   ``engine.run()`` resolves; parameter type annotations
   (``graph: DynamicGraph``) feed the same map.
 
-:func:`build_call_graph` applies the resolver to every fact of every
-function and returns the edge set — used directly by tests and
-indirectly by the taint engine (which resolves lazily with the same
-logic so taint and edges can never disagree).
+:func:`build_call_graph` is the one place calls are resolved: once per
+call site, into a :class:`CallGraph` whose resolutions the taint engine
+follows and whose edges order its worklist, so the two never disagree.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from typing import Any
 
 from repro.lint.flow.index import ClassRef, ProjectIndex
 
-__all__ = ["CallResolver", "build_call_graph", "chain_of"]
+__all__ = ["CallGraph", "CallResolver", "build_call_graph", "chain_of"]
 
 
 def chain_of(expr: dict[str, Any]) -> tuple[str | None, list[str]]:
@@ -54,8 +53,7 @@ class CallResolver:
         types: dict[str, ClassRef] = {}
         module = self.index.modules.get(func["module"], {})
         if func.get("cls") and func["params"]:
-            ref = (func["module"], func["cls"])
-            types[func["params"][0]] = ref
+            types[func["params"][0]] = (func["module"], func["cls"])
         for param, annotation in func.get("annotations", {}).items():
             resolved = self.index.resolve(annotation)
             if resolved is not None and resolved[0] == "class":
@@ -99,7 +97,7 @@ class CallResolver:
         self,
         fn: dict[str, Any],
         func: dict[str, Any],
-        types: dict[str, ClassRef] | None = None,
+        types: dict[str, ClassRef],
     ):
         """Resolve a call-site fn expression.
 
@@ -112,11 +110,9 @@ class CallResolver:
         if fn.get("k") == "localfunc":
             return ("func", fn["id"], False)
         module = self.index.modules.get(func["module"], {})
-        types = types if types is not None else {}
         root, chain = chain_of(fn)
         if root is None:
             return None
-        local_names = self._local_names(func)
         if chain and root in types:
             # Method call on a typed local (incl. `self`): resolve the
             # full attribute chain through the class hierarchy.
@@ -125,25 +121,20 @@ class CallResolver:
                 if method is not None:
                     return ("func", method, True)
             return None
-        if root in local_names and root not in types:
+        if root in self._local_names(func) and root not in types:
             return None  # call through an untyped local variable
         target = self._resolve_dotted_fn(fn, module)
         if target is None:
             return None
         if target[0] == "func":
+            # A chain reaching here is `ClassName.method(obj, ...)` (typed
+            # receivers returned above): an explicit self argument.
             fn_rec = self.index.functions.get(target[1])
-            bound = bool(fn_rec and fn_rec.get("cls"))
-            if bound and chain and not self._is_instance_chain(root, types):
-                # `ClassName.method(obj, ...)`: explicit self argument.
-                bound = False
+            bound = bool(fn_rec and fn_rec.get("cls")) and not chain
             return ("func", target[1], bound)
         if target[0] == "class":
             return ("class", target[1])
         return None
-
-    @staticmethod
-    def _is_instance_chain(root: str, types: dict[str, ClassRef]) -> bool:
-        return root in types
 
     @staticmethod
     def _local_names(func: dict[str, Any]) -> set[str]:
@@ -155,42 +146,70 @@ class CallResolver:
         return names
 
 
-def _walk_exprs(expr: dict[str, Any]):
-    yield expr
-    kind = expr.get("k")
-    if kind == "call":
-        yield from _walk_exprs(expr["fn"])
-        for arg in expr["args"]:
-            yield from _walk_exprs(arg)
-        for _, value in expr["kws"]:
-            yield from _walk_exprs(value)
-    elif kind == "attr":
-        yield from _walk_exprs(expr["base"])
-    elif kind == "many":
-        for item in expr["items"]:
-            yield from _walk_exprs(item)
-
-
 def iter_fact_exprs(fact: dict[str, Any]):
-    """Every IR expression reachable from one fact."""
-    for key in ("value", "base"):
-        sub = fact.get(key)
-        if isinstance(sub, dict):
-            yield from _walk_exprs(sub)
+    """Every IR expression reachable from one fact (iteratively)."""
+    stack = [fact[key] for key in ("value", "base")
+             if isinstance(fact.get(key), dict)]
+    while stack:
+        expr = stack.pop()
+        yield expr
+        kind = expr.get("k")
+        if kind == "call":
+            stack += [expr["fn"], *expr["args"], *(v for _, v in expr["kws"])]
+        elif kind == "attr":
+            stack.append(expr["base"])
+        elif kind == "many":
+            stack += expr["items"]
 
 
-def build_call_graph(index: ProjectIndex) -> dict[str, set[str]]:
-    """caller function id → set of resolved callee function ids."""
+class CallGraph:
+    """``sites``: ``id(call["fn"])`` → that call's resolution; ``types``:
+    each function's local types; ``graph[caller]``: its callee ids (a
+    constructor call counts its class's ``__init__``)."""
+
+    def __init__(self) -> None:
+        self.edges: dict[str, set[str]] = {}
+        self.sites: dict[int, Any] = {}
+        self.types: dict[str, dict[str, ClassRef]] = {}
+
+    def __getitem__(self, func_id: str) -> set[str]:
+        return self.edges[func_id]
+
+    def callee_first(self) -> list[str]:
+        """Every function in DFS post-order of the edges, roots sorted.
+
+        Iterative (no recursion limit); a cycle is cut where the walk
+        re-enters it."""
+        order: list[str] = []
+        seen: set[str] = set()
+        stack: list = [(None, iter(sorted(self.edges)))]
+        while stack:
+            func_id, callees = stack[-1]
+            for callee in callees:
+                if callee not in seen and callee in self.edges:
+                    seen.add(callee)
+                    stack.append((callee, iter(sorted(self.edges[callee]))))
+                    break
+            else:
+                stack.pop()
+                if func_id is not None:
+                    order.append(func_id)
+        return order
+
+
+def build_call_graph(index: ProjectIndex) -> CallGraph:
+    """Resolve every call site of every function once."""
     resolver = CallResolver(index)
-    edges: dict[str, set[str]] = {}
+    graph = CallGraph()
     for func_id, func in index.functions.items():
-        types = resolver.local_types(func)
+        types = graph.types[func_id] = resolver.local_types(func)
         out: set[str] = set()
         for fact in func["facts"]:
             for expr in iter_fact_exprs(fact):
-                if expr.get("k") != "call":
+                if expr.get("k") != "call" or id(expr["fn"]) in graph.sites:
                     continue
                 resolved = resolver.resolve_call(expr["fn"], func, types)
+                graph.sites[id(expr["fn"])] = resolved
                 if resolved is None:
                     continue
                 if resolved[0] == "func":
@@ -199,5 +218,5 @@ def build_call_graph(index: ProjectIndex) -> dict[str, set[str]]:
                     init = index.find_method(resolved[1], "__init__")
                     if init is not None:
                         out.add(init)
-        edges[func_id] = out
-    return edges
+        graph.edges[func_id] = out
+    return graph

@@ -328,11 +328,7 @@ class _FunctionLowerer:
             self._store_target(node.target, iter_expr, node.lineno)
             self.lower(node.body)
             self.lower(node.orelse)
-        elif isinstance(node, ast.While):
-            self.facts.append({"f": "expr", "value": self.expr(node.test)})
-            self.lower(node.body)
-            self.lower(node.orelse)
-        elif isinstance(node, ast.If):
+        elif isinstance(node, (ast.While, ast.If)):
             self.facts.append({"f": "expr", "value": self.expr(node.test)})
             self.lower(node.body)
             self.lower(node.orelse)

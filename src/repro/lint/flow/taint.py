@@ -1,4 +1,4 @@
-"""Fixed-point interprocedural taint engine over function summaries.
+"""Worklist interprocedural taint engine over function summaries.
 
 Labels are either ``"P<i>"`` (flows from the function's i-th
 parameter) or ``("SRC", rel_path, line)`` (created by a rule source at
@@ -8,25 +8,32 @@ that location).  Every function gets a summary:
 * ``param_sinks`` — ``(param index, sink site)`` pairs: a value
   flowing into that parameter reaches that sink somewhere below.
 
-Summaries reference callee summaries, so the engine iterates all
-functions to a global fixed point (the lattice is finite and all
-transfer functions are monotone — taint sets only grow).  A two-frame
-helper chain needs two propagation rounds: round one learns that
-``helper2`` forwards its parameter into a sink, round two that
-``helper1`` forwards into ``helper2``, after which the call site in
-the walker context reports with the full source location attached.
+Summaries reference callee summaries, so functions are passed from a
+worklist ranked callees first: a helper chain of any depth settles in
+one pass per frame.  A changed summary re-queues the function's
+callers; a class-attribute or global store that changes the stored
+taint re-queues the functions recorded reading that key (exact: whether
+a pass looks a key up depends on the names a function binds, never on
+taint).  Each function keeps the hits of its last pass.
 
-Within a function the analysis is flow-insensitive (facts iterate to a
-local fixed point), which soundly over-approximates loops and
-reassignment at lint-grade precision.
+No round cap is needed.  A new summary is joined with the previous one
+*before* its source labels are cut to the ``_MAX_SRC_LABELS`` smallest,
+so it is the cut of the union of all its passes, and stored attribute
+and global taint only grow: every stored value follows a set that only
+grows within the finite set of labels, so it changes finitely often.
+
+Within a function the analysis is flow-insensitive: its facts iterate
+to a local fixed point (env and return sets only grow), which soundly
+over-approximates loops and reassignment at lint-grade precision.
 """
 
 from __future__ import annotations
 
-from typing import Any
+import heapq
+from typing import Any, Iterable
 
 from repro.lint.findings import Finding
-from repro.lint.flow.callgraph import CallResolver, chain_of
+from repro.lint.flow.callgraph import CallGraph, build_call_graph, chain_of
 from repro.lint.flow.index import ProjectIndex
 from repro.lint.flow.specs import (
     CONTAINER_MUTATORS,
@@ -41,8 +48,6 @@ Label = Any  # "P<i>" | ("SRC", rel_path, line)
 Site = tuple[str, str, int, int, str]  # path, rel_path, line, col, kind
 
 _MAX_SRC_LABELS = 6
-_MAX_GLOBAL_ROUNDS = 40
-_MAX_LOCAL_ROUNDS = 4
 
 
 def _srcs(labels: set[Label]) -> frozenset[Label]:
@@ -66,52 +71,69 @@ class _Out:
 
 
 class TaintAnalysis:
-    """Run one :class:`FlowSpec` over a :class:`ProjectIndex`."""
+    """Run one :class:`FlowSpec` over a :class:`ProjectIndex` and its
+    :class:`CallGraph` (built once, shared by every spec)."""
 
-    def __init__(
-        self,
-        index: ProjectIndex,
-        spec: FlowSpec,
-        resolver: CallResolver | None = None,
-        types_cache: dict[str, dict] | None = None,
-    ) -> None:
+    def __init__(self, index: ProjectIndex, spec: FlowSpec, graph: CallGraph) -> None:
         self.index = index
         self.spec = spec
-        self.resolver = resolver if resolver is not None else CallResolver(index)
-        if types_cache is None:
-            types_cache = {
-                fid: self.resolver.local_types(fn)
-                for fid, fn in index.functions.items()
-            }
-        self.types = types_cache
+        self.graph = graph
         empty: tuple[frozenset, frozenset] = (frozenset(), frozenset())
         self.summaries: dict[str, tuple[frozenset, frozenset]] = {
             fid: empty for fid in index.functions
         }
         self.class_attrs: dict[tuple[str, str, str], frozenset] = {}
         self.globals_taint: dict[tuple[str, str], frozenset] = {}
+        self._readers: dict[tuple, set[str]] = {}
         self._scope: dict[str, bool] = {}
-        self._changed = False
+        self._order = self.graph.callee_first()
+        self._rank = {fid: i for i, fid in enumerate(self._order)}
+        self._queue = list(range(len(self._order)))  # ascending: a heap
+        self._queued = set(self._order)
 
     # ------------------------------------------------------------------
     def run(self) -> list[Finding]:
-        order = sorted(self.index.functions)
+        callers: dict[str, list[str]] = {}
+        for caller, callees in self.graph.edges.items():
+            for callee in callees:
+                callers.setdefault(callee, []).append(caller)
+        hits_of: dict[str, dict[Site, set[Label]]] = {}
+        while self._queue:
+            fid = self._order[heapq.heappop(self._queue)]
+            self._queued.discard(fid)
+            out = _Out()
+            ret = self._pass(self.index.functions[fid], out)
+            hits_of[fid] = out.hits
+            old_ret, old_psinks = self.summaries[fid]
+            ret |= old_ret
+            params = frozenset(lb for lb in ret if isinstance(lb, str))
+            summary = (params | _srcs(ret), old_psinks | out.psinks)
+            if summary != self.summaries[fid]:
+                self.summaries[fid] = summary
+                self._requeue(callers.get(fid, ()))
         hits: dict[Site, set[Label]] = {}
-        for _ in range(_MAX_GLOBAL_ROUNDS):
-            self._changed = False
-            hits = {}
-            for fid in order:
-                func = self.index.functions[fid]
-                out = _Out()
-                ret, psinks = self._pass(func, out)
-                if (ret, psinks) != self.summaries[fid]:
-                    self.summaries[fid] = (ret, psinks)
-                    self._changed = True
-                for site, labels in out.hits.items():
-                    hits.setdefault(site, set()).update(labels)
-            if not self._changed:
-                break
+        for func_hits in hits_of.values():
+            for site, labels in func_hits.items():
+                hits.setdefault(site, set()).update(labels)
         return self._findings(hits)
+
+    def _requeue(self, func_ids: Iterable[str]) -> None:
+        for fid in func_ids:
+            if fid not in self._queued:
+                self._queued.add(fid)
+                heapq.heappush(self._queue, self._rank[fid])
+
+    def _read(self, table: dict, key: tuple, func: dict) -> frozenset:
+        """``table[key]``, recording *func* as a reader of *key*."""
+        self._readers.setdefault(key, set()).add(func["id"])
+        return table.get(key, frozenset())
+
+    def _write(self, table: dict, key: tuple, labels: set[Label]) -> None:
+        """Join *labels* into ``table[key]``; re-queue its readers if it grew."""
+        merged = table.get(key, frozenset()) | _srcs(labels)
+        if merged != table.get(key, frozenset()):
+            table[key] = merged
+            self._requeue(self._readers.get(key, ()))
 
     def _findings(self, hits: dict[Site, set[Label]]) -> list[Finding]:
         findings: list[Finding] = []
@@ -140,31 +162,20 @@ class TaintAnalysis:
         return findings
 
     # ------------------------------------------------------------------
-    def _pass(self, func: dict, out: _Out):
+    def _pass(self, func: dict, out: _Out) -> set[Label]:
         params = list(func["params"]) + list(func.get("kwonly", ()))
         env: dict[str, set[Label]] = {
             name: {f"P{i}"} for i, name in enumerate(params)
         }
         ret: set[Label] = set()
-        for _ in range(_MAX_LOCAL_ROUNDS):
-            before = {name: len(labels) for name, labels in env.items()}
-            ret_before = len(ret)
+        while True:
+            # Names and labels are only ever added, so an unchanged
+            # total means an unchanged env.
+            before = len(env) + sum(map(len, env.values())) + len(ret)
             for fact in func["facts"]:
                 self._fact(fact, func, env, ret, out)
-            if (
-                len(ret) == ret_before
-                and all(
-                    len(env[name]) == count
-                    for name, count in before.items()
-                )
-                and len(env) == len(before)
-            ):
-                break
-        psinks = frozenset(out.psinks)
-        ret_labels = frozenset(
-            lb for lb in ret if isinstance(lb, str)
-        ) | _srcs(ret)
-        return ret_labels, psinks
+            if len(env) + sum(map(len, env.values())) + len(ret) == before:
+                return ret
 
     # ------------------------------------------------------------------
     def _fact(self, fact: dict, func: dict, env, ret: set[Label],
@@ -181,10 +192,7 @@ class TaintAnalysis:
             self._expr(fact["base"], func, env, out)
             if fact["self"] and func.get("cls"):
                 key = (func["module"], func["cls"], fact["attr"])
-                merged = self.class_attrs.get(key, frozenset()) | _srcs(labels)
-                if merged != self.class_attrs.get(key, frozenset()):
-                    self.class_attrs[key] = merged
-                    self._changed = True
+                self._write(self.class_attrs, key, labels)
             if labels and spec.escape_sinks and self._applies(rel_path):
                 site = (func_path(self.index, func), rel_path,
                         fact["line"], fact["col"], "escape")
@@ -192,10 +200,7 @@ class TaintAnalysis:
         elif kind == "globalstore":
             labels = self._expr(fact["value"], func, env, out)
             key = (func["module"], fact["name"])
-            merged = self.globals_taint.get(key, frozenset()) | _srcs(labels)
-            if merged != self.globals_taint.get(key, frozenset()):
-                self.globals_taint[key] = merged
-                self._changed = True
+            self._write(self.globals_taint, key, labels)
             if labels and spec.escape_sinks and self._applies(rel_path):
                 site = (func_path(self.index, func), rel_path,
                         fact["line"], fact["col"], "escape")
@@ -272,12 +277,12 @@ class TaintAnalysis:
         if name not in env:
             module = self.index.modules.get(func["module"], {})
             key = (func["module"], name)
-            labels |= self.globals_taint.get(key, frozenset())
+            labels |= self._read(self.globals_taint, key, func)
             alias = module.get("aliases", {}).get(name)
             if alias is not None:
                 resolved = self.index.resolve(alias)
                 if resolved is not None and resolved[0] == "global":
-                    labels |= self.globals_taint.get(resolved[1], frozenset())
+                    labels |= self._read(self.globals_taint, resolved[1], func)
         return labels
 
     def _attr_labels(self, expr: dict, func: dict, env, out: _Out):
@@ -292,7 +297,7 @@ class TaintAnalysis:
         ):
             for ref in self.index.class_mro((func["module"], func["cls"])):
                 key = (ref[0], ref[1], expr["attr"])
-                labels |= self.class_attrs.get(key, frozenset())
+                labels |= self._read(self.class_attrs, key, func)
         # Fully dotted chains may name a tainted module global.
         root, chain = chain_of(expr)
         if root is not None and root not in env:
@@ -302,7 +307,7 @@ class TaintAnalysis:
             )
             resolved = self.index.resolve(dotted)
             if resolved is not None and resolved[0] == "global":
-                labels |= self.globals_taint.get(resolved[1], frozenset())
+                labels |= self._read(self.globals_taint, resolved[1], func)
         base_labels = self._expr(base, func, env, out)
         if (
             base_labels
@@ -347,9 +352,7 @@ class TaintAnalysis:
         if dotted is not None and dotted in spec.sanitize_calls:
             return set()
 
-        resolved = self.resolver.resolve_call(
-            fn, func, self.types.get(func["id"], {})
-        )
+        resolved = self.graph.sites.get(id(fn))
         if resolved is not None and resolved[0] == "func":
             result = self._apply_summary(
                 resolved[1], bool(resolved[2]), arg_labels, kw_labels,
@@ -465,7 +468,7 @@ class TaintAnalysis:
         parts = [p.lower() for p in [root, *chain] if p != "self"]
         if any("pool" in p or "executor" in p for p in parts):
             return True
-        types = self.types.get(func["id"], {})
+        types = self.graph.types.get(func["id"], {})
         ref = types.get(root)
         if ref is not None and not chain:
             name = ref[1].lower()
@@ -564,15 +567,10 @@ def func_path(index: ProjectIndex, func: dict) -> str:
 def run_flow_rules(
     index: ProjectIndex, specs: tuple[FlowSpec, ...]
 ) -> list[Finding]:
-    """Run every flow rule over one shared index; findings sorted."""
-    resolver = CallResolver(index)
-    types_cache = {
-        fid: resolver.local_types(fn) for fid, fn in index.functions.items()
-    }
+    """Run every flow rule over one shared call graph; findings sorted."""
+    graph = build_call_graph(index)
     findings: list[Finding] = []
     for spec in specs:
-        analysis = TaintAnalysis(index, spec, resolver=resolver,
-                                 types_cache=types_cache)
-        findings.extend(analysis.run())
+        findings.extend(TaintAnalysis(index, spec, graph).run())
     findings.sort(key=lambda f: (f.path, f.line, f.column, f.rule_id))
     return findings
