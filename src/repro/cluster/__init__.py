@@ -32,19 +32,19 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "FaultPlan",
         "FaultPlane",
         "FlakyLink",
+        "MAX_DELIVERY_ATTEMPTS",
         "MessageFaults",
         "NodeCrash",
         "NodeSlowdown",
         "random_degraded_plan",
         "random_fault_plan",
     ),
-    health=("HealthMonitor", "HealthPolicy", "HealthStats"),
+    health=("HealthMonitor", "HealthStats"),
     network=("LinkTimers", "MessageKind", "Network"),
     recovery=("RecoveryStats",),
     scheduler=(
         "LIGHT_MODE_THREADS",
         "LIGHT_MODE_THRESHOLD",
-        "RetryPolicy",
         "StragglerPolicy",
         "ThreadPolicy",
         "WalkerRebalancer",

@@ -46,7 +46,7 @@ import numpy as np
 
 from repro.cluster.cost_model import CostModel, NodeWork
 from repro.cluster.faults import DeliveryStats, FaultPlan, FaultPlane, NodeCrash
-from repro.cluster.health import HealthMonitor, HealthPolicy, HealthStats
+from repro.cluster.health import HealthMonitor, HealthStats
 from repro.cluster.network import MessageKind, Network
 from repro.cluster.recovery import (
     ClusterCheckpoint,
@@ -55,16 +55,11 @@ from repro.cluster.recovery import (
     reassign_dead_vertices,
     restore_cluster_state,
 )
-from repro.cluster.scheduler import (
-    RetryPolicy,
-    StragglerPolicy,
-    ThreadPolicy,
-    WalkerRebalancer,
-)
+from repro.cluster.scheduler import StragglerPolicy, ThreadPolicy, WalkerRebalancer
 from repro.core.config import WalkConfig
 from repro.core.engine import WalkEngine, WalkResult
 from repro.core.program import WalkerProgram
-from repro.errors import FaultError, NodeCrashError, ProgramError
+from repro.errors import FaultError, NodeCrashError, ProgramError, SnapshotError
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import ContiguousPartition, partition_graph
 from repro.obs.counted import Counted, counter, group, series, state
@@ -83,6 +78,10 @@ __all__ = [
 # pays checkpoint cost often; the INTERNALS.md section discusses the
 # trade-off.
 DEFAULT_CHECKPOINT_INTERVAL = 8
+
+# Checkpoint-file key prefix of the in-memory recovery point: its run
+# state, key by key, and the iteration it was captured at.
+_RECOVERY = "recovery_"
 
 
 def _per_node(help_text: str, export: str):
@@ -172,12 +171,13 @@ class ClusterStats(Counted, prefix="cluster"):
                 f"{self.network.local_deliveries()} local deliveries"
             )
         if self.delivery is not None:
+            total = self.delivery.total()
             lines.append(
-                f"delivery: {self.delivery.retransmissions} retransmissions, "
-                f"{self.delivery.dedups} dedups "
-                f"(injected: {self.delivery.drops} drops, "
-                f"{self.delivery.duplicates} duplicates, "
-                f"{self.delivery.delays} delays)"
+                f"delivery: {total.retransmissions} retransmissions, "
+                f"{total.dedups} dedups "
+                f"(injected: {total.drops} drops, "
+                f"{total.duplicates} duplicates, "
+                f"{total.delays} delays)"
             )
         if self.health is not None:
             lines.extend(self.health.report_lines())
@@ -243,15 +243,11 @@ class DistributedWalkEngine(WalkEngine):
     fault_plan:
         seeded fault injection (crashes + message faults); ``None``
         simulates a healthy cluster with zero overhead.
-    retry_policy:
-        timeout/backoff configuration of the reliable-delivery layer
-        (only meaningful with a fault plan).
     checkpoint_every:
         recovery-checkpoint cadence K in supersteps.  ``None`` picks
-        :data:`DEFAULT_CHECKPOINT_INTERVAL` when a fault plan is given
-        (falling back to ``config.checkpoint_every`` if set); ``0``
-        disables checkpointing — a node crash then aborts the run with
-        :class:`~repro.errors.NodeCrashError`.
+        :data:`DEFAULT_CHECKPOINT_INTERVAL` when a fault plan is given;
+        ``0`` disables checkpointing — a node crash then aborts the run
+        with :class:`~repro.errors.NodeCrashError`.
     degrade_on_crash:
         how to treat a crash with ``restart=False``: re-partition the
         dead node's vertices across survivors and continue (True), or
@@ -262,10 +258,6 @@ class DistributedWalkEngine(WalkEngine):
         fault plan degrades nodes or links, and disables the machinery
         otherwise — healthy runs and pure crash/message-fault runs are
         numerically unchanged.
-    health_policy:
-        failure-detector thresholds (see
-        :class:`~repro.cluster.health.HealthPolicy`); only meaningful
-        when the health monitor is active.
     """
 
     def __init__(
@@ -280,11 +272,9 @@ class DistributedWalkEngine(WalkEngine):
         validate_bounds: bool = False,
         fuse_trials: bool = True,
         fault_plan: FaultPlan | None = None,
-        retry_policy: RetryPolicy | None = None,
         checkpoint_every: int | None = None,
         degrade_on_crash: bool = False,
         straggler_policy: StragglerPolicy | None = None,
-        health_policy: HealthPolicy | None = None,
     ) -> None:
         if not program.supports_batch:
             # The per-node compute and its work accounting run on the
@@ -314,13 +304,9 @@ class DistributedWalkEngine(WalkEngine):
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.fault_plan = fault_plan
         self.fault_plane = (
-            FaultPlane(fault_plan, num_nodes, retry_policy)
-            if fault_plan is not None
-            else None
+            FaultPlane(fault_plan, num_nodes) if fault_plan is not None else None
         )
         self.network = Network(num_nodes, fault_plane=self.fault_plane)
-        if checkpoint_every is None:
-            checkpoint_every = self.config.checkpoint_every
         if checkpoint_every is None and fault_plan is not None:
             checkpoint_every = DEFAULT_CHECKPOINT_INTERVAL
         # 0 (or None) means no checkpoints are ever taken.
@@ -345,9 +331,10 @@ class DistributedWalkEngine(WalkEngine):
         self.straggler_policy = (
             straggler_policy if straggler_policy is not None else StragglerPolicy()
         )
-        self.health = (
-            HealthMonitor(num_nodes, health_policy) if monitor_on else None
-        )
+        self.health = HealthMonitor(num_nodes) if monitor_on else None
+        # The heartbeat only reads the bill; speculation and rebalancing
+        # change it or the owner table, so they stay engine steps.
+        self.observe(self.health)
         self.rebalancer = (
             WalkerRebalancer(num_nodes, self.cost_model, self.straggler_policy)
             if monitor_on and self.straggler_policy.rebalance
@@ -399,6 +386,83 @@ class DistributedWalkEngine(WalkEngine):
         super().load_state_arrays(arrays)
         self.cluster.unpack(arrays["cluster_scalars"])
         self.network.load_arrays(arrays)
+
+    def checkpoint_arrays(self) -> dict[str, np.ndarray]:
+        """The run state plus the physical truths a rollback never
+        touches — liveness, owner table, superstep times, degraded
+        nodes, the fault plane's, monitor's and rebalancer's state —
+        and the recovery point a later crash replays from."""
+        cluster = self.cluster
+        arrays = {
+            **super().checkpoint_arrays(),
+            "cluster_num_nodes": np.asarray([self.num_nodes], dtype=np.int64),
+            "cluster_alive_nodes": self._alive_nodes,
+            "cluster_owner_lookup": self._owner_table,
+            "cluster_executed_supersteps": np.asarray(
+                [self._executed_supersteps], dtype=np.int64
+            ),
+            "cluster_superstep_times": np.asarray(
+                cluster.superstep_times, dtype=np.float64
+            ),
+            "cluster_degraded_nodes": np.asarray(
+                cluster.recovery.degraded_nodes, dtype=np.int64
+            ),
+        }
+        for part in (self.fault_plane, self.health, self.rebalancer):
+            if part is not None:
+                arrays.update(part.state_arrays())
+        if self._checkpoint is not None:
+            point = self._checkpoint
+            for key, value in point.state.items():
+                arrays[_RECOVERY + key] = value
+            arrays[_RECOVERY + "iterations"] = np.asarray([point.iterations], np.int64)
+        return arrays
+
+    def load_checkpoint_arrays(self, data: dict[str, np.ndarray]) -> None:
+        # A file without a recovery point takes a fresh one on resume.
+        if self.checkpoint_every is not None and _RECOVERY + "iterations" in data:
+            point = ClusterCheckpoint(
+                iterations=int(data[_RECOVERY + "iterations"][0]),
+                state={key: data[_RECOVERY + key] for key in self.state_arrays()},
+            )
+            # Loaded once now, so a malformed one fails here rather than
+            # at the crash that needs it; the run state overwrites it.
+            self.load_state_arrays(point.state)
+            self._checkpoint = point
+        super().load_checkpoint_arrays(data)
+        cluster = self.cluster
+        self._alive_nodes[:] = data["cluster_alive_nodes"]
+        self._executed_supersteps = int(data["cluster_executed_supersteps"][0])
+        cluster.superstep_times[:] = data["cluster_superstep_times"].tolist()
+        cluster.recovery.degraded_nodes = data["cluster_degraded_nodes"].tolist()
+        # Without the key the partition's own table stands — what a
+        # run that never re-homed a vertex would have saved.
+        self._owner_table[:] = self._checked_owner_table(
+            data.get("cluster_owner_lookup", self._owner_table)
+        )
+        for part, key in (
+            (self.fault_plane, "fault_rng_state"),
+            (self.health, "health_ewma"),
+            (self.rebalancer, "rebalance_nodes"),
+        ):
+            if part is not None and key in data:
+                part.load_arrays(data)
+
+    def _checked_owner_table(self, table: np.ndarray) -> np.ndarray:
+        """``table`` if it can be this graph's and the restored cluster's
+        owner table, else :class:`SnapshotError` — its values index the
+        per-node accounting arrays and become message endpoints."""
+        if table.shape != self._owner_table.shape or table.dtype.kind not in "iu":
+            raise SnapshotError("checkpoint owner table does not match the graph")
+        if table.size and not (0 <= table.min() and table.max() < self.num_nodes):
+            raise SnapshotError(
+                f"checkpoint owner table names nodes outside [0, {self.num_nodes})"
+            )
+        if not self._alive_nodes[table].all():
+            raise SnapshotError(
+                "checkpoint owner table assigns vertices to a dead node"
+            )
+        return table
 
     def _result(self, status: str) -> DistributedWalkResult:
         return DistributedWalkResult(
@@ -556,18 +620,14 @@ class DistributedWalkEngine(WalkEngine):
             threads.append(node_threads)
             times.append(node_time)
         times = np.asarray(times, dtype=np.float64)
-        if self.health is not None:
-            # Heartbeats are the *raw* stretched times: suspicion must
-            # keep tracking a node's intrinsic slowness even while
-            # speculation masks it at the barrier.
-            heartbeat = np.zeros(self.num_nodes, dtype=np.float64)
-            heartbeat[node_ids] = times
-            effective = self._speculate(
-                node_ids, works, threads, times, active_per_node, factors
-            )
-            self.health.observe(heartbeat, self._alive_nodes)
-        else:
-            effective = times
+        # The bill keeps the *raw* stretched times — the monitor's
+        # heartbeat: suspicion must keep tracking a node's intrinsic
+        # slowness even while speculation masks it at the barrier.
+        effective = (
+            self._speculate(node_ids, works, threads, times, active_per_node, factors)
+            if self.health is not None
+            else times
+        )
         barrier = float(effective.max()) if effective.size else 0.0
         self.cluster.superstep_times.append(barrier + retry_latency)
         self._executed_supersteps += 1
@@ -607,8 +667,8 @@ class DistributedWalkEngine(WalkEngine):
         otherwise the run aborts.
         """
         node = crash.node
-        if node >= self.num_nodes or not self._alive_nodes[node]:
-            return  # nothing left to kill
+        if not self._alive_nodes[node]:
+            return  # already dead: nothing left to kill
         recovery = self.cluster.recovery
         recovery.crashes += 1
         if self._checkpoint is None:
@@ -701,30 +761,26 @@ class DistributedWalkEngine(WalkEngine):
         return effective
 
     def _rebalance_walkers(self) -> None:
-        """Migrate queued walkers off suspected nodes, and restore the
-        homes of nodes whose suspicion cleared at the last barrier.
-
-        Re-homing rewrites the same owner table degraded-mode crash
-        recovery does, so work accounting and message endpoints follow
-        the migration while the walk RNG stream is untouched: the walk
-        itself stays bit-identical to the healthy run.
-        """
+        """Move the homes of nodes whose suspicion cleared at the last
+        barrier back to them, then migrate queued walkers off suspected
+        nodes."""
         monitor = self.health
+        stats = monitor.stats
         for node in monitor.newly_cleared():
-            self._restore_rebalanced(node)
+            moved_vertices = self.rebalancer.take_restorable(node)
+            if moved_vertices.size and self._alive_nodes[node]:
+                stats.restored_walkers += self._rehome(moved_vertices, node)
         if not monitor.any_suspected:
             return
         active = self.walkers.active_ids()
         if active.size == 0:
             return
         vertices = self.walkers.current[active]
-        owners = self._owner_table[vertices]
-        stats = monitor.stats
         for node in np.flatnonzero(monitor.suspected & self._alive_nodes):
             plan = self.rebalancer.plan(
                 int(node),
                 vertices,
-                owners,
+                self._owner_table[vertices],
                 monitor.ewma,
                 monitor.suspected,
                 self._alive_nodes,
@@ -732,30 +788,28 @@ class DistributedWalkEngine(WalkEngine):
             if plan is None:
                 continue
             moved_vertices, targets, moved_walkers = plan
-            self._owner_table[moved_vertices] = targets
             self.rebalancer.record(int(node), moved_vertices)
-            # Each re-homed walker is one real migration message.
-            on_moved = np.isin(vertices, moved_vertices)
-            walker_targets = self._owner_table[vertices[on_moved]]
-            self._migrate(np.full_like(walker_targets, node), walker_targets)
+            self._rehome(moved_vertices, targets)
             stats.rebalances += 1
             stats.migrated_walkers += moved_walkers
-            # Keep this superstep's view consistent for later suspects.
-            owners[on_moved] = walker_targets
 
-    def _restore_rebalanced(self, node: int) -> None:
-        """Move a recovered node's re-homed vertices back to it."""
-        moved_vertices = self.rebalancer.take_restorable(node)
-        if moved_vertices.size == 0 or not self._alive_nodes[node]:
-            return
-        active = self.walkers.active_ids()
-        if active.size:
-            vertices = self.walkers.current[active]
-            on_moved = np.isin(vertices, moved_vertices)
-            walker_sources = self._owner_table[vertices[on_moved]]
-            self._migrate(walker_sources, np.full_like(walker_sources, node))
-            self.health.stats.restored_walkers += int(walker_sources.size)
-        self._owner_table[moved_vertices] = node
+    def _rehome(self, vertices: np.ndarray, owners) -> int:
+        """Give ``vertices`` new owners (one node, or one per vertex).
+
+        Each active walker standing on one is one real migration
+        message, old owner to new; returns how many there were.  This
+        rewrites the same owner table degraded-mode crash recovery
+        does, so work accounting and message endpoints follow while
+        the walk RNG stream is untouched: the walk itself stays
+        bit-identical to the healthy run.
+        """
+        current = self.walkers.current[self.walkers.active_ids()]
+        standing = current[np.isin(current, vertices)]
+        sources = self._owner_table[standing]
+        self._owner_table[vertices] = owners
+        if current.size:
+            self._migrate(sources, self._owner_table[standing])
+        return int(standing.size)
 
     # ------------------------------------------------------------------
     def _main_dynamic_comp(

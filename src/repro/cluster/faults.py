@@ -12,10 +12,10 @@ and layers the protocol that real deployments need on top:
   :class:`~repro.cluster.network.Network`.  Every remote message batch
   is pushed through a sequence-numbered, acknowledged delivery
   simulation with superstep-bounded timeouts and capped
-  exponential-backoff retransmission
-  (:class:`~repro.cluster.scheduler.RetryPolicy`); the receiver
-  discards duplicate sequence numbers, so walker migration stays
-  exactly-once no matter what the network does.
+  exponential-backoff retransmission, at most
+  :data:`MAX_DELIVERY_ATTEMPTS` transmissions per message; the
+  receiver discards duplicate sequence numbers, so walker migration
+  stays exactly-once no matter what the network does.
 
 Fault randomness comes from its own stream (derived from the plan
 seed), never from the engine's walk RNG — so a faulty run samples the
@@ -43,7 +43,8 @@ to, because every superstep waits for the slowest node:
   drop/delay rates and a stretched round-trip time.
 
 Delivery runs on **adaptive per-link retransmission timeouts**
-(:class:`~repro.cluster.network.LinkTimers`): each directed link keeps
+(:class:`~repro.cluster.network.LinkTimers`, tuned by that module's
+constants): each directed link keeps
 a Jacobson/Karels (srtt, rttvar) estimate of its delivery latency, and
 a *delay* fault provokes a spurious retransmission only while the
 link's RTO is still below the late packet's landing time — once the
@@ -64,8 +65,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.cluster.network import LinkTimers, MessageKind
-from repro.cluster.scheduler import RetryPolicy
+from repro.cluster.network import BASE_RTT, LinkTimers, MessageKind
 from repro.errors import ClusterError, MessageTimeoutError, SnapshotError
 from repro.obs.counted import Counted, counter
 from repro.sampling.rng import derive_rng, restore_rng_words, rng_state_words
@@ -82,11 +82,16 @@ __all__ = [
     "random_fault_plan",
     "random_degraded_plan",
     "DELAY_LATENCY_MULTIPLIER",
+    "MAX_DELIVERY_ATTEMPTS",
 ]
 
 # A delayed packet lands this many link-latencies after it was sent;
 # the sender retransmits spuriously iff its adaptive RTO is shorter.
 DELAY_LATENCY_MULTIPLIER = 4.0
+# Transmissions allowed per message, first send included; exhausting
+# them raises MessageTimeoutError.  Below a drop rate of 1 the budget is
+# effectively unreachable.
+MAX_DELIVERY_ATTEMPTS = 16
 
 
 @dataclass(frozen=True)
@@ -324,34 +329,6 @@ class DeliveryStats:
             total.merge(counters)
         return total
 
-    @property
-    def retransmissions(self) -> int:
-        return self.total().retransmissions
-
-    @property
-    def dedups(self) -> int:
-        return self.total().dedups
-
-    @property
-    def drops(self) -> int:
-        return self.total().drops
-
-    @property
-    def duplicates(self) -> int:
-        return self.total().duplicates
-
-    @property
-    def delays(self) -> int:
-        return self.total().delays
-
-    @property
-    def accepts(self) -> int:
-        return self.total().accepts
-
-    @property
-    def logical(self) -> int:
-        return self.total().logical
-
     def check_conservation(self) -> None:
         for counters in self.per_kind.values():
             counters.check_conservation()
@@ -387,31 +364,22 @@ class FaultPlane:
     robustness has a measurable price.
     """
 
-    def __init__(
-        self,
-        plan: FaultPlan,
-        num_nodes: int,
-        retry_policy: RetryPolicy | None = None,
-        timers: LinkTimers | None = None,
-    ) -> None:
+    def __init__(self, plan: FaultPlan, num_nodes: int) -> None:
         if num_nodes <= 0:
             raise ClusterError("a cluster needs at least one node")
-        for slowdown in plan.slowdowns:
-            if slowdown.node >= num_nodes:
-                raise ClusterError(
-                    f"slowdown node {slowdown.node} outside cluster of "
-                    f"{num_nodes} nodes"
-                )
-        for link in plan.flaky_links:
-            if max(link.a, link.b) >= num_nodes:
-                raise ClusterError(
-                    f"flaky link ({link.a}, {link.b}) outside cluster of "
-                    f"{num_nodes} nodes"
-                )
+        # A fault on a node the cluster does not have would never fire.
+        named = (
+            [(f"crash node {c.node} (superstep {c.superstep})", c.node)
+             for c in plan.crashes]
+            + [(f"slowdown node {s.node}", s.node) for s in plan.slowdowns]
+            + [(f"flaky link ({f.a}, {f.b})", max(f.a, f.b)) for f in plan.flaky_links]
+        )
+        for what, node in named:
+            if node >= num_nodes:
+                raise ClusterError(f"{what} outside cluster of {num_nodes} nodes")
         self.plan = plan
         self.num_nodes = num_nodes
-        self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
-        self.timers = timers if timers is not None else LinkTimers(num_nodes)
+        self.timers = LinkTimers(num_nodes)
         self.stats = DeliveryStats()
         self._rng = derive_rng(plan.seed, 0xFA117)
         self._triggered: set[int] = set()
@@ -493,7 +461,7 @@ class FaultPlane:
         Simulates acknowledged, sequence-numbered delivery in retry
         rounds until every message is accepted exactly once.  Raises
         :class:`~repro.errors.MessageTimeoutError` when a message would
-        exceed the retry policy's attempt budget.
+        exceed :data:`MAX_DELIVERY_ATTEMPTS`.
         """
         counters = self.stats.of(kind)
         counters.logical += sources.size
@@ -515,7 +483,7 @@ class FaultPlane:
         # multiplier.  A delayed packet lands at DELAY_LATENCY_MULTIPLIER
         # times that.
         lat = (
-            self.timers.base_rtt
+            BASE_RTT
             * 0.5
             * (self._factors[src] + self._factors[dst])
             * self._rtt_factor[src, dst]
@@ -574,7 +542,7 @@ class FaultPlane:
             retrans = (drop | spurious) & ~delivered
             if not retrans.any():
                 break
-            if attempt >= self.retry_policy.max_attempts:
+            if attempt >= MAX_DELIVERY_ATTEMPTS:
                 raise MessageTimeoutError(
                     f"{kind.name} message undelivered after "
                     f"{attempt} attempts (capped retransmission budget)"
@@ -626,7 +594,7 @@ class FaultPlane:
         return overhead, float(units)
 
     # -- serialisation (disk checkpoints) ------------------------------
-    def state_dict(self) -> dict[str, np.ndarray]:
+    def state_arrays(self) -> dict[str, np.ndarray]:
         """Physical-layer state for on-disk checkpoints.
 
         Retry queues are empty at every BSP barrier (delivery resolves
@@ -643,7 +611,7 @@ class FaultPlane:
         state.update(self.timers.state_arrays())
         return state
 
-    def load_state(self, state: Mapping[str, np.ndarray]) -> None:
+    def load_arrays(self, state: Mapping[str, np.ndarray]) -> None:
         restore_rng_words(self._rng, state["fault_rng_state"])
         self._triggered = set(int(i) for i in state["fault_triggered"])
         self.stats.unpack(state["fault_counters"])

@@ -15,11 +15,14 @@ al.), adapted to simulated time:
   ``sigma = max(1.4826 * MAD, 0.1 * median)`` — phi = 2 means a
   healthy node would run this slow with probability 1e-2.
 
-Suspicion enters when phi crosses ``phi_suspect`` and clears only
-after ``clear_streak`` consecutive supersteps below ``phi_clear``
-(hysteresis, so a node sitting on the boundary does not flap).  The
-first ``warmup_supersteps`` observations never suspect: the EWMA needs
-a baseline before deviations mean anything.
+Suspicion enters when phi crosses :data:`PHI_SUSPECT` and clears only
+after :data:`CLEAR_STREAK` consecutive supersteps below
+:data:`PHI_CLEAR` (hysteresis, so a node sitting on the boundary does
+not flap).  The first :data:`WARMUP_SUPERSTEPS` observations never
+suspect: the EWMA needs a baseline before deviations mean anything.
+
+The monitor is a subscriber of the engine's ``superstep_end(bill)``
+event: the bill's per-node times *are* the heartbeat.
 
 Everything here is a pure function of simulated times — no wall clock,
 no RNG — so health decisions replay bit-identically per seed.  With
@@ -37,7 +40,28 @@ import numpy as np
 from repro.errors import ClusterError
 from repro.obs.counted import Counted, counter
 
-__all__ = ["HealthPolicy", "HealthStats", "HealthMonitor"]
+__all__ = [
+    "HealthStats",
+    "HealthMonitor",
+    "WARMUP_SUPERSTEPS",
+    "EWMA_GAIN",
+    "PHI_SUSPECT",
+    "PHI_CLEAR",
+    "CLEAR_STREAK",
+]
+
+# Observations before any node can become suspected.
+WARMUP_SUPERSTEPS = 3
+# Smoothing of per-node superstep times (higher reacts faster, flaps
+# easier).
+EWMA_GAIN = 0.3
+# Suspicion level that marks a node suspected: 2.0 means a healthy node
+# would run this slow once in 100 supersteps.
+PHI_SUSPECT = 2.0
+# A suspected node must fall below this level ...
+PHI_CLEAR = 0.5
+# ... for this many consecutive supersteps to clear.
+CLEAR_STREAK = 2
 
 _SQRT2 = math.sqrt(2.0)
 # P(T >= t) underflows erfc around z ~ 38; clamp so phi stays finite.
@@ -48,45 +72,6 @@ def _phi_from_z(z: float) -> float:
     """Suspicion level for one z-score: -log10 of the normal tail."""
     tail = 0.5 * math.erfc(z / _SQRT2)
     return -math.log10(max(tail, _MIN_TAIL))
-
-
-@dataclass(frozen=True)
-class HealthPolicy:
-    """Thresholds and smoothing of the failure detector.
-
-    Parameters
-    ----------
-    warmup_supersteps:
-        observations before any node can become suspected.
-    ewma_gain:
-        smoothing of per-node superstep times (higher reacts faster,
-        flaps easier).
-    phi_suspect:
-        suspicion level that marks a node suspected (2.0 = a healthy
-        node would run this slow once in 100 supersteps).
-    phi_clear:
-        level the node must fall below to start clearing.
-    clear_streak:
-        consecutive below-``phi_clear`` supersteps required to clear.
-    """
-
-    warmup_supersteps: int = 3
-    ewma_gain: float = 0.3
-    phi_suspect: float = 2.0
-    phi_clear: float = 0.5
-    clear_streak: int = 2
-
-    def __post_init__(self) -> None:
-        if self.warmup_supersteps < 1:
-            raise ClusterError("warmup must be at least one superstep")
-        if not 0.0 < self.ewma_gain <= 1.0:
-            raise ClusterError("ewma_gain must be in (0, 1]")
-        if self.phi_clear >= self.phi_suspect:
-            raise ClusterError("phi_clear must be below phi_suspect")
-        if self.phi_clear < 0.0:
-            raise ClusterError("phi_clear must be non-negative")
-        if self.clear_streak < 1:
-            raise ClusterError("clear_streak must be at least 1")
 
 
 @dataclass
@@ -133,11 +118,10 @@ class HealthStats(Counted, prefix="cluster"):
 class HealthMonitor:
     """Phi-accrual-style failure detector over BSP superstep times."""
 
-    def __init__(self, num_nodes: int, policy: HealthPolicy | None = None) -> None:
+    def __init__(self, num_nodes: int) -> None:
         if num_nodes <= 0:
             raise ClusterError("a cluster needs at least one node")
         self.num_nodes = num_nodes
-        self.policy = policy if policy is not None else HealthPolicy()
         self.ewma = np.zeros(num_nodes, dtype=np.float64)
         self.phi = np.zeros(num_nodes, dtype=np.float64)
         self.suspected = np.zeros(num_nodes, dtype=bool)
@@ -154,6 +138,15 @@ class HealthMonitor:
         """Nodes whose suspicion cleared at the last observation."""
         return list(self._newly_cleared)
 
+    def on_superstep_end(self, bill) -> None:
+        """The BSP heartbeat: each alive node's raw superstep time, as
+        charged on the engine's bill (before speculation masks it)."""
+        times = np.zeros(self.num_nodes, dtype=np.float64)
+        times[bill.node_ids] = bill.times
+        alive = np.zeros(self.num_nodes, dtype=bool)
+        alive[bill.node_ids] = True
+        self.observe(times, alive)
+
     def observe(self, node_times: np.ndarray, alive: np.ndarray) -> None:
         """Fold one superstep's per-node completion times (the BSP
         heartbeat) into the detector and update suspicion states."""
@@ -166,7 +159,7 @@ class HealthMonitor:
         if self._observed == 0:
             self.ewma[index] = times[index]
         else:
-            self.ewma[index] += self.policy.ewma_gain * (
+            self.ewma[index] += EWMA_GAIN * (
                 times[index] - self.ewma[index]
             )
         self._observed += 1
@@ -180,18 +173,18 @@ class HealthMonitor:
             z = (self.ewma[node] - median) / sigma
             self.phi[node] = _phi_from_z(z)
         self.stats.phi_max = max(self.stats.phi_max, float(self.phi.max()))
-        if self._observed <= self.policy.warmup_supersteps:
+        if self._observed <= WARMUP_SUPERSTEPS:
             return
 
         for node in index:
             if not self.suspected[node]:
-                if self.phi[node] >= self.policy.phi_suspect:
+                if self.phi[node] >= PHI_SUSPECT:
                     self.suspected[node] = True
                     self._clear_streak[node] = 0
                     self.stats.suspect_events += 1
-            elif self.phi[node] <= self.policy.phi_clear:
+            elif self.phi[node] <= PHI_CLEAR:
                 self._clear_streak[node] += 1
-                if self._clear_streak[node] >= self.policy.clear_streak:
+                if self._clear_streak[node] >= CLEAR_STREAK:
                     self.suspected[node] = False
                     self._newly_cleared.append(int(node))
                     self.stats.clear_events += 1
@@ -207,6 +200,7 @@ class HealthMonitor:
             "health_suspected": self.suspected.copy(),
             "health_clear_streak": self._clear_streak.copy(),
             "health_observed": np.asarray([self._observed], dtype=np.int64),
+            "health_newly_cleared": np.asarray(self._newly_cleared, dtype=np.int64),
             "health_stats": self.stats.pack(),
         }
 
@@ -219,4 +213,7 @@ class HealthMonitor:
         )
         self._observed = int(np.asarray(state["health_observed"])[0])
         self.stats.unpack(state["health_stats"])
-        self._newly_cleared = []
+        # Files written before it was saved resume as if nothing cleared.
+        self._newly_cleared = [
+            int(node) for node in state.get("health_newly_cleared", ())
+        ]

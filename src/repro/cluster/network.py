@@ -29,6 +29,17 @@ from repro.errors import ClusterError
 
 __all__ = ["MessageKind", "Network", "LinkTimers"]
 
+# Link-timer tuning, in simulated timeout units: the initial round-trip
+# estimate, the retransmission-timeout clamp, the ceiling on a backed-off
+# wait, the jitter spread, and the srtt / rttvar estimator gains.
+BASE_RTT = 1.0
+MIN_RTO = 1.0
+MAX_RTO = 16.0
+BACKOFF_CAP = 64.0
+JITTER = 0.25
+SRTT_GAIN = 0.125
+RTTVAR_GAIN = 0.25
+
 
 class MessageKind(Enum):
     """Protocol message types with their simulated payload sizes."""
@@ -67,9 +78,9 @@ class LinkTimers:
     One (srtt, rttvar) estimator per *directed* link, fed by observed
     delivery latencies in simulated timeout units.  The retransmission
     timeout is the classic ``RTO = srtt + 4 * rttvar`` clamped to
-    ``[min_rto, max_rto]``; retry attempt ``k`` waits
-    ``min(RTO * 2**(k-1), backoff_cap)`` scaled by a deterministic
-    jitter in ``[1, 1 + jitter]`` derived from (link, attempt,
+    ``[MIN_RTO, MAX_RTO]``; retry attempt ``k`` waits
+    ``min(RTO * 2**(k-1), BACKOFF_CAP)`` scaled by a deterministic
+    jitter in ``[1, 1 + JITTER]`` derived from (link, attempt,
     superstep) — exponential backoff with decorrelated timers, no
     shared RNG state.
 
@@ -80,38 +91,13 @@ class LinkTimers:
     up, while clean links keep tight timeouts.
     """
 
-    def __init__(
-        self,
-        num_nodes: int,
-        base_rtt: float = 1.0,
-        min_rto: float = 1.0,
-        max_rto: float = 16.0,
-        backoff_cap: float = 64.0,
-        jitter: float = 0.25,
-        gain: float = 0.125,
-        var_gain: float = 0.25,
-    ) -> None:
+    def __init__(self, num_nodes: int) -> None:
         if num_nodes <= 0:
             raise ClusterError("a cluster needs at least one node")
-        if base_rtt <= 0 or min_rto <= 0:
-            raise ClusterError("base_rtt and min_rto must be positive")
-        if max_rto < min_rto:
-            raise ClusterError("max_rto must be >= min_rto")
-        if backoff_cap < max_rto:
-            raise ClusterError("backoff_cap must be >= max_rto")
-        if not 0.0 <= jitter <= 1.0:
-            raise ClusterError("jitter must be in [0, 1]")
         self.num_nodes = num_nodes
-        self.base_rtt = base_rtt
-        self.min_rto = min_rto
-        self.max_rto = max_rto
-        self.backoff_cap = backoff_cap
-        self.jitter = jitter
-        self.gain = gain
-        self.var_gain = var_gain
-        self.srtt = np.full((num_nodes, num_nodes), base_rtt, dtype=np.float64)
+        self.srtt = np.full((num_nodes, num_nodes), BASE_RTT, dtype=np.float64)
         self.rttvar = np.full(
-            (num_nodes, num_nodes), base_rtt / 2.0, dtype=np.float64
+            (num_nodes, num_nodes), BASE_RTT / 2.0, dtype=np.float64
         )
         self.samples = np.zeros((num_nodes, num_nodes), dtype=np.int64)
 
@@ -140,8 +126,8 @@ class LinkTimers:
         rows = links // self.num_nodes
         cols = links % self.num_nodes
         err = worst - self.srtt[rows, cols]
-        self.srtt[rows, cols] += self.gain * err
-        self.rttvar[rows, cols] += self.var_gain * (
+        self.srtt[rows, cols] += SRTT_GAIN * err
+        self.rttvar[rows, cols] += RTTVAR_GAIN * (
             np.abs(err) - self.rttvar[rows, cols]
         )
         self.samples[rows, cols] += counts
@@ -151,7 +137,7 @@ class LinkTimers:
         raw = self.srtt[sources, destinations] + 4.0 * self.rttvar[
             sources, destinations
         ]
-        return np.clip(raw, self.min_rto, self.max_rto)
+        return np.clip(raw, MIN_RTO, MAX_RTO)
 
     def backoff_wait(
         self,
@@ -167,7 +153,7 @@ class LinkTimers:
             raise ClusterError("attempt numbers are 1-based")
         base = np.minimum(
             self.rto(sources, destinations) * (2.0 ** (attempt - 1)),
-            self.backoff_cap,
+            BACKOFF_CAP,
         )
         with np.errstate(over="ignore"):
             keys = (
@@ -176,7 +162,7 @@ class LinkTimers:
                 + np.uint64(attempt * 0xD1B54A32D192ED03 % (1 << 64))
                 + np.uint64(salt * 0x8CB92BA72F3D8DD7 % (1 << 64))
             )
-        return base * (1.0 + self.jitter * _hash_unit(keys))
+        return base * (1.0 + JITTER * _hash_unit(keys))
 
     # ------------------------------------------------------------------
     def state_arrays(self) -> dict[str, np.ndarray]:

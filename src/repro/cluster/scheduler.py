@@ -8,13 +8,10 @@ overhead of maintaining the full pool outweighs parallelism, so a node
 switches to *light mode*: three threads total (one compute, two
 communication) whenever its active walker count drops below 4000.
 
-This module also holds :class:`RetryPolicy`, the timing half of the
-reliable-delivery protocol (:mod:`repro.cluster.faults`): how long a
-sender waits for an acknowledgement before retransmitting, how the
-wait grows, and when it gives up.  Timeouts are *superstep-bounded*:
-the unit of waiting is a fraction of the BSP communication phase, so a
-retry chain lengthens the superstep it happens in rather than leaking
-into the next one.
+This module also holds the straggler layer's scheduling decisions:
+:class:`StragglerPolicy` (speculate, rebalance, and when moving pays)
+and :class:`WalkerRebalancer`, which plans walker migrations off
+suspected nodes.
 """
 
 from __future__ import annotations
@@ -27,7 +24,6 @@ from repro.errors import ClusterError
 
 __all__ = [
     "ThreadPolicy",
-    "RetryPolicy",
     "StragglerPolicy",
     "WalkerRebalancer",
     "LIGHT_MODE_THRESHOLD",
@@ -77,44 +73,6 @@ class ThreadPolicy:
 
 
 @dataclass(frozen=True)
-class RetryPolicy:
-    """Retransmission timing for the reliable-delivery layer.
-
-    Parameters
-    ----------
-    max_attempts:
-        total transmissions allowed per message (first send included).
-        Exhausting the budget raises
-        :class:`~repro.errors.MessageTimeoutError` — under any drop
-        rate below 1 the default budget is effectively unreachable.
-    backoff_base:
-        wait before the first retransmission, in timeout units (one
-        unit is priced by the cost model's ``backoff_unit_cost``).
-    backoff_cap:
-        ceiling on the exponentially growing wait, in timeout units.
-    """
-
-    max_attempts: int = 16
-    backoff_base: float = 1.0
-    backoff_cap: float = 8.0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ClusterError("max_attempts must be at least 1")
-        if self.backoff_base <= 0:
-            raise ClusterError("backoff_base must be positive")
-        if self.backoff_cap < self.backoff_base:
-            raise ClusterError("backoff_cap must be >= backoff_base")
-
-    def backoff_units(self, attempt: int) -> float:
-        """Wait (in timeout units) before retransmission ``attempt``
-        (1-based): capped exponential ``base * 2**(attempt-1)``."""
-        if attempt < 1:
-            raise ClusterError("attempt numbers are 1-based")
-        return min(self.backoff_base * (2.0 ** (attempt - 1)), self.backoff_cap)
-
-
-@dataclass(frozen=True)
 class StragglerPolicy:
     """Knobs of the degraded-node tolerance layer.
 
@@ -126,8 +84,9 @@ class StragglerPolicy:
         copy finishes first, and the loser's walker migrations are
         discarded by the receiver's dedup layer.
     rebalance:
-        migrate queued walkers off suspected nodes through the engine's
-        owner-lookup overlay (and back once suspicion clears).
+        migrate queued walkers off suspected nodes by re-homing their
+        vertices in the engine's owner table (and back once suspicion
+        clears).
     rebalance_fraction:
         share of a suspect's queued walkers the rebalancer tries to
         move per migration.
@@ -162,8 +121,8 @@ class WalkerRebalancer:
     decides *whether* moving pays (cost-model gate: saved straggler
     time over the payback horizon versus migration message cost) and
     *where* to (healthy nodes, least-loaded first).  Migration operates
-    on whole vertices — the same owner-lookup overlay degraded-mode
-    crash recovery uses — choosing the suspect's most walker-crowded
+    on whole vertices — entries of the same owner table degraded-mode
+    crash recovery rewrites — choosing the suspect's most walker-crowded
     vertices first so few re-homed vertices move many walkers.  All
     ordering is by deterministic keys (walker counts, EWMA times, node
     ids), never RNG.

@@ -65,12 +65,6 @@ class WalkConfig:
     static_sampler:
         ``"alias"`` (O(1) candidate draws, KnightKing's choice) or
         ``"its"`` (O(log d), kept for comparison experiments).
-    checkpoint_every:
-        recovery-checkpoint cadence K (supersteps) for the distributed
-        engine's fault tolerance; ``None`` leaves the cadence to the
-        engine (which defaults it only when a fault plan is active).
-        The local engine ignores it — its checkpointing is the explicit
-        :mod:`repro.core.snapshot` API.
     """
 
     num_walkers: int | None = None
@@ -83,7 +77,6 @@ class WalkConfig:
     record_paths: bool = False
     stream_paths_to: str | None = None
     static_sampler: str = "alias"
-    checkpoint_every: int | None = None
 
     def __post_init__(self) -> None:
         if self.start_vertices is not None and self.start_distribution is not None:
@@ -114,8 +107,6 @@ class WalkConfig:
             raise ConfigError("static_sampler must be 'alias' or 'its'")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        if self.checkpoint_every is not None and self.checkpoint_every < 0:
-            raise ConfigError("checkpoint_every must be non-negative")
 
     def evolve(self, **changes: Any) -> WalkConfig:
         """A copy with the given fields replaced, re-validated.

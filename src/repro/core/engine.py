@@ -301,6 +301,33 @@ class WalkEngine:
             # steps is the whole rollback (see PathRecorder.rewind).
             self._recorder.rewind(self.walkers.steps)
 
+    def checkpoint_arrays(self) -> dict[str, np.ndarray]:
+        """What a checkpoint file holds (:mod:`repro.core.snapshot`
+        owns only the format): the run state, the pinned graph epoch
+        and the recorded paths."""
+        arrays = self.state_arrays()
+        if self.graph_epoch is not None:
+            # Restore demands the same epoch (replayed from the WAL).
+            arrays["graph_epoch"] = np.asarray([self.graph_epoch], dtype=np.int64)
+        if self._recorder is not None:
+            arrays["path_tokens"], arrays["path_counts"] = self._recorder.packed()
+        return arrays
+
+    def load_checkpoint_arrays(self, data: dict[str, np.ndarray]) -> None:
+        """Load a :meth:`checkpoint_arrays` dict into this freshly built
+        engine; a missing key is a ``KeyError``."""
+        self.load_state_arrays(data)
+        if self._recorder is None:
+            return
+        if "path_tokens" not in data:
+            raise SnapshotError("checkpoint lacks recorded paths but record_paths=True")
+        try:
+            self._recorder.restore(data["path_tokens"], data["path_counts"])
+        except ValueError as exc:
+            raise SnapshotError(
+                f"checkpoint paths do not match configuration: {exc}"
+            ) from exc
+
     # ------------------------------------------------------------------
     def run(
         self,

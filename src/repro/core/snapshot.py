@@ -1,12 +1,14 @@
 """Walk checkpoint and resume.
 
 Long walks (PPR with a heavy tail, |V| walkers on a large graph) want
-fault tolerance: :func:`save_checkpoint` writes a running engine's run
-state — its ``state_arrays()``: walkers and their custom state,
-statistics, the RNG stream — plus the recorded paths into a single
-``.npz``; :func:`restore_checkpoint` rebuilds an engine that continues
-the walk *bit-identically* to an uninterrupted run (the
-resume-determinism test asserts exactly that).
+fault tolerance: :func:`save_checkpoint` writes what a running engine
+says a checkpoint holds — its ``checkpoint_arrays()``: the run state
+(walkers and their custom state, statistics, the RNG stream), the
+pinned graph epoch and the recorded paths — into a single ``.npz``;
+:func:`restore_checkpoint` rebuilds an engine that continues the walk
+*bit-identically* to an uninterrupted run (the resume-determinism test
+asserts exactly that).  The engine owns the contents; this module owns
+only the file format, the epoch check and engine construction.
 
 Format (version 4): every payload array is covered by a CRC32 recorded
 in the file; a truncated, corrupted, or version-skewed checkpoint
@@ -22,9 +24,11 @@ A :class:`~repro.cluster.engine.DistributedWalkEngine`'s run state
 already carries its per-node and network counters; its file adds the
 physical truths a rollback never touches — owner table, node liveness,
 superstep times, the fault plane's state (delivery counters, triggered
-crashes, fault RNG stream).  In-flight retry queues are *by
-construction* empty at every BSP barrier, so barrier-aligned
-checkpoints never serialise undelivered messages.
+crashes, fault RNG stream), the health monitor's and the rebalancer's —
+and its in-memory recovery point, so a resumed fault run replays a
+later crash from where the uninterrupted run would.  In-flight retry
+queues are *by construction* empty at every BSP barrier, so
+barrier-aligned checkpoints never serialise undelivered messages.
 
 Graph, program, config — and for distributed engines the fault plan —
 are not serialised: they are reproducible inputs the caller passes
@@ -56,36 +60,8 @@ __all__ = ["save_checkpoint", "restore_checkpoint", "checkpoint_epoch"]
 FORMAT_VERSION = 4
 
 
-def _cluster_extras(engine) -> dict:
-    """What a distributed checkpoint stores beside the run state: the
-    cluster's physical truths (liveness, owner table, superstep times,
-    degraded nodes) and the fault plane's own state."""
-    cluster = engine.cluster
-    payload: dict[str, np.ndarray] = {
-        "cluster_num_nodes": np.asarray([engine.num_nodes], dtype=np.int64),
-        "cluster_alive_nodes": engine._alive_nodes,
-        "cluster_owner_lookup": engine._owner_table,
-        "cluster_executed_supersteps": np.asarray(
-            [engine._executed_supersteps], dtype=np.int64
-        ),
-        "cluster_superstep_times": np.asarray(
-            cluster.superstep_times, dtype=np.float64
-        ),
-        "cluster_degraded_nodes": np.asarray(
-            cluster.recovery.degraded_nodes, dtype=np.int64
-        ),
-    }
-    if engine.fault_plane is not None:
-        payload.update(engine.fault_plane.state_dict())
-    if engine.health is not None:
-        payload.update(engine.health.state_arrays())
-    if engine.rebalancer is not None:
-        payload.update(engine.rebalancer.state_arrays())
-    return payload
-
-
 def save_checkpoint(engine: WalkEngine, path: str | os.PathLike) -> None:
-    """Serialise the engine's dynamic state to ``path`` (.npz).
+    """Serialise the engine's ``checkpoint_arrays()`` to ``path`` (.npz).
 
     Works for both the local :class:`WalkEngine` and the distributed
     :class:`~repro.cluster.engine.DistributedWalkEngine` (which must be
@@ -97,17 +73,7 @@ def save_checkpoint(engine: WalkEngine, path: str | os.PathLike) -> None:
             "checkpointing is not supported with streaming path output "
             "(already-spilled sequences cannot be captured)"
         )
-    payload = {"version": np.asarray([FORMAT_VERSION]), **engine.state_arrays()}
-    if engine.graph_epoch is not None:
-        # Dynamic-graph run: record the pinned epoch, so restore can
-        # demand the same one (replayed from the write-ahead log).
-        payload["graph_epoch"] = np.asarray([engine.graph_epoch], dtype=np.int64)
-    if engine._recorder is not None:
-        payload["path_tokens"], payload["path_counts"] = engine._recorder.packed()
-    from repro.cluster.engine import DistributedWalkEngine
-
-    if isinstance(engine, DistributedWalkEngine):
-        payload.update(_cluster_extras(engine))
+    payload = {"version": np.asarray([FORMAT_VERSION]), **engine.checkpoint_arrays()}
     save_checked(path, payload, np.uint64)
 
 
@@ -151,62 +117,6 @@ def checkpoint_epoch(path: str | os.PathLike) -> int | None:
     return int(data["graph_epoch"][0])
 
 
-def _restore(engine: WalkEngine, data: dict, path) -> None:
-    """Load the run state, the recorded paths and — into a distributed
-    engine — the cluster extras."""
-    try:
-        engine.load_state_arrays(data)
-        if engine._recorder is not None:
-            if "path_tokens" not in data:
-                raise SnapshotError(
-                    "checkpoint lacks recorded paths but record_paths=True"
-                )
-            try:
-                engine._recorder.restore(data["path_tokens"], data["path_counts"])
-            except ValueError as exc:
-                raise SnapshotError(
-                    f"checkpoint paths do not match configuration: {exc}"
-                ) from exc
-        if "cluster_num_nodes" in data:
-            _restore_cluster_extras(engine, data)
-    except KeyError as exc:
-        raise SnapshotError(f"malformed checkpoint {path}: {exc}") from exc
-
-
-def _checked_owner_table(engine, table: np.ndarray) -> np.ndarray:
-    """``table`` if it can be this graph's and the restored cluster's
-    owner table, else :class:`SnapshotError` — its values index the
-    per-node accounting arrays and become message endpoints."""
-    if table.shape != engine._owner_table.shape or table.dtype.kind not in "iu":
-        raise SnapshotError("checkpoint owner table does not match the graph")
-    if table.size and not (0 <= table.min() and table.max() < engine.num_nodes):
-        raise SnapshotError(
-            f"checkpoint owner table names nodes outside [0, {engine.num_nodes})"
-        )
-    if not engine._alive_nodes[table].all():
-        raise SnapshotError("checkpoint owner table assigns vertices to a dead node")
-    return table
-
-
-def _restore_cluster_extras(engine, data: dict) -> None:
-    cluster = engine.cluster
-    engine._alive_nodes[:] = data["cluster_alive_nodes"]
-    engine._executed_supersteps = int(data["cluster_executed_supersteps"][0])
-    cluster.superstep_times[:] = data["cluster_superstep_times"].tolist()
-    cluster.recovery.degraded_nodes = data["cluster_degraded_nodes"].tolist()
-    # Without the key the partition's own table stands — what a
-    # run that never re-homed a vertex would have saved.
-    engine._owner_table[:] = _checked_owner_table(
-        engine, data.get("cluster_owner_lookup", engine._owner_table)
-    )
-    if engine.fault_plane is not None and "fault_rng_state" in data:
-        engine.fault_plane.load_state(data)
-    if engine.health is not None and "health_ewma" in data:
-        engine.health.load_arrays(data)
-    if engine.rebalancer is not None and "rebalance_nodes" in data:
-        engine.rebalancer.load_arrays(data)
-
-
 def restore_checkpoint(
     graph: CSRGraph,
     program: WalkerProgram,
@@ -221,9 +131,10 @@ def restore_checkpoint(
     re-derived from them; only dynamic state is loaded).  A checkpoint
     taken from a distributed engine restores a
     :class:`~repro.cluster.engine.DistributedWalkEngine` on the same
-    number of nodes; pass ``fault_plan``/``retry_policy``/... through
+    number of nodes; pass ``fault_plan``/``checkpoint_every``/... through
     ``engine_kwargs`` to re-arm fault injection — the plane then resumes
-    its recorded RNG stream, triggered-crash set, and delivery counters.
+    its recorded RNG stream, triggered-crash set, and delivery counters,
+    and a later crash replays from the recorded recovery point.
     """
     data = _verify_and_load(path)
     if "graph_epoch" in data:
@@ -257,5 +168,8 @@ def restore_checkpoint(
         )
     else:
         engine = WalkEngine(graph, program, config)
-    _restore(engine, data, path)
+    try:
+        engine.load_checkpoint_arrays(data)
+    except KeyError as exc:
+        raise SnapshotError(f"malformed checkpoint {path}: {exc}") from exc
     return engine

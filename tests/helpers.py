@@ -16,6 +16,8 @@ __all__ = [
     "exact_node2vec_law",
     "widened_round",
     "ReplayPathOracle",
+    "resumed_run",
+    "assert_same_run",
 ]
 
 
@@ -144,3 +146,24 @@ class ReplayPathOracle:
         oracle = cls(engine.walkers.current)
         engine.observe(oracle)
         return oracle
+
+
+def resumed_run(engine, pause, path, restore):
+    """Run ``engine`` for ``pause`` supersteps, save it to ``path``,
+    and finish the run ``restore(path)`` rebuilds from the file."""
+    from repro.core.snapshot import save_checkpoint
+
+    assert engine.run(max_iterations=pause).status == "paused"
+    save_checkpoint(engine, path)
+    return restore(path).run()
+
+
+def assert_same_run(resumed, whole):
+    """Same paths and the same simulated bill — every field
+    ``tests.test_golden_walks.bill`` pins — as the uninterrupted run."""
+    from tests.test_golden_walks import bill
+
+    assert len(resumed.paths) == len(whole.paths)
+    for a, b in zip(resumed.paths, whole.paths):
+        np.testing.assert_array_equal(a, b)
+    assert bill(resumed.cluster) == bill(whole.cluster)

@@ -91,18 +91,32 @@ class TestTable1:
         assert max(kk) < 2.0
 
 
+@pytest.fixture(scope="module")
+def tables34_run():
+    """``tables34.run(weighted=..., scale=0.12)``, run once per
+    ``weighted`` for the whole module."""
+    tables = {}
+
+    def run(weighted):
+        if weighted not in tables:
+            tables[weighted] = tables34.run(weighted=weighted, scale=0.12)
+        return tables[weighted]
+
+    return run
+
+
 class TestTables34:
     @pytest.mark.parametrize("weighted", [False, True])
-    def test_speedups_positive(self, weighted):
-        table = tables34.run(weighted=weighted, scale=0.12)
+    def test_speedups_positive(self, tables34_run, weighted):
+        table = tables34_run(weighted)
         assert len(table.rows) == 16
         speedups = [
             float(value.rstrip("*")) for value in table.column("speedup")
         ]
         assert all(s > 1.0 for s in speedups)
 
-    def test_dynamic_beats_static_gap(self):
-        table = tables34.run(weighted=False, scale=0.12)
+    def test_dynamic_beats_static_gap(self, tables34_run):
+        table = tables34_run(False)
         by_algo = {}
         for row in table.rows:
             by_algo.setdefault(row[0], []).append(float(row[4].rstrip("*")))

@@ -92,6 +92,18 @@ class TestWalk:
         assert "supersteps" in output
         assert "messages" in output
 
+    def test_crash_outside_the_cluster_is_an_error(self, capsys):
+        """Node 9 of 4 is an error naming the crash, not a silent no-op."""
+        code = main(
+            [
+                "walk", "--dataset", "livejournal", "--scale", "0.02",
+                "--nodes", "4", "--crash", "2:9:dead",
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "crash node 9 (superstep 2) outside cluster of 4 nodes" in err
+
     @pytest.mark.parametrize("algorithm", ["ppr", "metapath", "rwr", "deepwalk"])
     def test_all_algorithms_run(self, capsys, algorithm):
         code = main(

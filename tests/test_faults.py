@@ -30,12 +30,12 @@ from repro.cluster import (
     MessageKind,
     NodeCrash,
     NodeSlowdown,
-    RetryPolicy,
     StragglerPolicy,
     random_degraded_plan,
     random_fault_plan,
 )
 from repro.core.config import WalkConfig
+from repro.core.snapshot import restore_checkpoint
 from repro.errors import (
     ClusterError,
     FaultError,
@@ -45,7 +45,11 @@ from repro.errors import (
 from repro.graph.datasets import load_dataset
 from repro.graph.generators import uniform_degree_graph
 from repro.graph.hetero import assign_random_edge_types
-from tests.helpers import assert_matches_distribution
+from tests.helpers import (
+    assert_matches_distribution,
+    assert_same_run,
+    resumed_run,
+)
 
 NUM_NODES = 4
 
@@ -162,6 +166,39 @@ class TestChaosEquivalence:
         if plan.has_message_faults:
             assert faulty.cluster.simulated_seconds >= clean.cluster.simulated_seconds
 
+    @pytest.mark.parametrize("algorithm", ["node2vec", "ppr"])
+    @pytest.mark.parametrize("chaos_seed", CHAOS_SEEDS)
+    def test_resumed_faulty_run_reproduces_its_bill(
+        self, graph, algorithm, chaos_seed, tmp_path
+    ):
+        """Saved mid-run and resumed from the file, a faulty run walks
+        the same paths and pays the same bill as the uninterrupted one
+        — crashes after the pause included."""
+        make_program, walk_graph, config = _program_setup(
+            algorithm, graph, seed=40 + chaos_seed
+        )
+        options = dict(
+            num_nodes=NUM_NODES, fault_plan=_chaos_plan(chaos_seed),
+            checkpoint_every=4,
+        )
+
+        def make():
+            return DistributedWalkEngine(
+                walk_graph, make_program(), config, **options
+            )
+
+        def restore(path):
+            return restore_checkpoint(
+                walk_graph, make_program(), config, path, **options
+            )
+
+        whole = make().run()
+        for pause in (3, 6, 10):
+            resumed = resumed_run(
+                make(), pause, tmp_path / f"pause-{pause}.npz", restore
+            )
+            assert_same_run(resumed, whole)
+
     def test_delay_only_plan_costs_spurious_retransmissions(self, graph):
         make_program, walk_graph, config = _program_setup(
             "node2vec", graph, seed=9
@@ -170,8 +207,8 @@ class TestChaosEquivalence:
             seed=3, default_faults=MessageFaults(delay=0.1)
         )
         result = _run(walk_graph, make_program, config, fault_plan=plan)
-        delivery = result.cluster.delivery
-        delivery.check_conservation()
+        result.cluster.delivery.check_conservation()
+        delivery = result.cluster.delivery.total()
         # A delayed packet still arrives, so the retransmission it
         # provokes is always discarded by the receiver: with no drops
         # or duplicates, every retransmission becomes exactly one
@@ -209,8 +246,8 @@ class TestCounterReconciliation:
         )
         plan = FaultPlan(seed=1)  # no faults at all
         result = _run(walk_graph, make_program, config, fault_plan=plan)
-        delivery = result.cluster.delivery
-        delivery.check_conservation()
+        result.cluster.delivery.check_conservation()
+        delivery = result.cluster.delivery.total()
         assert delivery.retransmissions == 0
         assert delivery.dedups == 0
         assert delivery.logical == delivery.accepts > 0
@@ -272,12 +309,8 @@ class TestFailureModes:
             "node2vec", graph, seed=13
         )
         plan = FaultPlan(seed=2, default_faults=MessageFaults(drop=1.0))
-        with pytest.raises(MessageTimeoutError):
-            _run(
-                walk_graph, make_program, config,
-                fault_plan=plan,
-                retry_policy=RetryPolicy(max_attempts=3),
-            )
+        with pytest.raises(MessageTimeoutError, match="16 attempts"):
+            _run(walk_graph, make_program, config, fault_plan=plan)
 
     def test_crash_with_checkpointing_disabled_aborts(self, graph):
         make_program, walk_graph, config = _program_setup(
@@ -316,6 +349,19 @@ class TestFailureModes:
                 num_nodes=NUM_NODES, fault_plan=plan,
             )
 
+    def test_crash_outside_the_cluster_is_refused(self, graph):
+        """A crash on a node the cluster lacks is refused, not skipped."""
+        plan = FaultPlan(
+            seed=2,
+            crashes=(NodeCrash(superstep=9, node=NUM_NODES, restart=False),),
+        )
+        with pytest.raises(ClusterError, match=f"crash node {NUM_NODES} "):
+            DistributedWalkEngine(
+                graph, Node2Vec(p=1.0, q=1.0, biased=False),
+                WalkConfig(num_walkers=20, max_steps=10),
+                num_nodes=NUM_NODES, fault_plan=plan,
+            )
+
     def test_plan_validation(self):
         with pytest.raises(ClusterError):
             MessageFaults(drop=1.2)
@@ -323,8 +369,6 @@ class TestFailureModes:
             MessageFaults(drop=0.6, duplicate=0.3, delay=0.2)
         with pytest.raises(ClusterError):
             NodeCrash(superstep=-1, node=0)
-        with pytest.raises(ClusterError):
-            RetryPolicy(max_attempts=0)
 
 
 class TestRollbackRestoresCountersInPlace:
@@ -471,8 +515,8 @@ class TestStragglerTolerance:
             ),
         )
         result = _run(walk_graph, make_program, config, fault_plan=plan)
-        delivery = result.cluster.delivery
-        delivery.check_conservation()
+        result.cluster.delivery.check_conservation()
+        delivery = result.cluster.delivery.total()
         # Early delays beat the initial timeout and cost spurious
         # retransmissions; once the link's timers learn its latency
         # tail, delayed packets are absorbed — so across the run most
@@ -495,8 +539,8 @@ class TestStragglerTolerance:
             == second.cluster.simulated_seconds
         )
         assert (
-            first.cluster.delivery.retransmissions
-            == second.cluster.delivery.retransmissions
+            first.cluster.delivery.total().retransmissions
+            == second.cluster.delivery.total().retransmissions
         )
         health_a, health_b = first.cluster.health, second.cluster.health
         assert health_a.suspect_events == health_b.suspect_events

@@ -16,7 +16,6 @@ from repro.cluster import (
     FaultPlan,
     FlakyLink,
     HealthMonitor,
-    HealthPolicy,
     LinkTimers,
     MessageFaults,
     NodeSlowdown,
@@ -24,6 +23,8 @@ from repro.cluster import (
     WalkerRebalancer,
     random_degraded_plan,
 )
+from repro.cluster.health import CLEAR_STREAK, PHI_SUSPECT, WARMUP_SUPERSTEPS
+from repro.cluster.network import BACKOFF_CAP, JITTER, MAX_RTO
 from repro.errors import ClusterError
 
 NUM_NODES = 4
@@ -44,18 +45,17 @@ class TestHealthMonitor:
         assert monitor.suspected[1]
         assert not monitor.suspected[[0, 2, 3]].any()
         assert monitor.stats.suspect_events == 1
-        assert monitor.stats.phi_max >= monitor.policy.phi_suspect
+        assert monitor.stats.phi_max >= PHI_SUSPECT
 
     def test_no_suspicion_during_warmup(self):
-        monitor = HealthMonitor(NUM_NODES, HealthPolicy(warmup_supersteps=5))
-        _observe_rounds(monitor, [1.0, 20.0, 1.0, 1.0], 5)
+        monitor = HealthMonitor(NUM_NODES)
+        _observe_rounds(monitor, [1.0, 20.0, 1.0, 1.0], WARMUP_SUPERSTEPS)
         assert not monitor.any_suspected
         _observe_rounds(monitor, [1.0, 20.0, 1.0, 1.0], 1)
         assert monitor.suspected[1]
 
     def test_recovered_node_clears_after_streak(self):
-        policy = HealthPolicy(clear_streak=2)
-        monitor = HealthMonitor(NUM_NODES, policy)
+        monitor = HealthMonitor(NUM_NODES)
         _observe_rounds(monitor, [1.0, 1.0, 1.0, 1.0], 3)
         _observe_rounds(monitor, [1.0, 6.0, 1.0, 1.0], 4)
         assert monitor.suspected[1]
@@ -72,7 +72,7 @@ class TestHealthMonitor:
         assert monitor.stats.clear_events == 1
         # The streak requirement means clearing took at least two
         # below-threshold supersteps.
-        assert cleared_at >= policy.clear_streak - 1
+        assert cleared_at >= CLEAR_STREAK - 1
 
     def test_uniform_slowdown_is_not_suspicion(self):
         # Every node 3x slower together: no contrast, no straggler.
@@ -104,15 +104,34 @@ class TestHealthMonitor:
         clone.observe(np.array([1.0, 1.0, 1.0, 1.0]), ALIVE)
         np.testing.assert_array_equal(clone.phi, monitor.phi)
 
-    def test_policy_validation(self):
-        with pytest.raises(ClusterError):
-            HealthPolicy(warmup_supersteps=0)
-        with pytest.raises(ClusterError):
-            HealthPolicy(ewma_gain=0.0)
-        with pytest.raises(ClusterError):
-            HealthPolicy(phi_suspect=1.0, phi_clear=1.5)
-        with pytest.raises(ClusterError):
-            HealthPolicy(clear_streak=0)
+
+    def test_state_roundtrip_keeps_a_fresh_clear(self):
+        """Saved at the barrier where a suspicion clears, the clone
+        still reports it, so the rebalancer moves the vertices back."""
+        monitor = HealthMonitor(NUM_NODES)
+        _observe_rounds(monitor, [1.0, 1.0, 1.0, 1.0], 3)
+        _observe_rounds(monitor, [1.0, 6.0, 1.0, 1.0], 4)
+        while not monitor.newly_cleared():
+            monitor.observe(np.array([1.0, 1.0, 1.0, 1.0]), ALIVE)
+        clone = HealthMonitor(NUM_NODES)
+        clone.load_arrays(monitor.state_arrays())
+        assert clone.newly_cleared() == monitor.newly_cleared() == [1]
+
+    def test_heartbeat_is_the_superstep_bill(self):
+        """Node 2 is dead: the bill lists only the alive nodes."""
+        from repro.cluster.engine import SuperstepBill
+
+        by_bill, direct = HealthMonitor(NUM_NODES), HealthMonitor(NUM_NODES)
+        alive = np.array([True, True, False, True])
+        for _ in range(6):
+            times = np.array([1.0, 5.0, 1.0])
+            by_bill.on_superstep_end(
+                SuperstepBill([0, 1, 3], [], [], times, 5.0, 0.0, 0.0)
+            )
+            direct.observe(np.array([1.0, 5.0, 0.0, 1.0]), alive)
+        np.testing.assert_array_equal(by_bill.phi, direct.phi)
+        np.testing.assert_array_equal(by_bill.suspected, direct.suspected)
+        assert by_bill.suspected[1]
 
 
 class TestLinkTimers:
@@ -129,11 +148,11 @@ class TestLinkTimers:
         assert timers.rto(np.array([1]), np.array([3]))[0] == initial
 
     def test_rto_is_clamped(self):
-        timers = LinkTimers(NUM_NODES, min_rto=1.0, max_rto=16.0)
+        timers = LinkTimers(NUM_NODES)
         src, dst = np.array([0]), np.array([1])
         for _ in range(50):
             timers.observe(src, dst, np.array([1000.0]))
-        assert timers.rto(src, dst)[0] == 16.0
+        assert timers.rto(src, dst)[0] == MAX_RTO
 
     def test_batch_observation_uses_worst_sample(self):
         # Concurrent samples on one link must fold to the slowest —
@@ -148,7 +167,7 @@ class TestLinkTimers:
         assert timers.srtt[0, 1] == single.srtt[0, 1]
 
     def test_backoff_is_deterministic_and_jittered(self):
-        timers = LinkTimers(NUM_NODES, jitter=0.25)
+        timers = LinkTimers(NUM_NODES)
         src = np.arange(NUM_NODES).repeat(NUM_NODES)
         dst = np.tile(np.arange(NUM_NODES), NUM_NODES)
         first = timers.backoff_wait(src, dst, attempt=1, salt=7)
@@ -158,11 +177,11 @@ class TestLinkTimers:
         assert np.unique(first).size > 1
         base = timers.rto(src, dst)
         assert np.all(first >= base)
-        assert np.all(first <= base * 1.25)
-        # Exponential growth capped at backoff_cap * (1 + jitter).
+        assert np.all(first <= base * (1.0 + JITTER))
+        # Exponential growth capped at BACKOFF_CAP * (1 + JITTER).
         late = timers.backoff_wait(src, dst, attempt=12, salt=7)
-        assert np.all(late <= timers.backoff_cap * 1.25)
-        assert np.all(late >= timers.backoff_cap)
+        assert np.all(late <= BACKOFF_CAP * (1.0 + JITTER))
+        assert np.all(late >= BACKOFF_CAP)
 
     def test_salt_and_attempt_change_jitter(self):
         timers = LinkTimers(NUM_NODES)

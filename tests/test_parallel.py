@@ -76,7 +76,6 @@ class TestShardConfig:
             seed=9,
             record_paths=True,
             static_sampler="its",
-            checkpoint_every=3,
         )
         split = {"num_walkers", "walks_per_vertex", "start_vertices",
                  "start_distribution", "seed"}

@@ -24,6 +24,9 @@ from repro.core.snapshot import restore_checkpoint, save_checkpoint
 from repro.errors import ReproError, SnapshotError
 from repro.graph.generators import uniform_degree_graph
 from repro.graph.hetero import assign_random_edge_types
+from tests.helpers import assert_same_run, resumed_run
+from tests.test_golden_walks import FAULT_CELLS, fault_engine
+from tests.test_path_recording import WORKLOADS, make_config
 
 
 @pytest.fixture
@@ -295,6 +298,10 @@ class TestMalformedContentIsTyped:
         ),
         "fault-rng-short": ("fault_rng_state", lambda a: a[:5]),
         "fault-rng-bytes": ("fault_rng_state", lambda a: a.view(np.uint8)),
+        # The recovery point a later crash would replay from.
+        "recovery-rng-short": ("recovery_rng_state", lambda a: a[:5]),
+        "recovery-stats-fraction": ("recovery_stats_scalars", lambda a: a + 0.5),
+        "recovery-cluster-short": ("recovery_cluster_scalars", lambda a: a[:-1]),
     }
 
     @pytest.mark.parametrize("key,edit", MALFORMED.values(), ids=MALFORMED.keys())
@@ -529,3 +536,59 @@ class TestDistributedCheckpoint:
             restore_checkpoint(
                 graph, UniformWalk(), config, path, degrade_on_crash=True
             )
+
+
+class TestResumedFaultRunIsExact:
+    """Both fault cells of ``tests/test_golden_walks.py``, saved to a
+    file mid-run and resumed: paths and the whole simulated bill equal
+    the uninterrupted run's.  The file carries the in-memory recovery
+    point (a crash after the resume replays from the last periodic
+    checkpoint, and no extra point zero is charged) and the monitor's
+    newly cleared suspicions (the re-homed vertices still move back)."""
+
+    PAUSES = (1, 6, 11, 19, 30)
+
+    @pytest.fixture(scope="class")
+    def uninterrupted(self):
+        return {cell: fault_engine(cell).run() for cell in FAULT_CELLS}
+
+    @staticmethod
+    def _restore(cell):
+        make_program, graph, _ = WORKLOADS["node2vec"]
+        config = make_config("node2vec", max_steps=40)
+        return lambda path: restore_checkpoint(
+            graph, make_program(), config, path, num_nodes=4, **FAULT_CELLS[cell]
+        )
+
+    @pytest.mark.parametrize("pause", PAUSES)
+    @pytest.mark.parametrize("cell", sorted(FAULT_CELLS))
+    def test_paths_and_bill_match(self, uninterrupted, cell, pause, tmp_path):
+        resumed = resumed_run(
+            fault_engine(cell), pause, tmp_path / "dist.npz", self._restore(cell)
+        )
+        assert_same_run(resumed, uninterrupted[cell])
+
+    def test_file_without_the_new_keys_still_resumes(self, uninterrupted, tmp_path):
+        """A v4 file written before the recovery point and the cleared
+        suspicions were saved resumes as it did then: the same walk,
+        from a fresh recovery point."""
+        cell = "node2vec-4node-degraded"
+        engine = fault_engine(cell)
+        engine.run(max_iterations=19)
+        path = tmp_path / "dist.npz"
+        save_checkpoint(engine, path)
+
+        def strip(arrays):
+            new = [key for key in arrays if key.startswith("recovery_")]
+            assert new and "health_newly_cleared" in arrays
+            for key in new + ["health_newly_cleared"]:
+                del arrays[key]
+
+        _rewrite(path, strip)
+        result = self._restore(cell)(path).run()
+        whole = uninterrupted[cell]
+        for a, b in zip(result.paths, whole.paths):
+            np.testing.assert_array_equal(a, b)
+        assert result.stats.total_steps == whole.stats.total_steps
+        taken = result.cluster.recovery.checkpoints_taken
+        assert taken == whole.cluster.recovery.checkpoints_taken + 1
