@@ -591,7 +591,8 @@ class WalkEngine:
 
     def _commit_moves(self, movers: np.ndarray, targets: np.ndarray) -> None:
         """Apply one batch of accepted transitions — the one place any
-        engine moves walkers."""
+        engine moves walkers; events carry int64 ids, as walker state."""
+        targets = targets.astype(np.int64, copy=False)
         for hook in self._hooks["moves"]:
             hook(movers, targets)
         self.walkers.move(movers, targets)

@@ -22,6 +22,7 @@ from itertools import islice
 
 import numpy as np
 
+from repro._index import index_dtype
 from repro._textblock import decimal, join_columns
 
 __all__ = [
@@ -44,8 +45,7 @@ def token_dtype(num_vertices: int, num_walkers: int) -> np.dtype:
     """The narrowest integer type a recorder needs: int32 while every
     vertex id and walker id is below 2**31, else int64.  Half the bytes
     of every recorded path, shard hand-off and checkpoint."""
-    fits = max(num_vertices, num_walkers) <= np.iinfo(np.int32).max + 1
-    return np.dtype(np.int32 if fits else np.int64)
+    return index_dtype(max(num_vertices, num_walkers))
 
 
 def write_walks(handle, walks: Iterable[Sequence[int]]) -> None:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro._index import index_dtype
 from repro.errors import GraphError
 
 __all__ = ["CSRGraph", "DegreeStats"]
@@ -30,9 +31,6 @@ KEY_VERTEX_LIMIT = 3_037_000_499
 
 # Fibonacci-hashing multiplier (2**64 / golden ratio, odd).
 _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
-# Below every key a query can form: sources are >= NO_VERTEX (-1), so
-# keys are >= -|V| — an empty slot never matches one.
-_EMPTY_SLOT = np.int64(np.iinfo(np.int64).min)
 # Keys inserted into the hash set per pass.  A constant, not an option:
 # each key in flight costs ~50 bytes of temporaries beside the table.
 # On twitter x1 (8.4 MB table) 2**14 keys hold 0.8 MB and build in 22
@@ -60,7 +58,10 @@ def _build_key_hash(sorted_keys: np.ndarray) -> tuple[np.ndarray, int]:
     chunks = range(0, sorted_keys.size, _HASH_CHUNK)
     distinct = sum(_first_of_runs(sorted_keys, low).size for low in chunks)
     bits = max(4, int(np.ceil(np.log2(max(distinct * 2.5, 2)))))
-    table = np.full(1 << bits, _EMPTY_SLOT, dtype=np.int64)
+    # An empty slot is below every key a query can form: sources are >=
+    # NO_VERTEX (-1), so keys are >= -|V| — it never matches one.
+    empty = np.iinfo(sorted_keys.dtype).min
+    table = np.full(1 << bits, empty, dtype=sorted_keys.dtype)
     mask = np.uint64(table.size - 1)
     for low in chunks:
         pending = _first_of_runs(sorted_keys, low)
@@ -68,7 +69,7 @@ def _build_key_hash(sorted_keys: np.ndarray) -> tuple[np.ndarray, int]:
         distance = np.uint64(0)
         while pending.size:
             probe = (slots + distance) & mask
-            open_lanes = np.flatnonzero(table[probe] == _EMPTY_SLOT)
+            open_lanes = np.flatnonzero(table[probe] == empty)
             table[probe[open_lanes]] = pending[open_lanes]
             landed = table[probe[open_lanes]] == pending[open_lanes]
             keep = np.ones(pending.size, dtype=bool)
@@ -84,7 +85,7 @@ def _first_of_runs(sorted_keys: np.ndarray, low: int) -> np.ndarray:
     without the key that ends the chunk before it (sorted input, so a
     repeat is always the previous key; no key equals an empty slot)."""
     chunk = sorted_keys[low : low + _HASH_CHUNK]
-    previous = sorted_keys[low - 1] if low else _EMPTY_SLOT
+    previous = sorted_keys[low - 1] if low else np.iinfo(chunk.dtype).min
     return chunk[chunk != np.concatenate(([previous], chunk[:-1]))]
 
 
@@ -100,7 +101,8 @@ def _key_hash_contains(
     # indexing below only ever touches the collision tail.
     occupants = table[slots]
     found = occupants == queries
-    active = np.flatnonzero(~found & (occupants != _EMPTY_SLOT))
+    empty = np.iinfo(table.dtype).min
+    active = np.flatnonzero(~found & (occupants != empty))
     slots = slots[active]
     values = queries[active]
     distance = np.uint64(1)
@@ -108,12 +110,23 @@ def _key_hash_contains(
         occupants = table[(slots + distance) & mask]
         hit = occupants == values
         found[active[hit]] = True
-        unresolved = ~hit & (occupants != _EMPTY_SLOT)
+        unresolved = ~hit & (occupants != empty)
         active = active[unresolved]
         slots = slots[unresolved]
         values = values[unresolved]
         distance += np.uint64(1)
     return found.reshape(shape)
+
+
+def _whole(values, name: str) -> np.ndarray:
+    """``values`` as an array, refused unless every entry is a whole
+    number (integer arrays pass as they are)."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iub" and (
+        array.dtype.kind != "f" or not np.array_equal(array, np.trunc(array))
+    ):
+        raise GraphError(f"{name} must be whole numbers")
+    return array
 
 
 @dataclass(frozen=True)
@@ -143,12 +156,12 @@ class CSRGraph:
     Parameters
     ----------
     offsets:
-        int64 array of length ``|V| + 1``; the out-edges of vertex ``v``
-        occupy ``targets[offsets[v]:offsets[v + 1]]``.
+        ``|V| + 1`` whole numbers, kept as int64; the out-edges of vertex
+        ``v`` occupy ``targets[offsets[v]:offsets[v + 1]]``.
     targets:
-        int64 array of length ``|E|`` holding edge destinations.  Within
-        each vertex's slice the targets must be sorted ascending (use
-        :class:`repro.graph.builder.GraphBuilder`, which sorts for you).
+        ``|E|`` edge destinations, kept as ``index_dtype(|V|)``: int32
+        below 2**31 vertices.  Within each vertex's slice the targets must
+        be sorted ascending (use :class:`repro.graph.builder.GraphBuilder`).
     weights:
         optional float64 array of per-edge weights (the static
         transition component Ps in the paper's unified definition).
@@ -172,8 +185,9 @@ class CSRGraph:
         vertex_types: np.ndarray | None = None,
         undirected: bool = False,
     ) -> None:
-        offsets = np.asarray(offsets, dtype=np.int64)
-        targets = np.asarray(targets, dtype=np.int64)
+        # Validate the caller's arrays, then narrow: a cast first would
+        # truncate 1.7 to vertex 1 and wrap 2**32 + 1 to vertex 1.
+        offsets, targets = _whole(offsets, "offsets"), _whole(targets, "targets")
         if offsets.ndim != 1 or offsets.size == 0:
             raise GraphError("offsets must be a 1-D array of length |V|+1")
         if offsets[0] != 0:
@@ -182,12 +196,14 @@ class CSRGraph:
             raise GraphError(
                 f"offsets end at {offsets[-1]} but there are {targets.size} edges"
             )
-        if np.any(np.diff(offsets) < 0):
+        if np.any(offsets[1:] < offsets[:-1]):
             raise GraphError("offsets must be non-decreasing")
 
         num_vertices = offsets.size - 1
         if targets.size and (targets.min() < 0 or targets.max() >= num_vertices):
             raise GraphError("edge target out of range")
+        offsets = offsets.astype(np.int64, copy=False)
+        targets = targets.astype(index_dtype(num_vertices), copy=False)
 
         if weights is not None:
             weights = np.asarray(weights, dtype=np.float64)
@@ -358,7 +374,8 @@ class CSRGraph:
         return -1
 
     def _edge_key_array(self) -> np.ndarray | None:
-        """Sorted int64 keys ``source * |V| + target``, one per edge.
+        """Sorted keys ``source * |V| + target``, one per edge: int32
+        while |V|**2 <= 2**31, else int64.
 
         CSR stores targets sorted within each source slice, so the key
         array is globally non-decreasing and a single C-level
@@ -373,11 +390,12 @@ class CSRGraph:
         if self._edge_keys is None:
             with self._locked():
                 if self._edge_keys is None:
+                    dtype = index_dtype(self.num_vertices**2)
                     keys = np.repeat(
-                        np.arange(self.num_vertices, dtype=np.int64),
+                        np.arange(self.num_vertices, dtype=dtype),
                         np.diff(self._offsets),
                     )
-                    keys *= np.int64(self.num_vertices)
+                    keys *= dtype.type(self.num_vertices)
                     keys += self._targets
                     keys.setflags(write=False)
                     self._edge_keys = keys
@@ -406,8 +424,10 @@ class CSRGraph:
         if keys is None:
             first, _count = self.edge_span_batch(sources, targets)
             return first >= 0
-        queries = sources * np.int64(self.num_vertices)
-        queries += targets
+        # In the keys' dtype: int32 keys searched with int64 queries
+        # would be copied whole on every call.
+        queries = sources * np.int64(self.num_vertices) + targets
+        queries = queries.astype(keys.dtype, copy=False)
         key_hash = self._key_hash
         if key_hash is None:
             with self._locked():
@@ -444,6 +464,7 @@ class CSRGraph:
             upper = self._bound_batch(sources, targets, strict=False)
         else:
             queries = sources * np.int64(self.num_vertices) + targets
+            queries = queries.astype(keys.dtype, copy=False)
             lower = np.searchsorted(keys, queries, side="left")
             upper = np.searchsorted(keys, queries, side="right")
         counts = upper - lower

@@ -218,22 +218,40 @@ class EpochSnapshot(PreparedGraph):
     they never mutate old ones.  Once a newer epoch is snapshotted the
     owner holds this graph weakly (:meth:`DynamicGraph.snapshot_at`
     rebuilds it once dropped); tables asked of it are built from scratch.
+    Pickled, it is its graph plus the tables and bounds maintained for
+    its epoch, never the owner (WAL handle, delta buffer, other epochs);
+    unpickled, it builds anything else from scratch like a plain one.
     """
 
-    def __init__(self, owner: "DynamicGraph", epoch: int, graph: CSRGraph) -> None:
+    def __init__(self, owner, epoch: int, graph: CSRGraph, kept=()) -> None:
         super().__init__(graph)
         self._owner = owner
         self.epoch = epoch
+        # Unpickled: what was maintained for the epoch, by table kind or bounds key.
+        self._kept = dict(kept)
 
     @property
-    def maintenance(self) -> MaintenanceStats:
-        """The owner's cumulative incremental-maintenance counters."""
-        return self._owner.maintenance
+    def maintenance(self) -> MaintenanceStats | None:
+        """The owner's incremental-maintenance counters (``None`` unpickled)."""
+        return None if self._owner is None else self._owner.maintenance
+
+    def __reduce__(self):
+        kept = {**self._kept, **self._tables}
+        if self._owner is not None:
+            with self._owner._locked():
+                maintained = list(self._owner._maintained_at.items())
+            kept.update((key, v) for key, (at, v) in maintained if at == self.epoch)
+        return EpochSnapshot, (None, self.epoch, self.graph, kept)
 
     def _default_tables(self, kind: str):
+        if self._owner is None:
+            return self._kept.get(kind) or super()._default_tables(kind)
         return self._owner._tables_for(self, kind)
 
     def _bounds(self, program, use_lower_bound: bool):
+        if self._owner is None:
+            key = DynamicGraph._bounds_key(program, use_lower_bound)
+            return self._kept.get(key) or super()._bounds(program, use_lower_bound)
         return self._owner._bounds_for(self, program, use_lower_bound)
 
 

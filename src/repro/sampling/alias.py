@@ -22,6 +22,7 @@ import math
 
 import numpy as np
 
+from repro._index import index_dtype
 from repro.errors import SamplingError
 from repro.sampling.tables import VertexTables, compact_slices
 
@@ -127,10 +128,13 @@ def build_alias_segments(
     counting from the segment's own start — so a table does not depend
     on where its segment lies.  An all-zero segment cannot be sampled:
     its buckets are marked unusable (``prob`` 0) and its total is 0.
+    ``alias`` is as wide as an index into all of ``values`` needs, so
+    a partial build matches the full one.
     """
+    dtype = index_dtype(values.size)
     values, offsets = compact_slices(values, offsets, segments)
     prob = np.empty(values.size, dtype=np.float64)
-    alias = np.empty(values.size, dtype=np.int64)
+    alias = np.empty(values.size, dtype=dtype)
     totals = np.zeros(offsets.size - 1, dtype=np.float64)
     bounds = offsets.tolist()
     for segment, (start, end) in enumerate(zip(bounds, bounds[1:])):

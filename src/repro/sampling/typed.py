@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro._index import index_dtype
 from repro.errors import SamplingError
 from repro.graph.csr import CSRGraph
 from repro.sampling.alias import build_alias_segments
@@ -66,7 +67,7 @@ class TypedVertexAliasTables:
         )
         keys = sources * num_types + graph.edge_types
         # Stable sort keeps each group's edges in CSR order.
-        order = np.argsort(keys, kind="stable").astype(np.int64)
+        order = np.argsort(keys, kind="stable").astype(index_dtype(keys.size))
         group_keys, group_firsts, group_sizes = np.unique(
             keys[order], return_index=True, return_counts=True
         )

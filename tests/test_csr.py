@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro._index import index_dtype
 from repro.algorithms import Node2Vec
 from repro.core.config import WalkConfig
 from repro.core.engine import WalkEngine
+from repro.core.trace import token_dtype
 from repro.errors import GraphError
 from repro.graph import csr, load_dataset
 from repro.graph.builder import from_arrays, from_edges
@@ -64,6 +66,27 @@ class TestConstruction:
             CSRGraph(
                 np.array([0, 1]), np.array([0]), vertex_types=np.array([1, 2])
             )
+
+    @pytest.mark.parametrize(
+        "targets",
+        [[1.7, 0.2], [np.nan, 0.0], [2**32 + 1, 0], [float(2**32 + 1), 0.0]],
+        ids=["fractional", "nan", "2**32+1", "2**32+1-float"],
+    )
+    def test_targets_must_be_whole_vertex_ids(self, targets):
+        """Fractional targets were truncated to a vertex; a narrowing
+        cast before the range check would wrap 2**32 + 1 to vertex 1."""
+        with pytest.raises(GraphError):
+            CSRGraph([0, 1, 2], targets)
+
+    @pytest.mark.parametrize("offsets", [[0.0, 1.5, 2.0], [0.0, np.nan, 2.0]])
+    def test_offsets_must_be_whole(self, offsets):
+        with pytest.raises(GraphError):
+            CSRGraph(offsets, [1, 0])
+
+    def test_whole_floats_are_ids(self):
+        graph = CSRGraph([0.0, 1.0, 2.0], [1.0, 0.0])
+        assert graph.offsets.dtype == np.int64 and graph.targets.dtype == np.int32
+        assert graph.targets.tolist() == [1, 0]
 
     def test_arrays_are_read_only(self):
         graph = diamond_graph()
@@ -326,6 +349,38 @@ class TestPayAsYouGoIndex:
         for shard in shard_config(config, graph, 2):
             expected += WalkEngine(graph, Node2Vec(p=2.0, q=0.5), shard).run().paths
         assert [p.tolist() for p in merged.paths] == [p.tolist() for p in expected]
+
+
+class TestIndexWidth:
+    """One rule sizes every id array: int32 while every value it can
+    hold is below 2**31 — targets at 2**31 vertices, adjacency keys at
+    |V|**2 (never a perfect square: 46340**2 < 2**31 < 46341**2)."""
+
+    def test_rule_at_its_boundary(self):
+        assert index_dtype(2**31) == np.int32  # ids up to 2**31 - 1
+        assert index_dtype(2**31 + 1) == np.int64
+        assert token_dtype(2**31 + 1, 1) == index_dtype(2**31 + 1)
+
+    @pytest.mark.parametrize(
+        "num_vertices, key_dtype", [(46340, np.int32), (46341, np.int64)]
+    )
+    def test_keys_widen_past_vertices_squared(self, num_vertices, key_dtype):
+        last = num_vertices - 1
+        offsets = np.full(num_vertices + 1, 2, dtype=np.int64)
+        offsets[0], offsets[-1] = 0, 3
+        graph = CSRGraph(offsets, [1, last, last])  # 0 -> 1, 0 -> last, last -> last
+        assert graph.targets.dtype == np.int32
+        assert graph._edge_key_array().dtype == key_dtype
+        sources = np.array([0, 0, 0, last, -1, last])
+        targets = np.array([1, last, 2, last, last, 0])
+        expected = [True, True, False, True, False, False]
+        assert graph.has_edges_batch(sources, targets).tolist() == expected  # bisected
+        graph._bisected_queries = graph.num_edges
+        assert graph.has_edges_batch(sources, targets).tolist() == expected  # hashed
+        assert graph._key_hash[0].dtype == key_dtype
+        first, count = graph.edge_span_batch(sources, targets)
+        assert first.tolist() == [0, 1, -1, 2, -1, -1]
+        assert count.tolist() == [1, 1, 0, 1, 0, 0]
 
 
 class TestValidateAndEquality:

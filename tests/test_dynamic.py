@@ -383,6 +383,23 @@ class _CappedWalk(WalkerProgram):
         return self.caps[walkers.current[walker_ids]]
 
 
+class _HalfWalk(WalkerProgram):
+    """Q(v) = Pd = 0.5 through the scalar hooks: its bounds are
+    maintained epoch to epoch."""
+
+    dynamic = True
+    supports_batch = True
+
+    def dynamic_upper_bound(self, graph, vertex):
+        return 0.5
+
+    def edge_dynamic_comp(self, graph, walker, edge_index, query_result=None):
+        return 0.5
+
+    def batch_dynamic_comp(self, graph, walkers, walker_ids, candidate_edges):
+        return np.full(walker_ids.size, 0.5)
+
+
 def test_bounds_are_not_shared_between_programs_differing_in_an_array():
     """The bounds cache used to key on scalar attributes only, so the
     second program was served the first one's envelope — below its Pd,
@@ -566,16 +583,52 @@ class TestOwnerLock:
     def test_a_pickled_snapshot_walks_to_the_same_digest(self):
         dyn = DynamicGraph(small_graph(seed=19))
         dyn.commit([EdgeUpdate("insert", 0, 1, 2.0)])
-        first = copy.deepcopy(dyn.snapshot().graph)
+        dyn.snapshot()
         dyn.commit([EdgeUpdate("delete", 0, 1)])
         snap = dyn.snapshot()
         config = WalkConfig(num_walkers=30, max_steps=8, record_paths=True, seed=4)
         thawed = pickle.loads(pickle.dumps(snap))
-        assert thawed.epoch == 2 and thawed._owner is not dyn
+        assert thawed.epoch == 2 and thawed._owner is None
         assert golden_digest(WalkEngine(thawed, DeepWalk(), config)) == golden_digest(
             WalkEngine(snap, DeepWalk(), config)
         )
-        assert thawed._owner.snapshot_at(1).graph == first  # rebuilt from its delta
+
+    def test_a_pickled_snapshot_carries_its_epoch_not_its_owner(self, tmp_path):
+        """Under a WAL the owner does not pickle at all, and without one
+        it dragged the base, the delta buffer, the retained deltas and
+        the newest epoch's tables along (400 kB for a 77 kB epoch)."""
+        graph = small_graph(seed=23, num_vertices=300)
+        dyn = DynamicGraph(graph, wal_path=tmp_path / "graph.wal")
+        config = WalkConfig(num_walkers=60, max_steps=6, record_paths=True, seed=5)
+        for batch in generate_churn_batches(graph, 4, 25, seed=6):
+            dyn.commit(batch)
+            WalkEngine(dyn.snapshot(), _HalfWalk(), config).run()
+        snap = dyn.snapshot()
+        tables = snap.tables("alias")
+        maintained = {key for key, (at, _) in dyn._maintained_at.items() if at == 4}
+        assert "alias" in maintained and len(maintained) > 1  # tables and bounds
+
+        blob = pickle.dumps(snap)
+        thawed = pickle.loads(blob)
+        own = (snap.graph.offsets, snap.graph.targets, snap.graph.weights)
+        own += (tables.totals, tables._prob, tables._alias)
+        assert len(blob) <= 1.5 * sum(array.nbytes for array in own)
+        assert thawed._owner is None and thawed.maintenance is None
+        assert set(thawed._kept) == maintained
+        assert thawed.graph == snap.graph
+        for name in ("totals", "_prob", "_alias"):
+            np.testing.assert_array_equal(
+                getattr(thawed.tables("alias"), name), getattr(tables, name)
+            )
+        fresh = thawed.tables("its")  # never maintained: built from scratch
+        np.testing.assert_array_equal(
+            fresh._cdf, VertexITSTables(snap.graph)._cdf
+        )
+        for program in (_HalfWalk, lambda: Node2Vec(p=0.5, q=2.0)):
+            assert golden_digest(WalkEngine(thawed, program(), config)) == (
+                golden_digest(WalkEngine(snap, program(), config))
+            )
+        dyn.close()
 
 
 # ----------------------------------------------------------------------

@@ -311,6 +311,10 @@ CHURN_CELLS = {
 }
 
 
+def _widened(array: np.ndarray) -> np.ndarray:
+    return array.astype(np.int64) if array.dtype.kind in "iu" else array
+
+
 def measure_churn(cell: str) -> dict:
     make_program, nodes, make_graph = CHURN_CELLS[cell]
     engine = make_walk_engine(make_graph(), make_program(), BOUNDED, nodes=nodes)
@@ -321,8 +325,9 @@ def measure_churn(cell: str) -> dict:
         ("csr", (graph.offsets, graph.targets, graph.weights)),
         ("tables", (tables.totals, tables._prob, tables._alias)),
     ):
+        # Values, not storage widths: integer arrays hash as int64.
         summary[name] = hashlib.blake2b(
-            b"".join(array.tobytes() for array in arrays), digest_size=16
+            b"".join(_widened(array).tobytes() for array in arrays), digest_size=16
         ).hexdigest()
     return summary
 

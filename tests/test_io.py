@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro._index import index_dtype
 from repro._npz import save_checked
 from repro.errors import GraphFormatError, SnapshotCorruptError
 from repro.graph.builder import assign_random_weights, from_arrays, from_edges
@@ -217,7 +218,7 @@ class TestBulkParserConformance:
         assert loaded.num_vertices == expected.num_vertices
         np.testing.assert_array_equal(loaded.offsets, expected.offsets)
         np.testing.assert_array_equal(loaded.targets, expected.targets)
-        assert loaded.targets.dtype == np.int64
+        assert loaded.targets.dtype == index_dtype(loaded.num_vertices) == np.int32
         for got, want, dtype in (
             (loaded.weights, expected.weights, np.float64),
             (loaded.edge_types, expected.edge_types, np.int32),

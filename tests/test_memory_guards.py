@@ -1,6 +1,7 @@
 """Bytes a walk does not need, guarded: the adjacency index's build
-transient, the recorded token matrix and the unweighted Ps.  Each
-guard names the allocation it bounds, so a regression points at it."""
+transient, the recorded token matrix, the unweighted Ps and the width
+of every edge-sized index array.  Each guard names the allocation it
+bounds, so a regression points at it."""
 
 import tracemalloc
 
@@ -9,12 +10,13 @@ import pytest
 
 from repro.algorithms import DeepWalk, Node2Vec
 from repro.baselines.mixed import MixedNode2Vec
+from repro.cluster import DistributedWalkEngine
 from repro.core.config import WalkConfig
 from repro.core.engine import WalkEngine
 from repro.graph import csr, load_dataset
 from repro.graph.builder import assign_random_weights
 from repro.graph.generators import uniform_degree_graph
-from repro.graph.prepared import build_tables
+from repro.graph.prepared import build_tables, prepare
 
 
 def test_key_hash_build_peaks_near_the_table_it_keeps():
@@ -29,6 +31,73 @@ def test_key_hash_build_peaks_near_the_table_it_keeps():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * table.nbytes
+
+
+@pytest.fixture(scope="module")
+def twitter():
+    return load_dataset("twitter", scale=1.0)
+
+
+def test_edge_index_arrays_hold_four_bytes_per_entry(twitter):
+    """CSR targets, alias indices, sorted adjacency keys and hash slots
+    of twitter x1 (16 000 vertices, so keys fit as well)."""
+    prepared = prepare(twitter)
+    graph = prepared.graph
+    keys = graph._edge_key_array()
+    queries = np.arange(keys.size) % graph.num_vertices
+    graph.has_edges_batch(queries, queries)  # bisected: pays for the hash
+    graph.has_edges_batch(queries[:8], queries[:8])
+    arrays = {
+        "targets": graph.targets,
+        "alias": prepared.tables("alias")._alias,
+        "keys": keys,
+        "hash": graph._key_hash[0],
+    }
+    assert keys.size == graph.num_edges >= 300_000
+    widths = {name: array.itemsize for name, array in arrays.items()}
+    assert widths == dict.fromkeys(arrays, 4)
+
+
+def test_a_bisected_query_does_not_copy_the_keys(twitter):
+    """Queries are cast to the keys' dtype: searching int32 keys for
+    int64 queries would copy all of them on every call."""
+    graph = csr.CSRGraph(twitter.offsets, twitter.targets)
+    keys = graph._edge_key_array()
+    sources = np.arange(64, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        graph.has_edges_batch(sources, sources + 1)
+        graph.edge_span_batch(sources, sources + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert graph._key_hash is None and peak < keys.nbytes / 50
+
+
+class MoveDtypes:
+    def __init__(self):
+        self.dtypes = set()
+
+    def on_moves(self, walker_ids, targets):
+        self.dtypes.update((walker_ids.dtype, targets.dtype))
+
+
+@pytest.mark.parametrize("nodes", [0, 4])
+def test_move_events_carry_int64_ids(nodes):
+    """The graph stores int32 targets, but a move event hands on walker
+    state: a tracer digests dtype and bytes, so its hashes stay put."""
+    graph = uniform_degree_graph(300, 8, seed=3, undirected=True)
+    config = WalkConfig(num_walkers=100, max_steps=10, seed=1)
+    program = Node2Vec(p=2.0, q=0.5)
+    if nodes:
+        engine = DistributedWalkEngine(graph, program, config, num_nodes=nodes)
+    else:
+        engine = WalkEngine(graph, program, config)
+    seen = MoveDtypes()
+    engine.observe(seen)
+    engine.run()
+    assert graph.targets.dtype == np.int32
+    assert seen.dtypes == {np.dtype(np.int64)}
 
 
 def test_a_bounded_recorded_walk_holds_four_bytes_per_token():
