@@ -46,9 +46,6 @@ def main() -> None:
         max_steps=None,
         termination_probability=1.0 / 80.0,
         seed=11,
-        # ITS tables build in O(|E|) vectorised time, keeping each
-        # parallel worker's engine initialisation cheap.
-        static_sampler="its",
     )
 
     # 1. Baseline: one engine, one process, scalar program.

@@ -6,7 +6,7 @@ built around rejection sampling over a unified transition probability
 the full system from scratch:
 
 * :mod:`repro.graph` — CSR storage, generators, partitioning;
-* :mod:`repro.sampling` — alias, ITS, and rejection samplers;
+* :mod:`repro.sampling` — alias and rejection samplers;
 * :mod:`repro.core` — the walker-centric programming model and engine;
 * :mod:`repro.algorithms` — DeepWalk, PPR, Meta-path, node2vec;
 * :mod:`repro.cluster` — the distributed-execution simulator;

@@ -93,6 +93,19 @@ DELAY_LATENCY_MULTIPLIER = 4.0
 # effectively unreachable.
 MAX_DELIVERY_ATTEMPTS = 16
 
+# Upper ends of what the chaos-plan generators draw (the CI profiles
+# vary only slowdown and flaky-link counts and the slowdown factor).
+_MAX_CRASH_SUPERSTEP = 12
+_MAX_CRASHES = 2
+_MAX_DROP = 0.15
+_MAX_DUPLICATE = 0.08
+_MAX_DELAY = 0.08
+_MAX_SLOWDOWN_START = 4
+_MAX_RAMP = 6
+_MAX_LINK_DROP = 0.3
+_MAX_LINK_DELAY = 0.3
+_MAX_RTT_FACTOR = 6.0
+
 
 @dataclass(frozen=True)
 class MessageFaults:
@@ -618,36 +631,28 @@ class FaultPlane:
         self.timers.load_arrays(state)
 
 
-def random_fault_plan(
-    seed: int,
-    num_nodes: int,
-    max_crash_superstep: int = 12,
-    max_crashes: int = 2,
-    max_drop: float = 0.15,
-    max_duplicate: float = 0.08,
-    max_delay: float = 0.08,
-) -> FaultPlan:
+def random_fault_plan(seed: int, num_nodes: int) -> FaultPlan:
     """Draw a reproducible random plan — the chaos-test generator.
 
     Rates are sampled independently per message kind; up to
-    ``max_crashes`` restart-style crashes land on random nodes at
-    random supersteps in ``[1, max_crash_superstep]``.
+    ``_MAX_CRASHES`` restart-style crashes land on random nodes at
+    random supersteps in ``[1, _MAX_CRASH_SUPERSTEP]``.
     """
     rng = derive_rng(seed, 0xC4A05)
     per_kind = {
         kind: MessageFaults(
-            drop=float(rng.uniform(0.0, max_drop)),
-            duplicate=float(rng.uniform(0.0, max_duplicate)),
-            delay=float(rng.uniform(0.0, max_delay)),
+            drop=float(rng.uniform(0.0, _MAX_DROP)),
+            duplicate=float(rng.uniform(0.0, _MAX_DUPLICATE)),
+            delay=float(rng.uniform(0.0, _MAX_DELAY)),
         )
         for kind in MessageKind
     }
     crashes = tuple(
         NodeCrash(
-            superstep=int(rng.integers(1, max_crash_superstep + 1)),
+            superstep=int(rng.integers(1, _MAX_CRASH_SUPERSTEP + 1)),
             node=int(rng.integers(0, num_nodes)),
         )
-        for _ in range(int(rng.integers(0, max_crashes + 1)))
+        for _ in range(int(rng.integers(0, _MAX_CRASHES + 1)))
     )
     return FaultPlan(seed=seed, crashes=crashes, per_kind=per_kind)
 
@@ -657,12 +662,7 @@ def random_degraded_plan(
     num_nodes: int,
     max_slowdowns: int = 2,
     max_factor: float = 6.0,
-    max_start: int = 4,
-    max_ramp: int = 6,
     max_flaky_links: int = 1,
-    max_link_drop: float = 0.3,
-    max_link_delay: float = 0.3,
-    max_rtt_factor: float = 6.0,
     base: FaultPlan | None = None,
 ) -> FaultPlan:
     """Draw a reproducible degraded-hardware plan — the straggler-chaos
@@ -683,8 +683,8 @@ def random_degraded_plan(
         NodeSlowdown(
             node=int(node),
             factor=float(rng.uniform(2.0, max_factor)),
-            start_superstep=int(rng.integers(0, max_start + 1)),
-            ramp_supersteps=int(rng.integers(0, max_ramp + 1)),
+            start_superstep=int(rng.integers(0, _MAX_SLOWDOWN_START + 1)),
+            ramp_supersteps=int(rng.integers(0, _MAX_RAMP + 1)),
         )
         for node in nodes
     )
@@ -696,10 +696,10 @@ def random_degraded_plan(
                 a=a,
                 b=b,
                 faults=MessageFaults(
-                    drop=float(rng.uniform(0.05, max_link_drop)),
-                    delay=float(rng.uniform(0.05, max_link_delay)),
+                    drop=float(rng.uniform(0.05, _MAX_LINK_DROP)),
+                    delay=float(rng.uniform(0.05, _MAX_LINK_DELAY)),
                 ),
-                rtt_factor=float(rng.uniform(2.0, max_rtt_factor)),
+                rtt_factor=float(rng.uniform(2.0, _MAX_RTT_FACTOR)),
             )
         )
     template = base if base is not None else FaultPlan(seed=seed)

@@ -9,6 +9,7 @@ fixed walk length and/or a per-step termination probability.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass
 from typing import Any
 
@@ -62,9 +63,6 @@ class WalkConfig:
         walker terminates, instead of keeping sequences in memory —
         constant-memory output for huge runs.  Mutually exclusive with
         ``record_paths`` (the result's ``paths`` stays ``None``).
-    static_sampler:
-        ``"alias"`` (O(1) candidate draws, KnightKing's choice) or
-        ``"its"`` (O(log d), kept for comparison experiments).
     """
 
     num_walkers: int | None = None
@@ -76,9 +74,13 @@ class WalkConfig:
     seed: int = 0
     record_paths: bool = False
     stream_paths_to: str | None = None
-    static_sampler: str = "alias"
 
     def __post_init__(self) -> None:
+        for name in ("num_walkers", "walks_per_vertex", "max_steps", "seed"):
+            value = getattr(self, name)
+            # A fraction would be rounded up by the launch, not refused.
+            if value is not None and not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.start_vertices is not None and self.start_distribution is not None:
             raise ConfigError(
                 "start_vertices and start_distribution are mutually exclusive"
@@ -103,8 +105,6 @@ class WalkConfig:
             raise ConfigError(
                 "either max_steps or termination_probability must bound walks"
             )
-        if self.static_sampler not in ("alias", "its"):
-            raise ConfigError("static_sampler must be 'alias' or 'its'")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
 
@@ -151,6 +151,13 @@ class WalkConfig:
             if weights.size != graph.num_vertices:
                 raise ConfigError(
                     "start_distribution must have one weight per vertex"
+                )
+            finite = np.isfinite(weights)
+            if not finite.all():
+                vertex = int(np.argmin(finite))
+                raise ConfigError(
+                    f"start_distribution weight of vertex {vertex} is not "
+                    f"finite ({weights[vertex]})"
                 )
             if weights.min() < 0 or weights.sum() <= 0:
                 raise ConfigError(

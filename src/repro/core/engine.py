@@ -10,8 +10,8 @@ module's superstep loop and override one hook, ``_trial_round``):
    limit, the per-step termination coin, and any program-specific
    continuation test;
 2. run rejection-sampling trials over the static tables: candidates
-   from alias/ITS, lower-bound pre-acceptance, on-demand Pd evaluation,
-   outlier appendices;
+   from alias tables, lower-bound pre-acceptance, on-demand Pd
+   evaluation, outlier appendices;
 3. move walkers along accepted edges.
 
 Pacing follows the paper: static and first-order programs move in
@@ -23,7 +23,7 @@ distributed setting; rejected walkers stay put and retry next iteration
 
 Static programs (Pd = 1) set envelope == lower bound == 1 so every
 trial pre-accepts on the first dart: rejection sampling degenerates to
-plain alias/ITS sampling exactly as the paper promises ("morphing into
+plain alias sampling exactly as the paper promises ("morphing into
 the alias solution automatically in static walks").
 """
 
@@ -165,9 +165,7 @@ class WalkEngine:
         self._batch = program.supports_batch and not force_scalar
 
         init_start = time.perf_counter()
-        self.tables = prepared.tables(
-            config.static_sampler, program.edge_static_comp(graph)
-        )
+        self.tables = prepared.tables("alias", program.edge_static_comp(graph))
         self._scalar_sampler = RejectionSampler(self.tables)
         if program.dynamic:
             self.upper, self.lower = prepared.bounds_for(program, use_lower_bound)

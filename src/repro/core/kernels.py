@@ -33,7 +33,6 @@ import numpy as np
 from repro.core.program import WalkerProgram
 from repro.core.walker import WalkerSet
 from repro.sampling.alias import VertexAliasTables
-from repro.sampling.its import VertexITSTables
 from repro.sampling.rejection import SamplingCounters
 
 __all__ = [
@@ -50,8 +49,6 @@ __all__ = [
     "full_scan_spans",
     "gather_stage",
 ]
-
-StaticTables = VertexAliasTables | VertexITSTables
 
 # After this many consecutive rejections a walker's vertex is fully
 # scanned once to distinguish "unlucky" from "zero eligible mass".
@@ -196,7 +193,7 @@ class GatherContext:
 
 
 def gather_stage(
-    tables: StaticTables,
+    tables: VertexAliasTables,
     walkers: WalkerSet,
     walker_ids: np.ndarray,
     upper_bounds: np.ndarray,
@@ -262,7 +259,7 @@ def outlier_appendices(
 
 def batch_trial_round(
     graph,
-    tables: StaticTables,
+    tables: VertexAliasTables,
     program: WalkerProgram,
     walkers: WalkerSet,
     ctx: GatherContext,
@@ -518,7 +515,7 @@ class FullScanSpans:
 
 def full_scan_spans(
     graph,
-    tables: StaticTables,
+    tables: VertexAliasTables,
     program: WalkerProgram,
     walkers: WalkerSet,
     walker_ids: np.ndarray,
@@ -563,7 +560,7 @@ def full_scan_spans(
 
 def full_scan_distribution(
     graph,
-    tables: StaticTables,
+    tables: VertexAliasTables,
     program: WalkerProgram,
     walkers: WalkerSet,
     walker_id: int,
@@ -600,7 +597,7 @@ def full_scan_distribution(
 
 def full_scan_mass(
     graph,
-    tables: StaticTables,
+    tables: VertexAliasTables,
     program: WalkerProgram,
     walkers: WalkerSet,
     walker_id: int,

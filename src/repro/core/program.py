@@ -18,7 +18,7 @@ paper API (Figure 4)        WalkerProgram hook
 
 The unified transition probability is
 ``P(e) = Ps(e) * Pd(e, v, w) * Pe(v, w)``: Ps comes from
-``edge_static_comp`` (pre-processed into alias/ITS tables at init), Pd
+``edge_static_comp`` (pre-processed into alias tables at init), Pd
 from ``edge_dynamic_comp`` (evaluated lazily per rejection-sampling
 trial), and Pe from the termination configuration plus
 :meth:`WalkerProgram.should_continue`.
@@ -67,7 +67,7 @@ class WalkerProgram:
         whether the algorithm has a non-trivial Pd.  Static programs
         (``dynamic = False``) skip Pd evaluation entirely: the engine
         sets upper == lower so every trial pre-accepts, morphing
-        rejection sampling into plain alias/ITS sampling.
+        rejection sampling into plain alias sampling.
     order:
         1 for first-order walks; 2 for second-order (the engine then
         runs the two-round walker-to-vertex query protocol in

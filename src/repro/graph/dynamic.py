@@ -33,7 +33,7 @@ base-write and log-truncate steps individually crash-safe without
 needing cross-file atomicity.
 
 Sampler maintenance is incremental and **self-verifying**: per epoch,
-only touched vertices' alias / ITS / Q(v) entries are rebuilt (see
+only touched vertices' alias / Q(v) entries are rebuilt (see
 :mod:`repro.sampling.tables` for why that is bit-exact), and an
 optional verification mode re-derives sampled vertices from scratch,
 counts any mismatch, and falls back to a full rebuild — the tables a
@@ -56,7 +56,8 @@ import numpy as np
 
 from repro.errors import GraphError, WalError
 from repro.graph.csr import CSRGraph
-from repro.graph.prepared import PreparedGraph, build_tables, full_bounds
+from repro.graph.prepared import PreparedGraph, full_bounds
+from repro.sampling.alias import VertexAliasTables
 from repro.sampling.tables import (
     MaintenanceStats,
     copy_untouched_runs,
@@ -84,6 +85,9 @@ _BATCH_HEADER = struct.Struct("<I")
 
 # Touched vertices probed per table build under ``verify="sample"``.
 VERIFY_SAMPLES = 8
+
+# The ``_maintained_at`` key of an epoch's default alias tables.
+_TABLES = "alias"
 
 
 @dataclass(frozen=True)
@@ -227,7 +231,7 @@ class EpochSnapshot(PreparedGraph):
         super().__init__(graph)
         self._owner = owner
         self.epoch = epoch
-        # Unpickled: what was maintained for the epoch, by table kind or bounds key.
+        # Unpickled: what was maintained for the epoch, by _TABLES or bounds key.
         self._kept = dict(kept)
 
     @property
@@ -236,17 +240,19 @@ class EpochSnapshot(PreparedGraph):
         return None if self._owner is None else self._owner.maintenance
 
     def __reduce__(self):
-        kept = {**self._kept, **self._tables}
+        kept = dict(self._kept)
+        if self._tables is not None:
+            kept[_TABLES] = self._tables
         if self._owner is not None:
             with self._owner._locked():
                 maintained = list(self._owner._maintained_at.items())
             kept.update((key, v) for key, (at, v) in maintained if at == self.epoch)
         return EpochSnapshot, (None, self.epoch, self.graph, kept)
 
-    def _default_tables(self, kind: str):
+    def _default_tables(self) -> VertexAliasTables:
         if self._owner is None:
-            return self._kept.get(kind) or super()._default_tables(kind)
-        return self._owner._tables_for(self, kind)
+            return self._kept.get(_TABLES) or super()._default_tables()
+        return self._owner._tables_for(self)
 
     def _bounds(self, program, use_lower_bound: bool):
         if self._owner is None:
@@ -806,7 +812,7 @@ class DynamicGraph:
             self._touched_by_epoch.pop(epoch, None)
         self._pruned = max(self._pruned, floor)
 
-    def _tables_for(self, snap: EpochSnapshot, kind: str):
+    def _tables_for(self, snap: EpochSnapshot) -> VertexAliasTables:
         graph = snap.graph
 
         def incremental(previous, touched):
@@ -820,9 +826,8 @@ class DynamicGraph:
         def mismatches(tables, probes):
             return tables.mismatches(probes)
 
-        # An unknown kind has no cache entry: build_tables refuses it.
-        full = partial(build_tables, graph, kind)
-        return self._maintained(kind, snap, full, incremental, mismatches)
+        full = partial(VertexAliasTables, graph)
+        return self._maintained(_TABLES, snap, full, incremental, mismatches)
 
     def _probe_vertices(
         self, snap: EpochSnapshot, touched: np.ndarray

@@ -1,7 +1,7 @@
 """A graph plus what is pre-processed once per graph.
 
-KnightKing builds the static component's alias / ITS tables (paper
-section 3) and the per-vertex envelope Q(v) and pre-acceptance bound
+KnightKing builds the static component's alias tables (paper section
+3) and the per-vertex envelope Q(v) and pre-acceptance bound
 L(v) (section 4) once, then moves only cheap walker state through them
 (section 5.1).  :class:`PreparedGraph` is that first half; an engine is
 a ``PreparedGraph`` plus run state.  An epoch of a
@@ -19,20 +19,8 @@ import numpy as np
 from repro.errors import GraphError, ProgramError
 from repro.graph.csr import CSRGraph
 from repro.sampling.alias import VertexAliasTables
-from repro.sampling.its import VertexITSTables
 
-__all__ = ["PreparedGraph", "build_tables", "full_bounds", "prepare"]
-
-_TABLE_KINDS = {"alias": VertexAliasTables, "its": VertexITSTables}
-
-
-def build_tables(graph: CSRGraph, kind: str, static: np.ndarray | None = None):
-    """Sampler tables of ``kind`` over ``static`` (default: the edge
-    weights, or ones), from scratch."""
-    try:
-        return _TABLE_KINDS[kind](graph, static)
-    except KeyError:
-        raise GraphError(f"unknown sampler-table kind {kind!r}") from None
+__all__ = ["PreparedGraph", "full_bounds", "prepare"]
 
 
 def full_bounds(
@@ -57,21 +45,26 @@ class PreparedGraph:
 
     def __init__(self, graph: CSRGraph) -> None:
         self.graph = graph
-        self._tables: dict[str, object] = {}
+        self._tables: VertexAliasTables | None = None
 
     @property
     def num_vertices(self) -> int:
         return self.graph.num_vertices
 
-    def tables(self, kind: str, static: np.ndarray | None = None):
-        """Sampler tables (``"alias"`` or ``"its"``) over ``static``.
-        The default (``None``: edge weights, or ones) is built on first
-        use and kept; a program's own Ps array is built per call."""
+    def tables(
+        self, kind: str, static: np.ndarray | None = None
+    ) -> VertexAliasTables:
+        """The alias tables (``kind`` ``"alias"``, the one kind) over
+        ``static``.  The default (``None``: edge weights, or ones) is
+        built on first use and kept; a program's own Ps array is built
+        per call."""
+        if kind != "alias":
+            raise GraphError(f"unknown sampler-table kind {kind!r}")
         if static is not None:
-            return build_tables(self.graph, kind, static)
-        if kind not in self._tables:
-            self._tables[kind] = self._default_tables(kind)
-        return self._tables[kind]
+            return VertexAliasTables(self.graph, static)
+        if self._tables is None:
+            self._tables = self._default_tables()
+        return self._tables
 
     def bounds_for(
         self, program, use_lower_bound: bool = True
@@ -91,8 +84,8 @@ class PreparedGraph:
         return bool((tables.totals <= 0.0).any())
 
     # What an incrementally maintained epoch overrides.
-    def _default_tables(self, kind: str):
-        return build_tables(self.graph, kind)
+    def _default_tables(self) -> VertexAliasTables:
+        return VertexAliasTables(self.graph)
 
     def _bounds(self, program, use_lower_bound: bool):
         return full_bounds(self.graph, program, use_lower_bound)

@@ -1,9 +1,9 @@
-"""Sampling substrate: alias tables, inverse transform sampling,
-rejection sampling, and deterministic RNG management.
+"""Sampling substrate: alias tables, rejection sampling, and
+deterministic RNG management.
 
-These are the three samplers the paper contrasts in sections 3-4:
-alias and ITS pre-process *static* distributions; rejection sampling on
-top of them makes *dynamic* (walker-dependent) distributions cheap.
+Alias tables pre-process the *static* distribution Ps (paper section
+3); rejection sampling on top of them makes *dynamic*
+(walker-dependent) distributions cheap (section 4).
 """
 
 from repro._lazy import lazy_exports
@@ -11,7 +11,6 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     globals(),
     alias=("AliasTable", "VertexAliasTables", "build_alias_arrays"),
-    its=("VertexITSTables", "its_sample_from_cdf"),
     rejection=(
         "OutlierSpec",
         "RejectionSampler",

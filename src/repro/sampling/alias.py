@@ -24,7 +24,13 @@ import numpy as np
 
 from repro._index import index_dtype
 from repro.errors import SamplingError
-from repro.sampling.tables import VertexTables, compact_slices
+from repro.graph.csr import CSRGraph
+from repro.sampling.tables import (
+    compact_slices,
+    copy_untouched_runs,
+    slice_indices,
+    static_component,
+)
 
 __all__ = [
     "AliasTable",
@@ -151,19 +157,100 @@ def build_alias_segments(
     return totals, prob, alias
 
 
-class VertexAliasTables(VertexTables):
+class VertexAliasTables:
     """Per-vertex alias tables over each vertex's out-edge weights.
 
     The table of vertex ``v`` occupies the same flat index range as its
     CSR edge slice, with alias entries local to the slice: a sampled
     bucket plus the slice's start is a flat edge index.  Build cost is
     O(|E|) total, matching the paper's O(n) per-vertex pre-processing
-    bound.  Parameters as :class:`~repro.sampling.tables.VertexTables`.
+    bound.
+
+    Parameters
+    ----------
+    graph:
+        the graph whose static component to pre-process.
+    static_weights:
+        optional flat array of per-edge static components Ps; see
+        :func:`~repro.sampling.tables.static_component` for the default.
     """
 
-    _PER_EDGE = ("_prob", "_alias")
+    def __init__(
+        self, graph: CSRGraph, static_weights: np.ndarray | None = None
+    ) -> None:
+        self._graph = graph
+        self._static = static_component(graph, static_weights)
+        self._totals, self._prob, self._alias = build_alias_segments(
+            self._static, graph.offsets
+        )
 
-    _build = staticmethod(build_alias_segments)
+    @property
+    def graph(self) -> CSRGraph:
+        return self._graph
+
+    @property
+    def static_weights(self) -> np.ndarray:
+        """The Ps array the tables were built over."""
+        return self._static
+
+    @property
+    def totals(self) -> np.ndarray:
+        """Per-vertex total static mass (|V|-length array)."""
+        return self._totals
+
+    def total_static(self, vertex: int) -> float:
+        """Sum of Ps over ``vertex``'s out-edges."""
+        return float(self._totals[vertex])
+
+    def updated(
+        self,
+        graph: CSRGraph,
+        static_weights: np.ndarray | None,
+        touched: np.ndarray,
+    ) -> VertexAliasTables:
+        """Tables for ``graph``, reusing these outside ``touched``.
+
+        ``graph`` differs from this one's only at the ``touched``
+        vertices' slices.  Bit-identical to ``VertexAliasTables(graph,
+        static_weights)``.
+        """
+        touched = np.unique(np.asarray(touched, dtype=np.int64))
+        new = type(self).__new__(type(self))
+        new._graph = graph
+        new._static = static_component(graph, static_weights, touched)
+        totals, prob, alias = build_alias_segments(new._static, graph.offsets, touched)
+        new._totals = self._totals.copy()
+        new._totals[touched] = totals
+        new._prob = np.empty(graph.num_edges, dtype=prob.dtype)
+        new._alias = np.empty(graph.num_edges, dtype=alias.dtype)
+        rebuilt_at = slice_indices(graph.offsets, touched)
+        new._prob[rebuilt_at] = prob
+        new._alias[rebuilt_at] = alias
+        copy_untouched_runs(
+            self._graph.offsets,
+            graph.offsets,
+            touched,
+            [(self._prob, new._prob), (self._alias, new._alias)],
+        )
+        return new
+
+    def mismatches(self, vertices: np.ndarray) -> list[int]:
+        """Those of ``vertices`` whose slices differ from a rebuild.
+
+        Exact comparison, no tolerance: the maintenance contract is bit
+        identity, and any drift — however small — would desynchronise
+        replays across processes.
+        """
+        vertices = np.asarray(vertices, dtype=np.int64)
+        offsets = self._graph.offsets
+        totals, prob, alias = build_alias_segments(self._static, offsets, vertices)
+        differs = self._totals[vertices] != totals
+        at = slice_indices(offsets, vertices)
+        owner = np.repeat(
+            np.arange(vertices.size), offsets[vertices + 1] - offsets[vertices]
+        )
+        differs[owner[(self._prob[at] != prob) | (self._alias[at] != alias)]] = True
+        return vertices[differs].tolist()
 
     def sample(self, vertex: int, rng: np.random.Generator) -> int:
         """Draw a flat edge index from ``vertex``'s static distribution.

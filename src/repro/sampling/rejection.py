@@ -38,7 +38,6 @@ import numpy as np
 from repro.errors import ProgramError, SamplingError
 from repro.obs.counted import Counted, counter
 from repro.sampling.alias import VertexAliasTables
-from repro.sampling.its import VertexITSTables
 
 __all__ = [
     "OutlierSpec",
@@ -46,8 +45,6 @@ __all__ = [
     "RejectionSampler",
     "expected_trials",
 ]
-
-StaticTables = VertexAliasTables | VertexITSTables
 
 # Rejection sampling terminates with probability 1, but a buggy user
 # program (e.g. an upper bound of +inf) could loop forever; cap trials
@@ -125,11 +122,10 @@ class RejectionSampler:
     Parameters
     ----------
     static_tables:
-        pre-built :class:`VertexAliasTables` (O(1) candidate draws, the
-        engine default) or :class:`VertexITSTables` (O(log d) draws).
+        pre-built :class:`VertexAliasTables` (O(1) candidate draws).
     """
 
-    def __init__(self, static_tables: StaticTables) -> None:
+    def __init__(self, static_tables: VertexAliasTables) -> None:
         self._tables = static_tables
         self._graph = static_tables.graph
 

@@ -1,30 +1,29 @@
-"""What per-vertex sampler tables share, and how they follow a graph.
+"""What per-vertex alias tables share, and how they follow a graph.
 
 The paper's pre-processing (section 3) is per vertex: a vertex's alias
-or ITS slice is a pure function of that vertex's slice of the static
+slice is a pure function of that vertex's slice of the static
 component Ps, and it is stored *position-independent* — alias indices
-count from the slice's own start, a CDF carries no cross-slice sum.  So
-one builder per sampler kind (``build_alias_segments``,
-``segmented_cumsum``), taking the segments to build, is the whole
+count from the slice's own start.  So one segment builder
+(``build_alias_segments``), taking the segments to build, is the whole
 derivation, and everything else is that builder plus a copy:
 
 * a from-scratch table builds every segment;
-* :meth:`VertexTables.updated` — the next epoch of a dynamic graph —
-  copies the untouched stretches verbatim to where the new CSR layout
-  puts them (:func:`copy_untouched_runs`, which the CSR arrays of the
-  epoch go through as well) and builds the touched slices.  Copying an
-  untouched slice *is* rebuilding it, with no fix-up, so the result is
-  bit-identical to a from-scratch build over the new graph;
-* :meth:`VertexTables.mismatches` builds the probed slices again and
-  compares exactly — the runtime defence of that identity, which
-  :class:`~repro.graph.dynamic.DynamicGraph` counts in
-  :class:`MaintenanceStats` and answers with a full rebuild.
+* :meth:`~repro.sampling.alias.VertexAliasTables.updated` — the next
+  epoch of a dynamic graph — copies the untouched stretches verbatim to
+  where the new CSR layout puts them (:func:`copy_untouched_runs`, which
+  the CSR arrays of the epoch go through as well) and builds the touched
+  slices.  Copying an untouched slice *is* rebuilding it, with no
+  fix-up, so the result is bit-identical to a from-scratch build over
+  the new graph;
+* :meth:`~repro.sampling.alias.VertexAliasTables.mismatches` builds the
+  probed slices again and compares exactly — the runtime defence of
+  that identity, which :class:`~repro.graph.dynamic.DynamicGraph`
+  counts in :class:`MaintenanceStats` and answers with a full rebuild.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -34,7 +33,6 @@ from repro.obs.counted import Counted, counter
 
 __all__ = [
     "MaintenanceStats",
-    "VertexTables",
     "compact_slices",
     "copy_untouched_runs",
     "slice_indices",
@@ -160,105 +158,3 @@ def compact_slices(
     packed = np.zeros(segments.size + 1, dtype=np.int64)
     np.cumsum(offsets[segments + 1] - offsets[segments], out=packed[1:])
     return values[slice_indices(offsets, segments)], packed
-
-
-class VertexTables:
-    """Per-vertex sampler tables over a graph's static component.
-
-    A subclass declares ``_PER_EDGE`` — the names of its flat arrays
-    aligned with the CSR edge arrays, whose slice at a vertex depends
-    on that vertex's Ps slice alone — and ``_build(values, offsets,
-    segments=None)``, its segment builder, a static method returning
-    ``(totals, *those arrays)`` of the segments laid end to end.
-
-    Parameters
-    ----------
-    graph:
-        the graph whose static component to pre-process.
-    static_weights:
-        optional flat array of per-edge static components Ps; see
-        :func:`static_component` for the default.
-    """
-
-    _PER_EDGE: tuple[str, ...]
-    _build: Callable[..., tuple[np.ndarray, ...]]
-
-    def __init__(
-        self, graph: CSRGraph, static_weights: np.ndarray | None = None
-    ) -> None:
-        self._graph = graph
-        self._static = static_component(graph, static_weights)
-        totals, *arrays = self._build(self._static, graph.offsets)
-        self._install(totals, arrays)
-
-    def _install(self, totals: np.ndarray, arrays: list[np.ndarray]) -> None:
-        self._totals = totals
-        for name, array in zip(self._PER_EDGE, arrays):
-            setattr(self, name, array)
-
-    @property
-    def graph(self) -> CSRGraph:
-        return self._graph
-
-    @property
-    def static_weights(self) -> np.ndarray:
-        """The Ps array the tables were built over."""
-        return self._static
-
-    @property
-    def totals(self) -> np.ndarray:
-        """Per-vertex total static mass (|V|-length array)."""
-        return self._totals
-
-    def total_static(self, vertex: int) -> float:
-        """Sum of Ps over ``vertex``'s out-edges."""
-        return float(self._totals[vertex])
-
-    def updated(
-        self,
-        graph: CSRGraph,
-        static_weights: np.ndarray | None,
-        touched: np.ndarray,
-    ) -> "VertexTables":
-        """Tables for ``graph``, reusing these outside ``touched``.
-
-        ``graph`` differs from this one's only at the ``touched``
-        vertices' slices.  Bit-identical to ``type(self)(graph,
-        static_weights)``.
-        """
-        touched = np.unique(np.asarray(touched, dtype=np.int64))
-        new = type(self).__new__(type(self))
-        new._graph = graph
-        new._static = static_component(graph, static_weights, touched)
-        rebuilt_at = slice_indices(graph.offsets, touched)
-        rebuilt_totals, *rebuilt = self._build(new._static, graph.offsets, touched)
-        totals = self._totals.copy()
-        totals[touched] = rebuilt_totals
-        arrays = [np.empty(graph.num_edges, dtype=fresh.dtype) for fresh in rebuilt]
-        for array, fresh in zip(arrays, rebuilt):
-            array[rebuilt_at] = fresh
-        kept = [getattr(self, name) for name in self._PER_EDGE]
-        copy_untouched_runs(
-            self._graph.offsets, graph.offsets, touched, list(zip(kept, arrays))
-        )
-        new._install(totals, arrays)
-        return new
-
-    def mismatches(self, vertices: np.ndarray) -> list[int]:
-        """Those of ``vertices`` whose slices differ from a rebuild.
-
-        Exact comparison, no tolerance: the maintenance contract is bit
-        identity, and any drift — however small — would desynchronise
-        replays across processes.
-        """
-        vertices = np.asarray(vertices, dtype=np.int64)
-        offsets = self._graph.offsets
-        totals, *expected = self._build(self._static, offsets, vertices)
-        differs = self._totals[vertices] != totals
-        at = slice_indices(offsets, vertices)
-        owner = np.repeat(
-            np.arange(vertices.size), offsets[vertices + 1] - offsets[vertices]
-        )
-        for name, fresh in zip(self._PER_EDGE, expected):
-            differs[owner[getattr(self, name)[at] != fresh]] = True
-        return vertices[differs].tolist()

@@ -18,13 +18,13 @@ from repro.algorithms import Node2Vec
 from repro.core.kernels import (
     GatherContext,
     KernelScratch,
-    StaticTables,
     _validate_envelope,
     outlier_appendices,
 )
 from repro.core.program import WalkerProgram
 from repro.core.walker import NO_VERTEX, WalkerSet
 from repro.graph.csr import CSRGraph
+from repro.sampling.alias import VertexAliasTables
 from repro.sampling.rejection import SamplingCounters
 
 
@@ -39,7 +39,7 @@ class TrialOutcome:
 
 def reference_batch_trial_round(
     graph,
-    tables: StaticTables,
+    tables: VertexAliasTables,
     program: WalkerProgram,
     walkers: WalkerSet,
     ctx: GatherContext,
@@ -213,7 +213,7 @@ class ReferenceMultiTrialOutcome:
 
 def reference_batch_multi_trial_round(
     graph,
-    tables: StaticTables,
+    tables: VertexAliasTables,
     program: WalkerProgram,
     walkers: WalkerSet,
     ctx: GatherContext,

@@ -1,6 +1,5 @@
-"""The per-vertex alias and ITS builds as they stood at the commit
-before PR 22 put them behind one segment builder (5c56dd5), kept
-verbatim as the reference: ``tests/test_table_reference.py`` requires
+"""The per-vertex alias build as it stood at 5c56dd5, before it went
+behind one segment builder, kept verbatim as the reference: ``tests/test_table_reference.py`` requires
 the tables of every path — from scratch, ``updated(...)`` chains, the
 typed groups — to equal these bit for bit.  The alias indices here are
 *flat* edge indices (the old layout); the tables now store them
@@ -63,17 +62,3 @@ def reference_alias_tables(graph, static_weights):
         prob_out[start:end] = prob
         alias_out[start:end] = alias + start  # flatten local indices
     return prob_out, alias_out, totals
-
-
-def reference_its_tables(graph, static_weights):
-    """The per-vertex ``np.cumsum`` of ``incremental_its_tables`` /
-    ``verify_its_tables``, over every vertex -> (cdf, totals)."""
-    cdf = np.empty(graph.num_edges, dtype=np.float64)
-    totals = np.zeros(graph.num_vertices, dtype=np.float64)
-    for vertex in range(graph.num_vertices):
-        start, end = graph.edge_range(int(vertex))
-        if start == end:
-            continue
-        cdf[start:end] = np.cumsum(static_weights[start:end])
-        totals[vertex] = cdf[end - 1]
-    return cdf, totals

@@ -20,7 +20,6 @@ from repro.sampling.alias import (
     build_alias_arrays,
     build_alias_segments,
 )
-from repro.sampling.its import VertexITSTables
 from repro.sampling.typed import TypedVertexAliasTables
 
 from tests.helpers import assert_matches_distribution, diamond_graph
@@ -152,7 +151,7 @@ class TestVertexAliasTables:
         assert_matches_distribution(samples, custom[start:end])
 
     @pytest.mark.parametrize(
-        "tables", [VertexAliasTables, VertexITSTables, TypedVertexAliasTables]
+        "tables", [VertexAliasTables, TypedVertexAliasTables]
     )
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_static_component_names_the_edge(self, tables, bad):

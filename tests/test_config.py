@@ -37,8 +37,33 @@ class TestValidation:
         WalkConfig(max_steps=None, termination_probability=0.1)
 
     def test_bad_sampler_name(self):
-        with pytest.raises(ConfigError):
-            WalkConfig(static_sampler="magic")
+        # Alias is the one static sampler: the field is gone, no shim.
+        with pytest.raises(TypeError, match="static_sampler"):
+            WalkConfig(static_sampler="its")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_walkers", 2.5),
+            ("walks_per_vertex", 1.5),
+            ("max_steps", 2.5),
+            ("max_steps", 3.0),
+            ("seed", 2.5),
+            ("seed", "7"),
+        ],
+    )
+    def test_fractional_count_is_refused_not_rounded(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            WalkConfig(**{field: value})
+
+    def test_numpy_integer_counts_are_accepted(self):
+        graph = diamond_graph()
+        config = WalkConfig(
+            num_walkers=np.int64(3), max_steps=np.int32(2), seed=np.uint64(5)
+        )
+        assert config.resolve_starts(graph).tolist() == [0, 1, 2]
+        per_vertex = WalkConfig(walks_per_vertex=np.int16(2))
+        assert per_vertex.resolve_num_walkers(graph) == 8
 
     def test_negative_seed_is_a_config_error(self):
         # numpy's SeedSequence would otherwise raise a bare ValueError
@@ -156,6 +181,15 @@ class TestStartDistribution:
             WalkConfig(
                 num_walkers=1, start_distribution=np.zeros(4)
             ).resolve_starts(graph)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_names_the_vertex(self, bad):
+        graph = diamond_graph()
+        config = WalkConfig(
+            num_walkers=5, start_distribution=np.array([1.0, 0.5, bad, 2.0])
+        )
+        with pytest.raises(ConfigError, match="weight of vertex 2 is not finite"):
+            config.resolve_starts(graph)
 
     def test_engine_uses_distribution(self):
         from repro.algorithms import UniformWalk

@@ -4,8 +4,7 @@ The load-bearing test here is the seed-swept property test: a random
 sequence of insert/delete/reweight epochs (with compaction interleaved)
 must leave the dynamic graph *bit-identical* to a from-scratch
 :func:`~repro.graph.builder.from_arrays` build of the surviving edge
-list — CSR arrays, alias tables, ITS tables, and Q(v)/L(v) bound
-arrays alike.  Everything else (epoch pinning in both engine modes,
+list — CSR arrays, alias tables and Q(v)/L(v) bound arrays alike.  Everything else (epoch pinning in both engine modes,
 the cluster simulator, the service, checkpoints, the sanitizer's
 per-epoch certification) rides on that equivalence.
 """
@@ -46,7 +45,6 @@ from repro.graph.generators import erdos_renyi_graph
 from repro.graph.prepared import PreparedGraph
 from repro.lint.sanitizer import run_sanitized
 from repro.sampling.alias import VertexAliasTables
-from repro.sampling.its import VertexITSTables
 from repro.service import WalkRequest, WalkService
 from tests.test_dynamic_chaos import churn_graph
 from tests.test_golden_walks import digest as golden_digest
@@ -228,9 +226,8 @@ def assert_tables_identical(ours, reference):
     and the typed tables' grouped layout."""
     assert type(ours) is type(reference)
     compared = 0
-    for attr in (*getattr(type(ours), "_PER_EDGE", ()), "_totals", "_base",
-                 "_running", "_static", "_flat_edges", "_flat_prob",
-                 "_flat_alias", "_group_start", "_group_count"):
+    for attr in ("_prob", "_alias", "_totals", "_static", "_flat_edges",
+                 "_flat_prob", "_flat_alias", "_group_start", "_group_count"):
         mine = getattr(ours, attr, None)
         theirs = getattr(reference, attr, None)
         assert (mine is None) == (theirs is None), attr
@@ -318,7 +315,6 @@ def test_epochs_match_from_scratch_build(seed):
         assert snap.graph == reference
         np.testing.assert_array_equal(snap.graph.weights, reference.weights)
         assert_tables_identical(snap.tables("alias"), VertexAliasTables(reference))
-        assert_tables_identical(snap.tables("its"), VertexITSTables(reference))
         upper, lower = snap.bounds_for(program)
         np.testing.assert_array_equal(upper, program.upper_bound_array(reference))
         np.testing.assert_array_equal(lower, program.lower_bound_array(reference))
@@ -339,7 +335,6 @@ def test_incremental_tables_match_full_rebuild():
     dyn.commit([EdgeUpdate("insert", 0, 5, 2.0), EdgeUpdate("insert", 7, 3, 1.5)])
     snap = dyn.snapshot()
     assert_tables_identical(snap.tables("alias"), VertexAliasTables(snap.graph))
-    assert_tables_identical(snap.tables("its"), VertexITSTables(snap.graph))
     # The second epoch reuses the first's tables incrementally.
     dyn.commit([EdgeUpdate("delete", 0, 5)])
     snap = dyn.snapshot()
@@ -436,8 +431,8 @@ class TestRetention:
         dyn.commit([EdgeUpdate("delete", 0, 1)])
         second = dyn.snapshot()
         retained = dyn.snapshot_at(1)
-        assert retained._tables == {} and retained.graph is first.graph
-        assert second._tables == {} and dyn.snapshot_at(2) is second
+        assert retained._tables is None and retained.graph is first.graph
+        assert second._tables is None and dyn.snapshot_at(2) is second
         assert golden_digest(pinned) == expected  # its tables are its own
         assert pinned.stats.graph_epoch == 1
 
@@ -600,7 +595,8 @@ class TestOwnerLock:
         graph = small_graph(seed=23, num_vertices=300)
         dyn = DynamicGraph(graph, wal_path=tmp_path / "graph.wal")
         config = WalkConfig(num_walkers=60, max_steps=6, record_paths=True, seed=5)
-        for batch in generate_churn_batches(graph, 4, 25, seed=6):
+        *batches, unbuilt_batch = generate_churn_batches(graph, 5, 25, seed=6)
+        for batch in batches:
             dyn.commit(batch)
             WalkEngine(dyn.snapshot(), _HalfWalk(), config).run()
         snap = dyn.snapshot()
@@ -620,14 +616,16 @@ class TestOwnerLock:
             np.testing.assert_array_equal(
                 getattr(thawed.tables("alias"), name), getattr(tables, name)
             )
-        fresh = thawed.tables("its")  # never maintained: built from scratch
-        np.testing.assert_array_equal(
-            fresh._cdf, VertexITSTables(snap.graph)._cdf
-        )
         for program in (_HalfWalk, lambda: Node2Vec(p=0.5, q=2.0)):
             assert golden_digest(WalkEngine(thawed, program(), config)) == (
                 golden_digest(WalkEngine(snap, program(), config))
             )
+        dyn.commit(unbuilt_batch)  # pickled before its tables were built:
+        unbuilt = pickle.loads(pickle.dumps(dyn.snapshot()))
+        assert "alias" not in unbuilt._kept  # thawed, they build from scratch
+        assert_tables_identical(
+            unbuilt.tables("alias"), VertexAliasTables(unbuilt.graph)
+        )
         dyn.close()
 
 

@@ -26,7 +26,6 @@ from repro.errors import GraphError
 from repro.graph.builder import from_arrays
 from repro.graph.dynamic import DynamicGraph, EdgeUpdate, UpdateBatch
 from repro.sampling.alias import VertexAliasTables
-from repro.sampling.its import VertexITSTables
 from tests.reference_dynamic import ReferenceDynamicGraph
 from tests.test_dynamic import assert_tables_identical
 
@@ -198,9 +197,9 @@ def test_epoch_chains_equal_base_plus_overlay_and_scratch_tables(world, epochs, 
             if data.draw(st.booleans()):  # else: an epoch never materialised
                 snapshot = dynamic.snapshot()
                 assert_same_graph(snapshot.graph, graphs[epoch])
-                for kind, build in (("alias", VertexAliasTables), ("its", VertexITSTables)):
-                    if data.draw(st.booleans()):
-                        assert_tables_identical(snapshot.tables(kind), build(snapshot.graph))
+                if data.draw(st.booleans()):
+                    tables = snapshot.tables("alias")
+                    assert_tables_identical(tables, VertexAliasTables(snapshot.graph))
                 materialised.append(epoch)
                 del snapshot  # superseded epochs no test holds are rebuilt
                 for retained in materialised[-3:]:

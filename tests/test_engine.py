@@ -6,7 +6,7 @@ import pytest
 from repro.algorithms import DeepWalk, MetaPathWalk, Node2Vec, PPR, UniformWalk
 from repro.core.config import WalkConfig
 from repro.core.engine import WalkEngine
-from repro.errors import ProgramError
+from repro.errors import GraphError, ProgramError
 from repro.graph.builder import assign_random_weights, from_edges
 from repro.graph.generators import uniform_degree_graph
 from repro.graph.hetero import assign_random_edge_types
@@ -65,13 +65,6 @@ class TestBasicExecution:
         with pytest.raises(ProgramError):
             result.corpus()
 
-    def test_its_sampler_option(self, graph):
-        config = WalkConfig(
-            num_walkers=30, max_steps=10, static_sampler="its", record_paths=True
-        )
-        result = WalkEngine(graph, DeepWalk(), config).run()
-        assert_paths_valid(graph, result.paths)
-
 
 class TestPreparedGraph:
     """The ``graph`` argument also takes a PreparedGraph; the golden
@@ -79,16 +72,21 @@ class TestPreparedGraph:
 
     CONFIG = WalkConfig(num_walkers=20, max_steps=6, record_paths=True, seed=5)
 
-    def test_default_tables_are_kept_per_kind(self, graph):
+    def test_one_default_table_is_shared_by_all_engines(self, graph):
         shared = PreparedGraph(graph)
-        its = WalkConfig(num_walkers=20, max_steps=6, static_sampler="its")
+        walk = WalkConfig(num_walkers=20, max_steps=6, seed=6)
         engines = [
-            WalkEngine(shared, DeepWalk(), config)
-            for config in (self.CONFIG, its, self.CONFIG, its)
+            WalkEngine(shared, program, config)
+            for program, config in (
+                (DeepWalk(), self.CONFIG),
+                (DeepWalk(), walk),
+                (PPR(), walk),
+                (Node2Vec(p=2.0, q=0.5), self.CONFIG),
+            )
         ]
-        assert engines[0].tables is engines[2].tables is shared.tables("alias")
-        assert engines[1].tables is engines[3].tables is shared.tables("its")
-        assert engines[0].tables is not engines[1].tables
+        assert all(engine.tables is shared.tables("alias") for engine in engines)
+        with pytest.raises(GraphError, match="unknown sampler-table kind 'its'"):
+            shared.tables("its")
 
     def test_a_programs_own_static_component_is_built_per_engine(self, graph):
         weighted = PreparedGraph(assign_random_weights(graph, seed=1))

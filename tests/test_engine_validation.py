@@ -125,13 +125,6 @@ class TestConfigurationCorners:
         assert breakdown.by_probability > 0
         assert breakdown.total == 500
 
-    def test_its_sampler_distributed(self, graph):
-        config = WalkConfig(num_walkers=30, max_steps=8, static_sampler="its")
-        result = DistributedWalkEngine(
-            graph, Node2Vec(p=2, q=0.5, biased=False), config, num_nodes=3
-        ).run()
-        assert result.stats.total_steps == 240
-
     def test_start_distribution_distributed(self, graph):
         weights = np.zeros(graph.num_vertices)
         weights[:10] = 1.0

@@ -1106,14 +1106,14 @@ def test_prepared_graph_shared_by_two_engines(name, monkeypatch):
     plain = make(cell)
     built = []
 
-    def counting(*args, build=prepared.build_tables):
+    def counting(*args, build=prepared.VertexAliasTables):
         built.append(args)
         return build(*args)
 
-    monkeypatch.setattr(prepared, "build_tables", counting)
+    monkeypatch.setattr(prepared, "VertexAliasTables", counting)
     shared = prepared.PreparedGraph(plain.graph)
     first, second = make(cell, shared), make(cell, shared)
-    assert built == [(plain.graph, "alias")]
+    assert built == [(plain.graph,)]
     assert first.tables is second.tables is shared.tables("alias")
     assert first.graph is second.graph is plain.graph
     assert summarise(first) == summarise(second) == GOLDEN[name]

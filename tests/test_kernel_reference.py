@@ -29,7 +29,6 @@ from repro.core.program import WalkerProgram
 from repro.core.walker import NO_VERTEX, WalkerSet
 from repro.graph.builder import from_arrays
 from repro.sampling.alias import VertexAliasTables
-from repro.sampling.its import VertexITSTables
 from repro.sampling.rejection import SamplingCounters
 from tests.reference_kernels import ReferenceNode2Vec, reference_batch_trial_round
 
@@ -220,7 +219,6 @@ def assert_same_outcome(new, old, new_side, old_side):
 @settings(max_examples=300, deadline=None)
 @given(
     data=st.data(),
-    sampler=st.sampled_from([VertexAliasTables, VertexITSTables]),
     use_lower_bound=st.booleans(),
     validate_bounds=st.booleans(),
     exchange=st.booleans(),
@@ -228,12 +226,12 @@ def assert_same_outcome(new, old, new_side, old_side):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_rewritten_kernel_equals_frozen_kernel(
-    data, sampler, use_lower_bound, validate_bounds, exchange, coarse, seed
+    data, use_lower_bound, validate_bounds, exchange, coarse, seed
 ):
     graph = data.draw(graphs())
     program, frozen_program = data.draw(programs)
     walkers, walker_ids = data.draw(lanes(graph))
-    tables = sampler(graph, program.edge_static_comp(graph))
+    tables = VertexAliasTables(graph, program.edge_static_comp(graph))
     if program.dynamic:
         upper = program.upper_bound_array(graph)
         lower = program.lower_bound_array(graph) if use_lower_bound else upper * 0.0

@@ -16,7 +16,7 @@ from repro.core.engine import WalkEngine
 from repro.graph import csr, load_dataset
 from repro.graph.builder import assign_random_weights
 from repro.graph.generators import uniform_degree_graph
-from repro.graph.prepared import build_tables, prepare
+from repro.graph.prepared import prepare
 
 
 def test_key_hash_build_peaks_near_the_table_it_keeps():
@@ -117,10 +117,10 @@ def zero_stride(array: np.ndarray) -> bool:
     return array.strides == (0,) and not array.flags.writeable
 
 
-@pytest.mark.parametrize("kind", ["alias", "its"])
+@pytest.mark.parametrize("kind", ["alias"])
 def test_unweighted_static_weights_own_no_edge_buffer(kind):
     graph = uniform_degree_graph(300, 8, seed=3, undirected=True)
-    tables = build_tables(graph, kind)
+    tables = prepare(graph).tables(kind)
     assert tables.static_weights.size == graph.num_edges
     assert zero_stride(tables.static_weights)
 

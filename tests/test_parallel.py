@@ -75,7 +75,6 @@ class TestShardConfig:
             termination_probability=0.25,
             seed=9,
             record_paths=True,
-            static_sampler="its",
         )
         split = {"num_walkers", "walks_per_vertex", "start_vertices",
                  "start_distribution", "seed"}

@@ -10,7 +10,6 @@ from repro.graph.builder import from_arrays
 from repro.graph.partition import partition_graph
 from repro.graph.transform import induced_subgraph, reverse_graph
 from repro.sampling.alias import VertexAliasTables
-from repro.sampling.its import VertexITSTables
 
 
 @st.composite
@@ -34,20 +33,15 @@ def weighted_fans(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(data=weighted_fans(), seed=st.integers(0, 10_000))
-def test_alias_and_its_sample_the_same_law(data, seed):
-    """Both static samplers approximate the same frequencies."""
+def test_alias_samples_the_exact_law(data, seed):
+    """Alias draws approximate the exact shares of the weights."""
     graph, weights = data
     draws = 3000
-    alias_samples = VertexAliasTables(graph).sample_batch(
+    samples = VertexAliasTables(graph).sample_batch(
         np.zeros(draws, dtype=np.int64), np.random.default_rng(seed)
     )
-    its_samples = VertexITSTables(graph).sample_batch(
-        np.zeros(draws, dtype=np.int64), np.random.default_rng(seed + 1)
-    )
-    target = weights / weights.sum()
-    for samples in (alias_samples, its_samples):
-        frequencies = np.bincount(samples, minlength=weights.size) / draws
-        assert np.abs(frequencies - target).max() < 0.12
+    frequencies = np.bincount(samples, minlength=weights.size) / draws
+    assert np.abs(frequencies - weights / weights.sum()).max() < 0.12
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,6 +1,6 @@
 """Correctness tests for rejection sampling (paper section 4).
 
-The key property: for any static component Ps (handled by alias/ITS
+The key property: for any static component Ps (handled by alias
 pre-processing) and any dynamic component Pd bounded by the declared
 envelope, rejection sampling draws edges with probability proportional
 to Ps * Pd — *exactly*, with or without the lower-bound and
@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from repro.errors import ProgramError, SamplingError
 from repro.graph.builder import from_edges
 from repro.sampling.alias import VertexAliasTables
-from repro.sampling.its import VertexITSTables
 from repro.sampling.rejection import (
     OutlierSpec,
     RejectionSampler,
@@ -59,13 +58,6 @@ class TestUnbiasedRejection:
         pd = np.array([1.0, 0.0, 0.5])
         samples = sample_many(sampler, pd, upper=1.0, count=5000)
         assert 1 not in set(samples)
-
-    def test_its_static_tables_work_too(self):
-        graph = fan_graph(4)
-        sampler = RejectionSampler(VertexITSTables(graph))
-        pd = np.array([1.0, 3.0, 0.5, 2.0])
-        samples = sample_many(sampler, pd, upper=3.0, count=30_000)
-        assert_matches_distribution(samples, pd)
 
 
 class TestBiasedRejection:

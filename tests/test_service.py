@@ -480,6 +480,20 @@ class TestWalkService:
         assert service.metrics.failed == 1
         assert service.accounting_balanced()
 
+    def test_non_finite_start_distribution_fails_as_a_config_error(self, graph):
+        weights = np.ones(graph.num_vertices)
+        weights[7] = np.nan
+        config = WalkConfig(num_walkers=10, max_steps=4, start_distribution=weights)
+        with WalkService(graph, num_workers=1, queue_capacity=4) as service:
+            response = service.submit(
+                WalkRequest(program=UniformWalk(), config=config)
+            ).wait(timeout=60.0)
+        assert response.status == "failed"
+        assert response.error == (
+            "ConfigError: start_distribution weight of vertex 7 is not finite (nan)"
+        )
+        assert service.accounting_balanced()
+
     def test_queue_full_sheds_newest(self, graph):
         blocker = threading.Event()
 

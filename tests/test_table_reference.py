@@ -1,18 +1,18 @@
-"""Every path to a sampler table against the frozen per-vertex builds.
+"""Every path to a sampler table against the frozen per-vertex build.
 
-PR 22 put the derivation of a table slice behind one function per
-sampler kind (``build_alias_segments``, ``segmented_cumsum``) and made
-the alias layout vertex-local.  ``tests/reference_tables.py`` keeps the
-old per-vertex statements; here Hypothesis draws graphs — weighted and
-not, with empty vertices, all-zero slices and a hub above the
-rank-iteration cutoff — and requires the from-scratch tables, chains of
-``updated(...)`` under degree-changing touched sets and the typed
-groups to equal them bit for bit, and ``mismatches`` to name exactly
-the vertices whose slices were damaged.  The pairing pass itself is
-held to the frozen one on single segments too — degrees up to 300,
-duplicates, zeros, weights over 1e-300...1e300 and long stack chains —
-comparing the bits of ``prob``.  A rewrite of either builder (ROADMAP
-2a) has to keep this file green.
+The derivation of a table slice sits behind one function,
+``build_alias_segments``, and the alias layout is vertex-local.
+``tests/reference_tables.py`` keeps the old per-vertex statements; here
+Hypothesis draws graphs — weighted and not, with empty vertices,
+all-zero slices and a hub of over 256 edges — and requires the
+from-scratch tables, chains of ``updated(...)`` under degree-changing
+touched sets and the typed groups to equal them bit for bit, and
+``mismatches`` to name exactly the vertices whose slices were damaged.
+The pairing pass itself is held to the frozen one on single segments
+too — degrees up to 300, duplicates, zeros, weights over
+1e-300...1e300 and long stack chains — comparing the bits of ``prob``.
+A rewrite of either the segment builder or the pass has to keep this
+file green.
 """
 
 import numpy as np
@@ -22,16 +22,15 @@ from hypothesis import strategies as st
 
 from repro.graph.builder import from_arrays
 from repro.sampling.alias import VertexAliasTables, build_alias_arrays
-from repro.sampling.its import _RANK_ITERATION_CUTOFF, VertexITSTables
 from repro.sampling.typed import TypedVertexAliasTables
 from tests.reference_tables import (
     reference_alias_tables,
     reference_build_alias_arrays,
-    reference_its_tables,
 )
 from tests.test_dynamic import assert_tables_identical
 
-KINDS = (VertexAliasTables, VertexITSTables)
+KINDS = (VertexAliasTables,)
+HUB_DEGREE = 256
 NUM_TYPES = 3
 
 
@@ -50,10 +49,8 @@ class _Edges:
         """New adjacency (another degree, possibly none) for ``vertices``."""
         rng = self.rng
         degrees = rng.integers(0, 7, size=len(vertices))
-        if len(vertices) and rng.random() < 0.3:  # a hub above the cutoff
-            degrees[rng.integers(len(vertices))] = (
-                _RANK_ITERATION_CUTOFF + rng.integers(1, 40)
-            )
+        if len(vertices) and rng.random() < 0.3:  # a hub
+            degrees[rng.integers(len(vertices))] = HUB_DEGREE + rng.integers(1, 40)
         keep = ~np.isin(self.sources, vertices)
         sources = np.repeat(np.asarray(vertices, dtype=np.int64), degrees)
         weights = rng.integers(0, 9, size=sources.size) / 2.0 + rng.random(
@@ -101,15 +98,11 @@ def at_touched(graph, touched):
 
 
 def assert_equals_frozen(tables):
-    graph, static = tables.graph, tables.static_weights
-    if isinstance(tables, VertexAliasTables):
-        prob, flat_alias, totals = reference_alias_tables(graph, static)
-        starts = np.repeat(graph.offsets[:-1], np.diff(graph.offsets))
-        np.testing.assert_array_equal(tables._prob, prob)
-        np.testing.assert_array_equal(starts + tables._alias, flat_alias)
-    else:
-        cdf, totals = reference_its_tables(graph, static)
-        np.testing.assert_array_equal(tables._cdf, cdf)
+    graph = tables.graph
+    prob, flat_alias, totals = reference_alias_tables(graph, tables.static_weights)
+    starts = np.repeat(graph.offsets[:-1], np.diff(graph.offsets))
+    np.testing.assert_array_equal(tables._prob, prob)
+    np.testing.assert_array_equal(starts + tables._alias, flat_alias)
     np.testing.assert_array_equal(tables.totals, totals)
 
 
@@ -223,7 +216,7 @@ def test_a_long_large_chain_equals_the_frozen_pass(n):
 
 @pytest.mark.parametrize(
     "kind, array",
-    [(kind, name) for kind in KINDS for name in (*kind._PER_EDGE, "_totals")],
+    [(kind, name) for kind in KINDS for name in ("_prob", "_alias", "_totals")],
 )
 @given(edges=edge_sets(), data=st.data())
 @settings(max_examples=40, deadline=None)

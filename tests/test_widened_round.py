@@ -31,7 +31,6 @@ from repro.core.kernels import (
 )
 from repro.core.walker import NO_VERTEX, WalkerSet
 from repro.sampling.alias import VertexAliasTables
-from repro.sampling.its import VertexITSTables
 from repro.sampling.rejection import SamplingCounters
 from tests.helpers import assert_matches_distribution, widened_round
 from tests.reference_kernels import reference_batch_multi_trial_round
@@ -110,17 +109,16 @@ def standings(draw):
 @given(
     standing=standings(),
     k=st.sampled_from([1, 2, 6, 16]),
-    sampler=st.sampled_from([VertexAliasTables, VertexITSTables]),
     use_lower_bound=st.booleans(),
     exchange=st.booleans(),
     retried=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_widened_round_agrees_with_frozen_fused_kernel(
-    standing, k, sampler, use_lower_bound, exchange, retried, seed
+    standing, k, use_lower_bound, exchange, retried, seed
 ):
     graph, program, walkers = standing
-    tables = sampler(graph, program.edge_static_comp(graph))
+    tables = VertexAliasTables(graph, program.edge_static_comp(graph))
     upper = program.upper_bound_array(graph)
     lower = program.lower_bound_array(graph) if use_lower_bound else upper * 0.0
     ctx = gather_stage(tables, walkers, np.arange(LANES), upper, lower)
