@@ -9,7 +9,11 @@ import numpy as np
 __all__ = ["index_dtype"]
 
 
+_INT32 = np.dtype(np.int32)
+_INT64 = np.dtype(np.int64)
+
+
 def index_dtype(bound: int) -> np.dtype:
     """int32 when every value the array can hold lies in ``[-bound,
     bound)`` and ``bound <= 2**31``, else int64."""
-    return np.dtype(np.int32 if bound <= np.iinfo(np.int32).max + 1 else np.int64)
+    return _INT32 if bound <= 2**31 else _INT64

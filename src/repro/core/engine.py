@@ -24,7 +24,9 @@ distributed setting; rejected walkers stay put and retry next iteration
 Static programs (Pd = 1) set envelope == lower bound == 1 so every
 trial pre-accepts on the first dart: rejection sampling degenerates to
 plain alias sampling exactly as the paper promises ("morphing into
-the alias solution automatically in static walks").
+the alias solution automatically in static walks").  One array serves
+as both bounds, which the trial kernel reads as a flat envelope: it
+draws the darts and skips the arithmetic whose outcome is known.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.prepared import PreparedGraph, prepare
 from repro.sampling.rejection import RejectionSampler
 from repro.sampling.rng import derive_rng, restore_rng_words, rng_state_words
+from repro.sampling.tables import unit_weights
 
 __all__ = ["EVENTS", "WalkEngine", "WalkResult", "ZERO_MASS_GUARD_TRIALS"]
 
@@ -171,18 +174,20 @@ class WalkEngine:
             self.upper, self.lower = prepared.bounds_for(program, use_lower_bound)
         else:
             # Static walk: Pd is identically 1, so the tight envelope
-            # and lower bound coincide and every dart pre-accepts.
-            self.upper = np.ones(graph.num_vertices, dtype=np.float64)
-            self.lower = np.ones(graph.num_vertices, dtype=np.float64)
+            # and lower bound coincide — one array, a flat envelope —
+            # and every dart pre-accepts.
+            self.upper = self.lower = unit_weights(graph.num_vertices)
         # Whether Pe must look for dead ends at all: a property of the
         # tables (no vertex without static mass), not of the run.
-        self._has_dead_ends = prepared.has_dead_ends(self.tables)
+        self._has_dead_ends = self.tables.has_dead_ends
 
         # The other half: what a run advances (state_arrays).
         starts = config.resolve_starts(graph)
         self.walkers = WalkerSet(starts, history_depth=program.history_depth)
         self._rng = derive_rng(config.seed, 0xE17)
-        program.setup_walkers(graph, self.walkers, derive_rng(config.seed, 0x5E7))
+        if type(program).setup_walkers is not WalkerProgram.setup_walkers:
+            # Its own stream, derived only for a program that draws from it.
+            program.setup_walkers(graph, self.walkers, derive_rng(config.seed, 0x5E7))
         self._hooks: dict[str, list] = {event: [] for event in EVENTS}
         self._recorder = (
             PathRecorder(
@@ -399,7 +404,10 @@ class WalkEngine:
         walkers still in play."""
         for hook in self._hooks["stage"]:
             hook("update", active.size)
-        return self._apply_teleports(self._apply_extension_component(active))
+        active = self._apply_extension_component(active)
+        if self._has_teleports and active.size:
+            active = self._apply_teleports(active)
+        return active
 
     def _move_walkers(self, survivors: np.ndarray) -> None:
         """The superstep body, shared by every engine: Gather once,
@@ -431,14 +439,12 @@ class WalkEngine:
             return
         while ctx.size:
             resolved = self._trial_round(ctx)
-            if resolved.all():
+            if np.count_nonzero(resolved) == resolved.size:
                 break
             ctx = ctx.take(~resolved)
 
     def _apply_teleports(self, active: np.ndarray) -> np.ndarray:
         """Move teleporting walkers directly; return the remainder."""
-        if not self._has_teleports or active.size == 0:
-            return active
         jump = self.program.teleport_targets(
             self.graph, self.walkers, active, self._rng
         )
@@ -459,26 +465,26 @@ class WalkEngine:
         # No out-edges with positive static mass: nothing to sample.
         if self._has_dead_ends:
             dead = self.tables.totals[walkers.current[active]] <= 0.0
-            if dead.any():
+            if np.count_nonzero(dead):
                 self._kill(active[dead], "by_dead_end")
                 active = active[~dead]
 
         if config.max_steps is not None and active.size:
             done = walkers.steps[active] >= config.max_steps
-            if done.any():
+            if np.count_nonzero(done):
                 self._kill(active[done], "by_step_limit")
                 active = active[~done]
 
         if config.termination_probability > 0.0 and active.size:
             coins = self._rng.random(active.size)
             stop = coins < config.termination_probability
-            if stop.any():
+            if np.count_nonzero(stop):
                 self._kill(active[stop], "by_probability")
                 active = active[~stop]
 
         if self._has_custom_continue and active.size:
             keep = self.program.batch_should_continue(self.graph, walkers, active)
-            if not keep.all():
+            if np.count_nonzero(keep) < keep.size:
                 self._kill(active[~keep], "by_step_limit")
                 active = active[keep]
         return active
@@ -549,16 +555,18 @@ class WalkEngine:
         """Move/Update tail of one trial round: apply the accepted
         transitions, advance rejection streaks, fire the zero-mass
         guard.  Returns the resolved-lane mask (moved or guarded)."""
-        stuck_lanes = np.flatnonzero(~accepted)
-        if stuck_lanes.size < accepted.size:
+        moving = np.count_nonzero(accepted)
+        if moving == accepted.size:
             # Every lane moving (a static walk's every round) needs no
-            # gather through the mask.
-            movers = accepted if stuck_lanes.size else slice(None)
-            self._commit_moves(
-                walker_ids[movers], self.graph.targets[edges[movers]]
-            )
-        if stuck_lanes.size == 0:
+            # gather through the mask, nor a list of stuck lanes.
+            if moving:
+                self._commit_moves(walker_ids, self.graph.targets[edges])
             return accepted
+        if moving:
+            self._commit_moves(
+                walker_ids[accepted], self.graph.targets[edges[accepted]]
+            )
+        stuck_lanes = (~accepted).nonzero()[0]
         stuck = walker_ids[stuck_lanes]
         # The streak advances by trials actually consumed, so a
         # fused round (K trials per walker) reaches the guard after
@@ -645,12 +653,12 @@ class WalkEngine:
         self.stats.full_scan_evaluations += int(spans.evaluations.sum())
 
         dead = spans.totals <= 0.0
-        if dead.any():
+        if np.count_nonzero(dead):
             doomed = ids[dead]
             self._kill(doomed, "by_dead_end")
             self._rejection_streak[doomed] = 0
 
-        live = np.flatnonzero(~dead)
+        live = (~dead).nonzero()[0]
         if live.size:
             edges = spans.sample(live, self._rng)
             self._commit_moves(ids[live], self.graph.targets[edges])

@@ -121,8 +121,12 @@ class PathRecorder:
         """Record one batch of moves (each walker at most once)."""
         if not len(walker_ids):
             return
+        # One gather and one scatter of the counts; the new count is
+        # the column of the token it counts.
+        counts = self._counts[walker_ids] + 1
+        self._counts[walker_ids] = counts
         if self._matrix is not None:
-            self._matrix[walker_ids, self._counts[walker_ids] + 1] = vertices
+            self._matrix[walker_ids, counts] = vertices
         else:
             used, self._used = self._used, self._used + len(walker_ids)
             if self._used > self._log.shape[1]:
@@ -130,7 +134,6 @@ class PathRecorder:
                 self._log = np.concatenate([self._log[:, :used], spare], axis=1)
             self._log[0, used : self._used] = walker_ids
             self._log[1, used : self._used] = vertices
-        self._counts[walker_ids] += 1
 
     def packed(self) -> tuple[np.ndarray, np.ndarray]:
         """``(tokens, counts)`` for :func:`split_paths`: the live matrix

@@ -66,7 +66,7 @@ class WalkerSet:
 
     def active_ids(self) -> np.ndarray:
         """Indices of walkers still walking."""
-        return np.flatnonzero(self.alive)
+        return self.alive.nonzero()[0]
 
     # ------------------------------------------------------------------
     # Custom per-walker state

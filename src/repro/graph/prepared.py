@@ -69,19 +69,17 @@ class PreparedGraph:
     def bounds_for(
         self, program, use_lower_bound: bool = True
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Validated ``(upper, lower)`` = Q(v), L(v) of ``program``."""
+        """Validated ``(upper, lower)`` = Q(v), L(v) of ``program``: one
+        array for both when they agree at every vertex, which marks the
+        envelope flat for the trial kernel (``gather_stage``)."""
         upper, lower = self._bounds(program, use_lower_bound)
-        if np.any(lower > upper):
+        if np.count_nonzero(lower > upper):
             raise ProgramError("lower bound exceeds upper bound somewhere")
-        if np.any(upper <= 0):
+        if np.count_nonzero(upper <= 0):
             raise ProgramError("upper bounds must be positive")
+        if not np.count_nonzero(lower < upper):
+            return upper, upper
         return upper, lower
-
-    @staticmethod
-    def has_dead_ends(tables) -> bool:
-        """Whether any vertex is without static mass — if none is, Pe
-        never has to look for dead ends."""
-        return bool((tables.totals <= 0.0).any())
 
     # What an incrementally maintained epoch overrides.
     def _default_tables(self) -> VertexAliasTables:

@@ -18,6 +18,7 @@ epoch maintenance and verification all call it.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -183,6 +184,7 @@ class VertexAliasTables:
         self._totals, self._prob, self._alias = build_alias_segments(
             self._static, graph.offsets
         )
+        self._sizes = _table_sizes(graph, self._totals)
 
     @property
     def graph(self) -> CSRGraph:
@@ -197,6 +199,13 @@ class VertexAliasTables:
     def totals(self) -> np.ndarray:
         """Per-vertex total static mass (|V|-length array)."""
         return self._totals
+
+    @functools.cached_property
+    def has_dead_ends(self) -> bool:
+        """Whether any vertex is without static mass — if none is, Pe
+        never has to look for dead ends.  Tables never change once
+        built, so every engine on them shares one scan."""
+        return bool(np.count_nonzero(self._totals <= 0.0))
 
     def total_static(self, vertex: int) -> float:
         """Sum of Ps over ``vertex``'s out-edges."""
@@ -221,6 +230,7 @@ class VertexAliasTables:
         totals, prob, alias = build_alias_segments(new._static, graph.offsets, touched)
         new._totals = self._totals.copy()
         new._totals[touched] = totals
+        new._sizes = _table_sizes(graph, new._totals)
         new._prob = np.empty(graph.num_edges, dtype=prob.dtype)
         new._alias = np.empty(graph.num_edges, dtype=alias.dtype)
         rebuilt_at = slice_indices(graph.offsets, touched)
@@ -271,14 +281,30 @@ class VertexAliasTables:
     ) -> np.ndarray:
         """Vectorised :meth:`sample` for an array of vertices.
 
-        All vertices must have at least one positive-mass out-edge.
+        Every vertex must have positive static mass, as :meth:`sample`
+        demands; one that has none raises :class:`SamplingError`.
         """
         vertices = np.asarray(vertices, dtype=np.int64)
+        count = vertices.size
+        sizes = self._sizes[vertices]
+        if np.count_nonzero(sizes) < count:
+            raise SamplingError("sample_batch hit a vertex without positive mass")
         starts = self._graph.offsets[vertices]
-        degrees = self._graph.offsets[vertices + 1] - starts
-        if degrees.size and degrees.min() <= 0:
-            raise SamplingError("sample_batch hit a vertex with no out-edges")
-        buckets = starts + (rng.random(vertices.size) * degrees).astype(np.int64)
-        coins = rng.random(vertices.size)
-        take_bucket = coins < self._prob[buckets]
-        return np.where(take_bucket, buckets, starts + self._alias[buckets])
+        draws = rng.random(count)
+        draws *= sizes
+        buckets = draws.astype(np.int64)
+        buckets += starts
+        coins = rng.random(count)
+        edges = self._alias[buckets] + starts
+        np.copyto(edges, buckets, where=coins < self._prob[buckets])
+        return edges
+
+
+def _table_sizes(graph: CSRGraph, totals: np.ndarray) -> np.ndarray:
+    """Buckets a draw at each vertex picks among: its out-degree, or 0
+    where it has no positive mass — so one gather both sizes the draws
+    of :meth:`VertexAliasTables.sample_batch` and refuses every vertex
+    :meth:`VertexAliasTables.sample` refuses."""
+    sizes = np.diff(graph.offsets).astype(np.float64)  # what the draws scale by
+    sizes[totals <= 0.0] = 0.0
+    return sizes

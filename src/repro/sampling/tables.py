@@ -69,10 +69,16 @@ class MaintenanceStats(Counted, prefix="walk_sampler"):
         )
 
 
+_ONE = np.ones(1)
+_ONE.setflags(write=False)
+
+
 def unit_weights(size: int) -> np.ndarray:
     """``size`` ones as one read-only zero-stride view: the Ps of an
-    unweighted walk, which owns no |E| buffer."""
-    return np.broadcast_to(np.float64(1.0), (size,))
+    unweighted walk, which owns no |E| buffer (and a static program's
+    envelope).  The C-level constructor: ``np.broadcast_to`` costs
+    ~5 µs of Python checks per call."""
+    return np.ndarray((size,), np.float64, _ONE, 0, (0,))
 
 
 def static_component(

@@ -13,6 +13,7 @@ from repro.core.engine import WalkEngine
 from repro.errors import SamplingError
 from repro.graph import load_dataset
 from repro.graph.builder import assign_random_weights, from_arrays, from_edges
+from repro.graph.csr import CSRGraph
 from repro.graph.generators import truncated_power_law_graph
 from repro.sampling.alias import (
     AliasTable,
@@ -196,6 +197,35 @@ class TestVertexAliasTables:
         rng = np.random.default_rng(7)
         with pytest.raises(SamplingError):
             tables.sample(0, rng)
+
+    def test_zero_mass_vertex_is_refused_by_both_draws(self):
+        """Out-edges that all weigh 0 leave nothing to draw: the batch
+        draw refuses the vertex as the scalar one does, instead of
+        handing back its first edge."""
+        graph = CSRGraph([0, 2, 3], [1, 0, 0], weights=[0.0, 0.0, 1.0])
+        tables = VertexAliasTables(graph)
+        rng = np.random.default_rng(8)
+        with pytest.raises(SamplingError):
+            tables.sample(0, rng)
+        with pytest.raises(SamplingError):
+            tables.sample_batch([0, 0, 0], rng)
+        with pytest.raises(SamplingError):
+            tables.sample_batch([1, 0], rng)
+        assert tables.sample_batch([1, 1], rng).tolist() == [2, 2]
+        assert tables.sample_batch([], rng).size == 0
+        assert tables.has_dead_ends
+
+    def test_updated_tables_refuse_a_vertex_that_lost_its_mass(self):
+        before = CSRGraph([0, 2, 3], [1, 0, 0], weights=[1.0, 2.0, 1.0])
+        after = CSRGraph([0, 2, 3], [1, 0, 0], weights=[0.0, 0.0, 1.0])
+        rng = np.random.default_rng(9)
+        tables = VertexAliasTables(before)
+        assert tables.sample_batch([0], rng)[0] in (0, 1)
+        assert not tables.has_dead_ends
+        updated = tables.updated(after, None, np.array([0]))
+        with pytest.raises(SamplingError):
+            updated.sample_batch([0], rng)
+        assert updated.has_dead_ends
 
     def test_misaligned_weights(self):
         with pytest.raises(SamplingError):

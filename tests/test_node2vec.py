@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from repro.algorithms import Node2Vec
+from repro.cluster import DistributedWalkEngine
+from repro.core.config import WalkConfig
+from repro.core.engine import WalkEngine
 from repro.core.program import StateQuery
 from repro.core.walker import NO_VERTEX, WalkerSet
 from repro.errors import ProgramError
-from repro.graph.builder import from_edges
+from repro.graph.builder import assign_random_weights, from_edges
+from repro.graph.generators import uniform_degree_graph
 
 from tests.helpers import diamond_graph
 
@@ -216,3 +220,44 @@ class TestStaticComponent:
         graph = diamond_graph(weights=True)
         static = Node2Vec(biased=False).edge_static_comp(graph)
         np.testing.assert_array_equal(static, np.ones(graph.num_edges))
+
+
+class TestFlatEnvelope:
+    """With p = q = 1 every Pd is 1 and Q(v) = L(v) = 1: the envelope
+    is flat, and the trial kernel pre-accepts every dart without
+    evaluating Pd.  Turning the lower bound off makes every lane
+    evaluate Pd instead; the walk must not notice."""
+
+    @pytest.mark.parametrize("nodes", [0, 4])
+    def test_flat_branch_walks_the_paths_of_evaluating_every_pd(self, nodes):
+        graph = assign_random_weights(
+            uniform_degree_graph(200, 6, seed=5, undirected=True), seed=6
+        )
+        config = WalkConfig(num_walkers=150, max_steps=15, seed=11, record_paths=True)
+
+        def run(use_lower_bound):
+            if nodes:
+                engine = DistributedWalkEngine(
+                    graph, Node2Vec(p=1.0, q=1.0), config,
+                    num_nodes=nodes, use_lower_bound=use_lower_bound,
+                )
+            else:
+                engine = WalkEngine(
+                    graph, Node2Vec(p=1.0, q=1.0), config,
+                    use_lower_bound=use_lower_bound,
+                )
+            return engine, engine.run()
+
+        flat_engine, flat = run(True)
+        full_engine, full = run(False)
+        assert flat_engine.lower is flat_engine.upper  # the branch is taken
+        assert full_engine.lower is not full_engine.upper
+        assert [p.tolist() for p in flat.paths] == [p.tolist() for p in full.paths]
+        assert flat.stats.iterations == full.stats.iterations
+        flat_counts, full_counts = flat.stats.counters, full.stats.counters
+        assert flat_counts.pd_evaluations == 0
+        assert flat_counts.pre_accepts == flat_counts.trials
+        assert full_counts.pd_evaluations == full_counts.trials > 0
+        assert full_counts.pre_accepts == 0
+        for field in ("trials", "accepts", "appendix_trials"):
+            assert getattr(flat_counts, field) == getattr(full_counts, field)
