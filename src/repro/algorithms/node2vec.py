@@ -74,13 +74,20 @@ class Node2Vec(WalkerProgram):
         biased: bool = True,
         fold_outlier: bool | None = None,
     ) -> None:
-        if p <= 0 or q <= 0:
-            raise ProgramError("node2vec parameters p and q must be positive")
+        # Not ``p <= 0``: NaN compares false and would walk another law.
+        if not (p > 0 and q > 0):
+            raise ProgramError(
+                f"node2vec parameters p and q must be positive, got p={p!r}, q={q!r}"
+            )
         self.p = float(p)
         self.q = float(q)
         self.biased = bool(biased)
         self.return_pd = 1.0 / self.p
         self.inout_pd = 1.0 / self.q
+        if not (np.isfinite(self.return_pd) and np.isfinite(self.inout_pd)):
+            raise ProgramError(
+                f"node2vec 1/p and 1/q must be finite, got p={p!r}, q={q!r}"
+            )
         base_envelope = max(1.0, self.inout_pd)
         wants_folding = fold_outlier if fold_outlier is not None else True
         self.folding = bool(wants_folding) and self.return_pd > base_envelope

@@ -261,9 +261,8 @@ def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
     """Observability flags shared by ``walk`` and ``serve``."""
     obs = parser.add_argument_group(
         "observability",
-        "span tracing and metrics export (repro.obs); tracing off "
-        "unless a flag is given — the disabled path is certified <3% "
-        "overhead by the perf harness",
+        "span tracing and metrics export (repro.obs); tracing is off "
+        "unless a flag is given",
     )
     obs.add_argument(
         "--emit-trace", type=str, default=None, metavar="FILE",
@@ -473,21 +472,30 @@ def _write_trace(tracer: Tracer | None, args: argparse.Namespace) -> None:
         )
 
 
+def _walk_config(
+    args: argparse.Namespace, stream_paths_to: str | None = None
+) -> WalkConfig:
+    """The walk ``walk`` and ``sanitize`` both run: PPR stops with
+    probability 1/80 per step unless ``--termination`` sets another,
+    and then has no step cap."""
+    termination = args.termination
+    if args.algorithm == "ppr" and termination == 0.0:
+        termination = 1.0 / 80.0
+    return WalkConfig(
+        num_walkers=args.walkers,
+        max_steps=None if termination > 0 and args.algorithm == "ppr" else args.length,
+        termination_probability=termination,
+        seed=args.seed,
+        stream_paths_to=stream_paths_to,
+    )
+
+
 def _run_walk(args: argparse.Namespace) -> int:
     graph = _load_graph(args)
     program, graph = _build_program(args, graph)
     if args.updates is not None:
         graph = _apply_update_stream(graph, args)
-    termination = args.termination
-    if args.algorithm == "ppr" and termination == 0.0:
-        termination = 1.0 / 80.0
-    config = WalkConfig(
-        num_walkers=args.walkers,
-        max_steps=None if termination > 0 and args.algorithm == "ppr" else args.length,
-        termination_probability=termination,
-        seed=args.seed,
-        stream_paths_to=args.output,
-    )
+    config = _walk_config(args, stream_paths_to=args.output)
 
     fault_plan = _build_fault_plan(args)
     tracer = _make_tracer(args)
@@ -672,12 +680,7 @@ def _run_sanitize(args: argparse.Namespace) -> int:
     graph = _load_graph(args)
     program, graph = _build_program(args, graph)
 
-    config = WalkConfig(
-        num_walkers=args.walkers,
-        max_steps=args.length,
-        termination_probability=args.termination,
-        seed=args.seed,
-    )
+    config = _walk_config(args)
     fault_plan = _build_fault_plan(args)
 
     print(f"graph: {graph}")

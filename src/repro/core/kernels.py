@@ -45,7 +45,6 @@ __all__ = [
     "batch_trial_round",
     "first_accepts",
     "full_scan_distribution",
-    "full_scan_mass",
     "full_scan_spans",
     "gather_stage",
 ]
@@ -619,17 +618,3 @@ def full_scan_distribution(
         evaluations += 1
         mass[offset] = static[edge_index] * dynamic
     return mass, evaluations
-
-
-def full_scan_mass(
-    graph,
-    tables: VertexAliasTables,
-    program: WalkerProgram,
-    walkers: WalkerSet,
-    walker_id: int,
-) -> tuple[float, int]:
-    """Total unnormalised transition mass at one walker's vertex."""
-    mass, evaluations = full_scan_distribution(
-        graph, tables, program, walkers, walker_id
-    )
-    return float(mass.sum()), evaluations

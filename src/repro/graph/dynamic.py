@@ -12,12 +12,13 @@ from *visibility*:
   monotonically numbered **epoch**;
 * :meth:`DynamicGraph.snapshot` materialises the current epoch into an
   immutable :class:`EpochSnapshot` — a real ``CSRGraph`` plus
-  incrementally maintained sampler state — that running walks pin and
+  incrementally maintained alias tables — that running walks pin and
   later commits can never perturb (snapshot isolation by
-  immutability).  Every per-epoch structure is *the previous
-  materialised epoch plus the touched set* (untouched stretches block-
-  copied, touched slices rebuilt); a superseded epoch keeps the slices
-  its successor replaced, to be rebuilt once no walk holds its CSR;
+  immutability).  The CSR and the tables of an epoch are each *the
+  previous materialised epoch's plus the touched set* (untouched
+  stretches block-copied, touched slices rebuilt).  The owner keeps
+  only the newest epoch; a superseded one lives as long as a walk
+  holds its snapshot;
 * :meth:`DynamicGraph.compact` folds the delta buffer back into the
   base CSR, bounding overlay growth.
 
@@ -32,12 +33,14 @@ recovery skips WAL records the base already folded in, which makes the
 base-write and log-truncate steps individually crash-safe without
 needing cross-file atomicity.
 
-Sampler maintenance is incremental and **self-verifying**: per epoch,
-only touched vertices' alias / Q(v) entries are rebuilt (see
+Alias-table maintenance is incremental and **self-verifying**: per
+epoch, only touched vertices' tables are rebuilt (see
 :mod:`repro.sampling.tables` for why that is bit-exact), and an
 optional verification mode re-derives sampled vertices from scratch,
 counts any mismatch, and falls back to a full rebuild — the tables a
-walk sees are never silently wrong.
+walk sees are never silently wrong.  A program's Q(v) / L(v) are
+derived per engine, as on a static graph
+(:meth:`~repro.graph.prepared.PreparedGraph.bounds_for`).
 """
 
 from __future__ import annotations
@@ -46,9 +49,7 @@ import bisect
 import os
 import struct
 import threading
-import weakref
 from dataclasses import dataclass
-from functools import partial
 from itertools import repeat
 from typing import TYPE_CHECKING
 
@@ -56,7 +57,7 @@ import numpy as np
 
 from repro.errors import GraphError, WalError
 from repro.graph.csr import CSRGraph
-from repro.graph.prepared import PreparedGraph, full_bounds
+from repro.graph.prepared import PreparedGraph
 from repro.sampling.alias import VertexAliasTables
 from repro.sampling.tables import (
     MaintenanceStats,
@@ -85,9 +86,6 @@ _BATCH_HEADER = struct.Struct("<I")
 
 # Touched vertices probed per table build under ``verify="sample"``.
 VERIFY_SAMPLES = 8
-
-# The ``_maintained_at`` key of an epoch's default alias tables.
-_TABLES = "alias"
 
 
 @dataclass(frozen=True)
@@ -216,23 +214,21 @@ class EpochSnapshot(PreparedGraph):
     ``graph`` is a real read-only :class:`CSRGraph` — every engine runs
     on it unchanged — and the snapshot is the epoch's
     :class:`~repro.graph.prepared.PreparedGraph`: its default tables
-    and its bounds come from the owning :class:`DynamicGraph`, which
-    maintains them incrementally from the previous epoch's.  Snapshots
-    stay valid after further commits: later epochs build new arrays,
-    they never mutate old ones.  Once a newer epoch is snapshotted the
-    owner holds this graph weakly (:meth:`DynamicGraph.snapshot_at`
-    rebuilds it once dropped); tables asked of it are built from scratch.
-    Pickled, it is its graph plus the tables and bounds maintained for
-    its epoch, never the owner (WAL handle, delta buffer, other epochs);
+    come from the owning :class:`DynamicGraph`, which maintains them
+    incrementally from the previous epoch's.  Snapshots stay valid
+    after further commits: later epochs build new arrays, they never
+    mutate old ones.  The owner forgets a superseded epoch; whoever
+    holds its snapshot keeps it, and tables first asked of it then are
+    built from scratch.  Pickled, it is its graph plus the tables it
+    holds, never the owner (WAL handle, delta buffer, other epochs);
     unpickled, it builds anything else from scratch like a plain one.
     """
 
-    def __init__(self, owner, epoch: int, graph: CSRGraph, kept=()) -> None:
+    def __init__(self, owner, epoch: int, graph: CSRGraph, tables=None) -> None:
         super().__init__(graph)
         self._owner = owner
         self.epoch = epoch
-        # Unpickled: what was maintained for the epoch, by _TABLES or bounds key.
-        self._kept = dict(kept)
+        self._tables = tables  # unpickled: the tables kept for the epoch
 
     @property
     def maintenance(self) -> MaintenanceStats | None:
@@ -240,25 +236,12 @@ class EpochSnapshot(PreparedGraph):
         return None if self._owner is None else self._owner.maintenance
 
     def __reduce__(self):
-        kept = dict(self._kept)
-        if self._tables is not None:
-            kept[_TABLES] = self._tables
-        if self._owner is not None:
-            with self._owner._locked():
-                maintained = list(self._owner._maintained_at.items())
-            kept.update((key, v) for key, (at, v) in maintained if at == self.epoch)
-        return EpochSnapshot, (None, self.epoch, self.graph, kept)
+        return EpochSnapshot, (None, self.epoch, self.graph, self._tables)
 
     def _default_tables(self) -> VertexAliasTables:
         if self._owner is None:
-            return self._kept.get(_TABLES) or super()._default_tables()
+            return super()._default_tables()
         return self._owner._tables_for(self)
-
-    def _bounds(self, program, use_lower_bound: bool):
-        if self._owner is None:
-            key = DynamicGraph._bounds_key(program, use_lower_bound)
-            return self._kept.get(key) or super()._bounds(program, use_lower_bound)
-        return self._owner._bounds_for(self, program, use_lower_bound)
 
 
 def _replace_slices(prior: CSRGraph, vertices, local, columns) -> CSRGraph:
@@ -299,9 +282,8 @@ class DynamicGraph:
         failed probe is counted and triggers a from-scratch rebuild.
     seed:
         the deterministic seed the probes derive from.
-    retain_epochs:
-        how many recent snapshotted epochs :meth:`snapshot_at` reaches;
-        a superseded one costs its touched slices, not a CSR.
+    base_epoch:
+        the epoch ``base`` stands for (a durably compacted base's).
     """
 
     def __init__(
@@ -310,7 +292,6 @@ class DynamicGraph:
         wal_path: str | os.PathLike | None = None,
         verify: str = "off",
         seed: int = 0,
-        retain_epochs: int = 8,
         base_epoch: int = 0,
     ) -> None:
         if verify not in ("off", "sample", "full"):
@@ -324,15 +305,13 @@ class DynamicGraph:
         self._touched_by_epoch: dict[int, np.ndarray] = {}  # up to _pruned: gone
         self._pruned = self._base_epoch
         self._latest: EpochSnapshot | None = None
-        self._retained: dict[int, tuple] = {}  # superseded epoch -> reverse delta
-        # Table kind or bounds key -> (epoch, tables or (upper, lower)).
-        self._maintained_at: dict[str, tuple[int, object]] = {}
-        self._pid = None  # _locked() makes the lock and _held per process
+        # (epoch, alias tables): the newest epoch whose tables were asked for.
+        self._maintained: tuple[int, VertexAliasTables] | None = None
+        self._pid = None  # _locked() makes the lock per process
         self._weighted = base.weights is not None
         self._typed = base.edge_types is not None
         self._verify = verify
         self._seed = int(seed)
-        self._retain_epochs = max(1, int(retain_epochs))
         self.stats = DynamicGraphStats()
         self.maintenance = MaintenanceStats()
         self._wal: WriteAheadLog | None = None
@@ -340,22 +319,16 @@ class DynamicGraph:
             from repro.graph.wal import WriteAheadLog
 
             self._wal = WriteAheadLog.create(str(wal_path))
-        # Test-only hooks: corrupt one incrementally maintained entry
-        # (to exercise the verification fallback) / crash between the
-        # two steps of a durable compaction.
-        self._test_corrupt_incremental = False
-        self._test_crash_in_compaction = False
 
     def _locked(self) -> threading.Lock:
-        """The lock over maintenance and retention, and ``_held``: made
-        anew in a forked child or an unpickled copy, where no holder is left."""
+        """The lock over the newest epoch and its maintenance: made anew
+        in a forked child or an unpickled copy, where no holder is left."""
         if self._pid != os.getpid():
             self._lock, self._pid = threading.Lock(), os.getpid()
-            self._held = weakref.WeakValueDictionary()
         return self._lock
 
-    def __getstate__(self) -> dict:  # locks and weak references do not pickle
-        return dict(self.__dict__, _lock=None, _pid=None, _held=None)
+    def __getstate__(self) -> dict:  # locks do not pickle
+        return dict(self.__dict__, _lock=None, _pid=None)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -556,42 +529,17 @@ class DynamicGraph:
     # Snapshots
     # ------------------------------------------------------------------
     def snapshot(self) -> EpochSnapshot:
-        """The current epoch as an immutable view (cached per epoch)."""
+        """The current epoch as an immutable view (cached per epoch).
+        An older epoch is a snapshot some walk still holds, or one
+        :meth:`recover` rebuilds from the WAL with ``replay_to``."""
         latest = self._latest
         if latest is not None and latest.epoch == self._epoch:
             return latest
         snap = EpochSnapshot(self, self._epoch, self._materialize())
         with self._locked():
-            if latest is not None:  # superseded: a delta, its CSR held weakly
-                self._retained[latest.epoch] = self._reverse_delta(latest, snap)
-                self._held[latest.epoch] = latest.graph
-                while len(self._retained) >= self._retain_epochs:
-                    del self._retained[min(self._retained)]
             self._latest = snap
             self._prune()
         return snap
-
-    def snapshot_at(self, epoch: int) -> EpochSnapshot:
-        """An epoch in the retention window, wrapped afresh if superseded:
-        its CSR while a walk holds it, else rebuilt from the newest one.
-        Older epochs must be reconstructed by
-        :meth:`recover`\\ ``(..., replay_to=epoch)`` from the WAL.
-        """
-        latest = self.snapshot() if epoch == self._epoch else self._latest
-        if latest is not None and latest.epoch == epoch:
-            return latest
-        with self._locked():
-            if epoch in self._retained:
-                graph = self._held.get(epoch) or self._rebuilt(epoch)
-                return EpochSnapshot(self, epoch, graph)
-        if epoch > self._epoch:
-            raise GraphError(f"epoch {epoch} is not committed yet (at {self._epoch})")
-        if epoch < self._base_epoch:
-            raise GraphError(f"epoch {epoch} is before this graph's base epoch")
-        raise GraphError(
-            f"epoch {epoch} is not retained (current {self._epoch}); "
-            "recover from the write-ahead log with replay_to"
-        )
 
     def _materialize(self) -> CSRGraph:
         """The current epoch's CSR: the nearest materialised epoch
@@ -610,26 +558,6 @@ class DynamicGraph:
         columns = [new if k else None for new, k in zip(rebuilt, kept)]
         return _replace_slices(prior, order, local, columns)
 
-    def _reverse_delta(self, old: EpochSnapshot, new: EpochSnapshot) -> tuple:
-        """The slices ``new`` replaced, as ``old`` had them: ``(vertices,
-        local offsets, columns)`` — every vertex's if untracked."""
-        graph, touched = old.graph, self._touched_between(old.epoch, new.epoch)
-        if touched is None:
-            touched = np.arange(graph.num_vertices)
-        local = np.cumsum(np.concatenate(([0], graph.out_degrees()[touched])))
-        at = slice_indices(graph.offsets, touched)
-        columns = (graph.targets, graph.weights, graph.edge_types)
-        return touched, local, [None if c is None else c[at] for c in columns]
-
-    def _rebuilt(self, epoch: int) -> CSRGraph:
-        """A retained epoch's CSR: down from the newest snapshot, each
-        epoch's CSR if still held, else the one above with its delta."""
-        graph = self._latest.graph
-        for at in sorted((e for e in self._retained if e >= epoch), reverse=True):
-            graph = self._held.get(at) or _replace_slices(graph, *self._retained[at])
-            self._held[at] = graph
-        return graph
-
     # ------------------------------------------------------------------
     # Compaction
     # ------------------------------------------------------------------
@@ -637,7 +565,7 @@ class DynamicGraph:
         """Fold the delta buffer into the base CSR (in memory).
 
         The current epoch's materialised graph *becomes* the base;
-        retained snapshots stay valid (their arrays are unshared).
+        held snapshots stay valid (their arrays are never written).
         Durability is unchanged — the WAL still holds every record
         since the last durable base — so a crash mid-compaction simply
         recovers by replaying onto the old base.
@@ -670,11 +598,6 @@ class DynamicGraph:
         tmp = str(base_path) + ".tmp.npz"
         save_binary(self._base, tmp, epoch=self._base_epoch)
         os.replace(tmp, str(base_path))
-        if self._test_crash_in_compaction:
-            from repro.graph.wal import _InjectedCrash
-
-            raise _InjectedCrash("injected crash between base write and "
-                                 "WAL truncation")
         if truncate_wal and self._wal is not None:
             self._wal.rewrite([])
             self.stats.wal_records_written = self._wal.records_written
@@ -758,7 +681,7 @@ class DynamicGraph:
             self._wal.close()
 
     # ------------------------------------------------------------------
-    # Incremental sampler maintenance
+    # Incremental alias-table maintenance
     # ------------------------------------------------------------------
     def _touched_between(self, old: int, new: int) -> np.ndarray | None:
         """Union of touched vertices over epochs ``(old, new]``, or ``None``
@@ -768,14 +691,25 @@ class DynamicGraph:
             return None
         return np.unique(np.concatenate([np.zeros(0, dtype=np.int64), *parts]))
 
-    def _maintained(self, key: str, snap, full, incremental, mismatches):
-        """``snap``'s value of the structure kept epoch to epoch under
-        ``key``: the cached one, else ``incremental(previous, touched)``
-        — probed by ``mismatches(value, probes)`` when verifying — else
-        (nothing to start from, an untracked epoch, a failed probe)
-        ``full()``.  Locked: concurrent first askers share one build."""
+    def _prune(self) -> None:
+        """Drop the touched sets before both the newest snapshot and the
+        maintained tables' epoch: nothing asks for them again."""
+        floor = self._latest.epoch
+        if self._maintained is not None:
+            floor = min(floor, self._maintained[0])
+        for epoch in range(self._pruned + 1, floor + 1):
+            self._touched_by_epoch.pop(epoch, None)
+        self._pruned = max(self._pruned, floor)
+
+    def _tables_for(self, snap: EpochSnapshot) -> VertexAliasTables:
+        """``snap``'s alias tables: the maintained ones if of its epoch,
+        else those updated over the vertices touched since — probed when
+        verifying — else (nothing to start from, an untracked epoch, a
+        failed probe) built from scratch.  Locked: concurrent first
+        askers share one build."""
+        graph, stats = snap.graph, self.maintenance
         with self._locked():
-            cached = self._maintained_at.get(key)
+            cached = self._maintained
             if cached is not None and cached[0] == snap.epoch:
                 return cached[1]
             touched = (
@@ -783,51 +717,28 @@ class DynamicGraph:
                 if cached is not None and cached[0] < snap.epoch
                 else None
             )
-            value = None
+            tables = None
             if touched is not None:
-                value = incremental(cached[1], touched)
-                self.maintenance.vertices_rebuilt += int(touched.size)
+                tables = cached[1].updated(graph, None, touched)
+                stats.epochs_maintained += 1
+                stats.vertices_rebuilt += int(touched.size)
+                stats.vertices_copied += graph.num_vertices - int(touched.size)
                 if self._verify != "off":
                     probes = self._probe_vertices(snap, touched)
-                    self.maintenance.verify_checks += int(probes.size)
-                    bad = mismatches(value, probes)
+                    stats.verify_checks += int(probes.size)
+                    bad = tables.mismatches(probes)
                     if bad:
-                        self.maintenance.verify_mismatches += len(bad)
-                        self.maintenance.verify_fallbacks += 1
-                        value = None
-            if value is None:
-                value = full()
-                self.maintenance.full_rebuilds += 1
+                        stats.verify_mismatches += len(bad)
+                        stats.verify_fallbacks += 1
+                        tables = None
+            if tables is None:
+                tables = VertexAliasTables(graph)
+                stats.full_rebuilds += 1
             # A superseded epoch asking late never displaces a newer entry.
             if cached is None or cached[0] < snap.epoch:
-                self._maintained_at[key] = (snap.epoch, value)
+                self._maintained = (snap.epoch, tables)
                 self._prune()
-            return value
-
-    def _prune(self) -> None:
-        """Drop the touched sets before both the newest snapshot and
-        every ``_maintained_at`` epoch: nothing asks for them again."""
-        floor = min([self._latest.epoch, *(e for e, _ in self._maintained_at.values())])
-        for epoch in range(self._pruned + 1, floor + 1):
-            self._touched_by_epoch.pop(epoch, None)
-        self._pruned = max(self._pruned, floor)
-
-    def _tables_for(self, snap: EpochSnapshot) -> VertexAliasTables:
-        graph = snap.graph
-
-        def incremental(previous, touched):
-            tables = previous.updated(graph, None, touched)
-            self.maintenance.epochs_maintained += 1
-            self.maintenance.vertices_copied += graph.num_vertices - int(touched.size)
-            if self._test_corrupt_incremental and touched.size:
-                tables.totals[touched[0]] += 1.0
             return tables
-
-        def mismatches(tables, probes):
-            return tables.mismatches(probes)
-
-        full = partial(VertexAliasTables, graph)
-        return self._maintained(_TABLES, snap, full, incremental, mismatches)
 
     def _probe_vertices(
         self, snap: EpochSnapshot, touched: np.ndarray
@@ -848,68 +759,6 @@ class DynamicGraph:
         if not picks:
             return np.zeros(0, dtype=np.int64)
         return np.unique(np.concatenate(picks))
-
-    # ------------------------------------------------------------------
-    # Incremental Q(v) / L(v) maintenance
-    # ------------------------------------------------------------------
-    def _bounds_for(
-        self, snap: EpochSnapshot, program, use_lower_bound: bool
-    ) -> tuple[np.ndarray, np.ndarray]:
-        graph = snap.graph
-        key = self._bounds_key(program, use_lower_bound)
-        if key is None:
-            return full_bounds(graph, program, use_lower_bound)
-
-        def incremental(previous, touched):
-            upper, lower = previous[0].copy(), previous[1].copy()
-            for vertex in touched.tolist():
-                upper[vertex] = program.dynamic_upper_bound(graph, vertex)
-                if use_lower_bound:
-                    lower[vertex] = program.dynamic_lower_bound(graph, vertex)
-            return upper, lower
-
-        def mismatches(bounds, probes):
-            upper, lower = bounds
-            return [
-                v
-                for v in probes.tolist()
-                if upper[v] != program.dynamic_upper_bound(graph, v)
-                or (
-                    use_lower_bound
-                    and lower[v] != program.dynamic_lower_bound(graph, v)
-                )
-            ]
-
-        full = partial(full_bounds, graph, program, use_lower_bound)
-        return self._maintained(key, snap, full, incremental, mismatches)
-
-    @staticmethod
-    def _bounds_key(program, use_lower_bound: bool) -> str | None:
-        """Cache key of ``program``'s bounds, or ``None``: from scratch
-        every time.  Programs share an entry only when they must agree
-        on Q(v) / L(v): same class, every attribute a scalar of the same
-        value.  One holding anything else (an array of caps, a list of
-        schemes) would otherwise be served another instance's envelope,
-        possibly below its Pd; one overriding the array hooks computes
-        them wholesale, which per-vertex maintenance could diverge from.
-        """
-        from repro.core.program import WalkerProgram
-
-        cls = type(program)
-        attributes = sorted(vars(program).items())
-        if (
-            cls.upper_bound_array is not WalkerProgram.upper_bound_array
-            or cls.lower_bound_array is not WalkerProgram.lower_bound_array
-            or not all(
-                isinstance(value, (bool, int, float, str, type(None)))
-                for _, value in attributes
-            )
-        ):
-            return None
-        return (
-            f"{cls.__module__}.{cls.__qualname__}"
-            f"|{dict(attributes)!r}|lower={use_lower_bound}"
-        )
 
 
 def parse_update_stream(source) -> list[UpdateBatch]:

@@ -1,15 +1,16 @@
 """A graph plus what is pre-processed once per graph.
 
 KnightKing builds the static component's alias tables (paper section
-3) and the per-vertex envelope Q(v) and pre-acceptance bound
-L(v) (section 4) once, then moves only cheap walker state through them
-(section 5.1).  :class:`PreparedGraph` is that first half; an engine is
-a ``PreparedGraph`` plus run state.  An epoch of a
+3) once, then moves only cheap walker state through them (section
+5.1).  :class:`PreparedGraph` is that first half; an engine is a
+``PreparedGraph`` plus run state.  An epoch of a
 :class:`~repro.graph.dynamic.DynamicGraph` is one (``EpochSnapshot``
-subclasses it and has its owner maintain tables and bounds
-incrementally); a bare ``CSRGraph`` is wrapped fresh by whoever walks
-it, so nothing outlives the walk.  Does not import
-:mod:`repro.graph.dynamic`: a plain static walk never loads that store.
+subclasses it and has its owner maintain the tables incrementally); a
+bare ``CSRGraph`` is wrapped fresh by whoever walks it, so nothing
+outlives the walk.  A program's envelope Q(v) and pre-acceptance bound
+L(v) (section 4) are derived per engine, on every prepared graph
+alike.  Does not import :mod:`repro.graph.dynamic`: a plain static
+walk never loads that store.
 """
 
 from __future__ import annotations
@@ -20,20 +21,7 @@ from repro.errors import GraphError, ProgramError
 from repro.graph.csr import CSRGraph
 from repro.sampling.alias import VertexAliasTables
 
-__all__ = ["PreparedGraph", "full_bounds", "prepare"]
-
-
-def full_bounds(
-    graph: CSRGraph, program, use_lower_bound: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Q(v) and L(v) of ``program`` over every vertex, from scratch; a
-    zero lower bound (pre-acceptance off) is always sound."""
-    upper = np.asarray(program.upper_bound_array(graph), dtype=np.float64)
-    if use_lower_bound:
-        lower = np.asarray(program.lower_bound_array(graph), dtype=np.float64)
-    else:
-        lower = np.zeros(graph.num_vertices, dtype=np.float64)
-    return upper, lower
+__all__ = ["PreparedGraph", "prepare"]
 
 
 class PreparedGraph:
@@ -69,10 +57,24 @@ class PreparedGraph:
     def bounds_for(
         self, program, use_lower_bound: bool = True
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Validated ``(upper, lower)`` = Q(v), L(v) of ``program``: one
-        array for both when they agree at every vertex, which marks the
-        envelope flat for the trial kernel (``gather_stage``)."""
-        upper, lower = self._bounds(program, use_lower_bound)
+        """Validated ``(upper, lower)`` = Q(v), L(v) of ``program`` over
+        every vertex, from scratch; a zero lower bound (pre-acceptance
+        off) is always sound.  One array for both when they agree at
+        every vertex, which marks the envelope flat for the trial
+        kernel (``gather_stage``)."""
+        graph = self.graph
+        upper = np.asarray(program.upper_bound_array(graph), dtype=np.float64)
+        if use_lower_bound:
+            lower = np.asarray(program.lower_bound_array(graph), dtype=np.float64)
+        else:
+            lower = np.zeros(graph.num_vertices, dtype=np.float64)
+        finite = np.isfinite(upper) & np.isfinite(lower)
+        if not finite.all():
+            vertex = int(np.argmin(finite))
+            raise ProgramError(
+                f"bounds at vertex {vertex} are not finite (upper "
+                f"{upper[vertex]!r}, lower {lower[vertex]!r})"
+            )
         if np.count_nonzero(lower > upper):
             raise ProgramError("lower bound exceeds upper bound somewhere")
         if np.count_nonzero(upper <= 0):
@@ -84,9 +86,6 @@ class PreparedGraph:
     # What an incrementally maintained epoch overrides.
     def _default_tables(self) -> VertexAliasTables:
         return VertexAliasTables(self.graph)
-
-    def _bounds(self, program, use_lower_bound: bool):
-        return full_bounds(self.graph, program, use_lower_bound)
 
 
 def prepare(graph) -> PreparedGraph:

@@ -216,7 +216,7 @@ RK106 = FlowSpec(
         "prepare() and the engine constructor that holds its result "
         "for one run are the sanctioned exceptions)"
     ),
-    source_methods=frozenset({"snapshot", "snapshot_at"}),
+    source_methods=frozenset({"snapshot"}),
     propagate_attrs=False,
     receiver_default="clean",
     escape_sinks=True,

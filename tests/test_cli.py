@@ -148,6 +148,36 @@ class TestWalk:
         assert all(len(walk) == 7 for walk in walks)
 
 
+class TestSanitize:
+    @pytest.mark.parametrize("algorithm", ["ppr", "deepwalk"])
+    def test_sanitize_checks_the_walk_that_walk_runs(
+        self, capsys, monkeypatch, algorithm
+    ):
+        """``sanitize`` built PPR as a fixed 20-step walk that never drew
+        a termination coin, while ``walk`` stops it with 1/80 per step."""
+        import repro.cli as cli
+
+        configs = {}
+
+        class Recorded(cli.WalkEngine):
+            def __init__(self, graph, program, config, **kwargs):
+                configs.setdefault(command, []).append(config)
+                super().__init__(graph, program, config, **kwargs)
+
+        monkeypatch.setattr(cli, "WalkEngine", Recorded)
+        args = ["--dataset", "livejournal", "--scale", "0.02", "--algorithm",
+                algorithm, "--walkers", "20", "--length", "20", "--seed", "3"]
+        for command in ("walk", "sanitize"):
+            assert main([command, *args]) == 0
+        walked, sanitized = configs["walk"], configs["sanitize"]
+        assert len(walked) == 1 and len(sanitized) == 2
+        assert sanitized == [walked[0]] * 2
+        if algorithm == "ppr":
+            assert walked[0].max_steps is None
+            assert walked[0].termination_probability == 1.0 / 80.0
+        assert "deterministic" in capsys.readouterr().out
+
+
 class TestHostileEdgeList:
     """Each of these escaped as a bare exception (or, for nan, loaded
     and skewed every alias table over that vertex); `repro walk` now

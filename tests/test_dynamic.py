@@ -17,6 +17,7 @@ import pickle
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -191,30 +192,19 @@ class TestCommit:
         assert stats.reweights_applied == 1
         assert stats.conservation_balanced()
 
-    def test_snapshot_at_retention_window(self):
-        dyn = DynamicGraph(from_edges(4, [(0, 1)]), retain_epochs=2)
-        for _ in range(4):
-            dyn.commit([EdgeUpdate("reweight", 0, 1, 2.0)])
-            dyn.snapshot()  # materialize so the epoch enters retention
-        assert dyn.snapshot_at(4).epoch == 4
-        assert dyn.snapshot_at(3).epoch == 3
-        with pytest.raises(GraphError, match="replay_to"):
-            dyn.snapshot_at(1)
-
-    def test_snapshot_at_says_why_an_epoch_is_missing(self):
-        """Every missing epoch used to point at ``replay_to``, which
-        cannot reach a future epoch or one before the base either."""
-        dyn = DynamicGraph(from_edges(4, [(0, 1)]), retain_epochs=2, base_epoch=3)
-        for _ in range(3):
-            dyn.commit([EdgeUpdate("reweight", 0, 1, 2.0)])
-            dyn.snapshot()
-        assert dyn.snapshot_at(5).epoch == 5
-        with pytest.raises(GraphError, match="epoch 7 is not committed yet"):
-            dyn.snapshot_at(7)
-        with pytest.raises(GraphError, match="epoch 2 is before this graph's base"):
-            dyn.snapshot_at(2)
-        with pytest.raises(GraphError, match="epoch 4 is not retained.*replay_to"):
-            dyn.snapshot_at(4)
+    def test_retain_epochs_is_no_parameter(self, tmp_path):
+        """The owner keeps no window of superseded epochs: an older one
+        is a held snapshot, or a ``replay_to`` recovery from the log."""
+        base = from_edges(4, [(0, 1)])
+        with pytest.raises(TypeError, match="retain_epochs"):
+            DynamicGraph(base, retain_epochs=2)
+        wal = tmp_path / "graph.wal"
+        dyn = DynamicGraph(base, wal_path=wal)
+        dyn.commit([EdgeUpdate("reweight", 0, 1, 2.0)])
+        dyn.close()
+        with pytest.raises(TypeError, match="retain_epochs"):
+            DynamicGraph.recover(base, wal, retain_epochs=2)
+        assert not hasattr(dyn, "snapshot_at")
 
 
 # ----------------------------------------------------------------------
@@ -284,8 +274,8 @@ class _ModelGraph:
 
 
 class _DegreeBoundWalk(UniformWalk):
-    """Exercises the scalar-hook bound-maintenance path: no
-    ``upper_bound_array`` override, degree-dependent Q(v)."""
+    """Bounds through the scalar hooks only (no ``upper_bound_array``
+    override): a degree-dependent Q(v) derived per epoch."""
 
     def dynamic_upper_bound(self, graph, vertex):
         return 1.0 + 0.25 * graph.out_degree(vertex)
@@ -343,11 +333,18 @@ def test_incremental_tables_match_full_rebuild():
     assert dyn.maintenance.vertices_copied > 0
 
 
-def test_verification_fallback_on_corruption():
+def test_verification_fallback_on_corruption(monkeypatch):
     dyn = DynamicGraph(small_graph(seed=11), verify="full", seed=1)
     dyn.commit([EdgeUpdate("insert", 1, 2, 3.0)])
     dyn.snapshot().tables("alias")  # prime the cache
-    dyn._test_corrupt_incremental = True
+    updated = VertexAliasTables.updated
+
+    def corrupted(self, graph, static_weights, touched):
+        tables = updated(self, graph, static_weights, touched)
+        tables.totals[touched[0]] += 1.0  # one incrementally built entry
+        return tables
+
+    monkeypatch.setattr(VertexAliasTables, "updated", corrupted)
     dyn.commit([EdgeUpdate("insert", 2, 3, 2.0)])
     snap = dyn.snapshot()
     tables = snap.tables("alias")
@@ -379,8 +376,7 @@ class _CappedWalk(WalkerProgram):
 
 
 class _HalfWalk(WalkerProgram):
-    """Q(v) = Pd = 0.5 through the scalar hooks: its bounds are
-    maintained epoch to epoch."""
+    """Q(v) = Pd = 0.5 through the scalar hooks."""
 
     dynamic = True
     supports_batch = True
@@ -412,7 +408,7 @@ def test_bounds_are_not_shared_between_programs_differing_in_an_array():
 
 
 # ----------------------------------------------------------------------
-# Retention: a superseded epoch keeps its graph, not its prepared state
+# Superseded epochs: the owner keeps the newest, a walk keeps its own
 # ----------------------------------------------------------------------
 class TestRetention:
     CONFIG = WalkConfig(num_walkers=30, max_steps=8, record_paths=True, seed=4)
@@ -428,27 +424,32 @@ class TestRetention:
         expected = golden_digest(WalkEngine(first.graph, DeepWalk(), self.CONFIG))
         pinned = WalkEngine(dyn, DeepWalk(), self.CONFIG)  # built on epoch 1
         assert pinned.tables is first.tables("alias")
+        dropped = weakref.ref(pinned.tables)
         dyn.commit([EdgeUpdate("delete", 0, 1)])
         second = dyn.snapshot()
-        retained = dyn.snapshot_at(1)
-        assert retained._tables is None and retained.graph is first.graph
-        assert second._tables is None and dyn.snapshot_at(2) is second
-        assert golden_digest(pinned) == expected  # its tables are its own
+        assert dyn._latest is second and second._tables is None
+        second.tables("alias")
+        del first
+        gc.collect()
+        assert dropped() is pinned.tables  # its tables are its own
+        assert golden_digest(pinned) == expected
         assert pinned.stats.graph_epoch == 1
+        del pinned
+        gc.collect()
+        assert dropped() is None  # the owner kept nothing of epoch 1
 
     def test_late_tables_on_a_superseded_epoch_are_built_from_scratch(self):
-        dyn, _ = self._two_epochs()
+        dyn, held = self._two_epochs()  # epoch 1's tables never asked for
         dyn.commit([EdgeUpdate("insert", 2, 3, 1.5)])
         newest = dyn.snapshot().tables("alias")
-        assert dyn._maintained_at["alias"][0] == 2
+        assert dyn._maintained[0] == 2
         before = dyn.maintenance.full_rebuilds
-        retained = dyn.snapshot_at(1)
-        late = retained.tables("alias")
-        assert_tables_identical(late, VertexAliasTables(retained.graph))
+        late = held.tables("alias")
+        assert_tables_identical(late, VertexAliasTables(held.graph))
         assert dyn.maintenance.full_rebuilds == before + 1
         # The newer entry was not displaced: epoch 3 is still incremental.
-        assert dyn._maintained_at["alias"] == (2, newest)
-        assert retained.tables("alias") is late  # memoised again, on the wrapper
+        assert dyn._maintained == (2, newest)
+        assert held.tables("alias") is late  # memoised, on the snapshot
         dyn.commit([EdgeUpdate("reweight", 2, 3, 0.5)])
         rebuilt = dyn.maintenance.vertices_rebuilt
         dyn.snapshot().tables("alias")
@@ -472,18 +473,12 @@ class TestRetention:
             touched, 1, 0
         )
         assert stats.epochs_maintained == 8
-        # The window reaches the last 8 epochs; rebuilding one costs no tables.
-        assert [dyn.snapshot_at(e).epoch for e in range(1, 9)] == list(range(1, 9))
-        with pytest.raises(GraphError, match="not retained"):
-            dyn.snapshot_at(0)
-        assert dyn.maintenance.full_rebuilds == 1
 
-    def test_dropped_epochs_are_rebuilt_across_new_columns_and_compaction(self):
-        """Nothing holds epochs 0-2 any more: each is rebuilt from the
-        newest CSR through the reverse deltas, without the weights and
-        types that arrived after it."""
+    def test_held_epochs_survive_new_columns_and_compaction(self):
+        """Epochs 0-2 stay as they were while weights, types and a
+        compaction arrive after them: later epochs write new arrays."""
         dyn = DynamicGraph(from_edges(6, [(0, 1), (1, 2), (2, 3), (4, 5)]))
-        expected = {0: copy.deepcopy(dyn.snapshot().graph)}
+        held = {0: dyn.snapshot()}
         for batch in (
             [EdgeUpdate("insert", 0, 2)],
             [EdgeUpdate("insert", 3, 4, 2.5)],  # turns weighted
@@ -496,35 +491,16 @@ class TestRetention:
                 dyn.compact()
                 continue
             epoch = dyn.commit(batch)
-            expected[epoch] = copy.deepcopy(dyn.snapshot().graph)
-        gc.collect()
-        assert [dyn._held.get(epoch) is None for epoch in range(5)] == [
-            True, True, True, False, True  # epoch 3 is the compacted base
-        ]
-        for epoch, graph in expected.items():
-            rebuilt = dyn.snapshot_at(epoch).graph
-            assert rebuilt == graph and (rebuilt.weights is None) == (epoch < 2)
-            assert (rebuilt.edge_types is None) == (epoch < 3)
-        assert dyn.snapshot_at(1).graph is dyn.snapshot_at(1).graph  # while held
-
-    def test_a_superseded_epoch_retains_its_touched_slices_not_its_csr(self):
-        """Vertex 0 has the same slice in a 100- and a 20 000-vertex graph:
-        once an insert there supersedes epoch 1, it costs the same bytes."""
-        retained = []
-        for count in (100, 20_000):
-            path = [(v, v + 1) for v in range(1, count - 1)]
-            dyn = DynamicGraph(from_edges(count, [(0, 1), (0, 2), *path]))
-            dyn.snapshot()
-            dyn.commit([EdgeUpdate("insert", 1, 3)])
-            dyn.snapshot()
-            dyn.commit([EdgeUpdate("insert", 0, 3)])
-            dyn.snapshot()
-            assert dyn._held.get(1) is None  # epoch 1's CSR is gone
-            touched, local, columns = dyn._retained[1]
-            assert touched.tolist() == [0] and columns[0].tolist() == [1, 2]
-            arrays = (touched, local, *columns)
-            retained.append(sum(a.nbytes for a in arrays if a is not None))
-        assert retained[0] == retained[1] < 100
+            held[epoch] = dyn.snapshot()
+        expected = {epoch: copy.deepcopy(snap.graph) for epoch, snap in held.items()}
+        for epoch in range(6):
+            dyn.commit([EdgeUpdate("reweight", 3, 4, 1.0 + epoch)])
+            dyn.snapshot().tables("alias")
+        dyn.compact()
+        for epoch, snap in held.items():
+            assert snap.epoch == epoch and snap.graph == expected[epoch]
+            assert (snap.graph.weights is None) == (epoch < 2)
+            assert (snap.graph.edge_types is None) == (epoch < 3)
 
     def test_touched_sets_are_pruned_once_nothing_can_ask_for_them(self):
         """``_touched_by_epoch`` gained an array per commit, forever."""
@@ -590,8 +566,8 @@ class TestOwnerLock:
 
     def test_a_pickled_snapshot_carries_its_epoch_not_its_owner(self, tmp_path):
         """Under a WAL the owner does not pickle at all, and without one
-        it dragged the base, the delta buffer, the retained deltas and
-        the newest epoch's tables along (400 kB for a 77 kB epoch)."""
+        it dragged the base, the delta buffer and the newest epoch's
+        tables along (400 kB for a 77 kB epoch)."""
         graph = small_graph(seed=23, num_vertices=300)
         dyn = DynamicGraph(graph, wal_path=tmp_path / "graph.wal")
         config = WalkConfig(num_walkers=60, max_steps=6, record_paths=True, seed=5)
@@ -601,8 +577,7 @@ class TestOwnerLock:
             WalkEngine(dyn.snapshot(), _HalfWalk(), config).run()
         snap = dyn.snapshot()
         tables = snap.tables("alias")
-        maintained = {key for key, (at, _) in dyn._maintained_at.items() if at == 4}
-        assert "alias" in maintained and len(maintained) > 1  # tables and bounds
+        assert dyn._maintained == (4, tables)
 
         blob = pickle.dumps(snap)
         thawed = pickle.loads(blob)
@@ -610,7 +585,7 @@ class TestOwnerLock:
         own += (tables.totals, tables._prob, tables._alias)
         assert len(blob) <= 1.5 * sum(array.nbytes for array in own)
         assert thawed._owner is None and thawed.maintenance is None
-        assert set(thawed._kept) == maintained
+        assert thawed._tables is not None  # kept, not rebuilt
         assert thawed.graph == snap.graph
         for name in ("totals", "_prob", "_alias"):
             np.testing.assert_array_equal(
@@ -622,7 +597,7 @@ class TestOwnerLock:
             )
         dyn.commit(unbuilt_batch)  # pickled before its tables were built:
         unbuilt = pickle.loads(pickle.dumps(dyn.snapshot()))
-        assert "alias" not in unbuilt._kept  # thawed, they build from scratch
+        assert unbuilt._tables is None  # thawed, they build from scratch
         assert_tables_identical(
             unbuilt.tables("alias"), VertexAliasTables(unbuilt.graph)
         )
@@ -732,8 +707,9 @@ class TestEnginePinning:
         config = WalkConfig(
             num_walkers=30, max_steps=8, record_paths=True, seed=4
         )
+        pinned = dyn.snapshot()
         engine = WalkEngine(dyn, DeepWalk(), config, force_scalar=scalar)
-        assert engine.graph_epoch == 1
+        assert engine.graph_epoch == 1 and engine.graph is pinned.graph
         # Commits after construction must not affect the pinned walk.
         dyn.commit([EdgeUpdate("delete", 0, 1)])
         result = engine.run()
@@ -741,7 +717,6 @@ class TestEnginePinning:
 
         # The pinned epoch, its CSR and the same CSR wrapped fresh all
         # walk the same way through the one constructor path.
-        pinned = dyn.snapshot_at(1)
         assert isinstance(pinned, PreparedGraph) and pinned.epoch == 1
         for graph in (pinned, pinned.graph, PreparedGraph(pinned.graph)):
             again = WalkEngine(graph, DeepWalk(), config, force_scalar=scalar)
@@ -774,13 +749,15 @@ class TestEnginePinning:
         base = erdos_renyi_graph(60, 5.0, seed=2, undirected=True)
         dyn = DynamicGraph(base)
         dyn.commit([EdgeUpdate("insert", 0, 59, 2.0)])
+        pinned = dyn.snapshot()
         config = WalkConfig(
             num_walkers=40, max_steps=6, record_paths=True, seed=3
         )
         engine = DistributedWalkEngine(dyn, UniformWalk(), config, num_nodes=2)
+        dyn.commit([EdgeUpdate("delete", 0, 59)])
         result = engine.run()
         assert result.stats.graph_epoch == 1
-        single = WalkEngine(dyn.snapshot_at(1).graph, UniformWalk(), config)
+        single = WalkEngine(pinned.graph, UniformWalk(), config)
         np.testing.assert_array_equal(result.paths, single.run().paths)
 
 

@@ -28,7 +28,7 @@ from repro.core.engine import WalkEngine
 from repro.graph.builder import assign_random_weights, from_edges
 from repro.graph.dynamic import DynamicGraph, generate_churn_batches
 from repro.graph.generators import erdos_renyi_graph
-from repro.graph.wal import _InjectedCrash
+from repro.graph.wal import WriteAheadLog, _InjectedCrash
 
 # CI widens coverage by re-running the sweep under extra seeds.
 CHAOS_SEEDS = (
@@ -122,7 +122,7 @@ def test_torn_tail_every_byte_boundary(tmp_path):
 
 
 @pytest.mark.parametrize("seed", CHAOS_SEEDS)
-def test_kill_mid_compaction(tmp_path, seed):
+def test_kill_mid_compaction(tmp_path, seed, monkeypatch):
     """A crash between base persist and WAL truncate never
     double-applies folded records."""
     wal_path = tmp_path / "graph.wal"
@@ -136,9 +136,14 @@ def test_kill_mid_compaction(tmp_path, seed):
         dyn.commit(batch)
     expected = dyn.snapshot().graph
 
-    dyn._test_crash_in_compaction = True
-    with pytest.raises(_InjectedCrash):
-        dyn.save_compacted(npz_path)
+    def crash(log, records):
+        assert npz_path.exists()  # the base is durable, the log untouched
+        raise _InjectedCrash("injected crash between base write and WAL truncation")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(WriteAheadLog, "rewrite", crash)
+        with pytest.raises(_InjectedCrash):
+            dyn.save_compacted(npz_path)
     dyn.close()
 
     # The compacted base is durable; the stale WAL still holds every

@@ -178,10 +178,10 @@ def check_one_staging(world, dynamic, history, hostile):
 def test_epoch_chains_equal_base_plus_overlay_and_scratch_tables(world, epochs, data):
     with tempfile.TemporaryDirectory() as directory:
         wal = f"{directory}/graph.wal"
-        dynamic = DynamicGraph(world.base, wal_path=wal, verify="full", retain_epochs=3)
+        dynamic = DynamicGraph(world.base, wal_path=wal, verify="full")
         reference = ReferenceDynamicGraph(world.base)
         graphs = {0: world.base}
-        materialised = []  # the epochs snapshot_at reaches: the last 3 of these
+        held = []  # snapshots of materialised epochs, as walks would hold them
         for epoch in range(1, epochs + 1):
             batch, after = world.batch(hostile=data.draw(st.booleans()))
             error = outcome(reference.commit, batch)[1]
@@ -200,16 +200,16 @@ def test_epoch_chains_equal_base_plus_overlay_and_scratch_tables(world, epochs, 
                 if data.draw(st.booleans()):
                     tables = snapshot.tables("alias")
                     assert_tables_identical(tables, VertexAliasTables(snapshot.graph))
-                materialised.append(epoch)
-                del snapshot  # superseded epochs no test holds are rebuilt
-                for retained in materialised[-3:]:
-                    assert_same_graph(dynamic.snapshot_at(retained).graph, graphs[retained])
+                held.append(snapshot)
+                del held[:-3]  # dropped ones must not disturb the rest
+                for snapshot in held:  # later epochs never write into them
+                    assert_same_graph(snapshot.graph, graphs[snapshot.epoch])
             if data.draw(st.integers(0, 3)) == 0:
                 dynamic.compact()  # materialises the epoch if nothing did
                 reference.compact()
                 assert_same_graph(dynamic.base, reference._base)
-                if materialised[-1:] != [epoch]:
-                    materialised.append(epoch)
+                if not held or held[-1].epoch != epoch:
+                    held.append(dynamic.snapshot())
         assert_same_graph(dynamic.snapshot().graph, graphs[epochs])
         assert dynamic.maintenance.verify_mismatches == 0
         assert dynamic.maintenance.verify_fallbacks == 0

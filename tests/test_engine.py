@@ -299,3 +299,30 @@ class TestBoundValidation:
 
         with pytest.raises(ProgramError):
             WalkEngine(graph, Broken(), WalkConfig(num_walkers=2))
+
+    @pytest.mark.parametrize(
+        "upper, lower",
+        [(np.nan, 0.5), (np.inf, 0.5), (2.0, np.nan), (np.nan, np.nan)],
+    )
+    @pytest.mark.parametrize("dynamic", [False, True])
+    def test_non_finite_bounds_are_refused_at_their_vertex(
+        self, graph, upper, lower, dynamic
+    ):
+        """A NaN pair read as a flat envelope (every dart pre-accepted,
+        no Pd evaluated) and an infinite envelope rejected forever."""
+        from repro.graph.dynamic import DynamicGraph
+
+        class Broken(Node2Vec):
+            def upper_bound_array(self, graph):
+                bounds = np.full(graph.num_vertices, 2.0)
+                bounds[[7, 9]] = upper
+                return bounds
+
+            def lower_bound_array(self, graph):
+                bounds = np.full(graph.num_vertices, 0.5)
+                bounds[[7, 9]] = lower
+                return bounds
+
+        where = DynamicGraph(graph).snapshot() if dynamic else graph
+        with pytest.raises(ProgramError, match="bounds at vertex 7 are not finite"):
+            WalkEngine(where, Broken(p=2, q=0.5), WalkConfig(num_walkers=2))

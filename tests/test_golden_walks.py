@@ -280,23 +280,28 @@ CHURN_BATCHES = generate_churn_batches(
 )
 
 
-def churned(compact_after=None) -> DynamicGraph:
+def churned(compact_after=None, hold=None):
     """``WEIGHTED`` after the five batches.  Every epoch but the second
     is snapshotted and its tables asked for, so epoch 3 is maintained
-    across a skipped one; ``compact_after`` folds the overlay there."""
+    across a skipped one; ``compact_after`` folds the overlay there.
+    ``hold`` returns that epoch's snapshot instead, kept as a walk
+    would keep it while the later epochs commit."""
     dynamic = DynamicGraph(WEIGHTED)
     dynamic.snapshot().tables("alias")
+    held = None
     for epoch, batch in enumerate(CHURN_BATCHES, start=1):
         assert dynamic.commit(batch) == epoch
         if epoch != 2:
-            dynamic.snapshot().tables("alias")
+            snapshot = dynamic.snapshot()
+            snapshot.tables("alias")
+            held = snapshot if epoch == hold else held
         if epoch == compact_after:
             dynamic.compact()
-    return dynamic
+    return dynamic if hold is None else held
 
 
 # name -> (program factory, nodes, graph factory).  "superseded" walks
-# epoch 3 after epochs 4 and 5 were committed and snapshotted.
+# a held epoch 3 after epochs 4 and 5 were committed and snapshotted.
 CHURN_CELLS = {
     "deepwalk-churn-local": (DeepWalk, 0, churned),
     "deepwalk-churn-4node": (DeepWalk, 4, churned),
@@ -306,7 +311,7 @@ CHURN_CELLS = {
         lambda: Node2Vec(p=0.25, q=0.5), 0, lambda: churned(compact_after=3)
     ),
     "node2vec-churn-superseded-4node": (
-        lambda: Node2Vec(p=0.25, q=0.5), 4, lambda: churned().snapshot_at(3)
+        lambda: Node2Vec(p=0.25, q=0.5), 4, lambda: churned(hold=3)
     ),
 }
 

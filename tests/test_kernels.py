@@ -8,7 +8,6 @@ from repro.core.kernels import (
     TrialOutcome,
     batch_trial_round,
     full_scan_distribution,
-    full_scan_mass,
     gather_stage,
 )
 from repro.core.program import WalkerProgram
@@ -111,10 +110,10 @@ class TestFullScan:
         )
         assert evaluations == 4
         np.testing.assert_allclose(mass, [1.0, 0.5, 1.0, 0.5])
-        total, evaluations2 = full_scan_mass(
+        total, evaluations2 = full_scan_distribution(
             graph, tables, HalfAndOne(), walkers, 0
         )
-        assert total == pytest.approx(3.0)
+        assert total.sum() == pytest.approx(3.0)
         assert evaluations2 == 4
 
     def test_zero_static_edges_skipped(self):

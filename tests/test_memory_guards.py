@@ -1,9 +1,12 @@
 """Bytes a walk does not need, guarded: the adjacency index's build
-transient, the recorded token matrix, the unweighted Ps and the width
-of every edge-sized index array.  Each guard names the allocation it
-bounds, so a regression points at it."""
+transient, the recorded token matrix, the unweighted Ps, the width
+of every edge-sized index array and what a dynamic graph keeps of its
+superseded epochs.  Each guard names the allocation it bounds, so a
+regression points at it."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from repro.core.config import WalkConfig
 from repro.core.engine import WalkEngine
 from repro.graph import csr, load_dataset
 from repro.graph.builder import assign_random_weights
+from repro.graph.dynamic import DynamicGraph, generate_churn_batches
 from repro.graph.generators import uniform_degree_graph
 from repro.graph.prepared import prepare
 
@@ -135,3 +139,54 @@ def test_an_all_ones_program_ps_is_one_view(program):
     engine = WalkEngine(graph, program, WalkConfig(num_walkers=50, max_steps=5))
     assert zero_stride(engine.tables.static_weights)
     engine.run()
+
+
+def held_bytes(*roots) -> int:
+    """Bytes of the distinct array buffers reachable from ``roots``
+    through this package's objects, dicts, lists and tuples."""
+    seen, buffers, stack = set(), {}, list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            buffers[id(obj)] = obj.nbytes
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif type(obj).__module__.startswith("repro."):
+            stack.extend(getattr(obj, "__dict__", {}).values())
+    return sum(buffers.values())
+
+
+def test_a_dynamic_graph_keeps_nothing_per_superseded_epoch():
+    """The owner holds its base, its newest epoch's CSR and tables and
+    the delta buffer.  An epoch no walk holds costs it nothing: not its
+    CSR, not a reverse delta of the slices its successor replaced."""
+    graph = assign_random_weights(uniform_degree_graph(3000, 8, seed=5), seed=6)
+    batches = generate_churn_batches(graph, num_epochs=12, updates_per_epoch=100, seed=7)
+    dynamic = DynamicGraph(graph)
+    csrs = []
+    for batch in batches:
+        dynamic.commit(batch)
+        snapshot = dynamic.snapshot()
+        snapshot.tables("alias")
+        csrs.append(weakref.ref(snapshot.graph))
+    del snapshot
+    gc.collect()
+    assert [ref() is None for ref in csrs] == [True] * 11 + [False]
+    newest = dynamic.snapshot()
+    parts = {
+        "base": dynamic.base,
+        "newest epoch": newest.graph,
+        "delta buffer": dynamic._overlay,
+        "tables": newest.tables("alias"),
+        "touched sets": dynamic._touched_by_epoch,
+    }
+    kept, allowed = held_bytes(dynamic), held_bytes(*parts.values())
+    sizes = {name: held_bytes(part) for name, part in parts.items()}
+    assert kept <= allowed, f"the owner keeps {kept} B, its parts {sizes}"

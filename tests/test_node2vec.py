@@ -33,6 +33,26 @@ class TestConstruction:
         with pytest.raises(ProgramError):
             Node2Vec(q=-1.0)
 
+    @pytest.mark.parametrize(
+        "p, q, match",
+        [
+            (float("nan"), 0.5, "must be positive"),
+            (2.0, float("nan"), "must be positive"),
+            (1e-320, 1.0, "1/p and 1/q must be finite"),
+            (1.0, 1e-320, "1/p and 1/q must be finite"),
+        ],
+    )
+    def test_parameters_whose_pd_is_not_finite_are_refused(self, p, q, match):
+        """NaN passed ``p <= 0``: ``p=nan`` walked a flat envelope (no Pd
+        evaluated at all) and ``p=1e-320`` an infinite one."""
+        with pytest.raises(ProgramError, match=match):
+            Node2Vec(p=p, q=q)
+
+    def test_an_infinite_p_never_returns(self):
+        program = Node2Vec(p=float("inf"), q=2.0)
+        assert program.return_pd == 0.0 and program.floor == 0.0
+        assert program.envelope == 1.0
+
     def test_envelope_with_and_without_folding(self):
         folded = Node2Vec(p=0.25, q=1.0)  # 1/p = 4 dominates
         assert folded.folding

@@ -20,6 +20,7 @@ import gc
 import os
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -177,6 +178,14 @@ def test_soak_churning_writer_exact_accounting():
     graph = assign_random_weights(uniform_degree_graph(400, 6, seed=4), seed=5)
     batches = generate_churn_batches(graph, num_epochs=30, updates_per_epoch=6, seed=6)
     dynamic = DynamicGraph(graph)
+    csrs = {}  # epoch -> a weak reference to its CSR
+
+    def snapshot(take=dynamic.snapshot):
+        snap = take()
+        csrs.setdefault(snap.epoch, weakref.ref(snap.graph))
+        return snap
+
+    dynamic.snapshot = snapshot
 
     def request(index):
         config = WalkConfig(num_walkers=32, max_steps=10, seed=index)
@@ -209,8 +218,10 @@ def test_soak_churning_writer_exact_accounting():
     assert stats.epochs_maintained + stats.full_rebuilds == len(walked) > 10
     assert not dynamic._touched_by_epoch
     gc.collect()  # nothing holds a superseded epoch's CSR but a walk
-    assert len(dynamic._retained) == 7
-    assert all(dynamic._held.get(epoch) is None for epoch in dynamic._retained)
+    alive = {epoch for epoch, ref in csrs.items() if ref() is not None}
+    alive.discard(0)  # epoch 0's CSR is the base itself
+    assert alive == {30} and len(csrs) > 10
+    assert dynamic._maintained[0] == 30
 
 
 @pytest.mark.slow
