@@ -39,6 +39,12 @@ Every cell is measured once more on the *prepared* axis: two engines
 built over one shared ``PreparedGraph`` must both reproduce the cell's
 digest from tables built once — the same table, not a second one.
 
+Two ``SHARD_CELLS`` walk through ``run_parallel_walk`` on two worker
+processes — DeepWalk on the unweighted graph, biased node2vec on the
+weighted one — and pin every path, the merged counters and the walk
+lengths.  They were generated at bc5dfb9, the commit before sharded
+walks got their tables from one build split across the workers.
+
 A change that intentionally alters the RNG stream or the work counts
 regenerates the table with ``python -m tests.test_golden_walks`` and
 says so in its description.
@@ -65,6 +71,7 @@ from repro.graph.builder import assign_random_weights
 from repro.graph.dynamic import DynamicGraph, generate_churn_batches
 from repro.graph.generators import erdos_renyi_graph
 from repro.lint.sanitizer import DeterminismTracer
+from repro.parallel import run_parallel_walk
 from tests.test_path_recording import (
     PLAIN,
     WORKLOADS,
@@ -335,6 +342,38 @@ def measure_churn(cell: str) -> dict:
             b"".join(_widened(array).tobytes() for array in arrays), digest_size=16
         ).hexdigest()
     return summary
+
+
+def biased_node2vec():
+    return Node2Vec(p=0.25, q=0.5)  # biased: Ps is the edge weights
+
+
+# name -> (program factory, graph, config), walked on two processes.
+SHARD_CELLS = {
+    "deepwalk-2shard": (DeepWalk, PLAIN, make_config("deepwalk")),
+    "node2vec-biased-weighted-2shard": (biased_node2vec, WEIGHTED, BOUNDED),
+}
+# Host clocks differ run to run; the owner's counters are not the walk's.
+UNPINNED_STATS = ("wall_time_seconds", "init_time_seconds", "maintenance")
+
+
+def measure_shards(cell: str) -> dict:
+    make_program, graph, config = SHARD_CELLS[cell]
+    result = run_parallel_walk(graph, make_program(), config, num_workers=2)
+    paths = hashlib.blake2b(digest_size=16)
+    for path in result.paths:
+        paths.update(np.asarray(path, dtype=np.int64).tobytes())
+        paths.update(b"|")
+    stats = _fields(result.stats)
+    return {
+        "status": result.status,
+        "num_workers": result.num_workers,
+        "paths": paths.hexdigest(),
+        "walk_lengths": hashlib.blake2b(
+            result.walk_lengths.astype(np.int64).tobytes(), digest_size=16
+        ).hexdigest(),
+        "stats": {k: v for k, v in stats.items() if k not in UNPINNED_STATS},
+    }
 
 
 GOLDEN: dict[str, dict] = {
@@ -1066,6 +1105,52 @@ GOLDEN: dict[str, dict] = {
         "csr": "570f4e54724fc6ba7092751dfebf1164",
         "tables": "ca6265a7f19b02b4823b298cf01a4bf4",
     },
+    "deepwalk-2shard": {
+        "status": "complete",
+        "num_workers": 2,
+        "paths": "342c34122b004c8dc98f1e747098ce6a",
+        "walk_lengths": "3b95ca56faf897dfce774b336083d3d3",
+        "stats": {
+            "counters": {
+                "trials": 1440,
+                "pd_evaluations": 0,
+                "pre_accepts": 1440,
+                "appendix_trials": 0,
+                "accepts": 1440,
+            },
+            "termination": {"by_step_limit": 120, "by_probability": 0, "by_dead_end": 0},
+            "total_steps": 1440,
+            "teleports": 0,
+            "iterations": 13,
+            "active_per_iteration": [120] * 13,
+            "full_scan_evaluations": 0,
+            "messages_sent": 0,
+            "graph_epoch": None,
+        },
+    },
+    "node2vec-biased-weighted-2shard": {
+        "status": "complete",
+        "num_workers": 2,
+        "paths": "40b69f890f802e1149717827e6a5819a",
+        "walk_lengths": "3b95ca56faf897dfce774b336083d3d3",
+        "stats": {
+            "counters": {
+                "trials": 1587,
+                "pd_evaluations": 860,
+                "pre_accepts": 727,
+                "appendix_trials": 135,
+                "accepts": 1440,
+            },
+            "termination": {"by_step_limit": 120, "by_probability": 0, "by_dead_end": 0},
+            "total_steps": 1440,
+            "teleports": 0,
+            "iterations": 18,
+            "active_per_iteration": [120] * 13 + [80, 39, 17, 8, 3],
+            "full_scan_evaluations": 0,
+            "messages_sent": 0,
+            "graph_epoch": None,
+        },
+    },
 }
 
 
@@ -1092,6 +1177,11 @@ def test_dark_branch_reproduces_golden_digest(cell):
 @pytest.mark.parametrize("cell", sorted(CHURN_CELLS))
 def test_walk_after_churn_reproduces_golden_digest(cell):
     assert measure_churn(cell) == GOLDEN[cell]
+
+
+@pytest.mark.parametrize("cell", sorted(SHARD_CELLS))
+def test_sharded_walk_reproduces_golden_digest(cell):
+    assert measure_shards(cell) == GOLDEN[cell]
 
 
 # The prepared axis: every cell again, twice, through one PreparedGraph.
@@ -1131,4 +1221,5 @@ if __name__ == "__main__":
     table.update({cell: measure_fault(cell) for cell in sorted(FAULT_CELLS)})
     table.update({cell: measure_branch(cell) for cell in BRANCH_IDS})
     table.update({cell: measure_churn(cell) for cell in sorted(CHURN_CELLS)})
+    table.update({cell: measure_shards(cell) for cell in sorted(SHARD_CELLS)})
     pprint.pprint(table, width=100, sort_dicts=False)
