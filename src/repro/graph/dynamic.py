@@ -238,9 +238,9 @@ class EpochSnapshot(PreparedGraph):
     def __reduce__(self):
         return EpochSnapshot, (None, self.epoch, self.graph, self._tables)
 
-    def _default_tables(self) -> VertexAliasTables:
+    def _default_tables(self, build=None) -> VertexAliasTables:
         if self._owner is None:
-            return super()._default_tables()
+            return super()._default_tables(build)
         return self._owner._tables_for(self)
 
 

@@ -50,8 +50,15 @@ class PreparedGraph:
             raise GraphError(f"unknown sampler-table kind {kind!r}")
         if static is not None:
             return VertexAliasTables(self.graph, static)
+        return self.default_tables()
+
+    def default_tables(self, build=None) -> VertexAliasTables:
+        """The tables over the default Ps, kept once made.  When none
+        are kept yet, ``build(graph)`` makes them if given — a sharded
+        walk splits the build across its workers — and an epoch of a
+        live ``DynamicGraph`` gets them from its owner either way."""
         if self._tables is None:
-            self._tables = self._default_tables()
+            self._tables = self._default_tables(build)
         return self._tables
 
     def bounds_for(
@@ -84,8 +91,8 @@ class PreparedGraph:
         return upper, lower
 
     # What an incrementally maintained epoch overrides.
-    def _default_tables(self) -> VertexAliasTables:
-        return VertexAliasTables(self.graph)
+    def _default_tables(self, build=None) -> VertexAliasTables:
+        return (VertexAliasTables if build is None else build)(self.graph)
 
 
 def prepare(graph) -> PreparedGraph:

@@ -224,25 +224,51 @@ class VertexAliasTables:
         static_weights)``.
         """
         touched = np.unique(np.asarray(touched, dtype=np.int64))
-        new = type(self).__new__(type(self))
-        new._graph = graph
-        new._static = static_component(graph, static_weights, touched)
-        totals, prob, alias = build_alias_segments(new._static, graph.offsets, touched)
-        new._totals = self._totals.copy()
-        new._totals[touched] = totals
-        new._sizes = _table_sizes(graph, new._totals)
-        new._prob = np.empty(graph.num_edges, dtype=prob.dtype)
-        new._alias = np.empty(graph.num_edges, dtype=alias.dtype)
+        static = static_component(graph, static_weights, touched)
+        totals, prob, alias = build_alias_segments(static, graph.offsets, touched)
+        new_totals = self._totals.copy()
+        new_totals[touched] = totals
+        new_prob = np.empty(graph.num_edges, dtype=prob.dtype)
+        new_alias = np.empty(graph.num_edges, dtype=alias.dtype)
         rebuilt_at = slice_indices(graph.offsets, touched)
-        new._prob[rebuilt_at] = prob
-        new._alias[rebuilt_at] = alias
+        new_prob[rebuilt_at] = prob
+        new_alias[rebuilt_at] = alias
         copy_untouched_runs(
             self._graph.offsets,
             graph.offsets,
             touched,
-            [(self._prob, new._prob), (self._alias, new._alias)],
+            [(self._prob, new_prob), (self._alias, new_alias)],
         )
-        return new
+        return self._of(graph, static, new_totals, new_prob, new_alias)
+
+    @classmethod
+    def assemble(
+        cls,
+        graph: CSRGraph,
+        static_weights: np.ndarray | None,
+        slices: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    ) -> VertexAliasTables:
+        """Tables for ``graph`` from :func:`build_alias_segments` outputs
+        over consecutive vertex ranges that cover every vertex, in order.
+
+        Bit-identical to ``VertexAliasTables(graph, static_weights)``:
+        a slice's alias indices count from its own start, so laying the
+        slices end to end is the whole build.
+        """
+        totals, prob, alias = (np.concatenate(column) for column in zip(*slices))
+        if totals.size != graph.num_vertices or prob.size != graph.num_edges:
+            raise SamplingError("assembled slices do not cover the graph")
+        static = static_component(graph, static_weights)
+        return cls._of(graph, static, totals, prob, alias)
+
+    @classmethod
+    def _of(cls, graph, static, totals, prob, alias) -> VertexAliasTables:
+        """Tables from arrays already built in ``graph``'s layout."""
+        tables = cls.__new__(cls)
+        tables._graph, tables._static = graph, static
+        tables._totals, tables._prob, tables._alias = totals, prob, alias
+        tables._sizes = _table_sizes(graph, totals)
+        return tables
 
     def mismatches(self, vertices: np.ndarray) -> list[int]:
         """Those of ``vertices`` whose slices differ from a rebuild.

@@ -10,8 +10,8 @@ surfaces as :class:`~repro.errors.WorkerError` naming the task.
 
 Guarantees:
 
-* **no hang** — every outcome (result, exception, death, timeout) is a
-  pipe event or a bounded wait;
+* **no hang** — every outcome (result, exception, death, timeout,
+  cancellation) is a pipe event or a bounded wait;
 * **exceptions with context** — a task that raises inside the worker
   re-surfaces as ``WorkerError`` carrying the original traceback text
   plus the task index (callers append seeds etc. via ``describe``);
@@ -22,6 +22,9 @@ Guarantees:
   retried with a fresh process up to ``max_restarts`` times per task,
   optionally gated by a shared :class:`~repro.service.breaker.RetryBudget`
   so a hard outage sheds fast instead of retry-storming;
+* **cancellation** — with a ``cancel`` token, the wait wakes every
+  ``CANCEL_POLL_SECONDS``; once the token fires, every worker is
+  terminated and :meth:`SupervisedPool.run` returns ``None``;
 * **cleanup** — on any raise, all still-running workers are terminated
   before the error propagates.
 
@@ -42,6 +45,9 @@ from multiprocessing import connection
 from repro.errors import ConfigError, WorkerError
 
 __all__ = ["SupervisedPool"]
+
+# How long a cancelled run can go unnoticed while its tasks run.
+CANCEL_POLL_SECONDS = 0.05
 
 
 def _pool_child(fn, payload, conn) -> None:
@@ -138,16 +144,21 @@ class SupervisedPool:
                     "functions can run in workers"
                 )
 
-    def run(self, fn, payloads, describe=None) -> list:
+    def run(self, fn, payloads, describe=None, cancel=None) -> list | None:
         """Execute ``fn(payload)`` for every payload; ordered results.
 
         ``describe(index)`` customises how a failed task is named in
         the raised :class:`WorkerError` (e.g. shard seed).  Raises on
         the first unrecoverable failure after terminating all other
         workers; partial results are discarded — the caller retries or
-        sheds at its own layer.
+        sheds at its own layer.  ``cancel`` (an object with
+        ``.cancelled``) is polled every :data:`CANCEL_POLL_SECONDS`
+        while tasks run; once it fires, every worker is terminated and
+        ``None`` is returned — at once if it fired before the call.
         """
         self._check_cross_process(fn)
+        if cancel is not None and cancel.cancelled:
+            return None
         payloads = list(payloads)
         self._count("pool_tasks", "tasks dispatched to workers", len(payloads))
         describe = describe if describe is not None else (
@@ -161,8 +172,10 @@ class SupervisedPool:
             while pending or running:
                 self._spawn_ready(fn, payloads, pending, running, attempts)
                 ready = connection.wait(
-                    list(running), timeout=self._wait_timeout(running)
+                    list(running), timeout=self._wait_timeout(running, cancel)
                 )
+                if cancel is not None and cancel.cancelled:
+                    return None  # the finally below terminates the workers
                 if not ready:
                     self._reap_timeouts(running, describe)
                     continue
@@ -194,17 +207,19 @@ class SupervisedPool:
             child_conn.close()
             running[parent_conn] = (index, process, time.monotonic())
 
-    def _wait_timeout(self, running) -> float | None:
-        if self.task_timeout is None or not running:
-            return None
-        now = time.monotonic()
-        remaining = min(
-            self.task_timeout - (now - started)
-            for _index, _process, started in running.values()
-        )
-        return max(remaining, 0.0)
+    def _wait_timeout(self, running, cancel) -> float | None:
+        waits = [] if cancel is None else [CANCEL_POLL_SECONDS]
+        if self.task_timeout is not None:
+            now = time.monotonic()
+            waits += [
+                max(self.task_timeout - (now - started), 0.0)
+                for _index, _process, started in running.values()
+            ]
+        return min(waits, default=None)
 
     def _reap_timeouts(self, running, describe) -> None:
+        if self.task_timeout is None:
+            return  # woken to poll a cancel token
         now = time.monotonic()
         for conn, (index, process, started) in list(running.items()):
             if now - started >= self.task_timeout:

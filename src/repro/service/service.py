@@ -342,6 +342,7 @@ class WalkService:
                 config,
                 num_workers=request.num_shards,
                 deadline=ticket.deadline,
+                cancel=ticket.cancel_token,
             )
         if request.num_nodes > 1:
             return self._run_distributed(ticket, graph, request, config)

@@ -1,19 +1,27 @@
 """Tests for multi-process walk execution."""
 
 import dataclasses
+import multiprocessing
 import os
+import threading
 import time
 
 import numpy as np
 import pytest
 
+from repro import parallel
 from repro.algorithms import DeepWalk, Node2Vec, PPR, UniformWalk
 from repro.core.config import WalkConfig
 from repro.core.engine import WalkEngine
-from repro.errors import ConfigError, ObsError, WorkerError
+from repro.errors import ConfigError, ObsError, SamplingError, WorkerError
+from repro.graph.builder import assign_random_weights
+from repro.graph.csr import CSRGraph
 from repro.graph.dynamic import DynamicGraph, EdgeUpdate
-from repro.graph.generators import uniform_degree_graph
+from repro.graph.generators import erdos_renyi_graph, star_graph, uniform_degree_graph
+from repro.graph.prepared import PreparedGraph
 from repro.parallel import run_parallel_walk, shard_config
+from repro.sampling.alias import VertexAliasTables, build_alias_segments
+from repro.service.deadline import CancelToken
 from repro.service.pool import SupervisedPool
 
 from tests.helpers import diamond_graph
@@ -256,7 +264,9 @@ class TestDynamicGraphSharding:
         monkeypatch.setattr(
             SupervisedPool,
             "run",
-            lambda self, fn, payloads, describe=None: [fn(p) for p in payloads],
+            lambda self, fn, payloads, describe=None, cancel=None: [
+                fn(p) for p in payloads
+            ],
         )
         config = WalkConfig(num_walkers=40, max_steps=4, seed=2)
         result = run_parallel_walk(
@@ -265,6 +275,28 @@ class TestDynamicGraphSharding:
         assert dyn.epoch == 2
         assert result.stats.graph_epoch == 1
         assert result.metrics.value("walk_graph_epoch", shard="1") == 1
+
+    def test_the_epoch_table_is_built_once_through_its_owner(self, graph):
+        """The shards used to build a fresh epoch's table each, in forked
+        workers: no build reached the owner's counters, and the next
+        unsharded walk on that epoch built it again."""
+        weighted = assign_random_weights(graph, seed=3)
+        config = WalkConfig(num_walkers=40, max_steps=6, seed=2)
+        moved = []
+        for num_workers in (1, 2):
+            dyn = DynamicGraph(weighted)
+            dyn.snapshot().tables("alias")
+            dyn.commit([EdgeUpdate("insert", 0, 1, 2.0)])
+            dyn.commit([EdgeUpdate("insert", 5, 9, 3.0)])
+            run_parallel_walk(dyn, DeepWalk(), config, num_workers=num_workers)
+            assert dyn.snapshot()._tables is not None
+            after_walk = dataclasses.asdict(dyn.maintenance)
+            WalkEngine(dyn, DeepWalk(), config).run()
+            assert dataclasses.asdict(dyn.maintenance) == after_walk
+            moved.append(after_walk)
+        assert moved[1] == moved[0]
+        assert moved[0]["vertices_rebuilt"] == 4
+        assert moved[0]["full_rebuilds"] == 1
 
     def test_merging_different_epochs_is_a_typed_error(self, dyn):
         config = WalkConfig(num_walkers=10, max_steps=3, seed=2)
@@ -355,3 +387,217 @@ class TestSupervision:
         config = WalkConfig(num_walkers=10, max_steps=5)
         result = run_parallel_walk(graph, UniformWalk(), config, num_workers=2)
         assert result.status == "complete"
+
+
+# ---------------------------------------------------------------------------
+# The table round: one default table per sharded walk, split across workers
+# ---------------------------------------------------------------------------
+
+
+def _zero_weight_graph():
+    """Weighted, with one vertex whose out-edges all weigh 0 and one
+    with a zero among positive weights."""
+    base = assign_random_weights(uniform_degree_graph(120, 4, seed=5), seed=6)
+    weights = base.weights.copy()
+    weights[base.offsets[7] : base.offsets[8]] = 0.0
+    weights[base.offsets[11]] = 0.0
+    return CSRGraph(base.offsets, base.targets, weights)
+
+
+TABLE_GRAPHS = {
+    "weighted": lambda: assign_random_weights(
+        uniform_degree_graph(200, 5, seed=0, undirected=True), seed=1
+    ),
+    "unweighted": lambda: uniform_degree_graph(200, 5, seed=0, undirected=True),
+    "zero-weight-vertex": _zero_weight_graph,
+    "dead-ends": lambda: erdos_renyi_graph(150, 2.0, seed=4),
+    "hub": lambda: assign_random_weights(star_graph(300), seed=2),
+}
+
+
+def assert_tables_equal(tables, expected):
+    for name in ("_prob", "_alias", "_totals", "_sizes"):
+        actual, wanted = getattr(tables, name), getattr(expected, name)
+        assert actual.dtype == wanted.dtype, name
+        np.testing.assert_array_equal(actual, wanted, err_msg=name)
+    assert tables.has_dead_ends == expected.has_dead_ends
+
+
+def sharded_tables(graph, num_workers, **kwargs):
+    """Walk ``graph`` on ``num_workers`` shards and return the table the
+    round left on the prepared graph, with the result."""
+    prepared = PreparedGraph(graph)
+    config = WalkConfig(num_walkers=2 * num_workers, max_steps=2, seed=3)
+    result = run_parallel_walk(prepared, DeepWalk(), config, num_workers, **kwargs)
+    return prepared._tables, result
+
+
+class TestTableRound:
+    """``run_parallel_walk`` builds the default table once, split by the
+    |V_i| + |E_i| partition across its workers, before any shard starts."""
+
+    @pytest.mark.parametrize("num_workers", [2, 3, 4])
+    @pytest.mark.parametrize("kind", sorted(TABLE_GRAPHS))
+    def test_assembled_table_equals_the_serial_build(self, kind, num_workers):
+        graph = TABLE_GRAPHS[kind]()
+        tables, result = sharded_tables(graph, num_workers)
+        assert result.num_workers == num_workers
+        assert_tables_equal(tables, VertexAliasTables(graph))
+
+    def test_more_workers_than_vertices(self):
+        graph = assign_random_weights(
+            uniform_degree_graph(3, 2, seed=0, undirected=True), seed=1
+        )
+        tables, result = sharded_tables(graph, 8)
+        assert result.num_workers == 8
+        assert_tables_equal(tables, VertexAliasTables(graph))
+
+    def test_slices_that_do_not_cover_the_graph_are_refused(self, graph):
+        half = build_alias_segments(
+            np.ones(graph.num_edges), graph.offsets, np.arange(100)
+        )
+        with pytest.raises(SamplingError, match="do not cover"):
+            VertexAliasTables.assemble(graph, None, [half])
+
+    def test_no_shard_builds_a_table(self, graph, monkeypatch):
+        """Table construction raises from here on, in the parent and in
+        every forked worker: only the round's slices may build."""
+        config = WalkConfig(num_walkers=60, max_steps=6, seed=8, record_paths=True)
+        expected = run_parallel_walk(graph, Node2Vec(p=2, q=0.5), config, 3).paths
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a table was built outside the table round")
+
+        monkeypatch.setattr(VertexAliasTables, "__init__", refuse)
+        result = run_parallel_walk(graph, Node2Vec(p=2, q=0.5), config, 3)
+        assert [p.tolist() for p in result.paths] == [p.tolist() for p in expected]
+        with pytest.raises(WorkerError, match="a table was built"):
+            run_parallel_walk(graph, UniformWalk(), config, 3)  # its own Ps
+
+    def test_a_kept_table_is_not_built_again(self, graph, monkeypatch):
+        prepared = PreparedGraph(graph)
+        tables = prepared.tables("alias")
+        monkeypatch.setattr(parallel, "_build_slice", None)  # no round at all
+        config = WalkConfig(num_walkers=20, max_steps=4, seed=1)
+        run_parallel_walk(prepared, DeepWalk(), config, num_workers=2)
+        assert prepared.tables("alias") is tables
+
+    def test_build_seconds_reach_the_merged_init_time(self, graph, monkeypatch):
+        build = parallel.build_alias_segments
+
+        def slow(*args):
+            time.sleep(0.3)
+            return build(*args)
+
+        monkeypatch.setattr(parallel, "build_alias_segments", slow)
+        tables, result = sharded_tables(graph, 2)
+        assert result.stats.init_time_seconds >= 2 * 0.3
+        assert_tables_equal(tables, VertexAliasTables(graph))
+
+    def test_a_builder_that_dies_once_is_restarted(self, graph, monkeypatch, tmp_path):
+        build, marker = parallel.build_alias_segments, str(tmp_path / "died")
+
+        def dies_once(*args):
+            try:  # the first builder to get here dies, the rest build
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                return build(*args)
+            os._exit(17)
+
+        monkeypatch.setattr(parallel, "build_alias_segments", dies_once)
+        tables, result = sharded_tables(graph, 2)
+        assert result.metrics.value("pool_restarts") == 1
+        assert_tables_equal(tables, VertexAliasTables(graph))
+
+    def test_a_builder_that_always_dies_exhausts_its_restarts(self, graph, monkeypatch):
+        monkeypatch.setattr(parallel, "build_alias_segments", lambda *a: os._exit(17))
+        with pytest.raises(WorkerError, match="attempt") as info:
+            sharded_tables(graph, 2, max_restarts=1)
+        assert info.value.kind == "died"
+        assert "alias-table slice" in str(info.value)
+        assert "vertices" in str(info.value)
+
+    def test_a_builder_that_raises_resurfaces_its_traceback(self, graph, monkeypatch):
+        def raises(*args):
+            raise ValueError("bad slice")
+
+        monkeypatch.setattr(parallel, "build_alias_segments", raises)
+        with pytest.raises(WorkerError) as info:
+            sharded_tables(graph, 2)
+        assert info.value.kind == "exception"
+        assert "alias-table slice" in str(info.value)
+        assert "bad slice" in info.value.worker_traceback
+        assert "ValueError" in info.value.worker_traceback
+
+    def test_shard_timeout_applies_to_table_tasks(self, graph, monkeypatch):
+        monkeypatch.setattr(parallel, "build_alias_segments", lambda *a: time.sleep(60))
+        started = time.monotonic()
+        with pytest.raises(WorkerError) as info:
+            sharded_tables(graph, 2, shard_timeout=0.5)
+        assert info.value.kind == "timeout"
+        assert "alias-table slice" in str(info.value)
+        assert time.monotonic() - started < 30.0
+
+    def test_deadline_expiring_during_the_round_gives_a_partial(self, graph, monkeypatch):
+        build = parallel.build_alias_segments
+
+        def slow(*args):
+            time.sleep(0.4)
+            return build(*args)
+
+        monkeypatch.setattr(parallel, "build_alias_segments", slow)
+        config = WalkConfig(num_walkers=20, max_steps=50, record_paths=True)
+        result = run_parallel_walk(
+            graph, DeepWalk(), config, num_workers=2, deadline=0.1
+        )
+        assert result.status == "deadline_exceeded"
+        assert result.walk_lengths.size == 20
+        assert len(result.paths) == 20
+        assert all(len(path) >= 1 for path in result.paths)
+
+
+# ---------------------------------------------------------------------------
+# Cancellation
+# ---------------------------------------------------------------------------
+
+
+def _sleep_task(seconds):
+    time.sleep(seconds)
+    return seconds
+
+
+class TestCancellation:
+    def test_pool_terminates_its_workers_when_the_token_fires(self):
+        token = CancelToken()
+        threading.Timer(0.2, token.cancel).start()
+        started = time.monotonic()
+        outcome = SupervisedPool(max_workers=2).run(_sleep_task, [30, 30], cancel=token)
+        assert outcome is None
+        assert time.monotonic() - started < 0.2 + 0.5
+        assert not multiprocessing.active_children()
+
+    def test_pool_starts_nothing_once_cancelled(self):
+        token = CancelToken()
+        token.cancel()
+        pool = SupervisedPool(max_workers=2)
+        assert pool.run(_sleep_task, [30], cancel=token) is None
+        assert not multiprocessing.active_children()
+
+    def test_a_cancelled_sharded_walk_is_tagged_and_leaves_no_worker(self, graph):
+        token = CancelToken()
+        token.cancel()
+        config = WalkConfig(num_walkers=40, max_steps=5, record_paths=True)
+        result = run_parallel_walk(graph, DeepWalk(), config, 2, cancel=token)
+        assert result.status == "cancelled"
+        assert result.paths == [] and result.walk_lengths.size == 0
+        assert result.stats.total_steps == 0
+        assert result.metrics.value("pool_tasks") == 0
+        assert not multiprocessing.active_children()
+
+    def test_in_process_cancel_stops_the_engine(self, graph):
+        token = CancelToken()
+        token.cancel()
+        config = WalkConfig(num_walkers=40, max_steps=5)
+        result = run_parallel_walk(graph, DeepWalk(), config, 1, cancel=token)
+        assert result.status == "cancelled"
+        assert result.stats.total_steps < 40 * 5

@@ -1,5 +1,6 @@
 """Tests for the overload-robust serving layer (repro.service)."""
 
+import multiprocessing
 import threading
 import time
 
@@ -663,6 +664,32 @@ class TestWalkService:
         assert response.status == OK
         assert response.result.stats.total_steps == 24 * 5
         assert response.result.num_workers == 3
+
+    def test_cancelled_sharded_request_stops_and_sheds(self):
+        """A running sharded request used to ignore its ticket's cancel:
+        it ran to completion and was counted ``served``."""
+        graph = uniform_degree_graph(3000, 8, seed=1, undirected=True)
+        config = WalkConfig(num_walkers=60_000, max_steps=400, seed=1)
+        with WalkService(graph, num_workers=1, queue_capacity=2) as service:
+            ticket = service.submit(
+                WalkRequest(program=DeepWalk(), config=config, num_shards=2)
+            )
+            waited = time.monotonic() + 60.0
+            while not multiprocessing.active_children() and time.monotonic() < waited:
+                time.sleep(0.005)
+            assert multiprocessing.active_children(), "the request never started"
+            time.sleep(0.1)
+            ticket.cancel()
+            cancelled_at = time.monotonic()
+            response = ticket.wait(timeout=120.0)
+            resolved_in = time.monotonic() - cancelled_at
+            assert not multiprocessing.active_children()
+        assert response.status == SHED
+        assert response.shed_reason == "cancelled"
+        assert resolved_in < 0.5
+        metrics = service.metrics
+        assert metrics.submitted == metrics.served + metrics.shed + metrics.failed
+        assert metrics.shed_reasons == {"cancelled": 1}
 
     @pytest.mark.parametrize("num_shards", [1, 2])
     def test_dynamic_graph_request_reports_its_epoch(self, graph, num_shards):
