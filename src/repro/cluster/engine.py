@@ -270,7 +270,6 @@ class DistributedWalkEngine(WalkEngine):
         cost_model: CostModel | None = None,
         use_lower_bound: bool = True,
         validate_bounds: bool = False,
-        fuse_trials: bool = True,
         fault_plan: FaultPlan | None = None,
         checkpoint_every: int | None = None,
         degrade_on_crash: bool = False,
@@ -291,7 +290,6 @@ class DistributedWalkEngine(WalkEngine):
             config,
             use_lower_bound=use_lower_bound,
             validate_bounds=validate_bounds,
-            fuse_trials=fuse_trials,
         )
         # self.graph, not the raw argument: the prepared graph's CSR.
         self.partition: ContiguousPartition = partition_graph(

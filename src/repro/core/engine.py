@@ -133,15 +133,6 @@ class WalkEngine:
         envelope, raising :class:`~repro.errors.ProgramError` on the
         first violation (which would otherwise silently skew the
         sampled law).  Off by default for speed.
-    fuse_trials:
-        widen each round of a step-paced dynamic program to K
-        speculative trials per walker (K lanes of the one batch
-        kernel), K adapted to the running acceptance rate.  Trial
-        (second-order) pacing is never fused — one trial per
-        superstep there is a semantic, not an inefficiency — and
-        static programs pre-accept every first dart, so speculation
-        would be pure waste.  Off gives one trial per walker per
-        round, the semantic reference.
     """
 
     def __init__(
@@ -152,7 +143,6 @@ class WalkEngine:
         use_lower_bound: bool = True,
         force_scalar: bool = False,
         validate_bounds: bool = False,
-        fuse_trials: bool = True,
     ) -> None:
         config = config if config is not None else WalkConfig()
         program.validate()
@@ -208,13 +198,14 @@ class WalkEngine:
         )
         # "trial" pacing for second-order programs, "step" otherwise.
         self.sync_mode = "trial" if program.order == 2 else "step"
-        self.fuse_trials = fuse_trials
-        self._fuse = (
-            fuse_trials
-            and self._batch
-            and program.dynamic
-            and self.sync_mode == "step"
-        )
+        # Trial fusion: each round of a step-paced dynamic program is
+        # widened to K speculative trials per walker (K lanes of the one
+        # batch kernel), K adapted to the running acceptance rate.
+        # Trial (second-order) pacing is never fused — one trial per
+        # superstep there is a semantic, not an inefficiency — and
+        # static programs pre-accept every first dart, so speculation
+        # would be pure waste.
+        self._fuse = self._batch and program.dynamic and self.sync_mode == "step"
         self._scratch = KernelScratch()
         self._has_custom_continue = (
             type(program).should_continue is not WalkerProgram.should_continue

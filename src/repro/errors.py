@@ -91,7 +91,7 @@ class WorkerError(ServiceError):
     shard:
         index of the failed task/shard, or ``None``.
     kind:
-        ``"exception"``, ``"died"``, ``"timeout"``, or ``"budget"``.
+        ``"exception"``, ``"died"``, or ``"timeout"``.
     worker_traceback:
         the worker-side traceback text for ``"exception"`` failures.
     """

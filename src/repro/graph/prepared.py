@@ -20,6 +20,7 @@ import numpy as np
 from repro.errors import GraphError, ProgramError
 from repro.graph.csr import CSRGraph
 from repro.sampling.alias import VertexAliasTables
+from repro.sampling.tables import is_unit_weights
 
 __all__ = ["PreparedGraph", "prepare"]
 
@@ -43,14 +44,26 @@ class PreparedGraph:
         self, kind: str, static: np.ndarray | None = None
     ) -> VertexAliasTables:
         """The alias tables (``kind`` ``"alias"``, the one kind) over
-        ``static``.  The default (``None``: edge weights, or ones) is
-        built on first use and kept; a program's own Ps array is built
-        per call."""
+        ``static``.  The default Ps (:meth:`is_default`) is built on
+        first use and kept; a program's own Ps array is built per
+        call."""
         if kind != "alias":
             raise GraphError(f"unknown sampler-table kind {kind!r}")
-        if static is not None:
+        if not self.is_default(static):
             return VertexAliasTables(self.graph, static)
         return self.default_tables()
+
+    def is_default(self, static: np.ndarray | None) -> bool:
+        """Whether ``static`` is the default Ps, whose tables are kept:
+        ``None`` (edge weights, or ones when unweighted), or
+        :func:`~repro.sampling.tables.unit_weights` on an unweighted
+        graph — the same table under another name."""
+        graph = self.graph
+        return static is None or (
+            graph.weights is None
+            and is_unit_weights(static)
+            and static.size == graph.num_edges
+        )
 
     def default_tables(self, build=None) -> VertexAliasTables:
         """The tables over the default Ps, kept once made.  When none

@@ -29,8 +29,8 @@ immediately as :class:`~repro.errors.WorkerError` naming the shard or
 table slice instead of blocking a bare ``pool.map`` forever, worker
 exceptions re-surface with their original traceback plus the task
 (shard index and seed, or slice and vertex range), per-task timeouts
-are enforced, and dead workers are restarted under a capped retry
-budget.  A ``deadline`` propagates into every shard engine's chunked
+are enforced, and dead workers are restarted up to ``max_restarts``
+times.  A ``deadline`` propagates into every shard engine's chunked
 run loop, so parallel runs return partial, well-formed results tagged
 ``deadline_exceeded`` just like single-engine runs; a fired ``cancel``
 token terminates the workers and tags the result ``cancelled``.
@@ -62,7 +62,6 @@ from repro.graph.prepared import PreparedGraph, prepare
 from repro.obs import MetricsRegistry
 from repro.sampling.alias import VertexAliasTables, build_alias_segments
 from repro.sampling.tables import static_component
-from repro.service.breaker import RetryBudget
 from repro.service.deadline import Deadline
 from repro.service.pool import SupervisedPool
 
@@ -196,7 +195,6 @@ def run_parallel_walk(
     deadline: Deadline | float | None = None,
     shard_timeout: float | None = None,
     max_restarts: int = 2,
-    retry_budget: RetryBudget | None = None,
     cancel=None,
 ) -> ParallelWalkResult:
     """Run a walk sharded across ``num_workers`` processes.
@@ -226,8 +224,8 @@ def run_parallel_walk(
     task exceeding it is terminated and raised as
     :class:`~repro.errors.WorkerError` (use a deadline for graceful
     partials, the timeout for runaway shards).  A task whose worker
-    *dies* is restarted up to ``max_restarts`` times (gated by the
-    optional shared ``retry_budget``) before ``WorkerError`` is raised.
+    *dies* is restarted up to ``max_restarts`` times before
+    ``WorkerError`` is raised.
     """
     config = config if config is not None else WalkConfig()
     if isinstance(deadline, (int, float)):
@@ -247,10 +245,9 @@ def run_parallel_walk(
             max_workers=len(shards),
             task_timeout=shard_timeout,
             max_restarts=max_restarts,
-            retry_budget=retry_budget,
             registry=registry,
         )
-        if program.edge_static_comp(graph.graph) is None:
+        if graph.is_default(program.edge_static_comp(graph.graph)):
             parts = min(len(shards), graph.num_vertices)
             graph.default_tables(_split_build(pool, parts, cancel, build_seconds))
         # A cancel that cut the table round short also refuses this one.

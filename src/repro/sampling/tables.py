@@ -35,6 +35,7 @@ __all__ = [
     "MaintenanceStats",
     "compact_slices",
     "copy_untouched_runs",
+    "is_unit_weights",
     "slice_indices",
     "static_component",
     "unit_weights",
@@ -79,6 +80,12 @@ def unit_weights(size: int) -> np.ndarray:
     envelope).  The C-level constructor: ``np.broadcast_to`` costs
     ~5 µs of Python checks per call."""
     return np.ndarray((size,), np.float64, _ONE, 0, (0,))
+
+
+def is_unit_weights(array) -> bool:
+    """Whether ``array`` is a :func:`unit_weights` view (every view of
+    the one read-only ``1.0`` is all ones), in O(1)."""
+    return isinstance(array, np.ndarray) and array.base is _ONE
 
 
 def static_component(

@@ -14,7 +14,7 @@ from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(
     globals(),
-    breaker=("CircuitBreaker", "RetryBudget"),
+    breaker=("CircuitBreaker",),
     deadline=("CancelToken", "Deadline"),
     degrade=("DegradationPolicy", "apply_degradation"),
     pool=("SupervisedPool",),

@@ -1,25 +1,16 @@
-"""Circuit breaker and retry budget — fail fast instead of retry-storm.
+"""Circuit breaker — fail fast instead of retry-storm.
 
-Two complementary guards around shard/request execution:
+:class:`CircuitBreaker` is the classic three-state machine around
+request execution.  CLOSED passes everything and counts consecutive
+failures; at ``failure_threshold`` it OPENs and sheds instantly (no
+engine is even constructed) until ``reset_timeout`` elapses; then
+HALF_OPEN lets a limited number of probe requests through — one success
+re-CLOSEs, one failure re-OPENs with a fresh timer.  A dependency that
+keeps failing therefore costs O(1) work per ``reset_timeout``, not one
+doomed execution per queued request.
 
-* :class:`CircuitBreaker` — the classic three-state machine.  CLOSED
-  passes everything and counts consecutive failures; at
-  ``failure_threshold`` it OPENs and sheds instantly (no engine is even
-  constructed) until ``reset_timeout`` elapses; then HALF_OPEN lets a
-  limited number of probe requests through — one success re-CLOSEs,
-  one failure re-OPENs with a fresh timer.  A dependency that keeps
-  failing therefore costs O(1) work per ``reset_timeout``, not one
-  doomed execution per queued request.
-
-* :class:`RetryBudget` — a token bucket that caps *retries* as a
-  fraction of successful work.  Each success deposits ``deposit_ratio``
-  tokens (up to ``capacity``); each retry withdraws one.  Under a hard
-  outage the bucket drains and retries stop, bounding the retry storm
-  the supervised pool could otherwise generate by restarting dead
-  workers forever.
-
-Both are clock-injectable for deterministic tests and lock-protected
-for use from concurrent service workers.
+It is clock-injectable for deterministic tests and lock-protected for
+use from concurrent service workers.
 """
 
 from __future__ import annotations
@@ -29,7 +20,7 @@ import time
 
 from repro.errors import ConfigError
 
-__all__ = ["CircuitBreaker", "RetryBudget"]
+__all__ = ["CircuitBreaker"]
 
 CLOSED = "closed"
 OPEN = "open"
@@ -110,42 +101,3 @@ class CircuitBreaker:
                 self._opened_at = self._clock()
                 self._probes_in_flight = 0
 
-
-class RetryBudget:
-    """Token bucket bounding retries to a fraction of successes."""
-
-    def __init__(
-        self,
-        capacity: float = 4.0,
-        deposit_ratio: float = 0.1,
-        initial: float | None = None,
-    ) -> None:
-        if capacity <= 0:
-            raise ConfigError("retry budget capacity must be positive")
-        if deposit_ratio < 0:
-            raise ConfigError("deposit_ratio must be non-negative")
-        self.capacity = float(capacity)
-        self.deposit_ratio = float(deposit_ratio)
-        self._tokens = self.capacity if initial is None else float(initial)
-        self._lock = threading.Lock()
-        self.denied = 0
-
-    @property
-    def tokens(self) -> float:
-        with self._lock:
-            return self._tokens
-
-    def record_success(self) -> None:
-        with self._lock:
-            self._tokens = min(
-                self.capacity, self._tokens + self.deposit_ratio
-            )
-
-    def try_acquire(self) -> bool:
-        """Spend one token for a retry; ``False`` sheds the retry."""
-        with self._lock:
-            if self._tokens >= 1.0:
-                self._tokens -= 1.0
-                return True
-            self.denied += 1
-            return False

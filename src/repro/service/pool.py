@@ -19,9 +19,7 @@ Guarantees:
   terminated and reported (never silently retried: a task that timed
   out once will time out again);
 * **capped restarts** — a worker *death* (crash, not exception) is
-  retried with a fresh process up to ``max_restarts`` times per task,
-  optionally gated by a shared :class:`~repro.service.breaker.RetryBudget`
-  so a hard outage sheds fast instead of retry-storming;
+  retried with a fresh process up to ``max_restarts`` times per task;
 * **cancellation** — with a ``cancel`` token, the wait wakes every
   ``CANCEL_POLL_SECONDS``; once the token fires, every worker is
   terminated and :meth:`SupervisedPool.run` returns ``None``;
@@ -84,9 +82,6 @@ class SupervisedPool:
         per-task wall-clock budget in seconds; ``None`` disables.
     max_restarts:
         restarts allowed per task after a worker death.
-    retry_budget:
-        optional shared token bucket consulted *in addition to*
-        ``max_restarts`` before any restart.
     registry:
         optional :class:`repro.obs.MetricsRegistry` (duck-typed) that
         receives the pool's supervision counters — tasks dispatched,
@@ -100,7 +95,6 @@ class SupervisedPool:
         max_workers: int,
         task_timeout: float | None = None,
         max_restarts: int = 2,
-        retry_budget=None,
         context=None,
         registry=None,
     ) -> None:
@@ -113,7 +107,6 @@ class SupervisedPool:
         self.max_workers = max_workers
         self.task_timeout = task_timeout
         self.max_restarts = max_restarts
-        self.retry_budget = retry_budget
         self._ctx = context if context is not None else _default_context()
         self.registry = registry
         self.restarts = 0  # total worker restarts across run() calls
@@ -249,10 +242,7 @@ class SupervisedPool:
         if message is None:
             # Death without a report (os._exit, OOM kill, SIGKILL).
             exitcode = process.exitcode
-            can_restart = attempts[index] <= self.max_restarts
-            if can_restart and (
-                self.retry_budget is None or self.retry_budget.try_acquire()
-            ):
+            if attempts[index] <= self.max_restarts:
                 self.restarts += 1
                 self._count("pool_restarts", "worker deaths retried")
                 pending.append(index)
@@ -260,14 +250,12 @@ class SupervisedPool:
             raise WorkerError(
                 f"worker running {describe(index)} died with exit code "
                 f"{exitcode} after {attempts[index]} attempt(s) "
-                "(restart budget exhausted)",
+                f"(max_restarts={self.max_restarts} exhausted)",
                 shard=index,
-                kind="budget" if can_restart else "died",
+                kind="died",
             )
         if message[0] == "ok":
             results[index] = message[1]
-            if self.retry_budget is not None:
-                self.retry_budget.record_success()
             return
         _tag, exc_repr, worker_tb = message
         self._count("pool_worker_errors", "tasks that raised in a worker")

@@ -73,9 +73,6 @@ class WalkService:
     breaker:
         circuit breaker around request execution; ``None`` installs
         the default (5 consecutive failures, 1 s reset).
-    default_deadline:
-        seconds applied to requests submitted without a deadline;
-        ``None`` leaves them unbounded.
     tracer:
         optional :class:`repro.obs.Tracer` (duck-typed).  When enabled,
         every executed request lands as a ``service.request`` span
@@ -92,7 +89,6 @@ class WalkService:
         shed_policy: str = "reject-newest",
         degradation: DegradationPolicy | None = DegradationPolicy(),
         breaker: CircuitBreaker | None = None,
-        default_deadline: float | None = None,
         tracer=None,
     ) -> None:
         if num_workers <= 0:
@@ -109,7 +105,6 @@ class WalkService:
         self._graph_lock = threading.Lock()
         self.degradation = degradation
         self.breaker = breaker if breaker is not None else CircuitBreaker()
-        self.default_deadline = default_deadline
         self.metrics = ServiceMetrics()
         self._queue = AdmissionQueue(queue_capacity, shed_policy)
         self._lock = threading.Lock()
@@ -135,8 +130,6 @@ class WalkService:
         rejected ticket resolves immediately with status ``shed``.
         """
         deadline = request.deadline
-        if deadline is None and self.default_deadline is not None:
-            deadline = self.default_deadline
         if isinstance(deadline, (int, float)):
             deadline = Deadline(float(deadline))
         ticket = WalkTicket(request, deadline, time.monotonic())

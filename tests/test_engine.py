@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.algorithms import DeepWalk, MetaPathWalk, Node2Vec, PPR, UniformWalk
+from repro.algorithms import (
+    PPR,
+    DeepWalk,
+    MetaPathWalk,
+    Node2Vec,
+    NonBacktrackingWalk,
+    UniformWalk,
+    WindowedSelfAvoidingWalk,
+)
+from repro.baselines.mixed import MixedNode2Vec
 from repro.core.config import WalkConfig
 from repro.core.engine import WalkEngine
 from repro.errors import GraphError, ProgramError
@@ -11,8 +20,11 @@ from repro.graph.builder import assign_random_weights, from_edges
 from repro.graph.generators import uniform_degree_graph
 from repro.graph.hetero import assign_random_edge_types
 from repro.graph.prepared import PreparedGraph
+from repro.sampling.alias import VertexAliasTables
+from repro.sampling.tables import unit_weights
 
 from tests.helpers import diamond_graph, two_triangle_graph
+from tests.test_parallel import assert_tables_equal
 
 
 def assert_paths_valid(graph, paths):
@@ -88,14 +100,37 @@ class TestPreparedGraph:
         with pytest.raises(GraphError, match="unknown sampler-table kind 'its'"):
             shared.tables("its")
 
+    # Programs whose Ps is unit_weights: the default Ps of an unweighted
+    # graph under another name.
+    UNIT_PS = {
+        "uniform": UniformWalk,
+        "node2vec-unbiased": lambda: Node2Vec(p=2.0, q=0.5, biased=False),
+        "node2vec-mixed": lambda: MixedNode2Vec(p=2.0, q=0.5),
+        "avoiding-unbiased": lambda: WindowedSelfAvoidingWalk(biased=False),
+        "nonbacktracking-unbiased": lambda: NonBacktrackingWalk(biased=False),
+    }
+
     def test_a_programs_own_static_component_is_built_per_engine(self, graph):
+        """On a weighted graph ``unit_weights`` is not the default Ps."""
         weighted = PreparedGraph(assign_random_weights(graph, seed=1))
+        for make in self.UNIT_PS.values():
+            first = WalkEngine(weighted, make(), self.CONFIG)
+            second = WalkEngine(weighted, make(), self.CONFIG)
+            assert first.tables is not second.tables
+            assert first.tables is not weighted.tables("alias")
         first = WalkEngine(weighted, UniformWalk(), self.CONFIG)
-        second = WalkEngine(weighted, UniformWalk(), self.CONFIG)
-        assert first.tables is not second.tables
-        assert first.tables is not weighted.tables("alias")
         np.testing.assert_array_equal(
             first.run().paths, WalkEngine(weighted.graph, UniformWalk(), self.CONFIG).run().paths
+        )
+
+    @pytest.mark.parametrize("name", sorted(UNIT_PS))
+    def test_unit_weights_share_the_default_table_when_unweighted(self, graph, name):
+        shared = PreparedGraph(graph)
+        first = WalkEngine(shared, self.UNIT_PS[name](), self.CONFIG)
+        second = WalkEngine(shared, self.UNIT_PS[name](), self.CONFIG)
+        assert first.tables is second.tables is shared.tables("alias")
+        assert_tables_equal(
+            first.tables, VertexAliasTables(graph, unit_weights(graph.num_edges))
         )
 
     def test_a_wrapped_graph_reports_no_epoch(self, graph):

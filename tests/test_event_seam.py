@@ -25,7 +25,6 @@ from tests.test_path_recording import WORKLOADS, make_config
 
 ENGINES = {
     "fused": lambda *a: WalkEngine(*a),
-    "single-trial": lambda *a: WalkEngine(*a, fuse_trials=False),
     "scalar": lambda *a: WalkEngine(*a, force_scalar=True),
     "distributed": lambda *a: DistributedWalkEngine(*a, num_nodes=4),
     "gemini": lambda *a: GeminiWalkEngine(*a, num_nodes=4),

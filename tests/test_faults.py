@@ -304,7 +304,7 @@ class TestAcceptance:
 
 
 class TestFailureModes:
-    def test_retry_budget_exhaustion_raises(self, graph):
+    def test_retransmission_budget_exhaustion_raises(self, graph):
         make_program, walk_graph, config = _program_setup(
             "node2vec", graph, seed=13
         )

@@ -1,4 +1,4 @@
-"""Golden digests of the walk loop, one per (workload, engine, kernel).
+"""Golden digests of the walk loop, one per (workload, engine).
 
 The values in ``GOLDEN`` were generated at the commit *before* the
 walker-centric loop was deleted (PR 14), where every cell was measured
@@ -81,18 +81,12 @@ from tests.test_path_recording import (
 
 # The five workloads cover static, trial-paced, fused, teleporting and
 # unbounded walks; nodes=0 is the local engine.
-CELLS = [
-    (name, nodes, fused)
-    for name in sorted(WORKLOADS)
-    for nodes in (0, 4)
-    for fused in (True, False)
-]
+CELLS = [(name, nodes) for name in sorted(WORKLOADS) for nodes in (0, 4)]
 
 
 def cell_id(cell) -> str:
-    name, nodes, fused = cell
-    where = f"{nodes}node" if nodes else "local"
-    return f"{name}-{where}-{'fused' if fused else 'single'}"
+    name, nodes = cell
+    return f"{name}-{f'{nodes}node' if nodes else 'local'}"
 
 
 def digest(engine) -> dict:
@@ -164,14 +158,13 @@ def _fields(stats) -> dict:
 def workload_engine(cell, graph=None):
     """A fresh engine for one workload cell; ``graph`` substitutes a
     prepared graph for the workload's own CSR."""
-    name, nodes, fused = cell
+    name, nodes = cell
     make_program, own_graph, _ = WORKLOADS[name]
     return make_walk_engine(
         own_graph if graph is None else graph,
         make_program(),
         make_config(name),
         nodes=nodes,
-        fuse_trials=fused,
     )
 
 
@@ -377,7 +370,7 @@ def measure_shards(cell: str) -> dict:
 
 
 GOLDEN: dict[str, dict] = {
-    "deepwalk-local-fused": {
+    "deepwalk-local": {
         "rolling_hash": "cf873d3a725b286f7266d3b97fc31df5",
         "paths": "c51d6f2ecc0772464f9f85f7f87fbd9b",
         "total_steps": 1440,
@@ -386,16 +379,7 @@ GOLDEN: dict[str, dict] = {
         "full_scan_evaluations": 0,
         "messages_sent": 0,
     },
-    "deepwalk-local-single": {
-        "rolling_hash": "cf873d3a725b286f7266d3b97fc31df5",
-        "paths": "c51d6f2ecc0772464f9f85f7f87fbd9b",
-        "total_steps": 1440,
-        "trials": 1440,
-        "pd_evaluations": 0,
-        "full_scan_evaluations": 0,
-        "messages_sent": 0,
-    },
-    "deepwalk-4node-fused": {
+    "deepwalk-4node": {
         "rolling_hash": "b051695ea735d17a4d340e30de5fc56e",
         "paths": "c51d6f2ecc0772464f9f85f7f87fbd9b",
         "total_steps": 1440,
@@ -417,29 +401,7 @@ GOLDEN: dict[str, dict] = {
             "WALKER_MIGRATE": "c925bf4315f4ddb6",
         },
     },
-    "deepwalk-4node-single": {
-        "rolling_hash": "b051695ea735d17a4d340e30de5fc56e",
-        "paths": "c51d6f2ecc0772464f9f85f7f87fbd9b",
-        "total_steps": 1440,
-        "trials": 1440,
-        "pd_evaluations": 0,
-        "full_scan_evaluations": 0,
-        "messages_sent": 1135,
-        "trials_per_node": [355, 395, 358, 332],
-        "pd_evaluations_per_node": [0, 0, 0, 0],
-        "simulated_seconds": "0x1.b7cb32eebfbbcp-12",
-        "num_supersteps": 13,
-        "light_mode_node_supersteps": 52,
-        "walker_supersteps_per_node": [392, 419, 388, 361],
-        "bytes": 36320,
-        "local_deliveries": 305,
-        "matrices": {
-            "STATE_QUERY": "2ca5d3f9f96a9545",
-            "QUERY_RESPONSE": "2ca5d3f9f96a9545",
-            "WALKER_MIGRATE": "c925bf4315f4ddb6",
-        },
-    },
-    "metapath-local-fused": {
+    "metapath-local": {
         "rolling_hash": "b19694eb1881457fa1b88f60c05f0d6d",
         "paths": "29ca5f06b4458f952e66c25084db2d4b",
         "total_steps": 1047,
@@ -448,16 +410,7 @@ GOLDEN: dict[str, dict] = {
         "full_scan_evaluations": 600,
         "messages_sent": 0,
     },
-    "metapath-local-single": {
-        "rolling_hash": "7464b47ce5f205398580bbb896a63c76",
-        "paths": "784084093b20781b7aa26a07d8db8c59",
-        "total_steps": 1046,
-        "trials": 9446,
-        "pd_evaluations": 9446,
-        "full_scan_evaluations": 649,
-        "messages_sent": 0,
-    },
-    "metapath-4node-fused": {
+    "metapath-4node": {
         "rolling_hash": "fd16f20202b106821e7479a5f4391d62",
         "paths": "29ca5f06b4458f952e66c25084db2d4b",
         "total_steps": 1047,
@@ -479,29 +432,7 @@ GOLDEN: dict[str, dict] = {
             "WALKER_MIGRATE": "d0d894525e0ec0aa",
         },
     },
-    "metapath-4node-single": {
-        "rolling_hash": "b6dc880ada23c517067c76187463540d",
-        "paths": "784084093b20781b7aa26a07d8db8c59",
-        "total_steps": 1046,
-        "trials": 9446,
-        "pd_evaluations": 9446,
-        "full_scan_evaluations": 649,
-        "messages_sent": 804,
-        "trials_per_node": [2897, 2085, 2521, 1943],
-        "pd_evaluations_per_node": [3111, 2207, 2701, 2076],
-        "simulated_seconds": "0x1.3ac44c1fbe365p-10",
-        "num_supersteps": 13,
-        "light_mode_node_supersteps": 52,
-        "walker_supersteps_per_node": [319, 304, 291, 252],
-        "bytes": 25728,
-        "local_deliveries": 242,
-        "matrices": {
-            "STATE_QUERY": "2ca5d3f9f96a9545",
-            "QUERY_RESPONSE": "2ca5d3f9f96a9545",
-            "WALKER_MIGRATE": "7e9110a366d1c3bd",
-        },
-    },
-    "node2vec-local-fused": {
+    "node2vec-local": {
         "rolling_hash": "d1a68d16d0e314654d4eb06f9dd179e8",
         "paths": "1b3cab8274870f5911b6c98a94e8611e",
         "total_steps": 1440,
@@ -510,16 +441,7 @@ GOLDEN: dict[str, dict] = {
         "full_scan_evaluations": 0,
         "messages_sent": 0,
     },
-    "node2vec-local-single": {
-        "rolling_hash": "d1a68d16d0e314654d4eb06f9dd179e8",
-        "paths": "1b3cab8274870f5911b6c98a94e8611e",
-        "total_steps": 1440,
-        "trials": 1699,
-        "pd_evaluations": 1264,
-        "full_scan_evaluations": 0,
-        "messages_sent": 0,
-    },
-    "node2vec-4node-fused": {
+    "node2vec-4node": {
         "rolling_hash": "f0ce6a6a0a2bc25143c5e032612504ee",
         "paths": "1b3cab8274870f5911b6c98a94e8611e",
         "total_steps": 1440,
@@ -541,29 +463,7 @@ GOLDEN: dict[str, dict] = {
             "WALKER_MIGRATE": "9a29c9897df6e270",
         },
     },
-    "node2vec-4node-single": {
-        "rolling_hash": "f0ce6a6a0a2bc25143c5e032612504ee",
-        "paths": "1b3cab8274870f5911b6c98a94e8611e",
-        "total_steps": 1440,
-        "trials": 1699,
-        "pd_evaluations": 1264,
-        "full_scan_evaluations": 0,
-        "messages_sent": 2665,
-        "trials_per_node": [441, 444, 441, 373],
-        "pd_evaluations_per_node": [329, 323, 343, 269],
-        "simulated_seconds": "0x1.c845a9826fdc5p-11",
-        "num_supersteps": 20,
-        "light_mode_node_supersteps": 80,
-        "walker_supersteps_per_node": [462, 486, 466, 405],
-        "bytes": 66752,
-        "local_deliveries": 757,
-        "matrices": {
-            "STATE_QUERY": "331038991179b903",
-            "QUERY_RESPONSE": "9f97d371425c531d",
-            "WALKER_MIGRATE": "9a29c9897df6e270",
-        },
-    },
-    "ppr-local-fused": {
+    "ppr-local": {
         "rolling_hash": "604b0c90ff97c5b1b4dcdffa3cd18f6b",
         "paths": "c99c5f18156848f10c45434880aa7f39",
         "total_steps": 996,
@@ -572,16 +472,7 @@ GOLDEN: dict[str, dict] = {
         "full_scan_evaluations": 0,
         "messages_sent": 0,
     },
-    "ppr-local-single": {
-        "rolling_hash": "604b0c90ff97c5b1b4dcdffa3cd18f6b",
-        "paths": "c99c5f18156848f10c45434880aa7f39",
-        "total_steps": 996,
-        "trials": 996,
-        "pd_evaluations": 0,
-        "full_scan_evaluations": 0,
-        "messages_sent": 0,
-    },
-    "ppr-4node-fused": {
+    "ppr-4node": {
         "rolling_hash": "94fa395f2ad662486b986cf92bf2ab78",
         "paths": "c99c5f18156848f10c45434880aa7f39",
         "total_steps": 996,
@@ -603,29 +494,7 @@ GOLDEN: dict[str, dict] = {
             "WALKER_MIGRATE": "e80cdbed2c8fdbc8",
         },
     },
-    "ppr-4node-single": {
-        "rolling_hash": "94fa395f2ad662486b986cf92bf2ab78",
-        "paths": "c99c5f18156848f10c45434880aa7f39",
-        "total_steps": 996,
-        "trials": 996,
-        "pd_evaluations": 0,
-        "full_scan_evaluations": 0,
-        "messages_sent": 765,
-        "trials_per_node": [279, 247, 250, 220],
-        "pd_evaluations_per_node": [0, 0, 0, 0],
-        "simulated_seconds": "0x1.86653462324f3p-11",
-        "num_supersteps": 40,
-        "light_mode_node_supersteps": 160,
-        "walker_supersteps_per_node": [305, 281, 280, 250],
-        "bytes": 24480,
-        "local_deliveries": 231,
-        "matrices": {
-            "STATE_QUERY": "2ca5d3f9f96a9545",
-            "QUERY_RESPONSE": "2ca5d3f9f96a9545",
-            "WALKER_MIGRATE": "e80cdbed2c8fdbc8",
-        },
-    },
-    "rwr-local-fused": {
+    "rwr-local": {
         "rolling_hash": "3675a7df3711860d3d9b430e5465982e",
         "paths": "b36f13f10d3f26f4efd58cbf6a7253d5",
         "total_steps": 1440,
@@ -634,38 +503,7 @@ GOLDEN: dict[str, dict] = {
         "full_scan_evaluations": 0,
         "messages_sent": 0,
     },
-    "rwr-local-single": {
-        "rolling_hash": "3675a7df3711860d3d9b430e5465982e",
-        "paths": "b36f13f10d3f26f4efd58cbf6a7253d5",
-        "total_steps": 1440,
-        "trials": 992,
-        "pd_evaluations": 0,
-        "full_scan_evaluations": 0,
-        "messages_sent": 0,
-    },
-    "rwr-4node-fused": {
-        "rolling_hash": "598b11701379209de9f43f020b37ef01",
-        "paths": "b36f13f10d3f26f4efd58cbf6a7253d5",
-        "total_steps": 1440,
-        "trials": 992,
-        "pd_evaluations": 0,
-        "full_scan_evaluations": 0,
-        "messages_sent": 999,
-        "trials_per_node": [294, 273, 260, 165],
-        "pd_evaluations_per_node": [0, 0, 0, 0],
-        "simulated_seconds": "0x1.b58760dce49cfp-12",
-        "num_supersteps": 13,
-        "light_mode_node_supersteps": 52,
-        "walker_supersteps_per_node": [441, 433, 416, 270],
-        "bytes": 31968,
-        "local_deliveries": 441,
-        "matrices": {
-            "STATE_QUERY": "2ca5d3f9f96a9545",
-            "QUERY_RESPONSE": "2ca5d3f9f96a9545",
-            "WALKER_MIGRATE": "137a5e0f70e8e1be",
-        },
-    },
-    "rwr-4node-single": {
+    "rwr-4node": {
         "rolling_hash": "598b11701379209de9f43f020b37ef01",
         "paths": "b36f13f10d3f26f4efd58cbf6a7253d5",
         "total_steps": 1440,

@@ -16,6 +16,7 @@ from repro.algorithms import Node2Vec
 from repro.core.engine import WalkEngine, ZERO_MASS_GUARD_TRIALS
 from repro.core.config import WalkConfig
 from repro.core.kernels import (
+    GatherContext,
     KernelScratch,
     TRIAL_FUSION_MAX,
     TRIAL_FUSION_MIN,
@@ -35,6 +36,7 @@ from tests.helpers import (
     exact_node2vec_law,
     widened_round,
 )
+from tests.test_path_recording import WORKLOADS, make_engine
 
 CURRENT, PREVIOUS = 1, 0
 
@@ -220,16 +222,21 @@ class StuckAtZero(WalkerProgram):
         ).astype(np.float64)
 
 
+class SecondOrderStuckAtZero(StuckAtZero):
+    """The same Pd, trial-paced: its rounds are never fused."""
+
+    order = 2
+
+
 class TestGuardIntegration:
     @pytest.mark.parametrize("fuse", [False, True])
     def test_unsorted_walker_ids_guard_correct_lane(self, fuse):
         """The guard must flag the guarded walker's *lane*, not the
         position a sorted-array search would guess (satellite fix)."""
         graph = from_edges(2, [(0, 1), (1, 0)])
-        engine = WalkEngine(
-            graph, StuckAtZero(), WalkConfig(num_walkers=2, seed=3),
-            fuse_trials=fuse,
-        )
+        program = StuckAtZero() if fuse else SecondOrderStuckAtZero()
+        engine = WalkEngine(graph, program, WalkConfig(num_walkers=2, seed=3))
+        assert engine._fuse is fuse
         # Walker 0 stands at vertex 0 (all Pd zero), walker 1 at 1.
         engine.walkers.current[:] = [0, 1]
         engine._rejection_streak[:] = ZERO_MASS_GUARD_TRIALS - 1
@@ -248,9 +255,7 @@ class TestGuardIntegration:
         single-trial rounds, in ~K-fold fewer rounds."""
         graph = from_edges(2, [(0, 1), (1, 0)])
         engine = WalkEngine(
-            graph, StuckAtZero(),
-            WalkConfig(num_walkers=1, max_steps=10, seed=5),
-            fuse_trials=True,
+            graph, StuckAtZero(), WalkConfig(num_walkers=1, max_steps=10, seed=5)
         )
         engine.walkers.current[:] = [0]
         result = engine.run()
@@ -260,3 +265,27 @@ class TestGuardIntegration:
         assert result.stats.iterations == 1
         assert result.stats.counters.trials >= ZERO_MASS_GUARD_TRIALS
         assert engine._rejection_streak[0] == 0
+
+
+@pytest.mark.parametrize("nodes", [0, 4], ids=["local", "4node"])
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_fusion_engages_only_on_step_paced_dynamic_programs(
+    name, nodes, monkeypatch
+):
+    """The program decides: Meta-path (dynamic, step-paced) widens its
+    rounds; node2vec is trial-paced, DeepWalk, PPR and RWR are static,
+    so none of them ever widens a round, on either engine."""
+    widths = []
+    repeat = GatherContext.repeat
+
+    def counting(ctx, k):
+        widths.append(k)
+        return repeat(ctx, k)
+
+    monkeypatch.setattr(GatherContext, "repeat", counting)
+    engine = make_engine(name, nodes=nodes)
+    engine.run()
+    fused = name == "metapath"
+    assert engine._fuse is fused
+    assert bool(widths) is fused
+    assert all(k >= TRIAL_FUSION_MIN for k in widths)

@@ -298,6 +298,25 @@ class TestDynamicGraphSharding:
         assert moved[0]["vertices_rebuilt"] == 4
         assert moved[0]["full_rebuilds"] == 1
 
+    def test_unit_weights_walk_the_owners_epoch_table(self, graph, monkeypatch):
+        """On an unweighted epoch, ``unit_weights`` is the owner's table:
+        neither an engine nor a shard builds a second one."""
+        dyn = DynamicGraph(graph)
+        dyn.snapshot().tables("alias")
+        dyn.commit([EdgeUpdate("insert", 0, 1)])
+        owners = dyn.snapshot().tables("alias")
+        built = dataclasses.asdict(dyn.maintenance)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a table was built beside the owner's")
+
+        monkeypatch.setattr(VertexAliasTables, "__init__", refuse)
+        config = WalkConfig(num_walkers=40, max_steps=6, seed=2)
+        for program in (UniformWalk(), Node2Vec(p=2, q=0.5, biased=False)):
+            assert WalkEngine(dyn, program, config).tables is owners
+            run_parallel_walk(dyn, program, config, num_workers=2)
+        assert dataclasses.asdict(dyn.maintenance) == built
+
     def test_merging_different_epochs_is_a_typed_error(self, dyn):
         config = WalkConfig(num_walkers=10, max_steps=3, seed=2)
         first = WalkEngine(dyn, DeepWalk(), config).run().stats
@@ -340,7 +359,9 @@ class TestSupervision:
 
     def test_dead_worker_exhausts_restarts(self, graph):
         config = WalkConfig(num_walkers=8, max_steps=4)
-        with pytest.raises(WorkerError, match="attempt"):
+        with pytest.raises(
+            WorkerError, match=r"2 attempt\(s\) \(max_restarts=1 exhausted\)"
+        ):
             run_parallel_walk(
                 graph, DyingWalk(), config, num_workers=2, max_restarts=1
             )
@@ -461,18 +482,29 @@ class TestTableRound:
 
     def test_no_shard_builds_a_table(self, graph, monkeypatch):
         """Table construction raises from here on, in the parent and in
-        every forked worker: only the round's slices may build."""
+        every forked worker: only the round's slices may build.  On the
+        unweighted graph, ``unit_weights`` (UniformWalk, unbiased
+        node2vec) is the default Ps and gets the round too."""
         config = WalkConfig(num_walkers=60, max_steps=6, seed=8, record_paths=True)
-        expected = run_parallel_walk(graph, Node2Vec(p=2, q=0.5), config, 3).paths
+        programs = (
+            lambda: Node2Vec(p=2, q=0.5),
+            lambda: Node2Vec(p=2, q=0.5, biased=False),
+            UniformWalk,
+        )
+        expected = [
+            run_parallel_walk(graph, make(), config, 3).paths for make in programs
+        ]
 
         def refuse(*args, **kwargs):
             raise AssertionError("a table was built outside the table round")
 
         monkeypatch.setattr(VertexAliasTables, "__init__", refuse)
-        result = run_parallel_walk(graph, Node2Vec(p=2, q=0.5), config, 3)
-        assert [p.tolist() for p in result.paths] == [p.tolist() for p in expected]
+        for make, paths in zip(programs, expected):
+            result = run_parallel_walk(graph, make(), config, 3)
+            assert [p.tolist() for p in result.paths] == [p.tolist() for p in paths]
+        weighted = assign_random_weights(graph, seed=1)
         with pytest.raises(WorkerError, match="a table was built"):
-            run_parallel_walk(graph, UniformWalk(), config, 3)  # its own Ps
+            run_parallel_walk(weighted, UniformWalk(), config, 3)  # its own Ps
 
     def test_a_kept_table_is_not_built_again(self, graph, monkeypatch):
         prepared = PreparedGraph(graph)

@@ -28,7 +28,6 @@ from repro.service import (
     CircuitBreaker,
     Deadline,
     DegradationPolicy,
-    RetryBudget,
     WalkRequest,
     WalkService,
     apply_degradation,
@@ -312,24 +311,6 @@ class TestCircuitBreaker:
         clock.now = 2.0
         assert breaker.allow()
         assert not breaker.allow()  # second probe refused
-
-
-class TestRetryBudget:
-    def test_drains_and_refills(self):
-        budget = RetryBudget(capacity=2.0, deposit_ratio=0.5, initial=2.0)
-        assert budget.try_acquire()
-        assert budget.try_acquire()
-        assert not budget.try_acquire()
-        assert budget.denied == 1
-        for _ in range(2):
-            budget.record_success()
-        assert budget.try_acquire()
-
-    def test_capacity_cap(self):
-        budget = RetryBudget(capacity=1.0, deposit_ratio=1.0)
-        for _ in range(5):
-            budget.record_success()
-        assert budget.tokens == 1.0
 
 
 class TestServiceMetrics:
