@@ -62,6 +62,7 @@ from repro.sampling.alias import VertexAliasTables
 from repro.sampling.tables import (
     MaintenanceStats,
     copy_untouched_runs,
+    segment_sums,
     slice_indices,
 )
 
@@ -83,6 +84,8 @@ _KIND_NAMES = {INSERT: "insert", DELETE: "delete", REWEIGHT: "reweight"}
 _KIND_CODES = {name: code for code, name in _KIND_NAMES.items()}
 
 _BATCH_HEADER = struct.Struct("<I")
+
+_HALF_MAX = np.finfo(np.float64).max / 2
 
 # Touched vertices probed per table build under ``verify="sample"``.
 VERIFY_SAMPLES = 8
@@ -242,6 +245,26 @@ class EpochSnapshot(PreparedGraph):
         if self._owner is None:
             return super()._default_tables(build)
         return self._owner._tables_for(self)
+
+
+def _refuse_unbounded_mass(vertices, degrees, weights, epoch: int) -> None:
+    """Refuse a staged batch that leaves a vertex's out-weights without
+    a finite sum: no alias table exists over them, so every table build
+    of the epoch — and every walk on it — would fail.  The sums are the
+    builder's own (:func:`segment_sums`); below half the largest float,
+    no slice of ``weights`` can reach it, so that check is skipped."""
+    with np.errstate(over="ignore"):
+        if weights.sum() < _HALF_MAX:
+            return
+    offsets = np.zeros(degrees.size + 1, dtype=np.int64)
+    np.cumsum(degrees, out=offsets[1:])
+    sums = segment_sums(weights, offsets)
+    if not np.isfinite(sums).all():
+        vertex = int(vertices[np.argmin(np.isfinite(sums))])
+        raise GraphError(
+            f"out-weights of vertex {vertex} would have no finite sum "
+            f"(epoch {epoch})"
+        )
 
 
 def _replace_slices(prior: CSRGraph, vertices, local, columns) -> CSRGraph:
@@ -493,6 +516,7 @@ class DynamicGraph:
         columns = tuple(column[merged] for column in columns)
         degrees += np.bincount(local[inserting], minlength=touched.size)
         degrees -= np.bincount(local[deleting], minlength=touched.size)
+        _refuse_unbounded_mass(touched, degrees, columns[1], self._epoch)
         bounds = np.cumsum(degrees).tolist()
         return dict(zip(touched.tolist(), zip([0] + bounds, bounds, repeat(columns))))
 

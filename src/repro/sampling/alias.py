@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -29,6 +30,8 @@ from repro.graph.csr import CSRGraph
 from repro.sampling.tables import (
     compact_slices,
     copy_untouched_runs,
+    is_unit_weights,
+    segment_sums,
     slice_indices,
     static_component,
 )
@@ -39,6 +42,13 @@ __all__ = [
     "build_alias_arrays",
     "build_alias_segments",
 ]
+
+# Edges per chunk of a weighted build.  The chunk's Python lists (scaled
+# weights, prob, alias, the two stacks), ~130 bytes an edge, are what a
+# build holds beyond its output: ~2 MB at this size, where a build's
+# peak RSS rises no more than the per-vertex build's did.  2**13 to
+# 2**15 build equally fast.
+CHUNK_EDGES = 1 << 14
 
 
 def build_alias_arrays(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -66,32 +76,45 @@ def build_alias_arrays(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # so this is the table of the same distribution.
         weights = np.ldexp(weights, 1074)
         scale = n / float(weights.sum())
-    return _vose_pairing((weights * scale).tolist())
+    scaled = (weights * scale).tolist()
+    prob, alias = [1.0] * n, list(range(n))
+    small = [i for i, value in enumerate(scaled) if value < 1.0]
+    large = [i for i, value in enumerate(scaled) if value >= 1.0]
+    _vose_pairing(scaled, prob, alias, [(small, large)])
+    return np.array(prob, dtype=np.float64), np.array(alias, dtype=np.int64)
 
 
-def _vose_pairing(scaled: list[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Vose's stack discipline over weights scaled to mean 1.
+def _vose_pairing(
+    scaled: list[float],
+    prob: list[float],
+    alias: list[int],
+    stacks: Iterable[tuple[list[int], list[int]]],
+) -> None:
+    """Vose's stack discipline, in place, over weights scaled to mean 1.
+
+    ``stacks`` yields each table's ``(small, large)`` index lists in
+    ascending order (its ``< 1`` and ``>= 1`` entries).  Indices are
+    positions in the three lists, so one call pairs every table of a
+    chunk laid end to end.  Only the entries paired off are written:
+    the ones left over when a stack empties keep what the caller put
+    there, which is ``prob`` 1 (exactly 1 up to floating-point error)
+    and an alias to themselves.
 
     Runs on Python floats rather than numpy scalars: both are IEEE-754
     binary64 with round-to-nearest, so the same operations in the same
     order give the same bits, at a fraction of numpy's per-element cost.
     """
-    n = len(scaled)
-    prob = [1.0] * n  # leftovers are exactly 1 up to floating-point error
-    alias = list(range(n))
-    small = [i for i, value in enumerate(scaled) if value < 1.0]
-    large = [i for i, value in enumerate(scaled) if value >= 1.0]
-    while small and large:
-        lo = small.pop()
-        hi = large.pop()
-        prob[lo] = scaled[lo]
-        alias[lo] = hi
-        scaled[hi] = (scaled[hi] + scaled[lo]) - 1.0
-        if scaled[hi] < 1.0:
-            small.append(hi)
-        else:
-            large.append(hi)
-    return np.array(prob, dtype=np.float64), np.array(alias, dtype=np.int64)
+    for small, large in stacks:
+        while small and large:
+            lo = small.pop()
+            hi = large.pop()
+            prob[lo] = scaled[lo]
+            alias[lo] = hi
+            scaled[hi] = (scaled[hi] + scaled[lo]) - 1.0
+            if scaled[hi] < 1.0:
+                small.append(hi)
+            else:
+                large.append(hi)
 
 
 class AliasTable:
@@ -135,14 +158,30 @@ def build_alias_segments(
     counting from the segment's own start — so a table does not depend
     on where its segment lies.  An all-zero segment cannot be sampled:
     its buckets are marked unusable (``prob`` 0) and its total is 0.
-    ``alias`` is as wide as an index into all of ``values`` needs, so
-    a partial build matches the full one.
+    ``values`` is a validated Ps (finite, non-negative); a segment
+    whose sum overflows is refused by its id — ``segments[i]``, or
+    ``i``: its vertex.  ``alias`` is as wide as an index into all of
+    ``values`` needs, so a partial build matches the full one.
+
+    A real Ps array is built a chunk of about ``CHUNK_EDGES`` edges at
+    a time (:func:`_build_chunk`).  The :func:`unit_weights` Ps — the
+    unweighted default table — keeps one :func:`build_alias_arrays`
+    call per segment, a cost the serving path is measured with.
     """
     dtype = index_dtype(values.size)
+    per_segment = is_unit_weights(values)  # decided before it is copied
     values, offsets = compact_slices(values, offsets, segments)
     prob = np.empty(values.size, dtype=np.float64)
     alias = np.empty(values.size, dtype=dtype)
     totals = np.zeros(offsets.size - 1, dtype=np.float64)
+    if not per_segment:
+        first, count = 0, totals.size
+        while first < count:  # a chunk ends at a segment's end
+            reach = np.searchsorted(offsets, offsets[first] + CHUNK_EDGES, "right")
+            last = min(max(int(reach) - 1, first + 1), count)
+            _build_chunk(values, offsets, first, last, segments, totals, prob, alias)
+            first = last
+        return totals, prob, alias
     bounds = offsets.tolist()
     for segment, (start, end) in enumerate(zip(bounds, bounds[1:])):
         if start == end:
@@ -156,6 +195,67 @@ def build_alias_segments(
         else:
             prob[start:end], alias[start:end] = build_alias_arrays(weights)
     return totals, prob, alias
+
+
+def _build_chunk(values, offsets, first, last, segments, totals, prob, alias):
+    """Segments ``first:last`` of :func:`build_alias_segments`, bit for
+    bit as :func:`build_alias_arrays` builds each one: numpy takes every
+    segment's total, scale and ``< 1`` split at once, and the one
+    pairing pass runs over the chunk's Python lists, only on segments
+    with both a small and a large entry — the rest keep ``prob`` 1 and
+    the identity, as the pass would leave them.  A zero-mass segment
+    gets ``prob`` 0, and one whose ``n / total`` overflows goes to
+    :func:`build_alias_arrays` for its exact rescale."""
+    bounds = offsets[first : last + 1]
+    start, end = int(bounds[0]), int(bounds[-1])
+    local = bounds - start
+    degrees = np.diff(local)
+    weights = values[start:end]
+    sums = segment_sums(weights, local)
+    finite = np.isfinite(sums)
+    if not finite.all():
+        at = first + int(np.argmin(finite))
+        vertex = at if segments is None else int(segments[at])
+        raise SamplingError(f"alias weights of vertex {vertex} have no finite sum")
+    totals[first:last] = sums
+    with np.errstate(all="ignore"):  # 0 / 0, n / 0 and n / tiny
+        scales = degrees / sums
+    plain = np.isfinite(scales)  # not empty, zero-mass or subnormal-total
+    scaled = weights * np.repeat(np.where(plain, scales, 0.0), degrees)
+    small = scaled < 1.0
+    running = np.zeros(end - start + 1, dtype=np.int64)
+    np.cumsum(small, out=running[1:])
+    small_at = running[local]  # smalls before each segment's start
+    smalls = np.diff(small_at)
+    pairs = np.flatnonzero(plain & (smalls > 0) & (smalls < degrees))
+    small_lo, small_hi = small_at[pairs], small_at[pairs + 1]
+    large_lo, large_hi = local[pairs] - small_lo, local[pairs + 1] - small_hi
+    small_all = np.flatnonzero(small).tolist()
+    large_all = np.flatnonzero(~small).tolist()
+    size = end - start
+    chunk_prob, chunk_alias = [1.0] * size, [-1] * size  # -1: left unpaired
+    _vose_pairing(
+        scaled.tolist(),
+        chunk_prob,
+        chunk_alias,
+        (
+            (small_all[a:b], large_all[c:d])
+            for a, b, c, d in zip(
+                small_lo.tolist(), small_hi.tolist(),
+                large_lo.tolist(), large_hi.tolist(),
+            )
+        ),
+    )
+    prob[start:end] = np.fromiter(chunk_prob, dtype=np.float64, count=size)
+    paired = np.fromiter(chunk_alias, dtype=np.int64, count=size)
+    np.copyto(paired, np.arange(size), where=paired < 0)
+    alias[start:end] = paired - np.repeat(local[:-1], degrees)
+    for segment in np.flatnonzero(~plain & (degrees > 0)).tolist():
+        lo, hi = start + int(local[segment]), start + int(local[segment + 1])
+        if sums[segment] <= 0:
+            prob[lo:hi], alias[lo:hi] = 0.0, 0
+        else:  # a subnormal total: the exact rescale
+            prob[lo:hi], alias[lo:hi] = build_alias_arrays(values[lo:hi])
 
 
 class VertexAliasTables:

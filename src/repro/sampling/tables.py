@@ -36,6 +36,7 @@ __all__ = [
     "compact_slices",
     "copy_untouched_runs",
     "is_unit_weights",
+    "segment_sums",
     "slice_indices",
     "static_component",
     "unit_weights",
@@ -122,6 +123,36 @@ def static_component(
     if checked.size and checked.min() < 0:
         raise SamplingError("static weights must be non-negative")
     return static
+
+
+def segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """``values[offsets[i]:offsets[i+1]].sum()`` of every segment, bit
+    for bit, without a Python call per segment.
+
+    numpy sums each row of a ``(k, d)`` array as it sums one slice of
+    ``d`` (pairwise), so segments are summed a degree at a time, each
+    degree's rows gathered into one array; ``np.add.reduceat`` sums
+    in order and differs in the last bits.  A sum that overflows is
+    ``inf``, without a warning: the callers refuse it by name.
+    """
+    starts = offsets[:-1]
+    degrees = offsets[1:] - starts
+    sums = np.zeros(degrees.size, dtype=np.float64)
+    order = np.argsort(degrees, kind="stable")
+    ranked = degrees[order]
+    firsts = np.flatnonzero(np.diff(ranked, prepend=-1)).tolist()
+    with np.errstate(over="ignore"):
+        for lo, hi in zip(firsts, firsts[1:] + [order.size]):
+            degree, rows = int(ranked[lo]), order[lo:hi]
+            if degree == 0:
+                continue
+            if rows.size == 1:
+                start = int(starts[rows[0]])
+                sums[rows] = values[start : start + degree].sum()
+            else:
+                gathered = values[starts[rows, None] + np.arange(degree)]
+                sums[rows] = gathered.sum(axis=1)
+    return sums
 
 
 def slice_indices(offsets: np.ndarray, vertices: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ from repro._index import index_dtype
 from repro.errors import SamplingError
 from repro.graph.csr import CSRGraph
 from repro.sampling.alias import build_alias_segments
-from repro.sampling.tables import static_component
+from repro.sampling.tables import segment_sums, static_component
 
 __all__ = ["TypedVertexAliasTables"]
 
@@ -72,9 +72,18 @@ class TypedVertexAliasTables:
             keys[order], return_index=True, return_counts=True
         )
         self._flat_edges = order
-        group_totals, self._flat_prob, self._flat_alias = build_alias_segments(
-            self._static[order], np.append(group_firsts, order.size)
-        )
+        grouped, bounds = self._static[order], np.append(group_firsts, order.size)
+        try:
+            group_totals, self._flat_prob, self._flat_alias = build_alias_segments(
+                grouped, bounds
+            )
+        except SamplingError as error:  # it names a group by its index
+            finite = np.isfinite(segment_sums(grouped, bounds))
+            vertex, edge_type = divmod(int(group_keys[np.argmin(finite)]), num_types)
+            raise SamplingError(
+                f"alias weights of vertex {vertex}, edge type {edge_type}, "
+                "have no finite sum"
+            ) from error
         self._totals = np.zeros(shape, dtype=np.float64)
         self._group_start = np.zeros(shape, dtype=np.int64)
         self._group_count = np.zeros(shape, dtype=np.int64)

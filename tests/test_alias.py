@@ -1,26 +1,31 @@
 """Unit and property tests for alias-method sampling."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import UniformWalk
+from repro import parallel
+from repro.algorithms import DeepWalk, UniformWalk
 from repro.core.config import WalkConfig
 from repro.core.engine import WalkEngine
 from repro.errors import SamplingError
 from repro.graph import load_dataset
 from repro.graph.builder import assign_random_weights, from_arrays, from_edges
 from repro.graph.csr import CSRGraph
+from repro.graph.dynamic import DynamicGraph, EdgeUpdate
 from repro.graph.generators import truncated_power_law_graph
+from repro.sampling import alias
 from repro.sampling.alias import (
     AliasTable,
     VertexAliasTables,
     build_alias_arrays,
     build_alias_segments,
 )
+from repro.sampling.tables import static_component
 from repro.sampling.typed import TypedVertexAliasTables
 
 from tests.helpers import assert_matches_distribution, diamond_graph
@@ -161,6 +166,31 @@ class TestVertexAliasTables:
         with pytest.raises(SamplingError, match="edge 2 is not finite"):
             tables(graph, static)
 
+    @pytest.mark.parametrize(
+        "tables", [VertexAliasTables, TypedVertexAliasTables]
+    )
+    def test_weights_summing_past_the_largest_float_name_the_vertex(self, tables):
+        # Each weight is finite, vertex 1's sum is not: the build used to
+        # warn of an overflow and raise without naming the vertex.
+        graph = from_arrays(
+            3, [0, 1, 1, 2], [1, 0, 2, 0], weights=[1.0, 1e308, 1e308, 1.0],
+            edge_types=[0, 1, 1, 0],
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SamplingError, match="vertex 1,? .*no finite sum"):
+                tables(graph)
+
+    def test_walk_over_weights_summing_past_the_largest_float_is_refused(self):
+        graph = from_arrays(
+            3, [0, 1, 1, 2], [1, 0, 2, 0], weights=[1.0, 1e308, 1e308, 1.0]
+        )
+        config = WalkConfig(num_walkers=3, max_steps=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SamplingError, match="vertex 1 have no finite sum"):
+                WalkEngine(graph, DeepWalk(), config).run()
+
     def test_walk_over_a_reciprocal_of_a_zero_weight_is_refused(self):
         class Reciprocal(UniformWalk):
             def edge_static_comp(self, graph):
@@ -285,6 +315,58 @@ def test_tiny_totals_never_sample_a_zero_weight(units, exponent):
     zero = weights == 0
     assert np.all(prob[zero] == 0)
     assert not zero[alias].any()
+
+
+class TestWhereTheChunkedBuildEngages:
+    """A real Ps array is built a chunk of vertices at a time, calling
+    the per-segment ``build_alias_arrays`` only for a segment whose
+    ``n / total`` overflows.  The ``unit_weights`` Ps — every unweighted
+    default table, full or partial — keeps one call per segment."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        sizes = []
+        build = alias.build_alias_arrays
+
+        def counted(weights):
+            sizes.append(len(weights))
+            return build(weights)
+
+        monkeypatch.setattr(alias, "build_alias_arrays", counted)
+        return sizes
+
+    @staticmethod
+    def graph(weighted):
+        graph = truncated_power_law_graph(300, 2.0, 1, 40, seed=3)
+        return assign_random_weights(graph, seed=4) if weighted else graph
+
+    def test_a_weighted_build_calls_it_only_for_overflowing_scales(self, calls):
+        graph = self.graph(weighted=True)
+        VertexAliasTables(graph)
+        assert calls == []
+        static = graph.weights.copy()
+        degrees = np.diff(graph.offsets)
+        subnormal, dead = np.flatnonzero(degrees > 1)[[3, 9]], 20
+        for vertex in subnormal:
+            static[slice(*graph.edge_range(vertex))] = 5e-324
+        static[slice(*graph.edge_range(dead))] = 0.0  # zero mass: no call
+        VertexAliasTables(graph, static)
+        assert calls == degrees[subnormal].tolist()
+
+    def test_a_unit_weights_build_calls_it_once_per_segment(self, calls):
+        graph = self.graph(weighted=False)
+        degrees = np.diff(graph.offsets)
+        VertexAliasTables(graph)
+        assert calls == degrees[degrees > 0].tolist()
+        calls.clear()  # a part of the sharded walk's table round
+        parallel._build_slice((static_component(graph), graph.offsets, 40, 90))
+        assert calls == [d for d in degrees[40:90].tolist() if d]
+        dyn = DynamicGraph(graph)
+        dyn.snapshot().tables("alias")
+        calls.clear()  # an unweighted epoch rebuilds its touched slices
+        dyn.commit([EdgeUpdate("insert", 7, 0), EdgeUpdate("insert", 9, 0)])
+        dyn.snapshot().tables("alias")
+        assert calls == [degrees[7] + 1, degrees[9] + 1]
 
 
 def test_alias_segments_peak_memory_stays_near_their_output():

@@ -17,6 +17,7 @@ import pickle
 import sys
 import threading
 import time
+import warnings
 import weakref
 
 import numpy as np
@@ -116,6 +117,15 @@ class TestUpdateBatch:
 # ----------------------------------------------------------------------
 # Commit semantics
 # ----------------------------------------------------------------------
+def huge_reweights(graph, vertex):
+    """Reweights to 1e308 of two of ``vertex``'s out-edges: each is
+    finite, their sum is not."""
+    start, end = graph.edge_range(vertex)
+    targets = np.unique(graph.targets[start:end])[:2]
+    assert targets.size == 2
+    return [EdgeUpdate("reweight", vertex, int(target), 1e308) for target in targets]
+
+
 class TestCommit:
     def test_insert_visible_in_next_snapshot(self):
         dyn = DynamicGraph(from_edges(4, [(0, 1), (1, 2)]))
@@ -169,6 +179,24 @@ class TestCommit:
             dyn.commit([EdgeUpdate("insert", 0, 2, float("nan"))])
         with pytest.raises(GraphError):
             dyn.commit([EdgeUpdate("insert", 0, 2, -1.0)])
+
+    def test_weights_summing_past_the_largest_float_are_refused(self, tmp_path):
+        """Two reweights to 1e308 on one vertex used to commit, and then
+        every table build of the epoch — every walk on it — failed with
+        an overflow warning and an error that named no vertex."""
+        base = load_dataset("livejournal", scale=0.05, weighted=True)
+        wal = tmp_path / "graph.wal"
+        dyn = DynamicGraph(base, wal_path=wal)
+        logged = wal.stat().st_size
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GraphError, match="vertex 3 would have no finite"):
+                dyn.commit(huge_reweights(base, 3))
+        assert dyn.epoch == 0 and dyn.stats.epochs_committed == 0
+        assert wal.stat().st_size == logged and dyn.delta_vertices() == 0
+        # One such weight still sums finitely: that batch commits and builds.
+        assert dyn.commit(huge_reweights(base, 3)[:1]) == 1
+        assert dyn.snapshot().tables("alias").total_static(3) > 1e307
 
     def test_undirected_mirrors_both_directions(self):
         base = from_edges(4, [(0, 1), (1, 2)], undirected=True)
@@ -831,6 +859,21 @@ class TestServiceUpdates:
             assert second.ok and second.graph_epoch == 1
             assert service.metrics.updates_applied == 1
             assert service.metrics.epochs_committed == 1
+
+    def test_a_refused_batch_leaves_the_service_serving_its_epoch(self):
+        base = load_dataset("livejournal", scale=0.05, weighted=True)
+        config = WalkConfig(num_walkers=10, max_steps=5, seed=2)
+        with WalkService(DynamicGraph(base), num_workers=1) as service:
+            with pytest.raises(GraphError, match="vertex 3 would have no finite"):
+                service.apply_updates(huge_reweights(base, 3))
+            response = service.submit(
+                WalkRequest(program=UniformWalk(), config=config)
+            ).result(timeout=30)
+            assert response.ok and response.graph_epoch == 0
+        metrics = service.metrics
+        assert metrics.updates_applied == 0 and metrics.epochs_committed == 0
+        assert metrics.submitted == 1
+        assert metrics.submitted == metrics.served + metrics.shed + metrics.failed
 
     def test_apply_updates_requires_dynamic_graph(self):
         with WalkService(small_graph(seed=12), num_workers=1) as service:
