@@ -46,8 +46,8 @@ __all__ = [
 # Edges per chunk of a weighted build.  The chunk's Python lists (scaled
 # weights, prob, alias, the two stacks), ~130 bytes an edge, are what a
 # build holds beyond its output: ~2 MB at this size, where a build's
-# peak RSS rises no more than the per-vertex build's did.  2**13 to
-# 2**15 build equally fast.
+# peak RSS rises no more than a per-vertex build's; chunks of 2**13 to
+# 2**15 edges build equally fast.
 CHUNK_EDGES = 1 << 14
 
 
@@ -165,8 +165,10 @@ def build_alias_segments(
 
     A real Ps array is built a chunk of about ``CHUNK_EDGES`` edges at
     a time (:func:`_build_chunk`).  The :func:`unit_weights` Ps — the
-    unweighted default table — keeps one :func:`build_alias_arrays`
-    call per segment, a cost the serving path is measured with.
+    unweighted default table, rebuilt per request when serving a
+    static graph — keeps one :func:`build_alias_arrays` call per
+    segment: through the chunks, that serving path's peak memory grew
+    (docs/INTERNALS.md, section 14).
     """
     dtype = index_dtype(values.size)
     per_segment = is_unit_weights(values)  # decided before it is copied
