@@ -10,11 +10,7 @@
   claim), plus a tiny-graph exact oracle.
 """
 
-from repro.baselines.full_scan import (
-    FullScanWalkEngine,
-    gather_out_edges,
-    segmented_sample,
-)
+from repro.baselines.full_scan import FullScanWalkEngine
 from repro.baselines.gemini import GeminiWalkEngine
 from repro.baselines.mixed import MixedNode2Vec
 from repro.baselines.typed_metapath import TypedMetaPathWalkEngine
@@ -32,8 +28,6 @@ __all__ = [
     "GeminiWalkEngine",
     "MixedNode2Vec",
     "TypedMetaPathWalkEngine",
-    "gather_out_edges",
-    "segmented_sample",
     "PrecomputedNode2Vec",
     "second_order_table_entries",
     "second_order_table_bytes",

@@ -34,14 +34,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.full_scan import gather_out_edges, segmented_sample
 from repro.cluster.cost_model import CostModel
 from repro.cluster.engine import DistributedWalkEngine
 from repro.cluster.network import MessageKind
 from repro.cluster.scheduler import ThreadPolicy
 from repro.core.config import WalkConfig
 from repro.core.engine import WalkEngine
-from repro.core.kernels import GatherContext
+from repro.core.kernels import GatherContext, full_scan_spans
 from repro.core.program import WalkerProgram
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import MirroredPartition
@@ -93,15 +92,9 @@ class GeminiWalkEngine(DistributedWalkEngine):
             # Recompute Pd for every out-edge, attributed to the node
             # hosting each edge, then collect per-node sums (one
             # request/response pair per remote mirror) and ITS-sample.
-            edge_indices, segment_ids, segment_offsets = gather_out_edges(
-                graph, vertices
-            )
-            dynamic = program.batch_dynamic_comp(
-                graph, walkers, walker_ids[segment_ids], edge_indices
-            )
-            counters.pd_evaluations += edge_indices.size
-            scan_owners = self.mirrored.edge_owners[edge_indices]
-            np.add.at(self._node_pd, scan_owners, 1)
+            spans = full_scan_spans(graph, self.tables, program, walkers, walker_ids)
+            counters.pd_evaluations += spans.flat_edges.size
+            np.add.at(self._node_pd, self.mirrored.edge_owners[spans.flat_edges], 1)
 
             # Second-order connectivity checks (node2vec's d_tx) stay
             # local under Gemini's layout: the node scanning candidate
@@ -110,10 +103,11 @@ class GeminiWalkEngine(DistributedWalkEngine):
             # search.  The dominance of connectivity-check cost the
             # paper reports is therefore the sheer per-step *volume* of
             # checks (one per scanned edge), charged via pd_cost above.
-            mass = self.tables.static_weights[edge_indices] * dynamic
-            choices, _ = segmented_sample(mass, segment_offsets, self._rng)
-            sampled = choices >= 0
-            edges = np.where(sampled, edge_indices[np.maximum(choices, 0)], -1)
+            sampled = spans.totals > 0.0
+            if sampled.any():
+                # One uniform per lane, dead lanes included; only the
+                # sampled lanes' edges are read below.
+                edges = spans.sample(np.arange(walker_ids.size), self._rng)
 
             scan_requests = 2 * remote_mirrors
             self.stats.messages_sent += self.network.record_scatter(

@@ -77,25 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     walk = subparsers.add_parser("walk", help="run a random walk")
     _add_graph_arguments(walk)
-    walk.add_argument(
-        "--algorithm", choices=ALGORITHMS, default="deepwalk"
-    )
-    walk.add_argument("--walkers", type=int, default=None, help="default |V|")
-    walk.add_argument("--length", type=int, default=80)
-    walk.add_argument(
-        "--termination", type=float, default=0.0,
-        help="per-step stop probability (PPR-style Pe)",
-    )
-    walk.add_argument("--p", type=float, default=2.0, help="node2vec return")
-    walk.add_argument("--q", type=float, default=0.5, help="node2vec in-out")
-    walk.add_argument(
-        "--restart", type=float, default=0.15, help="rwr restart probability"
-    )
-    walk.add_argument(
-        "--nodes", type=int, default=0,
-        help="simulate a cluster of this many nodes (0 = local engine)",
-    )
-    walk.add_argument("--seed", type=int, default=0)
+    _add_walk_arguments(walk, length=80)
     walk.add_argument(
         "--output", type=str, default=None,
         help="stream the walk corpus to this file (constant memory)",
@@ -161,23 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
         "report the first divergence",
     )
     _add_graph_arguments(sanitize)
-    sanitize.add_argument("--algorithm", choices=ALGORITHMS, default="deepwalk")
-    sanitize.add_argument("--walkers", type=int, default=None, help="default |V|")
-    sanitize.add_argument("--length", type=int, default=20)
-    sanitize.add_argument(
-        "--termination", type=float, default=0.0,
-        help="per-step stop probability (PPR-style Pe)",
-    )
-    sanitize.add_argument("--p", type=float, default=2.0, help="node2vec return")
-    sanitize.add_argument("--q", type=float, default=0.5, help="node2vec in-out")
-    sanitize.add_argument(
-        "--restart", type=float, default=0.15, help="rwr restart probability"
-    )
-    sanitize.add_argument(
-        "--nodes", type=int, default=0,
-        help="simulate a cluster of this many nodes (0 = local engine)",
-    )
-    sanitize.add_argument("--seed", type=int, default=0)
+    _add_walk_arguments(sanitize, length=20)
     sanitize.add_argument(
         "--runs", type=int, default=2,
         help="how many executions to trace and compare",
@@ -185,6 +151,28 @@ def build_parser() -> argparse.ArgumentParser:
     _add_update_arguments(sanitize)
     _add_fault_arguments(sanitize)
     return parser
+
+
+def _add_walk_arguments(parser: argparse.ArgumentParser, length: int) -> None:
+    """The walk options ``walk`` and ``sanitize`` share (their walk
+    lengths differ by default)."""
+    parser.add_argument("--algorithm", choices=ALGORITHMS, default="deepwalk")
+    parser.add_argument("--walkers", type=int, default=None, help="default |V|")
+    parser.add_argument("--length", type=int, default=length)
+    parser.add_argument(
+        "--termination", type=float, default=0.0,
+        help="per-step stop probability (PPR-style Pe)",
+    )
+    parser.add_argument("--p", type=float, default=2.0, help="node2vec return")
+    parser.add_argument("--q", type=float, default=0.5, help="node2vec in-out")
+    parser.add_argument(
+        "--restart", type=float, default=0.15, help="rwr restart probability"
+    )
+    parser.add_argument(
+        "--nodes", type=int, default=0,
+        help="simulate a cluster of this many nodes (0 = local engine)",
+    )
+    parser.add_argument("--seed", type=int, default=0)
 
 
 def _add_update_arguments(parser: argparse.ArgumentParser) -> None:
@@ -490,6 +478,24 @@ def _walk_config(
     )
 
 
+def _make_engine(graph, program, config: WalkConfig, fault_plan, args):
+    """The engine ``walk`` and ``sanitize`` both run: the cluster
+    simulator on ``--nodes`` nodes, or the local engine."""
+    if args.nodes > 0:
+        from repro.cluster.engine import DistributedWalkEngine
+
+        return DistributedWalkEngine(
+            graph,
+            program,
+            config,
+            num_nodes=args.nodes,
+            fault_plan=fault_plan,
+            checkpoint_every=args.checkpoint_every,
+            degrade_on_crash=args.degrade,
+        )
+    return WalkEngine(graph, program, config)
+
+
 def _run_walk(args: argparse.Namespace) -> int:
     graph = _load_graph(args)
     program, graph = _build_program(args, graph)
@@ -502,20 +508,7 @@ def _run_walk(args: argparse.Namespace) -> int:
 
     print(f"graph: {graph}")
     print(f"algorithm: {program!r}")
-    if args.nodes > 0:
-        from repro.cluster.engine import DistributedWalkEngine
-
-        engine = DistributedWalkEngine(
-            graph,
-            program,
-            config,
-            num_nodes=args.nodes,
-            fault_plan=fault_plan,
-            checkpoint_every=args.checkpoint_every,
-            degrade_on_crash=args.degrade,
-        )
-    else:
-        engine = WalkEngine(graph, program, config)
+    engine = _make_engine(graph, program, config, fault_plan, args)
     engine.observe(tracer)
     result = engine.run()
     print(f"stats: {result.stats.summary()}")
@@ -704,19 +697,7 @@ def _run_sanitize(args: argparse.Namespace) -> int:
                 target = DynamicGraph(graph, seed=args.seed)
                 for batch in update_batches[:epoch]:
                     target.commit(batch)
-            if args.nodes > 0:
-                from repro.cluster.engine import DistributedWalkEngine
-
-                return DistributedWalkEngine(
-                    target,
-                    program,
-                    config,
-                    num_nodes=args.nodes,
-                    fault_plan=fault_plan,
-                    checkpoint_every=args.checkpoint_every,
-                    degrade_on_crash=args.degrade,
-                )
-            return WalkEngine(target, program, config)
+            return _make_engine(target, program, config, fault_plan, args)
 
         return factory
 

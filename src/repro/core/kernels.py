@@ -514,7 +514,10 @@ class FullScanSpans:
     The engines' zero-mass guard resolves walkers in bulk through this
     vectorised span assembly (one ``batch_dynamic_comp`` over the
     concatenated spans, one global-CDF ``searchsorted`` for the
-    draws).
+    draws); the full-scan and Gemini baselines take every dynamic step
+    through it.  The one global prefix sum has a float caveat: a span
+    whose mass is below the ulp of the mass before it draws an arbitrary
+    edge of its own span, not a weight-proportional one.
     """
 
     flat_edges: np.ndarray
@@ -526,8 +529,9 @@ class FullScanSpans:
     def sample(
         self, lanes: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        """Exact draws for the given (positive-mass) lanes; returns
-        flat edge indices.  One ``rng.random`` call of ``lanes.size``."""
+        """Exact draws for the given lanes; returns flat edge indices.
+        One ``rng.random`` call of ``lanes.size`` (a lane without mass
+        gets an edge of its own span, for the caller to discard)."""
         seg_start = self.boundaries[:-1][lanes]
         base = np.where(seg_start > 0, self.running[seg_start - 1], 0.0)
         draws = base + rng.random(lanes.size) * self.totals[lanes]
@@ -548,7 +552,8 @@ def full_scan_spans(
     """Vectorised ``Ps * Pd`` over every walker's whole edge slice.
 
     Every walker must sit at a vertex with at least one out-edge (the
-    engines filter dead ends through Pe first).  Consumes no
+    engines filter dead ends through Pe first).  Pd is evaluated (and
+    ``evaluations`` counted) only where Ps is positive.  Consumes no
     randomness — sampling is the caller's move stage.
     """
     vertices = walkers.current[walker_ids].astype(np.int64)

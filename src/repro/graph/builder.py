@@ -117,34 +117,20 @@ class GraphBuilder:
         return self
 
     def build(self) -> CSRGraph:
-        """Finalize into a CSR graph with sorted adjacency lists."""
-        sources = np.asarray(self._sources, dtype=np.int64)
-        targets = np.asarray(self._targets, dtype=np.int64)
-        weights = (
-            np.asarray(self._weights, dtype=np.float64) if self._any_weight else None
+        """Finalize into a CSR graph with sorted adjacency lists; parallel
+        copies keep the order added (both directions interleaved)."""
+        graph = from_arrays(
+            self._num_vertices,
+            self._sources,
+            self._targets,
+            weights=self._weights if self._any_weight else None,
+            edge_types=self._edge_types if self._any_type else None,
         )
-        edge_types = (
-            np.asarray(self._edge_types, dtype=np.int32) if self._any_type else None
-        )
-
-        # Sort edges by (source, target) so each adjacency slice is sorted.
-        order = np.lexsort((targets, sources))
-        sources = sources[order]
-        targets = targets[order]
-        if weights is not None:
-            weights = weights[order]
-        if edge_types is not None:
-            edge_types = edge_types[order]
-
-        counts = np.bincount(sources, minlength=self._num_vertices)
-        offsets = np.zeros(self._num_vertices + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-
         return CSRGraph(
-            offsets=offsets,
-            targets=targets,
-            weights=weights,
-            edge_types=edge_types,
+            offsets=graph.offsets,
+            targets=graph.targets,
+            weights=graph.weights,
+            edge_types=graph.edge_types,
             vertex_types=self._vertex_types,
             undirected=self._undirected,
         )
@@ -256,6 +242,32 @@ def from_arrays(
     )
 
 
+def _per_edge(graph: CSRGraph, draw) -> np.ndarray:
+    """``draw(count)``'s values, one per stored edge of ``graph`` — on an
+    undirected graph one per logical edge, drawn in ascending order of
+    its canonical ``min(u, v) -> max(u, v)`` key and mirrored to both
+    stored directions: an undirected edge is one relation, not two."""
+    if not graph.is_undirected:
+        return draw(graph.num_edges)
+    sources = np.repeat(
+        np.arange(graph.num_vertices, dtype=np.int64), graph.out_degrees()
+    )
+    low_end = np.minimum(sources, graph.targets)
+    high_end = np.maximum(sources, graph.targets)
+    keys = low_end * graph.num_vertices + high_end
+    unique_keys, inverse = np.unique(keys, return_inverse=True)
+    return draw(unique_keys.size)[inverse]
+
+
+def _with_column(graph: CSRGraph, **column: np.ndarray) -> CSRGraph:
+    """A copy of ``graph`` with one column replaced (``weights=``, ...);
+    every other array is copied, the replaced one is not."""
+    names = ("offsets", "targets", "weights", "edge_types", "vertex_types")
+    kept = {name: getattr(graph, name) for name in names if name not in column}
+    kept = {name: None if a is None else a.copy() for name, a in kept.items()}
+    return CSRGraph(**kept, **column, undirected=graph.is_undirected)
+
+
 def assign_power_law_weights(
     graph: CSRGraph,
     seed: int,
@@ -274,39 +286,17 @@ def assign_power_law_weights(
     if max_weight < min_weight:
         raise GraphError("max_weight must be >= min_weight")
     rng = np.random.default_rng(seed)
-    if graph.is_undirected:
-        sources = np.repeat(
-            np.arange(graph.num_vertices, dtype=np.int64), graph.out_degrees()
-        )
-        low_end = np.minimum(sources, graph.targets)
-        high_end = np.maximum(sources, graph.targets)
-        keys = low_end * graph.num_vertices + high_end
-        unique_keys, inverse = np.unique(keys, return_inverse=True)
-        draw_count = unique_keys.size
-    else:
-        inverse = None
-        draw_count = graph.num_edges
-
-    # Inverse-CDF sampling of a truncated continuous power law.
     power = 1.0 - exponent
-    uniforms = rng.random(draw_count)
-    if exponent == 1.0:
-        values = min_weight * np.exp(
-            uniforms * np.log(max_weight / min_weight)
-        )
-    else:
-        low = min_weight**power
-        high = max_weight**power
-        values = (low + uniforms * (high - low)) ** (1.0 / power)
-    weights = values[inverse] if inverse is not None else values
-    return CSRGraph(
-        offsets=graph.offsets.copy(),
-        targets=graph.targets.copy(),
-        weights=weights,
-        edge_types=None if graph.edge_types is None else graph.edge_types.copy(),
-        vertex_types=None if graph.vertex_types is None else graph.vertex_types.copy(),
-        undirected=graph.is_undirected,
-    )
+    low, high = min_weight**power, max_weight**power
+
+    def draw(count: int) -> np.ndarray:
+        # Inverse-CDF sampling of a truncated continuous power law.
+        uniforms = rng.random(count)
+        if exponent == 1.0:
+            return min_weight * np.exp(uniforms * np.log(max_weight / min_weight))
+        return (low + uniforms * (high - low)) ** (1.0 / power)
+
+    return _with_column(graph, weights=_per_edge(graph, draw))
 
 
 def assign_random_weights(
@@ -324,35 +314,5 @@ def assign_random_weights(
     edge.
     """
     rng = np.random.default_rng(seed)
-    if not graph.is_undirected:
-        weights = rng.uniform(low, high, size=graph.num_edges)
-        return CSRGraph(
-            offsets=graph.offsets.copy(),
-            targets=graph.targets.copy(),
-            weights=weights,
-            edge_types=None if graph.edge_types is None else graph.edge_types.copy(),
-            vertex_types=(
-                None if graph.vertex_types is None else graph.vertex_types.copy()
-            ),
-            undirected=False,
-        )
-
-    # Undirected: draw once per logical edge, keyed by the canonical
-    # (min, max) orientation, then mirror to both stored directions.
-    sources = np.repeat(
-        np.arange(graph.num_vertices, dtype=np.int64), graph.out_degrees()
-    )
-    low_end = np.minimum(sources, graph.targets)
-    high_end = np.maximum(sources, graph.targets)
-    keys = low_end * graph.num_vertices + high_end
-    unique_keys, inverse = np.unique(keys, return_inverse=True)
-    per_logical_edge = rng.uniform(low, high, size=unique_keys.size)
-    weights = per_logical_edge[inverse]
-    return CSRGraph(
-        offsets=graph.offsets.copy(),
-        targets=graph.targets.copy(),
-        weights=weights,
-        edge_types=None if graph.edge_types is None else graph.edge_types.copy(),
-        vertex_types=None if graph.vertex_types is None else graph.vertex_types.copy(),
-        undirected=True,
-    )
+    weights = _per_edge(graph, lambda count: rng.uniform(low, high, size=count))
+    return _with_column(graph, weights=weights)

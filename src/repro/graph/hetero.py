@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import GraphError
-from repro.graph.builder import from_arrays
+from repro.graph.builder import _per_edge, _with_column, from_arrays
 from repro.graph.csr import CSRGraph
 
 __all__ = [
@@ -39,26 +39,11 @@ def assign_random_edge_types(graph: CSRGraph, num_types: int, seed: int) -> CSRG
     if num_types <= 0:
         raise GraphError("num_types must be positive")
     rng = np.random.default_rng(seed)
-    if graph.is_undirected:
-        sources = np.repeat(
-            np.arange(graph.num_vertices, dtype=np.int64), graph.out_degrees()
-        )
-        low_end = np.minimum(sources, graph.targets)
-        high_end = np.maximum(sources, graph.targets)
-        keys = low_end * graph.num_vertices + high_end
-        unique_keys, inverse = np.unique(keys, return_inverse=True)
-        per_logical = rng.integers(0, num_types, size=unique_keys.size, dtype=np.int32)
-        edge_types = per_logical[inverse]
-    else:
-        edge_types = rng.integers(0, num_types, size=graph.num_edges, dtype=np.int32)
-    return CSRGraph(
-        offsets=graph.offsets.copy(),
-        targets=graph.targets.copy(),
-        weights=None if graph.weights is None else graph.weights.copy(),
-        edge_types=edge_types,
-        vertex_types=None if graph.vertex_types is None else graph.vertex_types.copy(),
-        undirected=graph.is_undirected,
+    edge_types = _per_edge(
+        graph,
+        lambda count: rng.integers(0, num_types, size=count, dtype=np.int32),
     )
+    return _with_column(graph, edge_types=edge_types)
 
 
 @dataclass(frozen=True)
@@ -135,11 +120,4 @@ def bibliographic_graph(
         np.concatenate(targets),
         edge_types=np.concatenate(types),
     )
-    return CSRGraph(
-        offsets=graph.offsets,
-        targets=graph.targets,
-        weights=None,
-        edge_types=graph.edge_types,
-        vertex_types=vertex_types,
-        undirected=False,
-    )
+    return _with_column(graph, vertex_types=vertex_types)

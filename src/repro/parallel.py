@@ -61,7 +61,7 @@ from repro.graph.partition import partition_graph
 from repro.graph.prepared import PreparedGraph, prepare
 from repro.obs import MetricsRegistry
 from repro.sampling.alias import VertexAliasTables, build_alias_segments
-from repro.sampling.tables import static_component
+from repro.sampling.tables import is_unit_weights, static_component, unit_weights
 from repro.service.deadline import Deadline
 from repro.service.pool import SupervisedPool
 
@@ -151,8 +151,11 @@ def _run_shard(args, cancel=None):
 
 def _build_slice(args):
     """One worker's part of the table round: the alias slices of one
-    vertex range, and the seconds they took."""
+    vertex range, and the seconds they took.  The unit Ps arrives as
+    ``None`` and is rebuilt here as its zero-stride view."""
     static, offsets, low, high = args
+    if static is None:
+        static = unit_weights(int(offsets[-1]))
     started = time.perf_counter()
     built = build_alias_segments(static, offsets, np.arange(low, high))
     return built, time.perf_counter() - started
@@ -167,6 +170,8 @@ def _split_build(pool, num_parts, cancel, seconds):
 
     def build(graph):
         static = static_component(graph)
+        if is_unit_weights(static):  # pickled, a view is |E| float64s
+            static = None
         boundaries = partition_graph(graph, num_parts).boundaries.tolist()
         ranges = list(zip(boundaries, boundaries[1:]))
         outputs = pool.run(

@@ -34,6 +34,7 @@ from repro.sampling.tables import (
     segment_sums,
     slice_indices,
     static_component,
+    unit_weights,
 )
 
 __all__ = [
@@ -287,6 +288,17 @@ class VertexAliasTables:
             self._static, graph.offsets
         )
         self._sizes = _table_sizes(graph, self._totals)
+
+    def __getstate__(self) -> dict:
+        # The unit Ps pickles as None, not as |E| float64s.
+        if is_unit_weights(self._static):
+            return dict(self.__dict__, _static=None)
+        return self.__dict__
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        if self._static is None:
+            self._static = unit_weights(self._graph.num_edges)
 
     @property
     def graph(self) -> CSRGraph:

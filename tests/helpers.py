@@ -5,13 +5,16 @@ from __future__ import annotations
 import numpy as np
 from scipy import stats
 
-from repro.core.kernels import batch_trial_round, first_accepts
-from repro.graph.builder import from_edges
+from repro.core.kernels import batch_trial_round, first_accepts, full_scan_spans
+from repro.core.walker import WalkerSet
+from repro.graph.builder import from_arrays, from_edges
+from repro.sampling.alias import VertexAliasTables
 
 __all__ = [
     "diamond_graph",
     "two_triangle_graph",
     "empirical_counts",
+    "scan_of_masses",
     "assert_matches_distribution",
     "exact_node2vec_law",
     "widened_round",
@@ -37,6 +40,31 @@ def two_triangle_graph():
     """Two triangles sharing vertex 0 (undirected, 5 vertices)."""
     edges = [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]
     return from_edges(5, edges, undirected=True)
+
+
+class _UnitPd:
+    """A program whose Pd is 1 on every edge: a scan's mass is its Ps."""
+
+    def batch_dynamic_comp(self, graph, walkers, walker_ids, candidate_edges):
+        return np.ones(candidate_edges.size)
+
+
+def scan_of_masses(masses):
+    """``full_scan_spans`` of one walker per segment of ``masses``:
+    walker ``i`` sits at vertex ``i``, whose out-edges carry Ps
+    ``masses[i]`` in order (every segment needs at least one edge)."""
+    degrees = [len(segment) for segment in masses]
+    sources = np.repeat(np.arange(len(masses)), degrees)
+    graph = from_arrays(
+        len(masses) + 1,
+        sources,
+        np.full(sources.size, len(masses)),
+        weights=np.concatenate([np.asarray(m, dtype=np.float64) for m in masses]),
+    )
+    walkers = WalkerSet(np.arange(len(masses)))
+    return full_scan_spans(
+        graph, VertexAliasTables(graph), _UnitPd(), walkers, np.arange(len(masses))
+    )
 
 
 def empirical_counts(samples, support_size: int) -> np.ndarray:

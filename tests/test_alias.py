@@ -1,5 +1,6 @@
 """Unit and property tests for alias-method sampling."""
 
+import pickle
 import tracemalloc
 import warnings
 
@@ -25,7 +26,8 @@ from repro.sampling.alias import (
     build_alias_arrays,
     build_alias_segments,
 )
-from repro.sampling.tables import static_component
+from repro.graph.prepared import PreparedGraph
+from repro.sampling.tables import is_unit_weights, static_component
 from repro.sampling.typed import TypedVertexAliasTables
 
 from tests.helpers import assert_matches_distribution, diamond_graph
@@ -119,6 +121,30 @@ class TestAliasTable:
 
 
 class TestVertexAliasTables:
+    def test_pickled_unit_ps_stays_a_view(self):
+        """The unit Ps crosses a pickle as its length: the copy takes
+        the unit route, and the pickle carries no 8 bytes per edge."""
+        graph = load_dataset("livejournal", scale=0.05)
+        tables = VertexAliasTables(graph)
+        wire = pickle.dumps(tables)
+        copy = pickle.loads(wire)
+        assert is_unit_weights(copy.static_weights)
+        assert copy.static_weights.size == graph.num_edges
+        for name in ("_prob", "_alias", "_totals", "_sizes"):
+            np.testing.assert_array_equal(getattr(copy, name), getattr(tables, name))
+        owned = pickle.dumps(VertexAliasTables(graph, np.ones(graph.num_edges)))
+        assert len(wire) <= len(owned) - 8 * graph.num_edges + 1024
+        prepared = PreparedGraph(graph)
+        prepared.default_tables()
+        unpickled = pickle.loads(pickle.dumps(prepared))
+        assert is_unit_weights(unpickled.default_tables().static_weights)
+
+    def test_pickled_weighted_ps_is_kept(self):
+        graph = load_dataset("livejournal", scale=0.05, weighted=True)
+        copy = pickle.loads(pickle.dumps(VertexAliasTables(graph)))
+        assert not is_unit_weights(copy.static_weights)
+        np.testing.assert_array_equal(copy.static_weights, graph.weights)
+
     def test_per_vertex_distribution(self):
         graph = diamond_graph(weights=True)
         tables = VertexAliasTables(graph)

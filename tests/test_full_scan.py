@@ -1,77 +1,104 @@
-"""Tests for the full-scan baseline engine and its sampling helpers."""
+"""Tests for the full-scan baseline engine and the scan it samples by
+(:func:`~repro.core.kernels.full_scan_spans`)."""
 
 import numpy as np
 import pytest
 
 from repro.algorithms import DeepWalk, MetaPathWalk, Node2Vec, UniformWalk
-from repro.baselines.full_scan import (
-    FullScanWalkEngine,
-    gather_out_edges,
-    segmented_sample,
-)
+from repro.baselines.full_scan import FullScanWalkEngine
 from repro.core.config import WalkConfig
+from repro.core.kernels import full_scan_spans
+from repro.core.walker import WalkerSet
 from repro.graph.builder import from_edges
 from repro.graph.generators import uniform_degree_graph
 from repro.graph.hetero import assign_random_edge_types
+from repro.sampling.alias import VertexAliasTables
 
-from tests.helpers import assert_matches_distribution, diamond_graph
+from tests.helpers import assert_matches_distribution, diamond_graph, scan_of_masses
 
 
 class TestGatherOutEdges:
+    """``full_scan_spans`` lays every walker's out-edge slice end to end."""
+
     def test_structure(self):
         graph = diamond_graph()
         vertices = np.array([1, 0, 3])
-        edges, segments, offsets = gather_out_edges(graph, vertices)
-        assert edges.size == 3 + 2 + 2
-        assert offsets.tolist() == [0, 3, 5, 7]
-        assert segments.tolist() == [0, 0, 0, 1, 1, 2, 2]
+        spans = full_scan_spans(
+            graph,
+            VertexAliasTables(graph),
+            Node2Vec(p=2.0, q=0.5),
+            WalkerSet(vertices),
+            np.arange(3),
+        )
+        assert spans.flat_edges.size == 3 + 2 + 2
+        assert spans.boundaries.tolist() == [0, 3, 5, 7]
+        assert spans.evaluations.tolist() == [3, 2, 2]
         # Each gathered index lies in its vertex's CSR slice.
         for lane, vertex in enumerate(vertices):
             start, end = graph.edge_range(int(vertex))
-            chunk = edges[offsets[lane] : offsets[lane + 1]]
+            low, high = spans.boundaries[lane], spans.boundaries[lane + 1]
+            chunk = spans.flat_edges[low:high]
             assert np.all((chunk >= start) & (chunk < end))
 
     def test_empty_vertex(self):
+        # A vertex without out-edges is never scanned: Pe ends the walk
+        # there before the Move stage gathers anything.
         graph = from_edges(3, [(0, 1)])
-        edges, _segments, offsets = gather_out_edges(graph, np.array([1, 0]))
-        assert offsets.tolist() == [0, 0, 1]
-        assert edges.size == 1
+        config = WalkConfig(
+            num_walkers=1, max_steps=3, start_vertices=np.array([1])
+        )
+        result = FullScanWalkEngine(graph, Node2Vec(p=2.0, q=0.5), config).run()
+        assert result.stats.termination.by_dead_end == 1
+        assert result.stats.counters.pd_evaluations == 0
 
 
 class TestSegmentedSample:
+    """``FullScanSpans.sample``: ITS within each walker's own span."""
+
     def test_matches_per_segment_distribution(self):
-        mass = np.array([1.0, 3.0, 2.0, 2.0, 0.0, 5.0])
-        offsets = np.array([0, 2, 6])
+        spans = scan_of_masses([[1.0, 3.0], [2.0, 2.0, 0.0, 5.0]])
+        assert spans.totals.tolist() == [4.0, 9.0]
         rng = np.random.default_rng(0)
+        lanes = np.arange(2)
         first, second = [], []
         for _ in range(20_000):
-            choices, totals = segmented_sample(mass, offsets, rng)
+            choices = spans.sample(lanes, rng)
             first.append(choices[0])
             second.append(choices[1] - 2)
-            assert totals.tolist() == [4.0, 9.0]
-        assert_matches_distribution(first, mass[:2])
-        assert_matches_distribution(second, mass[2:])
+        assert_matches_distribution(first, [1.0, 3.0])
+        assert_matches_distribution(second, [2.0, 2.0, 0.0, 5.0])
 
     def test_zero_segment(self):
-        mass = np.array([0.0, 0.0, 1.0])
-        offsets = np.array([0, 2, 3])
-        rng = np.random.default_rng(1)
-        choices, totals = segmented_sample(mass, offsets, rng)
-        assert choices[0] == -1
+        spans = scan_of_masses([[0.0, 0.0], [1.0]])
+        assert spans.totals[0] == 0.0
+        # The zero-mass edges cost no Pd evaluation.
+        assert spans.evaluations.tolist() == [0, 1]
+        choices = spans.sample(np.arange(2), np.random.default_rng(1))
         assert choices[1] == 2
-        assert totals[0] == 0.0
 
     def test_empty_segment(self):
-        mass = np.array([2.0])
-        offsets = np.array([0, 0, 1])
-        rng = np.random.default_rng(2)
-        choices, totals = segmented_sample(mass, offsets, rng)
-        assert choices[0] == -1 and choices[1] == 0
+        # A walker at a sink beside one that can move: the sink's lane
+        # is never scanned, the other walker's step is.
+        graph = from_edges(4, [(0, 1), (0, 2), (1, 0), (2, 0)])
+        config = WalkConfig(
+            num_walkers=2, max_steps=1, start_vertices=np.array([3, 0])
+        )
+        result = FullScanWalkEngine(graph, Node2Vec(p=2.0, q=0.5), config).run()
+        assert result.stats.termination.by_dead_end == 1
+        assert result.stats.termination.by_step_limit == 1
+        assert result.stats.total_steps == 1
+        assert result.stats.counters.pd_evaluations == 2
 
     def test_all_zero(self):
-        rng = np.random.default_rng(3)
-        choices, _ = segmented_sample(np.zeros(3), np.array([0, 3]), rng)
-        assert choices[0] == -1
+        spans = scan_of_masses([[0.0, 0.0, 0.0]])
+        assert spans.totals.tolist() == [0.0]
+
+    def test_one_uniform_per_lane(self):
+        spans = scan_of_masses([[1.0], [0.0, 0.0], [2.0, 1.0]])
+        rng, twin = np.random.default_rng(7), np.random.default_rng(7)
+        spans.sample(np.array([0, 1, 2, 2]), rng)
+        twin.random(4)
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestFullScanEngine:

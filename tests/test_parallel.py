@@ -3,6 +3,7 @@
 import dataclasses
 import multiprocessing
 import os
+import pickle
 import threading
 import time
 
@@ -21,6 +22,7 @@ from repro.graph.generators import erdos_renyi_graph, star_graph, uniform_degree
 from repro.graph.prepared import PreparedGraph
 from repro.parallel import run_parallel_walk, shard_config
 from repro.sampling.alias import VertexAliasTables, build_alias_segments
+from repro.sampling.tables import is_unit_weights
 from repro.service.deadline import CancelToken
 from repro.service.pool import SupervisedPool
 
@@ -505,6 +507,32 @@ class TestTableRound:
         weighted = assign_random_weights(graph, seed=1)
         with pytest.raises(WorkerError, match="a table was built"):
             run_parallel_walk(weighted, UniformWalk(), config, 3)  # its own Ps
+
+    @pytest.mark.parametrize("kind", ["unweighted", "weighted"])
+    def test_slice_payloads_ship_no_unit_ps(self, kind, monkeypatch):
+        """Where a start method pickles the payloads, the unit Ps does
+        not travel as |E| floats, and each worker still builds over the
+        zero-stride view (its unit route)."""
+        graph = TABLE_GRAPHS[kind]()
+        sizes, unit = [], []
+        build = parallel.build_alias_segments
+
+        def recording(values, *args):
+            unit.append(is_unit_weights(values))
+            return build(values, *args)
+
+        class PicklingPool:
+            def run(self, fn, payloads, describe=None, cancel=None):
+                wires = [pickle.dumps(payload) for payload in payloads]
+                sizes.extend(len(wire) for wire in wires)
+                return [fn(pickle.loads(wire)) for wire in wires]
+
+        monkeypatch.setattr(parallel, "build_alias_segments", recording)
+        tables = parallel._split_build(PicklingPool(), 2, None, [])(graph)
+        assert_tables_equal(tables, VertexAliasTables(graph))
+        assert unit == [graph.weights is None] * 2
+        if graph.weights is None:
+            assert max(sizes) < 8 * graph.num_edges
 
     def test_a_kept_table_is_not_built_again(self, graph, monkeypatch):
         prepared = PreparedGraph(graph)
