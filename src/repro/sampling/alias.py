@@ -44,12 +44,16 @@ __all__ = [
     "build_alias_segments",
 ]
 
-# Edges per chunk of a weighted build.  The chunk's Python lists (scaled
-# weights, prob, alias, the two stacks), ~130 bytes an edge, are what a
-# build holds beyond its output: ~2 MB at this size, where a build's
-# peak RSS rises no more than a per-vertex build's; chunks of 2**13 to
-# 2**15 edges build equally fast.
-CHUNK_EDGES = 1 << 14
+# Edges per chunk of a weighted build.  Every chunk pays its own
+# lock-step rounds, so larger chunks build faster; what a chunk holds
+# beyond the output (its numpy arrays, and the scalar finish's Python
+# lists, which a chunk of twitter's hubs fills) brings a twitter x1
+# build's tracemalloc peak to 2.2x its output here, and 2.7x at 2**17.
+CHUNK_EDGES = 1 << 16
+# Tables a lock-step round pairs at the least.  A round costs ~13 us
+# of numpy calls plus ~50 ns a table, a scalar pairing ~200 ns: below
+# ~64 tables the scalar pass finishes sooner.
+FINISH_LANES = 64
 
 
 def build_alias_arrays(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -109,10 +113,12 @@ def _vose_pairing(
         while small and large:
             lo = small.pop()
             hi = large.pop()
-            prob[lo] = scaled[lo]
+            piece = scaled[lo]
+            prob[lo] = piece
             alias[lo] = hi
-            scaled[hi] = (scaled[hi] + scaled[lo]) - 1.0
-            if scaled[hi] < 1.0:
+            residual = (scaled[hi] + piece) - 1.0
+            scaled[hi] = residual
+            if residual < 1.0:
                 small.append(hi)
             else:
                 large.append(hi)
@@ -165,7 +171,8 @@ def build_alias_segments(
     ``values`` needs, so a partial build matches the full one.
 
     A real Ps array is built a chunk of about ``CHUNK_EDGES`` edges at
-    a time (:func:`_build_chunk`).  The :func:`unit_weights` Ps — the
+    a time (:func:`_build_chunk`), its tables paired in lock step and
+    its last few by the scalar pass.  The :func:`unit_weights` Ps — the
     unweighted default table, rebuilt per request when serving a
     static graph — keeps one :func:`build_alias_arrays` call per
     segment: through the chunks, that serving path's peak memory grew
@@ -203,10 +210,11 @@ def build_alias_segments(
 def _build_chunk(values, offsets, first, last, segments, totals, prob, alias):
     """Segments ``first:last`` of :func:`build_alias_segments`, bit for
     bit as :func:`build_alias_arrays` builds each one: numpy takes every
-    segment's total, scale and ``< 1`` split at once, and the one
-    pairing pass runs over the chunk's Python lists, only on segments
-    with both a small and a large entry — the rest keep ``prob`` 1 and
-    the identity, as the pass would leave them.  A zero-mass segment
+    segment's total, scale and ``< 1`` split at once, and the pairing
+    runs only on segments with both a small and a large entry — the
+    rest keep ``prob`` 1 and the identity, as the pass would leave
+    them.  Those segments pair in lock step (:func:`_vose_lock_step`),
+    whose last few lanes the scalar pass finishes.  A zero-mass segment
     gets ``prob`` 0, and one whose ``n / total`` overflows goes to
     :func:`build_alias_arrays` for its exact rescale."""
     bounds = offsets[first : last + 1]
@@ -224,41 +232,111 @@ def _build_chunk(values, offsets, first, last, segments, totals, prob, alias):
     with np.errstate(all="ignore"):  # 0 / 0, n / 0 and n / tiny
         scales = degrees / sums
     plain = np.isfinite(scales)  # not empty, zero-mass or subnormal-total
-    scaled = weights * np.repeat(np.where(plain, scales, 0.0), degrees)
+    scaled = np.repeat(np.where(plain, scales, 0.0), degrees)
+    scaled *= weights
     small = scaled < 1.0
     running = np.zeros(end - start + 1, dtype=np.int64)
     np.cumsum(small, out=running[1:])
     small_at = running[local]  # smalls before each segment's start
+    del running
     smalls = np.diff(small_at)
     pairs = np.flatnonzero(plain & (smalls > 0) & (smalls < degrees))
     small_lo, small_hi = small_at[pairs], small_at[pairs + 1]
     large_lo, large_hi = local[pairs] - small_lo, local[pairs + 1] - small_hi
-    small_all = np.flatnonzero(small).tolist()
-    large_all = np.flatnonzero(~small).tolist()
-    size = end - start
-    chunk_prob, chunk_alias = [1.0] * size, [-1] * size  # -1: left unpaired
-    _vose_pairing(
-        scaled.tolist(),
+    chunk_prob, chunk_alias = prob[start:end], alias[start:end]
+    chunk_prob.fill(1.0)
+    chunk_alias.fill(-1)  # -1: left unpaired
+    _vose_lock_step(
+        scaled,
+        np.flatnonzero(small),
+        np.flatnonzero(~small),
+        np.stack([small_lo, small_hi, large_lo, large_hi]),
         chunk_prob,
         chunk_alias,
-        (
-            (small_all[a:b], large_all[c:d])
-            for a, b, c, d in zip(
-                small_lo.tolist(), small_hi.tolist(),
-                large_lo.tolist(), large_hi.tolist(),
-            )
-        ),
     )
-    prob[start:end] = np.fromiter(chunk_prob, dtype=np.float64, count=size)
-    paired = np.fromiter(chunk_alias, dtype=np.int64, count=size)
-    np.copyto(paired, np.arange(size), where=paired < 0)
-    alias[start:end] = paired - np.repeat(local[:-1], degrees)
+    unpaired = np.flatnonzero(chunk_alias < 0)
+    chunk_alias[unpaired] = unpaired
+    chunk_alias -= np.repeat(local[:-1], degrees)
     for segment in np.flatnonzero(~plain & (degrees > 0)).tolist():
         lo, hi = start + int(local[segment]), start + int(local[segment + 1])
         if sums[segment] <= 0:
             prob[lo:hi], alias[lo:hi] = 0.0, 0
         else:  # a subnormal total: the exact rescale
             prob[lo:hi], alias[lo:hi] = build_alias_arrays(values[lo:hi])
+
+
+def _vose_lock_step(scaled, small_all, large_all, lanes, prob, alias):
+    """Vose's stack discipline over many tables at once, in place.
+
+    ``small_all`` / ``large_all`` list the ``< 1`` and ``>= 1`` positions
+    of ``scaled`` in ascending order, and each column of ``lanes`` is
+    one table's stacks, ``small_all[small_lo:small_top]`` and
+    ``large_all[large_lo:large_top]``.  A demoted large goes where the
+    small it was paired with was popped from, so both stacks stay
+    ranges.  One numpy round is one pop of :func:`_vose_pairing` in
+    every table, its residual ``(scaled[hi] + scaled[lo]) - 1.0``
+    written back to ``scaled`` — the same operations in the same
+    order, so the same bits.  A table leaves when a stack empties;
+    once fewer than ``FINISH_LANES`` remain (the hubs of a power-law
+    chunk), their stacks go to :func:`_vose_pairing` as they stand.
+    """
+    while lanes.shape[1] >= FINISH_LANES:
+        small_lo, small_top, large_lo, large_top = lanes
+        small_top -= 1
+        lo = small_all[small_top]
+        hi = large_all[large_top - 1]
+        piece = scaled[lo]
+        prob[lo] = piece
+        alias[lo] = hi
+        residual = scaled[hi] + piece
+        residual -= 1.0
+        scaled[hi] = residual
+        demoted = residual < 1.0
+        small_all[small_top] = np.where(demoted, hi, lo)
+        small_top += demoted
+        large_top -= demoted
+        live = (small_top > small_lo) & (large_top > large_lo)
+        if not live.all():
+            lanes = lanes[:, live]
+    if lanes.shape[1]:
+        _finish_lanes(scaled, small_all, large_all, lanes, prob, alias)
+
+
+def _finish_lanes(scaled, small_all, large_all, lanes, prob, alias):
+    """The tables of :func:`_vose_lock_step`'s ``lanes`` through
+    :func:`_vose_pairing`, with one list conversion for all of them:
+    every small stack laid end to end, then every large stack, so each
+    stack is a range of the Python lists."""
+    small_lo, small_top, large_lo, large_top = lanes
+    smalls, larges = small_top - small_lo, large_top - large_lo
+    at = np.concatenate(
+        (small_all[_ranges(small_lo, smalls)], large_all[_ranges(large_lo, larges)])
+    )
+    small_ends, large_ends = np.cumsum(smalls), np.cumsum(larges) + smalls.sum()
+    size = at.size
+    paired_prob, paired_alias = [1.0] * size, [-1] * size
+    _vose_pairing(
+        scaled[at].tolist(),
+        paired_prob,
+        paired_alias,
+        (
+            (list(range(a, b)), list(range(c, d)))
+            for a, b, c, d in zip(
+                (small_ends - smalls).tolist(),
+                small_ends.tolist(),
+                (large_ends - larges).tolist(),
+                large_ends.tolist(),
+            )
+        ),
+    )
+    prob[at] = paired_prob  # the unpaired keep their 1
+    alias[at] = np.append(at, -1)[paired_alias]  # and their -1
+
+
+def _ranges(starts, counts):
+    """``arange(start, start + count)`` of every pair, laid end to end."""
+    shift = starts - (np.cumsum(counts) - counts)
+    return np.arange(counts.sum(), dtype=np.int64) + np.repeat(shift, counts)
 
 
 class VertexAliasTables:

@@ -27,7 +27,12 @@ from repro._index import index_dtype
 from repro.errors import SamplingError
 from repro.graph.csr import CSRGraph
 from repro.sampling.alias import build_alias_segments
-from repro.sampling.tables import segment_sums, static_component
+from repro.sampling.tables import (
+    is_unit_weights,
+    segment_sums,
+    static_component,
+    unit_weights,
+)
 
 __all__ = ["TypedVertexAliasTables"]
 
@@ -93,6 +98,17 @@ class TypedVertexAliasTables:
         self._group_count.flat[group_keys] = np.where(
             group_totals > 0, group_sizes, 0
         )
+
+    def __getstate__(self) -> dict:
+        # The unit Ps pickles as None, not as |E| float64s.
+        if is_unit_weights(self._static):
+            return dict(self.__dict__, _static=None)
+        return self.__dict__
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        if self._static is None:
+            self._static = unit_weights(self._graph.num_edges)
 
     @property
     def graph(self) -> CSRGraph:

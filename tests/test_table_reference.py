@@ -16,8 +16,16 @@ one build.
 The pairing pass itself is held to the frozen one on single segments
 too — degrees up to 300, duplicates, zeros, weights over
 1e-300...1e300 and long stack chains — comparing the bits of ``prob``.
-A rewrite of either the segment builder or the pass has to keep this
-file green.
+
+A chunk's tables pair in lock step until fewer than ``FINISH_LANES``
+remain, which the scalar pass finishes.  Every test here also draws
+(or loops over) that threshold at three settings: 1, the lock step to
+the end; the default; and one above any table count, the scalar pass
+alone.  The small graphs above seldom hold the default's count of
+tables, so lock-step graphs of 100-160 pairing vertices — a hub among
+them, and twins, vertices with identical slices whose larges demote
+in the same round — are drawn as well.  A rewrite of the segment
+builder, the lock step or the pass has to keep this file green.
 """
 
 import functools
@@ -51,19 +59,23 @@ NUM_TYPES = 3
 # blocks of 128, and a hub of over a thousand.
 BOUNDARY_DEGREES = (1, 7, 8, 9, 127, 128, 129, 1031)
 CHUNKS = (1, 7, 64, 300, alias_module.CHUNK_EDGES)
+# Lock step to the end, the default, and the scalar pass alone.
+FINISHES = (1, alias_module.FINISH_LANES, 10**9)
 
 
-def chunked(chunk):
-    """The weighted build, a chunk of ``chunk`` edges at a time."""
-    return mock.patch.object(alias_module, "CHUNK_EDGES", chunk)
+def chunked(chunk, finish=alias_module.FINISH_LANES):
+    """The weighted build, a chunk of ``chunk`` edges at a time, in lock
+    step while ``finish`` tables or more are left."""
+    return mock.patch.multiple(alias_module, CHUNK_EDGES=chunk, FINISH_LANES=finish)
 
 
 def in_chunks(test):
-    """``test`` with the weighted build in chunks of its edge set's size."""
+    """``test`` with the weighted build in chunks of its edge set's size,
+    finished at its edge set's threshold."""
 
     @functools.wraps(test)
     def run(*args, edges, **kwargs):
-        with chunked(edges.chunk):
+        with chunked(edges.chunk, edges.finish):
             return test(*args, edges=edges, **kwargs)
 
     return run
@@ -72,9 +84,9 @@ def in_chunks(test):
 class _Edges:
     """A mutable edge set whose untouched slices survive ``redraw``."""
 
-    def __init__(self, rng, count, weighted, chunk):
+    def __init__(self, rng, count, weighted, chunk, finish):
         self.rng, self.count, self.weighted = rng, count, weighted
-        self.chunk = chunk
+        self.chunk, self.finish = chunk, finish
         self.sources = np.zeros(0, dtype=np.int64)
         self.targets = np.zeros(0, dtype=np.int64)
         self.weights = np.zeros(0)
@@ -120,7 +132,11 @@ class _Edges:
 def edge_sets(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return _Edges(
-        rng, draw(st.integers(1, 9)), draw(st.booleans()), draw(st.sampled_from(CHUNKS))
+        rng,
+        draw(st.integers(1, 9)),
+        draw(st.booleans()),
+        draw(st.sampled_from(CHUNKS)),
+        draw(st.sampled_from(FINISHES)),
     )
 
 
@@ -181,8 +197,13 @@ def test_full_build_and_update_chains_equal_the_frozen_build(
 @in_chunks
 def test_typed_tables_equal_a_per_group_build(edges, custom):
     graph = edges.graph()
-    tables = TypedVertexAliasTables(graph, static_of(graph, edges.rng, custom))
-    static = tables.static_weights
+    assert_typed_equals_frozen(
+        TypedVertexAliasTables(graph, static_of(graph, edges.rng, custom))
+    )
+
+
+def assert_typed_equals_frozen(tables):
+    graph, static = tables.graph, tables.static_weights
     entries = 0
     for vertex in range(graph.num_vertices):
         start, end = graph.edge_range(vertex)
@@ -219,8 +240,70 @@ def test_a_chunk_may_end_before_at_or_inside_a_hub(reach):
         rng.integers(0, degrees.size, size=sources.size),
         weights=rng.random(sources.size) * 4,
     )
-    with chunked(30 + reach):
-        assert_equals_frozen(VertexAliasTables(graph))
+    for finish in FINISHES:
+        with chunked(30 + reach, finish):
+            assert_equals_frozen(VertexAliasTables(graph))
+
+
+@st.composite
+def lock_step_edges(draw):
+    """100-160 vertices of degree 2-20 and one hub, each with a small
+    and a large entry, so all of them pair in one chunk; one in five a
+    twin of the vertex before it (the same slice, so their larges
+    demote in the same round)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(100, 160))
+    degrees = rng.integers(2, 21, size=count)
+    degrees[rng.integers(count)] = HUB_DEGREE + rng.integers(1, 40)
+    slices = []
+    for degree in degrees.tolist():
+        if slices and rng.random() < 0.2:
+            slices.append(slices[-1].copy())
+            continue
+        weights = rng.integers(0, 9, size=degree) / 2.0
+        weights += rng.random(degree) * (rng.random() < 0.5)
+        if np.ptp(weights) == 0:  # a uniform slice pairs nothing
+            weights[0] += 1.0
+        slices.append(weights)
+    degrees = np.array([weights.size for weights in slices])
+    sources = np.repeat(np.arange(count), degrees)
+    return from_arrays(
+        count,
+        sources,
+        rng.integers(0, count, size=sources.size),
+        weights=np.concatenate(slices),
+        edge_types=rng.integers(0, NUM_TYPES, size=sources.size).astype(np.int32),
+    )
+
+
+@given(graph=lock_step_edges(), data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_lock_step_tables_equal_the_frozen_build(graph, data):
+    """At each threshold — lock step to the end, the default, the scalar
+    pass alone — a chunk of 100 or more pairing tables equals the frozen
+    build, from scratch, updated, verified and as typed groups (the
+    first threshold against the frozen statements, the others against
+    the first, bit for bit)."""
+    touched = np.array(
+        sorted(data.draw(st.sets(st.integers(0, graph.num_vertices - 1), min_size=100)))
+    )
+    lock_step = alias_module._vose_lock_step
+    built = []
+    for finish in FINISHES:
+        with chunked(alias_module.CHUNK_EDGES, finish), mock.patch.object(
+            alias_module, "_vose_lock_step", wraps=lock_step
+        ) as entered:
+            tables = VertexAliasTables(graph)
+            assert entered.call_args.args[3].shape[1] == graph.num_vertices
+            assert_tables_identical(tables.updated(graph, None, touched), tables)
+            assert tables.mismatches(np.arange(graph.num_vertices)) == []
+            built.append((tables, TypedVertexAliasTables(graph)))
+    (first, first_typed), *others = built
+    assert_equals_frozen(first)
+    assert_typed_equals_frozen(first_typed)
+    for tables, typed in others:
+        assert_tables_identical(tables, first)
+        assert_tables_identical(typed, first_typed)
 
 
 SEGMENT_KINDS = ("plain", "empty", "zero-mass", "subnormal-total")
@@ -230,11 +313,12 @@ SEGMENT_KINDS = ("plain", "empty", "zero-mass", "subnormal-total")
     seed=st.integers(0, 2**32 - 1),
     kinds=st.lists(st.sampled_from(SEGMENT_KINDS), min_size=1, max_size=12),
     chunk=st.sampled_from(CHUNKS),
+    finish=st.sampled_from(FINISHES),
     overflow_at=st.integers(0, 12),
 )
 @settings(max_examples=60, deadline=None)
 def test_odd_segments_mixed_with_plain_ones_in_one_build(
-    seed, kinds, chunk, overflow_at
+    seed, kinds, chunk, finish, overflow_at
 ):
     """Each segment of one build equals its own frozen table: a zero-mass
     one is unusable (``prob`` 0), a subnormal total's is that of its
@@ -253,7 +337,7 @@ def test_odd_segments_mixed_with_plain_ones_in_one_build(
             weights[0] = 5e-324
         segments.append(weights)
     values, offsets = laid_end_to_end(segments)
-    with chunked(chunk), warnings.catch_warnings():
+    with chunked(chunk, finish), warnings.catch_warnings():
         warnings.simplefilter("error")
         totals, prob, alias = build_alias_segments(values, offsets)
     for index, (kind, weights) in enumerate(zip(kinds, segments)):
@@ -273,7 +357,7 @@ def test_odd_segments_mixed_with_plain_ones_in_one_build(
     segments.insert(overflow_at, np.array([1e308, 1.0, 1e308]))
     values, offsets = laid_end_to_end(segments)
     order = rng.permutation(len(segments))  # a partial build names its own ids
-    with chunked(chunk), warnings.catch_warnings():
+    with chunked(chunk, finish), warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SamplingError, match=f"vertex {overflow_at} have no"):
             build_alias_segments(values, offsets)

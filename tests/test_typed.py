@@ -1,5 +1,7 @@
 """Tests for per-edge-type tables and the typed Meta-path engine."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,11 @@ from repro.baselines import TypedMetaPathWalkEngine
 from repro.core.config import WalkConfig
 from repro.core.engine import WalkEngine
 from repro.errors import ProgramError, SamplingError
+from repro.graph import load_dataset
 from repro.graph.builder import assign_random_weights, from_edges
 from repro.graph.generators import uniform_degree_graph
 from repro.graph.hetero import assign_random_edge_types
+from repro.sampling.tables import is_unit_weights
 from repro.sampling.typed import TypedVertexAliasTables
 
 from tests.helpers import assert_matches_distribution
@@ -129,6 +133,26 @@ class TestTypedTables:
             np.random.default_rng(4),
         )
         assert edges.size == 0
+
+    def test_pickled_unit_ps_stays_a_view(self):
+        """The unit Ps crosses a pickle as its length, as the per-vertex
+        tables' does: no 8 bytes per edge on the wire."""
+        graph = assign_random_edge_types(load_dataset("livejournal", scale=0.05), 5, 1)
+        tables = TypedVertexAliasTables(graph)
+        wire = pickle.dumps(tables)
+        copy = pickle.loads(wire)
+        assert is_unit_weights(copy.static_weights)
+        assert copy.static_weights.size == graph.num_edges
+        for name in ("_flat_edges", "_flat_prob", "_flat_alias", "_totals"):
+            np.testing.assert_array_equal(getattr(copy, name), getattr(tables, name))
+        owned = pickle.dumps(TypedVertexAliasTables(graph, np.ones(graph.num_edges)))
+        assert len(wire) <= len(owned) - 8 * graph.num_edges + 1024
+
+    def test_pickled_weighted_ps_is_kept(self, typed_graph):
+        graph = assign_random_weights(typed_graph, seed=2)
+        copy = pickle.loads(pickle.dumps(TypedVertexAliasTables(graph)))
+        assert not is_unit_weights(copy.static_weights)
+        np.testing.assert_array_equal(copy.static_weights, graph.weights)
 
 
 class TestTypedMetaPathEngine:
