@@ -31,6 +31,7 @@ from repro.sampling.tables import (
     compact_slices,
     copy_untouched_runs,
     is_unit_weights,
+    ranges,
     segment_sums,
     slice_indices,
     static_component,
@@ -310,7 +311,7 @@ def _finish_lanes(scaled, small_all, large_all, lanes, prob, alias):
     small_lo, small_top, large_lo, large_top = lanes
     smalls, larges = small_top - small_lo, large_top - large_lo
     at = np.concatenate(
-        (small_all[_ranges(small_lo, smalls)], large_all[_ranges(large_lo, larges)])
+        (small_all[ranges(small_lo, smalls)], large_all[ranges(large_lo, larges)])
     )
     small_ends, large_ends = np.cumsum(smalls), np.cumsum(larges) + smalls.sum()
     size = at.size
@@ -331,12 +332,6 @@ def _finish_lanes(scaled, small_all, large_all, lanes, prob, alias):
     )
     prob[at] = paired_prob  # the unpaired keep their 1
     alias[at] = np.append(at, -1)[paired_alias]  # and their -1
-
-
-def _ranges(starts, counts):
-    """``arange(start, start + count)`` of every pair, laid end to end."""
-    shift = starts - (np.cumsum(counts) - counts)
-    return np.arange(counts.sum(), dtype=np.int64) + np.repeat(shift, counts)
 
 
 class VertexAliasTables:

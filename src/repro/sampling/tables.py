@@ -36,6 +36,7 @@ __all__ = [
     "compact_slices",
     "copy_untouched_runs",
     "is_unit_weights",
+    "ranges",
     "segment_sums",
     "slice_indices",
     "static_component",
@@ -158,9 +159,13 @@ def segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 def slice_indices(offsets: np.ndarray, vertices: np.ndarray) -> np.ndarray:
     """Flat indices of ``vertices``' edge slices, slice after slice."""
     starts = offsets[vertices]
-    degrees = offsets[vertices + 1] - starts
-    shift = starts - (np.cumsum(degrees) - degrees)
-    return np.arange(degrees.sum(), dtype=np.int64) + np.repeat(shift, degrees)
+    return ranges(starts, offsets[vertices + 1] - starts)
+
+
+def ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``arange(start, start + count)`` of every pair, laid end to end."""
+    shift = starts - (np.cumsum(counts) - counts)
+    return np.arange(counts.sum(), dtype=np.int64) + np.repeat(shift, counts)
 
 
 def copy_untouched_runs(
