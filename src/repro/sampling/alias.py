@@ -46,15 +46,19 @@ __all__ = [
 ]
 
 # Edges per chunk of a weighted build.  Every chunk pays its own
-# lock-step rounds, so larger chunks build faster; what a chunk holds
-# beyond the output (its numpy arrays, and the scalar finish's Python
-# lists, which a chunk of twitter's hubs fills) brings a twitter x1
-# build's tracemalloc peak to 2.2x its output here, and 2.7x at 2**17.
+# lock-step rounds, so larger chunks build faster, up to about this
+# size; what a chunk holds beyond the output (~25 bytes an edge of
+# numpy arrays, and the finish's Python lists) brings a twitter x1
+# build's tracemalloc peak to 1.5x its output (1.9x at 2**17).
 CHUNK_EDGES = 1 << 16
 # Tables a lock-step round pairs at the least.  A round costs ~13 us
 # of numpy calls plus ~50 ns a table, a scalar pairing ~200 ns: below
 # ~64 tables the scalar pass finishes sooner.
 FINISH_LANES = 64
+# Stack entries the scalar finish turns into Python lists at once.  In
+# one batch, a chunk's hub-sized stacks left a twitter x1 build's
+# process 2.4 MB more resident; in batches of this size, 0.9 MB.
+FINISH_ENTRIES = 1 << 12
 
 
 def build_alias_arrays(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -305,33 +309,38 @@ def _vose_lock_step(scaled, small_all, large_all, lanes, prob, alias):
 
 def _finish_lanes(scaled, small_all, large_all, lanes, prob, alias):
     """The tables of :func:`_vose_lock_step`'s ``lanes`` through
-    :func:`_vose_pairing`, with one list conversion for all of them:
-    every small stack laid end to end, then every large stack, so each
-    stack is a range of the Python lists."""
-    small_lo, small_top, large_lo, large_top = lanes
-    smalls, larges = small_top - small_lo, large_top - large_lo
-    at = np.concatenate(
-        (small_all[ranges(small_lo, smalls)], large_all[ranges(large_lo, larges)])
-    )
-    small_ends, large_ends = np.cumsum(smalls), np.cumsum(larges) + smalls.sum()
-    size = at.size
-    paired_prob, paired_alias = [1.0] * size, [-1] * size
-    _vose_pairing(
-        scaled[at].tolist(),
-        paired_prob,
-        paired_alias,
-        (
-            (list(range(a, b)), list(range(c, d)))
-            for a, b, c, d in zip(
-                (small_ends - smalls).tolist(),
-                small_ends.tolist(),
-                (large_ends - larges).tolist(),
-                large_ends.tolist(),
-            )
-        ),
-    )
-    prob[at] = paired_prob  # the unpaired keep their 1
-    alias[at] = np.append(at, -1)[paired_alias]  # and their -1
+    :func:`_vose_pairing`, about ``FINISH_ENTRIES`` stack entries at a
+    time (a hub's alone), each batch with one list conversion: its
+    small stacks laid end to end, then its large stacks, so each stack
+    is a range of the Python lists."""
+    widths = np.cumsum((lanes[1] - lanes[0]) + (lanes[3] - lanes[2]))
+    cuts = np.flatnonzero(np.diff(widths // FINISH_ENTRIES)) + 1
+    for batch in np.split(lanes, cuts, axis=1):
+        small_lo, small_top, large_lo, large_top = batch
+        smalls, larges = small_top - small_lo, large_top - large_lo
+        at = np.concatenate(
+            (small_all[ranges(small_lo, smalls)], large_all[ranges(large_lo, larges)])
+        )
+        small_ends, large_ends = np.cumsum(smalls), np.cumsum(larges) + smalls.sum()
+        size = at.size
+        paired_prob, paired_alias = [1.0] * size, [-1] * size
+        _vose_pairing(
+            scaled[at].tolist(),
+            paired_prob,
+            paired_alias,
+            (
+                (list(range(a, b)), list(range(c, d)))
+                for a, b, c, d in zip(
+                    (small_ends - smalls).tolist(),
+                    small_ends.tolist(),
+                    (large_ends - larges).tolist(),
+                    large_ends.tolist(),
+                )
+            ),
+        )
+        prob[at] = np.fromiter(paired_prob, dtype=np.float64, count=size)
+        paired = np.fromiter(paired_alias, dtype=np.int64, count=size)
+        alias[at] = np.append(at, -1)[paired]  # the unpaired keep their -1
 
 
 class VertexAliasTables:

@@ -63,10 +63,15 @@ CHUNKS = (1, 7, 64, 300, alias_module.CHUNK_EDGES)
 FINISHES = (1, alias_module.FINISH_LANES, 10**9)
 
 
-def chunked(chunk, finish=alias_module.FINISH_LANES):
+def chunked(
+    chunk, finish=alias_module.FINISH_LANES, entries=alias_module.FINISH_ENTRIES
+):
     """The weighted build, a chunk of ``chunk`` edges at a time, in lock
-    step while ``finish`` tables or more are left."""
-    return mock.patch.multiple(alias_module, CHUNK_EDGES=chunk, FINISH_LANES=finish)
+    step while ``finish`` tables or more are left, the rest finished
+    about ``entries`` stack entries at a time."""
+    return mock.patch.multiple(
+        alias_module, CHUNK_EDGES=chunk, FINISH_LANES=finish, FINISH_ENTRIES=entries
+    )
 
 
 def in_chunks(test):
@@ -241,8 +246,9 @@ def test_a_chunk_may_end_before_at_or_inside_a_hub(reach):
         weights=rng.random(sources.size) * 4,
     )
     for finish in FINISHES:
-        with chunked(30 + reach, finish):
-            assert_equals_frozen(VertexAliasTables(graph))
+        for entries in (8, alias_module.FINISH_ENTRIES):  # the hub's alone
+            with chunked(30 + reach, finish, entries):
+                assert_equals_frozen(VertexAliasTables(graph))
 
 
 @st.composite
@@ -280,17 +286,19 @@ def lock_step_edges(draw):
 @settings(max_examples=20, deadline=None)
 def test_lock_step_tables_equal_the_frozen_build(graph, data):
     """At each threshold — lock step to the end, the default, the scalar
-    pass alone — a chunk of 100 or more pairing tables equals the frozen
-    build, from scratch, updated, verified and as typed groups (the
-    first threshold against the frozen statements, the others against
-    the first, bit for bit)."""
+    pass alone, and that in batches of 8 stack entries — a chunk of 100
+    or more pairing tables equals the frozen build, from scratch,
+    updated, verified and as typed groups (the first setting against
+    the frozen statements, the others against the first, bit for
+    bit)."""
     touched = np.array(
         sorted(data.draw(st.sets(st.integers(0, graph.num_vertices - 1), min_size=100)))
     )
     lock_step = alias_module._vose_lock_step
     built = []
-    for finish in FINISHES:
-        with chunked(alias_module.CHUNK_EDGES, finish), mock.patch.object(
+    settings = [(finish, alias_module.FINISH_ENTRIES) for finish in FINISHES]
+    for finish, entries in settings + [(FINISHES[-1], 8)]:  # + small batches
+        with chunked(alias_module.CHUNK_EDGES, finish, entries), mock.patch.object(
             alias_module, "_vose_lock_step", wraps=lock_step
         ) as entered:
             tables = VertexAliasTables(graph)
