@@ -52,8 +52,9 @@ __all__ = [
 # build's tracemalloc peak to 1.5x its output (1.9x at 2**17).
 CHUNK_EDGES = 1 << 16
 # Tables a lock-step round pairs at the least.  A round costs ~13 us
-# of numpy calls plus ~50 ns a table, a scalar pairing ~200 ns: below
-# ~64 tables the scalar pass finishes sooner.
+# of numpy calls plus ~60 ns a table, a pairing left to the scalar
+# finish ~250 ns with its share of the list set-up: below ~64 tables
+# the scalar pass finishes sooner (48 to 96 measured alike).
 FINISH_LANES = 64
 # Stack entries the scalar finish turns into Python lists at once.  In
 # one batch, a chunk's hub-sized stacks left a twitter x1 build's
